@@ -27,6 +27,8 @@ from .numerics import (
     hs_orthonormalize,
     nullspace,
     polar_isometry,
+    span_residual,
+    unitarity_defect,
 )
 
 _MAX_PROBE_RETRIES = 16
@@ -38,7 +40,6 @@ class OperatorAlgebra:
 
     dim: int
     basis: np.ndarray  # (k, dim, dim)
-    unital: bool = True
 
     def __len__(self) -> int:
         return self.basis.shape[0]
@@ -49,9 +50,7 @@ class OperatorAlgebra:
 
     def projection_residual(self, X, tol: Tolerance = DEFAULT_TOL) -> float:
         """Distance of X from the span, in HS norm."""
-        v = np.asarray(X, dtype=complex).reshape(-1)
-        Q = self.basis_rows()
-        return float(np.linalg.norm(v - (Q.conj() @ v) @ Q))
+        return float(span_residual([X], self.basis)[0])
 
     def contains(self, X, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.projection_residual(X, tol) <= tol.resid_abs
@@ -60,40 +59,15 @@ class OperatorAlgebra:
 def algebra_residuals(alg: OperatorAlgebra) -> dict[str, float]:
     """Invariant residuals: identity membership, adjoint and product closure."""
     d = alg.dim
-    Q = alg.basis_rows()
-    ident = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-    id_resid = float(np.linalg.norm(ident - (Q.conj() @ ident) @ Q))
-    adj = np.array([b.conj().T for b in alg.basis])
-    A = adj.reshape(len(alg), -1)
-    adj_resid = float(np.max(np.linalg.norm(A - (A @ Q.conj().T) @ Q, axis=1))) if len(alg) else 0.0
+    ident = np.eye(d, dtype=complex) / np.sqrt(d)
+    id_resid = float(span_residual([ident], alg.basis)[0])
+    adj = alg.basis.conj().transpose(0, 2, 1)
+    adj_resid = float(np.max(span_residual(adj, alg.basis), initial=0.0))
     prod_resid = 0.0
     for a in alg.basis:
-        P = np.einsum("ij,bjk->bik", a, alg.basis).reshape(len(alg), -1)
-        r = float(np.max(np.linalg.norm(P - (P @ Q.conj().T) @ Q, axis=1)))
-        prod_resid = max(prod_resid, r)
+        P = np.einsum("ij,bjk->bik", a, alg.basis)
+        prod_resid = max(prod_resid, float(np.max(span_residual(P, alg.basis))))
     return {"identity": id_resid, "adjoint": adj_resid, "product": prod_resid}
-
-
-def _append_orthonormal(rows: list[np.ndarray], candidates: np.ndarray, tol: Tolerance) -> int:
-    """MGS-append candidate rows to an orthonormal row list; returns #added."""
-    if candidates.size == 0:
-        return 0
-    if rows:
-        Q = np.array(rows)
-        candidates = candidates - (candidates @ Q.conj().T) @ Q
-    norms = np.linalg.norm(candidates, axis=1)
-    fresh: list[np.ndarray] = []
-    for v, n0 in zip(candidates, norms):
-        if n0 <= tol.rank_rel:
-            continue
-        for _ in range(2):
-            for q in fresh:
-                v = v - (q.conj() @ v) * q
-        nr = float(np.linalg.norm(v))
-        if nr > tol.rank_rel * max(n0, 1.0):
-            fresh.append(v / nr)
-    rows.extend(fresh)
-    return len(fresh)
 
 
 def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
@@ -121,23 +95,21 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     for g in gens:
         seed.append(g)
         seed.append(g.conj().T)
-    stack = hs_orthonormalize(seed, tol)
-    rows: list[np.ndarray] = list(stack.reshape(stack.shape[0], -1))
+    mats = hs_orthonormalize(seed, tol)
     new_start = 0
-    while len(rows) < d * d:
-        k = len(rows)
-        mats = np.array(rows).reshape(k, d, d)
+    while len(mats) < d * d:
+        k = len(mats)
         new = mats[new_start:]
         # only products involving an element added last pass can be new
         cand = np.concatenate([
-            np.einsum("aij,bjk->abik", mats, new).reshape(-1, d * d),
-            np.einsum("aij,bjk->abik", new, mats[:new_start]).reshape(-1, d * d),
-        ]) if new_start else np.einsum("aij,bjk->abik", mats, mats).reshape(-1, d * d)
-        _append_orthonormal(rows, cand, tol)
-        if len(rows) == k:
+            np.einsum("aij,bjk->abik", mats, new).reshape(-1, d, d),
+            np.einsum("aij,bjk->abik", new, mats[:new_start]).reshape(-1, d, d),
+        ]) if new_start else np.einsum("aij,bjk->abik", mats, mats).reshape(-1, d, d)
+        mats = np.concatenate([mats, hs_orthonormalize(cand, tol, against=mats)])
+        if len(mats) == k:
             break
         new_start = k
-    return OperatorAlgebra(dim=d, basis=np.array(rows).reshape(len(rows), d, d), unital=True)
+    return OperatorAlgebra(dim=d, basis=mats)
 
 
 def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -156,7 +128,7 @@ def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlg
     # the floor keeps a roundoff-only stack (commutant of the scalars) null
     N = nullspace(np.vstack(blocks), tol, scale=1.0)
     basis = N.T.reshape(-1, d, d)
-    return OperatorAlgebra(dim=d, basis=basis, unital=True)
+    return OperatorAlgebra(dim=d, basis=basis)
 
 
 def _span_projector_rows(alg: OperatorAlgebra) -> np.ndarray:
@@ -178,7 +150,7 @@ def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebr
     stacked = np.vstack([eye - _span_projector_rows(alg), eye - _span_projector_rows(comm)])
     # complementary projectors are O(1) or pure roundoff (full algebra)
     N = nullspace(stacked, tol, scale=1.0)
-    return OperatorAlgebra(dim=d, basis=N.T.reshape(-1, d, d), unital=True)
+    return OperatorAlgebra(dim=d, basis=N.T.reshape(-1, d, d))
 
 
 class FactorCheck(NamedTuple):
@@ -197,15 +169,6 @@ def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL)
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
     return close_algebra(list(a1.basis) + list(a2.basis), tol, dim=a1.dim)
-
-
-def _hermitian_spanning_set(basis: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Orthonormal Hermitian matrices spanning the *-closed span of basis."""
-    herm = []
-    for b in basis:
-        herm.append((b + b.conj().T) / 2)
-        herm.append((b - b.conj().T) / 2j)
-    return hs_orthonormalize(herm, tol)
 
 
 @dataclass
@@ -231,10 +194,12 @@ class StructureDecomposition:
         return [(b.n, b.d) for b in self.blocks]
 
 
-def _sample_clustered_eig(herm_basis: np.ndarray, rng, tol: Tolerance):
-    """Eigendecomposition of a random Hermitian combination, with clusters."""
-    coeff = rng.standard_normal(herm_basis.shape[0])
-    H = np.tensordot(coeff, herm_basis, axes=1)
+def _sample_clustered_eig(basis: np.ndarray, rng, tol: Tolerance):
+    """Eigendecomposition of a random Hermitian element of a *-closed span,
+    with clusters: H = (Z + Z^dag) / 2 for a complex Gaussian combination Z."""
+    k = basis.shape[0]
+    Z = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), basis, axes=1)
+    H = (Z + Z.conj().T) / 2
     w, V = hermitian_eig(H, tol)
     return w, V, cluster_indices(w, tol)
 
@@ -252,17 +217,16 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
        one-dimensional operator families connecting them, giving columns
        in which the algebra acts as 1_n (x) M_d.
     """
-    d = alg.dim
     cent = center(alg, tol)
     z = len(cent)
-    herm_center = _hermitian_spanning_set(cent.basis, tol)
-    if herm_center.shape[0] != z:
+    adj = cent.basis.conj().transpose(0, 2, 1)
+    if np.max(span_residual(adj, cent.basis), initial=0.0) > tol.resid_abs:
         raise ToleranceError("center is not *-closed within tolerance")
 
     streams = np.random.SeedSequence(seed).spawn(z + 1)
     rng = np.random.default_rng(streams[0])
     for _ in range(_MAX_PROBE_RETRIES):
-        w, V, clusters = _sample_clustered_eig(herm_center, rng, tol)
+        w, V, clusters = _sample_clustered_eig(cent.basis, rng, tol)
         if len(clusters) == z:
             break
     else:
@@ -275,10 +239,9 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
         comp = np.einsum("pi,apq,qk->aik", Vj.conj(), alg.basis, Vj)
         comp_basis = hs_orthonormalize(comp, tol)
         m = comp_basis.shape[0]
-        herm_comp = _hermitian_spanning_set(comp_basis, tol)
         block_rng = np.random.default_rng(streams[j + 1])
         for _ in range(_MAX_PROBE_RETRIES):
-            wb, Vb, bclusters = _sample_clustered_eig(herm_comp, block_rng, tol)
+            wb, Vb, bclusters = _sample_clustered_eig(comp_basis, block_rng, tol)
             mults = {len(c) for c in bclusters}
             if len(mults) == 1:
                 break
@@ -302,7 +265,7 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
                 norms = np.linalg.norm(family.reshape(m, -1), axis=1)
                 rep = family[int(np.argmax(norms))]
                 w_i = polar_isometry(rep, tol)
-                if w_i.shape != (n_b, n_b) or np.max(np.abs(w_i.conj().T @ w_i - np.eye(n_b))) > tol.resid_abs:
+                if w_i.shape != (n_b, n_b) or unitarity_defect(w_i) > tol.resid_abs:
                     raise ToleranceError(f"block {j}: connecting family gave a non-unitary isometry")
                 piv = w_i.reshape(-1)[int(np.argmax(np.abs(w_i)))]
                 w_i = w_i * (abs(piv) / piv)
@@ -322,7 +285,7 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
 
     raw_blocks.sort(key=lambda b: (-b["n"] * b["d"], -b["d"], fingerprint(b)))
     T = np.hstack([b["columns"] for b in raw_blocks])
-    if np.max(np.abs(T.conj().T @ T - np.eye(d))) > tol.resid_abs:
+    if unitarity_defect(T) > tol.resid_abs:
         raise ToleranceError("assembled basis change is not unitary within tolerance")
 
     blocks = [Block(label=j, n=b["n"], d=b["d"], central_projector=b["projector"])
@@ -404,16 +367,16 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     joined = join(a1, a2, tol)
     join_is_full = len(joined) == d * d
 
-    fc = is_factor(a1, tol)
-    if not fc.is_factor and witness is None:
-        cent = center(a1, tol)
+    cent = center(a1, tol)
+    a1_is_factor = len(cent) == 1
+    if not a1_is_factor and witness is None:
         ident = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
         rows = cent.basis_rows()
         rows = rows - np.outer(rows @ ident.conj(), ident)
         norms = np.linalg.norm(rows, axis=1)
         witness = rows[int(np.argmax(norms))].reshape(d, d)
 
-    verdict = commuting and join_is_full and fc.is_factor
+    verdict = commuting and join_is_full and a1_is_factor
     if verdict:
         sd = structure_decompose(a1, tol)
         if len(sd.blocks) != 1:
@@ -424,7 +387,7 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     return BipartitionCertificate(
         commuting=commuting,
         join_is_full=join_is_full,
-        a1_is_factor=fc.is_factor,
+        a1_is_factor=a1_is_factor,
         verdict=verdict,
         witness=witness,
     )

@@ -21,7 +21,7 @@ from .errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from .numerics import DEFAULT_TOL, schmidt_entropy
+from .numerics import DEFAULT_TOL, schmidt_entropy, unitarity_defect
 
 _DIM_CAP = 4096
 _EMBED_CAP = 1 << 20
@@ -62,10 +62,6 @@ class FockSpace:
         if not 1 <= i <= self.N:
             raise IndexError(f"mode index {i} out of range 1..{self.N}")
         return self.a[i - 1]
-
-    def number(self, i: int) -> np.ndarray:
-        ai = self.lowering(i)
-        return ai.conj().T @ ai
 
     def interior_projector(self) -> np.ndarray:
         """Projector onto total excitation <= M-1, where the CCR are exact."""
@@ -117,7 +113,7 @@ def transform_modes(fock: FockSpace, U) -> ModeSet:
     N = fock.N
     if U.shape != (N, N):
         raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({N}, {N})")
-    if np.max(np.abs(U.conj().T @ U - np.eye(N))) > DEFAULT_TOL.resid_abs:
+    if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
         raise ContractViolationError("mode rotation is not unitary")
     transformed = np.einsum("ji,jab->iab", U, fock.a)
     ms = ModeSet(fock=fock, U=U, transformed=transformed)

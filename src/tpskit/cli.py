@@ -28,7 +28,13 @@ from .algebra import (
     commutant,
     structure_decompose,
 )
-from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
+from .bosonic import (
+    build_fock,
+    ccr_residual,
+    mode_entanglement,
+    single_excitation_state,
+    transform_modes,
+)
 from .errors import TpskitError
 from .holonomy import (
     LoopPath,
@@ -37,7 +43,7 @@ from .holonomy import (
     loop_holonomy,
     refinement_ladder,
 )
-from .numerics import DEFAULT_TOL, Tolerance
+from .numerics import DEFAULT_TOL, Tolerance, unitarity_defect
 from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_pauli_token
 from .parity import syndrome_decompose, validate_parity_set
 from .tps import (
@@ -313,12 +319,7 @@ def _cmd_bosonic(args, tol):
         "measure": args.measure,
         "value": value,
     }
-    return results, {"ccr": _ccr_of(ms)}
-
-
-def _ccr_of(ms) -> float:
-    from .bosonic import ccr_residual
-    return ccr_residual(ms)
+    return results, {"ccr": ccr_residual(ms)}
 
 
 def _cmd_holonomy(args, tol):
@@ -328,7 +329,7 @@ def _cmd_holonomy(args, tol):
     ladder = refinement_ladder(fam, loop, args.eigenspace, op.n,
                                doublings=args.doublings, tol=tol)
     H = ladder.holonomy
-    defect = float(np.max(np.abs(H.conj().T @ H - np.eye(op.n))))
+    defect = unitarity_defect(H)
     results = {
         "family": args.family,
         "eigenspace": args.eigenspace,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import (
     BranchCutError,
@@ -24,7 +23,14 @@ from .errors import (
     PathSingularityError,
     ToleranceError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, hermitian_eig, polar_isometry
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    hermitian_eig,
+    hs_orthonormalize,
+    polar_isometry,
+    unitarity_defect,
+)
 
 _MIN_OVERLAP_SV = 1e-6
 _BRANCH_MARGIN = 1e-3
@@ -86,7 +92,7 @@ class UnitaryFamily:
         U = np.asarray(self.evaluate(lam), dtype=complex)
         if U.shape != (self.dim, self.dim):
             raise DimensionMismatchError("family evaluation has the wrong dimension")
-        if np.max(np.abs(U.conj().T @ U - np.eye(self.dim))) > DEFAULT_TOL.resid_abs:
+        if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
             raise ContractViolationError("family evaluation is not unitary")
         return U
 
@@ -289,7 +295,7 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
                 f"frame overlap lost rank at step {t} (sigma_min = {sv[-1]:.3e})")
         H = polar_isometry(O, tol) @ H
         F_prev = F_t
-    defect = float(np.max(np.abs(H.conj().T @ H - np.eye(n))))
+    defect = unitarity_defect(H)
     if defect > tol.resid_abs:
         raise ToleranceError(f"holonomy unitarity defect {defect:.3e}")
     return H
@@ -309,10 +315,18 @@ def principal_log_unitary(H) -> np.ndarray:
     """Anti-Hermitian principal logarithm of a unitary matrix.
 
     Eigenphases within the branch margin of -1 are rejected; callers
-    shrink or split the loop and retry.
+    shrink or split the loop and retry.  The Cayley transform
+    S = -i (H + 1)^-1 (H - 1) is Hermitian with eigenvalues tan(phase / 2)
+    on the eigenvectors of H, so one Hermitian eigensolve gives both.
     """
-    T, Z = schur(np.asarray(H, dtype=complex), output="complex")
-    phases = np.angle(np.diag(T))
+    H = np.asarray(H, dtype=complex)
+    eye = np.eye(H.shape[0])
+    try:
+        S = -1j * np.linalg.solve(H + eye, H - eye)
+    except np.linalg.LinAlgError:
+        raise BranchCutError("holonomy has eigenvalue -1") from None
+    t, Z = np.linalg.eigh((S + S.conj().T) / 2)
+    phases = 2 * np.arctan(t)
     if np.any(np.abs(phases) > np.pi - _BRANCH_MARGIN):
         raise BranchCutError("holonomy eigenvalue within margin of the branch cut")
     return (Z * (1j * phases)) @ Z.conj().T
@@ -346,42 +360,18 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
     for loop in loops:
         logs.extend(_collect_log(fam, loop, i, n, tol))
 
-    rows: list[np.ndarray] = []
-    mats: list[np.ndarray] = []
-
-    def vec(K):
-        return np.concatenate([K.real.reshape(-1), K.imag.reshape(-1)])
-
-    def add(K) -> bool:
-        v = vec(K)
-        n0 = np.linalg.norm(v)
-        for _ in range(2):
-            for q in rows:
-                v = v - (q @ v) * q
-        r = np.linalg.norm(v)
-        if r <= max(tol.resid_abs, tol.rank_rel * n0):
-            return False
-        v = v / r
-        rows.append(v)
-        mats.append(v[: n * n].reshape(n, n) + 1j * v[n * n:].reshape(n, n))
-        return True
-
-    for K in logs:
-        add(K)
-        if len(rows) == n * n:
-            return n * n
-    frontier = list(range(len(mats)))
-    while frontier and len(rows) < n * n:
-        new = []
-        for a in range(len(mats)):
-            for b in frontier:
-                if a == b:
-                    continue
-                if add(mats[a] @ mats[b] - mats[b] @ mats[a]):
-                    new.append(len(mats) - 1)
-                    if len(rows) == n * n:
-                        return n * n
-        frontier = new
+    # the span is real: each element is stored as the row (Re K, Im K)
+    rows = np.zeros((0, 2 * n * n))
+    batch = np.array(logs)
+    while len(batch) and len(rows) < n * n:
+        split = np.concatenate([batch.real, batch.imag], axis=1).reshape(len(batch), -1)
+        fresh = hs_orthonormalize(split, tol, against=rows).real
+        rows = np.concatenate([rows, fresh])
+        mats = (rows[:, :n * n] + 1j * rows[:, n * n:]).reshape(-1, n, n)
+        new = mats[len(mats) - len(fresh):]
+        # commutators with an element added last pass are the only new candidates
+        batch = (np.einsum("aij,bjk->abik", mats, new)
+                 - np.einsum("bij,ajk->abik", new, mats)).reshape(-1, n, n)
     return len(rows)
 
 

@@ -112,22 +112,6 @@ def kron(A, B) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
-def partial_trace(M, keep: int, dims: tuple[int, int]) -> np.ndarray:
-    """Trace out one factor of an operator on C^a (x) C^b.
-
-    keep=0 retains the first (dimension-a) factor, keep=1 the second.
-    Preserves the trace.
-    """
-    a, b = dims
-    M = _as_square(M)
-    if M.shape[0] != a * b:
-        raise DimensionMismatchError(f"dims {dims} inconsistent with shape {M.shape}")
-    if keep not in (0, 1):
-        raise DimensionMismatchError("keep must be 0 or 1")
-    R = M.reshape(a, b, a, b)
-    return np.einsum("ijkj->ik", R) if keep == 0 else np.einsum("ijil->jl", R)
-
-
 # Inputs whose largest singular value is below this are treated as zero.
 _POLAR_ZERO = 1e-14
 
@@ -150,17 +134,21 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return U[:, :rank] @ Vh[:rank]
 
 
-def _vec(ops: np.ndarray) -> np.ndarray:
-    return ops.reshape(ops.shape[0], -1)
+def unitarity_defect(U) -> float:
+    """Max-entry deviation of U^dag U from the identity."""
+    U = np.asarray(U)
+    return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
 
 
-def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.ndarray:
     """Hilbert-Schmidt orthonormalization of a sequence of same-shape matrices.
 
-    Modified Gram-Schmidt with one re-orthogonalization pass; an input is
-    dropped as linearly dependent when its residual norm falls below
-    rank_rel * max(own norm, 1).  Returns a (k, d, d) stack spanning the
-    same subspace.
+    The inputs are first projected off the span of the orthonormal stack
+    ``against`` (if given) in one block, then modified Gram-Schmidt with one
+    re-orthogonalization pass runs over them in order; an input is dropped
+    as linearly dependent when its residual norm falls below
+    rank_rel * max(norm on entry, 1).  Returns a (k, d, d) stack of the new
+    directions, in input order.
     """
     mats = [np.asarray(m, dtype=complex) for m in ops]
     if not mats:
@@ -169,9 +157,12 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     for m in mats:
         if m.shape != shape:
             raise DimensionMismatchError("all operators must share one shape")
+    V = np.array([m.reshape(-1) for m in mats])
+    if against is not None and len(against):
+        Q0 = np.asarray(against, dtype=complex).reshape(len(against), V.shape[1])
+        V = V - (V @ Q0.conj().T) @ Q0
     rows: list[np.ndarray] = []
-    for m in mats:
-        v = m.reshape(-1)
+    for v in V:
         n0 = float(np.linalg.norm(v))
         drop = tol.rank_rel * max(n0, 1.0)
         if n0 <= drop:
@@ -188,35 +179,37 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return np.array(rows).reshape(-1, *shape)
 
 
-def matrix_exp_skewhermitian(A) -> np.ndarray:
-    """Unitary exponential of an anti-Hermitian matrix via eigendecomposition."""
-    A = _as_square(A)
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if float(np.max(np.abs(A + A.conj().T))) > HERMITICITY_RTOL * max(scale, 1.0) * 10:
-        raise ContractViolationError("matrix is not anti-Hermitian within tolerance")
-    H = (-1j * A + (-1j * A).conj().T) / 2
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * w)) @ V.conj().T
+def span_residual(rows, basis) -> np.ndarray:
+    """HS distance of each element of ``rows`` from the span of ``basis``.
+
+    rows is a (m, ...) stack, basis a HS-orthonormal (k, ...) stack with the
+    same element shape; returns the m residual norms.
+    """
+    A = np.asarray(rows, dtype=complex)
+    A = A.reshape(A.shape[0], -1)
+    Q = np.asarray(basis, dtype=complex).reshape(-1, A.shape[1])
+    return np.linalg.norm(A - (A @ Q.conj().T) @ Q, axis=1)
 
 
-def schmidt_entropy(probabilities, kind: str = "vn") -> float:
-    """Entropy of a Schmidt probability vector.
+def schmidt_entropy(probabilities, kind: str = "vn"):
+    """Entropy of a Schmidt probability vector, or of each row of a stack.
 
     kind "vn": von Neumann entropy in bits; kind "linear": 1 - sum p^2.
-    Results below ENTROPY_FLOOR are reported as exactly 0.0 so that exact
-    product states yield exact zeros.
+    Weights <= 1e-16 are ignored, and results below ENTROPY_FLOOR are
+    reported as exactly 0.0 so that exact product states yield exact
+    zeros.  A 1-D input gives a float, a 2-D input an array of row values.
     """
     p = np.asarray(probabilities, dtype=float)
-    p = p[p > 1e-16]
+    keep = p > 1e-16
     if kind == "vn":
-        S = float(-(p * np.log2(p)).sum())
+        q = np.where(keep, p, 1.0)  # log(1) = 0: dropped entries contribute nothing
+        S = -(q * np.log2(q)).sum(axis=-1)
     elif kind == "linear":
-        S = float(1.0 - (p * p).sum())
+        S = 1.0 - np.where(keep, p * p, 0.0).sum(axis=-1)
     else:
         raise ValueError(f"unknown entropy kind {kind!r}")
-    if S < ENTROPY_FLOOR:
-        return 0.0
-    return S
+    S = np.where(S < ENTROPY_FLOOR, 0.0, S)
+    return float(S) if p.ndim == 1 else S
 
 
 def fix_column_phases(V) -> np.ndarray:

@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig
+from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, unitarity_defect
 from .tps import TPS
 
 _PAULI = {
@@ -158,8 +158,7 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
             M = sector_maps.get(label)
             if M is not None:
                 M = np.asarray(M, dtype=complex)
-                if M.shape != (d_code, d_code) or \
-                        np.max(np.abs(M.conj().T @ M - np.eye(d_code))) > tol.resid_abs:
+                if M.shape != (d_code, d_code) or unitarity_defect(M) > tol.resid_abs:
                     raise ContractViolationError(f"sector map for {label} is not unitary")
                 V = V @ M
             realigned.append((label, V))
@@ -178,7 +177,7 @@ def conjugate_parity_set(ps: ParitySet, U, tol: Tolerance = DEFAULT_TOL) -> Pari
     U = np.asarray(U, dtype=complex)
     if U.shape != (ps.dim, ps.dim):
         raise DimensionMismatchError("conjugating unitary has the wrong dimension")
-    if np.max(np.abs(U.conj().T @ U - np.eye(ps.dim))) > tol.resid_abs:
+    if unitarity_defect(U) > tol.resid_abs:
         raise ContractViolationError("conjugation requires a unitary")
     return validate_parity_set([U @ X @ U.conj().T for X in ps.ops], tol)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebra import OperatorAlgebra
 from .errors import ContractViolationError, DimensionMismatchError
-from .numerics import DEFAULT_TOL, ENTROPY_FLOOR, Tolerance, schmidt_entropy
+from .numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, span_residual, unitarity_defect
 
 _KIND_ALIASES = {
     "vn": "von-neumann-entropy-base-2",
@@ -54,7 +54,7 @@ class TPS:
         if self.iso.shape != (d, d):
             raise DimensionMismatchError(
                 f"iso shape {self.iso.shape} does not match factor product {d}")
-        defect = np.max(np.abs(self.iso.conj().T @ self.iso - np.eye(d)))
+        defect = unitarity_defect(self.iso)
         if defect > DEFAULT_TOL.resid_abs:
             raise ContractViolationError(f"iso unitarity defect {defect:.3e}")
 
@@ -178,7 +178,7 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
             E[a, b] = scale
             slot = np.kron(eye_l, np.kron(E, eye_r))
             basis[a * n_i + b] = tps.iso @ slot @ tps.iso.conj().T
-    return OperatorAlgebra(dim=d, basis=basis, unital=False)
+    return OperatorAlgebra(dim=d, basis=basis)
 
 
 def _grouped_tensor(v: np.ndarray, tps: TPS, left: list[int], right: list[int]) -> np.ndarray:
@@ -203,18 +203,6 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     return schmidt_entropy(s * s, kind=measure.short_kind)
 
 
-def _batch_entropies(p: np.ndarray, kind: str) -> np.ndarray:
-    """Row-wise schmidt_entropy with identical floor semantics."""
-    keep = p > 1e-16
-    if kind == "vn":
-        q = np.where(keep, p, 1.0)  # log(1) = 0: dropped entries contribute nothing
-        S = -(q * np.log2(q)).sum(axis=1)
-    else:
-        S = 1.0 - np.where(keep, p * p, 0.0).sum(axis=1)
-    S = np.where(S < ENTROPY_FLOOR, 0.0, S)
-    return S
-
-
 def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
                      samples: int = 20000, seed: int = 0,
                      batch: int = 4096) -> EntanglingPowerEstimate:
@@ -230,7 +218,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {U.shape} != dimension {d}")
-    if np.max(np.abs(U.conj().T @ U - np.eye(d))) > DEFAULT_TOL.resid_abs:
+    if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
         raise ContractViolationError("U is not unitary within tolerance")
 
     left, right = _split_cut(tps, measure.cut)
@@ -260,7 +248,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
         out = out.reshape([B] + list(tps.dims))
         out = np.transpose(out, [0] + [1 + i for i in order]).reshape(B, dL, dR)
         s = np.linalg.svd(out, compute_uv=False)
-        vals[done:done + B] = _batch_entropies(s * s, measure.short_kind)
+        vals[done:done + B] = schmidt_entropy(s * s, kind=measure.short_kind)
         done += B
 
     mean = float(vals.mean())
@@ -275,16 +263,11 @@ def tps_distance(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure
     return float(np.sqrt(est.mean))
 
 
-def _span_rows(alg: OperatorAlgebra) -> np.ndarray:
-    return alg.basis.reshape(len(alg), -1)
-
-
 def _spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: Tolerance) -> bool:
     if len(a) != len(b):
         return False
-    Qa, Qb = _span_rows(a), _span_rows(b)
-    ra = np.max(np.linalg.norm(Qa - (Qa @ Qb.conj().T) @ Qb, axis=1))
-    rb = np.max(np.linalg.norm(Qb - (Qb @ Qa.conj().T) @ Qa, axis=1))
+    ra = np.max(span_residual(a.basis, b.basis))
+    rb = np.max(span_residual(b.basis, a.basis))
     return max(float(ra), float(rb)) < tol.resid_abs
 
 

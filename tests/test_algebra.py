@@ -278,6 +278,18 @@ class TestStructureDecompose:
         shapes = {tuple(structure_decompose(alg, seed=s).block_shape) for s in range(4)}
         assert shapes == {((1, 4), (2, 2))}
 
+    def test_gaussian_abelian_algebra_in_haar_basis(self):
+        # two Gaussian diagonal generators in a Haar basis on d=3: the
+        # center's *-closure must not hinge on which basis the null-space
+        # SVD happens to return for it
+        rng = np.random.default_rng(100)
+        V = haar_unitary(3, rng)
+        gens = [V @ np.diag(rng.standard_normal(3) + 1j * rng.standard_normal(3)) @ V.conj().T
+                for _ in range(2)]
+        sd = structure_decompose(close_algebra(gens))
+        assert sd.block_shape == [(1, 1)] * 3
+        assert sd.residual < DEFAULT_TOL.resid_abs
+
     def test_conjugated_algebra_same_shape(self):
         rng = np.random.default_rng(41)
         U = haar_unitary(8, rng)

@@ -1,6 +1,7 @@
 """Spec-file parsing and CLI behavior: reports, errors, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -399,3 +400,13 @@ class TestDeterminism:
     def test_holonomy_byte_identical(self):
         argv = ["tps", "holonomy", "--refinement", "8", "--doublings", "1"]
         assert self.run_bytes(argv) == self.run_bytes(argv)
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package itself must not pull it in
+    src = Path(sys.modules["tpskit"].__file__).parents[1]
+    code = "import sys, tpskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, schur
 
 from tpskit.errors import (
     BranchCutError,
@@ -25,6 +25,12 @@ from tpskit.holonomy import (
     refinement_ladder,
     tabulated_family,
 )
+
+
+def haar_unitary(dim, rng):
+    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Q, R = np.linalg.qr(G)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def random_hermitian(rng, dim, scale=1.0):
@@ -318,6 +324,33 @@ class TestPrincipalLog:
         H = np.diag([np.exp(1j * (np.pi - 2e-3)), 1.0])
         K = principal_log_unitary(H)
         assert np.max(np.abs(expm(K) - H)) < 1e-12
+
+    def test_matches_schur_log_on_degenerate_and_near_cut_unitaries(self):
+        def schur_log(H):
+            T, Z = schur(H, output="complex")
+            phases = np.angle(np.diag(T))
+            if np.any(np.abs(phases) > np.pi - 1e-3):
+                return None
+            return (Z * (1j * phases)) @ Z.conj().T
+
+        rng = np.random.default_rng(43)
+        spectra = [
+            [0.7], [-2.9, 0.4, 0.4], [1.1, 1.1, 1.1, -0.3], [0.0, 0.0, 2.0, 2.0, -1.5],
+            [np.pi - 2e-3, 0.2], [-(np.pi - 2e-3), -(np.pi - 2e-3), 1.0],
+            [np.pi - 5e-4, 0.2, -0.8], [-(np.pi - 5e-4), 0.5], [np.pi, 0.1, 0.1],
+        ]
+        verdicts = []
+        for phases in spectra:
+            V = haar_unitary(len(phases), rng)
+            H = (V * np.exp(1j * np.array(phases))) @ V.conj().T
+            expected = schur_log(H)
+            verdicts.append(expected is not None)
+            if expected is None:
+                with pytest.raises(BranchCutError):
+                    principal_log_unitary(H)
+            else:
+                assert np.max(np.abs(principal_log_unitary(H) - expected)) < 1e-10
+        assert verdicts == [True] * 6 + [False] * 3
 
 
 # ------------------------------------------------------- witness and Lie spans

@@ -9,11 +9,10 @@ from tpskit.numerics import (
     hermitian_eig,
     hs_orthonormalize,
     kron,
-    matrix_exp_skewhermitian,
     nullspace,
-    partial_trace,
     polar_isometry,
     schmidt_entropy,
+    span_residual,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,29 +112,6 @@ def test_kron_identity():
     assert np.allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
 
 
-def test_partial_trace_product():
-    rng = np.random.default_rng(2)
-    rho = random_hermitian(rng, 3)
-    sigma = random_hermitian(rng, 4)
-    M = np.kron(rho, sigma)
-    assert np.allclose(partial_trace(M, 0, (3, 4)), np.trace(sigma) * rho)
-    assert np.allclose(partial_trace(M, 1, (3, 4)), np.trace(rho) * sigma)
-    assert np.isclose(np.trace(partial_trace(M, 0, (3, 4))), np.trace(M))
-
-
-def test_partial_trace_bell():
-    # direct 4x4 computation: reduced state of a Bell pair is maximally mixed
-    phi = np.zeros(4, dtype=complex)
-    phi[0] = phi[3] = 1 / np.sqrt(2)
-    rho = np.outer(phi, phi.conj())
-    assert np.allclose(partial_trace(rho, 0, (2, 2)), np.eye(2) / 2)
-
-
-def test_partial_trace_dim_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        partial_trace(np.eye(6), 0, (2, 2))
-
-
 def test_polar_isometry_unitary_fixed_point():
     rng = np.random.default_rng(9)
     A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -196,20 +172,33 @@ def test_hs_orthonormalize_idempotent():
     assert np.allclose(once, twice, atol=1e-12)
 
 
-def test_matrix_exp_zero():
-    assert np.allclose(matrix_exp_skewhermitian(np.zeros((3, 3))), np.eye(3))
+def test_hs_orthonormalize_against_adds_only_new_directions():
+    rng = np.random.default_rng(29)
+    Q = hs_orthonormalize([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                           for _ in range(3)])
+    A, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    inside = 2.0 * Q[0] - 1j * Q[2]
+    ops = [inside, A, inside + 3.0 * A, B, Q[1]]
+    out = hs_orthonormalize(ops, against=Q)
+    assert out.shape == (2, 3, 3)
+    G = out.reshape(2, -1)
+    assert np.allclose(G.conj() @ G.T, np.eye(2), atol=1e-12)
+    assert np.max(np.abs(Q.reshape(3, -1).conj() @ G.T)) < 1e-12
+    # Q and the new rows together span every input
+    assert np.max(span_residual(ops, np.concatenate([Q, out]))) < 1e-12
+    assert span_residual([B], Q)[0] > 0.1
 
 
-def test_matrix_exp_closed_form():
-    A = 1j * np.pi * SX / 2
-    assert np.allclose(matrix_exp_skewhermitian(A), 1j * SX, atol=1e-12)
+def test_hs_orthonormalize_rejects_mixed_shapes():
+    with pytest.raises(DimensionMismatchError):
+        hs_orthonormalize([np.eye(2), np.eye(3)])
 
 
-def test_matrix_exp_unitarity_defect():
-    rng = np.random.default_rng(31)
-    H = random_hermitian(rng, 6)
-    U = matrix_exp_skewhermitian(1j * H)
-    assert np.max(np.abs(U.conj().T @ U - np.eye(6))) < 1e-10
+def test_span_residual_of_rows():
+    Q = hs_orthonormalize([SX, SZ])
+    r = span_residual([SX + SZ, SY, np.eye(2)], Q)
+    assert r.shape == (3,)
+    assert np.allclose(r, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-14)
 
 
 def test_cluster_indices_gaps():
@@ -224,3 +213,19 @@ def test_schmidt_entropy_values():
     assert schmidt_entropy([0.5, 0.5]) == pytest.approx(1.0)
     assert schmidt_entropy([1.0 - 3e-16, 3e-16]) == 0.0
     assert schmidt_entropy([0.5, 0.5], kind="linear") == pytest.approx(0.5)
+
+
+def test_schmidt_entropy_stack_matches_rows():
+    rng = np.random.default_rng(37)
+    P = rng.random((6, 9))
+    P[1, :4] = 1e-17  # weights under the 1e-16 cut are ignored
+    P[2] = 0.0
+    P[2, 3] = 1.0  # exact product: exact zero
+    P[3, 2] = 1e-300
+    P /= P.sum(axis=1, keepdims=True)
+    for kind in ("vn", "linear"):
+        rows = np.array([schmidt_entropy(p, kind=kind) for p in P])
+        stacked = schmidt_entropy(P, kind=kind)
+        assert stacked.shape == (6,)
+        assert np.array_equal(stacked, rows)
+        assert stacked[2] == 0.0
