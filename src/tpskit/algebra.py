@@ -112,45 +112,36 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     return OperatorAlgebra(dim=d, basis=mats)
 
 
-def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """All operators commuting with every basis element of alg.
+def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """HS-orthonormal basis of the elements of span(start) commuting with every op.
 
-    Stacks the vectorized maps X -> X b - b X over the basis and extracts
-    the joint nullspace; row-major vectorization makes each map
-    1 (x) b^T - b (x) 1.
+    start is a HS-orthonormal (r, d, d) stack of candidates.  Each op
+    restricts the candidates to the nullspace of X -> X op - op X evaluated
+    on them, so no superoperator is ever formed.  A fixed unit-norm
+    combination of the ops goes first, so the candidates shrink at once
+    whatever the order of ops.
     """
+    c = np.exp(2j * np.pi * np.random.default_rng(0).random(len(ops))) / np.sqrt(max(len(ops), 1))
+    X = start
+    for b in [np.tensordot(c, ops, axes=1), *ops]:
+        C = X @ b - b @ X
+        # candidates and ops are HS-normalized, so the map's scale is O(1);
+        # the floor keeps a roundoff-only step (op the identity) null
+        K = nullspace(C.reshape(len(X), -1).T, tol, scale=1.0)
+        X = np.tensordot(K.T, X, axes=1)
+    return X
+
+
+def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+    """All operators commuting with every basis element of alg, cut out of the matrix units."""
     d = alg.dim
-    eye = np.eye(d, dtype=complex)
-    blocks = [np.kron(eye, b.T) - np.kron(b, eye) for b in alg.basis]
-    if not blocks:
-        blocks = [np.zeros((d * d, d * d), dtype=complex)]
-    # basis elements are HS-normalized, so the superoperator scale is O(1);
-    # the floor keeps a roundoff-only stack (commutant of the scalars) null
-    N = nullspace(np.vstack(blocks), tol, scale=1.0)
-    basis = N.T.reshape(-1, d, d)
-    return OperatorAlgebra(dim=d, basis=basis)
-
-
-def _span_projector_rows(alg: OperatorAlgebra) -> np.ndarray:
-    # projector onto the vectorized span, acting on column vectors
-    Q = alg.basis_rows()
-    return Q.T @ Q.conj()
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+    return OperatorAlgebra(dim=d, basis=_commuting_part(units, alg.basis, tol))
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant (an abelian algebra).
-
-    The intersection of the two spans is the joint nullspace of the
-    complementary projectors, stacked so the rank decision reuses the
-    uniform singular-value policy.
-    """
-    d = alg.dim
-    comm = commutant(alg, tol)
-    eye = np.eye(d * d, dtype=complex)
-    stacked = np.vstack([eye - _span_projector_rows(alg), eye - _span_projector_rows(comm)])
-    # complementary projectors are O(1) or pure roundoff (full algebra)
-    N = nullspace(stacked, tol, scale=1.0)
-    return OperatorAlgebra(dim=d, basis=N.T.reshape(-1, d, d))
+    """Intersection of alg with its commutant (abelian), cut out of alg's own basis."""
+    return OperatorAlgebra(dim=alg.dim, basis=_commuting_part(alg.basis, alg.basis, tol))
 
 
 class FactorCheck(NamedTuple):
@@ -370,11 +361,13 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     cent = center(a1, tol)
     a1_is_factor = len(cent) == 1
     if not a1_is_factor and witness is None:
+        # traceless central part of the first matrix unit the center holds at
+        # least half as strongly as any other: fixed by the span, not the basis
         ident = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
         rows = cent.basis_rows()
-        rows = rows - np.outer(rows @ ident.conj(), ident)
-        norms = np.linalg.norm(rows, axis=1)
-        witness = rows[int(np.argmax(norms))].reshape(d, d)
+        weight = np.sum(np.abs(rows) ** 2, axis=0) - np.abs(ident) ** 2
+        j = int(np.argmax(weight >= weight.max() / 2))
+        witness = (rows.T @ rows[:, j].conj() - ident * ident[j]).reshape(d, d)
 
     verdict = commuting and join_is_full and a1_is_factor
     if verdict:

@@ -21,7 +21,7 @@ from .errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from .numerics import DEFAULT_TOL, schmidt_entropy, unitarity_defect
+from .numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, unitarity_defect
 
 _DIM_CAP = 4096
 _EMBED_CAP = 1 << 20
@@ -102,7 +102,7 @@ class ModeSet:
         return self.transformed[i - 1]
 
 
-def transform_modes(fock: FockSpace, U) -> ModeSet:
+def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet:
     """Rotated modes a_i^U = sum_j U_ji a_j, with their invariants verified.
 
     Vacuum annihilation is exact by construction; the canonical
@@ -113,7 +113,7 @@ def transform_modes(fock: FockSpace, U) -> ModeSet:
     N = fock.N
     if U.shape != (N, N):
         raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({N}, {N})")
-    if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
+    if unitarity_defect(U) > tol.resid_abs:
         raise ContractViolationError("mode rotation is not unitary")
     transformed = np.einsum("ji,jab->iab", U, fock.a)
     ms = ModeSet(fock=fock, U=U, transformed=transformed)
@@ -176,7 +176,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     return out
 
 
-def mode_entanglement(state, ms, cut, kind: str = "vn") -> float:
+def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT_TOL) -> float:
     """Entanglement of a truncated state across a bipartition of modes.
 
     The state is embedded in the product of per-mode occupation spaces
@@ -203,7 +203,7 @@ def mode_entanglement(state, ms, cut, kind: str = "vn") -> float:
     for amp, m in zip(v, fock.basis):
         if sum(m) == fock.M and any(m[i] for i in left) and any(m[i] for i in right):
             boundary_weight += abs(amp) ** 2
-    if boundary_weight > DEFAULT_TOL.resid_abs:
+    if boundary_weight > tol.resid_abs:
         raise TruncationBoundaryError(
             f"top-shell weight {boundary_weight:.3e} straddles the cut; raise the "
             "cutoff to make the factorization truncation-safe")

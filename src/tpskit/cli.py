@@ -218,7 +218,7 @@ def _cmd_distance(args, tol):
     U = spec.operator(args.unitary)
     tps = TPS.natural(args.dims)
     measure = _measure_from(args)
-    est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed)
+    est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed, tol=tol)
     results = {
         "unitary": args.unitary,
         "dims": list(tps.dims),
@@ -241,7 +241,7 @@ def _cmd_equivalent(args, tol):
             return TPS.natural(dims)
         if spec is None:
             raise SpecFileError("--iso1/--iso2 need a spec file to read from")
-        return TPS(dims, spec.operator(iso_name))
+        return TPS(dims, spec.operator(iso_name), tol)
 
     t1 = build(args.dims1, args.iso1)
     t2 = build(args.dims2, args.iso2)
@@ -267,7 +267,7 @@ def _cmd_entangle(args, tol):
         origin = {"parity": list(args.parity)}
     else:
         iso = spec.operator(args.iso) if args.iso else None
-        tps = TPS(args.dims, iso) if iso is not None else TPS.natural(args.dims)
+        tps = TPS(args.dims, iso, tol) if iso is not None else TPS.natural(args.dims)
         origin = {"dims": list(args.dims)}
     measure = _measure_from(args)
     value = entanglement(state, tps, measure)
@@ -306,9 +306,9 @@ def _cmd_bosonic(args, tol):
         U = spec.operator(args.unitary)
     else:
         U = np.eye(args.modes)
-    ms = transform_modes(fock, U)
+    ms = transform_modes(fock, U, tol)
     state = single_excitation_state(ms, args.excite)
-    value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure)
+    value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure, tol=tol)
     results = {
         "modes": args.modes,
         "cutoff": args.cutoff,

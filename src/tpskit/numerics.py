@@ -96,12 +96,13 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray
     scale).  Pass the natural magnitude of M as ``scale`` when a morally
     zero input can still carry roundoff: without the floor, pure noise
     has full relative rank.  The zero matrix yields the full space; an
-    invertible matrix yields an empty (n, 0) basis.
+    invertible matrix yields an empty (n, 0) basis.  A tall or square M
+    takes the thin SVD, whose Vh is already complete.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {M.shape}")
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol.rank_rel * max(smax, scale)))
     return Vh[rank:].conj().T

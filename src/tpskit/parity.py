@@ -168,7 +168,7 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
     for s, (label, V) in enumerate(sectors):
         for l in range(d_code):
             iso[:, l * 2 ** k + s] = V[:, l]
-    tps = TPS((d_code, 2 ** k), iso)
+    tps = TPS((d_code, 2 ** k), iso, tol)
     return SyndromeDecomposition(sectors={label: V for label, V in sectors}, tps=tps)
 
 

@@ -14,7 +14,7 @@ Factor indices are 1-based throughout, matching the subscripts in
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -44,8 +44,9 @@ class TPS:
 
     dims: tuple[int, ...]
     iso: np.ndarray
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         self.dims = tuple(int(n) for n in self.dims)
         if not self.dims or any(n < 2 for n in self.dims):
             raise ContractViolationError("every factor dimension must be >= 2")
@@ -55,7 +56,7 @@ class TPS:
             raise DimensionMismatchError(
                 f"iso shape {self.iso.shape} does not match factor product {d}")
         defect = unitarity_defect(self.iso)
-        if defect > DEFAULT_TOL.resid_abs:
+        if defect > tol.resid_abs:
             raise ContractViolationError(f"iso unitarity defect {defect:.3e}")
 
     @property
@@ -204,8 +205,8 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
 
 def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
-                     samples: int = 20000, seed: int = 0,
-                     batch: int = 4096) -> EntanglingPowerEstimate:
+                     samples: int = 20000, seed: int = 0, batch: int = 4096,
+                     tol: Tolerance = DEFAULT_TOL) -> EntanglingPowerEstimate:
     """Haar-average entanglement that U creates from product states.
 
     Product states across the measure's cut are sampled as normalized
@@ -218,7 +219,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     U = np.asarray(U, dtype=complex)
     if U.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {U.shape} != dimension {d}")
-    if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
+    if unitarity_defect(U) > tol.resid_abs:
         raise ContractViolationError("U is not unitary within tolerance")
 
     left, right = _split_cut(tps, measure.cut)

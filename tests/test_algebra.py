@@ -300,6 +300,62 @@ class TestStructureDecompose:
         assert sd.residual < DEFAULT_TOL.resid_abs
 
 
+def random_block_algebra(blocks, rng):
+    """Algebra generated by two random elements of V ((+)_J 1_n (x) M_d) V^dag."""
+    dim = sum(n * d for n, d in blocks)
+    V = haar_unitary(dim, rng)
+    gens = []
+    for _ in range(2):
+        G = np.zeros((dim, dim), dtype=complex)
+        off = 0
+        for n, d in blocks:
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            G[off:off + n * d, off:off + n * d] = np.kron(np.eye(n), g)
+            off += n * d
+        gens.append(V @ G @ V.conj().T)
+    return close_algebra(gens, dim=dim)
+
+
+def random_block_shape(rng, max_dim=10):
+    if rng.random() < 0.3:
+        # abelian: up to 8 one-dimensional blocks, some with multiplicity
+        return [(int(rng.integers(1, 3)) if i < 2 else 1, 1) for i in range(int(rng.integers(2, 9)))]
+    blocks = []
+    while True:
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        if sum(a * b for a, b in blocks) + n * d > max_dim:
+            return blocks
+        blocks.append((n, d))
+
+
+class TestCommutantCenterOracles:
+    def test_random_direct_sums_match_construction(self):
+        rng = np.random.default_rng(2010)
+        for _ in range(40):
+            blocks = random_block_shape(rng)
+            alg = random_block_algebra(blocks, rng)
+            assert len(alg) == sum(d * d for _, d in blocks)
+            assert len(commutant(alg)) == sum(n * n for n, _ in blocks)
+            cent = center(alg)
+            assert len(cent) == len(blocks)
+            sd = structure_decompose(alg, seed=int(rng.integers(1000)))
+            assert sorted(sd.block_shape) == sorted(blocks)
+            projs = np.array([b.central_projector / np.sqrt(b.n * b.d) for b in sd.blocks])
+            assert np.allclose(span_projector(cent.basis), span_projector(projs), atol=1e-8)
+
+    def test_full_matrix_algebra_on_sixteen_dimensions(self):
+        # scaling guard: the full M_16 has 256 basis elements; a stacked
+        # superoperator with a full SVD would need tens of GB here
+        rng = np.random.default_rng(16)
+        U = haar_unitary(16, rng)
+        units = np.eye(256, dtype=complex).reshape(256, 16, 16)
+        alg = OperatorAlgebra(dim=16, basis=U @ units @ U.conj().T)
+        comm = commutant(alg)
+        assert len(comm) == 1
+        assert comm.contains(np.eye(16))
+        assert structure_decompose(alg).block_shape == [(1, 16)]
+
+
 class TestCheckBipartition:
     def test_tensor_factorization_accepted(self):
         a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
@@ -338,6 +394,17 @@ class TestCheckBipartition:
         assert W is not None
         assert np.abs(np.trace(W)) < 1e-8
         assert np.linalg.norm(W) > 0.5
+
+    def test_center_witness_fixed_by_the_span(self):
+        # the same algebra under a rotated basis yields the same witness:
+        # the traceless central part of the first diagonal matrix unit
+        a1 = close_algebra([np.diag([1.0, 2.0, 3.0])])
+        R = haar_unitary(len(a1), np.random.default_rng(5))
+        rotated = OperatorAlgebra(dim=3, basis=np.tensordot(R, a1.basis, axes=1))
+        expected = np.diag([2.0, -1.0, -1.0]) / 3
+        for alg in (a1, rotated):
+            W = check_bipartition(alg, alg).witness
+            assert np.allclose(W, expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):

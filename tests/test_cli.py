@@ -381,6 +381,38 @@ class TestCliPlumbing:
         assert "wall-time" not in out
 
 
+class TestToleranceReachesChecks:
+    # operators with a unitarity defect of ~5e-13: inside the default
+    # residual bound, outside --tol-resid 1e-14
+    SCALE = 1 + 2.5e-13
+    CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
+    def spec(self, tmp_path):
+        bs = self.SCALE * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        two = write_spec(tmp_path / "two.json", 2, {"bs": bs})
+        four = write_spec(tmp_path / "four.json", 4, {"u": self.SCALE * self.CNOT},
+                          states={"s": np.array([1, 0, 0, 1]) / np.sqrt(2)})
+        return two, four
+
+    @pytest.mark.parametrize("command", ["distance", "equivalent", "entangle", "bosonic"])
+    def test_defect_accepted_by_default_rejected_when_tight(self, command, tmp_path, capsys):
+        two, four = self.spec(tmp_path)
+        argv = {
+            "distance": ["tps", "distance", four, "--unitary", "u", "--dims", "2,2",
+                         "--samples", "100"],
+            "equivalent": ["tps", "equivalent", four, "--dims1", "2,2", "--dims2", "2,2",
+                           "--iso2", "u"],
+            "entangle": ["tps", "entangle", four, "--state", "s", "--dims", "2,2", "--iso", "u"],
+            "bosonic": ["tps", "bosonic", two, "--modes", "2", "--cutoff", "2",
+                        "--unitary", "bs"],
+        }[command]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        code, _, err = run_cli(argv + ["--tol-resid", "1e-14"], capsys)
+        assert code == 2
+        assert "ContractViolationError" in err and "unitar" in err
+
+
 class TestDeterminism:
     def run_bytes(self, argv):
         proc = subprocess.run([sys.executable, "-m", "tpskit", *argv],

@@ -103,9 +103,13 @@ def test_nullspace_rank_sum_property():
         r = int(rng.integers(0, min(rows, cols) + 1))
         M = (rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols))
              + 1j * rng.standard_normal((rows, r)) @ rng.standard_normal((r, cols)))
-        null_dim = nullspace(M).shape[1]
+        B = nullspace(M)
         rank = np.linalg.matrix_rank(M, tol=1e-10)
-        assert null_dim + rank == cols
+        assert B.shape[1] + rank == cols
+        # tall and square inputs take the thin SVD: the basis must still
+        # be an orthonormal set annihilated by M
+        assert np.allclose(M @ B, 0, atol=1e-10)
+        assert np.allclose(B.conj().T @ B, np.eye(B.shape[1]), atol=1e-10)
 
 
 def test_kron_identity():
