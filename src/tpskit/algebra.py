@@ -21,6 +21,7 @@ from .errors import DegeneracyError, DimensionMismatchError, ToleranceError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    close_span,
     cluster_indices,
     fix_column_phases,
     hermitian_eig,
@@ -73,10 +74,9 @@ def algebra_residuals(alg: OperatorAlgebra) -> dict[str, float]:
 def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
-    Seeds the span with the identity, the generators and their adjoints,
-    then repeatedly appends pairwise products and re-orthonormalizes until
-    the dimension is stable over a full pass.  The worst case is the full
-    matrix algebra (dimension dim^2), at which point iteration stops.
+    The words in the identity, the generators and their adjoints span it;
+    close_span grows them one letter per pass until a pass adds nothing or
+    the span is the full matrix algebra (dimension dim^2).
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if gens:
@@ -93,23 +93,8 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
 
     seed = [np.eye(d, dtype=complex)]
     for g in gens:
-        seed.append(g)
-        seed.append(g.conj().T)
-    mats = hs_orthonormalize(seed, tol)
-    new_start = 0
-    while len(mats) < d * d:
-        k = len(mats)
-        new = mats[new_start:]
-        # only products involving an element added last pass can be new
-        cand = np.concatenate([
-            np.einsum("aij,bjk->abik", mats, new).reshape(-1, d, d),
-            np.einsum("aij,bjk->abik", new, mats[:new_start]).reshape(-1, d, d),
-        ]) if new_start else np.einsum("aij,bjk->abik", mats, mats).reshape(-1, d, d)
-        mats = np.concatenate([mats, hs_orthonormalize(cand, tol, against=mats)])
-        if len(mats) == k:
-            break
-        new_start = k
-    return OperatorAlgebra(dim=d, basis=mats)
+        seed += [g, g.conj().T]
+    return OperatorAlgebra(dim=d, basis=close_span(seed, np.matmul, tol))
 
 
 def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.ndarray:

@@ -22,6 +22,7 @@ from .errors import (
     TruncationBoundaryError,
 )
 from .numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, unitarity_defect
+from .tps import _split_cut
 
 _DIM_CAP = 4096
 _EMBED_CAP = 1 << 20
@@ -191,13 +192,7 @@ def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT
         raise DimensionMismatchError("state length does not match the Fock dimension")
     if abs(np.linalg.norm(v) - 1.0) > 1e-10:
         raise ContractViolationError("state must be normalized")
-    cut = sorted(int(i) for i in cut)
-    if any(i < 1 or i > fock.N for i in cut):
-        raise IndexError(f"cut {cut} out of range for {fock.N} modes")
-    left = [i - 1 for i in cut]
-    right = [i for i in range(fock.N) if i + 1 not in set(cut)]
-    if not left or not right:
-        raise ContractViolationError("cut must be a proper nonempty mode bipartition")
+    left, right = _split_cut(fock.N, cut)
 
     boundary_weight = 0.0
     for amp, m in zip(v, fock.basis):

@@ -26,8 +26,8 @@ from .errors import (
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    close_span,
     hermitian_eig,
-    hs_orthonormalize,
     polar_isometry,
     unitarity_defect,
 )
@@ -85,14 +85,14 @@ class UnitaryFamily:
     dim: int
     evaluate: Callable = field(repr=False)
 
-    def __call__(self, lam) -> np.ndarray:
+    def __call__(self, lam, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.shape != (self.D,):
             raise DimensionMismatchError(f"parameter shape {lam.shape} != ({self.D},)")
         U = np.asarray(self.evaluate(lam), dtype=complex)
         if U.shape != (self.dim, self.dim):
             raise DimensionMismatchError("family evaluation has the wrong dimension")
-        if unitarity_defect(U) > DEFAULT_TOL.resid_abs:
+        if unitarity_defect(U) > tol.resid_abs:
             raise ContractViolationError("family evaluation is not unitary")
         return U
 
@@ -284,10 +284,10 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     """
     S = _selector(fam.dim, n, i)
     pts = loop.points()
-    F_prev = fam(pts[0]) @ S
+    F_prev = fam(pts[0], tol) @ S
     H = np.eye(n, dtype=complex)
     for t in range(1, pts.shape[0]):
-        F_t = fam(pts[t]) @ S
+        F_t = fam(pts[t], tol) @ S
         O = F_t.conj().T @ F_prev
         sv = np.linalg.svd(O, compute_uv=False)
         if sv[-1] < _MIN_OVERLAP_SV:
@@ -349,9 +349,8 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
     """Real dimension of the Lie algebra generated by the loop holonomies.
 
     Principal logs of the holonomies (with branch-cut splitting retries)
-    are closed under commutators over the reals until stable; dimension
-    n^2 certifies that the loops generate the whole unitary group of the
-    eigenspace.
+    are closed under commutators; dimension n^2 certifies that the loops
+    generate the whole unitary group of the eigenspace.
     """
     loops = list(loops)
     if not loops:
@@ -360,19 +359,10 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
     for loop in loops:
         logs.extend(_collect_log(fam, loop, i, n, tol))
 
-    # the span is real: each element is stored as the row (Re K, Im K)
-    rows = np.zeros((0, 2 * n * n))
-    batch = np.array(logs)
-    while len(batch) and len(rows) < n * n:
-        split = np.concatenate([batch.real, batch.imag], axis=1).reshape(len(batch), -1)
-        fresh = hs_orthonormalize(split, tol, against=rows).real
-        rows = np.concatenate([rows, fresh])
-        mats = (rows[:, :n * n] + 1j * rows[:, n * n:]).reshape(-1, n, n)
-        new = mats[len(mats) - len(fresh):]
-        # commutators with an element added last pass are the only new candidates
-        batch = (np.einsum("aij,bjk->abik", mats, new)
-                 - np.einsum("bij,ajk->abik", new, mats)).reshape(-1, n, n)
-    return len(rows)
+    # anti-Hermitian matrices are real-independent iff complex-independent
+    # (a matrix both Hermitian and anti-Hermitian is 0), so the complex
+    # span of the logs' commutator closure has the real Lie dimension
+    return len(close_span(logs, lambda x, s: x @ s - s @ x, tol))
 
 
 @dataclass

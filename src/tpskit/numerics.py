@@ -145,11 +145,12 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.nda
     """Hilbert-Schmidt orthonormalization of a sequence of same-shape matrices.
 
     The inputs are first projected off the span of the orthonormal stack
-    ``against`` (if given) in one block, then modified Gram-Schmidt with one
-    re-orthogonalization pass runs over them in order; an input is dropped
-    as linearly dependent when its residual norm falls below
-    rank_rel * max(norm on entry, 1).  Returns a (k, d, d) stack of the new
-    directions, in input order.
+    ``against`` (if given) in one block, twice, so that inputs almost
+    inside the span leave no span component behind; then modified
+    Gram-Schmidt with one re-orthogonalization pass runs over them in
+    order; an input is dropped as linearly dependent when its residual
+    norm falls below rank_rel * max(norm on entry, 1).  Returns a (k, d, d)
+    stack of the new directions, in input order.
     """
     mats = [np.asarray(m, dtype=complex) for m in ops]
     if not mats:
@@ -161,7 +162,8 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.nda
     V = np.array([m.reshape(-1) for m in mats])
     if against is not None and len(against):
         Q0 = np.asarray(against, dtype=complex).reshape(len(against), V.shape[1])
-        V = V - (V @ Q0.conj().T) @ Q0
+        for _ in range(2):
+            V = V - (V @ Q0.conj().T) @ Q0
     rows: list[np.ndarray] = []
     for v in V:
         n0 = float(np.linalg.norm(v))
@@ -178,6 +180,28 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.nda
     if not rows:
         return np.zeros((0,) + shape, dtype=complex)
     return np.array(rows).reshape(-1, *shape)
+
+
+def close_span(seed, product, tol: Tolerance) -> np.ndarray:
+    """HS-orthonormal basis of the span of all words in ``seed`` under ``product``.
+
+    The seed is orthonormalized into letters.  Each pass multiplies only the
+    directions the previous pass added by the letters,
+    ``product(new[:, None], letters[None])``, and keeps what is new against
+    the span, so the result spans the left-normed words
+    (((x_1 x_2) x_3) ... x_k) in the letters: the generated associative
+    algebra for the matrix product, the generated Lie algebra for the
+    commutator.  Stops when a pass adds nothing or the span is the whole
+    matrix space.
+    """
+    letters = hs_orthonormalize(seed, tol)
+    full = int(np.prod(letters.shape[1:]))
+    span = new = letters
+    while len(new) and len(span) < full:
+        cand = product(new[:, None], letters[None])
+        new = hs_orthonormalize(cand.reshape(-1, *letters.shape[1:]), tol, against=span)
+        span = np.concatenate([span, new])
+    return span
 
 
 def span_residual(rows, basis) -> np.ndarray:

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .algebra import _block_form_residual
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
 from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, unitarity_defect
 from .tps import TPS
@@ -193,12 +194,8 @@ def classify_operator(O, sd: SyndromeDecomposition, tol: Tolerance = DEFAULT_TOL
     O = np.asarray(O, dtype=complex)
     if O.shape != (d, d):
         raise DimensionMismatchError(f"operator shape {O.shape} != dimension {d}")
-    T = (sd.tps.iso.conj().T @ O @ sd.tps.iso).reshape(dc, ds, dc, ds)
-
-    m_code = np.einsum("isjs->ij", T) / ds
-    if np.max(np.abs(T - np.einsum("ij,st->isjt", m_code, np.eye(ds)))) <= tol.resid_abs:
+    if _block_form_residual([O], sd.tps.iso, [(dc, ds)], side="left") <= tol.resid_abs:
         return "code-local"
-    m_syn = np.einsum("isit->st", T) / dc
-    if np.max(np.abs(T - np.einsum("ij,st->isjt", np.eye(dc), m_syn))) <= tol.resid_abs:
+    if _block_form_residual([O], sd.tps.iso, [(dc, ds)], side="right") <= tol.resid_abs:
         return "syndrome-local"
     return "mixed"

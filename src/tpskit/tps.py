@@ -111,9 +111,8 @@ class EntanglingPowerEstimate:
     seed: int
 
 
-def _split_cut(tps: TPS, cut) -> tuple[list[int], list[int]]:
-    """0-based factor positions (cut side, complement side), both nonempty."""
-    m = tps.nfactors
+def _split_cut(m: int, cut) -> tuple[list[int], list[int]]:
+    """0-based positions of m factors (cut side, complement side), both nonempty."""
     cut = sorted(int(i) for i in cut)
     if any(i < 1 or i > m for i in cut):
         raise IndexError(f"cut {cut} out of range for {m} factors")
@@ -198,7 +197,7 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     (exactly) iff the state is a product across the cut within tolerance.
     """
     v = _check_state(state, tps.dim)
-    left, right = _split_cut(tps, measure.cut)
+    left, right = _split_cut(tps.nfactors, measure.cut)
     mat = _grouped_tensor(tps.iso.conj().T @ v, tps, left, right)
     s = np.linalg.svd(mat, compute_uv=False)
     return schmidt_entropy(s * s, kind=measure.short_kind)
@@ -222,7 +221,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     if unitarity_defect(U) > tol.resid_abs:
         raise ContractViolationError("U is not unitary within tolerance")
 
-    left, right = _split_cut(tps, measure.cut)
+    left, right = _split_cut(tps.nfactors, measure.cut)
     dims_l = [tps.dims[i] for i in left]
     dims_r = [tps.dims[i] for i in right]
     dL = int(np.prod(dims_l, dtype=int))

@@ -345,7 +345,11 @@ class TestCommutantCenterOracles:
 
     def test_full_matrix_algebra_on_sixteen_dimensions(self):
         # scaling guard: the full M_16 has 256 basis elements; a stacked
-        # superoperator with a full SVD would need tens of GB here
+        # superoperator with a full SVD would need tens of GB here, and an
+        # all-pairs product stack in the closure a few hundred MB
+        clock = np.diag(np.exp(2j * np.pi * np.arange(16) / 16))
+        shift = np.roll(np.eye(16), 1, axis=0)
+        assert len(close_algebra([clock, shift])) == 256
         rng = np.random.default_rng(16)
         U = haar_unitary(16, rng)
         units = np.eye(256, dtype=complex).reshape(256, 16, 16)

@@ -25,6 +25,7 @@ from tpskit.holonomy import (
     refinement_ladder,
     tabulated_family,
 )
+from tpskit.numerics import Tolerance
 
 
 def haar_unitary(dim, rng):
@@ -105,6 +106,14 @@ class TestFamilies:
         fam = UnitaryFamily(D=1, dim=2, evaluate=lambda lam: np.eye(2) * 2.0)
         with pytest.raises(ContractViolationError):
             fam([0.0])
+
+    def test_loop_holonomy_passes_its_tolerance_to_the_family(self):
+        base, _ = builtin_family("fixture-n2d2")
+        fam = UnitaryFamily(D=2, dim=4, evaluate=lambda lam: (1 + 1e-9) * base.evaluate(lam))
+        loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6))
+        loop_holonomy(fam, loop, 1, 2)  # a ~2e-9 defect is inside the default 1e-8
+        with pytest.raises(ContractViolationError):
+            loop_holonomy(fam, loop, 1, 2, Tolerance(resid_abs=1e-10))
 
     def test_family_checks_parameter_shape(self):
         fam = exponential_family([np.diag([1.0, -1.0])])
