@@ -49,12 +49,12 @@ class OperatorAlgebra:
         """Vectorized basis, one orthonormal row per element."""
         return self.basis.reshape(len(self), -1)
 
-    def projection_residual(self, X, tol: Tolerance = DEFAULT_TOL) -> float:
+    def projection_residual(self, X) -> float:
         """Distance of X from the span, in HS norm."""
         return float(span_residual([X], self.basis)[0])
 
     def contains(self, X, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.projection_residual(X, tol) <= tol.resid_abs
+        return self.projection_residual(X) <= tol.resid_abs
 
 
 def algebra_residuals(alg: OperatorAlgebra) -> dict[str, float]:

@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .bosonic import (
     build_fock,
-    ccr_residual,
     mode_entanglement,
     single_excitation_state,
     transform_modes,
@@ -40,7 +39,6 @@ from .holonomy import (
     LoopPath,
     builtin_family,
     holonomy_nonabelian_witness,
-    loop_holonomy,
     refinement_ladder,
 )
 from .numerics import DEFAULT_TOL, Tolerance, unitarity_defect
@@ -319,7 +317,7 @@ def _cmd_bosonic(args, tol):
         "measure": args.measure,
         "value": value,
     }
-    return results, {"ccr": ccr_residual(ms)}
+    return results, {"ccr": ms.ccr}
 
 
 def _cmd_holonomy(args, tol):

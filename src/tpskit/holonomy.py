@@ -278,23 +278,24 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
                   tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Discrete Wilson loop of eigenspace i along the path.
 
-    Frames F(lambda) = U(lambda) S_i are linked by the unitarized overlaps
-    polar_isometry(F(t+1)-dagger F(t)), multiplied in path order; the
+    Frames F(lambda) = U(lambda) S_i are linked by the unitary polar
+    factors of the overlaps F(t+1)-dagger F(t), multiplied in path order; the
     result is the parallel-transport unitary expressed in the base frame.
     """
     S = _selector(fam.dim, n, i)
-    pts = loop.points()
-    F_prev = fam(pts[0], tol) @ S
-    H = np.eye(n, dtype=complex)
-    for t in range(1, pts.shape[0]):
-        F_t = fam(pts[t], tol) @ S
-        O = F_t.conj().T @ F_prev
-        sv = np.linalg.svd(O, compute_uv=False)
+    return _transport([fam(p, tol) @ S for p in loop.points()], tol)
+
+
+def _transport(frames, tol: Tolerance) -> np.ndarray:
+    """Product of the polar factors of consecutive frame overlaps, in path order."""
+    H = np.eye(frames[0].shape[1], dtype=complex)
+    for t in range(1, len(frames)):
+        U, sv, Vh = np.linalg.svd(frames[t].conj().T @ frames[t - 1],
+                                  full_matrices=False)
         if sv[-1] < _MIN_OVERLAP_SV:
             raise PathSingularityError(
                 f"frame overlap lost rank at step {t} (sigma_min = {sv[-1]:.3e})")
-        H = polar_isometry(O, tol) @ H
-        F_prev = F_t
+        H = (U @ Vh) @ H
     defect = unitarity_defect(H)
     if defect > tol.resid_abs:
         raise ToleranceError(f"holonomy unitarity defect {defect:.3e}")
@@ -376,8 +377,18 @@ class RefinementLadder:
 
 def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
                       doublings: int = 4, tol: Tolerance = DEFAULT_TOL) -> RefinementLadder:
+    """Holonomies of the loop at refinements r, 2r, ..., 2^doublings r.
+
+    The family is evaluated once, on the finest loop's points; level j
+    transports every 2^(doublings - j)-th of those frames.  They are the
+    level's own points bit for bit: t / (r 2^j) and (t 2^m) / (r 2^(j+m))
+    are the same correctly rounded quotient.
+    """
+    if doublings < 0:
+        raise ContractViolationError("doublings must be >= 0")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
-    hols = [loop_holonomy(fam, loop.refined(2 ** j), i, n, tol)
-            for j in range(doublings + 1)]
+    S = _selector(fam.dim, n, i)
+    frames = [fam(p, tol) @ S for p in loop.refined(2 ** doublings).points()]
+    hols = [_transport(frames[::2 ** (doublings - j)], tol) for j in range(doublings + 1)]
     defects = [float(np.linalg.norm(hols[j] - hols[j + 1])) for j in range(doublings)]
     return RefinementLadder(refinements=refs, defects=defects, holonomy=hols[-1])

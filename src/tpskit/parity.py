@@ -45,6 +45,7 @@ class ParitySet:
 
     n: int
     ops: np.ndarray  # (k, 2^n, 2^n)
+    sectors: dict  # +-1 label tuple -> joint eigenbasis columns, canonical order
 
     @property
     def k(self) -> int:
@@ -59,9 +60,11 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     """Check the parity-set invariants, reporting every violation found.
 
     Each operator must be Hermitian, traceless, and an involution; the
-    family must commute pairwise; and no nonempty subset product may act
-    as the identity (which would make the joint eigenvalue patterns of
-    the 2^k subset products collide).
+    family must commute pairwise; and the family must be independent:
+    splitting the space by each parity in turn must give 2^k joint
+    eigenspaces of equal dimension, which holds exactly when every
+    nonempty subset product is traceless (character orthogonality on
+    Z_2^k).
     """
     mats = [np.asarray(X, dtype=complex) for X in ops]
     if not mats:
@@ -86,20 +89,27 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     for i, j in combinations(range(len(mats)), 2):
         if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol.resid_abs:
             problems.append(f"ops {i} and {j} do not commute")
-    if not problems:
-        # involutions have eigenvalues +-1, so a subset product equals the
-        # identity exactly when its trace reaches the full dimension
-        for r in range(1, len(mats) + 1):
-            for subset in combinations(range(len(mats)), r):
-                P = eye.astype(complex)
-                for i in subset:
-                    P = P @ mats[i]
-                if np.real(np.trace(P)) > d - 1:
-                    problems.append(f"product of ops {subset} acts as the identity "
-                                    "(dependent set)")
     if problems:
         raise ParitySetError("; ".join(problems))
-    return ParitySet(n=n, ops=np.array(mats))
+
+    sectors = [((), np.eye(d, dtype=complex))]
+    for X in mats:
+        nxt = []
+        for label, V in sectors:
+            w, W = hermitian_eig(V.conj().T @ X @ V, tol)
+            if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
+                raise ParitySetError("restricted parity has eigenvalues away from +-1")
+            for sign in (+1, -1):
+                cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
+                if cols.shape[1]:
+                    nxt.append((label + (sign,), fix_column_phases(V @ cols)))
+        sectors = nxt
+    dims_found = sorted(V.shape[1] for _, V in sectors)
+    if len(sectors) != 2 ** len(mats) or dims_found[0] != dims_found[-1]:
+        raise ParitySetError(
+            f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
+            "equal ones: the set is dependent (some subset product is not traceless)")
+    return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
 
 
 @dataclass
@@ -121,7 +131,7 @@ class SyndromeDecomposition:
 
 def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
                        sector_maps: dict | None = None) -> SyndromeDecomposition:
-    """Split the space by each parity in turn and assemble the sector TPS.
+    """Assemble the sector TPS from the validated parity sectors.
 
     sector_maps optionally reassigns the (non-canonical) logical
     identification: a map from sector label to a unitary applied on that
@@ -133,44 +143,22 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
             f"{k} parities on {n} qubits leave no logical factor to decompose")
     d_code = 2 ** (n - k)
 
-    sectors = [((), np.eye(d, dtype=complex))]
-    for X in ps.ops:
-        nxt = []
-        for label, V in sectors:
-            C = V.conj().T @ X @ V
-            w, W = hermitian_eig(C, tol)
-            if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
-                raise ParitySetError("restricted parity has eigenvalues away from +-1")
-            for sign in (+1, -1):
-                cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
-                if cols.shape[1]:
-                    nxt.append((label + (sign,), fix_column_phases(V @ cols)))
-        sectors = nxt
-
-    dims_found = sorted(V.shape[1] for _, V in sectors)
-    if len(sectors) != 2 ** k or dims_found != [d_code] * (2 ** k):
-        raise ParitySetError(
-            f"sector dimensions {dims_found} are not {2 ** k} x {d_code}: "
-            "operators do not generate a free character set")
-
+    sectors = dict(ps.sectors)
     if sector_maps:
-        realigned = []
-        for label, V in sectors:
+        for label, V in sectors.items():
             M = sector_maps.get(label)
             if M is not None:
                 M = np.asarray(M, dtype=complex)
                 if M.shape != (d_code, d_code) or unitarity_defect(M) > tol.resid_abs:
                     raise ContractViolationError(f"sector map for {label} is not unitary")
-                V = V @ M
-            realigned.append((label, V))
-        sectors = realigned
+                sectors[label] = V @ M
 
     iso = np.zeros((d, d), dtype=complex)
-    for s, (label, V) in enumerate(sectors):
+    for s, V in enumerate(sectors.values()):
         for l in range(d_code):
             iso[:, l * 2 ** k + s] = V[:, l]
     tps = TPS((d_code, 2 ** k), iso, tol)
-    return SyndromeDecomposition(sectors={label: V for label, V in sectors}, tps=tps)
+    return SyndromeDecomposition(sectors=sectors, tps=tps)
 
 
 def conjugate_parity_set(ps: ParitySet, U, tol: Tolerance = DEFAULT_TOL) -> ParitySet:

@@ -103,7 +103,7 @@ class TestTransformModes:
     def test_beamsplitter_ccr_direct_oracle(self):
         fock = build_fock(2, 3)
         ms = transform_modes(fock, BEAMSPLITTER)
-        P = fock.interior_projector()
+        P = np.diag(fock.interior_mask()).astype(complex)
         a1, a2 = ms.transformed
         cross = a1 @ a2.conj().T - a2.conj().T @ a1
         assert np.max(np.abs(P @ cross @ P)) < 1e-12
@@ -117,6 +117,7 @@ class TestTransformModes:
                 fock = build_fock(N, M)
                 ms = transform_modes(fock, haar_unitary(N, rng))
                 assert ccr_residual(ms) < 1e-12
+                assert ms.ccr == ccr_residual(ms)
 
     def test_composition(self):
         rng = np.random.default_rng(9)
@@ -227,6 +228,13 @@ class TestModeEntanglement:
             mode_entanglement(v, fock, cut=(1, 2))
         with pytest.raises(IndexError):
             mode_entanglement(v, fock, cut=(3,))
+
+    def test_state_length_and_norm_checked(self):
+        fock = build_fock(2, 2)
+        with pytest.raises(DimensionMismatchError):
+            mode_entanglement(np.ones(fock.dim + 1) / np.sqrt(fock.dim + 1), fock, cut=(1,))
+        with pytest.raises(ContractViolationError):
+            mode_entanglement(2 * fock.vacuum, fock, cut=(1,))
 
     def test_rotate_rejects_multiphoton_support(self):
         fock = build_fock(2, 2)

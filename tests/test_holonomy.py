@@ -426,3 +426,30 @@ class TestRefinementLadder:
             assert b < a
         assert ladder.holonomy.shape == (2, 2)
         assert np.max(np.abs(ladder.holonomy.conj().T @ ladder.holonomy - np.eye(2))) < 1e-10
+
+    def test_levels_match_loop_holonomy_bit_for_bit(self, fixture_fam):
+        fam, _ = fixture_fam
+        base = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=3)
+        ladder = refinement_ladder(fam, base, 1, 2, doublings=3)
+        hols = [loop_holonomy(fam, base.refined(2 ** j), 1, 2) for j in range(4)]
+        assert np.array_equal(ladder.holonomy, hols[-1])
+        assert ladder.defects == [float(np.linalg.norm(a - b))
+                                  for a, b in zip(hols[:-1], hols[1:])]
+
+    def test_family_evaluated_once_per_finest_point(self, fixture_fam):
+        fam, _ = fixture_fam
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            return fam.evaluate(lam)
+
+        base = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=5)
+        refinement_ladder(UnitaryFamily(D=fam.D, dim=fam.dim, evaluate=counted),
+                          base, 1, 2, doublings=3)
+        assert len(calls) == len(base.refined(2 ** 3).points())
+
+    def test_negative_doublings_rejected(self, fixture_fam):
+        fam, _ = fixture_fam
+        with pytest.raises(ContractViolationError, match="doublings"):
+            refinement_ladder(fam, RECT1, 1, 2, doublings=-1)

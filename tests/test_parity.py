@@ -1,7 +1,11 @@
 """Tests for parity operator validation, sector splitting, classification."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpskit.algebra import close_algebra, structure_decompose
 from tpskit.errors import ContractViolationError, ParitySetError
@@ -105,6 +109,60 @@ class TestValidateParitySet:
         with pytest.raises(ParitySetError):
             validate_parity_set([])
 
+    def test_sign_pair_rejected_at_validation(self):
+        # ZZI and -ZZI: no subset product is the identity, but their product
+        # -I is not traceless, so only two of the four labels occur
+        with pytest.raises(ParitySetError, match="dependent"):
+            validate_parity_set([pauli_string_matrix("ZZI"), -pauli_string_matrix("ZZI")])
+
+    def test_unequal_sector_pair_rejected_at_validation(self):
+        # commuting traceless involutions whose product has trace 4: the
+        # sectors have dimensions 1, 1, 3, 3
+        D1 = np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex)
+        D2 = np.diag([1, 1, 1, -1, -1, -1, -1, 1]).astype(complex)
+        with pytest.raises(ParitySetError, match="dependent"):
+            validate_parity_set([D1, D2])
+
+    def test_sectors_stored_in_canonical_order(self):
+        ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
+        assert list(ps.sectors) == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+        assert all(V.shape == (8, 2) for V in ps.sectors.values())
+
+
+def _subset_products_traceless(mats) -> bool:
+    """Brute-force oracle: every nonempty subset product has zero trace."""
+    d = mats[0].shape[0]
+    for r in range(1, len(mats) + 1):
+        for subset in combinations(mats, r):
+            P = np.eye(d, dtype=complex)
+            for X in subset:
+                P = P @ X
+            if abs(np.trace(P)) > d / 2:
+                return False
+    return True
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_validation_accepts_exactly_traceless_subset_products(n, k, conjugate, seed):
+    # signed Z strings relabelled qubit by qubit with one letter commute
+    # pairwise; subset products are signed Paulis of trace 0 or +-2^n
+    rng = np.random.default_rng(seed)
+    letters = rng.choice(list("XYZ"), n)
+    U = haar_unitary(2 ** n, rng) if conjugate else np.eye(2 ** n)
+    mats = []
+    for _ in range(k):
+        word = "".join(c if bit else "I" for c, bit in zip(letters, rng.integers(0, 2, n)))
+        sign = rng.choice([-1.0, 1.0])
+        mats.append(sign * U @ pauli_string_matrix(word) @ U.conj().T)
+    try:
+        ps = validate_parity_set(mats)
+    except ParitySetError:
+        assert not _subset_products_traceless(mats)
+    else:
+        assert _subset_products_traceless(mats)
+        assert len(ps.sectors) == 2 ** k
+
 
 class TestSyndromeDecompose:
     def test_x_slot_sectors(self):
@@ -167,13 +225,6 @@ class TestSyndromeDecompose:
             [pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")]))
         P = sum(V @ V.conj().T for V in sd.sectors.values())
         assert np.allclose(P, np.eye(8), atol=1e-10)
-
-    def test_sign_pair_passes_validation_but_fails_split(self):
-        # X1 = ZZI and X2 = -ZZI have distinct subset-product patterns yet
-        # realize only two of the four labels
-        ps = validate_parity_set([pauli_string_matrix("ZZI"), -pauli_string_matrix("ZZI")])
-        with pytest.raises(ParitySetError, match="free character"):
-            syndrome_decompose(ps)
 
     def test_no_logical_factor_rejected(self):
         ps = validate_parity_set([pauli_string_matrix("XX"), pauli_string_matrix("ZZ")])
