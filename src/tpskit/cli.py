@@ -228,7 +228,7 @@ def _cmd_distance(args, tol):
         "seed": est.seed,
         "distance": float(np.sqrt(est.mean)),
     }
-    return results, {}
+    return results, {"unitarity_defect": est.unitarity_defect}
 
 
 def _cmd_equivalent(args, tol):

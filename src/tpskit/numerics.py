@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 
-# Relative Hermiticity defect allowed before an input is rejected.
-HERMITICITY_RTOL = 1e-12
-
 # Entropies below this are reported as exactly 0.0 (double-precision noise
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
@@ -64,11 +61,11 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
 
     Returns (w, V) with eigenvalues w ascending and V unitary,
     M = V diag(w) V^dag.  Rejects inputs whose Hermiticity defect exceeds
-    HERMITICITY_RTOL relative to the largest entry.
+    resid_abs relative to the larger of the largest entry and 1.
     """
     M = _as_square(M)
     scale = float(np.max(np.abs(M))) if M.size else 0.0
-    if hermiticity_defect(M) > HERMITICITY_RTOL * max(scale, 1.0):
+    if hermiticity_defect(M) > tol.resid_abs * max(scale, 1.0):
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(M)
     return w, V
@@ -233,8 +230,29 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
         S = 1.0 - np.where(keep, p * p, 0.0).sum(axis=-1)
     else:
         raise ValueError(f"unknown entropy kind {kind!r}")
-    S = np.where(S < ENTROPY_FLOOR, 0.0, S)
+    S = _floored(S)
     return float(S) if p.ndim == 1 else S
+
+
+def density_entropy(rho, kind: str = "vn"):
+    """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
+
+    kind "vn": ``schmidt_entropy`` of the eigenvalues; kind "linear":
+    1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.  The
+    same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    if kind == "vn":
+        return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
+    if kind != "linear":
+        raise ValueError(f"unknown entropy kind {kind!r}")
+    S = _floored(1.0 - (rho.real ** 2 + rho.imag ** 2).sum(axis=(-2, -1)))
+    return float(S) if rho.ndim == 2 else S
+
+
+def _floored(S):
+    """Entropies below ENTROPY_FLOOR become exactly 0.0."""
+    return np.where(S < ENTROPY_FLOOR, 0.0, S)
 
 
 def fix_column_phases(V) -> np.ndarray:

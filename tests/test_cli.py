@@ -253,6 +253,7 @@ class TestTpsCommands:
         assert 0.3 < res["mean"] < 0.7
         assert res["stderr"] > 0
         assert abs(res["distance"] - np.sqrt(res["mean"])) < 1e-15
+        assert 0.0 <= rep["residuals"]["unitarity_defect"] < 1e-8
 
     def test_equivalent_naturals_with_transposed_dims_differ(self, capsys):
         # same dims multiset, but the slots occupy different index strides
@@ -305,6 +306,19 @@ class TestTpsCommands:
         assert all(s["dim"] == 2 for s in rep["results"]["sectors"])
         assert rep["results"]["sectors"][0]["label"] == [1, 1]
         assert rep["results"]["tps_dims"] == [2, 4]
+
+    def test_parity_hermiticity_governed_by_tol_resid(self, tmp_path, capsys):
+        # a 1e-10 Hermiticity defect: inside the default residual bound,
+        # outside --tol-resid 1e-11
+        zzi = pauli_string_matrix("ZZI")
+        zzi[0, 1] += 1e-10j
+        spec = write_spec(tmp_path / "zzi.json", 8, {"zzi": zzi})
+        argv = ["tps", "parity", spec, "--parity", "zzi", "IZZ"]
+        rep = report_of(argv, capsys)
+        assert [s["dim"] for s in rep["results"]["sectors"]] == [2, 2, 2, 2]
+        code, _, err = run_cli(argv + ["--tol-resid", "1e-11"], capsys)
+        assert code == 2
+        assert "ParitySetError" in err
 
     def test_parity_full_set_is_computation_error(self, capsys):
         code, _, err = run_cli(["tps", "parity", "--parity", "XX", "YY"], capsys)

@@ -9,6 +9,7 @@ from tpskit.numerics import (
     Tolerance,
     close_span,
     cluster_indices,
+    density_entropy,
     hermitian_eig,
     hs_orthonormalize,
     kron,
@@ -58,6 +59,15 @@ def test_hermitian_eig_reconstruction():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ContractViolationError):
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_hermitian_eig_obeys_the_callers_tolerance():
+    M = SZ.copy()
+    M[0, 1] += 1e-12
+    w, _ = hermitian_eig(M)
+    assert np.allclose(w, [-1, 1])
+    with pytest.raises(ContractViolationError):
+        hermitian_eig(M, Tolerance(resid_abs=1e-14))
 
 
 def test_reconstruction_property_up_to_dim_64():
@@ -302,3 +312,19 @@ def test_schmidt_entropy_stack_matches_rows():
         assert stacked.shape == (6,)
         assert np.array_equal(stacked, rows)
         assert stacked[2] == 0.0
+
+
+def test_density_entropy_matches_schmidt_spectrum():
+    rng = np.random.default_rng(41)
+    C = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    C /= np.linalg.norm(C, axis=(1, 2), keepdims=True)
+    C[0] = np.outer([1, 1j, 0], [0.5, 0.5, 0.5, 0.5]) / np.sqrt(2)  # product state
+    rho = C @ C.conj().transpose(0, 2, 1)
+    s = np.linalg.svd(C, compute_uv=False)
+    for kind in ("vn", "linear"):
+        dens = density_entropy(rho, kind)
+        assert np.max(np.abs(dens - schmidt_entropy(s * s, kind))) < 1e-14
+        assert dens[0] == 0.0
+        assert density_entropy(rho[1], kind) == dens[1]
+    with pytest.raises(ValueError):
+        density_entropy(rho, "renyi")

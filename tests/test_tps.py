@@ -5,6 +5,7 @@ import pytest
 
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
+from tpskit.numerics import schmidt_entropy
 from tpskit.tps import (
     TPS,
     EntanglementMeasure,
@@ -221,6 +222,55 @@ def quad_entangling_power(U, kind, n_u, n_phi):
     return float((WW * E).sum())
 
 
+def svd_entangling_power(U, tps, measure, samples, seed):
+    """Reference estimator: the same canonical draw, one SVD per sample's
+    (cut, complement) coefficient matrix."""
+    left = sorted(i - 1 for i in measure.cut)
+    right = [i for i in range(tps.nfactors) if i not in left]
+    dims_l = [tps.dims[i] for i in left]
+    dims_r = [tps.dims[i] for i in right]
+    dL, dR = int(np.prod(dims_l)), int(np.prod(dims_r))
+    W = tps.iso.conj().T @ U @ tps.iso
+    order = left + right
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    Z1 = rng.standard_normal((samples, dL)) + 1j * rng.standard_normal((samples, dL))
+    Z2 = rng.standard_normal((samples, dR)) + 1j * rng.standard_normal((samples, dR))
+    z1 = Z1 / np.linalg.norm(Z1, axis=1, keepdims=True)
+    z2 = Z2 / np.linalg.norm(Z2, axis=1, keepdims=True)
+    prod = np.einsum("bi,bj->bij", z1, z2).reshape([samples] + dims_l + dims_r)
+    prod = np.transpose(prod, [0] + [1 + int(i) for i in np.argsort(order)])
+    out = (prod.reshape(samples, -1) @ W.T).reshape([samples] + list(tps.dims))
+    out = np.transpose(out, [0] + [1 + i for i in order]).reshape(samples, dL, dR)
+    s = np.linalg.svd(out, compute_uv=False)
+    vals = schmidt_entropy(s * s, kind=measure.short_kind)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(samples)
+
+
+def haar_linear_entangling_power(U, tps, cut):
+    """Exact Haar average of the linear entropy U creates from product states.
+
+    With E[|a><a|^(x)2] = (1 + SWAP)/(d(d+1)) on each side of the cut
+    (Zanardi, Zalka & Faoro, PRA 62, 030301(R)), the mean purity is
+    Tr[U^(x)2 (1+S_L)(1+S_R) U^dag(x)2 S_L] / (dL(dL+1) dR(dR+1)), with S_L,
+    S_R swapping the two copies of the cut and complement sides.
+    """
+    left = sorted(i - 1 for i in cut)
+    order = left + [i for i in range(tps.nfactors) if i not in left]
+    d = tps.dim
+    dL = int(np.prod([tps.dims[i] for i in left]))
+    dR = d // dL
+    # tensor-coordinate action of U, regrouped as (cut, complement)
+    P = np.eye(d).reshape(list(tps.dims) + [d]).transpose(order + [tps.nfactors]).reshape(d, d)
+    W = P @ tps.iso.conj().T @ U @ tps.iso @ P.T
+    WW = np.kron(W, W)
+    copies = np.eye(d * d).reshape(dL, dR, dL, dR, d * d)
+    S_L = copies.transpose(2, 1, 0, 3, 4).reshape(d * d, d * d)
+    S_R = copies.transpose(0, 3, 2, 1, 4).reshape(d * d, d * d)
+    one = np.eye(d * d)
+    purity = np.trace(WW @ (one + S_L) @ (one + S_R) @ WW.conj().T @ S_L).real
+    return 1.0 - purity / (dL * (dL + 1) * dR * (dR + 1))
+
+
 class TestEntanglingPower:
     def test_identity_exact_zero(self):
         t = TPS.natural((2, 2))
@@ -283,13 +333,69 @@ class TestEntanglingPower:
             e2 = entangling_power(V, t, samples=8000, seed=3)
             assert abs(e1.mean - e2.mean) <= 3 * (e1.stderr + e2.stderr)
 
+    @pytest.mark.parametrize("dims,cut", [((2, 2), {1}), ((4, 2), {1}), ((3, 3), {1}),
+                                          ((2, 3, 4), {1, 3})])
+    @pytest.mark.parametrize("kind", ["vn", "linear"])
+    def test_matches_per_sample_svd_reference(self, dims, cut, kind):
+        rng = np.random.default_rng(61)
+        d = int(np.prod(dims))
+        iso = haar_unitary(d, rng) if len(dims) == 3 else np.eye(d)
+        t = TPS(dims, iso)
+        U = haar_unitary(d, rng)
+        measure = EntanglementMeasure(kind=kind, cut=frozenset(cut))
+        est = entangling_power(U, t, measure, samples=3000, seed=12)
+        mean, stderr = svd_entangling_power(U, t, measure, samples=3000, seed=12)
+        assert abs(est.mean - mean) < 1e-13
+        assert abs(est.stderr - stderr) < 1e-13
+
+    @pytest.mark.parametrize("dims,cut", [((2, 3), {1}), ((3, 4), {1}), ((2, 2, 2), {1, 3})])
+    def test_linear_mean_against_haar_moment_oracle(self, dims, cut):
+        rng = np.random.default_rng(67)
+        t = TPS.natural(dims)
+        U = haar_unitary(t.dim, rng)
+        exact = haar_linear_entangling_power(U, t, cut)
+        est = entangling_power(U, t, EntanglementMeasure(kind="linear", cut=frozenset(cut)),
+                               samples=20000, seed=5)
+        assert abs(est.mean - exact) < 5 * est.stderr
+
+    def test_haar_moment_oracle_closed_forms(self):
+        t = TPS.natural((2, 2))
+        assert abs(haar_linear_entangling_power(CNOT, t, {1}) - 2.0 / 9.0) < 1e-14
+        assert abs(haar_linear_entangling_power(SWAP, t, {1})) < 1e-14
+        rng = np.random.default_rng(71)
+        t = TPS((2, 3), haar_unitary(6, rng))
+        local = t.iso @ np.kron(haar_unitary(2, rng), haar_unitary(3, rng)) @ t.iso.conj().T
+        assert abs(haar_linear_entangling_power(local, t, {2})) < 1e-14
+
+    @pytest.mark.parametrize("kind", ["vn", "linear"])
+    def test_takes_no_svd(self, kind, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("entangling_power must not take an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        U = haar_unitary(12, np.random.default_rng(73))
+        est = entangling_power(U, TPS.natural((2, 3, 2)),
+                               EntanglementMeasure(kind=kind, cut=frozenset({2})),
+                               samples=500, seed=1)
+        assert est.mean > 0
+
+    def test_reports_unitarity_defect(self):
+        est = entangling_power(CNOT, TPS.natural((2, 2)), samples=100, seed=0)
+        assert est.unitarity_defect == 0.0
+        U = (1 + 2.5e-13) * CNOT
+        est = entangling_power(U, TPS.natural((2, 2)), samples=100, seed=0)
+        assert 0.0 < est.unitarity_defect < 1e-8
+
 
 class TestTpsDistance:
     def test_multilocal_distance_zero(self):
-        t = TPS.natural((2, 2))
         rng = np.random.default_rng(4)
-        u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-        assert tps_distance(u, t, samples=2000, seed=0) == 0.0
+        for dims in ((2, 2), (3, 3), (4, 2)):
+            t = TPS.natural(dims)
+            u = np.kron(haar_unitary(dims[0], rng), haar_unitary(dims[1], rng))
+            for kind in ("vn", "linear"):
+                measure = EntanglementMeasure(kind=kind)
+                assert tps_distance(u, t, measure, samples=2000, seed=0) == 0.0
 
     def test_identity_zero(self):
         assert tps_distance(np.eye(4), TPS.natural((2, 2)), samples=100, seed=0) == 0.0
