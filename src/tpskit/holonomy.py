@@ -35,6 +35,9 @@ from .numerics import (
 _MIN_OVERLAP_SV = 1e-6
 _BRANCH_MARGIN = 1e-3
 _MAX_SPLIT_DEPTH = 8
+# largest (P, dim, dim) complex family stack one loop may evaluate: 64 MiB,
+# 2^18 points at dim 4; the stack and its temporaries peak at ~4x this
+_STACK_BYTES_CAP = 64 * 2**20
 
 
 @dataclass
@@ -79,36 +82,52 @@ def _selector(dim: int, n: int, i: int) -> np.ndarray:
 
 @dataclass
 class UnitaryFamily:
-    """Map from control parameters to unitaries, checked on every call."""
+    """Map from control parameters to unitaries, checked on every call.
+
+    evaluate maps a (P, D) stack of points to the (P, dim, dim) stack of
+    their unitaries; along checks shapes and unitarity of a whole stack,
+    and calling the family is the one-point view of it.
+    """
 
     D: int
     dim: int
     evaluate: Callable = field(repr=False)
 
+    def along(self, points, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.D:
+            raise DimensionMismatchError(f"points shape {pts.shape} != (P, {self.D})")
+        Us = np.asarray(self.evaluate(pts), dtype=complex)
+        if Us.shape != (len(pts), self.dim, self.dim):
+            raise DimensionMismatchError("family evaluation has the wrong dimension")
+        gram = np.swapaxes(Us.conj(), -1, -2) @ Us
+        defects = np.max(np.abs(gram - np.eye(self.dim)), axis=(1, 2))
+        if not np.all(defects <= tol.resid_abs):  # a NaN defect fails too
+            raise ContractViolationError("family evaluation is not unitary")
+        return Us
+
     def __call__(self, lam, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.shape != (self.D,):
             raise DimensionMismatchError(f"parameter shape {lam.shape} != ({self.D},)")
-        U = np.asarray(self.evaluate(lam), dtype=complex)
-        if U.shape != (self.dim, self.dim):
-            raise DimensionMismatchError("family evaluation has the wrong dimension")
-        if unitarity_defect(U) > tol.resid_abs:
-            raise ContractViolationError("family evaluation is not unitary")
-        return U
+        return self.along(lam[None], tol)[0]
 
 
-def exponential_family(generators) -> UnitaryFamily:
+def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
     """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators."""
     gens = [np.asarray(G, dtype=complex) for G in generators]
     if not gens:
         raise ContractViolationError("need at least one generator")
     dim = gens[0].shape[0]
-    eigs = [hermitian_eig(G) for G in gens]
+    eigs = [hermitian_eig(G, tol) for G in gens]
 
-    def evaluate(lam):
-        U = np.eye(dim, dtype=complex)
+    def evaluate(lams):
+        # every point is multiplied in the one-point association order,
+        # (U @ (V e^{-i lambda w})) @ V^dag, so a stack matches its points bit for bit
+        U = np.broadcast_to(np.eye(dim, dtype=complex), (len(lams), dim, dim))
         for mu, (w, V) in enumerate(eigs):
-            U = U @ (V * np.exp(-1j * lam[mu] * w)) @ V.conj().T
+            phases = np.exp(-1j * lams[:, mu, None] * w)
+            U = U @ (V * phases[:, None, :]) @ V.conj().T
         return U
 
     return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate)
@@ -132,30 +151,34 @@ def tabulated_family(grid, table, method: str = "linear") -> UnitaryFamily:
     if method not in ("linear", "nearest"):
         raise ContractViolationError(f"unknown interpolation method {method!r}")
     dim = table.shape[-1]
+    lo = np.array([g[0] - 1e-12 for g in axes])
+    hi = np.array([g[-1] + 1e-12 for g in axes])
 
-    def evaluate(lam):
-        for mu, g in enumerate(axes):
-            if lam[mu] < g[0] - 1e-12 or lam[mu] > g[-1] + 1e-12:
-                raise ContractViolationError(
-                    f"parameter {lam[mu]} outside tabulated range in direction {mu}")
+    def evaluate(lams):
+        outside = np.argwhere((lams < lo) | (lams > hi))
+        if outside.size:
+            p, mu = outside[0]  # the first point in path order, then direction
+            raise ContractViolationError(
+                f"parameter {lams[p, mu]} outside tabulated range in direction {mu}")
         if method == "nearest":
-            idx = tuple(int(np.argmin(np.abs(g - lam[mu]))) for mu, g in enumerate(axes))
-            return table[idx]
-        acc = np.zeros((dim, dim), dtype=complex)
+            return table[tuple(np.argmin(np.abs(g - lams[:, mu, None]), axis=1)
+                               for mu, g in enumerate(axes))]
         lows, fracs = [], []
         for mu, g in enumerate(axes):
-            j = int(np.clip(np.searchsorted(g, lam[mu]) - 1, 0, len(g) - 2))
+            j = np.clip(np.searchsorted(g, lams[:, mu]) - 1, 0, len(g) - 2)
             lows.append(j)
-            fracs.append((lam[mu] - g[j]) / (g[j + 1] - g[j]))
+            fracs.append((lams[:, mu] - g[j]) / (g[j + 1] - g[j]))
+        acc = np.zeros((len(lams), dim, dim), dtype=complex)
         for corner in range(1 << D):
-            w = 1.0
+            w = np.ones(len(lams))
             idx = []
             for mu in range(D):
-                hi = (corner >> mu) & 1
-                w *= fracs[mu] if hi else 1.0 - fracs[mu]
-                idx.append(lows[mu] + hi)
-            if w:
-                acc += w * table[tuple(idx)]
+                up = (corner >> mu) & 1
+                w = w * (fracs[mu] if up else 1.0 - fracs[mu])
+                idx.append(lows[mu] + up)
+            # a zero-weight corner is skipped, not added as a signed zero
+            term = w[:, None, None] * table[tuple(idx)]
+            acc = np.where((w != 0)[:, None, None], acc + term, acc)
         return polar_isometry(acc)
 
     return UnitaryFamily(D=D, dim=dim, evaluate=evaluate)
@@ -197,6 +220,8 @@ class LoopPath:
         self.waypoints = np.atleast_2d(np.asarray(self.waypoints, dtype=float))
         if self.waypoints.shape[0] < 3:
             raise ContractViolationError("a loop needs at least 3 waypoints")
+        if not np.all(np.isfinite(self.waypoints)):
+            raise ContractViolationError("waypoints must be finite")
         if not np.array_equal(self.waypoints[0], self.waypoints[-1]):
             raise ContractViolationError("loop must close: first waypoint != last")
         if self.refinement < 1:
@@ -206,13 +231,17 @@ class LoopPath:
     def base(self) -> np.ndarray:
         return self.waypoints[0]
 
+    @property
+    def n_points(self) -> int:
+        """Length of points(), known without building it."""
+        return (self.waypoints.shape[0] - 1) * self.refinement + 1
+
     def points(self) -> np.ndarray:
         """The discretized traversal, endpoint included once at each end."""
-        pts = [self.waypoints[0]]
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            for t in range(1, self.refinement + 1):
-                pts.append(a + (b - a) * (t / self.refinement))
-        return np.array(pts)
+        a, b = self.waypoints[:-1, None], self.waypoints[1:, None]
+        t = np.arange(1, self.refinement + 1)[:, None] / self.refinement
+        steps = a + (b - a) * t
+        return np.vstack([self.waypoints[:1], steps.reshape(-1, self.waypoints.shape[1])])
 
     def reversed(self) -> "LoopPath":
         return LoopPath(self.waypoints[::-1].copy(), self.refinement)
@@ -250,28 +279,43 @@ class LoopPath:
         return cls(wps, refinement)
 
 
-def connection_at(fam: UnitaryFamily, lam, i: int, n: int, step: float = 1e-5):
+def connection_at(fam: UnitaryFamily, lam, i: int, n: int, step: float = 1e-5,
+                  tol: Tolerance = DEFAULT_TOL):
     """Central-difference connection components on eigenspace i.
 
     Returns (components, defects): D anti-Hermitian n x n matrices (the
     anti-Hermitian projection of the compressed U-dagger dU) and the
-    projection defects, each O(step^2) for a smooth family.
+    projection defects, each O(step^2) for a smooth family.  The 2D + 1
+    points are evaluated in one stack.
     """
     if step <= 0:
         raise ContractViolationError("step must be positive")
-    lam = np.asarray(lam, dtype=float)
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape != (fam.D,):
+        raise DimensionMismatchError(f"parameter shape {lam.shape} != ({fam.D},)")
     S = _selector(fam.dim, n, i)
-    U0 = fam(lam)
-    comps, defects = [], []
-    for mu in range(fam.D):
-        e = np.zeros(fam.D)
-        e[mu] = step
-        dU = (fam(lam + e) - fam(lam - e)) / (2 * step)
-        A = S.conj().T @ (U0.conj().T @ dU) @ S
-        anti = (A - A.conj().T) / 2
-        comps.append(anti)
-        defects.append(float(np.max(np.abs(A - anti))))
-    return comps, defects
+    E = step * np.eye(fam.D)
+    Us = fam.along(np.vstack([lam, lam + E, lam - E]), tol)
+    dU = (Us[1:fam.D + 1] - Us[fam.D + 1:]) / (2 * step)
+    A = S.conj().T @ (Us[0].conj().T @ dU) @ S
+    anti = (A - np.swapaxes(A.conj(), -1, -2)) / 2
+    return list(anti), [float(np.max(np.abs(a))) for a in A - anti]
+
+
+def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
+                 tol: Tolerance) -> np.ndarray:
+    """(P, dim, n) stack of eigenspace-i frames at the loop's points.
+
+    The size of the family stack is predicted from the point count and
+    refused past _STACK_BYTES_CAP before any point is built.
+    """
+    S = _selector(fam.dim, n, i)
+    nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
+    if nbytes > _STACK_BYTES_CAP:
+        raise ContractViolationError(
+            f"a loop of {loop.n_points} points needs a {nbytes / 2**20:.3g} MiB family "
+            f"stack, over the {_STACK_BYTES_CAP // 2**20} MiB cap")
+    return fam.along(loop.points(), tol) @ S
 
 
 def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
@@ -282,20 +326,25 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     factors of the overlaps F(t+1)-dagger F(t), multiplied in path order; the
     result is the parallel-transport unitary expressed in the base frame.
     """
-    S = _selector(fam.dim, n, i)
-    return _transport([fam(p, tol) @ S for p in loop.points()], tol)
+    return _transport(_loop_frames(fam, loop, i, n, tol), tol)
 
 
-def _transport(frames, tol: Tolerance) -> np.ndarray:
-    """Product of the polar factors of consecutive frame overlaps, in path order."""
-    H = np.eye(frames[0].shape[1], dtype=complex)
-    for t in range(1, len(frames)):
-        U, sv, Vh = np.linalg.svd(frames[t].conj().T @ frames[t - 1],
-                                  full_matrices=False)
-        if sv[-1] < _MIN_OVERLAP_SV:
-            raise PathSingularityError(
-                f"frame overlap lost rank at step {t} (sigma_min = {sv[-1]:.3e})")
-        H = (U @ Vh) @ H
+def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Product of the polar factors of consecutive frame overlaps, in path order.
+
+    frames: a (P, dim, n) stack.  All P - 1 overlaps are formed and
+    decomposed as one stack; only the n x n product runs step by step.
+    """
+    overlaps = np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1]
+    U, sv, Vh = np.linalg.svd(overlaps, full_matrices=False)
+    lost = np.flatnonzero(sv[:, -1] < _MIN_OVERLAP_SV)
+    if lost.size:
+        t = int(lost[0]) + 1
+        raise PathSingularityError(
+            f"frame overlap lost rank at step {t} (sigma_min = {sv[t - 1, -1]:.3e})")
+    H = np.eye(frames.shape[2], dtype=complex)
+    for W in U @ Vh:
+        H = W @ H
     defect = unitarity_defect(H)
     if defect > tol.resid_abs:
         raise ToleranceError(f"holonomy unitarity defect {defect:.3e}")
@@ -387,8 +436,7 @@ def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     if doublings < 0:
         raise ContractViolationError("doublings must be >= 0")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
-    S = _selector(fam.dim, n, i)
-    frames = [fam(p, tol) @ S for p in loop.refined(2 ** doublings).points()]
+    frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n, tol)
     hols = [_transport(frames[::2 ** (doublings - j)], tol) for j in range(doublings + 1)]
     defects = [float(np.linalg.norm(hols[j] - hols[j + 1])) for j in range(doublings)]
     return RefinementLadder(refinements=refs, defects=defects, holonomy=hols[-1])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,21 @@ class TestTpsCommands:
         rep = report_of(["tps", "holonomy", "--rect", "0,0,0.8,0.6",
                          "--rect2", "0,0,-0.7,0.5", "--refinement", "32"], capsys)
         assert rep["results"]["witness"] > 0.1
+
+    def test_holonomy_ladder_past_the_stack_cap_is_refused_before_allocation(self, capsys):
+        # 2^40 doublings of refinement 16 would be ~7e13 points; the size is
+        # predicted from the point count and refused before any is built
+        start = time.perf_counter()
+        code, out, err = run_cli(["tps", "holonomy", "--doublings", "40"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "ContractViolationError" in err and "cap" in err
+
+    def test_holonomy_non_finite_rectangle_is_a_computation_error(self, capsys):
+        for rect in ("--rect=0,0,inf,0.6", "--rect2=nan,0,0.8,0.6"):
+            code, out, err = run_cli(["tps", "holonomy", rect], capsys)
+            assert code == 2 and out == ""
+            assert "ContractViolationError: waypoints must be finite" in err
 
 
 class TestCliPlumbing:

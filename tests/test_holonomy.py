@@ -2,15 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
+from tpskit import holonomy
 from tpskit.errors import (
     BranchCutError,
     ContractViolationError,
     DimensionMismatchError,
     PathSingularityError,
+    ToleranceError,
 )
 from tpskit.holonomy import (
+    _FIXTURE_SCALE,
+    _FIXTURE_SEED,
+    _MIN_OVERLAP_SV,
     IsoDegenerateOperator,
     LoopPath,
     RefinementLadder,
@@ -25,7 +32,7 @@ from tpskit.holonomy import (
     refinement_ladder,
     tabulated_family,
 )
-from tpskit.numerics import Tolerance
+from tpskit.numerics import Tolerance, unitarity_defect
 
 
 def haar_unitary(dim, rng):
@@ -48,6 +55,68 @@ def fixture_fam():
 RECT1 = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=48)
 RECT2 = LoopPath.rectangle((0.0, 0.0), (-0.7, 0.5), refinement=48)
 RECT3 = LoopPath.rectangle((0.0, 0.0), (0.5, -0.9), refinement=48)
+
+
+# ------------------------------------------- one-point references (test-only)
+#
+# The loop code evaluates families, builds points and transports frames on
+# whole stacks.  These are the one-point-at-a-time versions it replaced,
+# kept to require that the stacked results are the same bits.
+
+def reference_points(loop):
+    pts = [loop.waypoints[0]]
+    for a, b in zip(loop.waypoints[:-1], loop.waypoints[1:]):
+        for t in range(1, loop.refinement + 1):
+            pts.append(a + (b - a) * (t / loop.refinement))
+    return np.array(pts)
+
+
+def reference_exponential(generators):
+    eigs = [np.linalg.eigh(np.asarray(G, dtype=complex)) for G in generators]
+    dim = eigs[0][1].shape[0]
+
+    def U_at(lam):
+        U = np.eye(dim, dtype=complex)
+        for mu, (w, V) in enumerate(eigs):
+            U = U @ (V * np.exp(-1j * lam[mu] * w)) @ V.conj().T
+        return U
+
+    return U_at
+
+
+def reference_transport(frames, tol=Tolerance()):
+    H = np.eye(frames[0].shape[1], dtype=complex)
+    for t in range(1, len(frames)):
+        U, sv, Vh = np.linalg.svd(frames[t].conj().T @ frames[t - 1],
+                                  full_matrices=False)
+        if sv[-1] < _MIN_OVERLAP_SV:
+            raise PathSingularityError(
+                f"frame overlap lost rank at step {t} (sigma_min = {sv[-1]:.3e})")
+        H = (U @ Vh) @ H
+    if unitarity_defect(H) > tol.resid_abs:
+        raise ToleranceError("holonomy unitarity defect")
+    return H
+
+
+def reference_frames(U_at, loop, S):
+    return [U_at(p) @ S for p in reference_points(loop)]
+
+
+def reference_ladder(U_at, loop, S, doublings):
+    """(holonomy, defects) of the ladder, each level transported on its own."""
+    hols = [reference_transport(reference_frames(U_at, loop.refined(2 ** j), S))
+            for j in range(doublings + 1)]
+    return hols[-1], [float(np.linalg.norm(a - b)) for a, b in zip(hols[:-1], hols[1:])]
+
+
+def fixture_generators():
+    rng = np.random.default_rng(np.random.SeedSequence(_FIXTURE_SEED))
+    gens = []
+    for _ in range(2):
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        G = (G + G.conj().T) / 2
+        gens.append(G * (_FIXTURE_SCALE / np.linalg.norm(G, 2)))
+    return gens
 
 
 # ---------------------------------------------------------------- reference op
@@ -103,13 +172,57 @@ class TestFamilies:
         assert np.allclose(fam([0.0, 0.0]), np.eye(4))
 
     def test_family_checks_unitarity(self):
-        fam = UnitaryFamily(D=1, dim=2, evaluate=lambda lam: np.eye(2) * 2.0)
+        fam = UnitaryFamily(D=1, dim=2,
+                            evaluate=lambda lams: np.array([np.eye(2) * 2.0] * len(lams)))
         with pytest.raises(ContractViolationError):
             fam([0.0])
 
+    def test_family_checks_every_point_of_a_stack(self):
+        def one_bad_point(lams):
+            Us = np.array([np.eye(2, dtype=complex)] * len(lams))
+            Us[lams[:, 0] > 0.5] *= 1 + 1e-6
+            return Us
+
+        fam = UnitaryFamily(D=1, dim=2, evaluate=one_bad_point)
+        assert fam.along([[0.1], [0.2]]).shape == (2, 2, 2)
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            fam.along([[0.1], [0.9], [0.2]])
+
+    def test_family_rejects_non_finite_evaluations(self):
+        fam = UnitaryFamily(D=1, dim=2, evaluate=lambda lams: np.full((len(lams), 2, 2), np.nan))
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            fam([0.0])
+
+    def test_family_checks_stack_shapes(self):
+        fam = exponential_family([np.diag([1.0, -1.0]), np.diag([1.0, 1.0])])
+        with pytest.raises(DimensionMismatchError, match="points shape"):
+            fam.along([0.1, 0.2])
+        with pytest.raises(DimensionMismatchError, match="points shape"):
+            fam.along([[0.1, 0.2, 0.3]])
+        wrong = UnitaryFamily(D=2, dim=2, evaluate=lambda lams: fam.evaluate(lams)[0])
+        with pytest.raises(DimensionMismatchError, match="wrong dimension"):
+            wrong.along([[0.1, 0.2]])
+
+    def test_stack_matches_its_points_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        gens = [random_hermitian(rng, 6) for _ in range(3)]
+        fam, U_at = exponential_family(gens), reference_exponential(gens)
+        pts = rng.uniform(-1.0, 1.0, (17, 3))
+        Us = fam.along(pts)
+        for p, U in zip(pts, Us):
+            assert np.array_equal(U, fam(p))
+            assert np.array_equal(U, U_at(p))
+
+    def test_exponential_family_obeys_the_callers_tolerance(self):
+        G = np.diag([1.0, -1.0, 0.5]).astype(complex)
+        G[0, 1] += 1e-10  # a Hermiticity defect of 1e-10
+        exponential_family([G])  # inside the default resid_abs = 1e-8
+        with pytest.raises(ContractViolationError, match="Hermitian"):
+            exponential_family([G], Tolerance(resid_abs=1e-11))
+
     def test_loop_holonomy_passes_its_tolerance_to_the_family(self):
         base, _ = builtin_family("fixture-n2d2")
-        fam = UnitaryFamily(D=2, dim=4, evaluate=lambda lam: (1 + 1e-9) * base.evaluate(lam))
+        fam = UnitaryFamily(D=2, dim=4, evaluate=lambda lams: (1 + 1e-9) * base.evaluate(lams))
         loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6))
         loop_holonomy(fam, loop, 1, 2)  # a ~2e-9 defect is inside the default 1e-8
         with pytest.raises(ContractViolationError):
@@ -149,6 +262,32 @@ class TestFamilies:
         with pytest.raises(ContractViolationError):
             fam([1.5])
 
+    def test_tabulated_range_error_names_the_first_point_in_path_order(self):
+        grid = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3)]
+        fam = tabulated_family(grid, np.array([[np.eye(2)] * 3] * 3))
+        pts = [[0.5, 0.0], [0.2, 1.7], [1.5, 0.0], [-0.5, 2.0]]
+        with pytest.raises(ContractViolationError,
+                           match=r"parameter 1.7 outside tabulated range in direction 1"):
+            fam.along(pts)
+        with pytest.raises(ContractViolationError,
+                           match=r"parameter -0.5 outside tabulated range in direction 0"):
+            fam.along(pts[3:])
+
+    def test_tabulated_2d_linear_stack_matches_its_points(self):
+        rng = np.random.default_rng(31)
+        G1, G2 = (random_hermitian(rng, 3) for _ in range(2))
+        grid = [np.linspace(-1.0, 1.0, 6), np.linspace(0.0, 2.0, 5)]
+        table = np.array([[expm(-1j * x * G1) @ expm(-1j * y * G2) for y in grid[1]]
+                          for x in grid[0]])
+        for method in ("linear", "nearest"):
+            fam = tabulated_family(grid, table, method)
+            pts = np.vstack([rng.uniform((-1.0, 0.0), (1.0, 2.0), (12, 2)),
+                             [[-1.0, 0.0], [0.2, 1.0], [1.0, 2.0]]])  # nodes
+            Us = fam.along(pts)
+            for p, U in zip(pts, Us):
+                assert np.array_equal(U, fam(p))
+            assert np.max(np.abs(Us[-1] - table[-1, -1])) < 1e-12
+
     def test_tabulated_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             tabulated_family([np.arange(3.0)], np.zeros((4, 2, 2)))
@@ -177,13 +316,28 @@ class TestLoopPath:
             LoopPath(np.array([[0.0, 0.0], [0.0, 0.0]]))  # too short
         with pytest.raises(ContractViolationError):
             LoopPath(np.array([[0.0], [1.0], [0.0]]), refinement=0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ContractViolationError, match="finite"):
+                LoopPath.rectangle((0.0, 0.0), (bad, 1.0))
 
     def test_points_count_and_ends(self):
         loop = LoopPath(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), refinement=4)
         pts = loop.points()
         assert pts.shape == (2 * 4 + 1, 2)
+        assert loop.n_points == len(pts)
         assert np.array_equal(pts[0], pts[-1])
         assert np.allclose(pts[2], [0.5, 0.0])
+
+    def test_points_match_the_one_point_reference_bit_for_bit(self):
+        rng = np.random.default_rng(37)
+        loops = [RECT1, RECT2.refined(3), LoopPath(np.array([[0.0], [1.0], [0.0]]), 1)]
+        for D, W in ((2, 4), (3, 6), (1, 3)):
+            wps = rng.uniform(-2.0, 2.0, (W, D))
+            loops.append(LoopPath(np.vstack([wps, wps[:1]]), int(rng.integers(1, 40))))
+        for loop in loops:
+            pts = loop.points()
+            assert pts.shape == (loop.n_points, loop.waypoints.shape[1])
+            assert np.array_equal(pts, reference_points(loop))
 
     def test_rectangle_waypoints(self):
         loop = LoopPath.rectangle((0.0, 1.0), (2.0, 3.0), refinement=2)
@@ -231,6 +385,25 @@ class TestConnection:
         for A in comps:
             assert np.max(np.abs(A + A.conj().T)) < 1e-14
         assert all(d < 1e-8 for d in defects)
+
+    def test_one_stack_of_2D_plus_1_points_at_the_callers_tolerance(self, fixture_fam):
+        base, _ = fixture_fam
+        calls = []
+
+        def counted(lams):
+            calls.append(lams)
+            return (1 + 1e-9) * base.evaluate(lams)
+
+        fam = UnitaryFamily(D=2, dim=4, evaluate=counted)
+        lam = np.array([0.3, -0.1])
+        connection_at(fam, lam, 1, 2, step=1e-3)  # a ~2e-9 defect is inside the default
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [lam, lam + [1e-3, 0], lam + [0, 1e-3],
+                                         lam - [1e-3, 0], lam - [0, 1e-3]])
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            connection_at(fam, lam, 1, 2, step=1e-3, tol=Tolerance(resid_abs=1e-10))
+        with pytest.raises(DimensionMismatchError):
+            connection_at(fam, [0.3], 1, 2)
 
     def test_rejects_bad_step(self, fixture_fam):
         fam, _ = fixture_fam
@@ -308,8 +481,63 @@ class TestLoopHolonomy:
         nodes = np.array([0.0, 1.0])
         fam = tabulated_family([nodes], np.array([np.eye(4), flip]), method="nearest")
         loop = LoopPath(np.array([[0.0], [1.0], [0.0]]), refinement=1)
-        with pytest.raises(PathSingularityError):
+        with pytest.raises(PathSingularityError, match="at step 1 "):
             loop_holonomy(fam, loop, 1, 2)
+
+    def test_rank_loss_names_the_first_failing_step(self):
+        flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        nodes = np.array([0.0, 1.0])
+        fam = tabulated_family([nodes], np.array([np.eye(4), flip]), method="nearest")
+        # points 0, 0.2, 0.4 snap to node 0 and 0.6, 0.8 to node 1: step 3
+        # jumps there, and step 6 jumps back
+        loop = LoopPath(np.array([[0.0], [0.8], [0.0]]), refinement=4)
+        with pytest.raises(PathSingularityError, match="at step 3 ") as err:
+            loop_holonomy(fam, loop, 1, 2)
+        with pytest.raises(PathSingularityError) as ref:
+            S = IsoDegenerateOperator(n=2, d=2, x=(-1.0, 1.0)).selector(1)
+            reference_transport([fam(p) @ S for p in loop.points()])
+        assert str(err.value) == str(ref.value)
+
+    def test_oversized_loops_refused_before_their_points_are_built(self, fixture_fam,
+                                                                   monkeypatch):
+        fam, _ = fixture_fam
+
+        def no_points(self):
+            raise AssertionError("points() built for a refused loop")
+
+        monkeypatch.setattr(LoopPath, "points", no_points)
+        with pytest.raises(ContractViolationError, match="cap"):
+            loop_holonomy(fam, RECT1.refined(10 ** 6), 1, 2)
+        with pytest.raises(ContractViolationError, match="cap"):
+            refinement_ladder(fam, RECT1, 1, 2, doublings=40)
+
+    def test_loops_up_to_the_cap_run(self, fixture_fam, monkeypatch):
+        fam, _ = fixture_fam
+        monkeypatch.setattr(holonomy, "_STACK_BYTES_CAP", 4097 * fam.dim ** 2 * 16)
+        loop = LoopPath(np.array([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]]), refinement=2048)
+        assert loop.n_points == 4097
+        assert np.max(np.abs(loop_holonomy(fam, loop, 1, 2) - np.eye(2))) < 1e-8
+        with pytest.raises(ContractViolationError, match="cap"):
+            loop_holonomy(fam, LoopPath(loop.waypoints, 2049), 1, 2)
+        with pytest.raises(ContractViolationError, match="cap"):
+            refinement_ladder(fam, LoopPath(loop.waypoints, 1025), 1, 2, doublings=1)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 24), st.integers(0, 2**32 - 1))
+def test_reversed_loop_holonomy_is_the_inverse(n, d, refinement, seed):
+    rng = np.random.default_rng(seed)
+    fam = exponential_family([random_hermitian(rng, n * d, rng.uniform(0.2, 2.0))
+                              for _ in range(2)])
+    a = rng.uniform(-1.0, 1.0, 2)
+    loop = LoopPath.rectangle(a, a + rng.uniform(-1.0, 1.0, 2), refinement)
+    i = int(rng.integers(1, d + 1))
+    try:
+        H = loop_holonomy(fam, loop, i, n)
+    except PathSingularityError:
+        return  # a coarse step across an eigenspace crossing; reversal crosses it too
+    Hr = loop_holonomy(fam, loop.reversed(), i, n)
+    assert np.max(np.abs(Hr @ H - np.eye(n))) < 1e-10
 
 
 # -------------------------------------------------------------- principal logs
@@ -440,16 +668,63 @@ class TestRefinementLadder:
         fam, _ = fixture_fam
         calls = []
 
-        def counted(lam):
-            calls.append(lam)
-            return fam.evaluate(lam)
+        def counted(lams):
+            calls.append(lams)
+            return fam.evaluate(lams)
 
         base = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=5)
         refinement_ladder(UnitaryFamily(D=fam.D, dim=fam.dim, evaluate=counted),
                           base, 1, 2, doublings=3)
-        assert len(calls) == len(base.refined(2 ** 3).points())
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], base.refined(2 ** 3).points())
 
     def test_negative_doublings_rejected(self, fixture_fam):
         fam, _ = fixture_fam
         with pytest.raises(ContractViolationError, match="doublings"):
             refinement_ladder(fam, RECT1, 1, 2, doublings=-1)
+
+
+# ------------------------------------------ stacked transport, bit for bit
+
+class TestStackedTransportBitIdentity:
+    def test_fixture_generators_rebuild_the_fixture(self, fixture_fam):
+        fam, _ = fixture_fam
+        pts = RECT1.points()
+        assert np.array_equal(exponential_family(fixture_generators()).along(pts),
+                              fam.along(pts))
+
+    @pytest.mark.parametrize("rect,refinement,doublings", [
+        ((0.0, 0.0, 0.8, 0.6), 16, 4),
+        ((-0.3, 0.1, 0.4, 0.7), 16, 3),
+        ((0.0, 0.0, 2.46, 1.68), 48, 1),
+        ((0.1, -0.2, -0.5, 0.4), 5, 0),
+    ])
+    def test_fixture_ladder_and_loop(self, fixture_fam, rect, refinement, doublings):
+        fam, op = fixture_fam
+        U_at = reference_exponential(fixture_generators())
+        loop = LoopPath.rectangle(rect[:2], rect[2:], refinement)
+        for i in (1, 2):
+            S = op.selector(i)
+            ladder = refinement_ladder(fam, loop, i, op.n, doublings=doublings)
+            H, defects = reference_ladder(U_at, loop, S, doublings)
+            assert np.array_equal(ladder.holonomy, H)
+            assert ladder.defects == defects
+            assert np.array_equal(loop_holonomy(fam, loop, i, op.n),
+                                  reference_transport(reference_frames(U_at, loop, S)))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_random_exponential_families(self, seed):
+        rng = np.random.default_rng([41, seed])
+        n, d = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        gens = [random_hermitian(rng, n * d, rng.uniform(0.3, 2.0)) for _ in range(2)]
+        a = rng.uniform(-0.5, 0.5, 2)
+        loop = LoopPath.rectangle(a, a + rng.uniform(0.2, 0.9, 2), int(rng.integers(2, 12)))
+        i, doublings = int(rng.integers(1, d + 1)), int(rng.integers(0, 5))
+        fam, U_at = exponential_family(gens), reference_exponential(gens)
+        S = IsoDegenerateOperator(n=n, d=d, x=range(d)).selector(i)
+        ladder = refinement_ladder(fam, loop, i, n, doublings=doublings)
+        H, defects = reference_ladder(U_at, loop, S, doublings)
+        assert np.array_equal(ladder.holonomy, H)
+        assert ladder.defects == defects
+        assert np.array_equal(loop_holonomy(fam, loop, i, n),
+                              reference_transport(reference_frames(U_at, loop, S)))
