@@ -21,7 +21,6 @@ from .errors import DegeneracyError, DimensionMismatchError, ToleranceError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
-    close_span,
     cluster_indices,
     fix_column_phases,
     hermitian_eig,
@@ -41,6 +40,8 @@ class OperatorAlgebra:
 
     dim: int
     basis: np.ndarray  # (k, dim, dim)
+    # commutant and center by (name, Tolerance), shared by later calls: never modify a basis
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.basis.shape[0]
@@ -74,9 +75,9 @@ def algebra_residuals(alg: OperatorAlgebra) -> dict[str, float]:
 def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
-    The words in the identity, the generators and their adjoints span it;
-    close_span grows them one letter per pass until a pass adds nothing or
-    the span is the full matrix algebra (dimension dim^2).
+    By the double-commutant theorem it is S'' for S the identity, the generators
+    and their adjoints: one commutant cut gives A' = S', which the result keeps
+    for ``commutant`` at this tolerance, and a second gives A''.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if gens:
@@ -94,7 +95,13 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     seed = [np.eye(d, dtype=complex)]
     for g in gens:
         seed += [g, g.conj().T]
-    return OperatorAlgebra(dim=d, basis=close_span(seed, np.matmul, tol))
+    ops = hs_orthonormalize(seed, tol)
+    comm = OperatorAlgebra(dim=d, basis=_commutant_basis(ops, tol))
+    alg = OperatorAlgebra(dim=d, basis=_commutant_basis(comm.basis, tol))
+    if np.max(span_residual(ops, alg.basis)) > tol.resid_abs:
+        raise ToleranceError("closure misses a generator: an eigenvalue gap is below resolution")
+    alg._derived["commutant", tol] = comm
+    return alg
 
 
 def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -110,6 +117,8 @@ def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.nd
     X = start
     for b in [np.tensordot(c, ops, axes=1), *ops]:
         C = X @ b - b @ X
+        if np.linalg.norm(C) <= tol.rank_rel:  # every singular value is below the cut
+            continue
         # candidates and ops are HS-normalized, so the map's scale is O(1);
         # the floor keeps a roundoff-only step (op the identity) null
         K = nullspace(C.reshape(len(X), -1).T, tol, scale=1.0)
@@ -117,16 +126,27 @@ def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.nd
     return X
 
 
+def _commutant_basis(ops: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """HS-orthonormal commutant of a *-closed, HS-orthonormal op stack, cut out of the units
+    V[:, c] e_a e_b^T V[:, c]^dag of the eigenblocks c of a random Hermitian element of the
+    ops, which span a superset of it: a merged cluster only enlarges the start."""
+    _, V, clusters = _sample_clustered_eig(ops, np.random.default_rng(0), tol)
+    units = [np.einsum("ia,jb->abij", V[:, c], V[:, c].conj()) for c in clusters]
+    return _commuting_part(np.concatenate([u.reshape(-1, *ops.shape[1:]) for u in units]), ops, tol)
+
+
 def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """All operators commuting with every basis element of alg, cut out of the matrix units."""
-    d = alg.dim
-    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    return OperatorAlgebra(dim=d, basis=_commuting_part(units, alg.basis, tol))
+    """All operators commuting with every basis element of alg, cut once per tolerance."""
+    if ("commutant", tol) not in alg._derived:
+        alg._derived["commutant", tol] = OperatorAlgebra(alg.dim, _commutant_basis(alg.basis, tol))
+    return alg._derived["commutant", tol]
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant (abelian), cut out of alg's own basis."""
-    return OperatorAlgebra(dim=alg.dim, basis=_commuting_part(alg.basis, alg.basis, tol))
+    """Intersection of alg with its commutant (abelian), cut out of alg's own basis once per tolerance."""
+    if ("center", tol) not in alg._derived:
+        alg._derived["center", tol] = OperatorAlgebra(alg.dim, _commuting_part(alg.basis, alg.basis, tol))
+    return alg._derived["center", tol]
 
 
 class FactorCheck(NamedTuple):
@@ -141,7 +161,7 @@ def is_factor(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> FactorCheck
 
 
 def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Smallest *-algebra containing both operands."""
+    """Smallest *-algebra containing both operands: the double commutant of their union."""
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
     return close_algebra(list(a1.basis) + list(a2.basis), tol, dim=a1.dim)
@@ -313,16 +333,20 @@ class BipartitionCertificate:
     a1_is_factor: bool
     verdict: bool
     witness: np.ndarray | None = field(default=None, repr=False)
+    residuals: dict[str, float] = field(default_factory=dict, repr=False)
 
 
 def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> BipartitionCertificate:
     """Certify that (a1, a2) describe a genuine bipartition.
 
     Tests pairwise commutation, fullness of the join, and triviality of
-    the center of a1.  On a positive verdict the block decomposition of
-    a1 is recomputed and both algebras are checked against their slot
-    forms in the constructed basis.  On a negative verdict the witness is
-    a violating commutator or a non-scalar central element.
+    the center of a1.  The join is full iff its commutant a1' & a2' is the
+    scalars: a2 cuts a1's commutant, and no join is formed.  On a positive
+    verdict the block decomposition of a1 is computed and both algebras
+    are checked against their slot forms in the constructed basis.  On a
+    negative verdict the witness is a violating commutator or a non-scalar
+    central element.  The residuals are the largest commutator entry and,
+    on a positive verdict, the larger slot-form residual.
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
@@ -340,8 +364,7 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
                 witness = C[i]
     commuting = comm_resid <= tol.resid_abs
 
-    joined = join(a1, a2, tol)
-    join_is_full = len(joined) == d * d
+    join_is_full = len(_commuting_part(commutant(a1, tol).basis, a2.basis, tol)) == 1
 
     cent = center(a1, tol)
     a1_is_factor = len(cent) == 1
@@ -355,12 +378,14 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
         witness = (rows.T @ rows[:, j].conj() - ident * ident[j]).reshape(d, d)
 
     verdict = commuting and join_is_full and a1_is_factor
+    residuals = {"commutator": comm_resid}
     if verdict:
         sd = structure_decompose(a1, tol)
         if len(sd.blocks) != 1:
             raise ToleranceError("factor decomposed into more than one block")
         a2_resid = _block_form_residual(a2.basis, sd.basis_change, sd.block_shape, side="left")
-        if max(sd.residual, a2_resid) > tol.resid_abs:
+        residuals["block_form"] = max(sd.residual, a2_resid)
+        if residuals["block_form"] > tol.resid_abs:
             raise ToleranceError("slot-form verification failed on a positive verdict")
     return BipartitionCertificate(
         commuting=commuting,
@@ -368,4 +393,5 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
         a1_is_factor=a1_is_factor,
         verdict=verdict,
         witness=witness,
+        residuals=residuals,
     )

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DimensionMismatchError,
+    IndexRangeError,
     ToleranceError,
     TruncationBoundaryError,
 )
@@ -61,7 +62,7 @@ class FockSpace:
     def lowering(self, i: int) -> np.ndarray:
         """Annihilation matrix of mode i (1-based)."""
         if not 1 <= i <= self.N:
-            raise IndexError(f"mode index {i} out of range 1..{self.N}")
+            raise IndexRangeError(f"mode index {i} out of range 1..{self.N}")
         return self.a[i - 1]
 
     def interior_mask(self) -> np.ndarray:
@@ -99,7 +100,7 @@ class ModeSet:
 
     def lowering(self, i: int) -> np.ndarray:
         if not 1 <= i <= self.fock.N:
-            raise IndexError(f"mode index {i} out of range 1..{self.fock.N}")
+            raise IndexRangeError(f"mode index {i} out of range 1..{self.fock.N}")
         return self.transformed[i - 1]
 
 

@@ -198,7 +198,7 @@ def _cmd_bipartition(args, tol):
         "verdict": cert.verdict,
         "witness": cert.witness,
     }
-    return results, {}
+    return results, cert.residuals
 
 
 def _cmd_partitions(args, tol):

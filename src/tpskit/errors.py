@@ -13,6 +13,10 @@ class DimensionMismatchError(TpskitError):
     """Operands have incompatible shapes or declared dimensions."""
 
 
+class IndexRangeError(TpskitError, IndexError):
+    """A 1-based index (eigenspace, factor, cut or mode) lies outside its range."""
+
+
 class DegenerateInputError(TpskitError):
     """An input is numerically zero where a nonzero operand is required."""
 

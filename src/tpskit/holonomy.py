@@ -20,6 +20,7 @@ from .errors import (
     BranchCutError,
     ContractViolationError,
     DimensionMismatchError,
+    IndexRangeError,
     PathSingularityError,
     ToleranceError,
 )
@@ -73,7 +74,7 @@ def _selector(dim: int, n: int, i: int) -> np.ndarray:
         raise DimensionMismatchError(f"dimension {dim} is not a multiple of degeneracy {n}")
     d = dim // n
     if not 1 <= i <= d:
-        raise IndexError(f"eigenspace index {i} out of range 1..{d}")
+        raise IndexRangeError(f"eigenspace index {i} out of range 1..{d}")
     S = np.zeros((dim, n), dtype=complex)
     for a in range(n):
         S[a * d + (i - 1), a] = 1.0
@@ -412,7 +413,7 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
     # anti-Hermitian matrices are real-independent iff complex-independent
     # (a matrix both Hermitian and anti-Hermitian is 0), so the complex
     # span of the logs' commutator closure has the real Lie dimension
-    return len(close_span(logs, lambda x, s: x @ s - s @ x, tol))
+    return len(close_span(logs, tol))
 
 
 @dataclass

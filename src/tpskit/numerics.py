@@ -185,23 +185,22 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.nda
     return np.array(rows).reshape(-1, *shape)
 
 
-def close_span(seed, product, tol: Tolerance) -> np.ndarray:
-    """HS-orthonormal basis of the span of all words in ``seed`` under ``product``.
+def close_span(seed, tol: Tolerance) -> np.ndarray:
+    """HS-orthonormal basis of the Lie algebra generated by ``seed``.
 
-    The seed is orthonormalized into letters.  Each pass multiplies only the
-    directions the previous pass added by the letters,
-    ``product(new[:, None], letters[None])``, and keeps what is new against
-    the span, so the result spans the left-normed words
-    (((x_1 x_2) x_3) ... x_k) in the letters: the generated associative
-    algebra for the matrix product, the generated Lie algebra for the
-    commutator.  Stops when a pass adds nothing or the span is the whole
-    matrix space.
+    The seed is orthonormalized into letters.  Each pass takes the
+    commutators of only the directions the previous pass added with the
+    letters and keeps what is new against the span, so the result spans
+    the left-normed brackets [[[x_1, x_2], x_3], ..., x_k] in the letters.
+    Stops when a pass adds nothing or the span is the whole matrix space.
+    (The associative closure is not grown this way: ``close_algebra`` takes
+    it as a double commutant.)
     """
     letters = hs_orthonormalize(seed, tol)
     full = int(np.prod(letters.shape[1:]))
     span = new = letters
     while len(new) and len(span) < full:
-        cand = product(new[:, None], letters[None])
+        cand = new[:, None] @ letters[None] - letters[None] @ new[:, None]
         new = hs_orthonormalize(cand.reshape(-1, *letters.shape[1:]), tol, against=span)
         span = np.concatenate([span, new])
     return span

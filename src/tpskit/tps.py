@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .algebra import OperatorAlgebra
-from .errors import ContractViolationError, DimensionMismatchError
+from .errors import ContractViolationError, DimensionMismatchError, IndexRangeError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -126,7 +126,7 @@ def _split_cut(m: int, cut) -> tuple[list[int], list[int]]:
     """0-based positions of m factors (cut side, complement side), both nonempty."""
     cut = sorted(int(i) for i in cut)
     if any(i < 1 or i > m for i in cut):
-        raise IndexError(f"cut {cut} out of range for {m} factors")
+        raise IndexRangeError(f"cut {cut} out of range for {m} factors")
     left = [i - 1 for i in cut]
     right = [i for i in range(m) if i + 1 not in set(cut)]
     if not left or not right:
@@ -174,7 +174,7 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     Hilbert-Schmidt length one; its linear dimension is dims[i-1] ** 2.
     """
     if not 1 <= i <= tps.nfactors:
-        raise IndexError(f"factor index {i} out of range 1..{tps.nfactors}")
+        raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
     n_i = tps.dims[i - 1]
     left = int(np.prod(tps.dims[: i - 1], dtype=int))
     right = int(np.prod(tps.dims[i:], dtype=int))

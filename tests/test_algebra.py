@@ -1,8 +1,14 @@
 """Tests for algebra closure, commutants, centers, and block structure."""
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tpskit.algebra as algebra_module
+import tpskit.numerics as numerics_module
 from tpskit.algebra import (
     BipartitionCertificate,
     OperatorAlgebra,
@@ -16,8 +22,8 @@ from tpskit.algebra import (
     join,
     structure_decompose,
 )
-from tpskit.errors import DimensionMismatchError
-from tpskit.numerics import DEFAULT_TOL
+from tpskit.errors import DimensionMismatchError, ToleranceError
+from tpskit.numerics import DEFAULT_TOL, Tolerance, span_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -92,6 +98,72 @@ class TestCloseAlgebra:
             assert res["adjoint"] < 1e-8
             assert res["product"] < 1e-8
 
+    def test_x_closes_to_the_span_of_identity_and_x(self):
+        alg = close_algebra([SX])
+        assert alg.basis.shape == (2, 2, 2)
+        G = alg.basis_rows()
+        assert np.allclose(G.conj() @ G.T, np.eye(2), atol=1e-12)
+        assert np.max(span_residual([np.eye(2), SX, SX @ SX], alg.basis)) < 1e-12
+
+    def test_basis_stays_orthonormal_on_a_clustered_spectrum(self):
+        rng = np.random.default_rng(0)
+        U = haar_unitary(8, rng)
+        w = np.concatenate([np.linspace(-1, 1, 5), 0.2 + 5e-3 * np.arange(3)])
+        alg = close_algebra([U @ np.diag(w) @ U.conj().T])
+        assert len(alg) == 8
+        B = alg.basis_rows()
+        assert np.max(np.abs(B.conj() @ B.T - np.eye(8))) < 1e-14
+
+    def test_generator_with_a_3e_3_eigenvalue_cluster(self):
+        # word growth closed this to 61 dimensions: a ~1.7e-10 rounding
+        # direction passed the rank_rel drop rule and every later pass grew
+        # from it; the double commutant never forms a word
+        rng = np.random.default_rng(0)
+        U = haar_unitary(8, rng)
+        w = np.concatenate([np.linspace(-1, 1, 5), 0.2 + 3e-3 * np.arange(3)])
+        alg = close_algebra([U @ np.diag(w) @ U.conj().T])
+        assert len(alg) == 8
+        projectors = np.einsum("ia,ja->aij", U, U.conj())
+        assert np.max(span_residual(projectors, alg.basis)) < 1e-8
+
+    def test_random_hermitian_generators_close_to_their_spectral_algebra(self):
+        # Gaussian spectra, minimum gaps down to ~2e-3: word growth closed
+        # 3 of these 300 (numbers 192, 200, 240) to 49-61 dimensions
+        rng = np.random.default_rng(5)
+        wrong = []
+        for k in range(300):
+            d = int(rng.integers(4, 9))
+            U = haar_unitary(d, rng)
+            w = rng.standard_normal(d)
+            if len(close_algebra([U @ np.diag(w) @ U.conj().T])) != d:
+                wrong.append(k)
+        assert wrong == []
+
+    def test_eigenvalue_gap_is_resolved_merged_or_refused(self):
+        # the commutant of a generator with an eigenvalue gap g is only known
+        # to ~eps/g: a wide gap is resolved, one far below resid_abs merges
+        # within it, and one in between is refused rather than closed wrongly
+        # (word growth closed the refused one to 7 dimensions, no *-algebra)
+        Q = haar_unitary(3, np.random.default_rng(0))
+        gen = lambda gap: Q @ np.diag([0.0, gap, 1.0]) @ Q.conj().T
+        assert len(close_algebra([gen(1e-5)])) == 3
+        merged = close_algebra([gen(1e-10)])
+        assert len(merged) == 2 and merged.projection_residual(gen(1e-10)) < 1e-8
+        with pytest.raises(ToleranceError, match="misses a generator"):
+            close_algebra([gen(1e-7)])
+
+    def test_closure_never_grows_words(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("close_span called")
+
+        monkeypatch.setattr(numerics_module, "close_span", refuse)
+        monkeypatch.setattr(algebra_module, "close_span", refuse, raising=False)
+        assert len(close_algebra([SX, SZ])) == 4
+        a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        a2 = close_algebra([kron_all(I2, SX), kron_all(I2, SZ)])
+        assert len(join(a1, a2)) == 16
+        assert check_bipartition(a1, a2).verdict
+
     def test_closure_is_idempotent(self):
         alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
         again = close_algebra(list(alg.basis))
@@ -154,6 +226,14 @@ class TestCommutant:
             back = commutant(commutant(alg))
             assert len(back) == len(alg)
             assert np.allclose(span_projector(back.basis), span_projector(alg.basis), atol=1e-8)
+
+    def test_commutant_kept_by_the_closure_is_reused_only_at_its_tolerance(self):
+        alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        kept = commutant(alg)
+        assert commutant(alg, Tolerance()) is kept
+        tight = commutant(alg, Tolerance(rank_rel=1e-12))
+        assert tight is not kept
+        assert np.allclose(span_projector(tight.basis), span_projector(kept.basis), atol=1e-8)
 
     def test_conjugation_covariance(self):
         rng = np.random.default_rng(23)
@@ -300,10 +380,9 @@ class TestStructureDecompose:
         assert sd.residual < DEFAULT_TOL.resid_abs
 
 
-def random_block_algebra(blocks, rng):
-    """Algebra generated by two random elements of V ((+)_J 1_n (x) M_d) V^dag."""
-    dim = sum(n * d for n, d in blocks)
-    V = haar_unitary(dim, rng)
+def block_generators(blocks, V, rng):
+    """Two random elements of V ((+)_J 1_n (x) M_d) V^dag."""
+    dim = V.shape[0]
     gens = []
     for _ in range(2):
         G = np.zeros((dim, dim), dtype=complex)
@@ -313,7 +392,14 @@ def random_block_algebra(blocks, rng):
             G[off:off + n * d, off:off + n * d] = np.kron(np.eye(n), g)
             off += n * d
         gens.append(V @ G @ V.conj().T)
-    return close_algebra(gens, dim=dim)
+    return gens
+
+
+def random_block_algebra(blocks, rng):
+    """Algebra generated by two random elements of V ((+)_J 1_n (x) M_d) V^dag."""
+    dim = sum(n * d for n, d in blocks)
+    V = haar_unitary(dim, rng)
+    return close_algebra(block_generators(blocks, V, rng), dim=dim)
 
 
 def random_block_shape(rng, max_dim=10):
@@ -360,6 +446,38 @@ class TestCommutantCenterOracles:
         assert structure_decompose(alg).block_shape == [(1, 16)]
 
 
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_closure_of_a_conjugated_direct_sum_is_its_constructed_span(blocks, seed):
+    # V ((+)_J 1_n (x) M_d) V^dag for Haar V, spanned by the normalized
+    # V (1_n (x) E_ij) V^dag; two generic elements generate all of it
+    rng = np.random.default_rng(seed)
+    dim = sum(n * d for n, d in blocks)
+    V = haar_unitary(dim, rng)
+    units = []
+    off = 0
+    for n, d in blocks:
+        for i in range(d):
+            for j in range(d):
+                E = np.zeros((dim, dim), dtype=complex)
+                E[off:off + n * d, off:off + n * d] = np.kron(np.eye(n), np.eye(d)[:, [i]] @ np.eye(d)[[j]])
+                units.append(V @ E @ V.conj().T / np.sqrt(n))
+        off += n * d
+    expected = np.array(units)
+    alg = close_algebra(block_generators(blocks, V, rng), dim=dim)
+    assert len(alg) == len(expected)
+    assert np.max(span_residual(expected, alg.basis)) < 1e-8
+    assert np.max(span_residual(alg.basis, expected)) < 1e-8
+    built = OperatorAlgebra(dim=dim, basis=expected)
+    back = commutant(commutant(built))
+    assert len(back) == len(expected)
+    assert np.max(span_residual(expected, back.basis)) < 1e-8
+    assert np.max(span_residual(back.basis, expected)) < 1e-8
+    assert len(commutant(alg)) == sum(n * n for n, _ in blocks)
+    assert sorted(structure_decompose(alg).block_shape) == sorted(blocks)
+
+
 class TestCheckBipartition:
     def test_tensor_factorization_accepted(self):
         a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
@@ -369,6 +487,45 @@ class TestCheckBipartition:
         assert cert.verdict
         assert cert.commuting and cert.join_is_full and cert.a1_is_factor
         assert cert.witness is None
+
+    def test_residuals_reported(self):
+        a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        a2 = close_algebra([kron_all(I2, SX), kron_all(I2, SZ)])
+        res = check_bipartition(a1, a2).residuals
+        assert set(res) == {"commutator", "block_form"}
+        assert 0.0 <= res["commutator"] < 1e-8 and 0.0 <= res["block_form"] < 1e-8
+        res = check_bipartition(a1, a1).residuals
+        assert set(res) == {"commutator"}
+        assert res["commutator"] > DEFAULT_TOL.resid_abs
+
+    def test_positive_verdict_cuts_the_center_once(self, monkeypatch):
+        a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        a2 = close_algebra([kron_all(I2, SX), kron_all(I2, SZ)])
+        real = algebra_module._commuting_part
+        center_cuts = []
+
+        def counting(start, ops, tol):
+            if start is a1.basis:
+                center_cuts.append(tol)
+            return real(start, ops, tol)
+
+        monkeypatch.setattr(algebra_module, "_commuting_part", counting)
+        assert check_bipartition(a1, a2).verdict
+        assert len(center_cuts) == 1
+
+    def test_thirty_two_dimensions_in_under_two_seconds(self):
+        # scaling guard: forming the join of M_4 (x) 1 and 1 (x) M_8 by word
+        # growth took ~16 s here; the commutant cut takes well under a second
+        rng = np.random.default_rng(32)
+        ginibre = lambda k: rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        a1 = close_algebra([np.kron(ginibre(4), np.eye(8)) for _ in range(2)])
+        a2 = close_algebra([np.kron(np.eye(4), ginibre(8)) for _ in range(2)])
+        assert (len(a1), len(a2)) == (16, 64)
+        start = time.perf_counter()
+        cert = check_bipartition(a1, a2)
+        elapsed = time.perf_counter() - start
+        assert cert.verdict
+        assert elapsed < 2.0, f"check_bipartition at d=32 took {elapsed:.2f} s"
 
     def test_rotated_factorization_accepted(self):
         rng = np.random.default_rng(9)

@@ -185,6 +185,19 @@ class TestDecompose:
         rep = report_of(["decompose", path], capsys)
         assert rep["results"]["blocks"] == [{"n": 1, "d": 4}, {"n": 2, "d": 2}]
 
+    def test_commutant_cut_once(self, monkeypatch, capsys):
+        import tpskit.algebra as algebra
+
+        real = algebra._commutant_basis
+        cuts = []
+        monkeypatch.setattr(algebra, "_commutant_basis",
+                            lambda ops, tol: cuts.append(len(ops)) or real(ops, tol))
+        rep = report_of(["decompose", str(DATA / "slot_xz.json")], capsys)
+        # the closure's two cuts: A' (dimension 4) from I, X1, Z1, then A'' from
+        # A'; the reported commutant is the kept A', cut no second time
+        assert cuts == [3, 4]
+        assert rep["results"]["dim_commutant"] == 4
+
     def test_emit_basis(self, capsys):
         rep = report_of(["decompose", str(DATA / "slot_xz.json"), "--emit-basis"], capsys)
         T = np.array([[complex(re, im) for re, im in row]
@@ -225,6 +238,65 @@ class TestBipartition:
         code, _, err = run_cli(["bipartition", path], capsys)
         assert code == 1
         assert "a1_generators" in err
+
+
+def _blocks(*shape):
+    return [{"n": n, "d": d} for n, d in shape]
+
+
+DECOMPOSE_RESIDUALS = ["block_form", "identity", "adjoint", "product"]
+# Every report field of the fixture commands except basis_change and witness
+# matrices (pinned as present or absent) and residual values (pinned by name).
+GOLDEN = [
+    (["decompose", "slot_xz.json"],
+     {"blocks": _blocks((2, 2)), "center_dim": 1, "is_factor": True, "dim_algebra": 4,
+      "dim_commutant": 4}, DECOMPOSE_RESIDUALS),
+    (["decompose", "slot_xz.json", "--emit-basis"],
+     {"blocks": _blocks((2, 2)), "center_dim": 1, "is_factor": True, "dim_algebra": 4,
+      "dim_commutant": 4, "basis_change": "matrix"}, DECOMPOSE_RESIDUALS),
+    (["decompose", "bell_xx.json"],
+     {"blocks": _blocks((2, 1), (2, 1)), "center_dim": 2, "is_factor": False,
+      "dim_algebra": 2, "dim_commutant": 8}, DECOMPOSE_RESIDUALS),
+    (["decompose", "cnot.json"],
+     {"blocks": _blocks((1, 2), (2, 1)), "center_dim": 2, "is_factor": False,
+      "dim_algebra": 5, "dim_commutant": 5}, DECOMPOSE_RESIDUALS),
+    (["decompose", "bip_slots.json"],
+     {"blocks": _blocks((1, 4)), "center_dim": 1, "is_factor": True, "dim_algebra": 16,
+      "dim_commutant": 1}, DECOMPOSE_RESIDUALS),
+    (["decompose", "bip_overlap.json"],
+     {"blocks": _blocks((1, 2), (1, 2)), "center_dim": 2, "is_factor": False,
+      "dim_algebra": 8, "dim_commutant": 2}, DECOMPOSE_RESIDUALS),
+    (["decompose", "bip_abelian.json"],
+     {"blocks": _blocks((1, 1), (1, 1), (1, 1), (1, 1)), "center_dim": 4, "is_factor": False,
+      "dim_algebra": 4, "dim_commutant": 4}, DECOMPOSE_RESIDUALS),
+    (["bipartition", "bip_slots.json"],
+     {"commuting": True, "join_is_full": True, "a1_is_factor": True, "verdict": True,
+      "witness": None}, ["commutator", "block_form"]),
+    (["bipartition", "bip_overlap.json"],
+     {"commuting": False, "join_is_full": False, "a1_is_factor": True, "verdict": False,
+      "witness": "matrix"}, ["commutator"]),
+    (["bipartition", "bip_abelian.json"],
+     {"commuting": True, "join_is_full": False, "a1_is_factor": False, "verdict": False,
+      "witness": "matrix"}, ["commutator"]),
+]
+
+
+class TestGoldenFields:
+    @pytest.mark.parametrize("argv,results,residuals", GOLDEN,
+                             ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_fixture_report(self, argv, results, residuals, capsys):
+        argv = [argv[0], str(DATA / argv[1]), *argv[2:]]
+        rep = report_of(argv, capsys)
+        assert list(rep) == ["command", "argv", "seed", "tolerances", "results", "residuals"]
+        assert (rep["command"], rep["argv"], rep["seed"]) == (argv[0], argv, 0)
+        assert rep["tolerances"] == {"rank_rel": 1e-10, "resid_abs": 1e-8, "degeneracy_gap": 1e-7}
+        got = dict(rep["results"])
+        for key in ("basis_change", "witness"):
+            if got.get(key) is not None:
+                got[key] = "matrix"
+        assert list(got.items()) == list(results.items())
+        assert list(rep["residuals"]) == residuals
+        assert all(0.0 <= v < 1e-8 for k, v in rep["residuals"].items() if k != "commutator")
 
 
 class TestTpsCommands:
@@ -363,6 +435,19 @@ class TestTpsCommands:
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert "ContractViolationError" in err and "cap" in err
+
+    def test_holonomy_eigenspace_out_of_range_is_a_computation_error(self, capsys):
+        code, out, err = run_cli(["tps", "holonomy", "--eigenspace", "3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip() == ("computation error: IndexRangeError: "
+                               "eigenspace index 3 out of range 1..2")
+
+    @pytest.mark.parametrize("cut", ["5", "0"])
+    def test_entangle_cut_out_of_range_is_a_computation_error(self, cut, capsys):
+        code, out, err = run_cli(["tps", "entangle", str(DATA / "bell_xx.json"),
+                                  "--state", "bell_plus", "--dims", "2,2", "--cut", cut], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"computation error: IndexRangeError: cut [{cut}] out of range for 2 factors"
 
     def test_holonomy_non_finite_rectangle_is_a_computation_error(self, capsys):
         for rect in ("--rect=0,0,inf,0.6", "--rect2=nan,0,0.8,0.6"):

@@ -242,50 +242,14 @@ def test_span_residual_of_rows():
     assert np.allclose(r, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-14)
 
 
-def commutator(x, s):
-    return x @ s - s @ x
-
-
 def haar_unitary(rng, n):
     Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def test_close_span_commutator_closure_is_su2():
-    # [iX, iY] = -2iZ closes su(2); products also reach the identity
-    assert len(close_span([1j * SX, 1j * SY], commutator, DEFAULT_TOL)) == 3
-    assert len(close_span([1j * SX, 1j * SY], np.matmul, DEFAULT_TOL)) == 4
-
-
-def test_close_span_of_identity_and_x_under_products():
-    out = close_span([np.eye(2), SX], np.matmul, DEFAULT_TOL)
-    assert out.shape == (2, 2, 2)
-    G = out.reshape(2, -1)
-    assert np.allclose(G.conj() @ G.T, np.eye(2), atol=1e-12)
-    assert np.max(span_residual([np.eye(2), SX, SX @ SX], out)) < 1e-12
-
-
-def test_close_span_basis_stays_orthonormal_on_a_clustered_spectrum():
-    # the powers of g resolve a 5e-3 eigenvalue cluster only through small
-    # residuals; one projection off the span leaves ~1e-12 of it behind
-    rng = np.random.default_rng(0)
-    U = haar_unitary(rng, 8)
-    w = np.concatenate([np.linspace(-1, 1, 5), 0.2 + 5e-3 * np.arange(3)])
-    out = close_span([np.eye(8), U @ np.diag(w) @ U.conj().T], np.matmul, DEFAULT_TOL)
-    assert len(out) == 8
-    B = out.reshape(8, -1)
-    assert np.max(np.abs(B.conj() @ B.T - np.eye(8))) < 1e-14
-
-
-@pytest.mark.xfail(strict=True, reason="known defect: at a 3e-3 cluster a rounding "
-                   "direction (~1.7e-10) passes the rank_rel drop rule and the "
-                   "closure grows from it (61 dimensions; the all-pairs closure: 77)")
-def test_close_span_of_a_generator_with_a_3e_3_eigenvalue_cluster():
-    rng = np.random.default_rng(0)
-    U = haar_unitary(rng, 8)
-    w = np.concatenate([np.linspace(-1, 1, 5), 0.2 + 3e-3 * np.arange(3)])
-    out = close_span([np.eye(8), U @ np.diag(w) @ U.conj().T], np.matmul, DEFAULT_TOL)
-    assert len(out) == 8
+    # [iX, iY] = -2iZ closes su(2)
+    assert len(close_span([1j * SX, 1j * SY], DEFAULT_TOL)) == 3
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -305,7 +269,7 @@ def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
             off += m
         gens.append(U @ A @ U.conj().T)
     expected = sum(m * m - 1 for m in sizes) + min(2, len(sizes))
-    assert len(close_span(gens, commutator, DEFAULT_TOL)) == expected
+    assert len(close_span(gens, DEFAULT_TOL)) == expected
 
 
 def test_cluster_indices_gaps():
