@@ -9,7 +9,6 @@ matching the subscripts a_1, ..., a_N.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -30,19 +29,29 @@ _EMBED_CAP = 1 << 20
 _CCR_TOL = 1e-12
 
 
+def _check_mode(i: int, N: int) -> None:
+    if not 1 <= i <= N:
+        raise IndexRangeError(f"mode index {i} out of range 1..{N}")
+
+
 @dataclass
 class FockSpace:
     """N bosonic modes truncated at total excitation M.
 
     basis holds the occupation tuples (m_1, ..., m_N) with sum <= M in
-    lexicographic order; a is the stack of annihilation matrices in that
-    basis, one per mode.
+    lexicographic order, and positions maps each tuple to its place there.
+    The ladder operators are stored as (N, dim) tables, one row per mode:
+    a_j e_c = w[j, c] e_low[j, c] with w[j, c] = sqrt(m_j), and low[j, c] = -1
+    where m_j = 0.  Raising inverts them: a_j^dag e_c lands on the column
+    c' with low[j, c'] = c, with weight w[j, c'].
     """
 
     N: int
     M: int
     basis: list
-    a: np.ndarray  # (N, dim, dim)
+    positions: dict
+    low: np.ndarray  # (N, dim) int, -1 where the mode is empty
+    w: np.ndarray  # (N, dim) float
 
     @property
     def dim(self) -> int:
@@ -55,19 +64,37 @@ class FockSpace:
         return v
 
     def index(self, occupation) -> int:
-        if not hasattr(self, "_index"):
-            self._index = {m: i for i, m in enumerate(self.basis)}
-        return self._index[tuple(occupation)]
+        return self.positions[tuple(occupation)]
 
     def lowering(self, i: int) -> np.ndarray:
-        """Annihilation matrix of mode i (1-based)."""
-        if not 1 <= i <= self.N:
-            raise IndexRangeError(f"mode index {i} out of range 1..{self.N}")
-        return self.a[i - 1]
+        """Dense annihilation matrix of mode i (1-based), built on demand."""
+        _check_mode(i, self.N)
+        return _dense(self, np.eye(self.N)[i - 1])
 
     def interior_mask(self) -> np.ndarray:
         """Basis states with total excitation <= M-1, where the CCR are exact."""
         return np.array([sum(m) <= self.M - 1 for m in self.basis])
+
+
+def _dense(fock: FockSpace, coeffs) -> np.ndarray:
+    """The dim x dim matrix of sum_j coeffs[j] a_j, for inspection only."""
+    a = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for j, c in enumerate(coeffs):
+        cols = np.flatnonzero(fock.low[j] >= 0)
+        a[fock.low[j, cols], cols] += c * fock.w[j, cols]
+    return a
+
+
+def _raising(fock: FockSpace):
+    """(N, dim) tables of a_j^dag, inverted from the lowering ones:
+    a_j^dag e_c = wu[j, c] e_up[j, c], with up = -1 where the raised state
+    leaves the truncation."""
+    up = np.full_like(fock.low, -1)
+    wu = np.zeros_like(fock.w)
+    j, c = np.nonzero(fock.low >= 0)
+    up[j, fock.low[j, c]] = c
+    wu[j, fock.low[j, c]] = fock.w[j, c]
+    return up, wu
 
 
 def build_fock(N: int, M: int) -> FockSpace:
@@ -78,30 +105,32 @@ def build_fock(N: int, M: int) -> FockSpace:
     if dim > _DIM_CAP:
         raise ContractViolationError(
             f"dimension {dim} exceeds the configured cap {_DIM_CAP}")
-    basis = sorted(m for m in itertools.product(range(M + 1), repeat=N) if sum(m) <= M)
-    index = {m: i for i, m in enumerate(basis)}
-    a = np.zeros((N, dim, dim))
+    basis = [()]  # occupation prefixes, kept in lexicographic order
+    for _ in range(N):
+        basis = [m + (k,) for m in basis for k in range(M + 1 - sum(m))]
+    positions = {m: i for i, m in enumerate(basis)}
+    low = np.full((N, dim), -1, dtype=np.intp)
+    w = np.zeros((N, dim))
     for col, m in enumerate(basis):
         for j in range(N):
             if m[j] > 0:
-                lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
-                a[j, index[lowered], col] = np.sqrt(m[j])
-    return FockSpace(N=N, M=M, basis=basis, a=a.astype(complex))
+                low[j, col] = positions[m[:j] + (m[j] - 1,) + m[j + 1:]]
+                w[j, col] = np.sqrt(m[j])
+    return FockSpace(N=N, M=M, basis=basis, positions=positions, low=low, w=w)
 
 
 @dataclass
 class ModeSet:
-    """Reference Fock space plus the rotated annihilation operators a_i^U."""
+    """Reference Fock space plus the mode rotation U of a_i^U = sum_j U_ji a_j."""
 
     fock: FockSpace
     U: np.ndarray  # (N, N)
-    transformed: np.ndarray  # (N, dim, dim)
     ccr: float = float("nan")  # the ccr_residual transform_modes verified
 
     def lowering(self, i: int) -> np.ndarray:
-        if not 1 <= i <= self.fock.N:
-            raise IndexRangeError(f"mode index {i} out of range 1..{self.fock.N}")
-        return self.transformed[i - 1]
+        """Dense annihilation matrix of rotated mode i (1-based), built on demand."""
+        _check_mode(i, self.fock.N)
+        return _dense(self.fock, self.U[:, i - 1])
 
 
 def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet:
@@ -117,10 +146,10 @@ def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet
         raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({N}, {N})")
     if unitarity_defect(U) > tol.resid_abs:
         raise ContractViolationError("mode rotation is not unitary")
-    transformed = np.einsum("ji,jab->iab", U, fock.a)
-    ms = ModeSet(fock=fock, U=U, transformed=transformed)
+    ms = ModeSet(fock=fock, U=U)
 
-    if np.any(transformed[:, :, 0] != 0):
+    # rotated weights on the vacuum column: U_ji w[j, 0]
+    if np.any(U * fock.w[:, :1] != 0):
         raise ToleranceError("transformed modes fail exact vacuum annihilation")
     ms.ccr = ccr_residual(ms)
     if ms.ccr > _CCR_TOL:
@@ -128,27 +157,81 @@ def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet
     return ms
 
 
+def _compose(outer, inner, cols):
+    """Nonzero entries of outer_p inner_q e_c for every mode pair (p, q) and
+    column c in cols, from (rows, weights) ladder tables: flat arrays
+    (p, q, row, column, weight)."""
+    (ro, wo), (ri, wi) = outer, inner
+    mid = ri[:, cols]  # (N, C): inner_q e_c lands on row mid[q, c]
+    rows = ro[:, np.maximum(mid, 0)]  # (N, N, C): [p, q, c]
+    weights = wo[:, np.maximum(mid, 0)] * wi[:, cols]
+    p, q, c = np.nonzero((mid >= 0) & (rows >= 0))
+    return p, q, rows[p, q, c], cols[c], weights[p, q, c]
+
+
+def _max_entry(rows, cols, vals, dim: int) -> float:
+    """Largest modulus over every (pair, row, column) once the values
+    landing on the same (row, column) are summed; vals is (pairs, entries)."""
+    if rows.size == 0:
+        return 0.0
+    key = rows * dim + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    return float(np.abs(np.add.reduceat(vals[:, order], starts, axis=1)).max())
+
+
 def ccr_residual(ms: ModeSet) -> float:
     """Worst deviation from the CCR: [a_i, a_j] on the whole space and
-    [a_i, a_j^dag] - delta_ij compressed to the interior sector."""
-    interior = ms.fock.interior_mask()
-    keep = np.ix_(interior, interior)
-    eye = np.eye(ms.fock.dim)
-    worst = 0.0
-    for i in range(ms.fock.N):
-        ai = ms.transformed[i]
-        for j in range(ms.fock.N):
-            aj = ms.transformed[j]
-            worst = max(worst, float(np.max(np.abs(ai @ aj - aj @ ai))))
-            C = ai @ aj.conj().T - aj.conj().T @ ai - (eye if i == j else 0.0)
-            worst = max(worst, float(np.max(np.abs(C[keep]))))
-    return worst
+    [a_i, a_j^dag] - delta_ij compressed to the interior sector.
+
+    Every pair (i, j) is checked at once from the ladder tables: a product
+    of two rotated modes has at most N^2 entries per column, so the cost is
+    O(N^4 dim) with no dim x dim matrix formed.
+    """
+    fock, U = ms.fock, ms.U
+    N, dim = fock.N, fock.dim
+    lower, upper = (fock.low, fock.w), _raising(fock)
+    pairs = N * N
+
+    # [a_i, a_k] = sum_pq (U_pi U_qk - U_pk U_qi) a_p a_q
+    both = np.einsum("pi,qk->ikpq", U, U).reshape(N, N, pairs)
+    coef = (both - both.swapaxes(0, 1)).reshape(pairs, pairs)
+    p, q, rows, cols, wts = _compose(lower, lower, np.arange(dim))
+    worst = _max_entry(rows, cols, coef[:, p * N + q] * wts, dim)
+
+    # [a_i, a_k^dag] - delta_ik
+    #   = sum_jl U_ji conj(U_lk) (a_j a_l^dag - a_l^dag a_j) - delta_ik
+    # on the interior columns; both products keep a column's total
+    # excitation, so their rows are interior too
+    coef = np.einsum("ji,lk->ikjl", U, U.conj()).reshape(pairs, pairs)
+    inside = np.flatnonzero(fock.interior_mask())
+    j1, l1, rows1, cols1, wts1 = _compose(lower, upper, inside)
+    l2, j2, rows2, cols2, wts2 = _compose(upper, lower, inside)
+    rows = np.concatenate([rows1, rows2, inside])
+    cols = np.concatenate([cols1, cols2, inside])
+    vals = np.concatenate([
+        coef[:, j1 * N + l1] * wts1,
+        -coef[:, j2 * N + l2] * wts2,
+        np.broadcast_to(-np.eye(N).reshape(pairs, 1), (pairs, inside.size)),
+    ], axis=1)
+    return max(worst, _max_entry(rows, cols, vals, dim))
 
 
 def single_excitation_state(ms: ModeSet, i: int) -> np.ndarray:
-    """The normalized one-photon state of rotated mode i, a_i^U-dagger |0>."""
-    v = ms.lowering(i).conj().T @ ms.fock.vacuum
+    """The normalized one-photon state of rotated mode i, a_i^U-dagger |0>:
+    amplitude conj(U_ji) on each one-photon state, whose ladder weight is 1."""
+    fock = ms.fock
+    _check_mode(i, fock.N)
+    v = np.zeros(fock.dim, dtype=complex)
+    v[_one_photon(fock)] = ms.U[:, i - 1].conj()
     return v / np.linalg.norm(v)
+
+
+def _one_photon(fock: FockSpace) -> np.ndarray:
+    """Basis positions of a_j^dag |0>, j = 1..N: the columns that lowering
+    mode j sends to the vacuum."""
+    return np.argmax(fock.low == 0, axis=1)
 
 
 def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
@@ -165,8 +248,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     V = np.asarray(V, dtype=complex)
     if V.shape != (fock.N, fock.N):
         raise DimensionMismatchError("rotation must act on the mode amplitudes")
-    one_photon = [fock.index(tuple(1 if k == j else 0 for k in range(fock.N)))
-                  for j in range(fock.N)]
+    one_photon = _one_photon(fock)
     support = np.ones(fock.dim, dtype=bool)
     support[0] = False
     support[one_photon] = False

@@ -1,12 +1,14 @@
 """Tests for truncated Fock spaces and mode-relative entanglement."""
 
 import itertools
+import time
 from math import comb
 
 import numpy as np
 import pytest
 
 from tpskit.bosonic import (
+    ModeSet,
     build_fock,
     ccr_residual,
     mode_entanglement,
@@ -29,6 +31,51 @@ def haar_unitary(dim, rng):
     return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
+def dense_ladders(N, M):
+    """Reference annihilation stack (N, dim, dim), built densely from the
+    filtered hypercube of occupation tuples."""
+    basis = sorted(m for m in itertools.product(range(M + 1), repeat=N) if sum(m) <= M)
+    index = {m: i for i, m in enumerate(basis)}
+    a = np.zeros((N, len(basis), len(basis)))
+    for col, m in enumerate(basis):
+        for j in range(N):
+            if m[j] > 0:
+                lowered = m[:j] + (m[j] - 1,) + m[j + 1:]
+                a[j, index[lowered], col] = np.sqrt(m[j])
+    return a.astype(complex)
+
+
+def dense_ccr_residual(ms):
+    """Oracle: the CCR residual from dense products of the rotated modes."""
+    fock = ms.fock
+    transformed = np.einsum("ji,jab->iab", ms.U, dense_ladders(fock.N, fock.M))
+    interior = fock.interior_mask()
+    keep = np.ix_(interior, interior)
+    eye = np.eye(fock.dim)
+    worst = 0.0
+    for i in range(fock.N):
+        ai = transformed[i]
+        for j in range(fock.N):
+            aj = transformed[j]
+            worst = max(worst, float(np.max(np.abs(ai @ aj - aj @ ai))))
+            C = ai @ aj.conj().T - aj.conj().T @ ai - (eye if i == j else 0.0)
+            worst = max(worst, float(np.max(np.abs(C[keep]))))
+    return worst
+
+
+def best_of_three(fn):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+# the (N, M) sizes acceptance criterion 7 checks the CCR at
+CRITERION_7_SIZES = [(N, M) for N in range(1, 5) for M in range(1, 4)]
+
+
 def one_photon_state(fock, amplitudes):
     v = np.zeros(fock.dim, dtype=complex)
     for j, c in enumerate(amplitudes):
@@ -43,7 +90,7 @@ class TestBuildFock:
         assert fock.dim == 3
         assert fock.basis == [(0,), (1,), (2,)]
         expected = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
-        assert np.allclose(fock.a[0], expected)
+        assert np.allclose(fock.lowering(1), expected)
 
     def test_two_modes_cutoff_one(self):
         fock = build_fock(2, 1)
@@ -55,11 +102,26 @@ class TestBuildFock:
         assert fock.dim == 10 == comb(5, 3)
 
     def test_dimension_matches_enumeration_oracle(self):
-        for N, M in [(1, 3), (2, 2), (3, 3), (4, 2)]:
+        # the basis is the sorted, filtered hypercube, position for position
+        for N, M in [(1, 3), (2, 2), (3, 3), (4, 2), (4, 7)]:
             fock = build_fock(N, M)
-            count = sum(1 for m in itertools.product(range(M + 1), repeat=N)
-                        if sum(m) <= M)
-            assert fock.dim == count == comb(N + M, N)
+            oracle = sorted(m for m in itertools.product(range(M + 1), repeat=N)
+                            if sum(m) <= M)
+            assert fock.dim == len(oracle) == comb(N + M, N)
+            assert fock.basis == oracle
+            assert all(fock.index(m) == k for k, m in enumerate(oracle))
+
+    def test_many_modes_enumerate_the_simplex(self):
+        # filtering the 4^12 hypercube took ~3 s; the simplex has 455 states
+        assert best_of_three(lambda: build_fock(12, 3)) < 0.1
+        assert build_fock(12, 3).dim == comb(15, 3)
+
+    def test_lowering_matches_dense_construction(self):
+        for N, M in CRITERION_7_SIZES:
+            fock = build_fock(N, M)
+            reference = dense_ladders(N, M)
+            for i in range(1, N + 1):
+                assert np.array_equal(fock.lowering(i), reference[i - 1])
 
     def test_number_operator_diagonal(self):
         fock = build_fock(2, 3)
@@ -82,7 +144,8 @@ class TestTransformModes:
     def test_identity_returns_original(self):
         fock = build_fock(2, 2)
         ms = transform_modes(fock, np.eye(2))
-        assert np.array_equal(ms.transformed, fock.a)
+        for i in (1, 2):
+            assert np.array_equal(ms.lowering(i), fock.lowering(i))
 
     def test_nonunitary_rejected(self):
         fock = build_fock(2, 2)
@@ -104,7 +167,7 @@ class TestTransformModes:
         fock = build_fock(2, 3)
         ms = transform_modes(fock, BEAMSPLITTER)
         P = np.diag(fock.interior_mask()).astype(complex)
-        a1, a2 = ms.transformed
+        a1, a2 = ms.lowering(1), ms.lowering(2)
         cross = a1 @ a2.conj().T - a2.conj().T @ a1
         assert np.max(np.abs(P @ cross @ P)) < 1e-12
         same = a1 @ a1.conj().T - a1.conj().T @ a1 - np.eye(fock.dim)
@@ -123,10 +186,32 @@ class TestTransformModes:
         rng = np.random.default_rng(9)
         fock = build_fock(2, 2)
         U, V = haar_unitary(2, rng), haar_unitary(2, rng)
-        direct = transform_modes(fock, U @ V).transformed
+        direct = np.array([transform_modes(fock, U @ V).lowering(i) for i in (1, 2)])
         step = transform_modes(fock, U)
-        composed = np.einsum("ki,kab->iab", V, step.transformed)
+        composed = np.einsum("ki,kab->iab", V, [step.lowering(i) for i in (1, 2)])
         assert np.max(np.abs(direct - composed)) < 1e-12
+
+    def test_ccr_residual_matches_dense_oracle(self):
+        for N, M in CRITERION_7_SIZES + [(4, 7)]:
+            rng = np.random.default_rng(100 * N + M)
+            ms = transform_modes(build_fock(N, M), haar_unitary(N, rng))
+            assert abs(ms.ccr - dense_ccr_residual(ms)) < 1e-14
+
+    def test_ccr_residual_sees_a_scaled_rotation(self):
+        # U (1 + eps) breaks [a_i, a_i^dag] = 1 by ~2 eps on the interior
+        rng = np.random.default_rng(31)
+        for N, M in [(2, 3), (3, 2), (4, 3)]:
+            fock = build_fock(N, M)
+            ms = ModeSet(fock=fock, U=haar_unitary(N, rng) * (1 + 1e-6))
+            sparse, dense = ccr_residual(ms), dense_ccr_residual(ms)
+            assert abs(sparse - 2e-6) < 1e-8
+            assert abs(sparse - dense) < 1e-12
+
+    def test_four_modes_cutoff_eight_in_under_50_ms(self):
+        # reach guard: the dense CCR products took ~1.4 s here (dim 495)
+        fock = build_fock(4, 8)
+        U = haar_unitary(4, np.random.default_rng(48))
+        assert best_of_three(lambda: transform_modes(fock, U)) < 0.05
 
 
 class TestSingleExcitationState:
@@ -146,6 +231,16 @@ class TestSingleExcitationState:
         expected[fock.index((1, 0))] = 1 / np.sqrt(2)
         expected[fock.index((0, 1))] = 1 / np.sqrt(2)
         assert np.allclose(v, expected, atol=1e-12)
+
+    def test_matches_the_dense_raised_vacuum(self):
+        for N, M in CRITERION_7_SIZES:
+            fock = build_fock(N, M)
+            U = haar_unitary(N, np.random.default_rng(10 * N + M))
+            ms = transform_modes(fock, U)
+            rotated = np.einsum("ji,jab->iab", U, dense_ladders(N, M))
+            for i in range(1, N + 1):
+                v = rotated[i - 1].conj().T @ fock.vacuum
+                assert np.array_equal(single_excitation_state(ms, i), v / np.linalg.norm(v))
 
     def test_unit_norm_for_random_rotations(self):
         rng = np.random.default_rng(13)
