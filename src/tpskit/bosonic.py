@@ -109,13 +109,14 @@ def build_fock(N: int, M: int) -> FockSpace:
     for _ in range(N):
         basis = [m + (k,) for m in basis for k in range(M + 1 - sum(m))]
     positions = {m: i for i, m in enumerate(basis)}
-    low = np.full((N, dim), -1, dtype=np.intp)
-    w = np.zeros((N, dim))
-    for col, m in enumerate(basis):
-        for j in range(N):
-            if m[j] > 0:
-                low[j, col] = positions[m[:j] + (m[j] - 1,) + m[j + 1:]]
-                w[j, col] = np.sqrt(m[j])
+    occ = np.array(basis).T  # (N, dim)
+    # base-(M+1) keys ascend with the lexicographic basis; lowering mode j
+    # subtracts its place value (Python ints once (M+1)^N outgrows int64)
+    place = np.array([(M + 1) ** (N - 1 - j) for j in range(N)],
+                     dtype=np.int64 if (M + 1) ** N < 2 ** 63 else object)
+    keys = place @ occ
+    low = np.where(occ > 0, np.searchsorted(keys, keys - place[:, None]), -1)
+    w = np.sqrt(occ)
     return FockSpace(N=N, M=M, basis=basis, positions=positions, low=low, w=w)
 
 

@@ -261,12 +261,16 @@ def _floored(S):
 
 
 def fix_column_phases(V) -> np.ndarray:
-    """Rephase each column so its largest-magnitude entry is positive real."""
-    V = np.asarray(V, dtype=complex).copy()
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            V[:, j] = col * (abs(pivot) / pivot)
+    """Rephase each column so its largest-magnitude entry is positive real.
+
+    Bit-identical to rephasing column by column: the pivot modulus is the
+    scalar abs (numpy's array abs differs from it in the last bit), and
+    the factor row is 2-D, which keeps a 1 x 1 input on numpy's vector
+    multiply loop.
+    """
+    V = np.array(V, dtype=complex)
+    pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    size = np.array([abs(p) for p in pivot], dtype=float)
+    nonzero = size > 0
+    V[:, nonzero] = V[:, nonzero] * (size[nonzero] / pivot[nonzero])[None, :]
     return V

@@ -55,9 +55,28 @@ def _complex_entry(value, where: str) -> complex:
     return complex(value[0], value[1])
 
 
+def _numeric_pairs(value, shape) -> np.ndarray | None:
+    """value as a complex array when it is an all-numeric array of [re, im]
+    pairs of the given shape (bit-identical to complex(re, im) entry by
+    entry), else None: such input takes the per-entry checks instead."""
+    try:
+        arr = np.asarray(value)
+    except (ValueError, TypeError):
+        return None
+    if arr.shape != shape + (2,) or arr.dtype.kind not in "biuf":
+        return None
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = arr[..., 0], arr[..., 1]
+    return out
+
+
 def _dense_matrix(rows, dim: int, where: str) -> np.ndarray:
     if not isinstance(rows, list) or len(rows) != dim:
         raise SpecFileError(f"{where}: expected {dim} rows")
+    if all(isinstance(row, list) for row in rows):
+        out = _numeric_pairs(rows, (dim, dim))
+        if out is not None:
+            return out
     out = np.empty((dim, dim), dtype=complex)
     for r, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
@@ -70,8 +89,10 @@ def _dense_matrix(rows, dim: int, where: str) -> np.ndarray:
 def _state_vector(entries, dim: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim:
         raise SpecFileError(f"{where}: expected {dim} amplitudes")
-    vec = np.array([_complex_entry(e, f"{where} entry {k}")
-                    for k, e in enumerate(entries)])
+    vec = _numeric_pairs(entries, (dim,))
+    if vec is None:
+        vec = np.array([_complex_entry(e, f"{where} entry {k}")
+                        for k, e in enumerate(entries)])
     norm = np.linalg.norm(vec)
     if norm < 1e-14:
         raise SpecFileError(f"{where}: state vector is zero")

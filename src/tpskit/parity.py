@@ -11,7 +11,6 @@ explicit per-sector rotations to realign it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -20,22 +19,31 @@ from .errors import ContractViolationError, DimensionMismatchError, ParitySetErr
 from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, unitarity_defect
 from .tps import TPS
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
 def pauli_string_matrix(s: str) -> np.ndarray:
     """Dense matrix of a Pauli string; leftmost symbol acts on qubit 0,
-    the most significant tensor slot."""
-    if not s or any(c not in _PAULI for c in s):
+    the most significant tensor slot.
+
+    The string is a signed permutation: column r has its one entry in row
+    r ^ x, where x marks the X and Y letters, with phase
+    i^(#Y) (-1)^(popcount of r on the Z and Y letters).
+    """
+    if not s or any(c not in "IXYZ" for c in s):
         raise ContractViolationError(f"invalid Pauli string {s!r}")
-    out = np.array([[1.0 + 0j]])
-    for c in s:
-        out = np.kron(out, _PAULI[c])
+    d = 2 ** len(s)
+    r = np.arange(d)
+    flip = 0
+    quarter_turns = np.full(d, s.count("Y"))
+    for q, c in enumerate(s):
+        bit = 1 << (len(s) - 1 - q)
+        if c in "XY":
+            flip |= bit
+        if c in "YZ":
+            quarter_turns += 2 * ((r & bit) > 0)
+    out = np.zeros((d, d), dtype=complex)
+    out[r ^ flip, r] = _PHASES[quarter_turns % 4]
     return out
 
 
@@ -65,6 +73,15 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     eigenspaces of equal dimension, which holds exactly when every
     nonempty subset product is traceless (character orthogonality on
     Z_2^k).
+
+    The split is the one O(k d^3) step and decides the other two facts.
+    Op i commutes with the ops split before it exactly when it leaves
+    their joint eigenspaces invariant (the spectral projectors are
+    polynomials in those ops), read as max|V^dag X - (V^dag X V) V^dag|
+    <= resid_abs on every sector V; an op that does squares to one
+    exactly when its restrictions have eigenvalues +-1 within resid_abs.
+    An op that fails either check, or is not Hermitian, stays out of the
+    split; only then are commutators and X X formed, to name the pairs.
     """
     mats = [np.asarray(X, dtype=complex) for X in ops]
     if not mats:
@@ -77,39 +94,77 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
         if X.shape != (d, d):
             raise DimensionMismatchError("parity operators differ in dimension")
 
-    eye = np.eye(d)
+    def commutes(j, i):
+        return np.max(np.abs(mats[j] @ mats[i] - mats[i] @ mats[j])) <= tol.resid_abs
+
     problems = []
+    clashes = []  # (j, i) with j < i
+    split = []  # ops whose eigenspaces refine the sectors
+    sectors = [((), np.eye(d, dtype=complex))]
     for i, X in enumerate(mats):
-        if np.max(np.abs(X - X.conj().T)) > tol.resid_abs:
+        hermitian = np.max(np.abs(X - X.conj().T)) <= tol.resid_abs
+        if not hermitian:
             problems.append(f"op {i} is not Hermitian")
         if abs(np.trace(X)) > tol.resid_abs * d:
             problems.append(f"op {i} is not traceless")
-        if np.max(np.abs(X @ X - eye)) > tol.resid_abs:
+        resid, refined = _split_sectors(sectors, X, tol, bool(split)) if hermitian else (0.0, None)
+        invariant = hermitian and resid <= tol.resid_abs
+        if refined is not None:
+            sectors = refined
+            split.append(i)
+        elif invariant:  # a restricted eigenvalue is away from +-1
             problems.append(f"op {i} is not an involution")
-    for i, j in combinations(range(len(mats)), 2):
-        if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol.resid_abs:
-            problems.append(f"ops {i} and {j} do not commute")
+        elif np.max(np.abs(X @ X - np.eye(d))) > tol.resid_abs:
+            problems.append(f"op {i} is not an involution")
+        # invariance vouches for the split ops; any other pair is multiplied out
+        pairs = [(j, i) for j in range(i)
+                 if not (invariant and j in split) and not commutes(j, i)]
+        if hermitian and not invariant and not any(j in split for j, _ in pairs):
+            problems.append(
+                f"op {i} leaves the joint eigenspaces of ops {split} invariant only "
+                f"within {resid:.3e}, though no pair exceeds resid_abs")
+        clashes += pairs
+    problems += [f"ops {j} and {i} do not commute" for j, i in sorted(clashes)]
     if problems:
         raise ParitySetError("; ".join(problems))
 
-    sectors = [((), np.eye(d, dtype=complex))]
-    for X in mats:
-        nxt = []
-        for label, V in sectors:
-            w, W = hermitian_eig(V.conj().T @ X @ V, tol)
-            if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
-                raise ParitySetError("restricted parity has eigenvalues away from +-1")
-            for sign in (+1, -1):
-                cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
-                if cols.shape[1]:
-                    nxt.append((label + (sign,), fix_column_phases(V @ cols)))
-        sectors = nxt
     dims_found = sorted(V.shape[1] for _, V in sectors)
     if len(sectors) != 2 ** len(mats) or dims_found[0] != dims_found[-1]:
         raise ParitySetError(
             f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
             "equal ones: the set is dependent (some subset product is not traceless)")
     return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
+
+
+def _split_sectors(sectors, X, tol: Tolerance, check_invariance: bool):
+    """Split every sector V by the +-1 eigenspaces of V^dag X V.
+
+    Returns (invariance residual max|V^dag X - (V^dag X V) V^dag|, refined
+    (label, basis) list); the list is None when the residual exceeds
+    resid_abs (no split is tried) or a restricted eigenvalue is away
+    from +-1.
+    """
+    blocks = []
+    resid = 0.0
+    for _, V in sectors:
+        Vh = V.conj().T
+        Z = Vh @ X
+        B = Z @ V
+        if check_invariance:
+            resid = max(resid, float(np.max(np.abs(Z - B @ Vh))))
+        blocks.append(B)
+    if resid > tol.resid_abs:
+        return resid, None
+    refined = []
+    for (label, V), B in zip(sectors, blocks):
+        w, W = hermitian_eig(B, tol)
+        if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
+            return resid, None
+        for sign in (+1, -1):
+            cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
+            if cols.shape[1]:
+                refined.append((label + (sign,), fix_column_phases(V @ cols)))
+    return resid, refined
 
 
 @dataclass
@@ -153,10 +208,7 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
                     raise ContractViolationError(f"sector map for {label} is not unitary")
                 sectors[label] = V @ M
 
-    iso = np.zeros((d, d), dtype=complex)
-    for s, V in enumerate(sectors.values()):
-        for l in range(d_code):
-            iso[:, l * 2 ** k + s] = V[:, l]
+    iso = np.stack(list(sectors.values()), -1).reshape(d, d)
     tps = TPS((d_code, 2 ** k), iso, tol)
     return SyndromeDecomposition(sectors=sectors, tps=tps)
 

@@ -45,6 +45,21 @@ def dense_ladders(N, M):
     return a.astype(complex)
 
 
+def loop_ladder_tables(N, M):
+    """Reference (low, w) tables, filled entry by entry through a lookup of
+    the lowered occupation tuple."""
+    basis = build_fock(N, M).basis
+    positions = {m: i for i, m in enumerate(basis)}
+    low = np.full((N, len(basis)), -1, dtype=np.intp)
+    w = np.zeros((N, len(basis)))
+    for col, m in enumerate(basis):
+        for j in range(N):
+            if m[j] > 0:
+                low[j, col] = positions[m[:j] + (m[j] - 1,) + m[j + 1:]]
+                w[j, col] = np.sqrt(m[j])
+    return low, w
+
+
 def dense_ccr_residual(ms):
     """Oracle: the CCR residual from dense products of the rotated modes."""
     fock = ms.fock
@@ -122,6 +137,15 @@ class TestBuildFock:
             reference = dense_ladders(N, M)
             for i in range(1, N + 1):
                 assert np.array_equal(fock.lowering(i), reference[i - 1])
+
+    def test_ladder_tables_match_the_per_entry_loop(self):
+        # (70, 1) and (40, 2) have (M+1)^N past int64: Python-int keys
+        sizes = [(N, M) for N in range(1, 5) for M in range(1, 9)]
+        for N, M in sizes + [(12, 3), (70, 1), (40, 2)]:
+            fock = build_fock(N, M)
+            low, w = loop_ladder_tables(N, M)
+            assert fock.low.dtype == low.dtype and np.array_equal(fock.low, low), (N, M)
+            assert fock.w.dtype == w.dtype and np.array_equal(fock.w, w), (N, M)
 
     def test_number_operator_diagonal(self):
         fock = build_fock(2, 3)

@@ -120,6 +120,74 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError, match="line 2"):
             load_spec(str(bad))
 
+    # messages of the per-entry parser, which the all-numeric fast path
+    # must leave unchanged
+    MALFORMED = [
+        ("rows_not_list", {"dim": 2, "operators": [{"name": "m", "matrix": "x"}]},
+         "operators[0].matrix: expected 2 rows"),
+        ("too_few_rows", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0]]]}]},
+         "operators[0].matrix: expected 2 rows"),
+        ("short_row", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0]], [[0, 0]]]}]},
+         "operators[0].matrix row 1: expected 2 entries"),
+        ("row_not_list", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0]], "ab"]}]},
+         "operators[0].matrix row 1: expected 2 entries"),
+        ("tuple_row", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [((0, 0), (0, 0)), [[0, 0], [0, 0]]]}]},
+         "operators[0].matrix row 0: expected 2 entries"),
+        ("string_entry", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0]], ["bad", [0, 0]]]}]},
+         "operators[0].matrix row 1 col 0: expected an [re, im] pair, got 'bad'"),
+        ("numeric_string", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[["1.5", 0], [0, 0]], [[0, 0], [0, 0]]]}]},
+         "operators[0].matrix row 0 col 0: expected an [re, im] pair, got ['1.5', 0]"),
+        ("triple", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0, 0]], [[0, 0], [0, 0]]]}]},
+         "operators[0].matrix row 0 col 1: expected an [re, im] pair, got [0, 0, 0]"),
+        ("null", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], [0, 0]], [[0, None], [0, 0]]]}]},
+         "operators[0].matrix row 1 col 0: expected an [re, im] pair, got [0, None]"),
+        ("scalar_entry", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[0, 0], 1], [[0, 0], [0, 0]]]}]},
+         "operators[0].matrix row 0 col 1: expected an [re, im] pair, got 1"),
+        ("state_short", {"dim": 2, "operators": [],
+                         "states": [{"name": "s", "vector": [[1, 0]]}]},
+         "states[0].vector: expected 2 amplitudes"),
+        ("state_string", {"dim": 2, "operators": [],
+                          "states": [{"name": "s", "vector": [[1, 0], ["0", 1]]}]},
+         "states[0].vector entry 1: expected an [re, im] pair, got ['0', 1]"),
+        ("state_zero", {"dim": 2, "operators": [],
+                        "states": [{"name": "s", "vector": [[0, 0], [0, 0]]}]},
+         "states[0].vector: state vector is zero"),
+        ("state_nested", {"dim": 2, "operators": [],
+                          "states": [{"name": "s", "vector": [[1, [0]], [0, 1]]}]},
+         "states[0].vector entry 0: expected an [re, im] pair, got [1, [0]]"),
+    ]
+
+    @pytest.mark.parametrize("case, doc, message", MALFORMED, ids=[c[0] for c in MALFORMED])
+    def test_malformed_spec_messages(self, case, doc, message):
+        with pytest.raises(SpecFileError) as err:
+            parse_spec(doc)
+        assert str(err.value) == message
+
+    def test_numeric_entries_match_per_entry_complex(self):
+        # ints, floats and bools, as JSON delivers them, read bit for bit
+        # like complex(re, im)
+        rng = np.random.default_rng(3)
+        dim = 8
+        pool = [0, 1, -3, True, False, 0.5, -0.0, 1e-300, 2 ** 60 + 1]
+        rows = [[[pool[rng.integers(len(pool))] if rng.random() < 0.3 else float(x)
+                  for x in rng.standard_normal(2)] for _ in range(dim)] for _ in range(dim)]
+        vector = [[float(x) for x in rng.standard_normal(2)] for _ in range(dim)]
+        spec = parse_spec({"dim": dim, "operators": [{"name": "m", "matrix": rows}],
+                           "states": [{"name": "s", "vector": vector}]})
+        expected = np.array([[complex(re, im) for re, im in row] for row in rows])
+        assert spec.operator("m").tobytes() == expected.tobytes()
+        v = np.array([complex(re, im) for re, im in vector])
+        assert spec.state("s").tobytes() == (v / np.linalg.norm(v)).tobytes()
+
     def test_parse_pauli_token_rejects_junk(self):
         with pytest.raises(SpecFileError):
             parse_pauli_token("XQ")

@@ -1,6 +1,7 @@
 """Tests for parity operator validation, sector splitting, classification."""
 
-from itertools import combinations
+import time
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpskit.algebra import close_algebra, structure_decompose
-from tpskit.errors import ContractViolationError, ParitySetError
+from tpskit.errors import ContractViolationError, DimensionMismatchError, ParitySetError
+from tpskit.numerics import Tolerance, fix_column_phases, hermitian_eig
 from tpskit.parity import (
+    ParitySet,
     classify_operator,
     conjugate_parity_set,
     pauli_string_matrix,
@@ -31,6 +34,79 @@ def haar_unitary(dim, rng):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+PAULI_1Q = {"I": I2, "X": SX, "Y": SY, "Z": SZ}
+
+
+def kron_pauli(s):
+    """Reference Pauli-string matrix: the Kronecker product of its letters."""
+    out = np.array([[1.0 + 0j]])
+    for c in s:
+        out = np.kron(out, PAULI_1Q[c])
+    return out
+
+
+def reference_validate_parity_set(ops, tol=Tolerance()):
+    """Reference validator: every X X and every pairwise commutator formed
+    densely before the sector split."""
+    mats = [np.asarray(X, dtype=complex) for X in ops]
+    if not mats:
+        raise ParitySetError("a parity set needs at least one operator")
+    d = mats[0].shape[0]
+    n = d.bit_length() - 1
+    if 2 ** n != d:
+        raise ParitySetError(f"dimension {d} is not a power of two")
+    for X in mats:
+        if X.shape != (d, d):
+            raise DimensionMismatchError("parity operators differ in dimension")
+    eye = np.eye(d)
+    problems = []
+    for i, X in enumerate(mats):
+        if np.max(np.abs(X - X.conj().T)) > tol.resid_abs:
+            problems.append(f"op {i} is not Hermitian")
+        if abs(np.trace(X)) > tol.resid_abs * d:
+            problems.append(f"op {i} is not traceless")
+        if np.max(np.abs(X @ X - eye)) > tol.resid_abs:
+            problems.append(f"op {i} is not an involution")
+    for i, j in combinations(range(len(mats)), 2):
+        if np.max(np.abs(mats[i] @ mats[j] - mats[j] @ mats[i])) > tol.resid_abs:
+            problems.append(f"ops {i} and {j} do not commute")
+    if problems:
+        raise ParitySetError("; ".join(problems))
+    sectors = [((), np.eye(d, dtype=complex))]
+    for X in mats:
+        nxt = []
+        for label, V in sectors:
+            w, W = hermitian_eig(V.conj().T @ X @ V, tol)
+            if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
+                raise ParitySetError("restricted parity has eigenvalues away from +-1")
+            for sign in (+1, -1):
+                cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
+                if cols.shape[1]:
+                    nxt.append((label + (sign,), fix_column_phases(V @ cols)))
+        sectors = nxt
+    dims_found = sorted(V.shape[1] for _, V in sectors)
+    if len(sectors) != 2 ** len(mats) or dims_found[0] != dims_found[-1]:
+        raise ParitySetError(
+            f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
+            "equal ones: the set is dependent (some subset product is not traceless)")
+    return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
+
+
+def gf2_independent_rows(rng, n, k):
+    """k random GF(2)-independent bit rows of length n (k <= n)."""
+    while True:
+        rows = rng.integers(0, 2, (k, n))
+        A, rank = rows.copy(), 0
+        for c in range(n):
+            hits = np.nonzero(A[rank:, c])[0]
+            if hits.size:
+                A[[rank, rank + hits[0]]] = A[[rank + hits[0], rank]]
+                A[(A[:, c] == 1) & (np.arange(k) != rank)] ^= A[rank]
+                rank += 1
+                if rank == k:
+                    return rows
 
 
 class TestPauliStrings:
@@ -58,6 +134,18 @@ class TestPauliStrings:
         for idx in range(8):
             a, b = (idx >> 2) & 1, (idx >> 1) & 1
             assert diag[idx] == (-1) ** a * (-1) ** b
+
+    def test_every_string_up_to_four_qubits_matches_kron(self):
+        for n in range(1, 5):
+            for letters in product("IXYZ", repeat=n):
+                s = "".join(letters)
+                assert np.array_equal(pauli_string_matrix(s), kron_pauli(s)), s
+
+    def test_random_strings_up_to_eight_qubits_match_kron(self):
+        rng = np.random.default_rng(8)
+        for _ in range(60):
+            s = "".join(rng.choice(list("IXYZ"), int(rng.integers(5, 9))))
+            assert np.array_equal(pauli_string_matrix(s), kron_pauli(s)), s
 
     def test_invalid_strings(self):
         with pytest.raises(ContractViolationError):
@@ -162,6 +250,98 @@ def test_validation_accepts_exactly_traceless_subset_products(n, k, conjugate, s
     else:
         assert _subset_products_traceless(mats)
         assert len(ps.sectors) == 2 ** k
+
+
+BROKEN = ["none", "anticommuting", "product", "sign_pair", "scaled", "nonhermitian",
+          "nonhermitian_tight", "identity"]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 7), st.booleans(), st.sampled_from(BROKEN),
+       st.integers(0, 2**32 - 1))
+def test_verdict_and_sectors_match_the_pairwise_validator(n, k, conjugate, broken, seed):
+    # GF(2)-independent signed Pauli strings, one letter per qubit, commute
+    # pairwise; each broken variant adds or alters one op at a random place
+    rng = np.random.default_rng(seed)
+    k = min(k, n)
+    letters = rng.choice(list("XYZ"), n)
+    words = ["".join(c if bit else "I" for c, bit in zip(letters, row))
+             for row in gf2_independent_rows(rng, n, k)]
+    mats = [rng.choice([-1.0, 1.0]) * pauli_string_matrix(w) for w in words]
+    tol = Tolerance()
+    where = int(rng.integers(0, k + 1))
+    pick = int(rng.integers(0, k))
+    if broken == "anticommuting":
+        q = next(q for q, c in enumerate(words[pick]) if c != "I")
+        other = {"X": "Z", "Y": "X", "Z": "X"}[words[pick][q]]
+        mats.insert(where, pauli_string_matrix("I" * q + other + "I" * (n - q - 1)))
+    elif broken == "product":
+        mats.insert(where, mats[pick] @ mats[(pick + 1) % k])
+    elif broken == "sign_pair":
+        mats.insert(where, -mats[pick])
+    elif broken == "scaled":
+        mats[pick] = 0.5 * mats[pick]
+    elif broken in ("nonhermitian", "nonhermitian_tight"):
+        mats[pick] = mats[pick].copy()
+        mats[pick][0, 1] += 1e-10j
+        if broken == "nonhermitian_tight":
+            tol = Tolerance(resid_abs=1e-11)
+    elif broken == "identity":
+        mats.insert(where, np.eye(2 ** n, dtype=complex))
+    if conjugate:
+        U = haar_unitary(2 ** n, rng)
+        mats = [U @ X @ U.conj().T for X in mats]
+
+    try:
+        expected = reference_validate_parity_set(mats, tol)
+    except ParitySetError as err:
+        with pytest.raises(ParitySetError) as got:
+            validate_parity_set(mats, tol)
+        assert str(got.value) == str(err)
+        return
+    ps = validate_parity_set(mats, tol)
+    assert list(ps.sectors) == list(expected.sectors)
+    for label, V in expected.sectors.items():
+        assert np.array_equal(ps.sectors[label], V)
+
+
+def test_noninvolution_left_out_of_the_split_still_has_its_pairs_checked():
+    # op 0 fails the eigenvalue check; op 2 anticommutes with it but not with op 1
+    P, Q = pauli_string_matrix("ZII"), pauli_string_matrix("IZI")
+    X0 = pauli_string_matrix("XII")
+    with pytest.raises(ParitySetError) as err:
+        validate_parity_set([0.5 * P, Q, X0])
+    assert str(err.value) == ("op 0 is not an involution; ops 0 and 2 do not commute")
+
+
+def test_invariance_residual_above_tolerance_with_every_pair_below_is_named():
+    # the six X_q split C^64 into lines spanned by uniform vectors; a
+    # perturbation e0 a^dag + a e0^dag with a = |+...+> moves each sector
+    # by ~1.5e-8 while each commutator stays ~3.8e-9
+    n, d = 6, 64
+    ops = [pauli_string_matrix("I" * q + "X" + "I" * (n - q - 1)) for q in range(n)]
+    a = np.full(d, 1 / np.sqrt(d))
+    e0 = np.eye(d)[0]
+    X = pauli_string_matrix("XXIIII") + 1.5e-8 * (np.outer(a, e0) + np.outer(e0, a))
+    assert all(np.max(np.abs(Y @ X - X @ Y)) < 1e-8 for Y in ops)
+    with pytest.raises(ParitySetError,
+                       match=r"^op 6 leaves the joint eigenspaces of ops \[0, 1, 2, 3, 4, 5\] "
+                             r"invariant only within 1\.4\d\de-08, though no pair exceeds"):
+        validate_parity_set(ops + [X])
+
+
+def test_eight_qubits_six_parities_validate_and_decompose_in_under_130_ms():
+    # the pairwise validator formed 36 dense 256 x 256 products (~200 ms
+    # with validate + decompose); the sector split alone takes ~90 ms
+    words = ["XZZXIIII", "IXZZXIII", "XIXZZIII", "ZXIXZIII", "IIIIIZZI", "IIIIIIZZ"]
+    mats = [pauli_string_matrix(w) for w in words]
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        sd = syndrome_decompose(validate_parity_set(mats))
+        times.append(time.perf_counter() - start)
+    assert sd.tps.dims == (4, 64)
+    assert min(times) < 0.13
 
 
 class TestSyndromeDecompose:
