@@ -12,7 +12,7 @@ and bipartition certificates follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -129,8 +129,12 @@ def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.nd
 def _commutant_basis(ops: np.ndarray, tol: Tolerance) -> np.ndarray:
     """HS-orthonormal commutant of a *-closed, HS-orthonormal op stack, cut out of the units
     V[:, c] e_a e_b^T V[:, c]^dag of the eigenblocks c of a random Hermitian element of the
-    ops, which span a superset of it: a merged cluster only enlarges the start."""
-    _, V, clusters = _sample_clustered_eig(ops, np.random.default_rng(0), tol)
+    ops, which span a superset of it: a merged cluster only enlarges the start.  An
+    eigenvector is known to about eps / gap, so eigenvalues closer than 1e2 eps / rank_rel
+    are merged: a unit from a nearer pair would be too far off to survive the rank cut."""
+    w, V, _ = _sample_clustered_eig(ops, np.random.default_rng(0), tol)
+    gap = max(tol.degeneracy_gap, 1e2 * np.finfo(float).eps / tol.rank_rel)
+    clusters = cluster_indices(w, replace(tol, degeneracy_gap=gap))
     units = [np.einsum("ia,jb->abij", V[:, c], V[:, c].conj()) for c in clusters]
     return _commuting_part(np.concatenate([u.reshape(-1, *ops.shape[1:]) for u in units]), ops, tol)
 
@@ -143,9 +147,11 @@ def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlg
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant (abelian), cut out of alg's own basis once per tolerance."""
+    """Intersection of alg with its commutant (abelian), once per tolerance: Z(A) = Z(A'),
+    so it is cut out of the kept commutant, whose sum n_J^2 candidates are fewer than alg's."""
     if ("center", tol) not in alg._derived:
-        alg._derived["center", tol] = OperatorAlgebra(alg.dim, _commuting_part(alg.basis, alg.basis, tol))
+        comm = commutant(alg, tol).basis
+        alg._derived["center", tol] = OperatorAlgebra(alg.dim, _commuting_part(comm, comm, tol))
     return alg._derived["center", tol]
 
 
@@ -206,9 +212,10 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
     1) A random Hermitian center element is eigen-clustered; its
        eigenspaces are the minimal central projectors (retried with fresh
        samples when values collide).
-    2) Within each block, a random Hermitian element of the compressed
-       algebra generically shows d distinct eigenvalues of multiplicity n;
-       consistency requires n*d = rank and compressed dimension d^2.
+    2) Within each block, a random Hermitian element of the algebra
+       compressed to it generically shows d distinct eigenvalues of
+       multiplicity n; consistency requires n*d = rank in each block and,
+       once all blocks are found, sum d^2 = dim of the algebra.
     3) Eigenspaces are glued by partial isometries extracted from the
        one-dimensional operator families connecting them, giving columns
        in which the algebra acts as 1_n (x) M_d.
@@ -232,14 +239,11 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
     for j, idx in enumerate(clusters):
         Vj = V[:, idx]
         r = Vj.shape[1]
-        comp = np.einsum("pi,apq,qk->aik", Vj.conj(), alg.basis, Vj)
-        comp_basis = hs_orthonormalize(comp, tol)
-        m = comp_basis.shape[0]
+        comp = Vj.conj().T @ alg.basis @ Vj  # spans the compressed algebra, not orthonormal
         block_rng = np.random.default_rng(streams[j + 1])
         for _ in range(_MAX_PROBE_RETRIES):
-            wb, Vb, bclusters = _sample_clustered_eig(comp_basis, block_rng, tol)
-            mults = {len(c) for c in bclusters}
-            if len(mults) == 1:
+            _, Vb, bclusters = _sample_clustered_eig(comp, block_rng, tol)
+            if len({len(c) for c in bclusters}) == 1:
                 break
         else:
             raise DegeneracyError(f"block {j}: probe spectrum never split into equal multiplicities")
@@ -247,34 +251,27 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
         d_b = len(bclusters)
         if n_b * d_b != r:
             raise ToleranceError(f"block {j}: multiplicity {n_b} x {d_b} != rank {r}")
-        if m != d_b * d_b:
-            raise ToleranceError(f"block {j}: compressed dimension {m} != {d_b}^2")
 
-        eig_bases = [fix_column_phases(Vb[:, c]) for c in bclusters]
-        F1 = eig_bases[0]
+        F1, *others = [fix_column_phases(Vb[:, c]) for c in bclusters]
         cols = np.zeros((r, r), dtype=complex)
-        for i, Fi in enumerate(eig_bases):
-            if i == 0:
-                w_i = np.eye(n_b, dtype=complex)
-            else:
-                family = np.einsum("pa,cpq,qb->cab", Fi.conj(), comp_basis, F1)
-                norms = np.linalg.norm(family.reshape(m, -1), axis=1)
-                rep = family[int(np.argmax(norms))]
-                w_i = polar_isometry(rep, tol)
-                if w_i.shape != (n_b, n_b) or unitarity_defect(w_i) > tol.resid_abs:
-                    raise ToleranceError(f"block {j}: connecting family gave a non-unitary isometry")
-                piv = w_i.reshape(-1)[int(np.argmax(np.abs(w_i)))]
-                w_i = w_i * (abs(piv) / piv)
-            target = Fi @ w_i
-            for k in range(n_b):
-                cols[:, k * d_b + i] = target[:, k]
-        full_cols = Vj @ cols
+        cols[:, 0::d_b] = F1
+        for i, Fi in enumerate(others, 1):
+            family = Fi.conj().T @ comp @ F1
+            rep = family[int(np.argmax(np.linalg.norm(family.reshape(len(comp), -1), axis=1)))]
+            w_i = polar_isometry(rep, tol)
+            if w_i.shape != (n_b, n_b) or unitarity_defect(w_i) > tol.resid_abs:
+                raise ToleranceError(f"block {j}: connecting family gave a non-unitary isometry")
+            piv = w_i.reshape(-1)[int(np.argmax(np.abs(w_i)))]
+            cols[:, i::d_b] = Fi @ (w_i * (abs(piv) / piv))
         raw_blocks.append({
             "n": n_b,
             "d": d_b,
             "projector": Vj @ Vj.conj().T,
-            "columns": full_cols,
+            "columns": Vj @ cols,
         })
+    found = sum(b["d"] ** 2 for b in raw_blocks)
+    if found != len(alg):
+        raise ToleranceError(f"blocks span {found} dimensions, the algebra {len(alg)}")
 
     def fingerprint(b):
         return tuple(np.round(np.real(np.diag(b["projector"])), 9))
@@ -292,31 +289,27 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
     return StructureDecomposition(blocks=blocks, basis_change=T, residual=residual)
 
 
-def _block_form_residual(ops: np.ndarray, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
+def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
     """Deviation of T^dag ops T from block-diagonal slot form.
 
     side "right": each block must look like 1_n (x) m (algebra side);
     side "left": each block must look like m (x) 1_d (commutant side).
     """
+    B = T.conj().T @ np.asarray(ops) @ T
+    off_block = np.ones(B.shape[1:], dtype=bool)
     worst = 0.0
-    offsets = np.cumsum([0] + [n * dd for n, dd in shape])
-    for a in ops:
-        B = T.conj().T @ a @ T
-        mask = np.ones_like(B, dtype=bool)
-        for (n, dd), off in zip(shape, offsets[:-1]):
-            r = n * dd
-            sub = B[off:off + r, off:off + r].reshape(n, dd, n, dd)
-            if side == "right":
-                m_hat = np.einsum("kikj->ij", sub) / n
-                recon = np.einsum("kl,ij->kilj", np.eye(n), m_hat)
-            else:
-                m_hat = np.einsum("kili->kl", sub) / dd
-                recon = np.einsum("kl,ij->kilj", m_hat, np.eye(dd))
-            worst = max(worst, float(np.max(np.abs(sub - recon))))
-            mask[off:off + r, off:off + r] = False
-        if mask.any():
-            worst = max(worst, float(np.max(np.abs(B[mask]))))
-    return worst
+    off = 0
+    for n, dd in shape:
+        r = n * dd
+        sub = B[:, off:off + r, off:off + r].reshape(-1, n, dd, n, dd)
+        if side == "right":
+            recon = np.einsum("kl,aij->akilj", np.eye(n), np.einsum("akikj->aij", sub) / n)
+        else:
+            recon = np.einsum("akl,ij->akilj", np.einsum("akili->akl", sub) / dd, np.eye(dd))
+        worst = max(worst, float(np.max(np.abs(sub - recon), initial=0.0)))
+        off_block[off:off + r, off:off + r] = False
+        off += r
+    return max(worst, float(np.max(np.abs(B[:, off_block]), initial=0.0)))
 
 
 def commutant_block_residual(sd: StructureDecomposition, comm: OperatorAlgebra) -> float:

@@ -379,6 +379,26 @@ class TestStructureDecompose:
         assert sd.block_shape == [(1, 4), (2, 2)]
         assert sd.residual < DEFAULT_TOL.resid_abs
 
+    def test_full_matrix_algebra_on_thirty_two_dimensions_in_under_a_second(self):
+        # scaling guard: orthonormalizing the 1024 compressed basis elements
+        # one row at a time made this a ~14 s decomposition
+        clock = np.diag(np.exp(2j * np.pi * np.arange(32) / 32))
+        shift = np.roll(np.eye(32), 1, axis=0)
+        alg = close_algebra([clock, shift])
+        assert len(alg) == 1024
+        start = time.perf_counter()
+        sd = structure_decompose(alg)
+        elapsed = time.perf_counter() - start
+        assert sd.block_shape == [(1, 32)]
+        assert elapsed < 1.0, f"structure_decompose of M_32 took {elapsed:.2f} s"
+
+    def test_span_that_is_not_closed_is_refused(self):
+        # {I, X, Z} / sqrt 2 is *-closed and unital but misses XZ: its probe
+        # splits like M_2, whose 4 dimensions the 3-element span cannot hold
+        span = OperatorAlgebra(dim=2, basis=np.array([I2, SX, SZ]) / np.sqrt(2))
+        with pytest.raises(ToleranceError, match="blocks span 4 dimensions, the algebra 3"):
+            structure_decompose(span)
+
 
 def block_generators(blocks, V, rng):
     """Two random elements of V ((+)_J 1_n (x) M_d) V^dag."""
@@ -415,6 +435,21 @@ def random_block_shape(rng, max_dim=10):
 
 
 class TestCommutantCenterOracles:
+    def test_probe_eigenvalues_from_different_blocks_just_above_the_gap(self):
+        # two probe eigenvalues of different blocks sit 2.9e-7 apart: their
+        # eigenvectors are good to ~1e-10 only, so unless the pair shares a
+        # cluster its units fall out of the rank cut and the commutant has 3
+        blocks = [(2, 2), (1, 3)]
+        rng = np.random.default_rng(10317)
+        V = haar_unitary(7, rng)
+        alg = close_algebra(block_generators(blocks, V, rng))
+        assert len(alg) == 13
+        comm = commutant(alg)
+        assert len(comm) == 5
+        assert algebra_residuals(comm)["product"] < 1e-8
+        assert len(center(alg)) == 2
+        assert sorted(structure_decompose(alg).block_shape) == sorted(blocks)
+
     def test_random_direct_sums_match_construction(self):
         rng = np.random.default_rng(2010)
         for _ in range(40):
@@ -502,10 +537,11 @@ class TestCheckBipartition:
         a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
         a2 = close_algebra([kron_all(I2, SX), kron_all(I2, SZ)])
         real = algebra_module._commuting_part
+        kept = commutant(a1).basis  # Z(a1) = Z(a1'): the center is a1' cut by itself
         center_cuts = []
 
         def counting(start, ops, tol):
-            if start is a1.basis:
+            if start is kept and ops is kept:
                 center_cuts.append(tol)
             return real(start, ops, tol)
 
