@@ -312,11 +312,6 @@ def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side:
     return max(worst, float(np.max(np.abs(B[:, off_block]), initial=0.0)))
 
 
-def commutant_block_residual(sd: StructureDecomposition, comm: OperatorAlgebra) -> float:
-    """Residual of the commutant against the m (x) 1 form in the same basis."""
-    return _block_form_residual(comm.basis, sd.basis_change, sd.block_shape, side="left")
-
-
 @dataclass
 class BipartitionCertificate:
     """Outcome of the virtual-bipartition test for a pair of algebras."""

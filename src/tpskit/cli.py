@@ -258,6 +258,8 @@ def _cmd_entangle(args, tol):
     state = spec.state(args.state)
     if (args.parity is None) == (args.dims is None):
         raise _UsageError("entangle needs exactly one of --parity or --dims")
+    if args.iso is not None and args.dims is None:
+        raise _UsageError("--iso goes with --dims only")
     if args.parity is not None:
         ops = _resolve_parity_ops(args.parity, spec)
         sd = syndrome_decompose(validate_parity_set(ops, tol), tol)
@@ -453,10 +455,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         tol = _tolerance_from(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 

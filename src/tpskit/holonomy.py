@@ -5,8 +5,7 @@ eigenvalues drags each n-dimensional eigenspace around control space.
 The reference space is laid out as C^n (x) C^d: eigenspace i is spanned
 by the columns a*d + (i-1), a = 0..n-1.  Holonomies are computed by
 discrete parallel transport (unitarized frame overlaps), which is exactly
-unitary at every step; the connection 1-form is exposed separately
-through central finite differences.
+unitary at every step.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .numerics import (
     Tolerance,
     close_span,
     hermitian_eig,
-    polar_isometry,
     unitarity_defect,
 )
 
@@ -134,57 +132,6 @@ def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamil
     return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate)
 
 
-def tabulated_family(grid, table, method: str = "linear") -> UnitaryFamily:
-    """Family interpolated from unitaries tabulated on a rectangular grid.
-
-    grid: one strictly increasing 1-D node array per control direction;
-    table: array of shape (len(g_1), ..., len(g_D), dim, dim).  Nearest
-    lookup snaps to the closest node; linear interpolation blends matrix
-    entries multilinearly and restores unitarity with a polar projection.
-    """
-    axes = [np.asarray(g, dtype=float) for g in grid]
-    table = np.asarray(table, dtype=complex)
-    D = len(axes)
-    if table.ndim != D + 2 or table.shape[-1] != table.shape[-2]:
-        raise DimensionMismatchError("table shape does not match the grid")
-    if tuple(len(g) for g in axes) != table.shape[:D]:
-        raise DimensionMismatchError("table shape does not match the grid")
-    if method not in ("linear", "nearest"):
-        raise ContractViolationError(f"unknown interpolation method {method!r}")
-    dim = table.shape[-1]
-    lo = np.array([g[0] - 1e-12 for g in axes])
-    hi = np.array([g[-1] + 1e-12 for g in axes])
-
-    def evaluate(lams):
-        outside = np.argwhere((lams < lo) | (lams > hi))
-        if outside.size:
-            p, mu = outside[0]  # the first point in path order, then direction
-            raise ContractViolationError(
-                f"parameter {lams[p, mu]} outside tabulated range in direction {mu}")
-        if method == "nearest":
-            return table[tuple(np.argmin(np.abs(g - lams[:, mu, None]), axis=1)
-                               for mu, g in enumerate(axes))]
-        lows, fracs = [], []
-        for mu, g in enumerate(axes):
-            j = np.clip(np.searchsorted(g, lams[:, mu]) - 1, 0, len(g) - 2)
-            lows.append(j)
-            fracs.append((lams[:, mu] - g[j]) / (g[j + 1] - g[j]))
-        acc = np.zeros((len(lams), dim, dim), dtype=complex)
-        for corner in range(1 << D):
-            w = np.ones(len(lams))
-            idx = []
-            for mu in range(D):
-                up = (corner >> mu) & 1
-                w = w * (fracs[mu] if up else 1.0 - fracs[mu])
-                idx.append(lows[mu] + up)
-            # a zero-weight corner is skipped, not added as a signed zero
-            term = w[:, None, None] * table[tuple(idx)]
-            acc = np.where((w != 0)[:, None, None], acc + term, acc)
-        return polar_isometry(acc)
-
-    return UnitaryFamily(D=D, dim=dim, evaluate=evaluate)
-
-
 _FIXTURE_SEED = 7
 _FIXTURE_SCALE = 1.8
 
@@ -278,29 +225,6 @@ class LoopPath:
             raise DimensionMismatchError("rectangle corners must be 2-D points")
         wps = np.array([a, [b[0], a[1]], b, [a[0], b[1]], a])
         return cls(wps, refinement)
-
-
-def connection_at(fam: UnitaryFamily, lam, i: int, n: int, step: float = 1e-5,
-                  tol: Tolerance = DEFAULT_TOL):
-    """Central-difference connection components on eigenspace i.
-
-    Returns (components, defects): D anti-Hermitian n x n matrices (the
-    anti-Hermitian projection of the compressed U-dagger dU) and the
-    projection defects, each O(step^2) for a smooth family.  The 2D + 1
-    points are evaluated in one stack.
-    """
-    if step <= 0:
-        raise ContractViolationError("step must be positive")
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (fam.D,):
-        raise DimensionMismatchError(f"parameter shape {lam.shape} != ({fam.D},)")
-    S = _selector(fam.dim, n, i)
-    E = step * np.eye(fam.D)
-    Us = fam.along(np.vstack([lam, lam + E, lam - E]), tol)
-    dU = (Us[1:fam.D + 1] - Us[fam.D + 1:]) / (2 * step)
-    A = S.conj().T @ (Us[0].conj().T @ dU) @ S
-    anti = (A - np.swapaxes(A.conj(), -1, -2)) / 2
-    return list(anti), [float(np.max(np.abs(a))) for a in A - anti]
 
 
 def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,

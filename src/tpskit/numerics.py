@@ -119,23 +119,17 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     All singular values above the rank cutoff are replaced by 1; the
     result W satisfies W^dag W = projector onto the row support of M.
-    For full-rank square M this is the unitary polar factor.  M may also
-    be a (..., m, k) stack: each matrix gets its own rank, and each result
-    is the one-matrix result bit for bit.
+    For full-rank square M this is the unitary polar factor.
     """
     M = np.asarray(M, dtype=complex)
-    if M.ndim < 2:
+    if M.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {M.shape}")
-    U, s, Vh = np.linalg.svd(M.reshape(-1, *M.shape[-2:]), full_matrices=False)
-    smax = s[:, 0] if s.shape[1] else np.zeros(len(s))
-    if not np.all(np.isfinite(smax) & (smax > _POLAR_ZERO)):
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
+    smax = s[0] if s.size else 0.0
+    if not np.isfinite(smax) or smax <= _POLAR_ZERO:
         raise DegenerateInputError("polar_isometry of a (numerically) zero matrix")
-    rank = np.count_nonzero(s > tol.rank_rel * smax[:, None], axis=1)
-    W = np.empty((len(s), M.shape[-2], M.shape[-1]), dtype=complex)
-    for r in set(rank.tolist()):  # not np.unique: it imports numpy.ma (~1 MB)
-        at = rank == r
-        W[at] = U[at, :, :r] @ Vh[at, :r]
-    return W.reshape(M.shape)
+    rank = int(np.count_nonzero(s > tol.rank_rel * smax))
+    return U[:, :rank] @ Vh[:rank]
 
 
 def unitarity_defect(U) -> float:

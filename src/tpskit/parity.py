@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _block_form_residual
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
 from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, unitarity_defect
 from .tps import TPS
@@ -212,30 +211,3 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
     tps = TPS((d_code, 2 ** k), iso, tol)
     return SyndromeDecomposition(sectors=sectors, tps=tps)
 
-
-def conjugate_parity_set(ps: ParitySet, U, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
-    """The parity set U X U-dagger, revalidated."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (ps.dim, ps.dim):
-        raise DimensionMismatchError("conjugating unitary has the wrong dimension")
-    if unitarity_defect(U) > tol.resid_abs:
-        raise ContractViolationError("conjugation requires a unitary")
-    return validate_parity_set([U @ X @ U.conj().T for X in ps.ops], tol)
-
-
-def classify_operator(O, sd: SyndromeDecomposition, tol: Tolerance = DEFAULT_TOL) -> str:
-    """Classify O as code-local (m x 1), syndrome-local (1 x m), or mixed.
-
-    The operator is pulled back through the sector TPS; the identity is
-    both, and is reported as code-local.
-    """
-    d = sd.tps.dim
-    dc, ds = sd.tps.dims
-    O = np.asarray(O, dtype=complex)
-    if O.shape != (d, d):
-        raise DimensionMismatchError(f"operator shape {O.shape} != dimension {d}")
-    if _block_form_residual([O], sd.tps.iso, [(dc, ds)], side="left") <= tol.resid_abs:
-        return "code-local"
-    if _block_form_residual([O], sd.tps.iso, [(dc, ds)], side="right") <= tol.resid_abs:
-        return "syndrome-local"
-    return "mixed"

@@ -14,7 +14,7 @@ Factor indices are 1-based throughout, matching the subscripts in
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ _KIND_ALIASES = {
 }
 
 _STATE_NORM_ATOL = 1e-10
+# product-state samples per entangling-power block
+_BATCH = 2048
 
 
 @dataclass
@@ -215,7 +217,7 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
 
 def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
-                     samples: int = 20000, seed: int = 0, batch: int = 2048,
+                     samples: int = 20000, seed: int = 0,
                      tol: Tolerance = DEFAULT_TOL) -> EntanglingPowerEstimate:
     """Haar-average entanglement that U creates from product states.
 
@@ -253,7 +255,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     vals = np.empty(samples)
     done = 0
     while done < samples:
-        B = min(batch, samples - done)
+        B = min(_BATCH, samples - done)
         z1 = Z1[done:done + B] / np.linalg.norm(Z1[done:done + B], axis=1, keepdims=True)
         z2 = Z2[done:done + B] / np.linalg.norm(Z2[done:done + B], axis=1, keepdims=True)
         prod = np.einsum("bi,bj->bij", z1, z2).reshape([B] + dims_l + dims_r)
@@ -322,24 +324,3 @@ def tps_equivalent(t1: TPS, t2: TPS, tol: Tolerance = DEFAULT_TOL):
             return tuple(p + 1 for p in pi)
     return None
 
-
-@dataclass
-class ProductVerdict:
-    """Per-factor product flags (keyed by 1-based factor index) + overall."""
-
-    by_factor: dict = field(default_factory=dict)
-    overall: bool = False
-
-
-def is_product(state, tps: TPS, tol: Tolerance = DEFAULT_TOL) -> ProductVerdict:
-    """Whether the state is product across each single-factor cut, and fully.
-
-    A multipartite pure state is an overall product iff it is product
-    across every factor-vs-rest cut, so the overall flag is the
-    conjunction of the per-factor flags.
-    """
-    flags = {}
-    for i in range(1, tps.nfactors + 1):
-        E = entanglement(state, tps, EntanglementMeasure(kind="vn", cut=frozenset({i})))
-        flags[i] = bool(E < tol.resid_abs)
-    return ProductVerdict(by_factor=flags, overall=all(flags.values()))

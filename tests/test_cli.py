@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tpskit
 from tpskit.cli import main, render_json
 from tpskit.opfile import (
     OperatorSpecFile,
@@ -440,6 +442,13 @@ class TestTpsCommands:
                                 "--state", "bell_plus"], capsys)
         assert code == 1 and "exactly one" in err
 
+    def test_entangle_rejects_iso_with_parity(self, capsys):
+        code, out, err = run_cli(["tps", "entangle", str(DATA / "bell_xx.json"),
+                                  "--state", "bell_plus", "--parity", "xx", "--iso", "xx"],
+                                 capsys)
+        assert code == 1 and out == ""
+        assert "usage error: --iso goes with --dims only" in err
+
     def test_parity_repetition_code(self, capsys):
         rep = report_of(["tps", "parity", "--parity", "ZZI", "IZZ"], capsys)
         assert rep["results"]["n"] == 3 and rep["results"]["k"] == 2
@@ -625,3 +634,11 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_export_list_matches_the_package_namespace():
+    # __init__ writes each export twice, as an import and in __all__
+    assert all(hasattr(tpskit, name) for name in tpskit.__all__)
+    public = {name for name, value in vars(tpskit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(tpskit.__all__) - {"__version__"} == public

@@ -1,4 +1,4 @@
-"""Holonomy tests: transport invariants, analytic connection oracles, fixtures."""
+"""Holonomy tests: transport invariants, analytic holonomy oracles, fixtures."""
 
 import numpy as np
 import pytest
@@ -23,14 +23,12 @@ from tpskit.holonomy import (
     RefinementLadder,
     UnitaryFamily,
     builtin_family,
-    connection_at,
     exponential_family,
     holonomy_algebra_span,
     holonomy_nonabelian_witness,
     loop_holonomy,
     principal_log_unitary,
     refinement_ladder,
-    tabulated_family,
 )
 from tpskit.numerics import Tolerance, unitarity_defect
 
@@ -117,6 +115,16 @@ def fixture_generators():
         G = (G + G.conj().T) / 2
         gens.append(G * (_FIXTURE_SCALE / np.linalg.norm(G, 2)))
     return gens
+
+
+def _jumping_family():
+    """Nearest-node lookup in a table that jumps between I and 1 (x) sigma_x:
+    the eigenspace frames on either side of the jump are orthogonal."""
+    flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    nodes = np.array([0.0, 1.0])
+    table = np.array([np.eye(4), flip], dtype=complex)
+    return UnitaryFamily(D=1, dim=4, evaluate=lambda lams: table[
+        np.argmin(np.abs(nodes - lams[:, :1]), axis=1)])
 
 
 # ---------------------------------------------------------------- reference op
@@ -233,65 +241,6 @@ class TestFamilies:
         with pytest.raises(DimensionMismatchError):
             fam([0.1, 0.2])
 
-    def test_tabulated_nearest_returns_nodes(self):
-        rng = np.random.default_rng(5)
-        G = random_hermitian(rng, 3)
-        nodes = np.linspace(0.0, 1.0, 5)
-        table = np.array([expm(-1j * t * G) for t in nodes])
-        fam = tabulated_family([nodes], table, method="nearest")
-        assert np.array_equal(fam([0.26]), table[1])
-        assert np.array_equal(fam([0.74]), table[3])
-
-    def test_tabulated_linear_interpolates_and_reunitarizes(self):
-        rng = np.random.default_rng(8)
-        G = random_hermitian(rng, 3)
-        nodes = np.linspace(0.0, 1.0, 41)
-        table = np.array([expm(-1j * t * G) for t in nodes])
-        fam = tabulated_family([nodes], table, method="linear")
-        t = 0.333
-        U = fam([t])
-        assert np.max(np.abs(U.conj().T @ U - np.eye(3))) < 1e-12
-        assert np.max(np.abs(U - expm(-1j * t * G))) < 1e-3
-        # node points reproduce the table up to the unitarity projection
-        assert np.max(np.abs(fam([nodes[7]]) - table[7])) < 1e-12
-
-    def test_tabulated_rejects_out_of_range(self):
-        nodes = np.linspace(0.0, 1.0, 3)
-        table = np.array([np.eye(2)] * 3)
-        fam = tabulated_family([nodes], table)
-        with pytest.raises(ContractViolationError):
-            fam([1.5])
-
-    def test_tabulated_range_error_names_the_first_point_in_path_order(self):
-        grid = [np.linspace(0.0, 1.0, 3), np.linspace(-1.0, 1.0, 3)]
-        fam = tabulated_family(grid, np.array([[np.eye(2)] * 3] * 3))
-        pts = [[0.5, 0.0], [0.2, 1.7], [1.5, 0.0], [-0.5, 2.0]]
-        with pytest.raises(ContractViolationError,
-                           match=r"parameter 1.7 outside tabulated range in direction 1"):
-            fam.along(pts)
-        with pytest.raises(ContractViolationError,
-                           match=r"parameter -0.5 outside tabulated range in direction 0"):
-            fam.along(pts[3:])
-
-    def test_tabulated_2d_linear_stack_matches_its_points(self):
-        rng = np.random.default_rng(31)
-        G1, G2 = (random_hermitian(rng, 3) for _ in range(2))
-        grid = [np.linspace(-1.0, 1.0, 6), np.linspace(0.0, 2.0, 5)]
-        table = np.array([[expm(-1j * x * G1) @ expm(-1j * y * G2) for y in grid[1]]
-                          for x in grid[0]])
-        for method in ("linear", "nearest"):
-            fam = tabulated_family(grid, table, method)
-            pts = np.vstack([rng.uniform((-1.0, 0.0), (1.0, 2.0), (12, 2)),
-                             [[-1.0, 0.0], [0.2, 1.0], [1.0, 2.0]]])  # nodes
-            Us = fam.along(pts)
-            for p, U in zip(pts, Us):
-                assert np.array_equal(U, fam(p))
-            assert np.max(np.abs(Us[-1] - table[-1, -1])) < 1e-12
-
-    def test_tabulated_shape_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            tabulated_family([np.arange(3.0)], np.zeros((4, 2, 2)))
-
     def test_builtin_fixture(self, fixture_fam):
         fam, op = fixture_fam
         assert fam.D == 2 and fam.dim == 4
@@ -367,61 +316,6 @@ class TestLoopPath:
         assert np.array_equal(b.waypoints[1], [0.5, 0.5])
 
 
-# ------------------------------------------------------------------ connection
-
-class TestConnection:
-    def test_matches_analytic_derivative(self):
-        rng = np.random.default_rng(11)
-        G1, G2 = (random_hermitian(rng, 6) for _ in range(2))
-        fam = exponential_family([G1, G2])
-        lam = np.array([0.4, -0.2])
-        comps, defects = connection_at(fam, lam, i=1, n=3, step=1e-5)
-        S = IsoDegenerateOperator(n=3, d=2, x=(-1.0, 1.0)).selector(1)
-        U = fam(lam)
-        A1 = S.conj().T @ (U.conj().T @ (-1j * G1) @ U) @ S
-        A2 = S.conj().T @ (-1j * G2) @ S
-        assert np.max(np.abs(comps[0] - A1)) < 1e-8
-        assert np.max(np.abs(comps[1] - A2)) < 1e-8
-        for A in comps:
-            assert np.max(np.abs(A + A.conj().T)) < 1e-14
-        assert all(d < 1e-8 for d in defects)
-
-    def test_one_stack_of_2D_plus_1_points_at_the_callers_tolerance(self, fixture_fam):
-        base, _ = fixture_fam
-        calls = []
-
-        def counted(lams):
-            calls.append(lams)
-            return (1 + 1e-9) * base.evaluate(lams)
-
-        fam = UnitaryFamily(D=2, dim=4, evaluate=counted)
-        lam = np.array([0.3, -0.1])
-        connection_at(fam, lam, 1, 2, step=1e-3)  # a ~2e-9 defect is inside the default
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], [lam, lam + [1e-3, 0], lam + [0, 1e-3],
-                                         lam - [1e-3, 0], lam - [0, 1e-3]])
-        with pytest.raises(ContractViolationError, match="not unitary"):
-            connection_at(fam, lam, 1, 2, step=1e-3, tol=Tolerance(resid_abs=1e-10))
-        with pytest.raises(DimensionMismatchError):
-            connection_at(fam, [0.3], 1, 2)
-
-    def test_rejects_bad_step(self, fixture_fam):
-        fam, _ = fixture_fam
-        with pytest.raises(ContractViolationError):
-            connection_at(fam, [0.0, 0.0], 1, 2, step=0.0)
-
-    def test_scalar_connection_for_right_factor_action(self):
-        # generators 1 (x) h act identically on the degeneracy index, so the
-        # compressed connection is a multiple of the identity
-        rng = np.random.default_rng(13)
-        h1, h2 = (random_hermitian(rng, 2) for _ in range(2))
-        fam = exponential_family([np.kron(np.eye(2), h1), np.kron(np.eye(2), h2)])
-        comps, _ = connection_at(fam, [0.15, 0.25], i=1, n=2, step=1e-5)
-        A2 = comps[1]
-        off = A2 - (np.trace(A2) / 2) * np.eye(2)
-        assert np.max(np.abs(off)) < 1e-9
-
-
 # -------------------------------------------------------------------- holonomy
 
 class TestLoopHolonomy:
@@ -475,19 +369,13 @@ class TestLoopHolonomy:
         assert np.array_equal(H1, H2)
 
     def test_rank_loss_raises(self):
-        # a nearest-neighbor table that jumps between I and 1 (x) sigma_x has
-        # orthogonal eigenspace frames at the jump
-        flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        nodes = np.array([0.0, 1.0])
-        fam = tabulated_family([nodes], np.array([np.eye(4), flip]), method="nearest")
+        fam = _jumping_family()
         loop = LoopPath(np.array([[0.0], [1.0], [0.0]]), refinement=1)
         with pytest.raises(PathSingularityError, match="at step 1 "):
             loop_holonomy(fam, loop, 1, 2)
 
     def test_rank_loss_names_the_first_failing_step(self):
-        flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-        nodes = np.array([0.0, 1.0])
-        fam = tabulated_family([nodes], np.array([np.eye(4), flip]), method="nearest")
+        fam = _jumping_family()
         # points 0, 0.2, 0.4 snap to node 0 and 0.6, 0.8 to node 1: step 3
         # jumps there, and step 6 jumps back
         loop = LoopPath(np.array([[0.0], [0.8], [0.0]]), refinement=4)

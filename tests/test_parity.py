@@ -1,4 +1,4 @@
-"""Tests for parity operator validation, sector splitting, classification."""
+"""Tests for parity operator validation and sector splitting."""
 
 import time
 from itertools import combinations, product
@@ -13,8 +13,6 @@ from tpskit.errors import ContractViolationError, DimensionMismatchError, Parity
 from tpskit.numerics import Tolerance, fix_column_phases, hermitian_eig
 from tpskit.parity import (
     ParitySet,
-    classify_operator,
-    conjugate_parity_set,
     pauli_string_matrix,
     syndrome_decompose,
     validate_parity_set,
@@ -429,67 +427,13 @@ class TestSyndromeDecompose:
 
 
 class TestConjugateParitySet:
-    def test_identity_fixes_set(self):
-        ps = validate_parity_set([np.kron(SX, I2)])
-        out = conjugate_parity_set(ps, np.eye(4))
-        assert np.allclose(out.ops, ps.ops)
-
-    def test_hadamard_maps_x_to_z(self):
-        ps = validate_parity_set([np.kron(SX, I2)])
-        out = conjugate_parity_set(ps, np.kron(HAD, I2))
-        assert np.max(np.abs(out.ops[0] - np.kron(SZ, I2))) < 1e-12
-
     def test_random_conjugation_preserves_sector_dims(self):
         rng = np.random.default_rng(21)
         ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
         U = haar_unitary(8, rng)
-        out = conjugate_parity_set(ps, U)
+        out = validate_parity_set([U @ X @ U.conj().T for X in ps.ops])
         sd = syndrome_decompose(out)
         assert sorted(V.shape[1] for V in sd.sectors.values()) == [2, 2, 2, 2]
-
-    def test_nonunitary_rejected(self):
-        ps = validate_parity_set([np.kron(SX, I2)])
-        with pytest.raises(ContractViolationError):
-            conjugate_parity_set(ps, 2 * np.eye(4))
-
-
-class TestClassifyOperator:
-    @staticmethod
-    def _fixture():
-        ps = validate_parity_set([pauli_string_matrix("XX")])
-        return ps, syndrome_decompose(ps)
-
-    def test_code_local_roundtrip(self):
-        ps, sd = self._fixture()
-        m = np.array([[0.3, 1j], [-1j, -0.1]])
-        O = sd.tps.iso @ np.kron(m, np.eye(2)) @ sd.tps.iso.conj().T
-        assert classify_operator(O, sd) == "code-local"
-        for X in ps.ops:
-            assert np.max(np.abs(O @ X - X @ O)) < 1e-10
-
-    def test_parity_itself_is_syndrome_local(self):
-        ps, sd = self._fixture()
-        assert classify_operator(ps.ops[0], sd) == "syndrome-local"
-
-    def test_identity_reported_code_local(self):
-        _, sd = self._fixture()
-        assert classify_operator(np.eye(4), sd) == "code-local"
-
-    def test_generic_hermitian_is_mixed(self):
-        _, sd = self._fixture()
-        rng = np.random.default_rng(33)
-        H = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        H = H + H.conj().T
-        assert classify_operator(H, sd) == "mixed"
-
-    def test_code_and_syndrome_locals_commute(self):
-        _, sd = self._fixture()
-        m = np.array([[1.0, 0.5], [0.5, -1.0]], dtype=complex)
-        code = sd.tps.iso @ np.kron(m, np.eye(2)) @ sd.tps.iso.conj().T
-        syn = sd.tps.iso @ np.kron(np.eye(2), m) @ sd.tps.iso.conj().T
-        assert classify_operator(code, sd) == "code-local"
-        assert classify_operator(syn, sd) == "syndrome-local"
-        assert np.max(np.abs(code @ syn - syn @ code)) < 1e-10
 
 
 class TestCrossModuleStructure:

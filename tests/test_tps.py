@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import tpskit.tps as tps_module
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
 from tpskit.numerics import schmidt_entropy
@@ -11,7 +12,6 @@ from tpskit.tps import (
     EntanglementMeasure,
     entangling_power,
     entanglement,
-    is_product,
     local_algebra,
     multiplicative_partitions,
     tps_distance,
@@ -316,10 +316,12 @@ class TestEntanglingPower:
         b = entangling_power(CNOT, t, samples=3000, seed=42)
         assert a.mean == b.mean and a.stderr == b.stderr
 
-    def test_batch_size_does_not_change_result(self):
+    def test_batch_size_does_not_change_result(self, monkeypatch):
         t = TPS.natural((2, 2))
-        a = entangling_power(CNOT, t, samples=3000, seed=8, batch=3000)
-        b = entangling_power(CNOT, t, samples=3000, seed=8, batch=128)
+        monkeypatch.setattr(tps_module, "_BATCH", 3000)
+        a = entangling_power(CNOT, t, samples=3000, seed=8)
+        monkeypatch.setattr(tps_module, "_BATCH", 128)
+        b = entangling_power(CNOT, t, samples=3000, seed=8)
         assert abs(a.mean - b.mean) < 1e-12
 
     def test_multilocal_invariance(self):
@@ -449,26 +451,3 @@ class TestTpsEquivalent:
     def test_total_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             tps_equivalent(TPS.natural((2, 2)), TPS.natural((2, 3)))
-
-
-# ---------------------------------------------------------------- is_product
-
-class TestIsProduct:
-    def test_product_of_random_units(self):
-        rng = np.random.default_rng(6)
-        t = TPS.natural((2, 3, 2))
-        psi = np.kron(np.kron(random_state(2, rng), random_state(3, rng)),
-                      random_state(2, rng))
-        verdict = is_product(psi, t)
-        assert verdict.overall
-        assert all(verdict.by_factor.values())
-
-    def test_bell_not_product(self):
-        assert not is_product(BELL, TPS.natural((2, 2))).overall
-
-    def test_ghz_fails_every_cut(self):
-        ghz = np.zeros(8, dtype=complex)
-        ghz[0] = ghz[7] = 1 / np.sqrt(2)
-        verdict = is_product(ghz, TPS.natural((2, 2, 2)))
-        assert not verdict.overall
-        assert not any(verdict.by_factor.values())
