@@ -15,6 +15,7 @@ errors surfaced by the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -349,7 +350,14 @@ def _cmd_holonomy(args, tol):
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by every main() call.
+
+    parse_args gives a fresh Namespace each call and every default is
+    immutable, so no call sees another's arguments.  Callers must not
+    change the parser.
+    """
     common = _Parser(add_help=False)
     common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
                         help="relative rank cutoff (default %(default)g)")

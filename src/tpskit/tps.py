@@ -276,9 +276,10 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
 
 def tps_distance(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
-                 samples: int = 20000, seed: int = 0) -> float:
+                 samples: int = 20000, seed: int = 0,
+                 tol: Tolerance = DEFAULT_TOL) -> float:
     """Square root of the entangling-power mean: how far U carries the TPS."""
-    est = entangling_power(U, tps, measure, samples=samples, seed=seed)
+    est = entangling_power(U, tps, measure, samples=samples, seed=seed, tol=tol)
     return float(np.sqrt(est.mean))
 
 

@@ -6,12 +6,14 @@ import subprocess
 import sys
 import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tpskit
+import tpskit.cli as cli
 from tpskit.cli import main, render_json
 from tpskit.opfile import (
     OperatorSpecFile,
@@ -626,14 +628,114 @@ class TestDeterminism:
         assert self.run_bytes(argv) == self.run_bytes(argv)
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: the package itself must not pull it in
+class TestParserReuse:
+    def test_one_parser_per_process(self, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            if kwargs.get("prog") == "tpskit":
+                built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        codes = [main(argv) for argv in (
+            ["tps", "partitions", "8"],
+            ["decompose", str(DATA / "slot_xz.json")],
+            ["tps", "frobnicate"],
+            ["tps", "holonomy", "--rect=0,0,inf,0.6"],
+            ["bipartition"],
+            ["tps", "parity", "--parity", "ZZ"],
+        )]
+        capsys.readouterr()
+        assert codes == [0, 0, 1, 2, 1, 0]
+        assert len(built) == 1
+
+    def test_reused_parser_leaks_no_state(self, tmp_path, capsys):
+        # each command with non-default flags, then with its defaults, all
+        # in this process; every outcome must match a fresh process's
+        out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+        slot, bip = str(DATA / "slot_xz.json"), str(DATA / "bip_slots.json")
+        cnot, bell = str(DATA / "cnot.json"), str(DATA / "bell_xx.json")
+        iso_with_parity = ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx",
+                           "--iso", "xx"]
+        cases = [
+            (["decompose", slot, "--emit-basis", "--seed", "4", "--tol-rank", "1e-9",
+              "--out", out1], 0),
+            (["decompose", slot], 0),
+            (["bipartition", bip, "--tol-resid", "1e-7", "--seed", "2"], 0),
+            (["bipartition", bip], 0),
+            (["tps", "partitions", "12", "--seed", "5", "--out", out2], 0),
+            (["tps", "partitions", "12"], 0),
+            (["tps", "distance", cnot, "--unitary", "cnot", "--dims", "2,2",
+              "--measure", "linear", "--cut", "2", "--samples", "50", "--seed", "3",
+              "--tol-resid", "1e-9"], 0),
+            (["tps", "distance", cnot, "--unitary", "cnot", "--dims", "1,2"], 1),
+            (["tps", "distance", cnot, "--unitary", "cnot", "--dims", "2,2"], 0),
+            (["tps", "equivalent", cnot, "--dims1", "2,2", "--dims2", "2,2",
+              "--iso1", "cnot", "--iso2", "swap"], 0),
+            (["tps", "equivalent", "--dims1", "2,2", "--dims2", "4"], 0),
+            (["tps", "entangle", bell, "--state", "bell_minus", "--parity", "xx",
+              "--measure", "linear"], 0),
+            (iso_with_parity, 1),
+            (["tps", "entangle", bell, "--state", "bell_plus", "--dims", "2,2"], 0),
+            (["tps", "parity", "--parity", "ZZI", "IZZ", "--seed", "9"], 0),
+            (["tps", "parity", "--parity", "ZZ"], 0),
+            (["tps", "bosonic", "--modes", "3", "--cutoff", "2", "--excite", "2",
+              "--measure", "linear", "--cut", "1,2"], 0),
+            (["tps", "bosonic", "--modes", "2", "--cutoff", "2"], 0),
+            (["tps", "holonomy", "--rect2", "0,0,0.5,0.9", "--doublings", "2",
+              "--refinement", "8"], 0),
+            (["tps", "holonomy", "--rect2", "0.1,0,0.5,0.9"], 2),
+            (["tps", "frobnicate"], 1),
+            (["tps", "holonomy"], 0),
+            (["decompose", slot, "--tol-rank", "2"], 1),
+            (["decompose", slot, "--emit-basis"], 0),
+        ]
+
+        def outcome(argv, code, stdout, stderr):
+            path = argv[argv.index("--out") + 1] if "--out" in argv else None
+            written = Path(path).read_text(encoding="utf-8") if path else None
+            # a successful run's stderr holds only its wall time
+            return code, stdout, written, stderr if code else None
+
+        mine = [outcome(argv, *run_cli(argv, capsys)) for argv, _ in cases]
+
+        def fresh(argv):
+            proc = subprocess.run([sys.executable, "-m", "tpskit", *argv],
+                                  capture_output=True, text=True, timeout=120)
+            return outcome(argv, proc.returncode, proc.stdout, proc.stderr)
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            theirs = list(pool.map(fresh, [argv for argv, _ in cases]))
+        for (argv, expected), m, t in zip(cases, mine, theirs):
+            assert m[0] == expected and m == t, argv
+        iso_error = mine[cases.index((iso_with_parity, 1))][3]
+        assert iso_error == "usage error: --iso goes with --dims only\n"
+
+
+def _fresh_import_of_tpskit(expr):
+    """Evaluate expr in a new interpreter right after `import sys, tpskit`."""
     src = Path(sys.modules["tpskit"].__file__).parents[1]
-    code = "import sys, tpskit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", f"import sys, tpskit; print({expr})"],
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package itself must not pull it in
+    assert _fresh_import_of_tpskit(
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+
+
+def test_import_builds_no_parser():
+    # the benchmark's set-up time is `import tpskit`: the CLI module and its
+    # parser load on first use, not there
+    assert _fresh_import_of_tpskit(
+        "[m for m in ('argparse', 'tpskit.cli') if m in sys.modules]") == "[]"
 
 
 def test_export_list_matches_the_package_namespace():

@@ -6,7 +6,7 @@ import pytest
 import tpskit.tps as tps_module
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
-from tpskit.numerics import schmidt_entropy
+from tpskit.numerics import Tolerance, schmidt_entropy
 from tpskit.tps import (
     TPS,
     EntanglementMeasure,
@@ -406,6 +406,15 @@ class TestTpsDistance:
         t = TPS.natural((2, 2))
         est = entangling_power(CNOT, t, samples=5000, seed=9)
         assert abs(tps_distance(CNOT, t, samples=5000, seed=9) - np.sqrt(est.mean)) < 1e-15
+
+    def test_tolerance_reaches_the_unitarity_check(self):
+        # a unitarity defect of ~1e-10: inside the default residual bound,
+        # outside resid_abs=1e-12
+        U = (1 + 5e-11) * CNOT
+        t = TPS.natural((2, 2))
+        assert tps_distance(U, t, samples=100, seed=0) > 0
+        with pytest.raises(ContractViolationError, match="unitary"):
+            tps_distance(U, t, samples=100, seed=0, tol=Tolerance(resid_abs=1e-12))
 
 
 # --------------------------------------------------------------- equivalence
