@@ -26,7 +26,6 @@ from .tps import _check_state, _split_cut
 
 _DIM_CAP = 4096
 _EMBED_CAP = 1 << 20
-_CCR_TOL = 1e-12
 
 
 def _check_mode(i: int, N: int) -> None:
@@ -138,8 +137,8 @@ def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet
     """Rotated modes a_i^U = sum_j U_ji a_j, with their invariants verified.
 
     Vacuum annihilation is exact by construction; the canonical
-    commutation relations are re-verified on the interior sector and a
-    violation (impossible for a genuinely unitary U) raises.
+    commutation relations are re-verified on the interior sector, and a
+    residual above resid_abs (impossible for a genuinely unitary U) raises.
     """
     U = np.asarray(U, dtype=complex)
     N = fock.N
@@ -153,8 +152,8 @@ def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet
     if np.any(U * fock.w[:, :1] != 0):
         raise ToleranceError("transformed modes fail exact vacuum annihilation")
     ms.ccr = ccr_residual(ms)
-    if ms.ccr > _CCR_TOL:
-        raise ToleranceError(f"CCR residual {ms.ccr:.3e} exceeds {_CCR_TOL:.0e}")
+    if ms.ccr > tol.resid_abs:
+        raise ToleranceError(f"CCR residual {ms.ccr:.3e} exceeds {tol.resid_abs:.3e}")
     return ms
 
 

@@ -138,16 +138,13 @@ def unitarity_defect(U) -> float:
     return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
 
 
-def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.ndarray:
+def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hilbert-Schmidt orthonormalization of a sequence of same-shape matrices.
 
-    The inputs are first projected off the span of the orthonormal stack
-    ``against`` (if given) in one block, twice, so that inputs almost
-    inside the span leave no span component behind; then modified
-    Gram-Schmidt with one re-orthogonalization pass runs over them in
-    order; an input is dropped as linearly dependent when its residual
-    norm falls below rank_rel * max(norm on entry, 1).  Returns a (k, d, d)
-    stack of the new directions, in input order.
+    Modified Gram-Schmidt with one re-orthogonalization pass runs over the
+    inputs in order; an input is dropped as linearly dependent when its
+    residual norm falls below rank_rel * max(norm on entry, 1).  Returns a
+    (k, d, d) stack of the kept directions, in input order.
     """
     mats = [np.asarray(m, dtype=complex) for m in ops]
     if not mats:
@@ -157,10 +154,6 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL, against=None) -> np.nda
         if m.shape != shape:
             raise DimensionMismatchError("all operators must share one shape")
     V = np.array([m.reshape(-1) for m in mats])
-    if against is not None and len(against):
-        Q0 = np.asarray(against, dtype=complex).reshape(len(against), V.shape[1])
-        for _ in range(2):
-            V = V - (V @ Q0.conj().T) @ Q0
     rows: list[np.ndarray] = []
     for v in V:
         n0 = float(np.linalg.norm(v))
@@ -184,8 +177,9 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
 
     The seed is orthonormalized into letters.  Each pass takes the
     commutators of only the directions the previous pass added with the
-    letters and keeps what is new against the span, so the result spans
-    the left-normed brackets [[[x_1, x_2], x_3], ..., x_k] in the letters.
+    letters, orthonormalizes them after the span and keeps the rows past
+    it, so the result spans the left-normed brackets
+    [[[x_1, x_2], x_3], ..., x_k] in the letters.
     Stops when a pass adds nothing or the span is the whole matrix space.
     (The associative closure is not grown this way: ``close_algebra`` takes
     it as a double commutant.)
@@ -195,7 +189,7 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
     span = new = letters
     while len(new) and len(span) < full:
         cand = new[:, None] @ letters[None] - letters[None] @ new[:, None]
-        new = hs_orthonormalize(cand.reshape(-1, *letters.shape[1:]), tol, against=span)
+        new = hs_orthonormalize([*span, *cand.reshape(-1, *letters.shape[1:])], tol)[len(span):]
         span = np.concatenate([span, new])
     return span
 

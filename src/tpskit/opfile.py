@@ -116,7 +116,7 @@ def parse_spec(data: dict) -> OperatorSpecFile:
     if "dim" not in data:
         raise SpecFileError("missing required field 'dim'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SpecFileError(f"'dim' must be a positive integer, got {dim!r}")
 
     operators = {}

@@ -11,6 +11,7 @@ explicit per-sector rotations to realign it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -79,8 +80,9 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     polynomials in those ops), read as max|V^dag X - (V^dag X V) V^dag|
     <= resid_abs on every sector V; an op that does squares to one
     exactly when its restrictions have eigenvalues +-1 within resid_abs.
-    An op that fails either check, or is not Hermitian, stays out of the
-    split; only then are commutators and X X formed, to name the pairs.
+    The first op that is not Hermitian or not traceless, or that the
+    split refuses, ends the split; only then are every X X and every
+    pairwise commutator formed, to name the problems.
     """
     mats = [np.asarray(X, dtype=complex) for X in ops]
     if not mats:
@@ -93,46 +95,41 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
         if X.shape != (d, d):
             raise DimensionMismatchError("parity operators differ in dimension")
 
-    def commutes(j, i):
-        return np.max(np.abs(mats[j] @ mats[i] - mats[i] @ mats[j])) <= tol.resid_abs
-
-    problems = []
-    clashes = []  # (j, i) with j < i
-    split = []  # ops whose eigenspaces refine the sectors
     sectors = [((), np.eye(d, dtype=complex))]
     for i, X in enumerate(mats):
-        hermitian = np.max(np.abs(X - X.conj().T)) <= tol.resid_abs
-        if not hermitian:
-            problems.append(f"op {i} is not Hermitian")
+        resid, refined = 0.0, None
+        if (np.max(np.abs(X - X.conj().T)) <= tol.resid_abs
+                and abs(np.trace(X)) <= tol.resid_abs * d):
+            resid, refined = _split_sectors(sectors, X, tol, i > 0)
+        if refined is None:
+            break
+        sectors = refined
+    else:
+        dims_found = sorted(V.shape[1] for _, V in sectors)
+        if len(sectors) != 2 ** len(mats) or dims_found[0] != dims_found[-1]:
+            raise ParitySetError(
+                f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
+                "equal ones: the set is dependent (some subset product is not traceless)")
+        return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
+
+    eye = np.eye(d)
+    problems = []
+    for j, X in enumerate(mats):
+        if not np.max(np.abs(X - X.conj().T)) <= tol.resid_abs:  # NaN too, as above
+            problems.append(f"op {j} is not Hermitian")
         if abs(np.trace(X)) > tol.resid_abs * d:
-            problems.append(f"op {i} is not traceless")
-        resid, refined = _split_sectors(sectors, X, tol, bool(split)) if hermitian else (0.0, None)
-        invariant = hermitian and resid <= tol.resid_abs
-        if refined is not None:
-            sectors = refined
-            split.append(i)
-        elif invariant:  # a restricted eigenvalue is away from +-1
-            problems.append(f"op {i} is not an involution")
-        elif np.max(np.abs(X @ X - np.eye(d))) > tol.resid_abs:
-            problems.append(f"op {i} is not an involution")
-        # invariance vouches for the split ops; any other pair is multiplied out
-        pairs = [(j, i) for j in range(i)
-                 if not (invariant and j in split) and not commutes(j, i)]
-        if hermitian and not invariant and not any(j in split for j, _ in pairs):
-            problems.append(
-                f"op {i} leaves the joint eigenspaces of ops {split} invariant only "
-                f"within {resid:.3e}, though no pair exceeds resid_abs")
-        clashes += pairs
-    problems += [f"ops {j} and {i} do not commute" for j, i in sorted(clashes)]
+            problems.append(f"op {j} is not traceless")
+        if np.max(np.abs(X @ X - eye)) > tol.resid_abs:
+            problems.append(f"op {j} is not an involution")
+    problems += [f"ops {a} and {b} do not commute" for a, b in combinations(range(len(mats)), 2)
+                 if np.max(np.abs(mats[a] @ mats[b] - mats[b] @ mats[a])) > tol.resid_abs]
     if problems:
         raise ParitySetError("; ".join(problems))
-
-    dims_found = sorted(V.shape[1] for _, V in sectors)
-    if len(sectors) != 2 ** len(mats) or dims_found[0] != dims_found[-1]:
+    if resid > tol.resid_abs:  # only the split sees what is wrong with op i
         raise ParitySetError(
-            f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
-            "equal ones: the set is dependent (some subset product is not traceless)")
-    return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
+            f"op {i} leaves the joint eigenspaces of ops {list(range(i))} invariant only "
+            f"within {resid:.3e}, though no pair exceeds resid_abs")
+    raise ParitySetError(f"op {i} is not an involution")
 
 
 def _split_sectors(sectors, X, tol: Tolerance, check_invariance: bool):

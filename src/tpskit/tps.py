@@ -13,7 +13,6 @@ Factor indices are 1-based throughout, matching the subscripts in
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -297,31 +296,21 @@ def tps_equivalent(t1: TPS, t2: TPS, tol: Tolerance = DEFAULT_TOL):
     Returns a tuple pi with pi[k] = j meaning factor k+1 of t1 induces the
     same local operator span as factor j of t2; only factors of equal
     dimension are permuted.  None when no such permutation exists (in
-    particular whenever the dims multisets differ).
+    particular whenever the dims multisets differ).  The local algebras
+    of distinct factors share only the scalars, so each factor of t1
+    matches at most one factor of t2.
     """
     if t1.dim != t2.dim:
         raise DimensionMismatchError("structures live on different spaces")
     if sorted(t1.dims) != sorted(t2.dims):
         return None
     m = t1.nfactors
-    loc1 = [local_algebra(t1, i) for i in range(1, m + 1)]
-    loc2 = [local_algebra(t2, i) for i in range(1, m + 1)]
-
-    groups = {}
-    for pos in range(m):
-        groups.setdefault(t1.dims[pos], []).append(pos)
-    targets = {}
-    for pos in range(m):
-        targets.setdefault(t2.dims[pos], []).append(pos)
-
-    group_dims = sorted(groups)
-    choices = [itertools.permutations(targets[n]) for n in group_dims]
-    for combo in itertools.product(*choices):
-        pi = [0] * m
-        for n, perm in zip(group_dims, combo):
-            for src, dst in zip(groups[n], perm):
-                pi[src] = dst
-        if all(_spans_equal(loc1[k], loc2[pi[k]], tol) for k in range(m)):
-            return tuple(p + 1 for p in pi)
-    return None
-
+    loc2 = [local_algebra(t2, j) for j in range(1, m + 1)]
+    pi = []
+    for k in range(1, m + 1):
+        loc1 = local_algebra(t1, k)
+        j = next((j for j in range(1, m + 1) if _spans_equal(loc1, loc2[j - 1], tol)), None)
+        if j is None:
+            return None
+        pi.append(j)
+    return tuple(pi)

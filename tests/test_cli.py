@@ -124,9 +124,13 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError, match="line 2"):
             load_spec(str(bad))
 
-    # messages of the per-entry parser, which the all-numeric fast path
-    # must leave unchanged
+    # messages of the header check and of the per-entry parser, which the
+    # all-numeric fast path must leave unchanged
     MALFORMED = [
+        ("dim_bool", {"dim": True, "operators": []},
+         "'dim' must be a positive integer, got True"),
+        ("dim_zero", {"dim": 0, "operators": []},
+         "'dim' must be a positive integer, got 0"),
         ("rows_not_list", {"dim": 2, "operators": [{"name": "m", "matrix": "x"}]},
          "operators[0].matrix: expected 2 rows"),
         ("too_few_rows", {"dim": 2, "operators": [
@@ -175,6 +179,13 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError) as err:
             parse_spec(doc)
         assert str(err.value) == message
+
+    def test_boolean_dim_is_a_spec_file_error(self, tmp_path, capsys):
+        path = tmp_path / "bool_dim.json"
+        path.write_text(json.dumps({"dim": True, "operators": [{"name": "x", "pauli": "X"}]}))
+        code, out, err = run_cli(["decompose", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "spec file error: 'dim' must be a positive integer, got True\n"
 
     def test_numeric_entries_match_per_entry_complex(self):
         # ints, floats and bools, as JSON delivers them, read bit for bit
@@ -482,6 +493,17 @@ class TestTpsCommands:
         assert rep["results"]["value"] == 0.0
         assert rep["results"]["fock_dim"] == 6
         assert rep["residuals"]["ccr"] < 1e-12
+
+    def test_bosonic_ccr_bound_is_tol_resid(self, tmp_path, capsys):
+        # a rotation scaled by 1 + 2e-10 breaks [a_i, a_i^dag] = 1 by ~4e-10:
+        # inside the default residual bound, outside --tol-resid 1e-10
+        path = write_spec(tmp_path / "scaled.json", 2, {"u": np.eye(2) * (1 + 2e-10)})
+        argv = ["tps", "bosonic", path, "--modes", "2", "--cutoff", "3", "--unitary", "u"]
+        rep = report_of(argv, capsys)
+        assert abs(rep["residuals"]["ccr"] - 4e-10) < 1e-12
+        code, out, err = run_cli(argv + ["--tol-resid", "1e-10"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("computation error: ")
 
     def test_bosonic_beamsplitter_photon(self, tmp_path, capsys):
         path = write_spec(tmp_path / "bs.json", 2,

@@ -191,23 +191,6 @@ def test_hs_orthonormalize_idempotent():
     assert np.allclose(once, twice, atol=1e-12)
 
 
-def test_hs_orthonormalize_against_adds_only_new_directions():
-    rng = np.random.default_rng(29)
-    Q = hs_orthonormalize([rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-                           for _ in range(3)])
-    A, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-    inside = 2.0 * Q[0] - 1j * Q[2]
-    ops = [inside, A, inside + 3.0 * A, B, Q[1]]
-    out = hs_orthonormalize(ops, against=Q)
-    assert out.shape == (2, 3, 3)
-    G = out.reshape(2, -1)
-    assert np.allclose(G.conj() @ G.T, np.eye(2), atol=1e-12)
-    assert np.max(np.abs(Q.reshape(3, -1).conj() @ G.T)) < 1e-12
-    # Q and the new rows together span every input
-    assert np.max(span_residual(ops, np.concatenate([Q, out]))) < 1e-12
-    assert span_residual([B], Q)[0] > 0.1
-
-
 def test_hs_orthonormalize_rejects_mixed_shapes():
     with pytest.raises(DimensionMismatchError):
         hs_orthonormalize([np.eye(2), np.eye(3)])

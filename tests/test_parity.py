@@ -328,6 +328,37 @@ def test_invariance_residual_above_tolerance_with_every_pair_below_is_named():
         validate_parity_set(ops + [X])
 
 
+def test_a_dense_problem_elsewhere_is_named_instead_of_the_invariance_residual():
+    # the set above plus a non-traceless op 7: the dense checks find that,
+    # so the split's own finding on op 6 is not named
+    n, d = 6, 64
+    ops = [pauli_string_matrix("I" * q + "X" + "I" * (n - q - 1)) for q in range(n)]
+    a = np.full(d, 1 / np.sqrt(d))
+    e0 = np.eye(d)[0]
+    X = pauli_string_matrix("XXIIII") + 1.5e-8 * (np.outer(a, e0) + np.outer(e0, a))
+    with pytest.raises(ParitySetError) as err:
+        validate_parity_set(ops + [X, np.eye(d, dtype=complex)])
+    assert str(err.value) == "op 7 is not traceless"
+
+
+def test_eigenvalue_off_one_is_named_though_x_squared_is_within_tolerance():
+    # one eigenvalue 1 + 2e-8 of a Haar-conjugated parity: X X - 1 is
+    # 4e-8 u u^dag for a unit vector u spread over 64 entries, below 1e-8
+    # everywhere, so only the split's eigenvalue check sees it
+    rng = np.random.default_rng(64)
+    U = haar_unitary(64, rng)
+    signs = np.real(np.diag(pauli_string_matrix("ZIIIII")))
+    w = np.real(np.diag(pauli_string_matrix("IZIIII"))).copy()
+    w[0] += 2e-8
+    ops = [(U * signs) @ U.conj().T, (U * w) @ U.conj().T]
+    assert np.max(np.abs(ops[1] @ ops[1] - np.eye(64))) < 1e-8
+    with pytest.raises(ParitySetError, match="eigenvalues away from"):
+        reference_validate_parity_set(ops)
+    with pytest.raises(ParitySetError) as err:
+        validate_parity_set(ops)
+    assert str(err.value) == "op 1 is not an involution"
+
+
 def test_eight_qubits_six_parities_validate_and_decompose_in_under_130_ms():
     # the pairwise validator formed 36 dense 256 x 256 products (~200 ms
     # with validate + decompose); the sector split alone takes ~90 ms

@@ -1,12 +1,14 @@
 """Tests for tensor product structures, entanglement, and entangling power."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import tpskit.tps as tps_module
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
-from tpskit.numerics import Tolerance, schmidt_entropy
+from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy
 from tpskit.tps import (
     TPS,
     EntanglementMeasure,
@@ -419,6 +421,42 @@ class TestTpsDistance:
 
 # --------------------------------------------------------------- equivalence
 
+def enumerated_equivalent(t1, t2, tol=DEFAULT_TOL):
+    """Oracle: the first permutation, over every permutation within each
+    dimension group in lexicographic order, whose local spans all agree."""
+    if sorted(t1.dims) != sorted(t2.dims):
+        return None
+    m = t1.nfactors
+    loc1 = [local_algebra(t1, i) for i in range(1, m + 1)]
+    loc2 = [local_algebra(t2, i) for i in range(1, m + 1)]
+    groups, targets = {}, {}
+    for pos in range(m):
+        groups.setdefault(t1.dims[pos], []).append(pos)
+        targets.setdefault(t2.dims[pos], []).append(pos)
+    group_dims = sorted(groups)
+    choices = [itertools.permutations(targets[n]) for n in group_dims]
+    for combo in itertools.product(*choices):
+        pi = [0] * m
+        for n, perm in zip(group_dims, combo):
+            for src, dst in zip(groups[n], perm):
+                pi[src] = dst
+        if all(tps_module._spans_equal(loc1[k], loc2[pi[k]], tol) for k in range(m)):
+            return tuple(p + 1 for p in pi)
+    return None
+
+
+def permuted_structure(t1, sigma, rng):
+    """t1 with its factors reordered (factor k+1 of the result is factor
+    sigma[k]+1 of t1) and a random local unitary on every factor."""
+    dims, d = list(t1.dims), t1.dim
+    M = np.eye(d).reshape(*dims, d).transpose(*sigma, len(dims)).reshape(d, d).T
+    dims2 = [dims[s] for s in sigma]
+    local = np.eye(1)
+    for n in dims2:
+        local = np.kron(local, haar_unitary(n, rng))
+    return TPS(tuple(dims2), t1.iso @ M @ local)
+
+
 class TestTpsEquivalent:
     def test_reflexive_identity(self):
         t = TPS.natural((2, 2))
@@ -460,3 +498,25 @@ class TestTpsEquivalent:
     def test_total_dimension_mismatch_raises(self):
         with pytest.raises(DimensionMismatchError):
             tps_equivalent(TPS.natural((2, 2)), TPS.natural((2, 3)))
+
+    def test_direct_match_agrees_with_the_enumeration(self):
+        rng = np.random.default_rng(2026)
+        pairs = []
+        for dims in [(2, 3), (3, 2, 2), (2, 2, 3), (2, 2, 2, 2), (2, 3, 2, 3), (2, 2, 2, 2, 2)]:
+            t1 = TPS(dims, haar_unitary(int(np.prod(dims)), rng))
+            sigma = rng.permutation(len(dims))
+            t2 = permuted_structure(t1, sigma, rng)
+            # factor k+1 of t1 is factor j of t2 with sigma[j-1] == k
+            assert tps_equivalent(t1, t2) == tuple(int(np.argmax(sigma == k)) + 1
+                                                   for k in range(len(dims)))
+            # a Haar unitary on the first two factors of t2 entangles them
+            pair = t2.dims[0] * t2.dims[1]
+            entangled = np.kron(haar_unitary(pair, rng), np.eye(t1.dim // pair))
+            pairs += [(t1, t2), (t2, t1), (t1, TPS(dims, haar_unitary(t1.dim, rng))),
+                      (t1, TPS(t2.dims, t2.iso @ entangled))]
+        pairs += [(TPS.natural((2, 6)), TPS.natural((3, 4))),
+                  (TPS.natural((2, 2, 3)), TPS.natural((4, 3))),
+                  (TPS.natural((2, 3)), TPS.natural((3, 2)))]
+        found = [tps_equivalent(t1, t2) for t1, t2 in pairs]
+        assert found == [enumerated_equivalent(t1, t2) for t1, t2 in pairs]
+        assert sum(p is not None for p in found) == 12  # the permuted pairs, both ways
