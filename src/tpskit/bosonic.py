@@ -84,18 +84,6 @@ def _dense(fock: FockSpace, coeffs) -> np.ndarray:
     return a
 
 
-def _raising(fock: FockSpace):
-    """(N, dim) tables of a_j^dag, inverted from the lowering ones:
-    a_j^dag e_c = wu[j, c] e_up[j, c], with up = -1 where the raised state
-    leaves the truncation."""
-    up = np.full_like(fock.low, -1)
-    wu = np.zeros_like(fock.w)
-    j, c = np.nonzero(fock.low >= 0)
-    up[j, fock.low[j, c]] = c
-    wu[j, fock.low[j, c]] = fock.w[j, c]
-    return up, wu
-
-
 def build_fock(N: int, M: int) -> FockSpace:
     """Truncated Fock space with dimension binomial(N+M, N)."""
     if N < 1 or M < 1:
@@ -136,9 +124,11 @@ class ModeSet:
 def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet:
     """Rotated modes a_i^U = sum_j U_ji a_j, with their invariants verified.
 
-    Vacuum annihilation is exact by construction; the canonical
-    commutation relations are re-verified on the interior sector, and a
-    residual above resid_abs (impossible for a genuinely unitary U) raises.
+    Vacuum annihilation is exact by construction.  The CCR residual
+    (ccr_residual: the unitarity defect of U plus N (1 + defect) times
+    the ladder tables' own residual) is stored on the ModeSet, and a value above
+    resid_abs raises: once U passes the unitarity check, only broken
+    tables or a defect within that margin of resid_abs can fail it.
     """
     U = np.asarray(U, dtype=complex)
     N = fock.N
@@ -157,65 +147,50 @@ def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet
     return ms
 
 
-def _compose(outer, inner, cols):
-    """Nonzero entries of outer_p inner_q e_c for every mode pair (p, q) and
-    column c in cols, from (rows, weights) ladder tables: flat arrays
-    (p, q, row, column, weight)."""
-    (ro, wo), (ri, wi) = outer, inner
-    mid = ri[:, cols]  # (N, C): inner_q e_c lands on row mid[q, c]
-    rows = ro[:, np.maximum(mid, 0)]  # (N, N, C): [p, q, c]
-    weights = wo[:, np.maximum(mid, 0)] * wi[:, cols]
-    p, q, c = np.nonzero((mid >= 0) & (rows >= 0))
-    return p, q, rows[p, q, c], cols[c], weights[p, q, c]
-
-
-def _max_entry(rows, cols, vals, dim: int) -> float:
-    """Largest modulus over every (pair, row, column) once the values
-    landing on the same (row, column) are summed; vals is (pairs, entries)."""
-    if rows.size == 0:
-        return 0.0
-    key = rows * dim + cols
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    return float(np.abs(np.add.reduceat(vals[:, order], starts, axis=1)).max())
-
-
 def ccr_residual(ms: ModeSet) -> float:
-    """Worst deviation from the CCR: [a_i, a_j] on the whole space and
-    [a_i, a_j^dag] - delta_ij compressed to the interior sector.
+    """Worst deviation from the CCR, bounded from above: [a_i, a_k] on the
+    whole space and [a_i, a_k^dag] - delta_ik compressed to the interior.
 
-    Every pair (i, j) is checked at once from the ladder tables: a product
-    of two rotated modes has at most N^2 entries per column, so the cost is
-    O(N^4 dim) with no dim x dim matrix formed.
+    The rotated commutators are sums of the reference ones:
+    [a_i^U, a_k^U] = sum_jl U_ji U_lk [a_j, a_l], and on the interior
+    [a_i^U, a_k^U dag] - delta_ik = (U^T conj U - 1)_ik
+    + sum_jl U_ji conj(U_lk) ([a_j, a_l^dag] - delta_jl).
+    Let defect = unitarity_defect(U), the largest entry of U^T conj U - 1,
+    and t the tables' own residual (_table_ccr_residual).  Every entry of a
+    sum is at most t sum_j |U_ji| sum_l |U_lk| <= N (1 + defect) t, by
+    Cauchy-Schwarz on columns of squared norm <= 1 + defect, so the
+    residual lies within N (1 + defect) t of defect; the upper end is
+    returned.  Exact tables leave t at the roundoff of sqrt(m)^2.
     """
-    fock, U = ms.fock, ms.U
-    N, dim = fock.N, fock.dim
-    lower, upper = (fock.low, fock.w), _raising(fock)
-    pairs = N * N
+    defect = unitarity_defect(ms.U)
+    return defect + ms.fock.N * (1 + defect) * _table_ccr_residual(ms.fock)
 
-    # [a_i, a_k] = sum_pq (U_pi U_qk - U_pk U_qi) a_p a_q
-    both = np.einsum("pi,qk->ikpq", U, U).reshape(N, N, pairs)
-    coef = (both - both.swapaxes(0, 1)).reshape(pairs, pairs)
-    p, q, rows, cols, wts = _compose(lower, lower, np.arange(dim))
-    worst = _max_entry(rows, cols, coef[:, p * N + q] * wts, dim)
 
-    # [a_i, a_k^dag] - delta_ik
-    #   = sum_jl U_ji conj(U_lk) (a_j a_l^dag - a_l^dag a_j) - delta_ik
-    # on the interior columns; both products keep a column's total
-    # excitation, so their rows are interior too
-    coef = np.einsum("ji,lk->ikjl", U, U.conj()).reshape(pairs, pairs)
-    inside = np.flatnonzero(fock.interior_mask())
-    j1, l1, rows1, cols1, wts1 = _compose(lower, upper, inside)
-    l2, j2, rows2, cols2, wts2 = _compose(upper, lower, inside)
-    rows = np.concatenate([rows1, rows2, inside])
-    cols = np.concatenate([cols1, cols2, inside])
-    vals = np.concatenate([
-        coef[:, j1 * N + l1] * wts1,
-        -coef[:, j2 * N + l2] * wts2,
-        np.broadcast_to(-np.eye(N).reshape(pairs, 1), (pairs, inside.size)),
-    ], axis=1)
-    return max(worst, _max_entry(rows, cols, vals, dim))
+def _table_ccr_residual(fock: FockSpace) -> float:
+    """Largest entry of [a_j, a_l] on every column and of [a_j, a_l^dag] -
+    delta_jl on the interior columns, over all pairs, from the tables in
+    O(N^2 dim).  A ladder sends a column to at most one row, so a product
+    of two does too: a commutator column holds three terms (two products
+    and the delta), summed where they share a row."""
+    N, dim = fock.low.shape
+    p, c = np.nonzero(fock.low >= 0)
+    # each table gets a sink column dim, where vanished products land with weight 0
+    low, up = np.full((2, N, dim + 1), dim)
+    w, wu = np.zeros((2, N, dim + 1))
+    low[p, c], w[p, c] = fock.low[p, c], fock.w[p, c]
+    up[p, fock.low[p, c]], wu[p, fock.low[p, c]] = c, fock.w[p, c]  # raising, inverted
+    every, inside = np.arange(dim), np.flatnonzero(fock.interior_mask())
+    modes = np.arange(N)[:, None]  # mode l along axis 0; j loops
+    worst = 0.0
+    for j in range(N):
+        for b, wb, cols, delta in ((low, w, every, 0.0), (up, wu, inside, 1.0 * (modes == j))):
+            terms = ((low[j, b[:, cols]], w[j, b[:, cols]] * wb[:, cols]),  # a_j b_l e_c
+                     (b[:, low[j, cols]], -wb[:, low[j, cols]] * w[j, cols]),  # -b_l a_j e_c
+                     (cols, -delta))
+            for row, _ in terms:
+                entry = sum(np.where(r == row, v, 0.0) for r, v in terms)
+                worst = max(worst, float(np.abs(entry).max(initial=0.0)))
+    return worst
 
 
 def single_excitation_state(ms: ModeSet, i: int) -> np.ndarray:

@@ -100,7 +100,7 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
         resid, refined = 0.0, None
         if (np.max(np.abs(X - X.conj().T)) <= tol.resid_abs
                 and abs(np.trace(X)) <= tol.resid_abs * d):
-            resid, refined = _split_sectors(sectors, X, tol, i > 0)
+            resid, refined = _split_sectors(sectors, X, tol)
         if refined is None:
             break
         sectors = refined
@@ -132,22 +132,25 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     raise ParitySetError(f"op {i} is not an involution")
 
 
-def _split_sectors(sectors, X, tol: Tolerance, check_invariance: bool):
+def _split_sectors(sectors, X, tol: Tolerance):
     """Split every sector V by the +-1 eigenspaces of V^dag X V.
 
     Returns (invariance residual max|V^dag X - (V^dag X V) V^dag|, refined
     (label, basis) list); the list is None when the residual exceeds
     resid_abs (no split is tried) or a restricted eigenvalue is away
-    from +-1.
+    from +-1.  At level 0 (empty label) V is the identity: the block is X
+    itself, which splits bit-identically to (I^dag X) I.
     """
     blocks = []
     resid = 0.0
-    for _, V in sectors:
+    for label, V in sectors:
+        if not label:
+            blocks.append(X)
+            continue
         Vh = V.conj().T
         Z = Vh @ X
         B = Z @ V
-        if check_invariance:
-            resid = max(resid, float(np.max(np.abs(Z - B @ Vh))))
+        resid = max(resid, float(np.max(np.abs(Z - B @ Vh))))
         blocks.append(B)
     if resid > tol.resid_abs:
         return resid, None

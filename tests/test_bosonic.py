@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -19,8 +20,10 @@ from tpskit.bosonic import (
 from tpskit.errors import (
     ContractViolationError,
     DimensionMismatchError,
+    ToleranceError,
     TruncationBoundaryError,
 )
+from tpskit.numerics import unitarity_defect
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -230,6 +233,60 @@ class TestTransformModes:
             sparse, dense = ccr_residual(ms), dense_ccr_residual(ms)
             assert abs(sparse - 2e-6) < 1e-8
             assert abs(sparse - dense) < 1e-12
+
+    def test_ccr_residual_is_the_unitarity_defect(self):
+        # [a_i^U, a_k^U dag] - delta_ik = (U^T conj U - 1)_ik on the interior,
+        # and exact tables add only the roundoff of sqrt(m)^2
+        rng = np.random.default_rng(61)
+        for N, M in itertools.product(range(1, 7), range(1, 9)):
+            fock = build_fock(N, M)
+            for U in (haar_unitary(N, rng), haar_unitary(N, rng) * (1 + 1e-6)):
+                ccr = ccr_residual(ModeSet(fock=fock, U=U))
+                assert abs(ccr - unitarity_defect(U)) <= 1e-13, (N, M)
+
+    @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
+    def test_ccr_residual_sees_a_perturbed_ladder_weight(self, N, M):
+        U = haar_unitary(N, np.random.default_rng(10 * N + M))
+        for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
+            fock = build_fock(N, M)
+            fock.w[0, c] += 1e-9
+            assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1e-9, c
+
+    @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
+    def test_ccr_residual_sees_a_mispointed_lowering(self, N, M):
+        U = haar_unitary(N, np.random.default_rng(10 * N + M))
+        for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
+            fock = build_fock(N, M)
+            fock.low[0, c] = (fock.low[0, c] + 1) % fock.dim
+            assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1, c
+            with pytest.raises(ToleranceError):
+                transform_modes(fock, U)
+
+    @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
+    def test_ccr_residual_sees_swapped_lowering_targets(self, N, M):
+        # two columns with the same m_1 trade targets: every weight, and
+        # [a_1, a_1^dag], stay right, so only the rows of a mixed product
+        # differ, where the larger weight counts
+        U = haar_unitary(N, np.random.default_rng(10 * N + M))
+        m1 = np.array(build_fock(N, M).basis)[:, 0]
+        for c1, c2 in itertools.combinations(np.flatnonzero(m1 > 0), 2):
+            if m1[c1] == m1[c2]:
+                fock = build_fock(N, M)
+                fock.low[0, [c1, c2]] = fock.low[0, [c2, c1]]
+                assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1, (c1, c2)
+
+    def test_six_modes_cutoff_eight_peaks_under_10_mb(self):
+        # memory guard: the pairwise composer's (N^2, entries) value arrays
+        # peaked at ~108 MB here (dim 3003)
+        fock = build_fock(6, 8)
+        U = haar_unitary(6, np.random.default_rng(68))
+        tracemalloc.start()
+        try:
+            transform_modes(fock, U)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_four_modes_cutoff_eight_in_under_50_ms(self):
         # reach guard: the dense CCR products took ~1.4 s here (dim 495)

@@ -13,6 +13,7 @@ from tpskit.errors import ContractViolationError, DimensionMismatchError, Parity
 from tpskit.numerics import Tolerance, fix_column_phases, hermitian_eig
 from tpskit.parity import (
     ParitySet,
+    _split_sectors,
     pauli_string_matrix,
     syndrome_decompose,
     validate_parity_set,
@@ -371,6 +372,55 @@ def test_eight_qubits_six_parities_validate_and_decompose_in_under_130_ms():
         times.append(time.perf_counter() - start)
     assert sd.tps.dims == (4, 64)
     assert min(times) < 0.13
+
+
+def split_through_identity(X, tol):
+    """Reference level-0 split with the identity products: the block is
+    (I^dag X) I and each half is rephased after I @ (its eigenvectors)."""
+    V = np.eye(X.shape[0], dtype=complex)
+    w, W = hermitian_eig((V.conj().T @ X) @ V, tol)
+    if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
+        return None
+    halves = [((1,), W[:, w > 0]), ((-1,), W[:, w < 0])]
+    return [(label, fix_column_phases(V @ cols)) for label, cols in halves if cols.shape[1]]
+
+
+def test_level_zero_split_is_bit_identical_without_the_identity_products():
+    # the level-0 sector is the identity, so the split takes X as its block;
+    # every op of this file's sets, and seeded sets drawn as the property
+    # tests draw them, splits into the same bytes either way
+    D1 = np.diag([1, 1, 1, 1, -1, -1, -1, -1]).astype(complex)
+    D2 = np.diag([1, 1, 1, -1, -1, -1, -1, 1]).astype(complex)
+    a, e0 = np.full(64, 1 / 8), np.eye(64)[0]
+    sets = [
+        [np.kron(SX, I2), np.kron(SZ, I2), 0.5 * np.kron(SX, I2)],
+        [pauli_string_matrix(w) for w in ("X", "XX", "ZZ", "ZZI", "IZZ", "ZIZ", "XII")],
+        [-pauli_string_matrix("ZZI"), D1, D2],
+        [pauli_string_matrix(w) for w in
+         ("XZZXIIII", "IXZZXIII", "XIXZZIII", "ZXIXZIII", "IIIIIZZI", "IIIIIIZZ")],
+        [pauli_string_matrix("I" * q + "X" + "I" * (5 - q)) for q in range(6)]
+        + [pauli_string_matrix("XXIIII") + 1.5e-8 * (np.outer(a, e0) + np.outer(e0, a))],
+    ]
+    rng = np.random.default_rng(16)
+    for n in range(1, 8):
+        for conjugate in (False, True):
+            letters = rng.choice(list("XYZ"), n)
+            rows = gf2_independent_rows(rng, n, int(rng.integers(1, n + 1)))
+            mats = [rng.choice([-1.0, 1.0]) * pauli_string_matrix(
+                "".join(c if bit else "I" for c, bit in zip(letters, row))) for row in rows]
+            U = haar_unitary(2 ** n, rng) if conjugate else np.eye(2 ** n)
+            sets.append([U @ X @ U.conj().T for X in mats])
+    tol = Tolerance()
+    for mats in sets:
+        for X in mats:
+            _, got = _split_sectors([((), np.eye(X.shape[0], dtype=complex))], X, tol)
+            expected = split_through_identity(X, tol)
+            if expected is None:
+                assert got is None
+                continue
+            assert [label for label, _ in got] == [label for label, _ in expected]
+            for (_, V), (_, ref) in zip(got, expected):
+                assert np.array_equal(V, ref) and V.tobytes() == ref.tobytes()
 
 
 class TestSyndromeDecompose:
