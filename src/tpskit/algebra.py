@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionMismatchError, ToleranceError
+from .errors import ContractViolationError, DegeneracyError, DimensionMismatchError, ToleranceError
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
@@ -85,6 +85,8 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         for g in gens:
             if g.shape != (d, d):
                 raise DimensionMismatchError("generators must be square and of equal dimension")
+            if not np.isfinite(g).all():
+                raise ContractViolationError("generator has a non-finite entry")
         if dim is not None and dim != d:
             raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
     elif dim is None:

@@ -25,7 +25,7 @@ from .numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, unitarity_defect
 from .tps import _check_state, _split_cut
 
 _DIM_CAP = 4096
-_EMBED_CAP = 1 << 20
+_WORK_CAP = 1 << 23  # N^2 dim, the work of the tables' own CCR check in transform_modes
 
 
 def _check_mode(i: int, N: int) -> None:
@@ -37,9 +37,10 @@ def _check_mode(i: int, N: int) -> None:
 class FockSpace:
     """N bosonic modes truncated at total excitation M.
 
-    basis holds the occupation tuples (m_1, ..., m_N) with sum <= M in
-    lexicographic order, and positions maps each tuple to its place there.
-    The ladder operators are stored as (N, dim) tables, one row per mode:
+    The basis states are the occupations (m_1, ..., m_N) with sum <= M in
+    lexicographic order, stored once as the (N, dim) table occ: column c
+    holds the occupation of basis state c.  The ladder operators are stored
+    as (N, dim) tables in the same layout, one row per mode:
     a_j e_c = w[j, c] e_low[j, c] with w[j, c] = sqrt(m_j), and low[j, c] = -1
     where m_j = 0.  Raising inverts them: a_j^dag e_c lands on the column
     c' with low[j, c'] = c, with weight w[j, c'].
@@ -47,14 +48,13 @@ class FockSpace:
 
     N: int
     M: int
-    basis: list
-    positions: dict
+    occ: np.ndarray  # (N, dim) int, the occupation m_j of each basis state
     low: np.ndarray  # (N, dim) int, -1 where the mode is empty
     w: np.ndarray  # (N, dim) float
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.occ.shape[1]
 
     @property
     def vacuum(self) -> np.ndarray:
@@ -63,7 +63,9 @@ class FockSpace:
         return v
 
     def index(self, occupation) -> int:
-        return self.positions[tuple(occupation)]
+        """Basis position of the occupation (m_1, ..., m_N)."""
+        (c,) = np.flatnonzero((self.occ.T == occupation).all(axis=1))
+        return int(c)
 
     def lowering(self, i: int) -> np.ndarray:
         """Dense annihilation matrix of mode i (1-based), built on demand."""
@@ -72,7 +74,7 @@ class FockSpace:
 
     def interior_mask(self) -> np.ndarray:
         """Basis states with total excitation <= M-1, where the CCR are exact."""
-        return np.array([sum(m) <= self.M - 1 for m in self.basis])
+        return self.occ.sum(axis=0) <= self.M - 1
 
 
 def _dense(fock: FockSpace, coeffs) -> np.ndarray:
@@ -85,18 +87,24 @@ def _dense(fock: FockSpace, coeffs) -> np.ndarray:
 
 
 def build_fock(N: int, M: int) -> FockSpace:
-    """Truncated Fock space with dimension binomial(N+M, N)."""
+    """Truncated Fock space with dimension binomial(N+M, N).  Its size
+    limits are decided from (N, M) before any table exists."""
     if N < 1 or M < 1:
         raise ContractViolationError("need at least one mode and cutoff >= 1")
-    dim = comb(N + M, N)
-    if dim > _DIM_CAP:
+    if N + M > _DIM_CAP or comb(N + M, N) > _DIM_CAP:  # binomial(N+M, N) >= N+M
         raise ContractViolationError(
-            f"dimension {dim} exceeds the configured cap {_DIM_CAP}")
-    basis = [()]  # occupation prefixes, kept in lexicographic order
+            f"dimension binomial({N + M}, {N}) exceeds the configured cap {_DIM_CAP}")
+    dim = comb(N + M, N)
+    if N * N * dim > _WORK_CAP:
+        raise ContractViolationError(
+            f"table check work N^2 dim = {N * N * dim} exceeds the configured cap {_WORK_CAP}")
+    # grow occupation prefixes one mode at a time, in lexicographic order:
+    # a prefix with k excitations left to place is followed by 0..k
+    occ = np.zeros((0, 1), dtype=np.intp)
     for _ in range(N):
-        basis = [m + (k,) for m in basis for k in range(M + 1 - sum(m))]
-    positions = {m: i for i, m in enumerate(basis)}
-    occ = np.array(basis).T  # (N, dim)
+        counts = M + 1 - occ.sum(axis=0)
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        occ = np.vstack([np.repeat(occ, counts, axis=1), np.arange(starts.size) - starts])
     # base-(M+1) keys ascend with the lexicographic basis; lowering mode j
     # subtracts its place value (Python ints once (M+1)^N outgrows int64)
     place = np.array([(M + 1) ** (N - 1 - j) for j in range(N)],
@@ -104,7 +112,7 @@ def build_fock(N: int, M: int) -> FockSpace:
     keys = place @ occ
     low = np.where(occ > 0, np.searchsorted(keys, keys - place[:, None]), -1)
     w = np.sqrt(occ)
-    return FockSpace(N=N, M=M, basis=basis, positions=positions, low=low, w=w)
+    return FockSpace(N=N, M=M, occ=occ, low=low, w=w)
 
 
 @dataclass
@@ -209,13 +217,14 @@ def _one_photon(fock: FockSpace) -> np.ndarray:
     return np.argmax(fock.low == 0, axis=1)
 
 
-def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
+def rotate_single_particle(fock: FockSpace, state, V, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Apply an N x N rotation to the one-photon amplitudes of a state.
 
-    The state must be supported on total excitation <= 1.  To express a
-    state in the mode frame of transform_modes(fock, U), rotate by U.T
-    (states sum_i c_i a_i^U-dagger |0> carry reference amplitudes
-    conj(U) c, so U.T undoes the mode change).
+    The state must be supported on total excitation <= 1, up to weight
+    norm tol.resid_abs beyond it.  To express a state in the mode frame of
+    transform_modes(fock, U), rotate by U.T (states sum_i c_i
+    a_i^U-dagger |0> carry reference amplitudes conj(U) c, so U.T undoes
+    the mode change).
     """
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape[0] != fock.dim:
@@ -223,13 +232,10 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     V = np.asarray(V, dtype=complex)
     if V.shape != (fock.N, fock.N):
         raise DimensionMismatchError("rotation must act on the mode amplitudes")
-    one_photon = _one_photon(fock)
-    support = np.ones(fock.dim, dtype=bool)
-    support[0] = False
-    support[one_photon] = False
-    if np.linalg.norm(v[support]) > DEFAULT_TOL.resid_abs:
+    if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > tol.resid_abs:
         raise TruncationBoundaryError(
             "state has support beyond the one-excitation sector")
+    one_photon = _one_photon(fock)
     out = np.zeros_like(v)
     out[0] = v[0]
     out[one_photon] = V @ v[one_photon]
@@ -239,32 +245,30 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
 def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT_TOL) -> float:
     """Entanglement of a truncated state across a bipartition of modes.
 
-    The state is embedded in the product of per-mode occupation spaces
-    (each of dimension M+1) and Schmidt-decomposed across the cut of
-    reference modes (1-based indices).  States with weight on the top
+    The state is Schmidt-decomposed across the cut of reference modes
+    (1-based indices): its amplitude on each basis state goes to the row of
+    the state's occupations on the cut and the column of those on the
+    complement, each ranked among the occupations the truncation keeps.
+    That is the product of per-mode occupation spaces with the rows and
+    columns no kept state reaches left out.  States with weight on the top
     shell (total excitation = M) straddling the cut are rejected: there
     the simplex truncation and the product structure disagree.
     """
     fock = ms.fock if isinstance(ms, ModeSet) else ms
     v = _check_state(state, fock.dim)
     left, right = _split_cut(fock.N, cut)
+    occ = fock.occ
 
-    boundary_weight = 0.0
-    for amp, m in zip(v, fock.basis):
-        if sum(m) == fock.M and any(m[i] for i in left) and any(m[i] for i in right):
-            boundary_weight += abs(amp) ** 2
+    straddle = (occ.sum(axis=0) == fock.M) & occ[left].any(axis=0) & occ[right].any(axis=0)
+    boundary_weight = float(np.sum(np.abs(v[straddle]) ** 2))
     if boundary_weight > tol.resid_abs:
         raise TruncationBoundaryError(
             f"top-shell weight {boundary_weight:.3e} straddles the cut; raise the "
             "cutoff to make the factorization truncation-safe")
 
-    side = fock.M + 1
-    if side ** fock.N > _EMBED_CAP:
-        raise ContractViolationError("occupation embedding exceeds the size cap")
-    T = np.zeros((side,) * fock.N, dtype=complex)
-    for amp, m in zip(v, fock.basis):
-        T[m] = amp
-    T = np.transpose(T, left + right)
-    dL = side ** len(left)
-    s = np.linalg.svd(T.reshape(dL, -1), compute_uv=False)
+    rows, cols = (np.unique(occ[side].T, axis=0, return_inverse=True)[1].reshape(-1)
+                  for side in (left, right))
+    schmidt = np.zeros((rows.max() + 1, cols.max() + 1), dtype=complex)
+    schmidt[rows, cols] = v
+    s = np.linalg.svd(schmidt, compute_uv=False)
     return schmidt_entropy(s * s, kind=kind)

@@ -133,8 +133,11 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitarity_defect(U) -> float:
-    """Max-entry deviation of U^dag U from the identity."""
+    """Max-entry deviation of U^dag U from the identity; inf when U has a
+    non-finite entry, so every ``defect > tol`` check refuses it."""
     U = np.asarray(U)
+    if not np.isfinite(U).all():
+        return float("inf")
     return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
 
 

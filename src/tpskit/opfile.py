@@ -1,15 +1,16 @@
 """JSON operator specification files.
 
 A spec file declares a dimension and named operators, each either a dense
-complex matrix (entries as [re, im] pairs, row-major) or a Pauli string
-over IXYZ (dimension 2^length).  Optional sections name generator lists
-for bipartition checks and complex state vectors.  Parse failures raise
-SpecFileError with the offending field spelled out; they are usage
+complex matrix (entries as finite [re, im] pairs, row-major) or a Pauli
+string over IXYZ (dimension 2^length).  Optional sections name generator
+lists for bipartition checks and complex state vectors.  Parse failures
+raise SpecFileError with the offending field spelled out; they are usage
 errors, not computation errors.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -52,18 +53,22 @@ def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SpecFileError(f"{where}: expected an [re, im] pair, got {value!r}")
-    return complex(value[0], value[1])
+    z = complex(value[0], value[1])
+    if not cmath.isfinite(z):
+        raise SpecFileError(f"{where}: non-finite entry {value!r}")
+    return z
 
 
 def _numeric_pairs(value, shape) -> np.ndarray | None:
-    """value as a complex array when it is an all-numeric array of [re, im]
-    pairs of the given shape (bit-identical to complex(re, im) entry by
-    entry), else None: such input takes the per-entry checks instead."""
+    """value as a complex array when it is an all-numeric, all-finite array
+    of [re, im] pairs of the given shape (bit-identical to complex(re, im)
+    entry by entry), else None: such input takes the per-entry checks
+    instead."""
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError):
         return None
-    if arr.shape != shape + (2,) or arr.dtype.kind not in "biuf":
+    if arr.shape != shape + (2,) or arr.dtype.kind not in "biuf" or not np.isfinite(arr).all():
         return None
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = arr[..., 0], arr[..., 1]

@@ -3,9 +3,8 @@
 k independent parity operators on n qubits split the state space into
 2^k syndrome sectors of equal dimension 2^(n-k); numbering the sectors
 gives a bipartite structure (logical factor, syndrome factor).  The
-identification of logical factors across sectors is non-canonical; the
-default is the deterministic eigensolver ordering, and callers may pass
-explicit per-sector rotations to realign it.
+identification of logical factors across sectors is non-canonical; it
+is the deterministic eigensolver ordering.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, unitarity_defect
+from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig
 from .tps import TPS
 
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -183,14 +182,8 @@ class SyndromeDecomposition:
         return list(self.sectors)
 
 
-def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
-                       sector_maps: dict | None = None) -> SyndromeDecomposition:
-    """Assemble the sector TPS from the validated parity sectors.
-
-    sector_maps optionally reassigns the (non-canonical) logical
-    identification: a map from sector label to a unitary applied on that
-    sector's logical index.
-    """
+def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL) -> SyndromeDecomposition:
+    """Assemble the sector TPS from the validated parity sectors."""
     n, k, d = ps.n, ps.k, ps.dim
     if k >= n:
         raise ParitySetError(
@@ -198,15 +191,6 @@ def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL,
     d_code = 2 ** (n - k)
 
     sectors = dict(ps.sectors)
-    if sector_maps:
-        for label, V in sectors.items():
-            M = sector_maps.get(label)
-            if M is not None:
-                M = np.asarray(M, dtype=complex)
-                if M.shape != (d_code, d_code) or unitarity_defect(M) > tol.resid_abs:
-                    raise ContractViolationError(f"sector map for {label} is not unitary")
-                sectors[label] = V @ M
-
     iso = np.stack(list(sectors.values()), -1).reshape(d, d)
     tps = TPS((d_code, 2 ** k), iso, tol)
     return SyndromeDecomposition(sectors=sectors, tps=tps)

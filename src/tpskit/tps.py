@@ -140,7 +140,7 @@ def _check_state(state, dim: int) -> np.ndarray:
     if v.shape[0] != dim:
         raise DimensionMismatchError(f"state length {v.shape[0]} != dimension {dim}")
     nrm = np.linalg.norm(v)
-    if abs(nrm - 1.0) > _STATE_NORM_ATOL:
+    if not abs(nrm - 1.0) <= _STATE_NORM_ATOL:  # refuses a NaN norm too
         raise ContractViolationError(f"state norm {nrm} is not 1")
     return v
 

@@ -22,7 +22,7 @@ from tpskit.algebra import (
     join,
     structure_decompose,
 )
-from tpskit.errors import DimensionMismatchError, ToleranceError
+from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import DEFAULT_TOL, Tolerance, span_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -86,6 +86,13 @@ class TestCloseAlgebra:
             close_algebra([SX], dim=3)
         with pytest.raises(DimensionMismatchError):
             close_algebra([])
+
+    def test_non_finite_generator_rejected(self):
+        # hs_orthonormalize would drop a NaN generator as dependent
+        bad = SX.copy()
+        bad[0, 1] = np.nan
+        with pytest.raises(ContractViolationError, match="non-finite"):
+            close_algebra([SX, bad])
 
     def test_closure_invariants_random_generators(self):
         rng = np.random.default_rng(11)

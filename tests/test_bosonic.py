@@ -1,6 +1,7 @@
 """Tests for truncated Fock spaces and mode-relative entanglement."""
 
 import itertools
+import re
 import time
 import tracemalloc
 from math import comb
@@ -23,7 +24,7 @@ from tpskit.errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from tpskit.numerics import unitarity_defect
+from tpskit.numerics import Tolerance, schmidt_entropy, unitarity_defect
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -51,7 +52,7 @@ def dense_ladders(N, M):
 def loop_ladder_tables(N, M):
     """Reference (low, w) tables, filled entry by entry through a lookup of
     the lowered occupation tuple."""
-    basis = build_fock(N, M).basis
+    basis = [tuple(m) for m in build_fock(N, M).occ.T.tolist()]
     positions = {m: i for i, m in enumerate(basis)}
     low = np.full((N, len(basis)), -1, dtype=np.intp)
     w = np.zeros((N, len(basis)))
@@ -81,6 +82,31 @@ def dense_ccr_residual(ms):
     return worst
 
 
+def dense_embedding_entanglement(v, fock, cut, kind="vn"):
+    """Oracle: Schmidt decomposition of the state embedded in the full
+    product of per-mode occupation spaces, an (M+1)^N array."""
+    side = fock.M + 1
+    T = np.zeros((side,) * fock.N, dtype=complex)
+    for amp, m in zip(v, fock.occ.T):
+        T[tuple(m)] = amp
+    left = sorted(i - 1 for i in cut)
+    right = [j for j in range(fock.N) if j not in left]
+    T = np.transpose(T, left + right)
+    s = np.linalg.svd(T.reshape(side ** len(left), -1), compute_uv=False)
+    return schmidt_entropy(s * s, kind=kind)
+
+
+def binary_entropy(p):
+    probs = np.array([p, 1 - p])
+    probs = probs[probs > 0]
+    return float(-(probs * np.log2(probs)).sum())
+
+
+# the (N, M, cut) shapes of the benchmark's bosonic jobs
+BENCHMARK_SHAPES = [(2, 8, (1,)), (4, 4, (1,)), (3, 6, (1,)), (3, 4, (2,)), (4, 7, (1, 2)),
+                    (4, 6, (3,)), (2, 3, (1,)), (3, 2, (1, 3)), (2, 2, (1,))]
+
+
 def best_of_three(fn):
     times = []
     for _ in range(3):
@@ -106,14 +132,14 @@ class TestBuildFock:
     def test_single_oscillator_ladder(self):
         fock = build_fock(1, 2)
         assert fock.dim == 3
-        assert fock.basis == [(0,), (1,), (2,)]
+        assert fock.occ.tolist() == [[0, 1, 2]]
         expected = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
         assert np.allclose(fock.lowering(1), expected)
 
     def test_two_modes_cutoff_one(self):
         fock = build_fock(2, 1)
         assert fock.dim == 3
-        assert fock.basis == [(0, 0), (0, 1), (1, 0)]
+        assert fock.occ.T.tolist() == [[0, 0], [0, 1], [1, 0]]
 
     def test_three_modes_dimension(self):
         fock = build_fock(3, 2)
@@ -126,7 +152,7 @@ class TestBuildFock:
             oracle = sorted(m for m in itertools.product(range(M + 1), repeat=N)
                             if sum(m) <= M)
             assert fock.dim == len(oracle) == comb(N + M, N)
-            assert fock.basis == oracle
+            assert [tuple(m) for m in fock.occ.T.tolist()] == oracle
             assert all(fock.index(m) == k for k, m in enumerate(oracle))
 
     def test_many_modes_enumerate_the_simplex(self):
@@ -155,7 +181,7 @@ class TestBuildFock:
         for i in (1, 2):
             a_i = fock.lowering(i)
             n_op = a_i.conj().T @ a_i
-            expected = np.diag([m[i - 1] for m in fock.basis]).astype(complex)
+            expected = np.diag(fock.occ[i - 1]).astype(complex)
             assert np.allclose(n_op, expected, atol=1e-14)
 
     def test_rejects_bad_sizes(self):
@@ -166,6 +192,30 @@ class TestBuildFock:
         with pytest.raises(ContractViolationError):
             build_fock(12, 12)  # binomial(24,12) is past the cap
 
+    @pytest.mark.parametrize("N, M, bound", [
+        (4095, 1, "table check work N^2 dim = 68685926400 exceeds the configured cap 8388608"),
+        (64, 2, "table check work N^2 dim = 8785920 exceeds"),
+        (20000, 20000, "dimension binomial(40000, 20000) exceeds the configured cap 4096"),
+        (2, 4095, "dimension binomial(4097, 2) exceeds"),
+    ], ids=["4095-1", "64-2", "20000-20000", "2-4095"])
+    def test_size_limits_are_decided_from_n_and_m(self, N, M, bound):
+        # dim 4096 at N = 4095 passes the dimension cap, and the O(N^2 dim)
+        # table check would run for hours; binomial(40000, 20000) has
+        # 12000 digits, past what an error message may print
+        start = time.perf_counter()
+        with pytest.raises(ContractViolationError, match=re.escape(bound)):
+            build_fock(N, M)
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("N, M", [(60, 2), (63, 2), (200, 1), (1, 4095), (27, 3)])
+    def test_sizes_inside_both_caps_build(self, N, M):
+        # the table is the simplex: binomial(N+M, N) distinct occupations of
+        # total at most M, in lexicographic order
+        fock = build_fock(N, M)
+        assert fock.occ.shape == fock.low.shape == fock.w.shape == (N, comb(N + M, N))
+        assert fock.occ.min() == 0 and fock.occ.sum(axis=0).max() == M
+        assert np.array_equal(np.unique(fock.occ.T, axis=0), fock.occ.T)
+
 
 class TestTransformModes:
     def test_identity_returns_original(self):
@@ -173,6 +223,14 @@ class TestTransformModes:
         ms = transform_modes(fock, np.eye(2))
         for i in (1, 2):
             assert np.array_equal(ms.lowering(i), fock.lowering(i))
+
+    def test_nan_rotation_is_not_unitary(self):
+        fock = build_fock(2, 2)
+        for bad in (np.nan, np.inf):
+            U = np.eye(2, dtype=complex)
+            U[1, 0] = bad
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                transform_modes(fock, U)
 
     def test_nonunitary_rejected(self):
         fock = build_fock(2, 2)
@@ -268,7 +326,7 @@ class TestTransformModes:
         # [a_1, a_1^dag], stay right, so only the rows of a mixed product
         # differ, where the larger weight counts
         U = haar_unitary(N, np.random.default_rng(10 * N + M))
-        m1 = np.array(build_fock(N, M).basis)[:, 0]
+        m1 = build_fock(N, M).occ[0]
         for c1, c2 in itertools.combinations(np.flatnonzero(m1 > 0), 2):
             if m1[c1] == m1[c2]:
                 fock = build_fock(N, M)
@@ -411,6 +469,59 @@ class TestModeEntanglement:
             mode_entanglement(np.ones(fock.dim + 1) / np.sqrt(fock.dim + 1), fock, cut=(1,))
         with pytest.raises(ContractViolationError):
             mode_entanglement(2 * fock.vacuum, fock, cut=(1,))
+        with pytest.raises(ContractViolationError):
+            mode_entanglement(np.full(fock.dim, np.nan), fock, cut=(1,))
+
+    def test_rotate_support_bound_is_resid_abs(self):
+        # a 1e-9 off-sector weight: inside the default residual bound,
+        # outside resid_abs 1e-10
+        fock = build_fock(2, 2)
+        v = one_photon_state(fock, [1, 1])
+        v[fock.index((1, 1))] = 1e-9
+        assert np.array_equal(rotate_single_particle(fock, v, np.eye(2))[fock.index((1, 1))], 0)
+        with pytest.raises(TruncationBoundaryError):
+            rotate_single_particle(fock, v, np.eye(2), Tolerance(resid_abs=1e-10))
+
+    @pytest.mark.parametrize("N, M", [(24, 3), (60, 2), (200, 1)])
+    def test_single_excitation_closed_form_past_the_embedding(self, N, M):
+        # a_i^U-dagger |0> puts weight p = sum_{j in cut} |U_ji|^2 on the cut
+        # side, so its entropy is h(p); (M+1)^N is 3e14 to 1.6e60 here
+        rng = np.random.default_rng(N)
+        U = haar_unitary(N, rng)
+        ms = transform_modes(build_fock(N, M), U)
+        i = int(rng.integers(1, N + 1))
+        cut = tuple(int(j) for j in rng.choice(np.arange(1, N + 1), N // 2, replace=False))
+        value = mode_entanglement(single_excitation_state(ms, i), ms, cut=cut)
+        p = float(np.sum(np.abs(U[[j - 1 for j in cut], i - 1]) ** 2))
+        assert abs(value - binary_entropy(p)) < 1e-12
+
+    def test_matches_the_dense_embedding_on_interior_states(self):
+        # random states on total excitation <= M-1, where no weight straddles
+        rng = np.random.default_rng(41)
+        for N, M in itertools.product(range(2, 6), range(1, 5)):
+            fock = build_fock(N, M)
+            inside = fock.interior_mask()
+            for cut in [(1,), tuple(range(2, N + 1, 2)), (N,)]:
+                if len(cut) == N:
+                    continue
+                v = np.zeros(fock.dim, dtype=complex)
+                v[inside] = rng.standard_normal(inside.sum()) + 1j * rng.standard_normal(inside.sum())
+                v /= np.linalg.norm(v)
+                for kind in ("vn", "linear"):
+                    expected = dense_embedding_entanglement(v, fock, cut, kind)
+                    assert abs(mode_entanglement(v, fock, cut, kind) - expected) < 1e-14
+
+    @pytest.mark.parametrize("N, M, cut", BENCHMARK_SHAPES)
+    def test_single_excitations_match_the_dense_embedding_bit_for_bit(self, N, M, cut):
+        fock = build_fock(N, M)
+        rng = np.random.default_rng(N * M)
+        for U in (np.eye(N), haar_unitary(N, rng), haar_unitary(N, rng)):
+            ms = transform_modes(fock, U)
+            for i in range(1, N + 1):
+                v = single_excitation_state(ms, i)
+                for kind in ("vn", "linear"):
+                    assert mode_entanglement(v, ms, cut, kind) == \
+                        dense_embedding_entanglement(v, fock, cut, kind), (i, kind)
 
     def test_rotate_rejects_multiphoton_support(self):
         fock = build_fock(2, 2)

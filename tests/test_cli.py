@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import types
+from math import comb
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -202,6 +203,37 @@ class TestSpecFiles:
         assert spec.operator("m").tobytes() == expected.tobytes()
         v = np.array([complex(re, im) for re, im in vector])
         assert spec.state("s").tobytes() == (v / np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("command", ["decompose", "equivalent", "distance",
+                                         "entangle-iso", "entangle-state", "bosonic"])
+    def test_non_finite_entry_is_a_spec_file_error(self, command, tmp_path, capsys):
+        # JSON NaN and Infinity parse as floats; each used to reach a command,
+        # which answered, tracebacked or blamed another fault
+        u4 = np.eye(4, dtype=complex)
+        u4[2, 1] = np.nan
+        u2 = np.eye(2, dtype=complex)
+        u2[0, 1] = complex(0, np.inf)
+        state = np.array([1, 0, 0, np.nan]) / np.sqrt(2)
+        four = write_spec(tmp_path / "four.json", 4, {"u": u4},
+                          states={"bell": np.array([1, 0, 0, 1]) / np.sqrt(2)})
+        states = write_spec(tmp_path / "states.json", 4, {}, states={"s": state})
+        two = write_spec(tmp_path / "two.json", 2, {"u": u2})
+        argv, where = {
+            "decompose": (["decompose", four], "operators[0].matrix row 2 col 1: non-finite entry [nan, 0.0]"),
+            "equivalent": (["tps", "equivalent", four, "--dims1", "2,2", "--dims2", "2,2",
+                            "--iso1", "u"], "operators[0].matrix row 2 col 1"),
+            "distance": (["tps", "distance", four, "--unitary", "u", "--dims", "2,2",
+                          "--samples", "100"], "operators[0].matrix row 2 col 1"),
+            "entangle-iso": (["tps", "entangle", four, "--state", "bell", "--dims", "2,2",
+                              "--iso", "u"], "operators[0].matrix row 2 col 1"),
+            "entangle-state": (["tps", "entangle", states, "--state", "s", "--dims", "2,2"],
+                               "states[0].vector entry 3: non-finite entry [nan, 0.0]"),
+            "bosonic": (["tps", "bosonic", two, "--modes", "2", "--cutoff", "2", "--unitary", "u"],
+                        "operators[0].matrix row 0 col 1: non-finite entry [0.0, inf]"),
+        }[command]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spec file error: {where}")
 
     def test_parse_pauli_token_rejects_junk(self):
         with pytest.raises(SpecFileError):
@@ -511,6 +543,24 @@ class TestTpsCommands:
         rep = report_of(["tps", "bosonic", path, "--modes", "2", "--cutoff", "2",
                          "--unitary", "bs"], capsys)
         assert abs(rep["results"]["value"] - 1.0) < 1e-8
+
+    def test_bosonic_past_the_work_cap_is_refused_before_any_table(self, capsys):
+        # dim 4096 passes the dimension cap; the N^2 dim table check would
+        # run for hours
+        start = time.perf_counter()
+        code, out, err = run_cli(["tps", "bosonic", "--modes", "4095", "--cutoff", "1"], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert "ContractViolationError: table check work N^2 dim" in err and "cap 8388608" in err
+
+    @pytest.mark.parametrize("modes, cutoff", [(60, 2), (200, 1)])
+    def test_bosonic_past_the_old_embedding_cap(self, modes, cutoff, capsys):
+        # (M+1)^N is 4e28 and 1.6e60: the Schmidt matrix keeps 2 x N
+        # occupations; mode 1 of the reference frame is a product
+        rep = report_of(["tps", "bosonic", "--modes", str(modes), "--cutoff", str(cutoff)],
+                        capsys)
+        assert rep["results"]["fock_dim"] == comb(modes + cutoff, modes)
+        assert rep["results"]["value"] == 0.0
 
     def test_holonomy_report(self, capsys):
         rep = report_of(["tps", "holonomy", "--refinement", "8",

@@ -17,6 +17,7 @@ from tpskit.numerics import (
     polar_isometry,
     schmidt_entropy,
     span_residual,
+    unitarity_defect,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -35,6 +36,15 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rank_rel=2.0)
     assert DEFAULT_TOL.rank_rel == 1e-10
+
+
+def test_unitarity_defect_is_infinite_for_non_finite_entries():
+    # NaN compares False, so a NaN defect would pass every `defect > tol` check
+    assert unitarity_defect(SX) == 0.0
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        U = np.eye(3, dtype=complex)
+        U[2, 0] = bad
+        assert unitarity_defect(U) == np.inf
 
 
 def test_hermitian_eig_identity():

@@ -24,7 +24,6 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
 
@@ -489,16 +488,6 @@ class TestSyndromeDecompose:
         ps = validate_parity_set([pauli_string_matrix("XX"), pauli_string_matrix("ZZ")])
         with pytest.raises(ParitySetError, match="no logical factor"):
             syndrome_decompose(ps)
-
-    def test_sector_maps_reidentify(self):
-        ps = validate_parity_set([pauli_string_matrix("XX")])
-        base = syndrome_decompose(ps)
-        U = HAD
-        sd = syndrome_decompose(ps, sector_maps={(-1,): U})
-        assert np.allclose(sd.sectors[(1,)], base.sectors[(1,)])
-        assert np.allclose(sd.sectors[(-1,)], base.sectors[(-1,)] @ U)
-        with pytest.raises(ContractViolationError):
-            syndrome_decompose(ps, sector_maps={(1,): 2 * np.eye(2)})
 
     def test_determinism(self):
         ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
