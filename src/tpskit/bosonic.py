@@ -64,8 +64,12 @@ class FockSpace:
 
     def index(self, occupation) -> int:
         """Basis position of the occupation (m_1, ..., m_N)."""
-        (c,) = np.flatnonzero((self.occ.T == occupation).all(axis=1))
-        return int(c)
+        occupation = tuple(occupation)
+        match = (self.occ.T == occupation).all(axis=1) if len(occupation) == self.N else [False]
+        if not np.any(match):
+            raise ValueError(f"occupation {occupation} is not one of the {self.N}-mode "
+                             f"occupations kept by the cutoff M = {self.M}")
+        return int(np.argmax(match))
 
     def lowering(self, i: int) -> np.ndarray:
         """Dense annihilation matrix of mode i (1-based), built on demand."""
@@ -87,8 +91,7 @@ def _dense(fock: FockSpace, coeffs) -> np.ndarray:
 
 
 def build_fock(N: int, M: int) -> FockSpace:
-    """Truncated Fock space with dimension binomial(N+M, N).  Its size
-    limits are decided from (N, M) before any table exists."""
+    """Truncated Fock space of dimension binomial(N+M, N), sized up before it is built."""
     if N < 1 or M < 1:
         raise ContractViolationError("need at least one mode and cutoff >= 1")
     if N + M > _DIM_CAP or comb(N + M, N) > _DIM_CAP:  # binomial(N+M, N) >= N+M
@@ -98,8 +101,7 @@ def build_fock(N: int, M: int) -> FockSpace:
     if N * N * dim > _WORK_CAP:
         raise ContractViolationError(
             f"table check work N^2 dim = {N * N * dim} exceeds the configured cap {_WORK_CAP}")
-    # grow occupation prefixes one mode at a time, in lexicographic order:
-    # a prefix with k excitations left to place is followed by 0..k
+    # grow lexicographic prefixes a mode at a time: k excitations left to place -> 0..k
     occ = np.zeros((0, 1), dtype=np.intp)
     for _ in range(N):
         counts = M + 1 - occ.sum(axis=0)
@@ -217,14 +219,13 @@ def _one_photon(fock: FockSpace) -> np.ndarray:
     return np.argmax(fock.low == 0, axis=1)
 
 
-def rotate_single_particle(fock: FockSpace, state, V, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     """Apply an N x N rotation to the one-photon amplitudes of a state.
 
-    The state must be supported on total excitation <= 1, up to weight
-    norm tol.resid_abs beyond it.  To express a state in the mode frame of
-    transform_modes(fock, U), rotate by U.T (states sum_i c_i
-    a_i^U-dagger |0> carry reference amplitudes conj(U) c, so U.T undoes
-    the mode change).
+    The state must be supported on total excitation <= 1.  To express a
+    state in the mode frame of transform_modes(fock, U), rotate by U.T
+    (states sum_i c_i a_i^U-dagger |0> carry reference amplitudes
+    conj(U) c, so U.T undoes the mode change).
     """
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape[0] != fock.dim:
@@ -232,7 +233,7 @@ def rotate_single_particle(fock: FockSpace, state, V, tol: Tolerance = DEFAULT_T
     V = np.asarray(V, dtype=complex)
     if V.shape != (fock.N, fock.N):
         raise DimensionMismatchError("rotation must act on the mode amplitudes")
-    if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > tol.resid_abs:
+    if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > DEFAULT_TOL.resid_abs:
         raise TruncationBoundaryError(
             "state has support beyond the one-excitation sector")
     one_photon = _one_photon(fock)

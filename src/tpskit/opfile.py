@@ -60,10 +60,9 @@ def _complex_entry(value, where: str) -> complex:
 
 
 def _numeric_pairs(value, shape) -> np.ndarray | None:
-    """value as a complex array when it is an all-numeric, all-finite array
-    of [re, im] pairs of the given shape (bit-identical to complex(re, im)
-    entry by entry), else None: such input takes the per-entry checks
-    instead."""
+    """value as a complex array when it is an all-numeric, finite array of
+    [re, im] pairs of the given shape (bit-identical to complex(re, im)
+    entry by entry), else None: other input takes the per-entry checks."""
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError):

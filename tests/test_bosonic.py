@@ -24,7 +24,7 @@ from tpskit.errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from tpskit.numerics import Tolerance, schmidt_entropy, unitarity_defect
+from tpskit.numerics import schmidt_entropy, unitarity_defect
 
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -154,6 +154,14 @@ class TestBuildFock:
             assert fock.dim == len(oracle) == comb(N + M, N)
             assert [tuple(m) for m in fock.occ.T.tolist()] == oracle
             assert all(fock.index(m) == k for k, m in enumerate(oracle))
+
+    def test_index_rejects_wrong_length_and_dropped_occupations(self):
+        # at N = 2 a one-entry occupation would broadcast against the table
+        fock = build_fock(2, 2)
+        with pytest.raises(ValueError, match=r"\(1,\) is not one of the 2-mode"):
+            fock.index((1,))
+        with pytest.raises(ValueError, match=r"\(2, 1\) is not one of .* cutoff M = 2"):
+            fock.index((2, 1))
 
     def test_many_modes_enumerate_the_simplex(self):
         # filtering the 4^12 hypercube took ~3 s; the simplex has 455 states
@@ -471,16 +479,6 @@ class TestModeEntanglement:
             mode_entanglement(2 * fock.vacuum, fock, cut=(1,))
         with pytest.raises(ContractViolationError):
             mode_entanglement(np.full(fock.dim, np.nan), fock, cut=(1,))
-
-    def test_rotate_support_bound_is_resid_abs(self):
-        # a 1e-9 off-sector weight: inside the default residual bound,
-        # outside resid_abs 1e-10
-        fock = build_fock(2, 2)
-        v = one_photon_state(fock, [1, 1])
-        v[fock.index((1, 1))] = 1e-9
-        assert np.array_equal(rotate_single_particle(fock, v, np.eye(2))[fock.index((1, 1))], 0)
-        with pytest.raises(TruncationBoundaryError):
-            rotate_single_particle(fock, v, np.eye(2), Tolerance(resid_abs=1e-10))
 
     @pytest.mark.parametrize("N, M", [(24, 3), (60, 2), (200, 1)])
     def test_single_excitation_closed_form_past_the_embedding(self, N, M):
