@@ -123,7 +123,7 @@ def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.nd
             continue
         # candidates and ops are HS-normalized, so the map's scale is O(1);
         # the floor keeps a roundoff-only step (op the identity) null
-        K = nullspace(C.reshape(len(X), -1).T, tol, scale=1.0)
+        K = nullspace(C.reshape(len(X), -1).T, tol)
         X = np.tensordot(K.T, X, axes=1)
     return X
 

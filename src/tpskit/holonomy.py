@@ -64,19 +64,17 @@ class IsoDegenerateOperator:
 
     def selector(self, i: int) -> np.ndarray:
         """Isometry onto eigenspace i (1-based), in the reference layout."""
-        return _selector(self.dim, self.n, i)
+        return np.eye(self.dim, dtype=complex)[:, _eigenspace(self.dim, self.n, i)]
 
 
-def _selector(dim: int, n: int, i: int) -> np.ndarray:
+def _eigenspace(dim: int, n: int, i: int) -> slice:
+    """Columns of eigenspace i (1-based) in the reference layout: every d-th from i - 1."""
     if dim % n:
         raise DimensionMismatchError(f"dimension {dim} is not a multiple of degeneracy {n}")
     d = dim // n
     if not 1 <= i <= d:
         raise IndexRangeError(f"eigenspace index {i} out of range 1..{d}")
-    S = np.zeros((dim, n), dtype=complex)
-    for a in range(n):
-        S[a * d + (i - 1), a] = 1.0
-    return S
+    return slice(i - 1, None, d)
 
 
 @dataclass
@@ -234,13 +232,13 @@ def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     The size of the family stack is predicted from the point count and
     refused past _STACK_BYTES_CAP before any point is built.
     """
-    S = _selector(fam.dim, n, i)
+    cols = _eigenspace(fam.dim, n, i)
     nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
     if nbytes > _STACK_BYTES_CAP:
         raise ContractViolationError(
             f"a loop of {loop.n_points} points needs a {nbytes / 2**20:.3g} MiB family "
             f"stack, over the {_STACK_BYTES_CAP // 2**20} MiB cap")
-    return fam.along(loop.points(), tol) @ S
+    return fam.along(loop.points(), tol)[..., cols]
 
 
 def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,

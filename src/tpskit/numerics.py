@@ -23,7 +23,8 @@ ENTROPY_FLOOR = 1e-12
 class Tolerance:
     """Numerical policy knobs.
 
-    rank_rel : relative singular-value cutoff for rank decisions.
+    rank_rel : singular-value cutoff for rank decisions, relative to the
+        larger of the largest singular value and 1.
     resid_abs : absolute bound on residuals of verified identities.
     degeneracy_gap : eigenvalue clustering gap, relative to the larger of
         the spectral range, the spectral radius and 1.
@@ -86,22 +87,27 @@ def cluster_indices(values, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     return np.split(np.arange(v.size), splits)
 
 
-def nullspace(M, tol: Tolerance = DEFAULT_TOL, scale: float = 0.0) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical nullspace of M.
+def _svd_cut(M, tol: Tolerance):
+    """SVD factors (U, Vh) of the matrix M, with Vh complete, and its numerical rank.
 
-    A singular value counts as zero when it is <= rank_rel * max(sigma_max,
-    scale).  Pass the natural magnitude of M as ``scale`` when a morally
-    zero input can still carry roundoff: without the floor, pure noise
-    has full relative rank.  The zero matrix yields the full space; an
-    invertible matrix yields an empty (n, 0) basis.  A tall or square M
-    takes the thin SVD, whose Vh is already complete.
+    Singular values <= rank_rel * max(sigma_max, 1) count as zero: the floor
+    keeps pure roundoff, which has full relative rank, at rank 0.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {M.shape}")
-    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    U, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
     smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol.rank_rel * max(smax, scale)))
+    return U, Vh, int(np.count_nonzero(s > tol.rank_rel * max(smax, 1.0)))
+
+
+def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal basis (as columns) of the numerical nullspace of M.
+
+    The rank cut is ``_svd_cut``'s.  The zero matrix yields the full
+    space; an invertible matrix yields an empty (n, 0) basis.
+    """
+    _, Vh, rank = _svd_cut(M, tol)
     return Vh[rank:].conj().T
 
 
@@ -110,25 +116,16 @@ def kron(A, B) -> np.ndarray:
     return np.kron(np.asarray(A, dtype=complex), np.asarray(B, dtype=complex))
 
 
-# Inputs whose largest singular value is below this are treated as zero.
-_POLAR_ZERO = 1e-14
-
-
 def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Partial isometry from the singular decomposition of M.
 
-    All singular values above the rank cutoff are replaced by 1; the
-    result W satisfies W^dag W = projector onto the row support of M.
+    All singular values above ``_svd_cut``'s rank cut are replaced by 1;
+    the result W satisfies W^dag W = projector onto the row support of M.
     For full-rank square M this is the unitary polar factor.
     """
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise DimensionMismatchError(f"expected a matrix, got shape {M.shape}")
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    if not np.isfinite(smax) or smax <= _POLAR_ZERO:
+    U, Vh, rank = _svd_cut(M, tol)
+    if rank == 0:
         raise DegenerateInputError("polar_isometry of a (numerically) zero matrix")
-    rank = int(np.count_nonzero(s > tol.rank_rel * smax))
     return U[:, :rank] @ Vh[:rank]
 
 

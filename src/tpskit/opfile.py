@@ -53,7 +53,10 @@ def _complex_entry(value, where: str) -> complex:
     if (not isinstance(value, (list, tuple)) or len(value) != 2
             or not all(isinstance(v, (int, float)) for v in value)):
         raise SpecFileError(f"{where}: expected an [re, im] pair, got {value!r}")
-    z = complex(value[0], value[1])
+    try:
+        z = complex(value[0], value[1])
+    except OverflowError:  # an integer past the float range
+        raise SpecFileError(f"{where}: entry out of the float range") from None
     if not cmath.isfinite(z):
         raise SpecFileError(f"{where}: non-finite entry {value!r}")
     return z
@@ -171,10 +174,11 @@ def load_spec(path: str) -> OperatorSpecFile:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except OSError as exc:
-        raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(
             f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    # ValueError: not UTF-8, or an integer literal past Python's 4300-digit limit
+    except (OSError, ValueError) as exc:
+        raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     return parse_spec(data)

@@ -173,6 +173,8 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
 
     The basis is the image of the matrix units on slot i, normalized to
     Hilbert-Schmidt length one; its linear dimension is dims[i-1] ** 2.
+    Unit (a, b) is C_a C_b^dag / sqrt(left * right), where C_a is the
+    block of iso's columns, viewed as (left, n_i, right), with slot index a.
     """
     if not 1 <= i <= tps.nfactors:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
@@ -180,25 +182,16 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     left = int(np.prod(tps.dims[: i - 1], dtype=int))
     right = int(np.prod(tps.dims[i:], dtype=int))
     d = tps.dim
-    scale = 1.0 / np.sqrt(left * right)
-    basis = np.zeros((n_i * n_i, d, d), dtype=complex)
-    eye_l = np.eye(left, dtype=complex)
-    eye_r = np.eye(right, dtype=complex)
-    for a in range(n_i):
-        for b in range(n_i):
-            E = np.zeros((n_i, n_i), dtype=complex)
-            E[a, b] = scale
-            slot = np.kron(eye_l, np.kron(E, eye_r))
-            basis[a * n_i + b] = tps.iso @ slot @ tps.iso.conj().T
-    return OperatorAlgebra(dim=d, basis=basis)
+    C = tps.iso.reshape(d, left, n_i, right).transpose(2, 0, 1, 3).reshape(n_i, d, left * right)
+    units = (C / np.sqrt(left * right))[:, None] @ C.conj().transpose(0, 2, 1)[None]
+    return OperatorAlgebra(dim=d, basis=units.reshape(n_i * n_i, d, d))
 
 
-def _grouped_tensor(v: np.ndarray, tps: TPS, left: list[int], right: list[int]) -> np.ndarray:
-    """Reshape a tensor-coordinate vector into a (cut, complement) matrix."""
-    t = v.reshape(tps.dims)
-    t = np.transpose(t, left + right)
-    dL = int(np.prod([tps.dims[i] for i in left], dtype=int))
-    return t.reshape(dL, -1)
+def _cut_order(tps: TPS, cut) -> tuple[np.ndarray, int]:
+    """Tensor coordinates listed in (cut, complement) order, and the cut side's dimension."""
+    left, right = _split_cut(tps.nfactors, cut)
+    order = np.arange(tps.dim).reshape(tps.dims).transpose(left + right).reshape(-1)
+    return order, int(np.prod([tps.dims[i] for i in left], dtype=int))
 
 
 def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure()) -> float:
@@ -209,8 +202,8 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     (exactly) iff the state is a product across the cut within tolerance.
     """
     v = _check_state(state, tps.dim)
-    left, right = _split_cut(tps.nfactors, measure.cut)
-    mat = _grouped_tensor(tps.iso.conj().T @ v, tps, left, right)
+    order, dL = _cut_order(tps, measure.cut)
+    mat = (tps.iso.conj().T @ v)[order].reshape(dL, -1)
     s = np.linalg.svd(mat, compute_uv=False)
     return schmidt_entropy(s * s, kind=measure.short_kind)
 
@@ -236,37 +229,25 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     if defect > tol.resid_abs:
         raise ContractViolationError("U is not unitary within tolerance")
 
-    left, right = _split_cut(tps.nfactors, measure.cut)
-    dims_l = [tps.dims[i] for i in left]
-    dims_r = [tps.dims[i] for i in right]
-    dL = int(np.prod(dims_l, dtype=int))
-    dR = int(np.prod(dims_r, dtype=int))
-    # tensor-coordinate action of U, then a permutation taking the
-    # (cut, complement) axis order to the natural factor order
-    W = tps.iso.conj().T @ U @ tps.iso
-    order = left + right
-    inv = np.argsort(order)
+    order, dL = _cut_order(tps, measure.cut)
+    dR = d // dL
+    # tensor-coordinate action of U, with both indices in (cut, complement) order
+    W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     # one canonical draw so the estimate is independent of the batch size
     Z1 = rng.standard_normal((samples, dL)) + 1j * rng.standard_normal((samples, dL))
     Z2 = rng.standard_normal((samples, dR)) + 1j * rng.standard_normal((samples, dR))
+    Z1 /= np.linalg.norm(Z1, axis=1, keepdims=True)
+    Z2 /= np.linalg.norm(Z2, axis=1, keepdims=True)
     vals = np.empty(samples)
-    done = 0
-    while done < samples:
-        B = min(_BATCH, samples - done)
-        z1 = Z1[done:done + B] / np.linalg.norm(Z1[done:done + B], axis=1, keepdims=True)
-        z2 = Z2[done:done + B] / np.linalg.norm(Z2[done:done + B], axis=1, keepdims=True)
-        prod = np.einsum("bi,bj->bij", z1, z2).reshape([B] + dims_l + dims_r)
-        prod = np.transpose(prod, [0] + [1 + int(i) for i in inv]).reshape(B, d)
-        out = prod @ W.T
-        out = out.reshape([B] + list(tps.dims))
-        out = np.transpose(out, [0] + [1 + i for i in order]).reshape(B, dL, dR)
+    for at in range(0, samples, _BATCH):
+        z1, z2 = Z1[at:at + _BATCH], Z2[at:at + _BATCH]
+        out = (np.einsum("bi,bj->bij", z1, z2).reshape(len(z1), d) @ W.T).reshape(-1, dL, dR)
         if dL > dR:
             out = out.transpose(0, 2, 1)
         rho = out @ out.conj().transpose(0, 2, 1)
-        vals[done:done + B] = density_entropy(rho, kind=measure.short_kind)
-        done += B
+        vals[at:at + _BATCH] = density_entropy(rho, kind=measure.short_kind)
 
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

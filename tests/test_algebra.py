@@ -146,6 +146,24 @@ class TestCloseAlgebra:
                 wrong.append(k)
         assert wrong == []
 
+    def test_small_gap_generators_close_or_are_refused(self):
+        # d = 6 Gaussian spectra with one gap of 10^U(-5.5, -3): A' is known to
+        # ~eps/gap, so the A''-from-A' cut can meet a singular value just above
+        # rank_rel and miss a generator.  377 close and 23 are refused; none may
+        # close to another dimension
+        rng = np.random.default_rng(1)
+        closed, refused = 0, 0
+        for _ in range(400):
+            U = haar_unitary(6, rng)
+            w = rng.standard_normal(5)
+            w = np.append(w, w[rng.integers(5)] + 10 ** rng.uniform(-5.5, -3))
+            try:
+                assert len(close_algebra([U @ np.diag(w) @ U.conj().T])) == 6
+                closed += 1
+            except ToleranceError:
+                refused += 1
+        assert closed + refused == 400 and closed >= 350
+
     def test_eigenvalue_gap_is_resolved_merged_or_refused(self):
         # the commutant of a generator with an eigenvalue gap g is only known
         # to ~eps/g: a wide gap is resolved, one far below resid_abs merges

@@ -173,6 +173,12 @@ class TestSpecFiles:
         ("state_nested", {"dim": 2, "operators": [],
                           "states": [{"name": "s", "vector": [[1, [0]], [0, 1]]}]},
          "states[0].vector entry 0: expected an [re, im] pair, got [1, [0]]"),
+        ("matrix_int_overflow", {"dim": 2, "operators": [
+            {"name": "m", "matrix": [[[10 ** 400, 0], [0, 0]], [[0, 0], [0, 0]]]}]},
+         "operators[0].matrix row 0 col 0: entry out of the float range"),
+        ("state_int_overflow", {"dim": 2, "operators": [],
+                                "states": [{"name": "s", "vector": [[1, 0], [0, -10 ** 400]]}]},
+         "states[0].vector entry 1: entry out of the float range"),
     ]
 
     @pytest.mark.parametrize("case, doc, message", MALFORMED, ids=[c[0] for c in MALFORMED])
@@ -234,6 +240,19 @@ class TestSpecFiles:
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (1, "")
         assert err.startswith(f"spec file error: {where}")
+
+    @pytest.mark.parametrize("raw", [b'{"dim": 1' + b"0" * 4300 + b', "operators": []}',
+                                     b'{"dim": 2, "operators": [], "metadata": "\xff"}'],
+                             ids=["int_past_4300_digits", "not_utf8"])
+    def test_unreadable_file_is_a_spec_file_error(self, raw, tmp_path, capsys):
+        # json.load raised ValueError (the int-to-str digit limit) or
+        # UnicodeDecodeError, which load_spec let through as a traceback
+        path = tmp_path / "spec.json"
+        path.write_bytes(raw)
+        code, out, err = run_cli(["decompose", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"spec file error: cannot read spec file {path}: ")
+        assert err.count("\n") == 1
 
     def test_parse_pauli_token_rejects_junk(self):
         with pytest.raises(SpecFileError):

@@ -581,6 +581,16 @@ class TestStackedTransportBitIdentity:
         assert np.array_equal(exponential_family(fixture_generators()).along(pts),
                               fam.along(pts))
 
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_loop_frames_are_the_selected_columns(self, fixture_fam, i):
+        # the column slice equals the product with the 0/1 selector matrix,
+        # whose columns a * d + (i - 1) are written out for n = d = 2
+        fam, op = fixture_fam
+        S = np.eye(4, dtype=complex)[:, [i - 1, i + 1]]
+        assert np.array_equal(op.selector(i), S)
+        frames = holonomy._loop_frames(fam, RECT1, i, op.n, Tolerance())
+        assert np.array_equal(frames, fam.along(RECT1.points()) @ S)
+
     @pytest.mark.parametrize("rect,refinement,doublings", [
         ((0.0, 0.0, 0.8, 0.6), 16, 4),
         ((-0.3, 0.1, 0.4, 0.7), 16, 3),

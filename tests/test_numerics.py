@@ -97,11 +97,12 @@ def test_nullspace_zero_matrix():
 
 def test_nullspace_scale_floor_kills_roundoff_rank():
     # a morally zero matrix carrying only roundoff has full *relative*
-    # rank; the scale floor restores the full nullspace
+    # rank; the rank cut's floor of 1 gives it the full nullspace
     rng = np.random.default_rng(11)
     noise = 1e-16 * rng.standard_normal((6, 6))
-    assert nullspace(noise).shape[1] < 6
-    assert nullspace(noise, scale=1.0).shape == (6, 6)
+    assert nullspace(noise).shape == (6, 6)
+    with pytest.raises(DegenerateInputError):
+        polar_isometry(noise)
 
 
 def test_nullspace_invertible():

@@ -118,7 +118,32 @@ class TestTPSType:
 
 # ------------------------------------------------------------- local algebra
 
+def kron_local_algebra(tps, i):
+    """Oracle: each matrix unit on slot i built as 1_left (x) E_ab (x) 1_right
+    and conjugated by the iso, one unit at a time."""
+    n_i = tps.dims[i - 1]
+    left = int(np.prod(tps.dims[: i - 1], dtype=int))
+    right = int(np.prod(tps.dims[i:], dtype=int))
+    basis = np.zeros((n_i * n_i, tps.dim, tps.dim), dtype=complex)
+    for a in range(n_i):
+        for b in range(n_i):
+            E = np.zeros((n_i, n_i), dtype=complex)
+            E[a, b] = 1.0 / np.sqrt(left * right)
+            slot = np.kron(np.eye(left), np.kron(E, np.eye(right)))
+            basis[a * n_i + b] = tps.iso @ slot @ tps.iso.conj().T
+    return basis
+
+
 class TestLocalAlgebra:
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
+    def test_matches_the_kron_construction(self, dims):
+        rng = np.random.default_rng(29)
+        t = TPS(dims, haar_unitary(int(np.prod(dims)), rng))
+        for i in range(1, len(dims) + 1):
+            basis = local_algebra(t, i).basis
+            assert basis.shape == (dims[i - 1] ** 2, t.dim, t.dim)
+            assert np.max(np.abs(basis - kron_local_algebra(t, i))) < 1e-14
+
     def test_natural_first_factor(self):
         t = TPS.natural((2, 2))
         alg = local_algebra(t, 1)
@@ -351,6 +376,26 @@ class TestEntanglingPower:
         mean, stderr = svd_entangling_power(U, t, measure, samples=3000, seed=12)
         assert abs(est.mean - mean) < 1e-13
         assert abs(est.stderr - stderr) < 1e-13
+
+    @pytest.mark.parametrize("dims,cut", [((2, 3, 2), (1, 3)), ((3, 4), (2,))])
+    @pytest.mark.parametrize("kind", ["vn", "linear"])
+    def test_reordering_cut_matches_the_permuted_structure(self, dims, cut, kind):
+        # moving the cut's factors to the front, in order, gives a structure whose
+        # natural cut makes the same draws and sees the same output states
+        rng = np.random.default_rng(73)
+        d = int(np.prod(dims))
+        t = TPS(dims, haar_unitary(d, rng))
+        U = haar_unitary(d, rng)
+        sigma = [i - 1 for i in cut] + [i for i in range(len(dims)) if i + 1 not in cut]
+        M = np.eye(d).reshape(*dims, d).transpose(*sigma, len(dims)).reshape(d, d).T
+        front = TPS(tuple(dims[k] for k in sigma), t.iso @ M)
+        natural_cut = frozenset(range(1, len(cut) + 1))
+        est = entangling_power(U, t, EntanglementMeasure(kind, frozenset(cut)),
+                               samples=3000, seed=5)
+        ref = entangling_power(U, front, EntanglementMeasure(kind, natural_cut),
+                               samples=3000, seed=5)
+        assert abs(est.mean - ref.mean) < 1e-14
+        assert abs(est.stderr - ref.stderr) < 1e-14
 
     @pytest.mark.parametrize("dims,cut", [((2, 3), {1}), ((3, 4), {1}), ((2, 2, 2), {1, 3})])
     def test_linear_mean_against_haar_moment_oracle(self, dims, cut):
