@@ -50,13 +50,6 @@ class OperatorAlgebra:
         """Vectorized basis, one orthonormal row per element."""
         return self.basis.reshape(len(self), -1)
 
-    def projection_residual(self, X) -> float:
-        """Distance of X from the span, in HS norm."""
-        return float(span_residual([X], self.basis)[0])
-
-    def contains(self, X, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.projection_residual(X) <= tol.resid_abs
-
 
 def algebra_residuals(alg: OperatorAlgebra) -> dict[str, float]:
     """Invariant residuals: identity membership, adjoint and product closure."""
@@ -179,7 +172,6 @@ def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL)
 class Block:
     """One summand 1_n (x) M_d of the decomposition."""
 
-    label: int
     n: int
     d: int
     central_projector: np.ndarray
@@ -283,8 +275,7 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
     if unitarity_defect(T) > tol.resid_abs:
         raise ToleranceError("assembled basis change is not unitary within tolerance")
 
-    blocks = [Block(label=j, n=b["n"], d=b["d"], central_projector=b["projector"])
-              for j, b in enumerate(raw_blocks)]
+    blocks = [Block(n=b["n"], d=b["d"], central_projector=b["projector"]) for b in raw_blocks]
     residual = _block_form_residual(alg.basis, T, [(b.n, b.d) for b in blocks], side="right")
     if residual > tol.resid_abs:
         raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}")

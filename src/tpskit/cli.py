@@ -120,8 +120,6 @@ def _int_tuple(text: str, flag: str):
         vals = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"{flag} expects comma-separated integers")
-    if not vals:
-        raise argparse.ArgumentTypeError(f"{flag} must not be empty")
     return vals
 
 
@@ -222,7 +220,7 @@ def _cmd_distance(args, tol):
         "unitary": args.unitary,
         "dims": list(tps.dims),
         "cut": sorted(measure.cut),
-        "measure": measure.short_kind,
+        "measure": measure.kind,
         "mean": est.mean,
         "stderr": est.stderr,
         "samples": est.samples,
@@ -239,7 +237,7 @@ def _cmd_equivalent(args, tol):
         if iso_name is None:
             return TPS.natural(dims)
         if spec is None:
-            raise SpecFileError("--iso1/--iso2 need a spec file to read from")
+            raise _UsageError("--iso1/--iso2 need a spec file to read from")
         return TPS(dims, spec.operator(iso_name), tol)
 
     t1 = build(args.dims1, args.iso1)
@@ -277,7 +275,7 @@ def _cmd_entangle(args, tol):
         **origin,
         "tps_dims": list(tps.dims),
         "cut": sorted(measure.cut),
-        "measure": measure.short_kind,
+        "measure": measure.kind,
         "value": value,
     }
     return results, {}

@@ -24,6 +24,7 @@ from .errors import (
     ToleranceError,
 )
 from .numerics import (
+    BYTES_BUDGET,
     DEFAULT_TOL,
     Tolerance,
     close_span,
@@ -34,9 +35,6 @@ from .numerics import (
 _MIN_OVERLAP_SV = 1e-6
 _BRANCH_MARGIN = 1e-3
 _MAX_SPLIT_DEPTH = 8
-# largest (P, dim, dim) complex family stack one loop may evaluate: 64 MiB,
-# 2^18 points at dim 4; the stack and its temporaries peak at ~4x this
-_STACK_BYTES_CAP = 64 * 2**20
 
 
 @dataclass
@@ -195,10 +193,6 @@ class LoopPath:
     def refined(self, factor: int) -> "LoopPath":
         return LoopPath(self.waypoints.copy(), self.refinement * int(factor))
 
-    def scaled(self, s: float, about=None) -> "LoopPath":
-        about = self.base if about is None else np.asarray(about, dtype=float)
-        return LoopPath(about + s * (self.waypoints - about), self.refinement)
-
     def split(self) -> tuple["LoopPath", "LoopPath"]:
         """Two sub-loops through the base, chorded at a midpoint of the loop."""
         wps = self.waypoints
@@ -230,14 +224,14 @@ def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     """(P, dim, n) stack of eigenspace-i frames at the loop's points.
 
     The size of the family stack is predicted from the point count and
-    refused past _STACK_BYTES_CAP before any point is built.
+    refused past BYTES_BUDGET before any point is built.
     """
     cols = _eigenspace(fam.dim, n, i)
     nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
-    if nbytes > _STACK_BYTES_CAP:
+    if nbytes > BYTES_BUDGET:
         raise ContractViolationError(
             f"a loop of {loop.n_points} points needs a {nbytes / 2**20:.3g} MiB family "
-            f"stack, over the {_STACK_BYTES_CAP // 2**20} MiB cap")
+            f"stack, over the {BYTES_BUDGET // 2**20} MiB cap")
     return fam.along(loop.points(), tol)[..., cols]
 
 

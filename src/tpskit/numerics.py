@@ -17,6 +17,9 @@ from .errors import ContractViolationError, DegenerateInputError, DimensionMisma
 # Entropies below this are reported as exactly 0.0 (double-precision noise
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
+# Largest array predicted and refused before allocation (holonomy family stack,
+# entangling-power draw): 64 MiB, a stack of 2^18 points at dim 4 (~4x with temporaries).
+BYTES_BUDGET = 64 * 2**20
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ class OperatorSpecFile:
     states: dict = field(default_factory=dict)
     a1_generators: list = field(default_factory=list)
     a2_generators: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def operator(self, name: str) -> np.ndarray:
         if name not in self.operators:
@@ -152,7 +151,7 @@ def parse_spec(data: dict) -> OperatorSpecFile:
         states[name] = _state_vector(entry["vector"], dim, f"{where}.vector")
 
     def name_list(key):
-        names = data.get(key, data.get(key.replace("_", "-"), []))
+        names = data.get(key, [])
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise SpecFileError(f"'{key}' must be a list of operator names")
         for n in names:
@@ -166,7 +165,6 @@ def parse_spec(data: dict) -> OperatorSpecFile:
         states=states,
         a1_generators=name_list("a1_generators"),
         a2_generators=name_list("a2_generators"),
-        metadata=data.get("metadata", {}),
     )
 
 

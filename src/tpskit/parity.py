@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig
+from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect
 from .tps import TPS
 
 _PHASES = np.array([1, 1j, -1, -1j])
@@ -51,12 +51,11 @@ class ParitySet:
     """A validated family of commuting, independent parity operators."""
 
     n: int
-    ops: np.ndarray  # (k, 2^n, 2^n)
-    sectors: dict  # +-1 label tuple -> joint eigenbasis columns, canonical order
+    sectors: dict  # +-1 label tuple (one sign per op) -> joint eigenbasis columns, canonical order
 
     @property
     def k(self) -> int:
-        return self.ops.shape[0]
+        return len(next(iter(self.sectors)))
 
     @property
     def dim(self) -> int:
@@ -97,8 +96,7 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     sectors = [((), np.eye(d, dtype=complex))]
     for i, X in enumerate(mats):
         resid, refined = 0.0, None
-        if (np.max(np.abs(X - X.conj().T)) <= tol.resid_abs
-                and abs(np.trace(X)) <= tol.resid_abs * d):
+        if hermiticity_defect(X) <= tol.resid_abs and abs(np.trace(X)) <= tol.resid_abs * d:
             resid, refined = _split_sectors(sectors, X, tol)
         if refined is None:
             break
@@ -109,12 +107,12 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
             raise ParitySetError(
                 f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
                 "equal ones: the set is dependent (some subset product is not traceless)")
-        return ParitySet(n=n, ops=np.array(mats), sectors=dict(sectors))
+        return ParitySet(n=n, sectors=dict(sectors))
 
     eye = np.eye(d)
     problems = []
     for j, X in enumerate(mats):
-        if not np.max(np.abs(X - X.conj().T)) <= tol.resid_abs:  # NaN too, as above
+        if not hermiticity_defect(X) <= tol.resid_abs:  # a NaN defect too
             problems.append(f"op {j} is not Hermitian")
         if abs(np.trace(X)) > tol.resid_abs * d:
             problems.append(f"op {j} is not traceless")
@@ -176,10 +174,6 @@ class SyndromeDecomposition:
 
     sectors: dict
     tps: TPS
-
-    @property
-    def labels(self) -> list:
-        return list(self.sectors)
 
 
 def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL) -> SyndromeDecomposition:

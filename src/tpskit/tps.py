@@ -20,6 +20,7 @@ import numpy as np
 from .algebra import OperatorAlgebra
 from .errors import ContractViolationError, DimensionMismatchError, IndexRangeError
 from .numerics import (
+    BYTES_BUDGET,
     DEFAULT_TOL,
     Tolerance,
     density_entropy,
@@ -28,15 +29,11 @@ from .numerics import (
     unitarity_defect,
 )
 
-_KIND_ALIASES = {
-    "vn": "von-neumann-entropy-base-2",
-    "von-neumann": "von-neumann-entropy-base-2",
-    "von-neumann-entropy-base-2": "von-neumann-entropy-base-2",
-    "linear": "linear-entropy",
-    "linear-entropy": "linear-entropy",
-}
-
 _STATE_NORM_ATOL = 1e-10
+# largest n multiplicative_partitions takes: 907200 <= 10^6 has 22711
+# factorizations, 73513440 already 269052, and trial division of a prime
+# near 10^18 would take ~10^9 steps
+_MAX_PARTITION_N = 10**6
 # product-state samples per entangling-power block
 _BATCH = 2048
 
@@ -86,27 +83,20 @@ class TPS:
 class EntanglementMeasure:
     """Entropy kind plus the bipartition cut it is evaluated across.
 
-    kind: "von-neumann-entropy-base-2" (alias "vn") or "linear-entropy"
-    (alias "linear").  cut: the set of factor indices on one side.
+    kind: "vn" (von Neumann entropy in bits) or "linear" (1 - Tr rho^2).
+    cut: the set of factor indices on one side.
     """
 
-    kind: str = "von-neumann-entropy-base-2"
+    kind: str = "vn"
     cut: frozenset = frozenset({1})
 
     def __post_init__(self):
-        try:
-            canon = _KIND_ALIASES[self.kind]
-        except KeyError:
-            raise ContractViolationError(f"unknown entropy kind {self.kind!r}") from None
-        object.__setattr__(self, "kind", canon)
+        if self.kind not in ("vn", "linear"):
+            raise ContractViolationError(f"unknown entropy kind {self.kind!r}")
         cut = frozenset(int(i) for i in self.cut)
         if not cut:
             raise ContractViolationError("cut must be nonempty")
         object.__setattr__(self, "cut", cut)
-
-    @property
-    def short_kind(self) -> str:
-        return "vn" if self.kind.startswith("von") else "linear"
 
 
 @dataclass
@@ -151,9 +141,12 @@ def multiplicative_partitions(n: int) -> list[tuple[int, ...]]:
     Each factorization is an ascending tuple; the singleton (n,) is
     included; the full list is sorted lexicographically.  Recursive
     divisor descent with a minimum-factor argument avoids duplicates.
+    n past _MAX_PARTITION_N is refused before the first division.
     """
     if n < 2:
         raise ContractViolationError("n must be >= 2")
+    if n > _MAX_PARTITION_N:
+        raise ContractViolationError(f"n = {n} exceeds the bound {_MAX_PARTITION_N}")
     out = []
 
     def descend(remaining, min_factor, prefix):
@@ -205,7 +198,7 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     order, dL = _cut_order(tps, measure.cut)
     mat = (tps.iso.conj().T @ v)[order].reshape(dL, -1)
     s = np.linalg.svd(mat, compute_uv=False)
-    return schmidt_entropy(s * s, kind=measure.short_kind)
+    return schmidt_entropy(s * s, kind=measure.kind)
 
 
 def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
@@ -217,7 +210,8 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     complex Gaussian vectors on each side (exact Haar on each factor);
     the estimate is deterministic given the seed.  Each output state's
     entropy comes from its reduced density on the smaller side of the cut,
-    so no sample takes an SVD.
+    so no sample takes an SVD.  The draw's size is predicted from
+    (samples, dL, dR) and refused past BYTES_BUDGET before it is made.
     """
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
@@ -231,6 +225,11 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
     order, dL = _cut_order(tps, measure.cut)
     dR = d // dL
+    nbytes = samples * (dL + dR) * np.dtype(complex).itemsize
+    if nbytes > BYTES_BUDGET:
+        raise ContractViolationError(
+            f"{samples} samples of {dL} x {dR} product states need a {nbytes / 2**20:.3g} MiB "
+            f"draw, over the {BYTES_BUDGET // 2**20} MiB budget")
     # tensor-coordinate action of U, with both indices in (cut, complement) order
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 
@@ -247,7 +246,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
         if dL > dR:
             out = out.transpose(0, 2, 1)
         rho = out @ out.conj().transpose(0, 2, 1)
-        vals[at:at + _BATCH] = density_entropy(rho, kind=measure.short_kind)
+        vals[at:at + _BATCH] = density_entropy(rho, kind=measure.kind)
 
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

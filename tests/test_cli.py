@@ -109,11 +109,6 @@ class TestSpecFiles:
             parse_spec({"dim": 2, "operators": [{"name": "a", "pauli": "X"}],
                         "a1_generators": ["missing"]})
 
-    def test_hyphenated_generator_keys_accepted(self):
-        spec = parse_spec({"dim": 2, "operators": [{"name": "a", "pauli": "X"}],
-                           "a1-generators": ["a"]})
-        assert spec.a1_generators == ["a"]
-
     def test_unknown_operator_lookup(self):
         spec = parse_spec({"dim": 2, "operators": []})
         with pytest.raises(SpecFileError, match="no operator"):
@@ -125,9 +120,26 @@ class TestSpecFiles:
         with pytest.raises(SpecFileError, match="line 2"):
             load_spec(str(bad))
 
-    # messages of the header check and of the per-entry parser, which the
-    # all-numeric fast path must leave unchanged
+    # messages of parse_spec's checks, those of the per-entry parser among
+    # them, which the all-numeric fast path must leave unchanged
     MALFORMED = [
+        ("top_level_not_object", [1, 2], "top level must be a JSON object"),
+        ("operator_without_name", {"dim": 2, "operators": [{"pauli": "X"}]},
+         "operators[0]: expected an object with a 'name'"),
+        ("state_without_name", {"dim": 2, "operators": [], "states": [{"vector": [[1, 0], [0, 0]]}]},
+         "states[0]: expected an object with 'name' and 'vector'"),
+        ("state_without_vector", {"dim": 2, "operators": [], "states": [{"name": "s"}]},
+         "states[0]: expected an object with 'name' and 'vector'"),
+        ("duplicate_state", {"dim": 2, "operators": [],
+                             "states": [{"name": "s", "vector": [[1, 0], [0, 0]]},
+                                        {"name": "s", "vector": [[0, 0], [1, 0]]}]},
+         "states[1]: duplicate state name 's'"),
+        ("generators_not_a_list", {"dim": 2, "operators": [{"name": "a", "pauli": "X"}],
+                                   "a1_generators": "a"},
+         "'a1_generators' must be a list of operator names"),
+        ("generators_not_strings", {"dim": 2, "operators": [{"name": "a", "pauli": "X"}],
+                                    "a2_generators": [1]},
+         "'a2_generators' must be a list of operator names"),
         ("dim_bool", {"dim": True, "operators": []},
          "'dim' must be a positive integer, got True"),
         ("dim_zero", {"dim": 0, "operators": []},
@@ -253,6 +265,21 @@ class TestSpecFiles:
         assert (code, out) == (1, "")
         assert err.startswith(f"spec file error: cannot read spec file {path}: ")
         assert err.count("\n") == 1
+
+    def test_checks_after_parsing_are_one_spec_file_line(self, tmp_path, capsys):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"dim": 2, "operators": []}')
+        assert run_cli(["decompose", str(empty)], capsys) == (
+            1, "", "spec file error: spec file declares no operators\n")
+        argv = ["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "ghost", "--dims", "2,2"]
+        assert run_cli(argv, capsys) == (
+            1, "", "spec file error: no state named 'ghost' in spec file\n")
+
+    def test_integer_past_int64_parses_entry_by_entry(self):
+        # numpy holds 10**20 in an object array, which the all-numeric path
+        # hands to the per-entry parser
+        spec = parse_spec({"dim": 1, "operators": [{"name": "m", "matrix": [[[10**20, 0]]]}]})
+        assert spec.operator("m")[0, 0] == 1e20
 
     def test_parse_pauli_token_rejects_junk(self):
         with pytest.raises(SpecFileError):
@@ -442,6 +469,30 @@ class TestTpsCommands:
     def test_partitions_twelve(self, capsys):
         rep = report_of(["tps", "partitions", "12"], capsys)
         assert rep["results"]["count"] == 4
+
+    def test_partitions_past_the_bound_is_refused_before_dividing(self, capsys):
+        # trial division of this prime would take ~1e9 steps
+        start = time.perf_counter()
+        code, out, err = run_cli(["tps", "partitions", "1000000000000000003"], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == ("computation error: ContractViolationError: "
+                       "n = 1000000000000000003 exceeds the bound 1000000\n")
+
+    def test_partitions_at_the_bound_answers(self, capsys):
+        res = report_of(["tps", "partitions", "1000000"], capsys)["results"]
+        assert res["count"] == len(res["factorizations"]) > 1
+        assert res["factorizations"][-1] == [1000000]
+
+    def test_distance_draw_past_the_budget_is_refused_before_drawing(self, capsys):
+        # 1e8 samples of 2 x 2 product states would draw 6.4 GB
+        start = time.perf_counter()
+        code, out, err = run_cli(["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
+                                  "--dims", "2,2", "--samples", "100000000"], capsys)
+        assert time.perf_counter() - start < 0.1
+        assert (code, out) == (2, "")
+        assert err == ("computation error: ContractViolationError: 100000000 samples of "
+                       "2 x 2 product states need a 6.1e+03 MiB draw, over the 64 MiB budget\n")
 
     def test_distance_identity_is_zero(self, capsys):
         rep = report_of(["tps", "distance", str(DATA / "cnot.json"),
@@ -634,6 +685,29 @@ class TestCliPlumbing:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         code, _, err = run_cli(["tps", "frobnicate"], capsys)
         assert code == 1
+
+    CNOT_SPEC = str(DATA / "cnot.json")
+    ARGUMENT_ERRORS = [
+        ("dims_not_integers", ["tps", "distance", CNOT_SPEC, "--unitary", "cnot", "--dims", "2,x"],
+         "argument --dims: --dims expects comma-separated integers"),
+        ("dims_empty", ["tps", "distance", CNOT_SPEC, "--unitary", "cnot", "--dims", ""],
+         "argument --dims: --dims expects comma-separated integers"),
+        ("rect_three_numbers", ["tps", "holonomy", "--rect", "1,2,3"],
+         "argument --rect: rectangle expects exactly four numbers"),
+        ("rect_not_numbers", ["tps", "holonomy", "--rect", "a,b,c,d"],
+         "argument --rect: rectangle expects ax,ay,bx,by"),
+        ("bosonic_unitary_without_file", ["tps", "bosonic", "--modes", "2", "--cutoff", "2",
+                                          "--unitary", "u"],
+         "--unitary needs a spec file to read from"),
+        ("equivalent_iso_without_file", ["tps", "equivalent", "--dims1", "2,2", "--dims2", "2,2",
+                                         "--iso1", "u"],
+         "--iso1/--iso2 need a spec file to read from"),
+    ]
+
+    @pytest.mark.parametrize("case, argv, message", ARGUMENT_ERRORS,
+                             ids=[c[0] for c in ARGUMENT_ERRORS])
+    def test_argument_errors_are_one_usage_line(self, case, argv, message, capsys):
+        assert run_cli(argv, capsys) == (1, "", f"usage error: {message}\n")
 
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run_cli(["decompose", "/no/such/file.json"], capsys)

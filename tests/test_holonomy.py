@@ -294,15 +294,12 @@ class TestLoopPath:
         assert np.array_equal(loop.waypoints, expected)
         assert np.array_equal(loop.base, [0.0, 1.0])
 
-    def test_reversed_refined_scaled(self):
+    def test_reversed_refined(self):
         loop = LoopPath.rectangle((0.0, 0.0), (1.0, 1.0), refinement=3)
         rev = loop.reversed()
         assert np.array_equal(rev.waypoints, loop.waypoints[::-1])
         fine = loop.refined(4)
         assert fine.refinement == 12
-        small = loop.scaled(0.5)
-        assert np.array_equal(small.waypoints[2], [0.5, 0.5])
-        assert np.array_equal(small.base, loop.base)
 
     def test_split_preserves_base_and_closure(self):
         rect = LoopPath.rectangle((0.0, 0.0), (1.0, 1.0), refinement=3)
@@ -401,7 +398,7 @@ class TestLoopHolonomy:
 
     def test_loops_up_to_the_cap_run(self, fixture_fam, monkeypatch):
         fam, _ = fixture_fam
-        monkeypatch.setattr(holonomy, "_STACK_BYTES_CAP", 4097 * fam.dim ** 2 * 16)
+        monkeypatch.setattr(holonomy, "BYTES_BUDGET", 4097 * fam.dim ** 2 * 16)
         loop = LoopPath(np.array([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]]), refinement=2048)
         assert loop.n_points == 4097
         assert np.max(np.abs(loop_holonomy(fam, loop, 1, 2) - np.eye(2))) < 1e-8

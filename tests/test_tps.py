@@ -8,7 +8,7 @@ import pytest
 import tpskit.tps as tps_module
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
-from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy
+from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, span_residual
 from tpskit.tps import (
     TPS,
     EntanglementMeasure,
@@ -86,6 +86,24 @@ class TestMultiplicativePartitions:
         with pytest.raises(ContractViolationError):
             multiplicative_partitions(1)
 
+    def test_million_against_vector_partition_count(self):
+        # 10^6 = 2^6 5^6: its factorizations are the multisets of nonzero
+        # exponent vectors summing to (6, 6), counted by a 2-D coin change
+        count = np.zeros((7, 7), dtype=int)
+        count[0, 0] = 1
+        for a, b in itertools.product(range(7), repeat=2):
+            if a or b:
+                for x, y in itertools.product(range(a, 7), range(b, 7)):
+                    count[x, y] += count[x - a, y - b]
+        parts = multiplicative_partitions(10**6)
+        assert len(parts) == count[6, 6]
+        assert len(set(parts)) == len(parts)
+        assert all(int(np.prod(t)) == 10**6 for t in parts)
+
+    def test_past_the_bound_refused(self):
+        with pytest.raises(ContractViolationError, match="n = 1000001 exceeds the bound 1000000"):
+            multiplicative_partitions(10**6 + 1)
+
 
 # ------------------------------------------------------------------ the type
 
@@ -107,11 +125,12 @@ class TestTPSType:
         with pytest.raises(DimensionMismatchError):
             TPS((2, 2), np.eye(6, dtype=complex))
 
-    def test_measure_aliases(self):
-        assert EntanglementMeasure(kind="vn").kind == "von-neumann-entropy-base-2"
-        assert EntanglementMeasure(kind="linear").kind == "linear-entropy"
-        with pytest.raises(ContractViolationError):
-            EntanglementMeasure(kind="renyi")
+    def test_measure_kinds(self):
+        assert EntanglementMeasure().kind == "vn"
+        assert EntanglementMeasure(kind="linear").kind == "linear"
+        for kind in ("renyi", "von-neumann"):
+            with pytest.raises(ContractViolationError, match="unknown entropy kind"):
+                EntanglementMeasure(kind=kind)
         with pytest.raises(ContractViolationError):
             EntanglementMeasure(cut=frozenset())
 
@@ -149,14 +168,14 @@ class TestLocalAlgebra:
         alg = local_algebra(t, 1)
         assert len(alg) == 4
         for M in (SX, SZ):
-            assert alg.contains(np.kron(M, I2))
-            assert not alg.contains(np.kron(I2, M))
+            assert span_residual([np.kron(M, I2)], alg.basis)[0] <= 1e-8
+            assert span_residual([np.kron(I2, M)], alg.basis)[0] > 1e-8
 
     def test_swap_iso_relabels(self):
         t = TPS((2, 2), SWAP)
         alg = local_algebra(t, 1)
-        assert alg.contains(np.kron(I2, SX))
-        assert not alg.contains(np.kron(SX, I2))
+        assert span_residual([np.kron(I2, SX)], alg.basis)[0] <= 1e-8
+        assert span_residual([np.kron(SX, I2)], alg.basis)[0] > 1e-8
 
     def test_random_iso_factor_and_commutant(self):
         rng = np.random.default_rng(17)
@@ -269,7 +288,7 @@ def svd_entangling_power(U, tps, measure, samples, seed):
     out = (prod.reshape(samples, -1) @ W.T).reshape([samples] + list(tps.dims))
     out = np.transpose(out, [0] + [1 + i for i in order]).reshape(samples, dL, dR)
     s = np.linalg.svd(out, compute_uv=False)
-    vals = schmidt_entropy(s * s, kind=measure.short_kind)
+    vals = schmidt_entropy(s * s, kind=measure.kind)
     return vals.mean(), vals.std(ddof=1) / np.sqrt(samples)
 
 
@@ -318,6 +337,23 @@ class TestEntanglingPower:
     def test_nonunitary_rejected(self):
         with pytest.raises(ContractViolationError):
             entangling_power(np.diag([1.0, 1.0, 1.0, 2.0]), TPS.natural((2, 2)))
+
+    @pytest.mark.parametrize("cut", [(1,), (2,)])
+    def test_draws_up_to_the_budget_are_unchanged(self, cut, monkeypatch):
+        t = TPS.natural((2, 3))
+        U = haar_unitary(6, np.random.default_rng(31))
+        measure = EntanglementMeasure(cut=frozenset(cut))
+        ref = entangling_power(U, t, measure, samples=1000, seed=5)
+        monkeypatch.setattr(tps_module, "BYTES_BUDGET", 1000 * (2 + 3) * 16)
+        at = entangling_power(U, t, measure, samples=1000, seed=5)
+        assert (at.mean, at.stderr) == (ref.mean, ref.stderr)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew samples for a refused estimate")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ContractViolationError, match="budget"):
+            entangling_power(U, t, measure, samples=1001, seed=5)
 
     def test_cnot_against_quadrature_oracle(self):
         coarse = quad_entangling_power(CNOT, "vn", 24, 24)
