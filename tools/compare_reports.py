@@ -76,7 +76,7 @@ def run_jobs(jobs_path: str, results_path: str) -> None:
         json.dump({"tpskit": tpskit.__file__, "results": results}, fh)
 
 
-def run_tree(src: str, jobs_path: str, results_path: str) -> dict:
+def run_tree(src: str, jobs_path: str, results_path: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), **SINGLE_THREAD)
     subprocess.run([sys.executable, os.path.abspath(__file__), "--run", jobs_path, results_path],
                    env=env, check=True)
