@@ -6,145 +6,47 @@ structure, certifies virtual bipartitions, quantifies entanglement
 relative to any tensor product structure, builds parity-sector and
 bosonic-mode structures, and probes controllability on degenerate
 eigenspaces through loop holonomies.
+
+`import tpskit` loads no submodule: each export below is imported from
+its home module on first access, so a command pays only for the layers
+it runs.
 """
 
-from .algebra import (
-    BipartitionCertificate,
-    Block,
-    FactorCheck,
-    OperatorAlgebra,
-    StructureDecomposition,
-    algebra_residuals,
-    center,
-    check_bipartition,
-    close_algebra,
-    commutant,
-    is_factor,
-    join,
-    structure_decompose,
-)
-from .bosonic import (
-    FockSpace,
-    ModeSet,
-    build_fock,
-    ccr_residual,
-    mode_entanglement,
-    rotate_single_particle,
-    single_excitation_state,
-    transform_modes,
-)
-from .errors import (
-    BranchCutError,
-    ContractViolationError,
-    DegenerateInputError,
-    DegeneracyError,
-    DimensionMismatchError,
-    IndexRangeError,
-    ParitySetError,
-    PathSingularityError,
-    ToleranceError,
-    TpskitError,
-    TruncationBoundaryError,
-)
-from .holonomy import (
-    IsoDegenerateOperator,
-    LoopPath,
-    RefinementLadder,
-    UnitaryFamily,
-    builtin_family,
-    exponential_family,
-    holonomy_algebra_span,
-    holonomy_nonabelian_witness,
-    loop_holonomy,
-    principal_log_unitary,
-    refinement_ladder,
-)
-from .numerics import DEFAULT_TOL, Tolerance
-from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_spec
-from .parity import (
-    ParitySet,
-    SyndromeDecomposition,
-    pauli_string_matrix,
-    syndrome_decompose,
-    validate_parity_set,
-)
-from .tps import (
-    TPS,
-    EntanglementMeasure,
-    EntanglingPowerEstimate,
-    entanglement,
-    entangling_power,
-    local_algebra,
-    multiplicative_partitions,
-    tps_distance,
-    tps_equivalent,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BipartitionCertificate",
-    "Block",
-    "BranchCutError",
-    "ContractViolationError",
-    "DEFAULT_TOL",
-    "DegenerateInputError",
-    "DegeneracyError",
-    "DimensionMismatchError",
-    "EntanglementMeasure",
-    "EntanglingPowerEstimate",
-    "FactorCheck",
-    "FockSpace",
-    "IndexRangeError",
-    "IsoDegenerateOperator",
-    "LoopPath",
-    "ModeSet",
-    "OperatorAlgebra",
-    "OperatorSpecFile",
-    "ParitySet",
-    "ParitySetError",
-    "PathSingularityError",
-    "RefinementLadder",
-    "SpecFileError",
-    "StructureDecomposition",
-    "SyndromeDecomposition",
-    "TPS",
-    "Tolerance",
-    "ToleranceError",
-    "TpskitError",
-    "TruncationBoundaryError",
-    "UnitaryFamily",
-    "algebra_residuals",
-    "build_fock",
-    "builtin_family",
-    "ccr_residual",
-    "center",
-    "check_bipartition",
-    "close_algebra",
-    "commutant",
-    "entanglement",
-    "entangling_power",
-    "exponential_family",
-    "holonomy_algebra_span",
-    "holonomy_nonabelian_witness",
-    "is_factor",
-    "join",
-    "load_spec",
-    "local_algebra",
-    "loop_holonomy",
-    "mode_entanglement",
-    "multiplicative_partitions",
-    "parse_spec",
-    "pauli_string_matrix",
-    "principal_log_unitary",
-    "refinement_ladder",
-    "rotate_single_particle",
-    "single_excitation_state",
-    "structure_decompose",
-    "syndrome_decompose",
-    "tps_distance",
-    "tps_equivalent",
-    "transform_modes",
-    "validate_parity_set",
-    "__version__",
-]
+# every export, by the module that defines it
+_HOMES = {
+    "algebra": ("BipartitionCertificate", "Block", "FactorCheck", "OperatorAlgebra",
+                "StructureDecomposition", "algebra_residuals", "center", "check_bipartition",
+                "close_algebra", "commutant", "is_factor", "join", "structure_decompose"),
+    "bosonic": ("FockSpace", "ModeSet", "build_fock", "ccr_residual", "mode_entanglement",
+                "rotate_single_particle", "single_excitation_state", "transform_modes"),
+    "errors": ("BranchCutError", "ContractViolationError", "DegenerateInputError",
+               "DegeneracyError", "DimensionMismatchError", "IndexRangeError", "ParitySetError",
+               "PathSingularityError", "ToleranceError", "TpskitError", "TruncationBoundaryError"),
+    "holonomy": ("IsoDegenerateOperator", "LoopPath", "RefinementLadder", "UnitaryFamily",
+                 "builtin_family", "exponential_family", "holonomy_algebra_span",
+                 "holonomy_nonabelian_witness", "loop_holonomy", "principal_log_unitary",
+                 "refinement_ladder"),
+    "numerics": ("DEFAULT_TOL", "Tolerance"),
+    "opfile": ("OperatorSpecFile", "SpecFileError", "load_spec", "parse_spec"),
+    "parity": ("ParitySet", "SyndromeDecomposition", "pauli_string_matrix",
+               "syndrome_decompose", "validate_parity_set"),
+    "tps": ("TPS", "EntanglementMeasure", "EntanglingPowerEstimate", "entanglement",
+            "entangling_power", "local_algebra", "multiplicative_partitions", "tps_distance",
+            "tps_equivalent"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name):
+    """Import an export's home module on first access and bind the name here."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value

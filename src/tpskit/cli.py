@@ -2,11 +2,13 @@
 
 Commands wrap the library modules: `decompose` and `bipartition` ingest
 operator spec files; `tps` fans out to partitions, distance, equivalent,
-entangle, parity, bosonic and holonomy subcommands.  All randomness
+entangle, parity, bosonic and holonomy subcommands.  Each handler imports
+the layers it runs, so a fresh process loads no other.  All randomness
 flows from --seed, every report embeds the tolerances actually used, and
 numeric fields are serialized with 17 significant digits so identical
-invocations produce byte-identical output.  Wall time goes to stderr
-only, keeping reports reproducible.
+invocations produce byte-identical output.  Wall time (the handler's,
+including its first imports) goes to stderr only, keeping reports
+reproducible.
 
 Exit codes: 0 success, 1 usage or input-file errors, 2 computation
 errors surfaced by the library.
@@ -17,42 +19,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
 import numpy as np
 
-from .algebra import (
-    algebra_residuals,
-    check_bipartition,
-    close_algebra,
-    commutant,
-    structure_decompose,
-)
-from .bosonic import (
-    build_fock,
-    mode_entanglement,
-    single_excitation_state,
-    transform_modes,
-)
 from .errors import TpskitError
-from .holonomy import (
-    LoopPath,
-    builtin_family,
-    holonomy_nonabelian_witness,
-    refinement_ladder,
-)
 from .numerics import DEFAULT_TOL, Tolerance, unitarity_defect
 from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_pauli_token
-from .parity import syndrome_decompose, validate_parity_set
-from .tps import (
-    TPS,
-    EntanglementMeasure,
-    entanglement,
-    entangling_power,
-    multiplicative_partitions,
-    tps_equivalent,
-)
 
 
 class _UsageError(Exception):
@@ -67,41 +42,53 @@ class _Parser(argparse.ArgumentParser):
 # ------------------------------------------------------------ JSON rendering
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value {x!r} in report")
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
-def _is_scalar(v) -> bool:
-    return isinstance(v, (bool, np.bool_, int, np.integer, float, np.floating,
-                          complex, np.complexfloating, str)) or v is None
+def _fmt_complex(z: complex) -> str:
+    return f"[{_fmt_float(z.real)}, {_fmt_float(z.imag)}]"
+
+
+def _scalar_text(v) -> str | None:
+    """The JSON text of a scalar, or None when v is not one."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return _fmt_float(float(v))
+    if isinstance(v, (complex, np.complexfloating)):
+        return _fmt_complex(complex(v))
+    if isinstance(v, str):
+        return json.dumps(v)
+    return "null" if v is None else None
+
+
+# _scalar_text of the exact types most report scalars have, looked up before
+# the isinstance chain: a large report holds ~10^5 scalars
+_TEXT_OF_TYPE = {
+    int: str,
+    float: _fmt_float,
+    complex: _fmt_complex,
+    str: json.dumps,
+}
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: floats at 17 significant digits, complex as [re, im]."""
     pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        return f"[{_fmt_float(c.real)}, {_fmt_float(c.imag)}]"
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
+        if not obj:
             return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(render_json(v) for v in items) + "]"
-        inner = ",\n".join(pad + "  " + render_json(v, indent + 1) for v in items)
+        texts = [_TEXT_OF_TYPE.get(type(v), _scalar_text)(v) for v in obj]
+        if None not in texts:
+            return "[" + ", ".join(texts) + "]"
+        inner = ",\n".join(pad + "  " + (render_json(v, indent + 1) if t is None else t)
+                           for t, v in zip(texts, obj))
         return "[\n" + inner + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -110,7 +97,10 @@ def render_json(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}"
             for k, v in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
-    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+    text = _TEXT_OF_TYPE.get(type(obj), _scalar_text)(obj)
+    if text is None:
+        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+    return text
 
 
 # ------------------------------------------------------------ argument helpers
@@ -132,6 +122,15 @@ def _dims_arg(text: str):
 
 def _cut_arg(text: str):
     return _int_tuple(text, "--cut")
+
+
+def _seed_arg(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"--seed expects a non-negative integer, got {text!r}")
 
 
 def _corners_arg(text: str):
@@ -158,13 +157,15 @@ def _resolve_parity_ops(tokens, spec: OperatorSpecFile | None):
     return ops
 
 
-def _measure_from(args) -> EntanglementMeasure:
+def _measure_from(args):
+    from .tps import EntanglementMeasure
     return EntanglementMeasure(kind=args.measure, cut=frozenset(args.cut))
 
 
 # ----------------------------------------------------------------- handlers
 
 def _cmd_decompose(args, tol):
+    from .algebra import algebra_residuals, close_algebra, commutant, structure_decompose
     spec = load_spec(args.file)
     gens = list(spec.operators.values())
     if not gens:
@@ -186,6 +187,7 @@ def _cmd_decompose(args, tol):
 
 
 def _cmd_bipartition(args, tol):
+    from .algebra import check_bipartition, close_algebra
     spec = load_spec(args.file)
     a1 = close_algebra(spec.generator_matrices("a1"), tol, dim=spec.dim)
     a2 = close_algebra(spec.generator_matrices("a2"), tol, dim=spec.dim)
@@ -201,6 +203,7 @@ def _cmd_bipartition(args, tol):
 
 
 def _cmd_partitions(args, tol):
+    from .tps import multiplicative_partitions
     parts = multiplicative_partitions(args.n)
     results = {
         "n": args.n,
@@ -211,6 +214,7 @@ def _cmd_partitions(args, tol):
 
 
 def _cmd_distance(args, tol):
+    from .tps import TPS, entangling_power
     spec = load_spec(args.file)
     U = spec.operator(args.unitary)
     tps = TPS.natural(args.dims)
@@ -231,6 +235,7 @@ def _cmd_distance(args, tol):
 
 
 def _cmd_equivalent(args, tol):
+    from .tps import TPS, tps_equivalent
     spec = load_spec(args.file) if args.file else None
 
     def build(dims, iso_name):
@@ -253,6 +258,8 @@ def _cmd_equivalent(args, tol):
 
 
 def _cmd_entangle(args, tol):
+    from .parity import syndrome_decompose, validate_parity_set
+    from .tps import TPS, entanglement
     spec = load_spec(args.file)
     state = spec.state(args.state)
     if (args.parity is None) == (args.dims is None):
@@ -282,6 +289,7 @@ def _cmd_entangle(args, tol):
 
 
 def _cmd_parity(args, tol):
+    from .parity import syndrome_decompose, validate_parity_set
     spec = load_spec(args.file) if args.file else None
     ops = _resolve_parity_ops(args.parity, spec)
     ps = validate_parity_set(ops, tol)
@@ -297,6 +305,7 @@ def _cmd_parity(args, tol):
 
 
 def _cmd_bosonic(args, tol):
+    from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
     fock = build_fock(args.modes, args.cutoff)
     if args.unitary is not None:
         if args.file is None:
@@ -322,6 +331,7 @@ def _cmd_bosonic(args, tol):
 
 
 def _cmd_holonomy(args, tol):
+    from .holonomy import LoopPath, builtin_family, holonomy_nonabelian_witness, refinement_ladder
     fam, op = builtin_family(args.family)
     ax, ay, bx, by = args.rect
     loop = LoopPath.rectangle((ax, ay), (bx, by), refinement=args.refinement)
@@ -361,7 +371,7 @@ def build_parser() -> _Parser:
                         help="relative rank cutoff (default %(default)g)")
     common.add_argument("--tol-resid", type=float, default=DEFAULT_TOL.resid_abs,
                         help="absolute residual bound (default %(default)g)")
-    common.add_argument("--seed", type=int, default=0,
+    common.add_argument("--seed", type=_seed_arg, default=0,
                         help="seed for all randomized steps (default %(default)s)")
     common.add_argument("--out", metavar="PATH",
                         help="write the report here instead of stdout")

@@ -38,8 +38,8 @@ class Tolerance:
     degeneracy_gap: float = 1e-7
 
     def __post_init__(self):
-        if not (self.rank_rel > 0 and self.resid_abs > 0 and self.degeneracy_gap > 0):
-            raise ValueError("tolerances must be strictly positive")
+        if not all(0 < t < np.inf for t in (self.rank_rel, self.resid_abs, self.degeneracy_gap)):
+            raise ValueError("tolerances must be finite and strictly positive")
         if self.rank_rel >= 1:
             raise ValueError("rank_rel must be < 1")
 

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parity import pauli_string_matrix
-
 
 class SpecFileError(ValueError):
     """Malformed operator specification file."""
@@ -107,6 +105,8 @@ def _state_vector(entries, dim: int, where: str) -> np.ndarray:
 
 def parse_pauli_token(token: str, dim=None) -> np.ndarray:
     """A bare Pauli string like "XX" or "ZZI", optionally checked against dim."""
+    from .parity import pauli_string_matrix  # only a spec naming a Pauli string loads parity
+
     if not token or any(ch not in "IXYZ" for ch in token):
         raise SpecFileError(f"not a Pauli string over IXYZ: {token!r}")
     M = pauli_string_matrix(token)

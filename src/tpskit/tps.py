@@ -17,7 +17,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .algebra import OperatorAlgebra
 from .errors import ContractViolationError, DimensionMismatchError, IndexRangeError
 from .numerics import (
     BYTES_BUDGET,
@@ -169,6 +168,8 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     Unit (a, b) is C_a C_b^dag / sqrt(left * right), where C_a is the
     block of iso's columns, viewed as (left, n_i, right), with slot index a.
     """
+    from .algebra import OperatorAlgebra  # imported here: the rest of tps runs without algebra
+
     if not 1 <= i <= tps.nfactors:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
     n_i = tps.dims[i - 1]

@@ -314,6 +314,15 @@ class TestRenderJson:
         with pytest.raises(ValueError):
             render_json(float("nan"))
 
+    def test_numpy_scalars_render_as_python_scalars(self):
+        # exact Python types take a lookup table, numpy scalars the isinstance chain
+        py = [0.1, 3, True, 1 + 2j, None, "a"]
+        as_numpy = [np.float64(0.1), np.int64(3), np.bool_(True), np.complex128(1 + 2j),
+                    None, "a"]
+        expected = '[0.10000000000000001, 3, true, [1, 2], null, "a"]'
+        assert render_json(py) == render_json(as_numpy) == expected
+        assert render_json([np.float32(0.5), (1, [2])]) == "[\n  0.5,\n  [\n    1,\n    [2]\n  ]\n]"
+
 
 # ------------------------------------------------------------------- commands
 
@@ -702,6 +711,17 @@ class TestCliPlumbing:
         ("equivalent_iso_without_file", ["tps", "equivalent", "--dims1", "2,2", "--dims2", "2,2",
                                          "--iso1", "u"],
          "--iso1/--iso2 need a spec file to read from"),
+        ("tol_resid_inf", ["tps", "partitions", "4", "--tol-resid", "inf"],
+         "tolerances must be finite and strictly positive"),
+        ("tol_resid_past_the_float_range", ["tps", "partitions", "4", "--tol-resid", "1e400"],
+         "tolerances must be finite and strictly positive"),
+        ("seed_negative_decompose", ["decompose", str(DATA / "slot_xz.json"), "--seed", "-1"],
+         "argument --seed: --seed expects a non-negative integer, got '-1'"),
+        ("seed_negative_distance", ["tps", "distance", CNOT_SPEC, "--unitary", "cnot",
+                                    "--dims", "2,2", "--seed", "-1"],
+         "argument --seed: --seed expects a non-negative integer, got '-1'"),
+        ("seed_not_an_integer", ["tps", "partitions", "4", "--seed", "x"],
+         "argument --seed: --seed expects a non-negative integer, got 'x'"),
     ]
 
     @pytest.mark.parametrize("case, argv, message", ARGUMENT_ERRORS,
@@ -880,10 +900,10 @@ class TestParserReuse:
         assert iso_error == "usage error: --iso goes with --dims only\n"
 
 
-def _fresh_import_of_tpskit(expr):
-    """Evaluate expr in a new interpreter right after `import sys, tpskit`."""
+def _fresh_import_of_tpskit(expr, then="pass"):
+    """Evaluate expr in a new interpreter right after `import sys, tpskit` and `then`."""
     src = Path(sys.modules["tpskit"].__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", f"import sys, tpskit; print({expr})"],
+    proc = subprocess.run([sys.executable, "-c", f"import sys, tpskit; {then}; print({expr})"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -891,9 +911,11 @@ def _fresh_import_of_tpskit(expr):
 
 
 def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: the package itself must not pull it in
+    # scipy is a test-only dependency: no module of the package may pull it in
     assert _fresh_import_of_tpskit(
-        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')") == "[]"
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+        then="import importlib, pkgutil; [importlib.import_module('tpskit.' + m.name) "
+             "for m in pkgutil.iter_modules(tpskit.__path__) if m.name != '__main__']") == "[]"
 
 
 def test_import_builds_no_parser():
@@ -903,9 +925,38 @@ def test_import_builds_no_parser():
         "[m for m in ('argparse', 'tpskit.cli') if m in sys.modules]") == "[]"
 
 
+def test_import_loads_no_layer():
+    assert _fresh_import_of_tpskit(
+        "[m for m in sys.modules if m == 'numpy' or m.startswith('tpskit.')]") == "[]"
+
+
+def _fresh_main(argv, unloaded):
+    """Exit code of main(argv) in a new interpreter, and which of the modules
+    `unloaded` it loaded."""
+    return _fresh_import_of_tpskit(
+        f"code, [m for m in {unloaded!r} if m in sys.modules]",
+        then=f"import tpskit.cli; code = tpskit.cli.main({argv!r})")
+
+
+def test_a_command_loads_only_its_layers(tmp_path):
+    # a matrix spec: a Pauli string would load parity (and tps) to read it
+    spec = write_spec(tmp_path / "slot.json", 4, {"x1": pauli_string_matrix("XI"),
+                                                   "z1": pauli_string_matrix("ZI")})
+    out = str(tmp_path / "report.json")
+    assert _fresh_main(["decompose", spec, "--out", out],
+                       ("tpskit.holonomy", "tpskit.bosonic", "tpskit.parity", "tpskit.tps")
+                       ) == "0 []"
+    for argv in (["tps", "holonomy"], ["tps", "partitions", "12"]):
+        assert _fresh_main([*argv, "--out", out], ("tpskit.algebra",)) == "0 []"
+
+
 def test_export_list_matches_the_package_namespace():
-    # __init__ writes each export twice, as an import and in __all__
-    assert all(hasattr(tpskit, name) for name in tpskit.__all__)
+    # __init__ names each export once, in its table of home modules, and binds
+    # it on first access to the object its home module defines
+    for name in tpskit.__all__:
+        if name != "__version__":
+            value = getattr(tpskit, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
     public = {name for name, value in vars(tpskit).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(tpskit.__all__) - {"__version__"} == public

@@ -35,6 +35,10 @@ def test_tolerance_validation():
         Tolerance(rank_rel=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_rel=2.0)
+    for bad in (np.inf, np.nan):
+        for field in ("rank_rel", "resid_abs", "degeneracy_gap"):
+            with pytest.raises(ValueError, match="finite"):
+                Tolerance(**{field: bad})
     assert DEFAULT_TOL.rank_rel == 1e-10
 
 
