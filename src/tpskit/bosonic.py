@@ -107,12 +107,20 @@ def build_fock(N: int, M: int) -> FockSpace:
         counts = M + 1 - occ.sum(axis=0)
         starts = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.vstack([np.repeat(occ, counts, axis=1), np.arange(starts.size) - starts])
-    # base-(M+1) keys ascend with the lexicographic basis; lowering mode j
-    # subtracts its place value (Python ints once (M+1)^N outgrows int64)
-    place = np.array([(M + 1) ** (N - 1 - j) for j in range(N)],
-                     dtype=np.int64 if (M + 1) ** N < 2 ** 63 else object)
-    keys = place @ occ
-    low = np.where(occ > 0, np.searchsorted(keys, keys - place[:, None]), -1)
+    # column c is the lexicographic rank of its occupation.  With n_j = N-1-j
+    # modes after mode j and R_j = M - (m_1 + ... + m_{j-1}) excitations left
+    # for mode j and them, c = sum_j sum_{v < m_j} C(n_j + R_j - v, n_j).
+    # Lowering m_j removes C(n_j + R_j - m_j + 1, n_j) from term j and adds
+    # C(n_i + R_i + 1, n_i) - C(n_i + R_i - m_i + 1, n_i) to each later term i,
+    # whose R_i grows by one.  No binomial here exceeds N dim: int64 holds all.
+    after = np.ones((N, M + 2), dtype=np.int64)  # row j: C(n_j + t, n_j), t = 0..M+1
+    for j in range(N - 2, -1, -1):
+        after[j] = np.cumsum(after[j + 1])
+    R1 = M + 1 - (np.cumsum(occ, axis=0) - occ)
+    drop = np.take_along_axis(after, R1 - occ, axis=1)
+    grow = np.take_along_axis(after, R1, axis=1) - drop
+    later = np.cumsum(grow[::-1], axis=0)[::-1] - grow
+    low = np.where(occ > 0, np.arange(dim) - drop + later, -1)
     w = np.sqrt(occ)
     return FockSpace(N=N, M=M, occ=occ, low=low, w=w)
 

@@ -182,7 +182,7 @@ def _cmd_decompose(args, tol):
     }
     if args.emit_basis:
         results["basis_change"] = dec.basis_change
-    residuals = {"block_form": dec.residual, **algebra_residuals(alg)}
+    residuals = {"block_form": dec.residual, **algebra_residuals(alg, seed=args.seed)}
     return results, residuals
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
 from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect
-from .tps import TPS
+
+if TYPE_CHECKING:
+    from .tps import TPS
 
 _PHASES = np.array([1, 1j, -1, -1j])
 
@@ -136,7 +139,8 @@ def _split_sectors(sectors, X, tol: Tolerance):
     (label, basis) list); the list is None when the residual exceeds
     resid_abs (no split is tried) or a restricted eigenvalue is away
     from +-1.  At level 0 (empty label) V is the identity: the block is X
-    itself, which splits bit-identically to (I^dag X) I.
+    itself, which splits bit-identically to (I^dag X) I.  The product V cols
+    stays: BLAS sets the signs of its zero parts, which cols alone does not match.
     """
     blocks = []
     resid = 0.0
@@ -178,6 +182,7 @@ class SyndromeDecomposition:
 
 def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL) -> SyndromeDecomposition:
     """Assemble the sector TPS from the validated parity sectors."""
+    from .tps import TPS
     n, k, d = ps.n, ps.k, ps.dim
     if k >= n:
         raise ParitySetError(

@@ -510,6 +510,55 @@ class TestCommutantCenterOracles:
         assert structure_decompose(alg).block_shape == [(1, 16)]
 
 
+def clock_shift_algebra(d):
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    return close_algebra([clock, np.roll(np.eye(d), 1, axis=0)])
+
+
+class TestAlgebraResidualsOracle:
+    @pytest.mark.parametrize("blocks", [[(2, 2), (1, 3)], [(1, 2), (2, 1)], [(3, 2)]])
+    def test_a_basis_with_one_element_swapped_for_a_random_direction_is_caught(self, blocks):
+        # the swapped span is HS-orthonormal but not product-closed: every
+        # seeded draw of the probe pairs must see it
+        alg = random_block_algebra(blocks, np.random.default_rng(5))
+        k, d = len(alg), alg.dim
+        caught = 0
+        for trial in range(100):
+            rng = np.random.default_rng(trial)
+            rest = np.delete(alg.basis, int(rng.integers(k)), axis=0)
+            R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            R -= np.tensordot(np.tensordot(rest.conj(), R, axes=([1, 2], [0, 1])), rest, axes=1)
+            swapped = OperatorAlgebra(dim=d, basis=np.concatenate([rest, [R / np.linalg.norm(R)]]))
+            caught += algebra_residuals(swapped, seed=trial)["product"] > 1e-3
+        assert caught == 100
+
+    @pytest.mark.parametrize("d", [2, 5, 16])
+    def test_full_matrix_algebras_pass(self, d):
+        res = algebra_residuals(clock_shift_algebra(d), seed=d)
+        assert set(res) == {"identity", "adjoint", "product"}
+        assert max(res.values()) < 1e-12
+
+    def test_direct_sums_pass(self):
+        rng = np.random.default_rng(2010)
+        for trial in range(20):
+            alg = random_block_algebra(random_block_shape(rng), rng)
+            assert max(algebra_residuals(alg, seed=trial).values()) < 1e-12
+
+    def test_the_probes_stay_within_a_fixed_number_of_products(self, monkeypatch):
+        # O(r (k d^2 + d^3)): one batch of r products, never the k^2 basis pairs
+        alg = clock_shift_algebra(8)
+        rows = []
+        real = algebra_module.span_residual
+
+        def counting(stack, basis):
+            rows.append(len(stack))
+            return real(stack, basis)
+
+        monkeypatch.setattr(algebra_module, "span_residual", counting)
+        algebra_residuals(alg)
+        assert sorted(rows) == [1, algebra_module._ORACLE_PROBES, algebra_module._ORACLE_PROBES]
+
+
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))

@@ -368,6 +368,32 @@ class TestDecompose:
         assert cuts == [3, 4]
         assert rep["results"]["dim_commutant"] == 4
 
+    def test_full_matrix_algebra_on_thirty_two_dimensions(self, tmp_path, capsys):
+        # reach guard: checking all 1024^2 basis products took minutes; the
+        # probe pairs leave closure and decomposition to set the pace
+        clock = np.diag(np.exp(2j * np.pi * np.arange(32) / 32))
+        path = write_spec(tmp_path / "m32.json", 32,
+                          {"clock": clock, "shift": np.roll(np.eye(32), 1, axis=0)})
+        start = time.perf_counter()
+        rep = report_of(["decompose", path], capsys)
+        elapsed = time.perf_counter() - start
+        assert rep["results"]["blocks"] == [{"n": 1, "d": 32}]
+        assert rep["results"]["dim_commutant"] == 1
+        assert max(rep["residuals"].values()) < 1e-12
+        assert elapsed < 10.0, f"decompose of M_32 took {elapsed:.2f} s"
+
+    def test_the_seed_draws_the_residual_probes(self, capsys):
+        # the probe pairs come from --seed: the same seed repeats the report
+        # byte for byte, another seed moves only the probed residuals
+        argv = ["decompose", str(DATA / "bip_slots.json")]
+        seven = [run_cli([*argv, "--seed", "7"], capsys)[1] for _ in range(2)]
+        assert seven[0] == seven[1]
+        eight = json.loads(run_cli([*argv, "--seed", "8"], capsys)[1])
+        seven = json.loads(seven[0])
+        assert eight["results"] == seven["results"]
+        assert eight["residuals"]["identity"] == seven["residuals"]["identity"]
+        assert eight["residuals"]["product"] != seven["residuals"]["product"]
+
     def test_emit_basis(self, capsys):
         rep = report_of(["decompose", str(DATA / "slot_xz.json"), "--emit-basis"], capsys)
         T = np.array([[complex(re, im) for re, im in row]

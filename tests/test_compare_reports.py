@@ -1,0 +1,31 @@
+"""tools/compare_reports.py names the JSON key paths at which two reports differ."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+_spec = importlib.util.spec_from_file_location("compare_reports", _TOOL)
+compare_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_reports)
+
+
+def test_paths_of_differing_keys_nested_and_one_sided():
+    a = {"results": {"blocks": [{"n": 1, "d": 2}], "dim": 4},
+         "residuals": {"identity": 1e-16, "product": 2e-16}}
+    b = {"results": {"blocks": [{"n": 1, "d": 2}], "dim": 4},
+         "residuals": {"identity": 1e-16, "product": 3e-16, "adjoint": 0.0}}
+    assert compare_reports.report_paths(json.dumps(a), json.dumps(b)) == [
+        "residuals.product", "residuals.adjoint"]
+
+
+def test_a_list_differs_as_a_whole():
+    a = {"results": {"blocks": [{"n": 1, "d": 2}, {"n": 2, "d": 1}]}}
+    b = {"results": {"blocks": [{"n": 1, "d": 2}, {"n": 1, "d": 1}]}}
+    assert compare_reports.report_paths(json.dumps(a), json.dumps(b)) == ["results.blocks"]
+
+
+def test_reports_that_differ_only_in_text_or_are_not_json():
+    assert compare_reports.report_paths('{"a": 1}', '{"a":1}') == ["<text only>"]
+    assert compare_reports.report_paths("", '{"a": 1}') == ["<not JSON>"]
+    assert compare_reports.report_paths("[1]", "[2]") == ["<whole report>"]

@@ -1,5 +1,7 @@
 """Tests for parity operator validation and sector splitting."""
 
+import subprocess
+import sys
 import time
 from itertools import combinations, product
 
@@ -520,3 +522,12 @@ class TestCrossModuleStructure:
         assert len(alg) == 4
         sd = structure_decompose(alg, seed=1)
         assert sd.block_shape == [(2, 1), (2, 1), (2, 1), (2, 1)]
+
+
+def test_import_leaves_the_tps_layer_unloaded():
+    # reading a Pauli string must not compile tps: only syndrome_decompose needs TPS
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, tpskit.parity; print('tpskit.tps' in sys.modules)"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

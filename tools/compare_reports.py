@@ -9,7 +9,9 @@ in a temporary directory.  Each tree then runs all the jobs in process,
 through tpskit.cli.main, in its own interpreter with single-threaded BLAS.
 Exit code, report and stderr are compared, with the wall-time line
 masked.  Prints identical/different counts per workload and the first
-differing jobs; exits 1 on any difference.
+differing jobs, each with the JSON key paths at which its reports differ
+(``residuals.product``; a list differs as a whole), and tallies those paths
+per workload; exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import subprocess
 import sys
 import tempfile
 import traceback
+from collections import Counter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_TIME = re.compile(r"wall-time \d+\.\d+ s")
 SHOW = 10  # differing jobs listed per workload
+MISSING = "<missing>"  # stands for a key only one report has
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -86,6 +90,21 @@ def run_tree(src: str, jobs_path: str, results_path: str) -> list:
     return run["results"]
 
 
+def differing_paths(a, b, path: str = "") -> list[str]:
+    """Key paths of two parsed JSON values at which they differ; lists are leaves."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in dict.fromkeys([*a, *b])
+                for p in differing_paths(a.get(key, MISSING), b.get(key, MISSING), f"{path}.{key}".lstrip("."))]
+    return [] if a == b else [path or "<whole report>"]
+
+
+def report_paths(a: str, b: str) -> list[str]:
+    try:
+        return differing_paths(json.loads(a), json.loads(b)) or ["<text only>"]
+    except json.JSONDecodeError:
+        return ["<not JSON>"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -103,15 +122,22 @@ def main(argv=None) -> int:
         change = run_tree(args.change_src, jobs_path, os.path.join(root, "change.json"))
 
     fields = ("exit code", "report", "stderr")
-    counts = {}
+    counts, tallies = {}, {}
     for job, a, b in zip(jobs, parent, change):
         same_diff = counts.setdefault(job["workload"], [0, 0])
         same_diff[a != b] += 1
-        if a != b and same_diff[1] <= SHOW:
+        if a == b:
+            continue
+        paths = report_paths(a[1], b[1]) if a[1] != b[1] else []
+        tallies.setdefault(job["workload"], Counter()).update(paths)
+        if same_diff[1] <= SHOW:
             which = ", ".join(f for f, x, y in zip(fields, a, b) if x != y)
-            print(f"  {job['workload']}: {job['key']} differs in {which}")
+            print(f"  {job['workload']}: {job['key']} differs in {which}"
+                  + (f" ({', '.join(paths)})" if paths else ""))
     for workload, (same, diff) in counts.items():
         print(f"{workload}: {same} identical, {diff} different")
+        for path, n in tallies.get(workload, Counter()).most_common():
+            print(f"  {path}: {n} jobs")
     different = sum(diff for _, diff in counts.values())
     return 1 if different else 0
 
