@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from .errors import TpskitError
-from .numerics import DEFAULT_TOL, Tolerance, unitarity_defect
+from .numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, unitarity_defect
 from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_pauli_token
 
 
@@ -82,8 +82,6 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
         texts = [_TEXT_OF_TYPE.get(type(v), _scalar_text)(v) for v in obj]
         if None not in texts:
             return "[" + ", ".join(texts) + "]"
@@ -174,9 +172,9 @@ def _cmd_decompose(args, tol):
     dec = structure_decompose(alg, tol, seed=args.seed)
     comm = commutant(alg, tol)
     results = {
-        "blocks": [{"n": b.n, "d": b.d} for b in dec.blocks],
-        "center_dim": len(dec.blocks),
-        "is_factor": len(dec.blocks) == 1,
+        "blocks": [{"n": n, "d": d} for n, d in dec.block_shape],
+        "center_dim": len(dec.block_shape),
+        "is_factor": len(dec.block_shape) == 1,
         "dim_algebra": len(alg),
         "dim_commutant": len(comm),
     }
@@ -191,7 +189,7 @@ def _cmd_bipartition(args, tol):
     spec = load_spec(args.file)
     a1 = close_algebra(spec.generator_matrices("a1"), tol, dim=spec.dim)
     a2 = close_algebra(spec.generator_matrices("a2"), tol, dim=spec.dim)
-    cert = check_bipartition(a1, a2, tol)
+    cert = check_bipartition(a1, a2, tol, seed=args.seed)
     results = {
         "commuting": cert.commuting,
         "join_is_full": cert.join_is_full,
@@ -227,8 +225,8 @@ def _cmd_distance(args, tol):
         "measure": measure.kind,
         "mean": est.mean,
         "stderr": est.stderr,
-        "samples": est.samples,
-        "seed": est.seed,
+        "samples": args.samples,
+        "seed": args.seed,
         "distance": float(np.sqrt(est.mean)),
     }
     return results, {"unitarity_defect": est.unitarity_defect}
@@ -496,7 +494,7 @@ def main(argv=None) -> int:
         "tolerances": {
             "rank_rel": tol.rank_rel,
             "resid_abs": tol.resid_abs,
-            "degeneracy_gap": tol.degeneracy_gap,
+            "degeneracy_gap": DEGENERACY_GAP,
         },
         "results": results,
         "residuals": residuals,

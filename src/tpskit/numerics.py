@@ -20,6 +20,9 @@ ENTROPY_FLOOR = 1e-12
 # Largest array predicted and refused before allocation (holonomy family stack,
 # entangling-power draw): 64 MiB, a stack of 2^18 points at dim 4 (~4x with temporaries).
 BYTES_BUDGET = 64 * 2**20
+# Eigenvalue clustering gap of cluster_indices, relative to the larger of the
+# spectral range, the spectral radius and 1.
+DEGENERACY_GAP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -29,16 +32,13 @@ class Tolerance:
     rank_rel : singular-value cutoff for rank decisions, relative to the
         larger of the largest singular value and 1.
     resid_abs : absolute bound on residuals of verified identities.
-    degeneracy_gap : eigenvalue clustering gap, relative to the larger of
-        the spectral range, the spectral radius and 1.
     """
 
     rank_rel: float = 1e-10
     resid_abs: float = 1e-8
-    degeneracy_gap: float = 1e-7
 
     def __post_init__(self):
-        if not all(0 < t < np.inf for t in (self.rank_rel, self.resid_abs, self.degeneracy_gap)):
+        if not all(0 < t < np.inf for t in (self.rank_rel, self.resid_abs)):
             raise ValueError("tolerances must be finite and strictly positive")
         if self.rank_rel >= 1:
             raise ValueError("rank_rel must be < 1")
@@ -75,17 +75,17 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
     return w, V
 
 
-def cluster_indices(values, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
+def cluster_indices(values, gap: float = DEGENERACY_GAP) -> list[np.ndarray]:
     """Split sorted real values into clusters by single-linkage gaps.
 
     A new cluster starts wherever the gap between consecutive values
-    exceeds degeneracy_gap * max(spectral range, spectral radius, 1).
+    exceeds gap * max(spectral range, spectral radius, 1).
     """
     v = np.asarray(values, dtype=float)
     if v.size == 0:
         return []
     scale = max(float(v[-1] - v[0]), float(np.max(np.abs(v))), 1.0)
-    thr = tol.degeneracy_gap * scale
+    thr = gap * scale
     splits = np.nonzero(np.diff(v) > thr)[0] + 1
     return np.split(np.arange(v.size), splits)
 

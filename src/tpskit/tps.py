@@ -107,8 +107,6 @@ class EntanglingPowerEstimate:
 
     mean: float
     stderr: float
-    samples: int
-    seed: int
     unitarity_defect: float
 
 
@@ -251,8 +249,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
-    return EntanglingPowerEstimate(mean=mean, stderr=stderr, samples=samples, seed=seed,
-                                   unitarity_defect=defect)
+    return EntanglingPowerEstimate(mean=mean, stderr=stderr, unitarity_defect=defect)
 
 
 def tps_distance(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),

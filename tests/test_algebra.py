@@ -1,6 +1,7 @@
 """Tests for algebra closure, commutants, centers, and block structure."""
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +25,9 @@ from tpskit.algebra import (
 )
 from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import DEFAULT_TOL, Tolerance, span_residual
+from tpskit.opfile import load_spec
+
+DATA = Path(__file__).parent / "data"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -47,6 +51,15 @@ def haar_unitary(dim, rng):
     G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(G)
     return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def central_projectors(sd):
+    """T_J T_J^dag for each block's columns T_J of T, at block_shape's offsets."""
+    T, off, out = sd.basis_change, 0, []
+    for n, d in sd.block_shape:
+        out.append(T[:, off:off + n * d] @ T[:, off:off + n * d].conj().T)
+        off += n * d
+    return out
 
 
 def blockdiag(a, b):
@@ -352,7 +365,7 @@ class TestStructureDecompose:
                 blockdiag(np.zeros((2, 2)), SX), blockdiag(np.zeros((2, 2)), SZ)]
         sd = structure_decompose(close_algebra(gens))
         assert sd.block_shape == [(1, 2), (1, 2)]
-        P = sum(b.central_projector for b in sd.blocks)
+        P = sum(central_projectors(sd))
         assert np.allclose(P, np.eye(4), atol=1e-8)
 
     def test_collective_spin_three_qubits(self):
@@ -365,7 +378,7 @@ class TestStructureDecompose:
         assert len(comm) == 5
         sd = structure_decompose(alg, seed=3)
         assert sd.block_shape == [(1, 4), (2, 2)]
-        assert sum(b.n * b.d for b in sd.blocks) == 8
+        assert sum(n * d for n, d in sd.block_shape) == 8
         assert sd.residual < DEFAULT_TOL.resid_abs
         residual = _block_form_residual(comm.basis, sd.basis_change, sd.block_shape,
                                         side="left")
@@ -490,7 +503,8 @@ class TestCommutantCenterOracles:
             assert len(cent) == len(blocks)
             sd = structure_decompose(alg, seed=int(rng.integers(1000)))
             assert sorted(sd.block_shape) == sorted(blocks)
-            projs = np.array([b.central_projector / np.sqrt(b.n * b.d) for b in sd.blocks])
+            projs = np.array([P / np.sqrt(n * d) for P, (n, d) in
+                              zip(central_projectors(sd), sd.block_shape)])
             assert np.allclose(span_projector(cent.basis), span_projector(projs), atol=1e-8)
 
     def test_full_matrix_algebra_on_sixteen_dimensions(self):
@@ -684,3 +698,57 @@ class TestCheckBipartition:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_bipartition(close_algebra([SX]), close_algebra([np.eye(3)]))
+
+
+def reference_block_form_residual(ops, T, shape, side):
+    """The slot-form residual with a reconstruction per side, as first written."""
+    B = T.conj().T @ np.asarray(ops) @ T
+    off_block = np.ones(B.shape[1:], dtype=bool)
+    worst = 0.0
+    off = 0
+    for n, dd in shape:
+        r = n * dd
+        sub = B[:, off:off + r, off:off + r].reshape(-1, n, dd, n, dd)
+        if side == "right":
+            recon = np.einsum("kl,aij->akilj", np.eye(n), np.einsum("akikj->aij", sub) / n)
+        else:
+            recon = np.einsum("akl,ij->akilj", np.einsum("akili->akl", sub) / dd, np.eye(dd))
+        worst = max(worst, float(np.max(np.abs(sub - recon), initial=0.0)))
+        off_block[off:off + r, off:off + r] = False
+        off += r
+    return max(worst, float(np.max(np.abs(B[:, off_block]), initial=0.0)))
+
+
+class TestBlockFormResidualPinned:
+    """The one slot-form reconstruction (the left form is the right form of the
+    slot-swapped block) gives the two-branch reference bit for bit, on both
+    sides: the algebra on the right and the commutant on the left, and each
+    on the other side too."""
+
+    @staticmethod
+    def assert_pinned(alg, T, shape):
+        for ops in (alg.basis, commutant(alg).basis):
+            for side in ("right", "left"):
+                assert _block_form_residual(ops, T, shape, side) == \
+                    reference_block_form_residual(ops, T, shape, side)
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+    def test_fixtures(self, name):
+        spec = load_spec(DATA / f"{name}.json")
+        algs = [close_algebra(list(spec.operators.values()), dim=spec.dim)]
+        if spec.a1_generators:
+            algs += [close_algebra(spec.generator_matrices(w), dim=spec.dim) for w in ("a1", "a2")]
+        for alg in algs:
+            for seed in (0, 3):
+                sd = structure_decompose(alg, seed=seed)
+                for other in algs:
+                    self.assert_pinned(other, sd.basis_change, sd.block_shape)
+
+    def test_seeded_direct_sums(self):
+        rng = np.random.default_rng(2022)
+        for _ in range(20):
+            alg = random_block_algebra(random_block_shape(rng), rng)
+            sd = structure_decompose(alg, seed=int(rng.integers(1000)))
+            self.assert_pinned(alg, sd.basis_change, sd.block_shape)
+            # a basis that does not block the algebra: residuals of order one
+            self.assert_pinned(alg, haar_unitary(alg.dim, rng), sd.block_shape)

@@ -323,6 +323,12 @@ class TestRenderJson:
         assert render_json(py) == render_json(as_numpy) == expected
         assert render_json([np.float32(0.5), (1, [2])]) == "[\n  0.5,\n  [\n    1,\n    [2]\n  ]\n]"
 
+    def test_empty_lists(self):
+        # `tps holonomy --doublings 0` reports ladder_defects as []
+        assert render_json([]) == render_json(()) == "[]"
+        assert render_json({"a": []}) == '{\n  "a": []\n}'
+        assert render_json([[]]) == "[\n  []\n]"
+
 
 # ------------------------------------------------------------------- commands
 
@@ -428,6 +434,24 @@ class TestBipartition:
         assert rep["results"]["commuting"] is True
         assert rep["results"]["join_is_full"] is False
         assert rep["results"]["witness"] is not None
+
+    def test_the_seed_reaches_the_decomposition(self, capsys):
+        # residuals.block_form is the --seed decomposition's, not seed 0's
+        from tpskit.algebra import _block_form_residual, close_algebra, structure_decompose
+
+        spec = load_spec(DATA / "bip_slots.json")
+        a1, a2 = (close_algebra(spec.generator_matrices(w), dim=spec.dim) for w in ("a1", "a2"))
+
+        def block_form(seed):
+            sd = structure_decompose(a1, seed=seed)
+            return max(sd.residual, _block_form_residual(a2.basis, sd.basis_change,
+                                                         sd.block_shape, side="left"))
+
+        argv = ["bipartition", str(DATA / "bip_slots.json")]
+        five = report_of([*argv, "--seed", "5"], capsys)["residuals"]["block_form"]
+        zero = report_of(argv, capsys)["residuals"]["block_form"]
+        assert (five, zero) == (block_form(5), block_form(0))
+        assert five != zero
 
     def test_missing_generators_is_usage_error(self, tmp_path, capsys):
         path = write_spec(tmp_path / "nogen.json", 2, {"x": pauli_string_matrix("X")})

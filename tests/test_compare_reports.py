@@ -29,3 +29,15 @@ def test_reports_that_differ_only_in_text_or_are_not_json():
     assert compare_reports.report_paths('{"a": 1}', '{"a":1}') == ["<text only>"]
     assert compare_reports.report_paths("", '{"a": 1}') == ["<not JSON>"]
     assert compare_reports.report_paths("[1]", "[2]") == ["<whole report>"]
+
+
+def test_every_decompose_job_has_an_emit_basis_twin(tmp_path):
+    # no benchmark job emits basis_change: the twins are what compares T
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
+    by_key = {job["key"]: job for job in jobs}
+    plain = [job for job in jobs if job["argv"][0] == "decompose" and "--emit-basis" not in job["argv"]]
+    assert plain and len(jobs) == len(by_key)
+    assert sum(job["key"].endswith(" --emit-basis") for job in jobs) == len(plain)
+    for job in plain:
+        twin = by_key[job["key"] + " --emit-basis"]
+        assert twin == {**job, "key": twin["key"], "argv": job["argv"] + ["--emit-basis"]}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from tpskit.numerics import (
     DEFAULT_TOL,
+    DEGENERACY_GAP,
     Tolerance,
     close_span,
     cluster_indices,
@@ -36,7 +37,7 @@ def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rank_rel=2.0)
     for bad in (np.inf, np.nan):
-        for field in ("rank_rel", "resid_abs", "degeneracy_gap"):
+        for field in ("rank_rel", "resid_abs"):
             with pytest.raises(ValueError, match="finite"):
                 Tolerance(**{field: bad})
     assert DEFAULT_TOL.rank_rel == 1e-10
@@ -253,6 +254,9 @@ def test_cluster_indices_gaps():
     clusters = cluster_indices(w)
     assert [list(c) for c in clusters] == [[0, 1], [2, 3], [4]]
     assert len(cluster_indices(np.ones(5))) == 1
+    # the gap is relative to max(range, radius, 1) = 2.5: 1e-12 apart splits below 4e-13
+    assert len(cluster_indices(w, gap=DEGENERACY_GAP)) == 3
+    assert len(cluster_indices(w, gap=1e-13)) == 5
 
 
 def test_schmidt_entropy_values():

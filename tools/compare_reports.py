@@ -5,11 +5,13 @@
 PARENT_SRC and CHANGE_SRC are directories holding a ``tpskit`` package
 (a checkout's ``src``).  Every job of the three benchmark workloads is
 built once, for each seed and input set, by perfbench.workloads.generate
-in a temporary directory.  Each tree then runs all the jobs in process,
-through tpskit.cli.main, in its own interpreter with single-threaded BLAS.
-Exit code, report and stderr are compared, with the wall-time line
-masked.  Prints identical/different counts per workload and the first
-differing jobs, each with the JSON key paths at which its reports differ
+in a temporary directory; every decompose job gets a twin with
+``--emit-basis`` appended, so the basis change T is compared as well.
+Each tree then runs all the jobs in process, through tpskit.cli.main, in
+its own interpreter with single-threaded BLAS.  Exit code, report and
+stderr are compared, with the wall-time line masked.  Prints
+identical/different counts per workload and the first differing jobs,
+each with the JSON key paths at which its reports differ
 (``residuals.product``; a list differs as a whole), and tallies those paths
 per workload; exits 1 on any difference.
 """
@@ -36,7 +38,8 @@ SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_T
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
-    """Every job of every workload, seed and input set, with its working directory."""
+    """Every job of every workload, seed and input set, with its working directory,
+    each decompose job followed by its --emit-basis twin."""
     sys.path.insert(0, REPO)
     from perfbench.workloads import WORKLOADS, generate
 
@@ -49,6 +52,9 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
                     jobs.append({"workload": workload,
                                  "key": f"seed {seed} set {input_set} {job.id}",
                                  "cwd": cwd, "argv": job.argv, "out": job.out})
+                    if job.kind == "decompose":
+                        jobs.append({**jobs[-1], "key": jobs[-1]["key"] + " --emit-basis",
+                                     "argv": job.argv + ["--emit-basis"]})
     return jobs
 
 
