@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from .errors import TpskitError
+from .errors import DimensionMismatchError, TpskitError
 from .numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, unitarity_defect
 from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_pauli_token
 
@@ -155,6 +155,14 @@ def _resolve_parity_ops(tokens, spec: OperatorSpecFile | None):
     return ops
 
 
+def _spec_dims(dims, spec: OperatorSpecFile):
+    """dims, refused before a structure on them is built unless they multiply to the spec's dim."""
+    if math.prod(dims) != spec.dim:
+        raise DimensionMismatchError(f"--dims give dimension {math.prod(dims)}, but the spec file "
+                                     f"declares {spec.dim}")
+    return dims
+
+
 def _measure_from(args):
     from .tps import EntanglementMeasure
     return EntanglementMeasure(kind=args.measure, cut=frozenset(args.cut))
@@ -215,7 +223,7 @@ def _cmd_distance(args, tol):
     from .tps import TPS, entangling_power
     spec = load_spec(args.file)
     U = spec.operator(args.unitary)
-    tps = TPS.natural(args.dims)
+    tps = TPS.natural(_spec_dims(args.dims, spec))
     measure = _measure_from(args)
     est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed, tol=tol)
     results = {
@@ -271,7 +279,8 @@ def _cmd_entangle(args, tol):
         origin = {"parity": list(args.parity)}
     else:
         iso = spec.operator(args.iso) if args.iso else None
-        tps = TPS(args.dims, iso, tol) if iso is not None else TPS.natural(args.dims)
+        dims = _spec_dims(args.dims, spec)
+        tps = TPS(dims, iso, tol) if iso is not None else TPS.natural(dims)
         origin = {"dims": list(args.dims)}
     measure = _measure_from(args)
     value = entanglement(state, tps, measure)
@@ -331,12 +340,9 @@ def _cmd_bosonic(args, tol):
 def _cmd_holonomy(args, tol):
     from .holonomy import LoopPath, builtin_family, holonomy_nonabelian_witness, refinement_ladder
     fam, op = builtin_family(args.family)
-    ax, ay, bx, by = args.rect
-    loop = LoopPath.rectangle((ax, ay), (bx, by), refinement=args.refinement)
+    loop = LoopPath.rectangle(args.rect[:2], args.rect[2:], refinement=args.refinement)
     ladder = refinement_ladder(fam, loop, args.eigenspace, op.n,
                                doublings=args.doublings, tol=tol)
-    H = ladder.holonomy
-    defect = unitarity_defect(H)
     results = {
         "family": args.family,
         "eigenspace": args.eigenspace,
@@ -344,14 +350,13 @@ def _cmd_holonomy(args, tol):
         "rect": list(args.rect),
         "refinements": ladder.refinements,
         "ladder_defects": ladder.defects,
-        "holonomy": H,
+        "holonomy": ladder.holonomy,
     }
     if args.rect2 is not None:
-        cx, cy, dx, dy = args.rect2
-        loop2 = LoopPath.rectangle((cx, cy), (dx, dy), refinement=args.refinement)
+        loop2 = LoopPath.rectangle(args.rect2[:2], args.rect2[2:], refinement=args.refinement)
         results["witness"] = holonomy_nonabelian_witness(
             fam, loop, loop2, args.eigenspace, op.n, tol)
-    return results, {"unitarity_defect": defect}
+    return results, {"unitarity_defect": unitarity_defect(ladder.holonomy)}
 
 
 # -------------------------------------------------------------------- parser

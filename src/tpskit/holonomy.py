@@ -29,6 +29,7 @@ from .numerics import (
     Tolerance,
     close_span,
     hermitian_eig,
+    mib_text,
     unitarity_defect,
 )
 
@@ -39,30 +40,14 @@ _MAX_SPLIT_DEPTH = 8
 
 @dataclass
 class IsoDegenerateOperator:
-    """Reference operator 1_n (x) diag(x) with d distinct n-fold eigenvalues."""
+    """Reference operator 1_n (x) diag(x), known by its degeneracy n alone: transport reads
+    the layout ``_eigenspace`` gives, never the eigenvalues, and d is the family's dim // n."""
 
     n: int
-    d: int
-    x: tuple
 
     def __post_init__(self):
-        self.x = tuple(float(v) for v in self.x)
-        if self.n < 1 or self.d < 1 or len(self.x) != self.d:
-            raise ContractViolationError("need d eigenvalues for d eigenspaces")
-        if len(set(self.x)) != self.d:
-            raise ContractViolationError("eigenvalues must be pairwise distinct")
-
-    @property
-    def dim(self) -> int:
-        return self.n * self.d
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.kron(np.eye(self.n, dtype=complex), np.diag(self.x).astype(complex))
-
-    def selector(self, i: int) -> np.ndarray:
-        """Isometry onto eigenspace i (1-based), in the reference layout."""
-        return np.eye(self.dim, dtype=complex)[:, _eigenspace(self.dim, self.n, i)]
+        if self.n < 1:
+            raise ContractViolationError("degeneracy must be >= 1")
 
 
 def _eigenspace(dim: int, n: int, i: int) -> slice:
@@ -95,9 +80,7 @@ class UnitaryFamily:
         Us = np.asarray(self.evaluate(pts), dtype=complex)
         if Us.shape != (len(pts), self.dim, self.dim):
             raise DimensionMismatchError("family evaluation has the wrong dimension")
-        gram = np.swapaxes(Us.conj(), -1, -2) @ Us
-        defects = np.max(np.abs(gram - np.eye(self.dim)), axis=(1, 2))
-        if not np.all(defects <= tol.resid_abs):  # a NaN defect fails too
+        if not unitarity_defect(Us) <= tol.resid_abs:  # a NaN defect fails too
             raise ContractViolationError("family evaluation is not unitary")
         return Us
 
@@ -150,7 +133,7 @@ def builtin_family(name: str):
         G *= _FIXTURE_SCALE / np.linalg.norm(G, 2)
         gens.append(G)
     fam = exponential_family(gens)
-    return fam, IsoDegenerateOperator(n=2, d=2, x=(-1.0, 1.0))
+    return fam, IsoDegenerateOperator(n=2)
 
 
 @dataclass
@@ -170,10 +153,6 @@ class LoopPath:
             raise ContractViolationError("loop must close: first waypoint != last")
         if self.refinement < 1:
             raise ContractViolationError("refinement must be >= 1")
-
-    @property
-    def base(self) -> np.ndarray:
-        return self.waypoints[0]
 
     @property
     def n_points(self) -> int:
@@ -230,7 +209,7 @@ def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
     if nbytes > BYTES_BUDGET:
         raise ContractViolationError(
-            f"a loop of {loop.n_points} points needs a {nbytes / 2**20:.3g} MiB family "
+            f"a loop of {loop.n_points} points needs a {mib_text(nbytes)} MiB family "
             f"stack, over the {BYTES_BUDGET // 2**20} MiB cap")
     return fam.along(loop.points(), tol)[..., cols]
 
@@ -271,7 +250,7 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
 def holonomy_nonabelian_witness(fam: UnitaryFamily, loop1: LoopPath, loop2: LoopPath,
                                 i: int, n: int, tol: Tolerance = DEFAULT_TOL) -> float:
     """Frobenius norm of the commutator of two loop holonomies."""
-    if not np.array_equal(loop1.base, loop2.base):
+    if not np.array_equal(loop1.waypoints[0], loop2.waypoints[0]):
         raise ContractViolationError("witness loops must share their base point")
     H1 = loop_holonomy(fam, loop1, i, n, tol)
     H2 = loop_holonomy(fam, loop2, i, n, tol)
@@ -352,6 +331,9 @@ def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     """
     if doublings < 0:
         raise ContractViolationError("doublings must be >= 0")
+    if doublings >= np.finfo(float).maxexp:  # past floats: refused before 2^doublings is formed
+        raise ContractViolationError(f"{doublings} doublings give a loop of over 2^{doublings} "
+                                     f"points, over the {BYTES_BUDGET // 2**20} MiB cap")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
     frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n, tol)
     hols = [_transport(frames[::2 ** (doublings - j)], tol) for j in range(doublings + 1)]

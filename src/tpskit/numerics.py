@@ -8,6 +8,7 @@ matrices coincides with the ordinary complex dot product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,12 +134,22 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitarity_defect(U) -> float:
-    """Max-entry deviation of U^dag U from the identity; inf when U has a
-    non-finite entry, so every ``defect > tol`` check refuses it."""
+    """Max-entry deviation of U^dag U from the identity, over a matrix or an (..., n, n)
+    stack; inf when U has a non-finite entry, so every ``defect > tol`` check refuses it."""
     U = np.asarray(U)
     if not np.isfinite(U).all():
         return float("inf")
-    return float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+    return float(np.max(np.abs(np.swapaxes(U.conj(), -1, -2) @ U - np.eye(U.shape[-1])), initial=0.0))
+
+
+def mib_text(nbytes: int) -> str:
+    """A byte count in MiB as ``f"{x:.3g}"`` prints it, for any int: past floats, from its log10."""
+    try:
+        return f"{nbytes / 2**20:.3g}"
+    except OverflowError:
+        exponent, fraction = divmod(math.log10(nbytes) - 20 * math.log10(2), 1)
+        mantissa, _, carry = f"{10 ** fraction:.2e}".partition("e")  # 9.996 -> 1.00e+01
+        return f"{float(mantissa):g}e+{int(exponent) + int(carry)}"
 
 
 def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -23,6 +23,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     density_entropy,
+    mib_text,
     schmidt_entropy,
     span_residual,
     unitarity_defect,
@@ -227,7 +228,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     nbytes = samples * (dL + dR) * np.dtype(complex).itemsize
     if nbytes > BYTES_BUDGET:
         raise ContractViolationError(
-            f"{samples} samples of {dL} x {dR} product states need a {nbytes / 2**20:.3g} MiB "
+            f"{samples} samples of {dL} x {dR} product states need a {mib_text(nbytes)} MiB "
             f"draw, over the {BYTES_BUDGET // 2**20} MiB budget")
     # tensor-coordinate action of U, with both indices in (cut, complement) order
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]

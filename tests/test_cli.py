@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -734,6 +735,72 @@ class TestTpsCommands:
             code, out, err = run_cli(["tps", "holonomy", rect], capsys)
             assert code == 2 and out == ""
             assert "ContractViolationError: waypoints must be finite" in err
+
+
+def run_fresh(argv, timeout=60):
+    """python -m tpskit ARGV in a new process, with single-threaded BLAS and a
+    1 GiB address-space limit; returns (exit code, stdout, stderr, seconds)."""
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "tpskit", *argv], capture_output=True, text=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                          preexec_fn=limit_address_space, timeout=timeout)
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+ASTRONOMIC = str(10**400)
+
+
+class TestSizeRefusals:
+    """Sizes past every budget, and --dims that do not match the spec file,
+    are refused with a typed error before anything of that size is built."""
+
+    @pytest.mark.parametrize("argv,error", [
+        (["tps", "holonomy", "--refinement", ASTRONOMIC], "ContractViolationError"),
+        (["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot", "--dims", "2,2",
+          "--samples", ASTRONOMIC], "ContractViolationError"),
+        (["tps", "holonomy", "--doublings", "20000"], "ContractViolationError"),
+        (["tps", "holonomy", "--doublings", "300000"], "ContractViolationError"),
+        (["tps", "holonomy", "--doublings", "1000000000"], "ContractViolationError"),
+        (["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus",
+          "--dims", "512,512"], "DimensionMismatchError"),
+        (["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus",
+          "--dims", "64,64"], "DimensionMismatchError"),
+        (["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
+          "--dims", "65536,65536"], "DimensionMismatchError"),
+    ], ids=["refinement", "samples", "doublings-2e4", "doublings-3e5", "doublings-1e9",
+            "entangle-dims-512", "entangle-dims-64", "distance-dims-65536"])
+    def test_refused_in_a_fresh_process_under_a_second(self, argv, error):
+        code, out, err, seconds = run_fresh(argv)
+        assert (code, out) == (2, ""), err
+        assert err.startswith(f"computation error: {error}: ") and err.count("\n") == 1
+        assert seconds < 1.0
+
+    def test_sizes_that_fit_a_float_keep_their_message(self):
+        code, out, err, _ = run_fresh(["tps", "holonomy", "--doublings", "40"])
+        assert (code, out) == (2, "")
+        assert err == ("computation error: ContractViolationError: a loop of 70368744177665 "
+                       "points needs a 1.72e+10 MiB family stack, over the 64 MiB cap\n")
+
+    def test_dims_are_checked_against_the_spec_before_any_structure(self, monkeypatch, capsys):
+        from tpskit import tps
+
+        def no_structure(*args, **kwargs):
+            raise AssertionError("a structure was built for mismatched --dims")
+
+        monkeypatch.setattr(tps.TPS, "__post_init__", no_structure)
+        for argv in (["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus",
+                      "--dims", "2,3"],
+                     ["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus",
+                      "--dims", "3,3", "--iso", "xx"],
+                     ["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
+                      "--dims", "2,2,2"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert "DimensionMismatchError: --dims give dimension" in err
+            assert "but the spec file declares 4" in err
 
 
 class TestCliPlumbing:

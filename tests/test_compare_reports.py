@@ -41,3 +41,16 @@ def test_every_decompose_job_has_an_emit_basis_twin(tmp_path):
     for job in plain:
         twin = by_key[job["key"] + " --emit-basis"]
         assert twin == {**job, "key": twin["key"], "argv": job["argv"] + ["--emit-basis"]}
+
+
+def test_every_holonomy_job_has_an_eigenspace_2_twin(tmp_path):
+    # every benchmark holonomy job transports eigenspace 1: the twins compare eigenspace 2
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919, 11], [0, 1])
+    by_key = {job["key"]: job for job in jobs}
+    plain = [job for job in jobs if job["argv"][:2] == ["tps", "holonomy"]
+             and "--eigenspace" not in job["argv"]]
+    assert plain and {job["workload"] for job in plain} == {"structures", "cli"}
+    assert sum(job["key"].endswith(" --eigenspace 2") for job in jobs) == len(plain)
+    for job in plain:
+        twin = by_key[job["key"] + " --eigenspace 2"]
+        assert twin == {**job, "key": twin["key"], "argv": job["argv"] + ["--eigenspace", "2"]}

@@ -1,5 +1,7 @@
 """Holonomy tests: transport invariants, analytic holonomy oracles, fixtures."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from tpskit.errors import (
     BranchCutError,
     ContractViolationError,
     DimensionMismatchError,
+    IndexRangeError,
     PathSingularityError,
     ToleranceError,
 )
@@ -19,6 +22,7 @@ from tpskit.holonomy import (
     _FIXTURE_SEED,
     _MIN_OVERLAP_SV,
     IsoDegenerateOperator,
+    _eigenspace,
     LoopPath,
     RefinementLadder,
     UnitaryFamily,
@@ -129,42 +133,55 @@ def _jumping_family():
 
 # ---------------------------------------------------------------- reference op
 
+def selector(n, d, i):
+    """The 0/1 isometry onto eigenspace i: the columns _eigenspace picks."""
+    return np.eye(n * d, dtype=complex)[:, _eigenspace(n * d, n, i)]
+
+
 class TestIsoDegenerateOperator:
+    """The reference operator 1_n (x) diag(x), built here: the library keeps
+    only n, and _eigenspace is its one statement of the layout."""
+
+    def test_keeps_only_its_degeneracy(self):
+        assert [f.name for f in fields(IsoDegenerateOperator)] == ["n"]
+        assert IsoDegenerateOperator(n=3).n == 3
+        with pytest.raises(ContractViolationError, match="degeneracy"):
+            IsoDegenerateOperator(n=0)
+
     def test_matrix_layout(self):
-        op = IsoDegenerateOperator(n=2, d=3, x=(0.5, -1.0, 2.0))
-        expected = np.kron(np.eye(2), np.diag([0.5, -1.0, 2.0]))
-        assert np.allclose(op.matrix, expected)
-        assert op.dim == 6
+        # eigenspace i of the n (x) d layout is every d-th column from i - 1
+        for n, d in ((2, 3), (3, 2), (1, 4), (4, 1)):
+            for i in range(1, d + 1):
+                assert _eigenspace(n * d, n, i) == slice(i - 1, None, d)
+                assert np.arange(n * d)[_eigenspace(n * d, n, i)].tolist() == [
+                    a * d + i - 1 for a in range(n)]
 
     def test_selector_is_isometry_onto_eigenspace(self):
-        op = IsoDegenerateOperator(n=3, d=2, x=(-1.0, 1.0))
-        for i, lam in ((1, -1.0), (2, 1.0)):
-            S = op.selector(i)
-            assert S.shape == (6, 3)
-            assert np.allclose(S.conj().T @ S, np.eye(3))
-            assert np.allclose(op.matrix @ S, lam * S)
+        for n, d in ((2, 3), (3, 2), (1, 4), (4, 1)):
+            x = np.linspace(-1.0, 2.0, d)
+            matrix = np.kron(np.eye(n), np.diag(x))
+            for i in range(1, d + 1):
+                S = selector(n, d, i)
+                assert S.shape == (n * d, n)
+                assert np.array_equal(S.conj().T @ S, np.eye(n))
+                assert np.array_equal(matrix @ S, x[i - 1] * S)
+                # onto: S S^dag is the spectral projector of x[i - 1]
+                assert np.array_equal(S @ S.conj().T, np.diag(np.isclose(np.diag(matrix), x[i - 1])))
 
     def test_selector_columns(self):
-        op = IsoDegenerateOperator(n=2, d=2, x=(-1.0, 1.0))
-        S = op.selector(2)
+        S = selector(2, 2, 2)
         # eigenspace 2 occupies rows 1 and 3 in the n (x) d layout
-        assert np.allclose(S[[1, 3], :], np.eye(2))
-        assert np.allclose(S[[0, 2], :], 0)
-
-    def test_rejects_repeated_eigenvalues(self):
-        with pytest.raises(ContractViolationError):
-            IsoDegenerateOperator(n=2, d=2, x=(1.0, 1.0))
-
-    def test_rejects_wrong_count(self):
-        with pytest.raises(ContractViolationError):
-            IsoDegenerateOperator(n=2, d=3, x=(1.0, 2.0))
+        assert np.array_equal(S[[1, 3], :], np.eye(2))
+        assert np.array_equal(S[[0, 2], :], np.zeros((2, 2)))
 
     def test_selector_index_range(self):
-        op = IsoDegenerateOperator(n=2, d=2, x=(-1.0, 1.0))
-        with pytest.raises(IndexError):
-            op.selector(0)
-        with pytest.raises(IndexError):
-            op.selector(3)
+        for i in (0, 3):
+            with pytest.raises(IndexRangeError, match=f"index {i} out of range 1..2"):
+                _eigenspace(4, 2, i)
+        with pytest.raises(IndexError):  # an IndexRangeError is still an IndexError
+            _eigenspace(4, 2, 3)
+        with pytest.raises(DimensionMismatchError, match="not a multiple"):
+            _eigenspace(6, 4, 1)
 
 
 # -------------------------------------------------------------------- families
@@ -244,7 +261,7 @@ class TestFamilies:
     def test_builtin_fixture(self, fixture_fam):
         fam, op = fixture_fam
         assert fam.D == 2 and fam.dim == 4
-        assert op.n == 2 and op.d == 2
+        assert op == IsoDegenerateOperator(n=2) and fam.dim // op.n == 2
         # frozen: repeated construction yields identical matrices
         fam2, _ = builtin_family("fixture-n2d2")
         lam = [0.3, -0.4]
@@ -292,7 +309,7 @@ class TestLoopPath:
         loop = LoopPath.rectangle((0.0, 1.0), (2.0, 3.0), refinement=2)
         expected = np.array([[0, 1], [2, 1], [2, 3], [0, 3], [0, 1]], dtype=float)
         assert np.array_equal(loop.waypoints, expected)
-        assert np.array_equal(loop.base, [0.0, 1.0])
+        assert np.array_equal(loop.waypoints[0], [0.0, 1.0])
 
     def test_reversed_refined(self):
         loop = LoopPath.rectangle((0.0, 0.0), (1.0, 1.0), refinement=3)
@@ -304,7 +321,7 @@ class TestLoopPath:
     def test_split_preserves_base_and_closure(self):
         rect = LoopPath.rectangle((0.0, 0.0), (1.0, 1.0), refinement=3)
         for sub in rect.split():
-            assert np.array_equal(sub.base, rect.base)
+            assert np.array_equal(sub.waypoints[0], rect.waypoints[0])
             assert np.array_equal(sub.waypoints[0], sub.waypoints[-1])
         tri = LoopPath(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
         a, b = tri.split()
@@ -355,16 +372,6 @@ class TestLoopHolonomy:
         H_finer = loop_holonomy(fam, coarse.refined(64), 1, 2)
         assert np.linalg.norm(H_fine - H_finer) < np.linalg.norm(H_coarse - H_finer)
 
-    def test_eigenvalue_independence(self, fixture_fam):
-        # the transported frames only see the eigenspace layout, never the
-        # eigenvalues, so perturbing them cannot change the holonomy
-        fam, op = fixture_fam
-        perturbed = IsoDegenerateOperator(n=op.n, d=op.d, x=(-1.7, 0.3))
-        assert np.array_equal(op.selector(1), perturbed.selector(1))
-        H1 = loop_holonomy(fam, RECT1, 1, op.n)
-        H2 = loop_holonomy(fam, RECT1, 1, perturbed.n)
-        assert np.array_equal(H1, H2)
-
     def test_rank_loss_raises(self):
         fam = _jumping_family()
         loop = LoopPath(np.array([[0.0], [1.0], [0.0]]), refinement=1)
@@ -379,7 +386,7 @@ class TestLoopHolonomy:
         with pytest.raises(PathSingularityError, match="at step 3 ") as err:
             loop_holonomy(fam, loop, 1, 2)
         with pytest.raises(PathSingularityError) as ref:
-            S = IsoDegenerateOperator(n=2, d=2, x=(-1.0, 1.0)).selector(1)
+            S = selector(2, 2, 1)
             reference_transport([fam(p) @ S for p in loop.points()])
         assert str(err.value) == str(ref.value)
 
@@ -584,7 +591,7 @@ class TestStackedTransportBitIdentity:
         # whose columns a * d + (i - 1) are written out for n = d = 2
         fam, op = fixture_fam
         S = np.eye(4, dtype=complex)[:, [i - 1, i + 1]]
-        assert np.array_equal(op.selector(i), S)
+        assert np.array_equal(selector(op.n, fam.dim // op.n, i), S)
         frames = holonomy._loop_frames(fam, RECT1, i, op.n, Tolerance())
         assert np.array_equal(frames, fam.along(RECT1.points()) @ S)
 
@@ -599,7 +606,7 @@ class TestStackedTransportBitIdentity:
         U_at = reference_exponential(fixture_generators())
         loop = LoopPath.rectangle(rect[:2], rect[2:], refinement)
         for i in (1, 2):
-            S = op.selector(i)
+            S = selector(op.n, fam.dim // op.n, i)
             ladder = refinement_ladder(fam, loop, i, op.n, doublings=doublings)
             H, defects = reference_ladder(U_at, loop, S, doublings)
             assert np.array_equal(ladder.holonomy, H)
@@ -616,7 +623,7 @@ class TestStackedTransportBitIdentity:
         loop = LoopPath.rectangle(a, a + rng.uniform(0.2, 0.9, 2), int(rng.integers(2, 12)))
         i, doublings = int(rng.integers(1, d + 1)), int(rng.integers(0, 5))
         fam, U_at = exponential_family(gens), reference_exponential(gens)
-        S = IsoDegenerateOperator(n=n, d=d, x=range(d)).selector(i)
+        S = selector(n, d, i)
         ladder = refinement_ladder(fam, loop, i, n, doublings=doublings)
         H, defects = reference_ladder(U_at, loop, S, doublings)
         assert np.array_equal(ladder.holonomy, H)

@@ -14,6 +14,7 @@ from tpskit.numerics import (
     hermitian_eig,
     hs_orthonormalize,
     kron,
+    mib_text,
     nullspace,
     polar_isometry,
     schmidt_entropy,
@@ -50,6 +51,38 @@ def test_unitarity_defect_is_infinite_for_non_finite_entries():
         U = np.eye(3, dtype=complex)
         U[2, 0] = bad
         assert unitarity_defect(U) == np.inf
+
+
+def random_unitaries(rng, shape, n):
+    """A stack of unitaries: the Q factors of complex Gaussian matrices."""
+    return np.linalg.qr(rng.standard_normal((*shape, n, n)) + 1j * rng.standard_normal((*shape, n, n)))[0]
+
+
+def test_unitarity_defect_of_a_stack_is_the_max_of_its_matrices():
+    rng = np.random.default_rng(53)
+    one = lambda U: float(np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))))
+    Us = random_unitaries(rng, (3, 4), 5) * (1 + 1e-9 * rng.standard_normal((3, 4, 1, 1)))
+    assert unitarity_defect(Us) == max(one(U) for U in Us.reshape(-1, 5, 5))
+    for U in [*Us[0], Us[1, 2][:, :3], rng.standard_normal((4, 2))]:
+        assert unitarity_defect(U) == one(U)  # a matrix, square or not, bit for bit
+
+
+def test_unitarity_defect_of_a_stack_flags_one_bad_member():
+    rng = np.random.default_rng(59)
+    Us = random_unitaries(rng, (8,), 4)
+    assert unitarity_defect(Us) < 1e-14
+    Us[5] *= 1 + 1e-6
+    assert 1e-6 < unitarity_defect(Us) < 3e-6
+    Us[2, 1, 3] = np.nan
+    assert unitarity_defect(Us) == np.inf
+
+
+def test_mib_text_prints_any_size():
+    for nbytes in (1, 100000000 * 4 * 16, 70368744177665 * 256, 2**1000):
+        assert mib_text(nbytes) == f"{nbytes / 2**20:.3g}"
+    assert mib_text(2**20 * 61 * 10**399) == "6.1e+400"
+    assert mib_text(2**20 * 9999 * 10**400) == "1e+404"  # the mantissa rounds up a decade
+    assert mib_text(10**5000).startswith("9.54e+4993")
 
 
 def test_hermitian_eig_identity():

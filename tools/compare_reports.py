@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are directories holding a ``tpskit`` package
 (a checkout's ``src``).  Every job of the three benchmark workloads is
 built once, for each seed and input set, by perfbench.workloads.generate
 in a temporary directory; every decompose job gets a twin with
-``--emit-basis`` appended, so the basis change T is compared as well.
+``--emit-basis`` appended, so the basis change T is compared as well, and
+every holonomy job one with ``--eigenspace 2``, since the jobs transport
+eigenspace 1 only.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
 its own interpreter with single-threaded BLAS.  Exit code, report and
 stderr are compared, with the wall-time line masked.  Prints
@@ -34,12 +36,14 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WALL_TIME = re.compile(r"wall-time \d+\.\d+ s")
 SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
+TWIN_FLAGS = {"decompose": ["--emit-basis"], "holonomy": ["--eigenspace", "2"]}  # appended to a twin job
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
     """Every job of every workload, seed and input set, with its working directory,
-    each decompose job followed by its --emit-basis twin."""
+    each decompose job followed by its --emit-basis twin and each holonomy job
+    by its --eigenspace 2 twin."""
     sys.path.insert(0, REPO)
     from perfbench.workloads import WORKLOADS, generate
 
@@ -52,9 +56,10 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
                     jobs.append({"workload": workload,
                                  "key": f"seed {seed} set {input_set} {job.id}",
                                  "cwd": cwd, "argv": job.argv, "out": job.out})
-                    if job.kind == "decompose":
-                        jobs.append({**jobs[-1], "key": jobs[-1]["key"] + " --emit-basis",
-                                     "argv": job.argv + ["--emit-basis"]})
+                    twin = TWIN_FLAGS.get(job.kind)
+                    if twin:
+                        jobs.append({**jobs[-1], "key": " ".join([jobs[-1]["key"], *twin]),
+                                     "argv": job.argv + twin})
     return jobs
 
 
