@@ -2,13 +2,14 @@
 
 Commands wrap the library modules: `decompose` and `bipartition` ingest
 operator spec files; `tps` fans out to partitions, distance, equivalent,
-entangle, parity, bosonic and holonomy subcommands.  Each handler imports
-the layers it runs, so a fresh process loads no other.  All randomness
-flows from --seed, every report embeds the tolerances actually used, and
-numeric fields are serialized with 17 significant digits so identical
-invocations produce byte-identical output.  Wall time (the handler's,
-including its first imports) goes to stderr only, keeping reports
-reproducible.
+entangle, parity, bosonic and holonomy subcommands.  main reads the spec
+file a command names once, then calls its handler(args, spec, tol); each
+handler imports the layers it runs, so a fresh process loads no other.
+All randomness flows from --seed, every report embeds the tolerances
+actually used, and numeric fields are serialized with 17 significant
+digits so identical invocations produce byte-identical output.  Wall time
+(the spec read and the handler, with its first imports) goes to stderr
+only, keeping reports reproducible.
 
 Exit codes: 0 success, 1 usage or input-file errors, 2 computation
 errors surfaced by the library.
@@ -118,10 +119,6 @@ def _dims_arg(text: str):
     return dims
 
 
-def _cut_arg(text: str):
-    return _int_tuple(text, "--cut")
-
-
 def _seed_arg(text: str) -> int:
     try:
         if int(text) >= 0:
@@ -141,38 +138,33 @@ def _corners_arg(text: str):
     return vals
 
 
-def _tolerance_from(args) -> Tolerance:
-    return Tolerance(rank_rel=args.tol_rank, resid_abs=args.tol_resid)
-
-
-def _resolve_parity_ops(tokens, spec: OperatorSpecFile | None):
-    ops = []
-    for tok in tokens:
-        if spec is not None and tok in spec.operators:
-            ops.append(spec.operators[tok])
-        else:
-            ops.append(parse_pauli_token(tok))
-    return ops
-
-
-def _spec_dims(dims, spec: OperatorSpecFile):
-    """dims, refused before a structure on them is built unless they multiply to the spec's dim."""
-    if math.prod(dims) != spec.dim:
+def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
+    """The structure --dims and --iso name; with a spec, dims that do not
+    multiply to its dim are refused before any structure is built."""
+    from .tps import TPS
+    if iso_name is not None and spec is None:
+        raise _UsageError("--iso1/--iso2 need a spec file to read from")
+    iso = None if iso_name is None else spec.operator(iso_name)
+    if spec is not None and math.prod(dims) != spec.dim:
         raise DimensionMismatchError(f"--dims give dimension {math.prod(dims)}, but the spec file "
                                      f"declares {spec.dim}")
-    return dims
+    return TPS.natural(dims) if iso is None else TPS(dims, iso, tol)
 
 
-def _measure_from(args):
-    from .tps import EntanglementMeasure
-    return EntanglementMeasure(kind=args.measure, cut=frozenset(args.cut))
+def _parity(tokens, spec: OperatorSpecFile | None, tol):
+    """The parity set --parity names, each token a spec operator or a Pauli
+    string, and its syndrome decomposition."""
+    from .parity import syndrome_decompose, validate_parity_set
+    ops = [spec.operators[tok] if spec is not None and tok in spec.operators
+           else parse_pauli_token(tok) for tok in tokens]
+    ps = validate_parity_set(ops, tol)
+    return ps, syndrome_decompose(ps, tol)
 
 
 # ----------------------------------------------------------------- handlers
 
-def _cmd_decompose(args, tol):
+def _cmd_decompose(args, spec, tol):
     from .algebra import algebra_residuals, close_algebra, commutant, structure_decompose
-    spec = load_spec(args.file)
     gens = list(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
@@ -192,9 +184,8 @@ def _cmd_decompose(args, tol):
     return results, residuals
 
 
-def _cmd_bipartition(args, tol):
+def _cmd_bipartition(args, spec, tol):
     from .algebra import check_bipartition, close_algebra
-    spec = load_spec(args.file)
     a1 = close_algebra(spec.generator_matrices("a1"), tol, dim=spec.dim)
     a2 = close_algebra(spec.generator_matrices("a2"), tol, dim=spec.dim)
     cert = check_bipartition(a1, a2, tol, seed=args.seed)
@@ -208,7 +199,7 @@ def _cmd_bipartition(args, tol):
     return results, cert.residuals
 
 
-def _cmd_partitions(args, tol):
+def _cmd_partitions(args, spec, tol):
     from .tps import multiplicative_partitions
     parts = multiplicative_partitions(args.n)
     results = {
@@ -219,12 +210,11 @@ def _cmd_partitions(args, tol):
     return results, {}
 
 
-def _cmd_distance(args, tol):
-    from .tps import TPS, entangling_power
-    spec = load_spec(args.file)
+def _cmd_distance(args, spec, tol):
+    from .tps import EntanglementMeasure, entangling_power
     U = spec.operator(args.unitary)
-    tps = TPS.natural(_spec_dims(args.dims, spec))
-    measure = _measure_from(args)
+    tps = _structure(args.dims, None, spec, tol)
+    measure = EntanglementMeasure(kind=args.measure, cut=args.cut)
     est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed, tol=tol)
     results = {
         "unitary": args.unitary,
@@ -240,19 +230,10 @@ def _cmd_distance(args, tol):
     return results, {"unitarity_defect": est.unitarity_defect}
 
 
-def _cmd_equivalent(args, tol):
-    from .tps import TPS, tps_equivalent
-    spec = load_spec(args.file) if args.file else None
-
-    def build(dims, iso_name):
-        if iso_name is None:
-            return TPS.natural(dims)
-        if spec is None:
-            raise _UsageError("--iso1/--iso2 need a spec file to read from")
-        return TPS(dims, spec.operator(iso_name), tol)
-
-    t1 = build(args.dims1, args.iso1)
-    t2 = build(args.dims2, args.iso2)
+def _cmd_equivalent(args, spec, tol):
+    from .tps import tps_equivalent
+    t1 = _structure(args.dims1, args.iso1, spec, tol)
+    t2 = _structure(args.dims2, args.iso2, spec, tol)
     perm = tps_equivalent(t1, t2, tol)
     results = {
         "dims1": list(t1.dims),
@@ -263,26 +244,20 @@ def _cmd_equivalent(args, tol):
     return results, {}
 
 
-def _cmd_entangle(args, tol):
-    from .parity import syndrome_decompose, validate_parity_set
-    from .tps import TPS, entanglement
-    spec = load_spec(args.file)
+def _cmd_entangle(args, spec, tol):
+    from .tps import EntanglementMeasure, entanglement
     state = spec.state(args.state)
     if (args.parity is None) == (args.dims is None):
         raise _UsageError("entangle needs exactly one of --parity or --dims")
     if args.iso is not None and args.dims is None:
         raise _UsageError("--iso goes with --dims only")
     if args.parity is not None:
-        ops = _resolve_parity_ops(args.parity, spec)
-        sd = syndrome_decompose(validate_parity_set(ops, tol), tol)
-        tps = sd.tps
+        tps = _parity(args.parity, spec, tol)[1].tps
         origin = {"parity": list(args.parity)}
     else:
-        iso = spec.operator(args.iso) if args.iso else None
-        dims = _spec_dims(args.dims, spec)
-        tps = TPS(dims, iso, tol) if iso is not None else TPS.natural(dims)
+        tps = _structure(args.dims, args.iso, spec, tol)
         origin = {"dims": list(args.dims)}
-    measure = _measure_from(args)
+    measure = EntanglementMeasure(kind=args.measure, cut=args.cut)
     value = entanglement(state, tps, measure)
     results = {
         "state": args.state,
@@ -295,12 +270,8 @@ def _cmd_entangle(args, tol):
     return results, {}
 
 
-def _cmd_parity(args, tol):
-    from .parity import syndrome_decompose, validate_parity_set
-    spec = load_spec(args.file) if args.file else None
-    ops = _resolve_parity_ops(args.parity, spec)
-    ps = validate_parity_set(ops, tol)
-    sd = syndrome_decompose(ps, tol)
+def _cmd_parity(args, spec, tol):
+    ps, sd = _parity(args.parity, spec, tol)
     results = {
         "n": ps.n,
         "k": ps.k,
@@ -311,16 +282,15 @@ def _cmd_parity(args, tol):
     return results, {}
 
 
-def _cmd_bosonic(args, tol):
+def _cmd_bosonic(args, spec, tol):
     from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
     fock = build_fock(args.modes, args.cutoff)
-    if args.unitary is not None:
-        if args.file is None:
-            raise _UsageError("--unitary needs a spec file to read from")
-        spec = load_spec(args.file)
-        U = spec.operator(args.unitary)
-    else:
+    if args.unitary is None:
         U = np.eye(args.modes)
+    elif spec is None:
+        raise _UsageError("--unitary needs a spec file to read from")
+    else:
+        U = spec.operator(args.unitary)
     ms = transform_modes(fock, U, tol)
     state = single_excitation_state(ms, args.excite)
     value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure, tol=tol)
@@ -337,7 +307,7 @@ def _cmd_bosonic(args, tol):
     return results, {"ccr": ms.ccr}
 
 
-def _cmd_holonomy(args, tol):
+def _cmd_holonomy(args, spec, tol):
     from .holonomy import LoopPath, builtin_family, holonomy_nonabelian_witness, refinement_ladder
     fam, op = builtin_family(args.family)
     loop = LoopPath.rectangle(args.rect[:2], args.rect[2:], refinement=args.refinement)
@@ -369,6 +339,7 @@ def build_parser() -> _Parser:
     immutable, so no call sees another's arguments.  Callers must not
     change the parser.
     """
+    cut = functools.partial(_int_tuple, flag="--cut")
     common = _Parser(add_help=False)
     common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel,
                         help="relative rank cutoff (default %(default)g)")
@@ -387,12 +358,12 @@ def build_parser() -> _Parser:
     p.add_argument("file", help="operator spec file (JSON)")
     p.add_argument("--emit-basis", action="store_true",
                    help="include the basis-change matrix in the report")
-    p.set_defaults(handler=_cmd_decompose, command_path="decompose")
+    p.set_defaults(handler=_cmd_decompose)
 
     p = top.add_parser("bipartition", parents=[common],
                        help="certify a1/a2 generator lists as a virtual bipartition")
     p.add_argument("file", help="spec file naming a1_generators and a2_generators")
-    p.set_defaults(handler=_cmd_bipartition, command_path="bipartition")
+    p.set_defaults(handler=_cmd_bipartition)
 
     tps_parser = top.add_parser("tps", help="tensor product structure toolbox")
     sub = tps_parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
@@ -400,7 +371,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("partitions", parents=[common],
                        help="multiplicative partitions of a dimension")
     p.add_argument("n", type=int, help="total dimension")
-    p.set_defaults(handler=_cmd_partitions, command_path="tps partitions")
+    p.set_defaults(handler=_cmd_partitions)
 
     p = sub.add_parser("distance", parents=[common],
                        help="entangling power and distance from the product gates")
@@ -410,9 +381,9 @@ def build_parser() -> _Parser:
                    help="factor dimensions, e.g. 2,2")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--measure", choices=["vn", "linear"], default="vn")
-    p.add_argument("--cut", type=_cut_arg, default=(1,),
+    p.add_argument("--cut", type=cut, default=(1,),
                    help="factor indices on one side (default 1)")
-    p.set_defaults(handler=_cmd_distance, command_path="tps distance")
+    p.set_defaults(handler=_cmd_distance)
 
     p = sub.add_parser("equivalent", parents=[common],
                        help="test two structures for factor-wise equivalence")
@@ -421,7 +392,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dims2", type=_dims_arg, required=True)
     p.add_argument("--iso1", metavar="NAME")
     p.add_argument("--iso2", metavar="NAME")
-    p.set_defaults(handler=_cmd_equivalent, command_path="tps equivalent")
+    p.set_defaults(handler=_cmd_equivalent)
 
     p = sub.add_parser("entangle", parents=[common],
                        help="entanglement of a named state in a chosen structure")
@@ -432,14 +403,14 @@ def build_parser() -> _Parser:
     p.add_argument("--dims", type=_dims_arg, help="natural-structure dimensions")
     p.add_argument("--iso", metavar="NAME", help="iso operator for --dims")
     p.add_argument("--measure", choices=["vn", "linear"], default="vn")
-    p.add_argument("--cut", type=_cut_arg, default=(1,))
-    p.set_defaults(handler=_cmd_entangle, command_path="tps entangle")
+    p.add_argument("--cut", type=cut, default=(1,))
+    p.set_defaults(handler=_cmd_entangle)
 
     p = sub.add_parser("parity", parents=[common],
                        help="syndrome sectors of a commuting parity set")
     p.add_argument("file", nargs="?", help="spec file for named operators")
     p.add_argument("--parity", nargs="+", required=True, metavar="TOKEN")
-    p.set_defaults(handler=_cmd_parity, command_path="tps parity")
+    p.set_defaults(handler=_cmd_parity)
 
     p = sub.add_parser("bosonic", parents=[common],
                        help="mode entanglement of a single excitation")
@@ -449,9 +420,9 @@ def build_parser() -> _Parser:
     p.add_argument("--unitary", metavar="NAME")
     p.add_argument("--excite", type=int, default=1, metavar="MODE")
     p.add_argument("--measure", choices=["vn", "linear"], default="vn")
-    p.add_argument("--cut", type=_cut_arg, default=(1,),
+    p.add_argument("--cut", type=cut, default=(1,),
                    help="mode indices on one side (default 1)")
-    p.set_defaults(handler=_cmd_bosonic, command_path="tps bosonic")
+    p.set_defaults(handler=_cmd_bosonic)
 
     p = sub.add_parser("holonomy", parents=[common],
                        help="loop holonomy report for a built-in family")
@@ -463,24 +434,24 @@ def build_parser() -> _Parser:
     p.add_argument("--eigenspace", type=int, default=1)
     p.add_argument("--refinement", type=int, default=16)
     p.add_argument("--doublings", type=int, default=3)
-    p.set_defaults(handler=_cmd_holonomy, command_path="tps holonomy")
+    p.set_defaults(handler=_cmd_holonomy)
 
     return parser
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        tol = _tolerance_from(args)
+        args = build_parser().parse_args(argv)
+        tol = Tolerance(rank_rel=args.tol_rank, resid_abs=args.tol_resid)
     except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
 
     start = time.perf_counter()
     try:
-        results, residuals = args.handler(args, tol)
+        spec = None if getattr(args, "file", None) is None else load_spec(args.file)
+        results, residuals = args.handler(args, spec, tol)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -493,7 +464,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - start
 
     report = {
-        "command": args.command_path,
+        "command": " ".join(filter(None, [args.command, getattr(args, "subcommand", None)])),
         "argv": argv,
         "seed": args.seed,
         "tolerances": {

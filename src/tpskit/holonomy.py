@@ -28,6 +28,7 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     close_span,
+    count_text,
     hermitian_eig,
     mib_text,
     unitarity_defect,
@@ -209,7 +210,7 @@ def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
     nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
     if nbytes > BYTES_BUDGET:
         raise ContractViolationError(
-            f"a loop of {loop.n_points} points needs a {mib_text(nbytes)} MiB family "
+            f"a loop of {count_text(loop.n_points)} points needs a {mib_text(nbytes)} MiB family "
             f"stack, over the {BYTES_BUDGET // 2**20} MiB cap")
     return fam.along(loop.points(), tol)[..., cols]
 

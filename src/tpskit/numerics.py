@@ -152,6 +152,14 @@ def mib_text(nbytes: int) -> str:
         return f"{float(mantissa):g}e+{int(exponent) + int(carry)}"
 
 
+def count_text(n: int) -> str:
+    """A count in decimal, or as ``f"{n:.3g}"`` would print it past the digits ``str`` prints."""
+    try:
+        return str(n)
+    except ValueError:
+        return mib_text(n * 2**20)  # n MiB, in MiB
+
+
 def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Hilbert-Schmidt orthonormalization of a sequence of same-shape matrices.
 

@@ -27,6 +27,8 @@ from tpskit.errors import ContractViolationError, DimensionMismatchError, Tolera
 from tpskit.numerics import DEFAULT_TOL, Tolerance, span_residual
 from tpskit.opfile import load_spec
 
+from helpers import haar_unitary
+
 DATA = Path(__file__).parent / "data"
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,12 +47,6 @@ def kron_all(*ops):
 def span_projector(basis):
     Q = basis.reshape(basis.shape[0], -1)
     return Q.conj().T @ Q
-
-
-def haar_unitary(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def central_projectors(sd):

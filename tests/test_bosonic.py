@@ -26,13 +26,9 @@ from tpskit.errors import (
 )
 from tpskit.numerics import schmidt_entropy, unitarity_defect
 
+from helpers import haar_unitary
+
 BEAMSPLITTER = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-
-
-def haar_unitary(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def dense_ladders(N, M):

@@ -770,8 +770,13 @@ class TestSizeRefusals:
           "--dims", "64,64"], "DimensionMismatchError"),
         (["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
           "--dims", "65536,65536"], "DimensionMismatchError"),
+        # the point count has more digits than str prints
+        (["tps", "holonomy", "--refinement", "9" * 4300], "ContractViolationError"),
+        (["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "4096,4096",
+          "--dims2", "4096,4096"], "DimensionMismatchError"),
     ], ids=["refinement", "samples", "doublings-2e4", "doublings-3e5", "doublings-1e9",
-            "entangle-dims-512", "entangle-dims-64", "distance-dims-65536"])
+            "entangle-dims-512", "entangle-dims-64", "distance-dims-65536",
+            "refinement-4300-digits", "equivalent-dims-4096"])
     def test_refused_in_a_fresh_process_under_a_second(self, argv, error):
         code, out, err, seconds = run_fresh(argv)
         assert (code, out) == (2, ""), err
@@ -796,7 +801,9 @@ class TestSizeRefusals:
                      ["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus",
                       "--dims", "3,3", "--iso", "xx"],
                      ["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
-                      "--dims", "2,2,2"]):
+                      "--dims", "2,2,2"],
+                     ["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "2,3",
+                      "--dims2", "2,2"]):
             code, out, err = run_cli(argv, capsys)
             assert (code, out) == (2, "")
             assert "DimensionMismatchError: --dims give dimension" in err
@@ -850,6 +857,13 @@ class TestCliPlumbing:
         code, _, err = run_cli(["decompose", "/no/such/file.json"], capsys)
         assert code == 1
         assert "spec file" in err
+
+    def test_bosonic_reads_its_file_without_unitary(self, tmp_path, capsys):
+        # the spec file is read before any command runs, even one that needs none of it
+        argv = ["tps", "bosonic", str(tmp_path / "MISSING.json"), "--modes", "2", "--cutoff", "2"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("spec file error: cannot read spec file ")
 
     def test_bad_json_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -54,3 +54,22 @@ def test_every_holonomy_job_has_an_eigenspace_2_twin(tmp_path):
     for job in plain:
         twin = by_key[job["key"] + " --eigenspace 2"]
         assert twin == {**job, "key": twin["key"], "argv": job["argv"] + ["--eigenspace", "2"]}
+
+
+def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path):
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
+    fixtures = [job for job in jobs if job["workload"] == "fixtures"]
+    assert fixtures == jobs[-len(fixtures):]
+    assert all(job["cwd"] == str(tmp_path) and job["out"] is None for job in fixtures)
+    argvs = [job["argv"] for job in fixtures]
+    data = Path(compare_reports.DATA)
+    files = sorted(str(path) for path in data.glob("*.json"))
+    assert [a for a in argvs if a[0] == "decompose"] == [
+        ["decompose", "--emit-basis", f] for f in files]
+    named = [f for f in files
+             if {"a1_generators", "a2_generators"} <= json.loads(Path(f).read_text()).keys()]
+    assert named and [a for a in argvs if a[0] == "bipartition"] == [["bipartition", f] for f in named]
+    for command in ("equivalent", "parity", "bosonic"):
+        with_spec = {a[2] in files for a in argvs if a[:2] == ["tps", command]}
+        assert with_spec == {True, False}, command
+    assert len({job["key"] for job in fixtures}) == len(fixtures)

@@ -36,11 +36,7 @@ from tpskit.holonomy import (
 )
 from tpskit.numerics import Tolerance, unitarity_defect
 
-
-def haar_unitary(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
+from helpers import haar_unitary
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -10,6 +10,7 @@ from tpskit.numerics import (
     Tolerance,
     close_span,
     cluster_indices,
+    count_text,
     density_entropy,
     hermitian_eig,
     hs_orthonormalize,
@@ -21,6 +22,8 @@ from tpskit.numerics import (
     span_residual,
     unitarity_defect,
 )
+
+from helpers import haar_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -83,6 +86,12 @@ def test_mib_text_prints_any_size():
     assert mib_text(2**20 * 61 * 10**399) == "6.1e+400"
     assert mib_text(2**20 * 9999 * 10**400) == "1e+404"  # the mantissa rounds up a decade
     assert mib_text(10**5000).startswith("9.54e+4993")
+
+
+def test_count_text_prints_any_count():
+    for n in (0, 70368744177665, 10**4299):  # 10**4299 has the most digits str prints
+        assert count_text(n) == str(n)
+    assert count_text(32 * 10**4300 + 1) == "3.2e+4301"
 
 
 def test_hermitian_eig_identity():
@@ -252,11 +261,6 @@ def test_span_residual_of_rows():
     assert np.allclose(r, [0.0, np.sqrt(2), np.sqrt(2)], atol=1e-14)
 
 
-def haar_unitary(rng, n):
-    Q, R = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-
 def test_close_span_commutator_closure_is_su2():
     # [iX, iY] = -2iZ closes su(2)
     assert len(close_span([1j * SX, 1j * SY], DEFAULT_TOL)) == 3
@@ -269,7 +273,7 @@ def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
     # own central parts, which span min(2, k) of the k block traces
     rng = np.random.default_rng(seed)
     n = sum(sizes)
-    U = haar_unitary(rng, n)
+    U = haar_unitary(n, rng)
     gens = []
     for _ in range(2):
         A = np.zeros((n, n), dtype=complex)

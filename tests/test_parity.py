@@ -22,18 +22,14 @@ from tpskit.parity import (
 )
 from tpskit.tps import EntanglementMeasure, entanglement
 
+from helpers import haar_unitary
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 BELL_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 BELL_MINUS = np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)
-
-
-def haar_unitary(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 PAULI_1Q = {"I": I2, "X": SX, "Y": SY, "Z": SZ}

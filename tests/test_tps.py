@@ -20,18 +20,14 @@ from tpskit.tps import (
     tps_equivalent,
 )
 
+from helpers import haar_unitary
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-
-
-def haar_unitary(dim, rng):
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    Q, R = np.linalg.qr(G)
-    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def random_state(dim, rng):

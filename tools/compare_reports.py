@@ -8,7 +8,10 @@ built once, for each seed and input set, by perfbench.workloads.generate
 in a temporary directory; every decompose job gets a twin with
 ``--emit-basis`` appended, so the basis change T is compared as well, and
 every holonomy job one with ``--eigenspace 2``, since the jobs transport
-eigenspace 1 only.
+eigenspace 1 only.  A ``fixtures`` group adds the ``tests/data`` spec
+files: each through ``decompose --emit-basis``, each that names a1/a2
+generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
+and ``tps bosonic`` each with and without a spec file.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
 its own interpreter with single-threaded BLAS.  Exit code, report and
 stderr are compared, with the wall-time line masked.  Prints
@@ -33,6 +36,7 @@ import traceback
 from collections import Counter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DATA = os.path.join(REPO, "tests", "data")
 WALL_TIME = re.compile(r"wall-time \d+\.\d+ s")
 SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
@@ -43,7 +47,7 @@ SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_T
 def build_jobs(root: str, seeds, sets) -> list[dict]:
     """Every job of every workload, seed and input set, with its working directory,
     each decompose job followed by its --emit-basis twin and each holonomy job
-    by its --eigenspace 2 twin."""
+    by its --eigenspace 2 twin; then the fixtures group, run in root."""
     sys.path.insert(0, REPO)
     from perfbench.workloads import WORKLOADS, generate
 
@@ -60,7 +64,34 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
                     if twin:
                         jobs.append({**jobs[-1], "key": " ".join([jobs[-1]["key"], *twin]),
                                      "argv": job.argv + twin})
-    return jobs
+    return jobs + fixture_jobs(root)
+
+
+def fixture_jobs(cwd: str) -> list[dict]:
+    """The fixtures group: every tests/data spec file through decompose --emit-basis,
+    those naming a1/a2 generators through bipartition, and tps equivalent, parity and
+    bosonic each with and without a spec file."""
+    files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
+    argvs = [["decompose", "--emit-basis", path] for path in files]
+    for path in files:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if "a1_generators" in doc and "a2_generators" in doc:
+            argvs.append(["bipartition", path])
+    cnot, bell = os.path.join(DATA, "cnot.json"), os.path.join(DATA, "bell_xx.json")
+    argvs += [
+        ["tps", "equivalent", cnot, "--dims1", "2,2", "--dims2", "2,2", "--iso1", "swap"],
+        ["tps", "equivalent", "--dims1", "2,3", "--dims2", "3,2"],
+        ["tps", "parity", bell, "--parity", "xx"],
+        ["tps", "parity", "--parity", "ZZI", "IZZ"],
+        ["tps", "bosonic", cnot, "--modes", "4", "--cutoff", "1", "--unitary", "cnot",
+         "--excite", "2"],
+        ["tps", "bosonic", cnot, "--modes", "2", "--cutoff", "2"],
+        ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
+    ]
+    return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
+             "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA) else a for a in argv)}
+            for argv in argvs]
 
 
 def run_jobs(jobs_path: str, results_path: str) -> None:
