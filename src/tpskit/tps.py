@@ -5,7 +5,7 @@ product of factors.  Everything downstream of that identification lives
 here: the induced local algebras, entanglement relative to the TPS,
 Monte Carlo entangling power (whose square root serves as a distance
 between structures), factorization enumeration, and an equivalence test
-based on comparing induced local algebras.
+that reads the local algebras' match off one transition unitary.
 
 Factor indices are 1-based throughout, matching the subscripts in
 ``dims = (n_1, ..., n_m)``.
@@ -13,6 +13,7 @@ Factor indices are 1-based throughout, matching the subscripts in
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -22,10 +23,10 @@ from .numerics import (
     BYTES_BUDGET,
     DEFAULT_TOL,
     Tolerance,
+    count_text,
     density_entropy,
     mib_text,
     schmidt_entropy,
-    span_residual,
     unitarity_defect,
 )
 
@@ -55,11 +56,10 @@ class TPS:
         self.dims = tuple(int(n) for n in self.dims)
         if not self.dims or any(n < 2 for n in self.dims):
             raise ContractViolationError("every factor dimension must be >= 2")
-        d = int(np.prod(self.dims))
         self.iso = np.asarray(self.iso, dtype=complex)
-        if self.iso.shape != (d, d):
+        if self.iso.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
-                f"iso shape {self.iso.shape} does not match factor product {d}")
+                f"iso shape {self.iso.shape} does not match factor product {self.dim}")
         defect = unitarity_defect(self.iso)
         if defect > tol.resid_abs:
             raise ContractViolationError(f"iso unitarity defect {defect:.3e}")
@@ -74,8 +74,13 @@ class TPS:
 
     @classmethod
     def natural(cls, dims) -> "TPS":
-        """The TPS in which the ambient basis is already the product basis."""
-        d = int(np.prod([int(n) for n in dims]))
+        """The TPS in which the ambient basis is already the product basis; its
+        complex identity, 16 d^2 bytes, is refused past BYTES_BUDGET before it is built."""
+        d = math.prod(int(n) for n in dims)
+        if 16 * d * d > BYTES_BUDGET:
+            raise ContractViolationError(
+                f"a natural structure of dimension {count_text(d)} needs a {mib_text(16 * d * d)} "
+                f"MiB identity, over the {BYTES_BUDGET // 2**20} MiB budget")
         return cls(tuple(dims), np.eye(d, dtype=complex))
 
 
@@ -261,35 +266,29 @@ def tps_distance(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure
     return float(np.sqrt(est.mean))
 
 
-def _spans_equal(a: OperatorAlgebra, b: OperatorAlgebra, tol: Tolerance) -> bool:
-    if len(a) != len(b):
-        return False
-    ra = np.max(span_residual(a.basis, b.basis))
-    rb = np.max(span_residual(b.basis, a.basis))
-    return max(float(ra), float(rb)) < tol.resid_abs
-
-
 def tps_equivalent(t1: TPS, t2: TPS, tol: Tolerance = DEFAULT_TOL):
     """Permutation identifying the two structures, or None.
 
-    Returns a tuple pi with pi[k] = j meaning factor k+1 of t1 induces the
-    same local operator span as factor j of t2; only factors of equal
-    dimension are permuted.  None when no such permutation exists (in
-    particular whenever the dims multisets differ).  The local algebras
-    of distinct factors share only the scalars, so each factor of t1
-    matches at most one factor of t2.
+    pi[k] = j means factor k+1 of t1 induces the same local algebra as factor j
+    of t2, both of dimension n; None when no permutation does.  That holds exactly
+    when the transition unitary W = t2.iso^dag t1.iso, read from (k+1, rest) to
+    (j, rest), is a product u (x) v, so that its (n^2, (d/n)^2) realignment has rank
+    one and s_1 = sqrt(d); a match is accepted when s_2 <= resid_abs * s_1.
+    Distinct factors' algebras share only the scalars: each factor matches at most one.
     """
     if t1.dim != t2.dim:
         raise DimensionMismatchError("structures live on different spaces")
     if sorted(t1.dims) != sorted(t2.dims):
         return None
     m = t1.nfactors
-    loc2 = [local_algebra(t2, j) for j in range(1, m + 1)]
+    W = (t2.iso.conj().T @ t1.iso).reshape(t2.dims + t1.dims)
     pi = []
-    for k in range(1, m + 1):
-        loc1 = local_algebra(t1, k)
-        j = next((j for j in range(1, m + 1) if _spans_equal(loc1, loc2[j - 1], tol)), None)
-        if j is None:
+    for k, n in enumerate(t1.dims):
+        for j in (j for j in range(m) if t2.dims[j] == n):
+            s = np.linalg.svd(np.moveaxis(W, (j, m + k), (0, 1)).reshape(n * n, -1), compute_uv=False)
+            if s[1:].max(initial=0.0) <= tol.resid_abs * s[0]:  # one factor: s has no s_2
+                pi.append(j + 1)
+                break
+        else:
             return None
-        pi.append(j)
     return tuple(pi)

@@ -26,6 +26,8 @@ from tpskit.opfile import (
 )
 from tpskit.parity import pauli_string_matrix
 
+from helpers import haar_unitary
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -774,9 +776,15 @@ class TestSizeRefusals:
         (["tps", "holonomy", "--refinement", "9" * 4300], "ContractViolationError"),
         (["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "4096,4096",
           "--dims2", "4096,4096"], "DimensionMismatchError"),
+        # no spec file: the natural structures' identities are predicted past the budget
+        (["tps", "equivalent", "--dims1", "4096,4096", "--dims2", "4096,4096"],
+         "ContractViolationError"),
+        (["tps", "equivalent", "--dims1", "2,2048", "--dims2", "2,2048"],
+         "ContractViolationError"),
     ], ids=["refinement", "samples", "doublings-2e4", "doublings-3e5", "doublings-1e9",
             "entangle-dims-512", "entangle-dims-64", "distance-dims-65536",
-            "refinement-4300-digits", "equivalent-dims-4096"])
+            "refinement-4300-digits", "equivalent-dims-4096", "equivalent-natural-4096x4096",
+            "equivalent-natural-2x2048"])
     def test_refused_in_a_fresh_process_under_a_second(self, argv, error):
         code, out, err, seconds = run_fresh(argv)
         assert (code, out) == (2, ""), err
@@ -808,6 +816,23 @@ class TestSizeRefusals:
             assert (code, out) == (2, "")
             assert "DimensionMismatchError: --dims give dimension" in err
             assert "but the spec file declares 4" in err
+
+
+def test_equivalent_answers_large_pairs_in_a_fresh_process(tmp_path):
+    # one transition unitary: no local algebra (d x d per matrix unit) is built
+    code, out, err, seconds = run_fresh(["tps", "equivalent", "--dims1", "2,512",
+                                         "--dims2", "2,512"])
+    assert code == 0, err
+    assert json.loads(out)["results"]["permutation"] == [1, 2] and seconds < 5.0
+    rng = np.random.default_rng(16)
+    iso1 = haar_unitary(256, rng)
+    swap = np.eye(256)[np.arange(256).reshape(16, 16).T.reshape(-1)]
+    iso2 = iso1 @ swap @ np.kron(haar_unitary(16, rng), haar_unitary(16, rng))
+    spec = write_spec(tmp_path / "pair.json", 256, {"iso1": iso1, "iso2": iso2})
+    code, out, err, seconds = run_fresh(["tps", "equivalent", spec, "--dims1", "16,16",
+                                         "--dims2", "16,16", "--iso1", "iso1", "--iso2", "iso2"])
+    assert code == 0, err
+    assert json.loads(out)["results"]["permutation"] == [2, 1] and seconds < 5.0
 
 
 class TestCliPlumbing:
@@ -1077,7 +1102,9 @@ def test_a_command_loads_only_its_layers(tmp_path):
     assert _fresh_main(["decompose", spec, "--out", out],
                        ("tpskit.holonomy", "tpskit.bosonic", "tpskit.parity", "tpskit.tps")
                        ) == "0 []"
-    for argv in (["tps", "holonomy"], ["tps", "partitions", "12"]):
+    for argv in (["tps", "holonomy"], ["tps", "partitions", "12"],
+                 ["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "2,2", "--dims2", "2,2",
+                  "--iso1", "swap"]):
         assert _fresh_main([*argv, "--out", out], ("tpskit.algebra",)) == "0 []"
 
 

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from tpskit.cli import main
+
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
 _spec = importlib.util.spec_from_file_location("compare_reports", _TOOL)
 compare_reports = importlib.util.module_from_spec(_spec)
@@ -56,7 +58,7 @@ def test_every_holonomy_job_has_an_eigenspace_2_twin(tmp_path):
         assert twin == {**job, "key": twin["key"], "argv": job["argv"] + ["--eigenspace", "2"]}
 
 
-def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path):
+def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, capsys):
     jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
     fixtures = [job for job in jobs if job["workload"] == "fixtures"]
     assert fixtures == jobs[-len(fixtures):]
@@ -72,4 +74,10 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path):
     for command in ("equivalent", "parity", "bosonic"):
         with_spec = {a[2] in files for a in argvs if a[:2] == ["tps", command]}
         assert with_spec == {True, False}, command
+    # the spec-less equivalent jobs reach both verdicts of the no-FILE path
+    verdicts = set()
+    for argv in (a for a in argvs if a[:2] == ["tps", "equivalent"] and a[2] not in files):
+        assert main(argv) == 0
+        verdicts.add(json.loads(capsys.readouterr().out)["results"]["equivalent"])
+    assert verdicts == {True, False}
     assert len({job["key"] for job in fixtures}) == len(fixtures)

@@ -498,6 +498,12 @@ class TestTpsDistance:
 
 # --------------------------------------------------------------- equivalence
 
+def spans_equal(a, b, tol):
+    """Whether two local algebras span the same operators, each basis within resid_abs of the other."""
+    return len(a) == len(b) and max(np.max(span_residual(a.basis, b.basis)),
+                                    np.max(span_residual(b.basis, a.basis))) < tol.resid_abs
+
+
 def enumerated_equivalent(t1, t2, tol=DEFAULT_TOL):
     """Oracle: the first permutation, over every permutation within each
     dimension group in lexicographic order, whose local spans all agree."""
@@ -517,7 +523,7 @@ def enumerated_equivalent(t1, t2, tol=DEFAULT_TOL):
         for n, perm in zip(group_dims, combo):
             for src, dst in zip(groups[n], perm):
                 pi[src] = dst
-        if all(tps_module._spans_equal(loc1[k], loc2[pi[k]], tol) for k in range(m)):
+        if all(spans_equal(loc1[k], loc2[pi[k]], tol) for k in range(m)):
             return tuple(p + 1 for p in pi)
     return None
 
@@ -597,3 +603,28 @@ class TestTpsEquivalent:
         found = [tps_equivalent(t1, t2) for t1, t2 in pairs]
         assert found == [enumerated_equivalent(t1, t2) for t1, t2 in pairs]
         assert sum(p is not None for p in found) == 12  # the permuted pairs, both ways
+
+    @pytest.mark.parametrize("resid_abs", [1e-8, 1e-4])
+    def test_the_match_threshold_is_the_realignment_ratio(self, resid_abs):
+        # exp(i eps Z (x) Z) realigns to cos(eps) vec(1) vec(1)^T + i sin(eps) vec(Z) vec(Z)^T,
+        # so s_2 / s_1 = tan(eps): a match just below resid_abs, none just above
+        for factor, expected in [(0.9, (1, 2)), (1.1, None)]:
+            phases = np.exp(1j * factor * resid_abs * np.array([1, -1, -1, 1]))
+            t2 = TPS((2, 2), np.diag(phases))
+            assert tps_equivalent(TPS.natural((2, 2)), t2, Tolerance(resid_abs=resid_abs)) == expected
+
+    @pytest.mark.parametrize("eps,expect_match", [(1e-10, True), (1e-6, False)])
+    def test_a_near_local_transition_agrees_with_the_span_oracle(self, eps, expect_match):
+        # iso2 = iso1 . local . exp(i eps H) with |H| = 1: far below resid_abs both
+        # the realignment rule and the span comparison match, far above it neither does
+        rng = np.random.default_rng(4099)
+        for dims in [(2, 3), (2, 2, 2), (3, 4), (2, 2, 3)]:
+            d = int(np.prod(dims))
+            t1 = TPS(dims, haar_unitary(d, rng))
+            iso1_local = permuted_structure(t1, np.arange(len(dims)), rng).iso
+            G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            w, V = np.linalg.eigh(G + G.conj().T)
+            w /= np.max(np.abs(w))
+            t2 = TPS(dims, iso1_local @ (V * np.exp(1j * eps * w)) @ V.conj().T)
+            expected = tuple(range(1, len(dims) + 1)) if expect_match else None
+            assert tps_equivalent(t1, t2) == enumerated_equivalent(t1, t2) == expected, dims

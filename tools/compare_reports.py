@@ -82,6 +82,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     argvs += [
         ["tps", "equivalent", cnot, "--dims1", "2,2", "--dims2", "2,2", "--iso1", "swap"],
         ["tps", "equivalent", "--dims1", "2,3", "--dims2", "3,2"],
+        ["tps", "equivalent", "--dims1", "2,3,2", "--dims2", "2,3,2"],
         ["tps", "parity", bell, "--parity", "xx"],
         ["tps", "parity", "--parity", "ZZI", "IZZ"],
         ["tps", "bosonic", cnot, "--modes", "4", "--cutoff", "1", "--unitary", "cnot",
