@@ -6,8 +6,10 @@ The central construction is the block decomposition
 
     A  ~  (+)_J  1_{n_J} (x) M_{d_J},
 
-realized by an explicit unitary change of basis, from which factor tests
-and bipartition certificates follow.
+realized by an explicit unitary change of basis T.  It is read off generic
+elements of the commutant A' = (+)_J M_{n_J} (x) 1_{d_J}, and the closure,
+commutant, center, factor test and bipartition certificate all follow from
+(shape, T).
 """
 
 from __future__ import annotations
@@ -19,23 +21,24 @@ import numpy as np
 
 from .errors import ContractViolationError, DegeneracyError, DimensionMismatchError, ToleranceError
 from .numerics import (
+    BYTES_BUDGET,
     DEFAULT_TOL,
     DEGENERACY_GAP,
     Tolerance,
     cluster_indices,
-    fix_column_phases,
     hermitian_eig,
     hs_orthonormalize,
-    nullspace,
+    mib_text,
     polar_isometry,
     span_residual,
     unitarity_defect,
 )
 
-_MAX_PROBE_RETRIES = 16
+_MAX_PROBE_RETRIES = 16  # draws of generic commutant elements per decomposition
+_CG_STOP = 1e-13  # CG's residual stop, relative to k |X0| for k HS-normalized operators
 _ORACLE_PROBES = 8  # probe pairs of algebra_residuals
-# spawn key of algebra_residuals' draw: structure_decompose spawns keys 0..z, z <= dim^2
-_ORACLE_STREAM = 2**32 - 1
+# seed streams: a decomposition draws from the seed itself, these from its children
+_JOIN_STREAM, _ORACLE_STREAM = 2**32 - 2, 2**32 - 1
 
 
 @dataclass
@@ -44,7 +47,9 @@ class OperatorAlgebra:
 
     dim: int
     basis: np.ndarray  # (k, dim, dim)
-    # commutant and center by (name, Tolerance), shared by later calls: never modify a basis
+    # HS-normalized ops whose *-closed span generates it, for commutant solves (None: the basis)
+    generators: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # decompositions by (Tolerance, seed), commutant by Tolerance: never modify a basis
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -64,7 +69,7 @@ def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
     largest span_residual(X^dag) / |X|, in HS norm.  A span that is not closed
     passes a probe only on a measure-zero set of draws, so the cost is
     O(r (k d^2 + d^3)) where all k^2 pairs would take O(k^2 d^3).  The draw
-    has its own child stream of seed, which structure_decompose never spawns.
+    has its own child stream of seed, which no decomposition draws from.
     """
     d, k = alg.dim, len(alg)
     ident = np.eye(d, dtype=complex) / np.sqrt(d)
@@ -81,103 +86,67 @@ def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
 def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
-    By the double-commutant theorem it is S'' for S the identity, the generators
-    and their adjoints: one commutant cut gives A' = S', which the result keeps
-    for ``commutant`` at this tolerance, and a second gives A''.
+    It is S'' for S the identity, the generators and their adjoints: its block form
+    is read off generic elements of S' drawn at seed 0, and its matrix units are the
+    basis.  The result keeps S, and the decomposition for ``structure_decompose``.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
-    if gens:
-        d = gens[0].shape[0]
-        for g in gens:
-            if g.shape != (d, d):
-                raise DimensionMismatchError("generators must be square and of equal dimension")
-            if not np.isfinite(g).all():
-                raise ContractViolationError("generator has a non-finite entry")
-        if dim is not None and dim != d:
-            raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
-    elif dim is None:
+    if not gens and dim is None:
         raise DimensionMismatchError("dim is required when there are no generators")
-    else:
-        d = dim
-
-    seed = [np.eye(d, dtype=complex)]
-    for g in gens:
-        seed += [g, g.conj().T]
-    ops = hs_orthonormalize(seed, tol)
-    comm = OperatorAlgebra(dim=d, basis=_commutant_basis(ops, tol))
-    alg = OperatorAlgebra(dim=d, basis=_commutant_basis(comm.basis, tol))
-    if np.max(span_residual(ops, alg.basis)) > tol.resid_abs:
-        raise ToleranceError("closure misses a generator: an eigenvalue gap is below resolution")
-    alg._derived["commutant", tol] = comm
+    d = gens[0].shape[0] if gens else dim
+    if any(g.shape != (d, d) for g in gens):
+        raise DimensionMismatchError("generators must be square and of equal dimension")
+    if not all(np.isfinite(g).all() for g in gens):
+        raise ContractViolationError("generator has a non-finite entry")
+    if dim is not None and dim != d:
+        raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
+    ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
+    sd = _decompose(ops, tol, seed=0)
+    alg = OperatorAlgebra(dim=d, basis=_units(sd, "right"), generators=ops)
+    alg._derived["decomposition", tol, 0] = sd
     return alg
 
 
-def _commuting_part(start: np.ndarray, ops: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """HS-orthonormal basis of the elements of span(start) commuting with every op.
+def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
+    """(V, K): count HS-normalized Gaussian Hermitian elements of the commutant of the
+    *-closed span of ops, in the eigenbasis V of a random Hermitian element of that span.
 
-    start is a HS-orthonormal (r, d, d) stack of candidates.  Each op
-    restricts the candidates to the nullspace of X -> X op - op X evaluated
-    on them, so no superoperator is ever formed.  A fixed unit-norm
-    combination of the ops goes first, so the candidates shrink at once
-    whatever the order of ops.
+    The commutant is the nullspace of the PSD map L(X) = sum_g [g^dag, [g, X]], so
+    K = X0 - L^+ L X0 for Gaussian X0; conjugate gradients find it in O(d^2) memory,
+    block-diagonal in V's eigen-clusters (they hold the commutant; eigenvalues closer
+    than max(DEGENERACY_GAP, 1e2 eps / rank_rel) share one).  CG stops at |L K| <=
+    _CG_STOP k |X0| and refuses after 2 n steps, n the real dimension of its space.
     """
-    c = np.exp(2j * np.pi * np.random.default_rng(0).random(len(ops))) / np.sqrt(max(len(ops), 1))
-    X = start
-    for b in [np.tensordot(c, ops, axes=1), *ops]:
-        C = X @ b - b @ X
-        if np.linalg.norm(C) <= tol.rank_rel:  # every singular value is below the cut
-            continue
-        # candidates and ops are HS-normalized, so the map's scale is O(1);
-        # the floor keeps a roundoff-only step (op the identity) null
-        K = nullspace(C.reshape(len(X), -1).T, tol)
-        X = np.tensordot(K.T, X, axes=1)
-    return X
+    k, d = ops.shape[:2]
+    Z = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), ops, axes=1)
+    w, V = hermitian_eig((Z + Z.conj().T) / 2, tol)
+    mask = np.zeros((d, d), dtype=bool)
+    for c in cluster_indices(w, max(DEGENERACY_GAP, 1e2 * np.finfo(float).eps / tol.rank_rel)):
+        mask[c[0]:c[-1] + 1, c[0]:c[-1] + 1] = True
+    G = V.conj().T @ ops @ V
+    Gh = G.conj().transpose(0, 2, 1)
 
+    def L(X):  # as nested commutators a gap g costs eps / g; P X + X P - 2 g X g costs eps / g^2
+        C = G @ X[:, None] - X[:, None] @ G
+        return mask * (Gh @ C - C @ Gh).sum(axis=1)
 
-def _commutant_basis(ops: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """HS-orthonormal commutant of a *-closed, HS-orthonormal op stack, cut out of the units
-    V[:, c] e_a e_b^T V[:, c]^dag of the eigenblocks c of a random Hermitian element of the
-    ops, which span a superset of it: a merged cluster only enlarges the start.  An
-    eigenvector is known to about eps / gap, so eigenvalues closer than 1e2 eps / rank_rel
-    are merged: a unit from a nearer pair would be too far off to survive the rank cut."""
-    gap = max(DEGENERACY_GAP, 1e2 * np.finfo(float).eps / tol.rank_rel)
-    V, clusters = _probe(ops, np.random.default_rng(0), tol, gap=gap)
-    units = [np.einsum("ia,jb->abij", V[:, c], V[:, c].conj()) for c in clusters]
-    return _commuting_part(np.concatenate([u.reshape(-1, *ops.shape[1:]) for u in units]), ops, tol)
-
-
-def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """All operators commuting with every basis element of alg, cut once per tolerance."""
-    if ("commutant", tol) not in alg._derived:
-        alg._derived["commutant", tol] = OperatorAlgebra(alg.dim, _commutant_basis(alg.basis, tol))
-    return alg._derived["commutant", tol]
-
-
-def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant (abelian), once per tolerance: Z(A) = Z(A'),
-    so it is cut out of the kept commutant, whose sum n_J^2 candidates are fewer than alg's."""
-    if ("center", tol) not in alg._derived:
-        comm = commutant(alg, tol).basis
-        alg._derived["center", tol] = OperatorAlgebra(alg.dim, _commuting_part(comm, comm, tol))
-    return alg._derived["center", tol]
-
-
-class FactorCheck(NamedTuple):
-    is_factor: bool
-    center_dim: int
-
-
-def is_factor(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> FactorCheck:
-    """True iff the center is trivial (scalar multiples of the identity)."""
-    z = len(center(alg, tol))
-    return FactorCheck(z == 1, z)
-
-
-def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Smallest *-algebra containing both operands: the double commutant of their union."""
-    if a1.dim != a2.dim:
-        raise DimensionMismatchError("algebras act on different spaces")
-    return close_algebra(list(a1.basis) + list(a2.basis), tol, dim=a1.dim)
+    Z = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    K = mask * (Z + Z.conj().transpose(0, 2, 1)) / 2
+    stop = _CG_STOP * k * np.linalg.norm(K)
+    p = r = -L(K)
+    rr = np.vdot(r, r).real
+    for _ in range(2 * int(mask.sum())):  # one CG on the stack: it has L's spectrum, so no more steps
+        if np.sqrt(rr) <= stop:
+            break
+        Lp = L(p)
+        alpha = rr / np.vdot(p, Lp).real
+        K, r, rr_prev = K + alpha * p, r - alpha * Lp, rr
+        rr = np.vdot(r, r).real
+        p = r + rr / rr_prev * p
+    if np.sqrt(rr) > stop:
+        raise ToleranceError(f"commutant solve stalled at residual {np.sqrt(rr):.3e} after {2 * mask.sum()} steps")
+    K = (K + K.conj().transpose(0, 2, 1)) / 2  # CG amplifies roundoff along small eigenvalues of L
+    return V, K / np.linalg.norm(K, axis=(1, 2))[:, None, None]
 
 
 @dataclass
@@ -186,7 +155,7 @@ class StructureDecomposition:
 
     Block J owns the next n_J d_J columns of T, in (n, d) row-major order, so
     T^dag X T on them is 1_{n_J} (x) m_J for every X in the algebra; residual
-    is the largest deviation from that form over the algebra's basis.
+    is the largest deviation from that form over the operators it was solved on.
     """
 
     block_shape: list[tuple[int, int]]
@@ -195,84 +164,120 @@ class StructureDecomposition:
     blocks = property(lambda self: self.block_shape)  # perfbench's tracer counts len(sd.blocks)
 
 
-def _probe(basis: np.ndarray, rng, tol: Tolerance, accept=lambda clusters: True, failure: str = "",
-           gap: float = DEGENERACY_GAP):
-    """Eigenvectors and eigenvalue clusters of a random Hermitian element (Z + Z^dag) / 2
-    of a *-closed span, Z a complex Gaussian combination of basis: the first draw from
-    rng whose clusters pass accept, else DegeneracyError(failure) after _MAX_PROBE_RETRIES."""
-    k = basis.shape[0]
+def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance):
+    """(shape, T) from K1's eigenspaces, linked into blocks and glued by K2 (both in the
+    basis V), or None when linked eigenspaces differ in dimension or a link is singular.
+    Larger blocks come first, then larger d, then the central projector's rounded diagonal."""
+    w, E = hermitian_eig(K1, tol)
+    copies = cluster_indices(w, DEGENERACY_GAP)
+    B = E.conj().T @ K2 @ E
+    starts = [c[0] for c in copies]
+    linked = np.add.reduceat(np.add.reduceat(np.abs(B) ** 2, starts, axis=0), starts, axis=1) > tol.resid_abs ** 2
+    found, left = [], list(range(len(copies)))
+    while left:
+        a = copies[left[0]]
+        block = [b for b in left if b == left[0] or linked[b, left[0]]]
+        left = [b for b in left if b not in block]
+        cols = V @ np.hstack([E[:, a], *(E[:, copies[b]] @ polar_isometry(B[np.ix_(copies[b], a)], tol)
+                                         for b in block[1:])])
+        n, d = len(block), len(a)
+        if cols.shape[1] != n * d or any(len(copies[b]) != d for b in block):
+            return None
+        found.append(((-n * d, -d, tuple(np.round(np.sum(np.abs(cols) ** 2, axis=1), 9))), (n, d), cols))
+    _, shape, columns = zip(*sorted(found, key=lambda b: b[0]))
+    return list(shape), np.hstack(columns)
+
+
+def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposition:
+    """Block form of the *-algebra that ops generate, from three generic Hermitian
+    elements K1, K2, K3 of their commutant (Murota, Kanno, Kojima & Kojima 2010):
+    1) each eigenspace of K1 is one copy of C^{d_J}, so its multiplicity is d_J;
+    2) K2 links the n_J copies of a block (E_b^dag K2 E_a != 0 exactly within it),
+       and its polar part glues copy b onto copy a;
+    3) K3 must lie in the claimed commutant (left slot form): a draw that merged or
+       split blocks fails there and is drawn again, up to _MAX_PROBE_RETRIES times.
+    Then T must be unitary and the ops in right slot form, each within resid_abs.
+    """
+    rng = np.random.default_rng(seed)
     for _ in range(_MAX_PROBE_RETRIES):
-        Z = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), basis, axes=1)
-        w, V = hermitian_eig((Z + Z.conj().T) / 2, tol)
-        clusters = cluster_indices(w, gap)
-        if accept(clusters):
-            return V, clusters
-    raise DegeneracyError(failure)
+        V, (K1, K2, K3) = _generic_commutant(ops, rng, tol, 3)
+        found = _linked_copies(V, K1, K2, tol)
+        if found and _block_form_residual([V @ K3 @ V.conj().T], found[1], found[0], side="left") <= tol.resid_abs:
+            shape, T = found
+            break
+    else:
+        raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws")
+    if unitarity_defect(T) > tol.resid_abs:
+        raise ToleranceError("assembled basis change is not unitary within tolerance")
+    residual = _block_form_residual(ops, T, shape, side="right")
+    if residual > tol.resid_abs:
+        raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}: the "
+                             "closure misses a generator, an eigenvalue gap is below resolution")
+    return StructureDecomposition(block_shape=shape, basis_change=T, residual=residual)
+
+
+def _units(sd: StructureDecomposition, side: str) -> np.ndarray:
+    """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of sd's algebra
+    (side "right"), or T_J (E_ab (x) 1_d) T_J^dag / sqrt(d) of its commutant (side
+    "left"); a stack past BYTES_BUDGET is refused before it is allocated."""
+    T, off, out = sd.basis_change, 0, []
+    d = T.shape[0]
+    count = sum(dd * dd if side == "right" else n * n for n, dd in sd.block_shape)
+    if 16 * count * d * d > BYTES_BUDGET:
+        raise ContractViolationError(f"a basis of {count} elements at dim {d} needs {mib_text(16 * count * d * d)} "
+                                     f"MiB, over the {BYTES_BUDGET >> 20} MiB budget")
+    for n, dd in sd.block_shape:
+        TJ = T[:, off:off + n * dd].reshape(d, n, dd)
+        off += n * dd
+        A = TJ.transpose(2, 0, 1) if side == "right" else TJ.transpose(1, 0, 2)  # per unit index
+        out.append((A[:, None] @ A.conj().transpose(0, 2, 1)[None]).reshape(-1, d, d) / np.sqrt(A.shape[2]))
+    return np.concatenate(out)
+
+
+def _ops(alg: OperatorAlgebra) -> np.ndarray:
+    return alg.basis if alg.generators is None else alg.generators
 
 
 def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> StructureDecomposition:
-    """Block decomposition of a *-algebra by randomized central probing.
+    """Block decomposition of a *-algebra (``_decompose``) at seed, solved on its
+    generators or else its basis, once per tolerance and seed.  A span whose
+    block form holds more than its own dimension is no algebra and is refused."""
+    if ("decomposition", tol, seed) not in alg._derived:
+        sd = _decompose(_ops(alg), tol, seed)
+        if (spanned := sum(d * d for _, d in sd.block_shape)) != len(alg):
+            raise ToleranceError(f"blocks span {spanned} dimensions, the algebra {len(alg)}")
+        alg._derived["decomposition", tol, seed] = sd
+    return alg._derived["decomposition", tol, seed]
 
-    1) A random Hermitian center element is eigen-clustered; its
-       eigenspaces are the minimal central projectors (retried with fresh
-       samples when values collide).
-    2) Within each block, a random Hermitian element of the algebra
-       compressed to it generically shows d distinct eigenvalues of
-       multiplicity n; consistency requires n*d = rank in each block and,
-       once all blocks are found, sum d^2 = dim of the algebra.
-    3) Eigenspaces are glued by partial isometries extracted from the
-       one-dimensional operator families connecting them, giving columns
-       in which the algebra acts as 1_n (x) M_d.
-    """
-    cent = center(alg, tol)
-    z = len(cent)
-    adj = cent.basis.conj().transpose(0, 2, 1)
-    if np.max(span_residual(adj, cent.basis), initial=0.0) > tol.resid_abs:
-        raise ToleranceError("center is not *-closed within tolerance")
 
-    streams = np.random.SeedSequence(seed).spawn(z + 1)
-    V, clusters = _probe(cent.basis, np.random.default_rng(streams[0]), tol, lambda cl: len(cl) == z,
-                         f"center probe produced fewer than {z} distinct eigenvalue clusters")
+def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+    """All operators commuting with alg: the left-slot units of its block form, once per tolerance."""
+    if ("commutant", tol) not in alg._derived:
+        alg._derived["commutant", tol] = OperatorAlgebra(alg.dim, _units(structure_decompose(alg, tol), "left"))
+    return alg._derived["commutant", tol]
 
-    found = []  # (sort key, (n, d), columns of T) per block
-    for j, idx in enumerate(clusters):
-        Vj = V[:, idx]
-        r = Vj.shape[1]
-        comp = Vj.conj().T @ alg.basis @ Vj  # spans the compressed algebra, not orthonormal
-        Vb, bclusters = _probe(comp, np.random.default_rng(streams[j + 1]), tol,
-                               lambda cl: len({len(c) for c in cl}) == 1,
-                               f"block {j}: probe spectrum never split into equal multiplicities")
-        n_b, d_b = len(bclusters[0]), len(bclusters)
-        if n_b * d_b != r:
-            raise ToleranceError(f"block {j}: multiplicity {n_b} x {d_b} != rank {r}")
 
-        F1, *others = [fix_column_phases(Vb[:, c]) for c in bclusters]
-        cols = np.zeros((r, r), dtype=complex)
-        cols[:, 0::d_b] = F1
-        for i, Fi in enumerate(others, 1):
-            family = Fi.conj().T @ comp @ F1
-            rep = family[int(np.argmax(np.linalg.norm(family.reshape(len(comp), -1), axis=1)))]
-            w_i = polar_isometry(rep, tol)
-            if w_i.shape != (n_b, n_b) or unitarity_defect(w_i) > tol.resid_abs:
-                raise ToleranceError(f"block {j}: connecting family gave a non-unitary isometry")
-            piv = w_i.reshape(-1)[int(np.argmax(np.abs(w_i)))]
-            cols[:, i::d_b] = Fi @ (w_i * (abs(piv) / piv))
-        # larger blocks first, then larger d, then the central projector's rounded diagonal
-        fingerprint = tuple(np.round(np.real(np.diag(Vj @ Vj.conj().T)), 9))
-        found.append(((-n_b * d_b, -d_b, fingerprint), (n_b, d_b), Vj @ cols))
-    spanned = sum(d * d for _, (_, d), _ in found)
-    if spanned != len(alg):
-        raise ToleranceError(f"blocks span {spanned} dimensions, the algebra {len(alg)}")
+def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+    """Intersection of alg with its commutant: the normalized central projectors T_J T_J^dag."""
+    sd = structure_decompose(alg, tol)
+    TJ = np.split(sd.basis_change, np.cumsum([n * d for n, d in sd.block_shape])[:-1], axis=1)
+    return OperatorAlgebra(alg.dim, np.array([t @ t.conj().T / np.sqrt(t.shape[1]) for t in TJ]))
 
-    _, shape, columns = zip(*sorted(found, key=lambda b: b[0]))
-    T = np.hstack(columns)
-    if unitarity_defect(T) > tol.resid_abs:
-        raise ToleranceError("assembled basis change is not unitary within tolerance")
 
-    residual = _block_form_residual(alg.basis, T, shape, side="right")
-    if residual > tol.resid_abs:
-        raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}")
-    return StructureDecomposition(block_shape=list(shape), basis_change=T, residual=residual)
+class FactorCheck(NamedTuple):
+    is_factor: bool
+    center_dim: int
+
+
+def is_factor(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> FactorCheck:
+    """True iff the center is trivial (scalar multiples of the identity): one block."""
+    z = len(structure_decompose(alg, tol).block_shape)
+    return FactorCheck(z == 1, z)
+
+
+def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+    """Smallest *-algebra containing both operands: the closure of their generators."""
+    return close_algebra([*_ops(a1), *_ops(a2)], tol, dim=a1.dim)
 
 
 def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
@@ -312,32 +317,27 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
                       seed: int = 0) -> BipartitionCertificate:
     """Certify that (a1, a2) describe a genuine bipartition.
 
-    Tests pairwise commutation, fullness of the join, and triviality of
-    the center of a1.  The join is full iff its commutant a1' & a2' is the
-    scalars: a2 cuts a1's commutant, and no join is formed.  On a positive
-    verdict the block decomposition of a1 is computed at seed and both
-    algebras are checked against their slot forms in its basis.  On a
-    negative verdict the witness is a violating commutator or a non-scalar
-    central element.  The residuals are the largest commutator entry and,
-    on a positive verdict, the larger slot-form residual.
+    Tests commutation of the generators, fullness of the join, and triviality
+    of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
+    generic element of the commutant of both generator sets, drawn from a
+    child stream of seed, is a scalar within resid_abs.  On a positive verdict
+    a1's decomposition at seed checks both algebras against their slot forms.
+    On a negative verdict the witness is a violating commutator or a
+    non-scalar central element.  The residuals are the largest commutator
+    entry and, on a positive verdict, the larger slot-form residual.
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
     d = a1.dim
 
-    witness = None
-    comm_resid = 0.0
-    for b1 in a1.basis:
-        C = np.einsum("ij,bjk->bik", b1, a2.basis) - np.einsum("bij,jk->bik", a2.basis, b1)
-        worst = np.max(np.abs(C.reshape(C.shape[0], -1)), axis=1)
-        i = int(np.argmax(worst))
-        if worst[i] > comm_resid:
-            comm_resid = float(worst[i])
-            if comm_resid > tol.resid_abs:
-                witness = C[i]
+    witness, comm_resid = max(((C, float(np.max(np.abs(C)))) for b1 in _ops(a1)
+                               for C in b1 @ _ops(a2) - _ops(a2) @ b1), key=lambda pair: pair[1])
     commuting = comm_resid <= tol.resid_abs
+    witness = None if commuting else witness
 
-    join_is_full = len(_commuting_part(commutant(a1, tol).basis, a2.basis, tol)) == 1
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_JOIN_STREAM,)))
+    _, (K,) = _generic_commutant(np.concatenate([_ops(a1), _ops(a2)]), rng, tol, 1)
+    join_is_full = bool(np.max(np.abs(K - np.trace(K) / d * np.eye(d))) <= tol.resid_abs)
 
     cent = center(a1, tol)
     a1_is_factor = len(cent) == 1
@@ -360,11 +360,4 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
         residuals["block_form"] = max(sd.residual, a2_resid)
         if residuals["block_form"] > tol.resid_abs:
             raise ToleranceError("slot-form verification failed on a positive verdict")
-    return BipartitionCertificate(
-        commuting=commuting,
-        join_is_full=join_is_full,
-        a1_is_factor=a1_is_factor,
-        verdict=verdict,
-        witness=witness,
-        residuals=residuals,
-    )
+    return BipartitionCertificate(commuting, join_is_full, a1_is_factor, verdict, witness, residuals)

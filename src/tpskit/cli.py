@@ -164,19 +164,18 @@ def _parity(tokens, spec: OperatorSpecFile | None, tol):
 # ----------------------------------------------------------------- handlers
 
 def _cmd_decompose(args, spec, tol):
-    from .algebra import algebra_residuals, close_algebra, commutant, structure_decompose
+    from .algebra import algebra_residuals, close_algebra, structure_decompose
     gens = list(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
     alg = close_algebra(gens, tol, dim=spec.dim)
     dec = structure_decompose(alg, tol, seed=args.seed)
-    comm = commutant(alg, tol)
     results = {
         "blocks": [{"n": n, "d": d} for n, d in dec.block_shape],
         "center_dim": len(dec.block_shape),
         "is_factor": len(dec.block_shape) == 1,
         "dim_algebra": len(alg),
-        "dim_commutant": len(comm),
+        "dim_commutant": sum(n * n for n, _ in dec.block_shape),
     }
     if args.emit_basis:
         results["basis_change"] = dec.basis_change

@@ -87,8 +87,8 @@ def cluster_indices(values, gap: float = DEGENERACY_GAP) -> list[np.ndarray]:
         return []
     scale = max(float(v[-1] - v[0]), float(np.max(np.abs(v))), 1.0)
     thr = gap * scale
-    splits = np.nonzero(np.diff(v) > thr)[0] + 1
-    return np.split(np.arange(v.size), splits)
+    bounds = [0, *(np.nonzero(np.diff(v) > thr)[0] + 1).tolist(), v.size]
+    return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _svd_cut(M, tol: Tolerance):
@@ -203,8 +203,8 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
     it, so the result spans the left-normed brackets
     [[[x_1, x_2], x_3], ..., x_k] in the letters.
     Stops when a pass adds nothing or the span is the whole matrix space.
-    (The associative closure is not grown this way: ``close_algebra`` takes
-    it as a double commutant.)
+    (The associative closure is not grown this way: ``close_algebra`` reads
+    it off generic elements of the commutant.)
     """
     letters = hs_orthonormalize(seed, tol)
     full = int(np.prod(letters.shape[1:]))

@@ -39,6 +39,13 @@ _MAX_PARTITION_N = 10**6
 _BATCH = 2048
 
 
+def _factor_dims(dims) -> tuple[int, ...]:
+    dims = tuple(int(n) for n in dims)
+    if not dims or any(n < 2 for n in dims):
+        raise ContractViolationError("every factor dimension must be >= 2")
+    return dims
+
+
 @dataclass
 class TPS:
     """Factor dimensions plus the unitary mapping tensor coordinates in.
@@ -53,9 +60,7 @@ class TPS:
     tol: InitVar[Tolerance] = DEFAULT_TOL
 
     def __post_init__(self, tol):
-        self.dims = tuple(int(n) for n in self.dims)
-        if not self.dims or any(n < 2 for n in self.dims):
-            raise ContractViolationError("every factor dimension must be >= 2")
+        self.dims = _factor_dims(self.dims)
         self.iso = np.asarray(self.iso, dtype=complex)
         if self.iso.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
@@ -81,7 +86,9 @@ class TPS:
             raise ContractViolationError(
                 f"a natural structure of dimension {count_text(d)} needs a {mib_text(16 * d * d)} "
                 f"MiB identity, over the {BYTES_BUDGET // 2**20} MiB budget")
-        return cls(tuple(dims), np.eye(d, dtype=complex))
+        tps = object.__new__(cls)  # the identity is exactly unitary: no O(d^3) __post_init__ check
+        tps.dims, tps.iso = _factor_dims(dims), np.eye(d, dtype=complex)
+        return tps
 
 
 @dataclass(frozen=True)

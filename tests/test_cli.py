@@ -364,17 +364,18 @@ class TestDecompose:
         rep = report_of(["decompose", path], capsys)
         assert rep["results"]["blocks"] == [{"n": 1, "d": 4}, {"n": 2, "d": 2}]
 
-    def test_commutant_cut_once(self, monkeypatch, capsys):
+    def test_commutant_solved_once(self, monkeypatch, capsys):
         import tpskit.algebra as algebra
 
-        real = algebra._commutant_basis
-        cuts = []
-        monkeypatch.setattr(algebra, "_commutant_basis",
-                            lambda ops, tol: cuts.append(len(ops)) or real(ops, tol))
+        real = algebra._generic_commutant
+        solves = []
+        monkeypatch.setattr(algebra, "_generic_commutant",
+                            lambda ops, rng, tol, count: solves.append((len(ops), count))
+                            or real(ops, rng, tol, count))
         rep = report_of(["decompose", str(DATA / "slot_xz.json")], capsys)
-        # the closure's two cuts: A' (dimension 4) from I, X1, Z1, then A'' from
-        # A'; the reported commutant is the kept A', cut no second time
-        assert cuts == [3, 4]
+        # the closure's one solve, on I, X1, Z1: the decomposition is the one it
+        # kept, and dim_commutant is read off its shape
+        assert solves == [(3, 3)]
         assert rep["results"]["dim_commutant"] == 4
 
     def test_full_matrix_algebra_on_thirty_two_dimensions(self, tmp_path, capsys):
@@ -833,6 +834,31 @@ def test_equivalent_answers_large_pairs_in_a_fresh_process(tmp_path):
                                          "--dims2", "16,16", "--iso1", "iso1", "--iso2", "iso2"])
     assert code == 0, err
     assert json.loads(out)["results"]["permutation"] == [2, 1] and seconds < 5.0
+
+
+def _collective_spin_spec(tmp_path, N):
+    """Jx, Jy and Jz on N qubits."""
+    ops = {f"j{axis.lower()}": sum(pauli_string_matrix("".join(axis if j == q else "I" for j in range(N)))
+                                   for q in range(N)) / 2 for axis in "XYZ"}
+    return write_spec(tmp_path / f"spin{N}.json", 2 ** N, ops)
+
+
+def test_collective_spin_on_seven_qubits_decomposes_in_a_fresh_process(tmp_path):
+    # the double-commutant cuts started from 3432 eigenblock units (858 MiB)
+    # and ended in a raw MemoryError under this limit
+    code, out, err, _ = run_fresh(["decompose", _collective_spin_spec(tmp_path, 7)])
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert sorted((b["n"], b["d"]) for b in results["blocks"]) == [(1, 8), (6, 6), (14, 2), (14, 4)]
+    assert (results["dim_algebra"], results["dim_commutant"]) == (120, 429)
+
+
+def test_a_basis_past_the_budget_is_refused_before_it_is_built(tmp_path):
+    # eight qubits decompose, but 165 matrix units of 256 x 256 take 165 MiB
+    code, out, err, _ = run_fresh(["decompose", _collective_spin_spec(tmp_path, 8)])
+    assert (code, out) == (2, "")
+    assert err == ("computation error: ContractViolationError: a basis of 165 elements at dim 256 "
+                   "needs 165 MiB, over the 64 MiB budget\n")
 
 
 class TestCliPlumbing:

@@ -66,8 +66,9 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     argvs = [job["argv"] for job in fixtures]
     data = Path(compare_reports.DATA)
     files = sorted(str(path) for path in data.glob("*.json"))
+    spins = [str(tmp_path / f"{name}{N}.json") for N in (3, 4, 5) for name in ("spin", "swaps")]
     assert [a for a in argvs if a[0] == "decompose"] == [
-        ["decompose", "--emit-basis", f] for f in files]
+        ["decompose", "--emit-basis", f] for f in files + spins]
     named = [f for f in files
              if {"a1_generators", "a2_generators"} <= json.loads(Path(f).read_text()).keys()]
     assert named and [a for a in argvs if a[0] == "bipartition"] == [["bipartition", f] for f in named]
@@ -81,3 +82,19 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
         verdicts.add(json.loads(capsys.readouterr().out)["results"]["equivalent"])
     assert verdicts == {True, False}
     assert len({job["key"] for job in fixtures}) == len(fixtures)
+
+
+def test_the_spin_fixtures_decompose_to_the_schur_weyl_shapes_and_their_transposes(tmp_path, capsys):
+    # N = 4: spin 2, 1, 0 with multiplicities 1, 3, 2; the swaps exchange n and d
+    paths = compare_reports.spin_specs(str(tmp_path))
+    shapes = {}
+    for path in paths:
+        assert main(["decompose", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        shapes[Path(path).stem] = (sorted((b["n"], b["d"]) for b in results["blocks"]),
+                                   results["dim_algebra"], results["dim_commutant"])
+    assert shapes["spin4"] == ([(1, 5), (2, 1), (3, 3)], 35, 14)
+    assert shapes["swaps4"] == ([(1, 2), (3, 3), (5, 1)], 14, 35)
+    for N in (3, 4, 5):
+        spin, swaps = shapes[f"spin{N}"], shapes[f"swaps{N}"]
+        assert swaps == (sorted((d, n) for n, d in spin[0]), spin[2], spin[1])

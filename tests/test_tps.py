@@ -109,6 +109,19 @@ class TestTPSType:
         assert t.dim == 6
         assert t.nfactors == 2
 
+    def test_natural_skips_the_unitarity_check_and_a_supplied_iso_keeps_it(self, monkeypatch):
+        # natural's identity is exact: the O(d^3) product (0.2 s at d = 1024) is not run
+        calls = []
+        real = tps_module.unitarity_defect
+        monkeypatch.setattr(tps_module, "unitarity_defect", lambda U: calls.append(U.shape) or real(U))
+        natural = TPS.natural((2, 3))
+        assert calls == [] and np.array_equal(natural.iso, np.eye(6)) and natural.dims == (2, 3)
+        TPS((2, 3), np.eye(6, dtype=complex))
+        TPS((2, 3), haar_unitary(6, np.random.default_rng(0)))
+        assert calls == [(6, 6), (6, 6)]
+        with pytest.raises(ContractViolationError, match="every factor dimension must be >= 2"):
+            TPS.natural((1, 4))
+
     def test_rejects_dim_one_factor(self):
         with pytest.raises(ContractViolationError):
             TPS((1, 4), np.eye(4, dtype=complex))

@@ -11,7 +11,9 @@ every holonomy job one with ``--eigenspace 2``, since the jobs transport
 eigenspace 1 only.  A ``fixtures`` group adds the ``tests/data`` spec
 files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
-and ``tps bosonic`` each with and without a spec file.
+and ``tps bosonic`` each with and without a spec file; and, built in code,
+collective spin on 3 to 5 qubits and its adjacent-swap dual through
+``decompose --emit-basis``.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
 its own interpreter with single-threaded BLAS.  Exit code, report and
 stderr are compared, with the wall-time line masked.  Prints
@@ -69,8 +71,8 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
 
 def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
-    those naming a1/a2 generators through bipartition, and tps equivalent, parity and
-    bosonic each with and without a spec file."""
+    those naming a1/a2 generators through bipartition, tps equivalent, parity and
+    bosonic each with and without a spec file, and the spin_specs through decompose."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -90,9 +92,33 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", cnot, "--modes", "2", "--cutoff", "2"],
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
     ]
+    argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd)]
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
-             "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA) else a for a in argv)}
+             "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA)
+                             else os.path.basename(a) if a.startswith(cwd) else a for a in argv)}
             for argv in argvs]
+
+
+def spin_specs(cwd: str) -> list[str]:
+    """Spec files, written to cwd, of collective spin (Jx, Jy, Jz) on N = 3..5 qubits
+    and of its Schur-Weyl dual, the swaps of adjacent qubits."""
+    import numpy as np
+
+    paulis = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    paths = []
+    for N in (3, 4, 5):
+        on = lambda q, m, size: np.kron(np.kron(np.eye(2 ** q), m), np.eye(2 ** (N - q - size)))
+        families = {"spin": {f"j{a}": sum(on(q, np.array(P), 1) for q in range(N)) / 2 for a, P in paulis.items()},
+                    "swaps": {f"s{q}": on(q, swap, 2) for q in range(N - 1)}}
+        for name, ops in families.items():
+            doc = {"dim": 2 ** N, "operators": [
+                {"name": k, "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in M]}
+                for k, M in ops.items()]}
+            paths.append(os.path.join(cwd, f"{name}{N}.json"))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+    return paths
 
 
 def run_jobs(jobs_path: str, results_path: str) -> None:
