@@ -21,15 +21,14 @@ import numpy as np
 
 from .errors import ContractViolationError, DegeneracyError, DimensionMismatchError, ToleranceError
 from .numerics import (
-    BYTES_BUDGET,
     DEFAULT_TOL,
     DEGENERACY_GAP,
     Tolerance,
     cluster_indices,
     hermitian_eig,
     hs_orthonormalize,
-    mib_text,
     polar_isometry,
+    refuse_past_budget,
     span_residual,
     unitarity_defect,
 )
@@ -47,10 +46,14 @@ class OperatorAlgebra:
 
     dim: int
     basis: np.ndarray  # (k, dim, dim)
-    # HS-normalized ops whose *-closed span generates it, for commutant solves (None: the basis)
+    # HS-normalized ops whose *-closed span generates it, for commutant solves (default: the basis)
     generators: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # decompositions by (Tolerance, seed), commutant by Tolerance: never modify a basis
+    # decompositions by (Tolerance, seed): never modify a basis
     _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.generators is None:
+            self.generators = self.basis
 
     def __len__(self) -> int:
         return self.basis.shape[0]
@@ -94,6 +97,8 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     if not gens and dim is None:
         raise DimensionMismatchError("dim is required when there are no generators")
     d = gens[0].shape[0] if gens else dim
+    if d < 1:
+        raise ContractViolationError(f"dim must be >= 1, got {d}")
     if any(g.shape != (d, d) for g in gens):
         raise DimensionMismatchError("generators must be square and of equal dimension")
     if not all(np.isfinite(g).all() for g in gens):
@@ -223,9 +228,7 @@ def _units(sd: StructureDecomposition, side: str) -> np.ndarray:
     T, off, out = sd.basis_change, 0, []
     d = T.shape[0]
     count = sum(dd * dd if side == "right" else n * n for n, dd in sd.block_shape)
-    if 16 * count * d * d > BYTES_BUDGET:
-        raise ContractViolationError(f"a basis of {count} elements at dim {d} needs {mib_text(16 * count * d * d)} "
-                                     f"MiB, over the {BYTES_BUDGET >> 20} MiB budget")
+    refuse_past_budget((count, d, d), f"a basis of {count} elements at dim {d}")
     for n, dd in sd.block_shape:
         TJ = T[:, off:off + n * dd].reshape(d, n, dd)
         off += n * dd
@@ -234,16 +237,12 @@ def _units(sd: StructureDecomposition, side: str) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _ops(alg: OperatorAlgebra) -> np.ndarray:
-    return alg.basis if alg.generators is None else alg.generators
-
-
 def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> StructureDecomposition:
     """Block decomposition of a *-algebra (``_decompose``) at seed, solved on its
     generators or else its basis, once per tolerance and seed.  A span whose
     block form holds more than its own dimension is no algebra and is refused."""
     if ("decomposition", tol, seed) not in alg._derived:
-        sd = _decompose(_ops(alg), tol, seed)
+        sd = _decompose(alg.generators, tol, seed)
         if (spanned := sum(d * d for _, d in sd.block_shape)) != len(alg):
             raise ToleranceError(f"blocks span {spanned} dimensions, the algebra {len(alg)}")
         alg._derived["decomposition", tol, seed] = sd
@@ -251,10 +250,8 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
 
 
 def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """All operators commuting with alg: the left-slot units of its block form, once per tolerance."""
-    if ("commutant", tol) not in alg._derived:
-        alg._derived["commutant", tol] = OperatorAlgebra(alg.dim, _units(structure_decompose(alg, tol), "left"))
-    return alg._derived["commutant", tol]
+    """All operators commuting with alg: the left-slot units of its block form."""
+    return OperatorAlgebra(alg.dim, _units(structure_decompose(alg, tol), "left"))
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -277,7 +274,7 @@ def is_factor(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> FactorCheck
 
 def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """Smallest *-algebra containing both operands: the closure of their generators."""
-    return close_algebra([*_ops(a1), *_ops(a2)], tol, dim=a1.dim)
+    return close_algebra([*a1.generators, *a2.generators], tol, dim=a1.dim)
 
 
 def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
@@ -330,13 +327,13 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
         raise DimensionMismatchError("algebras act on different spaces")
     d = a1.dim
 
-    witness, comm_resid = max(((C, float(np.max(np.abs(C)))) for b1 in _ops(a1)
-                               for C in b1 @ _ops(a2) - _ops(a2) @ b1), key=lambda pair: pair[1])
+    witness, comm_resid = max(((C, float(np.max(np.abs(C)))) for b1 in a1.generators
+                               for C in b1 @ a2.generators - a2.generators @ b1), key=lambda pair: pair[1])
     commuting = comm_resid <= tol.resid_abs
     witness = None if commuting else witness
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_JOIN_STREAM,)))
-    _, (K,) = _generic_commutant(np.concatenate([_ops(a1), _ops(a2)]), rng, tol, 1)
+    _, (K,) = _generic_commutant(np.concatenate([a1.generators, a2.generators]), rng, tol, 1)
     join_is_full = bool(np.max(np.abs(K - np.trace(K) / d * np.eye(d))) <= tol.resid_abs)
 
     cent = center(a1, tol)

@@ -24,13 +24,13 @@ from .errors import (
     ToleranceError,
 )
 from .numerics import (
-    BYTES_BUDGET,
     DEFAULT_TOL,
     Tolerance,
+    budget_text,
     close_span,
     count_text,
     hermitian_eig,
-    mib_text,
+    refuse_past_budget,
     unitarity_defect,
 )
 
@@ -47,12 +47,13 @@ class IsoDegenerateOperator:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ContractViolationError("degeneracy must be >= 1")
+        _eigenspace(self.n, self.n, 1)  # the layout's own check of n
 
 
 def _eigenspace(dim: int, n: int, i: int) -> slice:
     """Columns of eigenspace i (1-based) in the reference layout: every d-th from i - 1."""
+    if n < 1:
+        raise ContractViolationError("degeneracy must be >= 1")
     if dim % n:
         raise DimensionMismatchError(f"dimension {dim} is not a multiple of degeneracy {n}")
     d = dim // n
@@ -201,17 +202,11 @@ class LoopPath:
 
 def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
                  tol: Tolerance) -> np.ndarray:
-    """(P, dim, n) stack of eigenspace-i frames at the loop's points.
-
-    The size of the family stack is predicted from the point count and
-    refused past BYTES_BUDGET before any point is built.
-    """
+    """(P, dim, n) stack of eigenspace-i frames at the loop's points; the family stack,
+    predicted from the point count, is refused past the budget before any point is built."""
     cols = _eigenspace(fam.dim, n, i)
-    nbytes = loop.n_points * fam.dim * fam.dim * np.dtype(complex).itemsize
-    if nbytes > BYTES_BUDGET:
-        raise ContractViolationError(
-            f"a loop of {count_text(loop.n_points)} points needs a {mib_text(nbytes)} MiB family "
-            f"stack, over the {BYTES_BUDGET // 2**20} MiB cap")
+    refuse_past_budget((loop.n_points, fam.dim, fam.dim),
+                       f"a family stack of {count_text(loop.n_points)} points at dim {fam.dim}")
     return fam.along(loop.points(), tol)[..., cols]
 
 
@@ -334,7 +329,7 @@ def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
         raise ContractViolationError("doublings must be >= 0")
     if doublings >= np.finfo(float).maxexp:  # past floats: refused before 2^doublings is formed
         raise ContractViolationError(f"{doublings} doublings give a loop of over 2^{doublings} "
-                                     f"points, over the {BYTES_BUDGET // 2**20} MiB cap")
+                                     f"points, over {budget_text()}")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
     frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n, tol)
     hols = [_transport(frames[::2 ** (doublings - j)], tol) for j in range(doublings + 1)]

@@ -18,8 +18,8 @@ from .errors import ContractViolationError, DegenerateInputError, DimensionMisma
 # Entropies below this are reported as exactly 0.0 (double-precision noise
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
-# Largest array predicted and refused before allocation (holonomy family stack,
-# entangling-power draw): 64 MiB, a stack of 2^18 points at dim 4 (~4x with temporaries).
+# Largest complex array built from a size given from outside (``refuse_past_budget``):
+# 64 MiB, a family stack of 2^18 points at dim 4 (~4x with temporaries).
 BYTES_BUDGET = 64 * 2**20
 # Eigenvalue clustering gap of cluster_indices, relative to the larger of the
 # spectral range, the spectral radius and 1.
@@ -150,6 +150,18 @@ def mib_text(nbytes: int) -> str:
         exponent, fraction = divmod(math.log10(nbytes) - 20 * math.log10(2), 1)
         mantissa, _, carry = f"{10 ** fraction:.2e}".partition("e")  # 9.996 -> 1.00e+01
         return f"{float(mantissa):g}e+{int(exponent) + int(carry)}"
+
+
+def budget_text() -> str:
+    """The budget as a refusal words it, read at call time."""
+    return f"the {BYTES_BUDGET >> 20} MiB budget"
+
+
+def refuse_past_budget(shape, what: str) -> None:
+    """Refuse a complex array of ``shape`` past BYTES_BUDGET before it is built: its bytes,
+    16 an entry, are counted by math.prod on ints, so astronomic shapes are refused too."""
+    if (nbytes := 16 * math.prod(shape)) > BYTES_BUDGET:
+        raise ContractViolationError(f"{what} needs {mib_text(nbytes)} MiB, over {budget_text()}")
 
 
 def count_text(n: int) -> str:

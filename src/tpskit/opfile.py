@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import count_text
+
 
 class SpecFileError(ValueError):
     """Malformed operator specification file."""
@@ -104,16 +106,15 @@ def _state_vector(entries, dim: int, where: str) -> np.ndarray:
 
 
 def parse_pauli_token(token: str, dim=None) -> np.ndarray:
-    """A bare Pauli string like "XX" or "ZZI", optionally checked against dim."""
+    """A bare Pauli string like "XX" or "ZZI", checked against dim, if given, before it is built."""
     from .parity import pauli_string_matrix  # only a spec naming a Pauli string loads parity
 
     if not token or any(ch not in "IXYZ" for ch in token):
         raise SpecFileError(f"not a Pauli string over IXYZ: {token!r}")
-    M = pauli_string_matrix(token)
-    if dim is not None and M.shape[0] != dim:
+    if dim is not None and 2 ** len(token) != dim:
         raise SpecFileError(
-            f"Pauli string {token!r} has dimension {M.shape[0]}, spec declares {dim}")
-    return M
+            f"Pauli string {token!r} has dimension {count_text(2 ** len(token))}, spec declares {dim}")
+    return pauli_string_matrix(token)
 
 
 def parse_spec(data: dict) -> OperatorSpecFile:

@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect
+from .numerics import (DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect,
+                       refuse_past_budget)
 
 if TYPE_CHECKING:
     from .tps import TPS
@@ -25,8 +26,8 @@ _PHASES = np.array([1, 1j, -1, -1j])
 
 
 def pauli_string_matrix(s: str) -> np.ndarray:
-    """Dense matrix of a Pauli string; leftmost symbol acts on qubit 0,
-    the most significant tensor slot.
+    """Dense matrix of a Pauli string, refused past the byte budget before it is
+    built; leftmost symbol acts on qubit 0, the most significant tensor slot.
 
     The string is a signed permutation: column r has its one entry in row
     r ^ x, where x marks the X and Y letters, with phase
@@ -35,6 +36,7 @@ def pauli_string_matrix(s: str) -> np.ndarray:
     if not s or any(c not in "IXYZ" for c in s):
         raise ContractViolationError(f"invalid Pauli string {s!r}")
     d = 2 ** len(s)
+    refuse_past_budget((d, d), f"the matrix of a {len(s)}-qubit Pauli string")
     r = np.arange(d)
     flip = 0
     quarter_turns = np.full(d, s.count("Y"))

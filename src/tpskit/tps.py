@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, IndexRangeError
 from .numerics import (
-    BYTES_BUDGET,
     DEFAULT_TOL,
     Tolerance,
     count_text,
     density_entropy,
-    mib_text,
+    refuse_past_budget,
     schmidt_entropy,
     unitarity_defect,
 )
@@ -82,10 +81,7 @@ class TPS:
         """The TPS in which the ambient basis is already the product basis; its
         complex identity, 16 d^2 bytes, is refused past BYTES_BUDGET before it is built."""
         d = math.prod(int(n) for n in dims)
-        if 16 * d * d > BYTES_BUDGET:
-            raise ContractViolationError(
-                f"a natural structure of dimension {count_text(d)} needs a {mib_text(16 * d * d)} "
-                f"MiB identity, over the {BYTES_BUDGET // 2**20} MiB budget")
+        refuse_past_budget((d, d), f"the identity of a natural structure at dim {count_text(d)}")
         tps = object.__new__(cls)  # the identity is exactly unitary: no O(d^3) __post_init__ check
         tps.dims, tps.iso = _factor_dims(dims), np.eye(d, dtype=complex)
         return tps
@@ -237,11 +233,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
     order, dL = _cut_order(tps, measure.cut)
     dR = d // dL
-    nbytes = samples * (dL + dR) * np.dtype(complex).itemsize
-    if nbytes > BYTES_BUDGET:
-        raise ContractViolationError(
-            f"{samples} samples of {dL} x {dR} product states need a {mib_text(nbytes)} MiB "
-            f"draw, over the {BYTES_BUDGET // 2**20} MiB budget")
+    refuse_past_budget((samples, dL + dR), f"a draw of {samples} samples of {dL} x {dR} product states")
     # tensor-coordinate action of U, with both indices in (cut, complement) order
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 

@@ -97,6 +97,12 @@ class TestCloseAlgebra:
         with pytest.raises(DimensionMismatchError):
             close_algebra([])
 
+    @pytest.mark.parametrize("dim", [0, -3])
+    def test_a_declared_dim_below_one_is_refused(self, dim):
+        # dim 0 failed unpacking an empty basis, dim -3 in numpy's negative-dimensions check
+        with pytest.raises(ContractViolationError, match=f"^dim must be >= 1, got {dim}$"):
+            close_algebra([], dim=dim)
+
     def test_non_finite_generator_rejected(self):
         # hs_orthonormalize would drop a NaN generator as dependent
         bad = SX.copy()
@@ -282,12 +288,16 @@ class TestCommutant:
             assert len(back) == len(alg)
             assert np.allclose(span_projector(back.basis), span_projector(alg.basis), atol=1e-8)
 
-    def test_commutant_kept_by_the_closure_is_reused_only_at_its_tolerance(self):
+    def test_commutant_kept_by_the_closure_is_reused_only_at_its_tolerance(self, monkeypatch):
+        # the closure keeps its decomposition: the commutant at its tolerance solves nothing
         alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        solves, real = [], algebra_module._decompose
+        monkeypatch.setattr(algebra_module, "_decompose",
+                            lambda ops, tol, seed: solves.append(tol) or real(ops, tol, seed))
         kept = commutant(alg)
-        assert commutant(alg, Tolerance()) is kept
+        assert solves == []
         tight = commutant(alg, Tolerance(rank_rel=1e-12))
-        assert tight is not kept
+        assert solves == [Tolerance(rank_rel=1e-12)]
         assert np.allclose(span_projector(tight.basis), span_projector(kept.basis), atol=1e-8)
 
     def test_conjugation_covariance(self):

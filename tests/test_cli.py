@@ -554,8 +554,8 @@ class TestTpsCommands:
                                   "--dims", "2,2", "--samples", "100000000"], capsys)
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (2, "")
-        assert err == ("computation error: ContractViolationError: 100000000 samples of "
-                       "2 x 2 product states need a 6.1e+03 MiB draw, over the 64 MiB budget\n")
+        assert err == ("computation error: ContractViolationError: a draw of 100000000 samples of "
+                       "2 x 2 product states needs 6.1e+03 MiB, over the 64 MiB budget\n")
 
     def test_distance_identity_is_zero(self, capsys):
         rep = report_of(["tps", "distance", str(DATA / "cnot.json"),
@@ -718,7 +718,7 @@ class TestTpsCommands:
         code, out, err = run_cli(["tps", "holonomy", "--doublings", "40"], capsys)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
-        assert "ContractViolationError" in err and "cap" in err
+        assert "ContractViolationError" in err and "budget" in err
 
     def test_holonomy_eigenspace_out_of_range_is_a_computation_error(self, capsys):
         code, out, err = run_cli(["tps", "holonomy", "--eigenspace", "3"], capsys)
@@ -782,10 +782,13 @@ class TestSizeRefusals:
          "ContractViolationError"),
         (["tps", "equivalent", "--dims1", "2,2048", "--dims2", "2,2048"],
          "ContractViolationError"),
+        # a Pauli string's dense matrix is predicted from its length
+        (["tps", "parity", "--parity", "Z" * 12], "ContractViolationError"),
+        (["tps", "parity", "--parity", "Z" * 40], "ContractViolationError"),
     ], ids=["refinement", "samples", "doublings-2e4", "doublings-3e5", "doublings-1e9",
             "entangle-dims-512", "entangle-dims-64", "distance-dims-65536",
             "refinement-4300-digits", "equivalent-dims-4096", "equivalent-natural-4096x4096",
-            "equivalent-natural-2x2048"])
+            "equivalent-natural-2x2048", "parity-pauli-12", "parity-pauli-40"])
     def test_refused_in_a_fresh_process_under_a_second(self, argv, error):
         code, out, err, seconds = run_fresh(argv)
         assert (code, out) == (2, ""), err
@@ -795,8 +798,18 @@ class TestSizeRefusals:
     def test_sizes_that_fit_a_float_keep_their_message(self):
         code, out, err, _ = run_fresh(["tps", "holonomy", "--doublings", "40"])
         assert (code, out) == (2, "")
-        assert err == ("computation error: ContractViolationError: a loop of 70368744177665 "
-                       "points needs a 1.72e+10 MiB family stack, over the 64 MiB cap\n")
+        assert err == ("computation error: ContractViolationError: a family stack of 70368744177665 "
+                       "points at dim 4 needs 1.72e+10 MiB, over the 64 MiB budget\n")
+
+    def test_a_pauli_string_is_checked_against_the_spec_dim_before_it_is_built(self, tmp_path):
+        # 40 Z's asked for an 8 TiB matrix before the dimension was compared
+        path = tmp_path / "z40.json"
+        path.write_text(json.dumps({"dim": 4, "operators": [{"name": "z", "pauli": "Z" * 40}]}))
+        code, out, err, seconds = run_fresh(["tps", "parity", str(path), "--parity", "z"])
+        assert (code, out) == (1, "")
+        assert err == (f"spec file error: Pauli string {'Z' * 40!r} has dimension 1099511627776, "
+                       "spec declares 4\n")
+        assert seconds < 1.0
 
     def test_dims_are_checked_against_the_spec_before_any_structure(self, monkeypatch, capsys):
         from tpskit import tps

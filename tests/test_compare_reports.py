@@ -50,7 +50,7 @@ def test_every_holonomy_job_has_an_eigenspace_2_twin(tmp_path):
     jobs = compare_reports.build_jobs(str(tmp_path), [7919, 11], [0, 1])
     by_key = {job["key"]: job for job in jobs}
     plain = [job for job in jobs if job["argv"][:2] == ["tps", "holonomy"]
-             and "--eigenspace" not in job["argv"]]
+             and "--eigenspace" not in job["argv"] and job["workload"] != "fixtures"]
     assert plain and {job["workload"] for job in plain} == {"structures", "cli"}
     assert sum(job["key"].endswith(" --eigenspace 2") for job in jobs) == len(plain)
     for job in plain:
@@ -75,9 +75,20 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     for command in ("equivalent", "parity", "bosonic"):
         with_spec = {a[2] in files for a in argvs if a[:2] == ["tps", command]}
         assert with_spec == {True, False}, command
-    # the spec-less equivalent jobs reach both verdicts of the no-FILE path
+    # sizes past the byte budget: their refusal messages are compared too
+    refusals = [["tps", "holonomy", "--doublings", "40"],
+                ["tps", "distance", str(data / "cnot.json"), "--unitary", "cnot", "--dims", "2,2",
+                 "--samples", "100000000"],
+                ["tps", "equivalent", "--dims1", "4096,4096", "--dims2", "4096,4096"],
+                ["tps", "parity", "--parity", "Z" * 20]]
+    assert [a for a in argvs if a in refusals] == refusals
+    for argv in refusals:
+        assert main(argv) == 2
+        assert "over the 64 MiB budget" in capsys.readouterr().err
+    # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
-    for argv in (a for a in argvs if a[:2] == ["tps", "equivalent"] and a[2] not in files):
+    for argv in (a for a in argvs if a[:2] == ["tps", "equivalent"] and a[2] not in files
+                 and a not in refusals):
         assert main(argv) == 0
         verdicts.add(json.loads(capsys.readouterr().out)["results"]["equivalent"])
     assert verdicts == {True, False}

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
-from tpskit import holonomy
+from tpskit import holonomy, numerics
 from tpskit.errors import (
     BranchCutError,
     ContractViolationError,
@@ -178,6 +178,18 @@ class TestIsoDegenerateOperator:
             _eigenspace(4, 2, 3)
         with pytest.raises(DimensionMismatchError, match="not a multiple"):
             _eigenspace(6, 4, 1)
+
+    def test_a_zero_degeneracy_is_refused_before_the_layout_divides(self, fixture_fam):
+        # dim % 0 raised a raw ZeroDivisionError
+        fam, _ = fixture_fam
+        with pytest.raises(ContractViolationError, match=r"^degeneracy must be >= 1$"):
+            loop_holonomy(fam, RECT1, 1, 0)
+
+    def test_a_negative_degeneracy_is_refused_not_read_as_a_range(self, fixture_fam):
+        # n = -2 gave d = -2 and the misleading "eigenspace index 1 out of range 1..-2"
+        fam, _ = fixture_fam
+        with pytest.raises(ContractViolationError, match=r"^degeneracy must be >= 1$"):
+            loop_holonomy(fam, RECT1, 1, -2)
 
 
 # -------------------------------------------------------------------- families
@@ -394,20 +406,20 @@ class TestLoopHolonomy:
             raise AssertionError("points() built for a refused loop")
 
         monkeypatch.setattr(LoopPath, "points", no_points)
-        with pytest.raises(ContractViolationError, match="cap"):
+        with pytest.raises(ContractViolationError, match="budget"):
             loop_holonomy(fam, RECT1.refined(10 ** 6), 1, 2)
-        with pytest.raises(ContractViolationError, match="cap"):
+        with pytest.raises(ContractViolationError, match="budget"):
             refinement_ladder(fam, RECT1, 1, 2, doublings=40)
 
     def test_loops_up_to_the_cap_run(self, fixture_fam, monkeypatch):
         fam, _ = fixture_fam
-        monkeypatch.setattr(holonomy, "BYTES_BUDGET", 4097 * fam.dim ** 2 * 16)
+        monkeypatch.setattr(numerics, "BYTES_BUDGET", 4097 * fam.dim ** 2 * 16)
         loop = LoopPath(np.array([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]]), refinement=2048)
         assert loop.n_points == 4097
         assert np.max(np.abs(loop_holonomy(fam, loop, 1, 2) - np.eye(2))) < 1e-8
-        with pytest.raises(ContractViolationError, match="cap"):
+        with pytest.raises(ContractViolationError, match="budget"):
             loop_holonomy(fam, LoopPath(loop.waypoints, 2049), 1, 2)
-        with pytest.raises(ContractViolationError, match="cap"):
+        with pytest.raises(ContractViolationError, match="budget"):
             refinement_ladder(fam, LoopPath(loop.waypoints, 1025), 1, 2, doublings=1)
 
 

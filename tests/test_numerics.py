@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tpskit.numerics as numerics
 from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from tpskit.numerics import (
     DEFAULT_TOL,
@@ -18,6 +19,7 @@ from tpskit.numerics import (
     mib_text,
     nullspace,
     polar_isometry,
+    refuse_past_budget,
     schmidt_entropy,
     span_residual,
     unitarity_defect,
@@ -86,6 +88,19 @@ def test_mib_text_prints_any_size():
     assert mib_text(2**20 * 61 * 10**399) == "6.1e+400"
     assert mib_text(2**20 * 9999 * 10**400) == "1e+404"  # the mantissa rounds up a decade
     assert mib_text(10**5000).startswith("9.54e+4993")
+
+
+def test_refuse_past_budget_counts_16_bytes_an_entry_against_the_budget_at_call_time(monkeypatch):
+    refuse_past_budget((2**18, 4, 4), "a stack")  # exactly 64 MiB: allowed
+    with pytest.raises(ContractViolationError) as err:
+        refuse_past_budget((2**18 + 1, 4, 4), "a stack")
+    assert str(err.value) == "a stack needs 64 MiB, over the 64 MiB budget"
+    with pytest.raises(ContractViolationError, match=r"^x needs 1\.6e\+401 MiB, over the 64 MiB budget$"):
+        refuse_past_budget((10**400, 1, 2**20), "x")  # past floats
+    monkeypatch.setattr(numerics, "BYTES_BUDGET", 2 * 2**20)
+    refuse_past_budget((2**17,), "a row")
+    with pytest.raises(ContractViolationError, match=r"^a row needs 2 MiB, over the 2 MiB budget$"):
+        refuse_past_budget((2**17 + 1,), "a row")
 
 
 def test_count_text_prints_any_count():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import tpskit.numerics as numerics
 import tpskit.tps as tps_module
 from tpskit.algebra import commutant, is_factor
 from tpskit.errors import ContractViolationError, DimensionMismatchError
@@ -353,7 +354,7 @@ class TestEntanglingPower:
         U = haar_unitary(6, np.random.default_rng(31))
         measure = EntanglementMeasure(cut=frozenset(cut))
         ref = entangling_power(U, t, measure, samples=1000, seed=5)
-        monkeypatch.setattr(tps_module, "BYTES_BUDGET", 1000 * (2 + 3) * 16)
+        monkeypatch.setattr(numerics, "BYTES_BUDGET", 1000 * (2 + 3) * 16)
         at = entangling_power(U, t, measure, samples=1000, seed=5)
         assert (at.mean, at.stderr) == (ref.mean, ref.stderr)
 

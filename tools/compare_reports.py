@@ -11,7 +11,8 @@ every holonomy job one with ``--eigenspace 2``, since the jobs transport
 eigenspace 1 only.  A ``fixtures`` group adds the ``tests/data`` spec
 files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
-and ``tps bosonic`` each with and without a spec file; and, built in code,
+and ``tps bosonic`` each with and without a spec file; four sizes past the
+byte budget, whose refusal messages are compared; and, built in code,
 collective spin on 3 to 5 qubits and its adjacent-swap dual through
 ``decompose --emit-basis``.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
@@ -44,6 +45,14 @@ SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
 TWIN_FLAGS = {"decompose": ["--emit-basis"], "holonomy": ["--eigenspace", "2"]}  # appended to a twin job
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# sizes past the byte budget, each refused before it is built and at once
+REFUSALS = [
+    ["tps", "holonomy", "--doublings", "40"],
+    ["tps", "distance", os.path.join(DATA, "cnot.json"), "--unitary", "cnot", "--dims", "2,2",
+     "--samples", "100000000"],
+    ["tps", "equivalent", "--dims1", "4096,4096", "--dims2", "4096,4096"],
+    ["tps", "parity", "--parity", "Z" * 20],
+]
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
@@ -72,7 +81,8 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
 def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, tps equivalent, parity and
-    bosonic each with and without a spec file, and the spin_specs through decompose."""
+    bosonic each with and without a spec file, the REFUSALS, and the spin_specs
+    through decompose."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -91,6 +101,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
          "--excite", "2"],
         ["tps", "bosonic", cnot, "--modes", "2", "--cutoff", "2"],
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
+        *REFUSALS,
     ]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd)]
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
