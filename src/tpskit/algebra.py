@@ -14,7 +14,7 @@ commutant, center, factor test and bipartition certificate all follow from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +75,7 @@ def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
     has its own child stream of seed, which no decomposition draws from.
     """
     d, k = alg.dim, len(alg)
+    refuse_past_budget((_ORACLE_PROBES, d, d), f"a stack of {_ORACLE_PROBES} oracle probes at dim {d}")
     ident = np.eye(d, dtype=complex) / np.sqrt(d)
     id_resid = float(span_residual([ident], alg.basis)[0])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ORACLE_STREAM,)))
@@ -105,6 +106,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise ContractViolationError("generator has a non-finite entry")
     if dim is not None and dim != d:
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
+    refuse_past_budget((1 + 2 * len(gens), d, d), f"the closure's seed of {1 + 2 * len(gens)} operators at dim {d}")
     ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
     sd = _decompose(ops, tol, seed=0)
     alg = OperatorAlgebra(dim=d, basis=_units(sd, "right"), generators=ops)
@@ -117,12 +119,13 @@ def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
     *-closed span of ops, in the eigenbasis V of a random Hermitian element of that span.
 
     The commutant is the nullspace of the PSD map L(X) = sum_g [g^dag, [g, X]], so
-    K = X0 - L^+ L X0 for Gaussian X0; conjugate gradients find it in O(d^2) memory,
-    block-diagonal in V's eigen-clusters (they hold the commutant; eigenvalues closer
-    than max(DEGENERACY_GAP, 1e2 eps / rank_rel) share one).  CG stops at |L K| <=
-    _CG_STOP k |X0| and refuses after 2 n steps, n the real dimension of its space.
+    K = X0 - L^+ L X0 for Gaussian X0; conjugate gradients find it on a (count, k, d, d)
+    product stack, refused past BYTES_BUDGET before any draw, block-diagonal in V's eigen-
+    clusters (they hold the commutant; eigenvalues closer than max(DEGENERACY_GAP, 1e2 eps
+    / rank_rel) share one).  CG stops at |L K| <= _CG_STOP k |X0| and refuses after 2 n steps.
     """
     k, d = ops.shape[:2]
+    refuse_past_budget((count, k, d, d), f"a commutant product stack of {count} x {k} operators at dim {d}")
     Z = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), ops, axes=1)
     w, V = hermitian_eig((Z + Z.conj().T) / 2, tol)
     mask = np.zeros((d, d), dtype=bool)
@@ -224,17 +227,20 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposi
 def _units(sd: StructureDecomposition, side: str) -> np.ndarray:
     """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of sd's algebra
     (side "right"), or T_J (E_ab (x) 1_d) T_J^dag / sqrt(d) of its commutant (side
-    "left"); a stack past BYTES_BUDGET is refused before it is allocated."""
-    T, off, out = sd.basis_change, 0, []
+    "left"), written into the one stack refuse_past_budget has just predicted."""
+    T, off, at = sd.basis_change, 0, 0
     d = T.shape[0]
     count = sum(dd * dd if side == "right" else n * n for n, dd in sd.block_shape)
     refuse_past_budget((count, d, d), f"a basis of {count} elements at dim {d}")
+    out = np.empty((count, d, d), dtype=complex)
     for n, dd in sd.block_shape:
         TJ = T[:, off:off + n * dd].reshape(d, n, dd)
-        off += n * dd
         A = TJ.transpose(2, 0, 1) if side == "right" else TJ.transpose(1, 0, 2)  # per unit index
-        out.append((A[:, None] @ A.conj().transpose(0, 2, 1)[None]).reshape(-1, d, d) / np.sqrt(A.shape[2]))
-    return np.concatenate(out)
+        units = out[at:at + len(A) ** 2].reshape(len(A), len(A), d, d)
+        np.matmul(A[:, None], A.conj().transpose(0, 2, 1)[None], out=units)
+        units /= np.sqrt(A.shape[2])
+        off, at = off + n * dd, at + len(A) ** 2
+    return out
 
 
 def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> StructureDecomposition:
@@ -255,10 +261,9 @@ def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlg
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant: the normalized central projectors T_J T_J^dag."""
+    """Intersection of alg with its commutant: T_J T_J^dag / sqrt(n_J d_J), block J's unit as n_J d_J copies of C^1."""
     sd = structure_decompose(alg, tol)
-    TJ = np.split(sd.basis_change, np.cumsum([n * d for n, d in sd.block_shape])[:-1], axis=1)
-    return OperatorAlgebra(alg.dim, np.array([t @ t.conj().T / np.sqrt(t.shape[1]) for t in TJ]))
+    return OperatorAlgebra(alg.dim, _units(replace(sd, block_shape=[(n * d, 1) for n, d in sd.block_shape]), "right"))
 
 
 class FactorCheck(NamedTuple):
@@ -336,13 +341,12 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     _, (K,) = _generic_commutant(np.concatenate([a1.generators, a2.generators]), rng, tol, 1)
     join_is_full = bool(np.max(np.abs(K - np.trace(K) / d * np.eye(d))) <= tol.resid_abs)
 
-    cent = center(a1, tol)
-    a1_is_factor = len(cent) == 1
+    a1_is_factor = is_factor(a1, tol).is_factor
     if not a1_is_factor and witness is None:
         # traceless central part of the first matrix unit the center holds at
         # least half as strongly as any other: fixed by the span, not the basis
         ident = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-        rows = cent.basis_rows()
+        rows = center(a1, tol).basis_rows()
         weight = np.sum(np.abs(rows) ** 2, axis=0) - np.abs(ident) ** 2
         j = int(np.argmax(weight >= weight.max() / 2))
         witness = (rows.T @ rows[:, j].conj() - ident * ident[j]).reshape(d, d)

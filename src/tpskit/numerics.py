@@ -177,33 +177,28 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Modified Gram-Schmidt with one re-orthogonalization pass runs over the
     inputs in order; an input is dropped as linearly dependent when its
-    residual norm falls below rank_rel * max(norm on entry, 1).  Returns a
-    (k, d, d) stack of the kept directions, in input order.
+    residual norm falls below rank_rel * max(norm on entry, 1).  Each kept
+    direction overwrites a row of the input stack already read; the first k
+    rows, a (k, d, d) stack, are returned in input order.
     """
     mats = [np.asarray(m, dtype=complex) for m in ops]
-    if not mats:
-        return np.zeros((0, 0, 0), dtype=complex)
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise DimensionMismatchError("all operators must share one shape")
-    V = np.array([m.reshape(-1) for m in mats])
-    rows: list[np.ndarray] = []
+    shape = mats[0].shape if mats else (0, 0)
+    if any(m.shape != shape for m in mats):
+        raise DimensionMismatchError("all operators must share one shape")
+    V = np.array([m.reshape(-1) for m in mats], dtype=complex)
+    kept = 0
     for v in V:
         n0 = float(np.linalg.norm(v))
         drop = tol.rank_rel * max(n0, 1.0)
         if n0 <= drop:
             continue
         for _ in range(2):
-            if rows:
-                Q = np.array(rows)
-                v = v - (Q.conj() @ v) @ Q
+            v = v - (V[:kept].conj() @ v) @ V[:kept]
         nr = float(np.linalg.norm(v))
         if nr > drop:
-            rows.append(v / nr)
-    if not rows:
-        return np.zeros((0,) + shape, dtype=complex)
-    return np.array(rows).reshape(-1, *shape)
+            V[kept] = v / nr
+            kept += 1
+    return V[:kept].reshape(kept, *shape)
 
 
 def close_span(seed, tol: Tolerance) -> np.ndarray:

@@ -109,12 +109,31 @@ def parse_pauli_token(token: str, dim=None) -> np.ndarray:
     """A bare Pauli string like "XX" or "ZZI", checked against dim, if given, before it is built."""
     from .parity import pauli_string_matrix  # only a spec naming a Pauli string loads parity
 
-    if not token or any(ch not in "IXYZ" for ch in token):
+    if not isinstance(token, str) or not token or any(ch not in "IXYZ" for ch in token):
         raise SpecFileError(f"not a Pauli string over IXYZ: {token!r}")
     if dim is not None and 2 ** len(token) != dim:
         raise SpecFileError(
             f"Pauli string {token!r} has dimension {count_text(2 ** len(token))}, spec declares {dim}")
     return pauli_string_matrix(token)
+
+
+def _named_entries(data: dict, key: str, what: str, required: tuple):
+    """(where, name, entry) for each entry of the section key, which must be a list of
+    objects, each with the required fields and a string 'name' that no earlier entry has."""
+    fields = " and ".join(map(repr, required)) if len(required) > 1 else f"a {required[0]!r}"
+    if not isinstance(section := data.get(key, []), list):
+        raise SpecFileError(f"'{key}' must be a list of {what} entries")
+    names = set()
+    for k, entry in enumerate(section):
+        where = f"{key}[{k}]"
+        if not isinstance(entry, dict) or any(f not in entry for f in required):
+            raise SpecFileError(f"{where}: expected an object with {fields}")
+        if not isinstance(name := entry["name"], str):
+            raise SpecFileError(f"{where}: 'name' must be a string, got {name!r}")
+        if name in names:
+            raise SpecFileError(f"{where}: duplicate {what} name {name!r}")
+        names.add(name)
+        yield where, name, entry
 
 
 def parse_spec(data: dict) -> OperatorSpecFile:
@@ -127,13 +146,7 @@ def parse_spec(data: dict) -> OperatorSpecFile:
         raise SpecFileError(f"'dim' must be a positive integer, got {dim!r}")
 
     operators = {}
-    for k, entry in enumerate(data.get("operators", [])):
-        where = f"operators[{k}]"
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise SpecFileError(f"{where}: expected an object with a 'name'")
-        name = entry["name"]
-        if name in operators:
-            raise SpecFileError(f"{where}: duplicate operator name {name!r}")
+    for where, name, entry in _named_entries(data, "operators", "operator", ("name",)):
         if ("matrix" in entry) == ("pauli" in entry):
             raise SpecFileError(f"{where}: need exactly one of 'matrix' or 'pauli'")
         if "pauli" in entry:
@@ -141,15 +154,8 @@ def parse_spec(data: dict) -> OperatorSpecFile:
         else:
             operators[name] = _dense_matrix(entry["matrix"], dim, f"{where}.matrix")
 
-    states = {}
-    for k, entry in enumerate(data.get("states", [])):
-        where = f"states[{k}]"
-        if not isinstance(entry, dict) or "name" not in entry or "vector" not in entry:
-            raise SpecFileError(f"{where}: expected an object with 'name' and 'vector'")
-        name = entry["name"]
-        if name in states:
-            raise SpecFileError(f"{where}: duplicate state name {name!r}")
-        states[name] = _state_vector(entry["vector"], dim, f"{where}.vector")
+    states = {name: _state_vector(entry["vector"], dim, f"{where}.vector")
+              for where, name, entry in _named_entries(data, "states", "state", ("name", "vector"))}
 
     def name_list(key):
         names = data.get(key, [])

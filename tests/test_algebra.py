@@ -1,6 +1,7 @@
 """Tests for algebra closure, commutants, centers, and block structure."""
 
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -668,6 +669,24 @@ class TestCheckBipartition:
         assert check_bipartition(a1, a2).verdict
         assert solves == [(len(a1.generators) + len(a2.generators), 1)]
 
+    def test_a_factor_a1_builds_no_center(self, monkeypatch):
+        # the factor flag is the block count; the center is built only for a witness
+        a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        a2 = close_algebra([kron_all(I2, SX), kron_all(I2, SZ)])
+        real = algebra_module.center
+        calls = []
+
+        def counting(alg, tol=DEFAULT_TOL):
+            calls.append(alg)
+            return real(alg, tol)
+
+        monkeypatch.setattr(algebra_module, "center", counting)
+        assert check_bipartition(a1, a2).verdict
+        assert not check_bipartition(a1, a1).verdict  # a factor that does not commute with itself
+        assert calls == []
+        assert check_bipartition(close_algebra([SZ]), close_algebra([SZ])).witness is not None
+        assert len(calls) == 1
+
     def test_thirty_two_dimensions_in_under_two_seconds(self):
         # scaling guard: forming the join of M_4 (x) 1 and 1 (x) M_8 by word
         # growth took ~16 s here; the commutant cut takes well under a second
@@ -779,6 +798,96 @@ class TestBlockFormResidualPinned:
             self.assert_pinned(alg, sd.basis_change, sd.block_shape)
             # a basis that does not block the algebra: residuals of order one
             self.assert_pinned(alg, haar_unitary(alg.dim, rng), sd.block_shape)
+
+
+def reference_units(sd, side):
+    """The matrix units built block by block and concatenated, as first written."""
+    T, off, out = sd.basis_change, 0, []
+    d = T.shape[0]
+    for n, dd in sd.block_shape:
+        TJ = T[:, off:off + n * dd].reshape(d, n, dd)
+        off += n * dd
+        A = TJ.transpose(2, 0, 1) if side == "right" else TJ.transpose(1, 0, 2)
+        out.append((A[:, None] @ A.conj().transpose(0, 2, 1)[None]).reshape(-1, d, d) / np.sqrt(A.shape[2]))
+    return np.concatenate(out)
+
+
+def reference_center(alg):
+    """The central projectors split off T on their own, as first written."""
+    sd = structure_decompose(alg)
+    TJ = np.split(sd.basis_change, np.cumsum([n * d for n, d in sd.block_shape])[:-1], axis=1)
+    return np.array([t @ t.conj().T / np.sqrt(t.shape[1]) for t in TJ])
+
+
+class TestUnitsPinned:
+    """Units written into the one budgeted stack, and the center read through them,
+    give the concatenating and splitting references bit for bit."""
+
+    @staticmethod
+    def assert_pinned(alg):
+        sd = structure_decompose(alg)
+        assert alg.basis.tobytes() == reference_units(sd, "right").tobytes()
+        assert commutant(alg).basis.tobytes() == reference_units(sd, "left").tobytes()
+        assert center(alg).basis.tobytes() == reference_center(alg).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
+    def test_fixtures(self, name):
+        spec = load_spec(DATA / f"{name}.json")
+        self.assert_pinned(close_algebra(list(spec.operators.values()), dim=spec.dim))
+
+    def test_seeded_direct_sums(self):
+        rng = np.random.default_rng(2028)
+        for _ in range(20):
+            self.assert_pinned(random_block_algebra(random_block_shape(rng), rng))
+
+    def test_units_peak_at_the_stack_they_return(self):
+        # one (count, d, d) allocation, the one the size rule predicted (the
+        # list of per-block stacks and its concatenation peaked at 2x)
+        sd = algebra_module.StructureDecomposition([(1, 40)], haar_unitary(40, np.random.default_rng(40)), 0.0)
+        tracemalloc.start()
+        try:
+            units = algebra_module._units(sd, "right")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert units.shape == (1600, 40, 40)
+        assert peak <= 1.1 * units.nbytes, f"peak {peak / units.nbytes:.2f}x the returned stack"
+
+
+class TestInputSizedStacksRefused:
+    """The closure's seed, the commutant's product stack and the oracle's probe
+    stack are refused past the byte budget before they are built."""
+
+    def test_the_closure_seed_is_refused_before_it_is_stacked(self, monkeypatch):
+        def no_stack(*args, **kwargs):
+            raise AssertionError("the seed was stacked")
+
+        monkeypatch.setattr(algebra_module, "hs_orthonormalize", no_stack)
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 2 * 16 * 16 * 16)
+        with pytest.raises(ContractViolationError, match=r"^the closure's seed of 3 operators at dim 16 needs "):
+            close_algebra([np.kron(SX, np.eye(8))])
+
+    def test_the_product_stack_is_refused_before_anything_is_drawn(self, monkeypatch):
+        alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+        ops = alg.generators
+        k, d = ops.shape[:2]
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 3 * k * d * d - 1)
+        with pytest.raises(ContractViolationError,
+                           match=rf"^a commutant product stack of 3 x {k} operators at dim {d} needs "):
+            algebra_module._generic_commutant(ops, rng, DEFAULT_TOL, 3)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 3 * k * d * d)
+        algebra_module._generic_commutant(ops, rng, DEFAULT_TOL, 3)
+
+    def test_the_probe_stack_is_refused_before_it_is_drawn(self, monkeypatch):
+        alg = close_algebra([SX, SZ])
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 8 * 2 * 2 - 1)
+        with pytest.raises(ContractViolationError, match=r"^a stack of 8 oracle probes at dim 2 needs "):
+            algebra_residuals(alg)
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 8 * 2 * 2)
+        assert algebra_residuals(alg)["product"] < 1e-12
 
 
 def collective_spin_generators(N):

@@ -269,6 +269,28 @@ class TestSpecFiles:
         assert err.startswith(f"spec file error: cannot read spec file {path}: ")
         assert err.count("\n") == 1
 
+    MALFORMED_ENTRIES = [
+        ("operators_not_a_list", {"dim": 2, "operators": 5},
+         "'operators' must be a list of operator entries"),
+        ("states_not_a_list", {"dim": 2, "operators": [{"name": "x", "pauli": "X"}], "states": 7},
+         "'states' must be a list of state entries"),
+        ("operator_name_a_list", {"dim": 2, "operators": [{"name": ["x"], "pauli": "X"}]},
+         "operators[0]: 'name' must be a string, got ['x']"),
+        ("state_name_an_object", {"dim": 2, "operators": [{"name": "x", "pauli": "X"}],
+                                  "states": [{"name": {"a": 1}, "vector": [[1, 0], [0, 0]]}]},
+         "states[0]: 'name' must be a string, got {'a': 1}"),
+        ("pauli_not_a_string", {"dim": 2, "operators": [{"name": "x", "pauli": 5}]},
+         "not a Pauli string over IXYZ: 5"),
+    ]
+
+    @pytest.mark.parametrize("case, doc, message", MALFORMED_ENTRIES, ids=[c[0] for c in MALFORMED_ENTRIES])
+    def test_malformed_sections_and_names_are_one_spec_file_line(self, case, doc, message, tmp_path, capsys):
+        # each raised a raw TypeError: a number is no section, a list or object
+        # no name, a number no Pauli string
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["decompose", str(path)], capsys) == (1, "", f"spec file error: {message}\n")
+
     def test_checks_after_parsing_are_one_spec_file_line(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
         empty.write_text('{"dim": 2, "operators": []}')
@@ -318,7 +340,7 @@ class TestRenderJson:
             render_json(float("nan"))
 
     def test_numpy_scalars_render_as_python_scalars(self):
-        # exact Python types take a lookup table, numpy scalars the isinstance chain
+        # exact Python types take a lookup table, numpy scalars the same table after .item()
         py = [0.1, 3, True, 1 + 2j, None, "a"]
         as_numpy = [np.float64(0.1), np.int64(3), np.bool_(True), np.complex128(1 + 2j),
                     None, "a"]
@@ -809,6 +831,21 @@ class TestSizeRefusals:
         assert (code, out) == (1, "")
         assert err == (f"spec file error: Pauli string {'Z' * 40!r} has dimension 1099511627776, "
                        "spec declares 4\n")
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize("qubits, message", [
+        (10, "the closure's seed of 5 operators at dim 1024 needs 80 MiB"),
+        (11, "the closure's seed of 5 operators at dim 2048 needs 320 MiB"),
+    ])
+    def test_two_paulis_on_many_qubits_are_refused_at_the_closure_seed(self, qubits, message, tmp_path):
+        # X and Z on the first qubit: unchecked, these died in a raw _ArrayMemoryError,
+        # in the oracle's probe stack at 10 qubits and in Gram-Schmidt at 11
+        path = tmp_path / f"xz{qubits}.json"
+        path.write_text(json.dumps({"dim": 2 ** qubits, "operators": [
+            {"name": p.lower(), "pauli": p + "I" * (qubits - 1)} for p in "XZ"]}))
+        code, out, err, seconds = run_fresh(["decompose", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"computation error: ContractViolationError: {message}, over the 64 MiB budget\n"
         assert seconds < 1.0
 
     def test_dims_are_checked_against_the_spec_before_any_structure(self, monkeypatch, capsys):

@@ -67,11 +67,19 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     data = Path(compare_reports.DATA)
     files = sorted(str(path) for path in data.glob("*.json"))
     spins = [str(tmp_path / f"{name}{N}.json") for N in (3, 4, 5) for name in ("spin", "swaps")]
+    # one job of each spec command at a seed other than 0
+    seeded = [["decompose", "--emit-basis", "--seed", "5", str(data / "slot_xz.json")],
+              ["bipartition", "--seed", "5", str(data / "bip_slots.json")]]
     assert [a for a in argvs if a[0] == "decompose"] == [
-        ["decompose", "--emit-basis", f] for f in files + spins]
+        ["decompose", "--emit-basis", f] for f in files] + seeded[:1] + [
+        ["decompose", "--emit-basis", f] for f in spins]
     named = [f for f in files
              if {"a1_generators", "a2_generators"} <= json.loads(Path(f).read_text()).keys()]
-    assert named and [a for a in argvs if a[0] == "bipartition"] == [["bipartition", f] for f in named]
+    assert named and [a for a in argvs if a[0] == "bipartition"] == [
+        ["bipartition", f] for f in named] + seeded[1:]
+    for argv in seeded:
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
     for command in ("equivalent", "parity", "bosonic"):
         with_spec = {a[2] in files for a in argvs if a[:2] == ["tps", command]}
         assert with_spec == {True, False}, command

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,96 @@ def test_hs_orthonormalize_idempotent():
 def test_hs_orthonormalize_rejects_mixed_shapes():
     with pytest.raises(DimensionMismatchError):
         hs_orthonormalize([np.eye(2), np.eye(3)])
+
+
+def reference_hs_orthonormalize(ops, tol=DEFAULT_TOL):
+    """The Gram-Schmidt with a list of kept rows, rebuilt into a stack per projection, as first written."""
+    mats = [np.asarray(m, dtype=complex) for m in ops]
+    if not mats:
+        return np.zeros((0, 0, 0), dtype=complex)
+    shape = mats[0].shape
+    V = np.array([m.reshape(-1) for m in mats])
+    rows = []
+    for v in V:
+        n0 = float(np.linalg.norm(v))
+        drop = tol.rank_rel * max(n0, 1.0)
+        if n0 <= drop:
+            continue
+        for _ in range(2):
+            if rows:
+                Q = np.array(rows)
+                v = v - (Q.conj() @ v) @ Q
+        nr = float(np.linalg.norm(v))
+        if nr > drop:
+            rows.append(v / nr)
+    if not rows:
+        return np.zeros((0,) + shape, dtype=complex)
+    return np.array(rows).reshape(-1, *shape)
+
+
+def assert_orthonormalized_as_the_reference(ops, tol=DEFAULT_TOL):
+    out, ref = hs_orthonormalize(ops, tol), reference_hs_orthonormalize(ops, tol)
+    assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+class TestOrthonormalizeInPlacePinned:
+    """Gram-Schmidt inside its input stack gives the list-based reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_stacks_with_zero_dependent_and_repeated_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        d, k = int(rng.integers(1, 6)), int(rng.integers(1, 12))
+        mats = list(rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d)))
+        for _ in range(4):
+            at = int(rng.integers(len(mats) + 1))
+            kind = rng.integers(3)
+            if kind == 0:
+                extra = np.zeros((d, d)) if rng.random() < 0.5 else 1e-12 * mats[0]
+            elif kind == 1:
+                c = rng.standard_normal(len(mats)) + 1j * rng.standard_normal(len(mats))
+                extra = np.tensordot(c, np.array(mats), axes=1)
+            else:
+                extra = mats[int(rng.integers(len(mats)))]
+            mats.insert(at, extra)
+        assert_orthonormalized_as_the_reference(mats)
+        assert_orthonormalized_as_the_reference(mats, Tolerance(rank_rel=1e-3))
+
+    def test_empty_and_all_zero_inputs(self):
+        assert_orthonormalized_as_the_reference([])
+        assert_orthonormalized_as_the_reference([np.zeros((3, 3))] * 2)
+        assert hs_orthonormalize([]).shape == (0, 0, 0)
+        assert hs_orthonormalize([np.zeros((3, 3))]).shape == (0, 3, 3)
+
+    def test_close_span_calls(self, monkeypatch):
+        # span plus candidates: every call close_span makes, on a Lie closure of several passes
+        calls = []
+
+        def recording(ops, tol=DEFAULT_TOL):
+            calls.append((list(ops), tol))
+            return hs_orthonormalize(ops, tol)
+
+        monkeypatch.setattr(numerics, "hs_orthonormalize", recording)
+        rng = np.random.default_rng(7)
+        gens = [1j * random_hermitian(rng, 4) for _ in range(2)]
+        assert len(close_span(gens, DEFAULT_TOL)) == 16
+        assert len(calls) > 2
+        for ops, tol in calls:
+            assert_orthonormalized_as_the_reference(ops, tol)
+
+
+def test_hs_orthonormalize_peaks_at_twice_its_input_stack():
+    # one stack: the kept directions overwrite input rows already read (the
+    # list of rows and its two rebuilds per input peaked at 4x)
+    rng = np.random.default_rng(512)
+    stack = rng.standard_normal((5, 512, 512)) + 1j * rng.standard_normal((5, 512, 512))
+    tracemalloc.start()
+    try:
+        out = hs_orthonormalize(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == stack.shape
+    assert peak <= 2.5 * stack.nbytes, f"peak {peak / stack.nbytes:.2f}x the input stack"
 
 
 def test_span_residual_of_rows():

@@ -11,8 +11,9 @@ every holonomy job one with ``--eigenspace 2``, since the jobs transport
 eigenspace 1 only.  A ``fixtures`` group adds the ``tests/data`` spec
 files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
-and ``tps bosonic`` each with and without a spec file; four sizes past the
-byte budget, whose refusal messages are compared; and, built in code,
+and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
+one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
+refusal messages are compared; and, built in code,
 collective spin on 3 to 5 qubits and its adjacent-swap dual through
 ``decompose --emit-basis``.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
@@ -45,6 +46,12 @@ SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
 TWIN_FLAGS = {"decompose": ["--emit-basis"], "holonomy": ["--eigenspace", "2"]}  # appended to a twin job
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# a seed other than 0: decompose solves its decomposition at S after the closure's at 0,
+# bipartition reads the slot form at S
+SEEDED = [
+    ["decompose", "--emit-basis", "--seed", "5", os.path.join(DATA, "slot_xz.json")],
+    ["bipartition", "--seed", "5", os.path.join(DATA, "bip_slots.json")],
+]
 # sizes past the byte budget, each refused before it is built and at once
 REFUSALS = [
     ["tps", "holonomy", "--doublings", "40"],
@@ -80,9 +87,9 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
 
 def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
-    those naming a1/a2 generators through bipartition, tps equivalent, parity and
-    bosonic each with and without a spec file, the REFUSALS, and the spin_specs
-    through decompose."""
+    those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
+    equivalent, parity and bosonic each with and without a spec file, the
+    REFUSALS, and the spin_specs through decompose."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -92,6 +99,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
             argvs.append(["bipartition", path])
     cnot, bell = os.path.join(DATA, "cnot.json"), os.path.join(DATA, "bell_xx.json")
     argvs += [
+        *SEEDED,
         ["tps", "equivalent", cnot, "--dims1", "2,2", "--dims2", "2,2", "--iso1", "swap"],
         ["tps", "equivalent", "--dims1", "2,3", "--dims2", "3,2"],
         ["tps", "equivalent", "--dims1", "2,3,2", "--dims2", "2,3,2"],
