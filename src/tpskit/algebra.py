@@ -14,7 +14,7 @@ commutant, center, factor test and bipartition certificate all follow from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -109,7 +109,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     refuse_past_budget((1 + 2 * len(gens), d, d), f"the closure's seed of {1 + 2 * len(gens)} operators at dim {d}")
     ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
     sd = _decompose(ops, tol, seed=0)
-    alg = OperatorAlgebra(dim=d, basis=_units(sd, "right"), generators=ops)
+    alg = OperatorAlgebra(dim=d, basis=_units(sd.basis_change, sd.block_shape, "right"), generators=ops)
     alg._derived["decomposition", tol, 0] = sd
     return alg
 
@@ -224,16 +224,15 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposi
     return StructureDecomposition(block_shape=shape, basis_change=T, residual=residual)
 
 
-def _units(sd: StructureDecomposition, side: str) -> np.ndarray:
-    """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of sd's algebra
-    (side "right"), or T_J (E_ab (x) 1_d) T_J^dag / sqrt(d) of its commutant (side
-    "left"), written into the one stack refuse_past_budget has just predicted."""
-    T, off, at = sd.basis_change, 0, 0
-    d = T.shape[0]
-    count = sum(dd * dd if side == "right" else n * n for n, dd in sd.block_shape)
+def _units(T: np.ndarray, shape: list[tuple[int, int]], side: str) -> np.ndarray:
+    """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of the algebra in
+    block form (T, shape) (side "right"), or T_J (E_ab (x) 1_d) T_J^dag / sqrt(d) of its
+    commutant (side "left"), written into the one stack refuse_past_budget has just predicted."""
+    d, off, at = T.shape[0], 0, 0
+    count = sum(dd * dd if side == "right" else n * n for n, dd in shape)
     refuse_past_budget((count, d, d), f"a basis of {count} elements at dim {d}")
     out = np.empty((count, d, d), dtype=complex)
-    for n, dd in sd.block_shape:
+    for n, dd in shape:
         TJ = T[:, off:off + n * dd].reshape(d, n, dd)
         A = TJ.transpose(2, 0, 1) if side == "right" else TJ.transpose(1, 0, 2)  # per unit index
         units = out[at:at + len(A) ** 2].reshape(len(A), len(A), d, d)
@@ -257,13 +256,14 @@ def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed
 
 def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """All operators commuting with alg: the left-slot units of its block form."""
-    return OperatorAlgebra(alg.dim, _units(structure_decompose(alg, tol), "left"))
+    sd = structure_decompose(alg, tol)
+    return OperatorAlgebra(alg.dim, _units(sd.basis_change, sd.block_shape, "left"))
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
     """Intersection of alg with its commutant: T_J T_J^dag / sqrt(n_J d_J), block J's unit as n_J d_J copies of C^1."""
     sd = structure_decompose(alg, tol)
-    return OperatorAlgebra(alg.dim, _units(replace(sd, block_shape=[(n * d, 1) for n, d in sd.block_shape]), "right"))
+    return OperatorAlgebra(alg.dim, _units(sd.basis_change, [(n * d, 1) for n, d in sd.block_shape], "right"))
 
 
 class FactorCheck(NamedTuple):

@@ -21,7 +21,7 @@ from .errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, unitarity_defect
+from .numerics import DEFAULT_TOL, Tolerance, refuse_past_budget, schmidt_entropy, unitarity_defect
 from .tps import _check_state, _split_cut
 
 _DIM_CAP = 4096
@@ -82,7 +82,8 @@ class FockSpace:
 
 
 def _dense(fock: FockSpace, coeffs) -> np.ndarray:
-    """The dim x dim matrix of sum_j coeffs[j] a_j, for inspection only."""
+    """The dim x dim matrix of sum_j coeffs[j] a_j, for inspection only, refused past BYTES_BUDGET."""
+    refuse_past_budget((fock.dim, fock.dim), f"a dense ladder matrix at dim {fock.dim}")
     a = np.zeros((fock.dim, fock.dim), dtype=complex)
     for j, c in enumerate(coeffs):
         cols = np.flatnonzero(fock.low[j] >= 0)

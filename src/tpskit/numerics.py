@@ -206,9 +206,9 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
 
     The seed is orthonormalized into letters.  Each pass takes the
     commutators of only the directions the previous pass added with the
-    letters, orthonormalizes them after the span and keeps the rows past
-    it, so the result spans the left-normed brackets
-    [[[x_1, x_2], x_3], ..., x_k] in the letters.
+    letters and orthonormalizes them after the span, in one stack that keeps
+    the span's rows and becomes the span, so the result spans the left-normed
+    brackets [[[x_1, x_2], x_3], ..., x_k] in the letters.
     Stops when a pass adds nothing or the span is the whole matrix space.
     (The associative closure is not grown this way: ``close_algebra`` reads
     it off generic elements of the commutant.)
@@ -218,8 +218,9 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
     span = new = letters
     while len(new) and len(span) < full:
         cand = new[:, None] @ letters[None] - letters[None] @ new[:, None]
-        new = hs_orthonormalize([*span, *cand.reshape(-1, *letters.shape[1:])], tol)[len(span):]
-        span = np.concatenate([span, new])
+        grown = hs_orthonormalize([*span, *cand.reshape(-1, *letters.shape[1:])], tol)
+        grown[:len(span)] = span  # projected again, the span's rows drift by roundoff
+        span, new = grown, grown[len(span):]
     return span
 
 

@@ -70,7 +70,7 @@ class TPS:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     @property
     def nfactors(self) -> int:
@@ -170,29 +170,24 @@ def multiplicative_partitions(n: int) -> list[tuple[int, ...]]:
 def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     """Operators acting on factor i only, conjugated into the ambient space.
 
-    The basis is the image of the matrix units on slot i, normalized to
-    Hilbert-Schmidt length one; its linear dimension is dims[i-1] ** 2.
-    Unit (a, b) is C_a C_b^dag / sqrt(left * right), where C_a is the
-    block of iso's columns, viewed as (left, n_i, right), with slot index a.
+    Factor i is the one-block form 1_{d/n_i} (x) M_{n_i} of iso with slot i moved
+    last, so its basis is that form's matrix units, written by ``algebra._units``
+    under the size rule: iso (1 (x) E_ab) iso^dag / sqrt(d / n_i), unit (a, b) at a n_i + b.
     """
-    from .algebra import OperatorAlgebra  # imported here: the rest of tps runs without algebra
+    from .algebra import OperatorAlgebra, _units  # imported here: the rest of tps runs without algebra
 
     if not 1 <= i <= tps.nfactors:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
-    n_i = tps.dims[i - 1]
-    left = int(np.prod(tps.dims[: i - 1], dtype=int))
-    right = int(np.prod(tps.dims[i:], dtype=int))
-    d = tps.dim
-    C = tps.iso.reshape(d, left, n_i, right).transpose(2, 0, 1, 3).reshape(n_i, d, left * right)
-    units = (C / np.sqrt(left * right))[:, None] @ C.conj().transpose(0, 2, 1)[None]
-    return OperatorAlgebra(dim=d, basis=units.reshape(n_i * n_i, d, d))
+    d, n_i = tps.dim, tps.dims[i - 1]
+    T = np.moveaxis(tps.iso.reshape(d, *tps.dims), i, -1).reshape(d, d)
+    return OperatorAlgebra(d, _units(T, [(d // n_i, n_i)], "right"))
 
 
 def _cut_order(tps: TPS, cut) -> tuple[np.ndarray, int]:
     """Tensor coordinates listed in (cut, complement) order, and the cut side's dimension."""
     left, right = _split_cut(tps.nfactors, cut)
     order = np.arange(tps.dim).reshape(tps.dims).transpose(left + right).reshape(-1)
-    return order, int(np.prod([tps.dims[i] for i in left], dtype=int))
+    return order, math.prod(tps.dims[i] for i in left)
 
 
 def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure()) -> float:

@@ -24,9 +24,11 @@ from tpskit.algebra import (
     join,
     structure_decompose,
 )
+from tpskit.bosonic import build_fock
 from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, span_residual
 from tpskit.opfile import load_spec
+from tpskit.tps import TPS, local_algebra
 
 from helpers import haar_unitary
 from reference_closure import reference_closure
@@ -846,7 +848,7 @@ class TestUnitsPinned:
         sd = algebra_module.StructureDecomposition([(1, 40)], haar_unitary(40, np.random.default_rng(40)), 0.0)
         tracemalloc.start()
         try:
-            units = algebra_module._units(sd, "right")
+            units = algebra_module._units(sd.basis_change, sd.block_shape, "right")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -854,9 +856,25 @@ class TestUnitsPinned:
         assert peak <= 1.1 * units.nbytes, f"peak {peak / units.nbytes:.2f}x the returned stack"
 
 
+def test_one_builder_writes_every_basis(monkeypatch):
+    # closure, commutant, center and a local algebra each take their units from _units, once
+    calls = []
+    real = algebra_module._units
+    monkeypatch.setattr(algebra_module, "_units", lambda *args: calls.append(args[2]) or real(*args))
+    alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+    assert calls == ["right"]
+    commutant(alg)
+    assert calls == ["right", "left"]
+    center(alg)
+    assert calls == ["right", "left", "right"]
+    local_algebra(TPS.natural((2, 3)), 1)
+    assert calls == ["right", "left", "right", "right"]
+
+
 class TestInputSizedStacksRefused:
-    """The closure's seed, the commutant's product stack and the oracle's probe
-    stack are refused past the byte budget before they are built."""
+    """The closure's seed, the commutant's product stack, the oracle's probe
+    stack, a local algebra's basis and a dense ladder matrix are refused past
+    the byte budget before they are built."""
 
     def test_the_closure_seed_is_refused_before_it_is_stacked(self, monkeypatch):
         def no_stack(*args, **kwargs):
@@ -888,6 +906,22 @@ class TestInputSizedStacksRefused:
             algebra_residuals(alg)
         monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 8 * 2 * 2)
         assert algebra_residuals(alg)["product"] < 1e-12
+
+    def test_a_local_algebra_is_refused_at_its_basis(self, monkeypatch):
+        t = TPS.natural((2, 3))
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6 - 1)
+        with pytest.raises(ContractViolationError, match=r"^a basis of 4 elements at dim 6 needs "):
+            local_algebra(t, 1)
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6)
+        assert len(local_algebra(t, 1)) == 4
+
+    def test_a_dense_ladder_matrix_is_refused_before_it_is_built(self, monkeypatch):
+        fock = build_fock(2, 2)
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 6 * 6 - 1)
+        with pytest.raises(ContractViolationError, match=r"^a dense ladder matrix at dim 6 needs "):
+            fock.lowering(1)
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 6 * 6)
+        assert fock.lowering(1).shape == (6, 6)
 
 
 def collective_spin_generators(N):

@@ -762,14 +762,14 @@ class TestTpsCommands:
             assert "ContractViolationError: waypoints must be finite" in err
 
 
-def run_fresh(argv, timeout=60):
-    """python -m tpskit ARGV in a new process, with single-threaded BLAS and a
-    1 GiB address-space limit; returns (exit code, stdout, stderr, seconds)."""
+def run_fresh(argv, timeout=60, python=("-m", "tpskit")):
+    """python -m tpskit ARGV (or python PYTHON ARGV) in a new process, with single-threaded
+    BLAS and a 1 GiB address-space limit; returns (exit code, stdout, stderr, seconds)."""
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "tpskit", *argv], capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, *python, *argv], capture_output=True, text=True,
                           env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
                           preexec_fn=limit_address_space, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
@@ -846,6 +846,16 @@ class TestSizeRefusals:
         code, out, err, seconds = run_fresh(["decompose", str(path)])
         assert (code, out) == (2, "")
         assert err == f"computation error: ContractViolationError: {message}, over the 64 MiB budget\n"
+        assert seconds < 1.0
+
+    def test_a_local_algebra_past_the_budget_is_refused_at_its_basis(self):
+        # factor 2 of (2, 1024) has 1024^2 units at dim 2048: a 64 TiB _ArrayMemoryError unchecked
+        code, out, err, seconds = run_fresh(
+            [], python=("-c", "from tpskit.tps import TPS, local_algebra; "
+                              "local_algebra(TPS.natural((2, 1024)), 2)"))
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == ("tpskit.errors.ContractViolationError: a basis of 1048576 elements "
+                                        "at dim 2048 needs 6.71e+07 MiB, over the 64 MiB budget")
         assert seconds < 1.0
 
     def test_dims_are_checked_against_the_spec_before_any_structure(self, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import tpskit.numerics as numerics
 import tpskit.tps as tps_module
-from tpskit.algebra import commutant, is_factor
+from tpskit.algebra import close_algebra, commutant, is_factor, structure_decompose
 from tpskit.errors import ContractViolationError, DimensionMismatchError
 from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, span_residual
 from tpskit.tps import (
@@ -135,6 +135,11 @@ class TestTPSType:
         with pytest.raises(DimensionMismatchError):
             TPS((2, 2), np.eye(6, dtype=complex))
 
+    def test_a_factor_product_past_int64_is_counted_exactly(self):
+        # np.prod wrapped 2^64 to 0, so a (0, 0) iso was accepted with dim 0
+        with pytest.raises(DimensionMismatchError, match="factor product 18446744073709551616$"):
+            TPS((2**32, 2**32), np.zeros((0, 0)))
+
     def test_measure_kinds(self):
         assert EntanglementMeasure().kind == "vn"
         assert EntanglementMeasure(kind="linear").kind == "linear"
@@ -164,7 +169,7 @@ def kron_local_algebra(tps, i):
 
 
 class TestLocalAlgebra:
-    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(5,), (2, 3), (3, 2), (2, 3, 4), (4, 4, 4), (2, 2, 2, 2, 2)])
     def test_matches_the_kron_construction(self, dims):
         rng = np.random.default_rng(29)
         t = TPS(dims, haar_unitary(int(np.prod(dims)), rng))
@@ -198,6 +203,21 @@ class TestLocalAlgebra:
         Q2 = a2.basis.reshape(len(a2), -1)
         assert len(comm) == len(a2)
         assert np.max(np.abs(np.linalg.norm(Q1 - (Q1 @ Q2.conj().T) @ Q2, axis=1))) < 1e-8
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 2), (2, 4), (4, 4)])
+    def test_round_trip_through_the_decomposition(self, p, q):
+        # a Haar-conjugated M_p (x) 1_q decomposes as 1_q (x) M_p with T: in TPS((q, p), T)
+        # factor 2 must span the algebra and factor 1 its commutant
+        rng = np.random.default_rng(100 * p + q)
+        U = haar_unitary(p * q, rng)
+        gens = [U @ np.kron(H + H.conj().T, np.eye(q)) @ U.conj().T
+                for H in rng.standard_normal((2, p, p)) + 1j * rng.standard_normal((2, p, p))]
+        a1 = close_algebra(gens)
+        sd = structure_decompose(a1)
+        assert sd.block_shape == [(q, p)]
+        t = TPS(sd.block_shape[0], sd.basis_change)
+        assert spans_equal(local_algebra(t, 2), a1, DEFAULT_TOL)
+        assert spans_equal(local_algebra(t, 1), commutant(a1), DEFAULT_TOL)
 
     def test_index_out_of_range(self):
         t = TPS.natural((2, 2))
