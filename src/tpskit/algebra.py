@@ -1,20 +1,20 @@
 """Finite-dimensional *-algebras of operators and their block structure.
 
-An algebra is held as a Hilbert-Schmidt-orthonormal basis of a unital,
-adjoint-closed, product-closed subspace of the d x d complex matrices.
-The central construction is the block decomposition
+An algebra is held as its block decomposition
 
     A  ~  (+)_J  1_{n_J} (x) M_{d_J},
 
 realized by an explicit unitary change of basis T.  It is read off generic
 elements of the commutant A' = (+)_J M_{n_J} (x) 1_{d_J}, and the closure,
 commutant, center, factor test and bipartition certificate all follow from
-(shape, T).
+(shape, T): the commutant and the center are the same T read another way.
+A Hilbert-Schmidt-orthonormal basis of A is written only when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -40,23 +40,24 @@ _ORACLE_PROBES = 8  # probe pairs of algebra_residuals
 _JOIN_STREAM, _ORACLE_STREAM = 2**32 - 2, 2**32 - 1
 
 
-@dataclass
 class OperatorAlgebra:
-    """HS-orthonormal basis of a *-closed, unital, product-closed subspace."""
+    """A *-algebra held as its block form, which holds at tol.  len is sum d_J^2, and the
+    HS-orthonormal basis of matrix units is written by ``_units`` on its first read."""
 
-    dim: int
-    basis: np.ndarray  # (k, dim, dim)
-    # HS-normalized ops whose *-closed span generates it, for commutant solves (default: the basis)
-    generators: np.ndarray | None = field(default=None, repr=False, compare=False)
-    # decompositions by (Tolerance, seed): never modify a basis
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, form: StructureDecomposition, tol: Tolerance = DEFAULT_TOL, generators=None):
+        # generators: HS-normalized ops whose *-closed span generates it, that a solve at
+        # another tolerance or seed runs on (default: the basis)
+        self.form, self.tol, self._generators = form, tol, generators
 
-    def __post_init__(self):
-        if self.generators is None:
-            self.generators = self.basis
+    dim = property(lambda self: self.form.basis_change.shape[0])
+    generators = property(lambda self: self.basis if self._generators is None else self._generators)
+
+    @cached_property
+    def basis(self) -> np.ndarray:  # (len, dim, dim)
+        return _units(self.form.basis_change, self.form.block_shape)
 
     def __len__(self) -> int:
-        return self.basis.shape[0]
+        return sum(d * d for _, d in self.form.block_shape)
 
     def basis_rows(self) -> np.ndarray:
         """Vectorized basis, one orthonormal row per element."""
@@ -91,8 +92,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     """Smallest unital *-algebra containing the generators.
 
     It is S'' for S the identity, the generators and their adjoints: its block form
-    is read off generic elements of S' drawn at seed 0, and its matrix units are the
-    basis.  The result keeps S, and the decomposition for ``structure_decompose``.
+    is read off generic elements of S' drawn at seed 0.  The result keeps S.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens and dim is None:
@@ -108,10 +108,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
     refuse_past_budget((1 + 2 * len(gens), d, d), f"the closure's seed of {1 + 2 * len(gens)} operators at dim {d}")
     ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
-    sd = _decompose(ops, tol, seed=0)
-    alg = OperatorAlgebra(dim=d, basis=_units(sd.basis_change, sd.block_shape, "right"), generators=ops)
-    alg._derived["decomposition", tol, 0] = sd
-    return alg
+    return OperatorAlgebra(_decompose(ops, tol, seed=0), tol, ops)
 
 
 def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
@@ -163,7 +160,8 @@ class StructureDecomposition:
 
     Block J owns the next n_J d_J columns of T, in (n, d) row-major order, so
     T^dag X T on them is 1_{n_J} (x) m_J for every X in the algebra; residual
-    is the largest deviation from that form over the operators it was solved on.
+    is the largest deviation from that form over the operators it was solved on
+    (a form read off another keeps its residual; a TPS factor's is exact, 0).
     """
 
     block_shape: list[tuple[int, int]]
@@ -224,46 +222,45 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposi
     return StructureDecomposition(block_shape=shape, basis_change=T, residual=residual)
 
 
-def _units(T: np.ndarray, shape: list[tuple[int, int]], side: str) -> np.ndarray:
-    """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of the algebra in
-    block form (T, shape) (side "right"), or T_J (E_ab (x) 1_d) T_J^dag / sqrt(d) of its
-    commutant (side "left"), written into the one stack refuse_past_budget has just predicted."""
+def _units(T: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
+    """HS-orthonormal matrix units T_J (1_n (x) E_ij) T_J^dag / sqrt(n) of the algebra in block
+    form (T, shape), written into the one stack refuse_past_budget has just predicted."""
     d, off, at = T.shape[0], 0, 0
-    count = sum(dd * dd if side == "right" else n * n for n, dd in shape)
+    count = sum(dd * dd for _, dd in shape)
     refuse_past_budget((count, d, d), f"a basis of {count} elements at dim {d}")
     out = np.empty((count, d, d), dtype=complex)
     for n, dd in shape:
-        TJ = T[:, off:off + n * dd].reshape(d, n, dd)
-        A = TJ.transpose(2, 0, 1) if side == "right" else TJ.transpose(1, 0, 2)  # per unit index
-        units = out[at:at + len(A) ** 2].reshape(len(A), len(A), d, d)
+        A = T[:, off:off + n * dd].reshape(d, n, dd).transpose(2, 0, 1)  # per unit index
+        units = out[at:at + dd * dd].reshape(dd, dd, d, d)
         np.matmul(A[:, None], A.conj().transpose(0, 2, 1)[None], out=units)
-        units /= np.sqrt(A.shape[2])
-        off, at = off + n * dd, at + len(A) ** 2
+        units /= np.sqrt(n)
+        off, at = off + n * dd, at + dd * dd
     return out
 
 
 def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> StructureDecomposition:
-    """Block decomposition of a *-algebra (``_decompose``) at seed, solved on its
-    generators or else its basis, once per tolerance and seed.  A span whose
-    block form holds more than its own dimension is no algebra and is refused."""
-    if ("decomposition", tol, seed) not in alg._derived:
-        sd = _decompose(alg.generators, tol, seed)
-        if (spanned := sum(d * d for _, d in sd.block_shape)) != len(alg):
-            raise ToleranceError(f"blocks span {spanned} dimensions, the algebra {len(alg)}")
-        alg._derived["decomposition", tol, seed] = sd
-    return alg._derived["decomposition", tol, seed]
+    """Block decomposition of a *-algebra: the form it holds at its tolerance and seed 0,
+    else ``_decompose`` on its generators."""
+    return alg.form if (tol, seed) == (alg.tol, 0) else _decompose(alg.generators, tol, seed)
 
 
 def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """All operators commuting with alg: the left-slot units of its block form."""
+    """All operators commuting with alg: its block form with each block's slots swapped,
+    (+)_J M_{n_J} (x) 1_{d_J} read as 1_{d_J} (x) M_{n_J} on T's columns in (d, n) order."""
     sd = structure_decompose(alg, tol)
-    return OperatorAlgebra(alg.dim, _units(sd.basis_change, sd.block_shape, "left"))
+    at = np.cumsum([0] + [n * d for n, d in sd.block_shape])
+    order = np.concatenate([off + np.arange(n * d).reshape(n, d).T.reshape(-1)
+                            for off, (n, d) in zip(at, sd.block_shape)])
+    swapped = [(d, n) for n, d in sd.block_shape]
+    return OperatorAlgebra(StructureDecomposition(swapped, sd.basis_change[:, order], sd.residual), tol)
 
 
 def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Intersection of alg with its commutant: T_J T_J^dag / sqrt(n_J d_J), block J's unit as n_J d_J copies of C^1."""
+    """Intersection of alg with its commutant: T read with block J as n_J d_J copies of C^1,
+    whose unit is T_J T_J^dag / sqrt(n_J d_J)."""
     sd = structure_decompose(alg, tol)
-    return OperatorAlgebra(alg.dim, _units(sd.basis_change, [(n * d, 1) for n, d in sd.block_shape], "right"))
+    return OperatorAlgebra(StructureDecomposition([(n * d, 1) for n, d in sd.block_shape], sd.basis_change,
+                                                  sd.residual), tol)
 
 
 class FactorCheck(NamedTuple):
@@ -323,7 +320,8 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
     generic element of the commutant of both generator sets, drawn from a
     child stream of seed, is a scalar within resid_abs.  On a positive verdict
-    a1's decomposition at seed checks both algebras against their slot forms.
+    a1's decomposition at seed checks both algebras against their slot forms,
+    a2 through its basis; no other basis of an algebra with generators is built.
     On a negative verdict the witness is a violating commutator or a
     non-scalar central element.  The residuals are the largest commutator
     entry and, on a positive verdict, the larger slot-form residual.

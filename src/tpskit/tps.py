@@ -171,16 +171,16 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     """Operators acting on factor i only, conjugated into the ambient space.
 
     Factor i is the one-block form 1_{d/n_i} (x) M_{n_i} of iso with slot i moved
-    last, so its basis is that form's matrix units, written by ``algebra._units``
-    under the size rule: iso (1 (x) E_ab) iso^dag / sqrt(d / n_i), unit (a, b) at a n_i + b.
+    last, exact by construction, so its basis, written on first read under the size
+    rule, is iso (1 (x) E_ab) iso^dag / sqrt(d / n_i), unit (a, b) at a n_i + b.
     """
-    from .algebra import OperatorAlgebra, _units  # imported here: the rest of tps runs without algebra
+    from .algebra import OperatorAlgebra, StructureDecomposition  # the rest of tps runs without algebra
 
     if not 1 <= i <= tps.nfactors:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
     d, n_i = tps.dim, tps.dims[i - 1]
     T = np.moveaxis(tps.iso.reshape(d, *tps.dims), i, -1).reshape(d, d)
-    return OperatorAlgebra(d, _units(T, [(d // n_i, n_i)], "right"))
+    return OperatorAlgebra(StructureDecomposition([(d // n_i, n_i)], T, 0.0))
 
 
 def _cut_order(tps: TPS, cut) -> tuple[np.ndarray, int]:

@@ -13,7 +13,6 @@ import tpskit.algebra as algebra_module
 import tpskit.numerics as numerics_module
 from tpskit.algebra import (
     BipartitionCertificate,
-    OperatorAlgebra,
     _block_form_residual,
     algebra_residuals,
     center,
@@ -446,7 +445,7 @@ class TestStructureDecompose:
         rng = np.random.default_rng(41)
         U = haar_unitary(8, rng)
         alg = collective_spin_algebra()
-        rotated = OperatorAlgebra(dim=8, basis=np.array([U @ b @ U.conj().T for b in alg.basis]))
+        rotated = close_algebra([U @ b @ U.conj().T for b in alg.basis])
         sd = structure_decompose(rotated, seed=1)
         assert sd.block_shape == [(1, 4), (2, 2)]
         assert sd.residual < DEFAULT_TOL.resid_abs
@@ -463,13 +462,6 @@ class TestStructureDecompose:
         elapsed = time.perf_counter() - start
         assert sd.block_shape == [(1, 32)]
         assert elapsed < 1.0, f"structure_decompose of M_32 took {elapsed:.2f} s"
-
-    def test_span_that_is_not_closed_is_refused(self):
-        # {I, X, Z} / sqrt 2 is *-closed and unital but misses XZ: its probe
-        # splits like M_2, whose 4 dimensions the 3-element span cannot hold
-        span = OperatorAlgebra(dim=2, basis=np.array([I2, SX, SZ]) / np.sqrt(2))
-        with pytest.raises(ToleranceError, match="blocks span 4 dimensions, the algebra 3"):
-            structure_decompose(span)
 
 
 def block_generators(blocks, V, rng):
@@ -547,7 +539,7 @@ class TestCommutantCenterOracles:
         rng = np.random.default_rng(16)
         U = haar_unitary(16, rng)
         units = np.eye(256, dtype=complex).reshape(256, 16, 16)
-        alg = OperatorAlgebra(dim=16, basis=U @ units @ U.conj().T)
+        alg = close_algebra(list(U @ units @ U.conj().T))
         comm = commutant(alg)
         assert len(comm) == 1
         assert span_residual([np.eye(16)], comm.basis)[0] <= 1e-8
@@ -563,17 +555,18 @@ class TestAlgebraResidualsOracle:
     @pytest.mark.parametrize("blocks", [[(2, 2), (1, 3)], [(1, 2), (2, 1)], [(3, 2)]])
     def test_a_basis_with_one_element_swapped_for_a_random_direction_is_caught(self, blocks):
         # the swapped span is HS-orthonormal but not product-closed: every
-        # seeded draw of the probe pairs must see it
+        # seeded draw of the probe pairs must see it, handed to the oracle as
+        # the basis of an algebra whose block form is valid
         alg = random_block_algebra(blocks, np.random.default_rng(5))
-        k, d = len(alg), alg.dim
+        basis, k, d = alg.basis, len(alg), alg.dim
         caught = 0
         for trial in range(100):
             rng = np.random.default_rng(trial)
-            rest = np.delete(alg.basis, int(rng.integers(k)), axis=0)
+            rest = np.delete(basis, int(rng.integers(k)), axis=0)
             R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             R -= np.tensordot(np.tensordot(rest.conj(), R, axes=([1, 2], [0, 1])), rest, axes=1)
-            swapped = OperatorAlgebra(dim=d, basis=np.concatenate([rest, [R / np.linalg.norm(R)]]))
-            caught += algebra_residuals(swapped, seed=trial)["product"] > 1e-3
+            alg.basis = np.concatenate([rest, [R / np.linalg.norm(R)]])
+            caught += algebra_residuals(alg, seed=trial)["product"] > 1e-3
         assert caught == 100
 
     @pytest.mark.parametrize("d", [2, 5, 16])
@@ -626,7 +619,7 @@ def test_closure_of_a_conjugated_direct_sum_is_its_constructed_span(blocks, seed
     assert len(alg) == len(expected)
     assert np.max(span_residual(expected, alg.basis)) < 1e-8
     assert np.max(span_residual(alg.basis, expected)) < 1e-8
-    built = OperatorAlgebra(dim=dim, basis=expected)
+    built = close_algebra(list(expected))
     back = commutant(commutant(built))
     assert len(back) == len(expected)
     assert np.max(span_residual(expected, back.basis)) < 1e-8
@@ -737,7 +730,7 @@ class TestCheckBipartition:
         # the traceless central part of the first diagonal matrix unit
         a1 = close_algebra([np.diag([1.0, 2.0, 3.0])])
         R = haar_unitary(len(a1), np.random.default_rng(5))
-        rotated = OperatorAlgebra(dim=3, basis=np.tensordot(R, a1.basis, axes=1))
+        rotated = close_algebra(list(np.tensordot(R, a1.basis, axes=1)))
         expected = np.diag([2.0, -1.0, -1.0]) / 3
         for alg in (a1, rotated):
             W = check_bipartition(alg, alg).witness
@@ -848,7 +841,7 @@ class TestUnitsPinned:
         sd = algebra_module.StructureDecomposition([(1, 40)], haar_unitary(40, np.random.default_rng(40)), 0.0)
         tracemalloc.start()
         try:
-            units = algebra_module._units(sd.basis_change, sd.block_shape, "right")
+            units = algebra_module._units(sd.basis_change, sd.block_shape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -857,18 +850,55 @@ class TestUnitsPinned:
 
 
 def test_one_builder_writes_every_basis(monkeypatch):
-    # closure, commutant, center and a local algebra each take their units from _units, once
+    # closure, commutant, center and a local algebra build no basis; each takes its
+    # units from _units on the first read of its basis, once
     calls = []
     real = algebra_module._units
-    monkeypatch.setattr(algebra_module, "_units", lambda *args: calls.append(args[2]) or real(*args))
+    monkeypatch.setattr(algebra_module, "_units", lambda T, shape: calls.append(shape) or real(T, shape))
     alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
-    assert calls == ["right"]
-    commutant(alg)
-    assert calls == ["right", "left"]
-    center(alg)
-    assert calls == ["right", "left", "right"]
-    local_algebra(TPS.natural((2, 3)), 1)
-    assert calls == ["right", "left", "right", "right"]
+    algebras = [alg, commutant(alg), center(alg), local_algebra(TPS.natural((2, 3)), 1)]
+    assert calls == []
+    for _ in range(2):
+        for a in algebras:
+            assert a.basis.shape == (len(a), a.dim, a.dim)
+    assert calls == [[(2, 2)], [(2, 2)], [(4, 1)], [(3, 2)]]
+
+
+def test_derived_algebras_are_never_solved_again(monkeypatch):
+    # the commutant, the center and a local algebra carry the block form they
+    # were derived from: after the closure no decomposition is solved
+    alg = close_algebra(collective_spin_generators(4))
+    solves, real = [], algebra_module._decompose
+    monkeypatch.setattr(algebra_module, "_decompose", lambda *args: solves.append(args) or real(*args))
+    double = commutant(commutant(alg))
+    assert structure_decompose(double).block_shape == structure_decompose(alg).block_shape
+    assert len(center(alg)) == 3
+    assert is_factor(commutant(alg)) == (False, 3)
+    assert structure_decompose(local_algebra(TPS.natural((2, 3)), 2)).block_shape == [(2, 3)]
+    assert solves == []
+    assert double.basis.tobytes() == alg.basis.tobytes()
+
+
+def test_a_bipartition_builds_no_basis_for_a1(monkeypatch):
+    # the flags read a1's block form and the generators: with the budget one byte under
+    # a1's basis, spin N=4 against X on the first qubit answers as at the full budget
+    a1_gens, a2_gens = collective_spin_generators(4), [kron_all(SX, I2, I2, I2)]
+    full = check_bipartition(close_algebra(a1_gens), close_algebra(a2_gens))
+    monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 35 * 16 * 16 - 1)
+    a1, a2 = close_algebra(a1_gens), close_algebra(a2_gens)
+    calls = []
+    real = algebra_module._units
+    monkeypatch.setattr(algebra_module, "_units", lambda T, shape: calls.append(shape) or real(T, shape))
+    cert = check_bipartition(a1, a2)
+    assert calls == []
+    assert (cert.commuting, cert.join_is_full, cert.a1_is_factor, cert.verdict) == \
+        (full.commuting, full.join_is_full, full.a1_is_factor, full.verdict) == (False, False, False, False)
+    assert np.array_equal(cert.witness, full.witness)
+    assert len(a1) == 35
+    assert is_factor(a1) == (False, 3)
+    with pytest.raises(ContractViolationError,
+                       match=r"^a basis of 35 elements at dim 16 needs 0\.137 MiB, over the 0 MiB budget$"):
+        a1.basis
 
 
 class TestInputSizedStacksRefused:
@@ -910,10 +940,12 @@ class TestInputSizedStacksRefused:
     def test_a_local_algebra_is_refused_at_its_basis(self, monkeypatch):
         t = TPS.natural((2, 3))
         monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6 - 1)
+        alg = local_algebra(t, 1)
+        assert len(alg) == 4
         with pytest.raises(ContractViolationError, match=r"^a basis of 4 elements at dim 6 needs "):
-            local_algebra(t, 1)
+            alg.basis
         monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6)
-        assert len(local_algebra(t, 1)) == 4
+        assert alg.basis.shape == (4, 6, 6)
 
     def test_a_dense_ladder_matrix_is_refused_before_it_is_built(self, monkeypatch):
         fock = build_fock(2, 2)

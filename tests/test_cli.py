@@ -852,7 +852,7 @@ class TestSizeRefusals:
         # factor 2 of (2, 1024) has 1024^2 units at dim 2048: a 64 TiB _ArrayMemoryError unchecked
         code, out, err, seconds = run_fresh(
             [], python=("-c", "from tpskit.tps import TPS, local_algebra; "
-                              "local_algebra(TPS.natural((2, 1024)), 2)"))
+                              "local_algebra(TPS.natural((2, 1024)), 2).basis"))
         assert (code, out) == (1, "")
         assert err.splitlines()[-1] == ("tpskit.errors.ContractViolationError: a basis of 1048576 elements "
                                         "at dim 2048 needs 6.71e+07 MiB, over the 64 MiB budget")

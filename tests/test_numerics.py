@@ -373,11 +373,10 @@ def test_close_span_commutator_closure_is_su2():
     assert len(close_span([1j * SX, 1j * SY], DEFAULT_TOL)) == 3
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
-def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
-    # two generic elements of (+)_i u(m_i) generate (+)_i su(m_i) plus their
-    # own central parts, which span min(2, k) of the k block traces
+def generic_block_pair(sizes, seed):
+    """Two generic elements of (+)_i u(m_i) in a Haar frame, and the dimension of the Lie
+    algebra they generate: (+)_i su(m_i) plus their own central parts, which span min(2, k)
+    of the k block traces."""
     rng = np.random.default_rng(seed)
     n = sum(sizes)
     U = haar_unitary(n, rng)
@@ -389,7 +388,21 @@ def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
             A[off:off + m, off:off + m] = 1j * random_hermitian(rng, m)
             off += m
         gens.append(U @ A @ U.conj().T)
-    expected = sum(m * m - 1 for m in sizes) + min(2, len(sizes))
+    return gens, sum(m * m - 1 for m in sizes) + min(2, len(sizes))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
+    gens, expected = generic_block_pair(sizes, seed)
+    assert len(close_span(gens, DEFAULT_TOL)) == expected
+
+
+@pytest.mark.xfail(strict=True, reason="one roundoff direction is kept at 1.43x the rank_rel cut, and "
+                                       "every later pass grows from it: close_span returns all of u(8)")
+def test_close_span_lie_dimension_of_a_pair_with_a_roundoff_direction_near_the_cut():
+    gens, expected = generic_block_pair([3, 3, 2], 2100340810)
+    assert expected == 21
     assert len(close_span(gens, DEFAULT_TOL)) == expected
 
 
