@@ -29,7 +29,6 @@ from .numerics import (
     hs_orthonormalize,
     polar_isometry,
     refuse_past_budget,
-    span_residual,
     unitarity_defect,
 )
 
@@ -41,12 +40,11 @@ _JOIN_STREAM, _ORACLE_STREAM = 2**32 - 2, 2**32 - 1
 
 
 class OperatorAlgebra:
-    """A *-algebra held as its block form, which holds at tol.  len is sum d_J^2, and the
-    HS-orthonormal basis of matrix units is written by ``_units`` on its first read."""
+    """A *-algebra held as its block form, which holds at tol, and HS-normalized generators
+    (default: the basis), which a solve at another tolerance or seed and a bipartition read.
+    len is sum d_J^2; the basis of matrix units is written by ``_units`` on its first read."""
 
     def __init__(self, form: StructureDecomposition, tol: Tolerance = DEFAULT_TOL, generators=None):
-        # generators: HS-normalized ops whose *-closed span generates it, that a solve at
-        # another tolerance or seed runs on (default: the basis)
         self.form, self.tol, self._generators = form, tol, generators
 
     dim = property(lambda self: self.form.basis_change.shape[0])
@@ -65,27 +63,27 @@ class OperatorAlgebra:
 
 
 def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
-    """Invariant residuals of the span of alg.basis: identity membership, and
-    adjoint and product closure probed by _ORACLE_PROBES seeded pairs.
-
-    X = sum_b c_b b and Y = sum_b c'_b b have complex Gaussian coefficients;
-    product is the largest span_residual(X Y) / (|X| |Y|) and adjoint the
-    largest span_residual(X^dag) / |X|, in HS norm.  A span that is not closed
-    passes a probe only on a measure-zero set of draws, so the cost is
-    O(r (k d^2 + d^3)) where all k^2 pairs would take O(k^2 d^3).  The draw
-    has its own child stream of seed, which no decomposition draws from.
-    """
-    d, k = alg.dim, len(alg)
+    """Invariant residuals of alg's block form, each the HS norm of a ``_slot_defect``, so a
+    distance from the span of its units: of 1/sqrt(d) (identity), and the largest of X^dag /
+    |X| (adjoint) and X Y / (|X| |Y|) (product) over _ORACLE_PROBES pairs X = T ((+)_J 1_n (x)
+    C_J / sqrt(n_J)) T^dag, which is sum_b c_b b in ``_units``' order, and Y, with complex
+    Gaussian c from a child stream of seed that no decomposition draws from.  A T that does not
+    realize the form passes a probe on a measure-zero set of draws only.  O(r d^3), no basis."""
+    T, shape, d, k = alg.form.basis_change, alg.form.block_shape, alg.dim, len(alg)
     refuse_past_budget((_ORACLE_PROBES, d, d), f"a stack of {_ORACLE_PROBES} oracle probes at dim {d}")
-    ident = np.eye(d, dtype=complex) / np.sqrt(d)
-    id_resid = float(span_residual([ident], alg.basis)[0])
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ORACLE_STREAM,)))
-    c = rng.standard_normal((2, _ORACLE_PROBES, k)) + 1j * rng.standard_normal((2, _ORACLE_PROBES, k))
-    X, Y = np.tensordot(c, alg.basis, axes=1)
+    c = rng.standard_normal((2 * _ORACLE_PROBES, k)) + 1j * rng.standard_normal((2 * _ORACLE_PROBES, k))
+    D, off, at = np.zeros((2 * _ORACLE_PROBES, d, d), dtype=complex), 0, 0
+    for n, dd in shape:
+        D[:, off:off + n * dd, off:off + n * dd] = _embed(c[:, at:at + dd * dd].reshape(-1, dd, dd), n) / np.sqrt(n)
+        off, at = off + n * dd, at + dd * dd
+    D = T @ D @ T.conj().T  # in the ambient space, where a T that is not unitary shows
+    X, Y = np.split(D, 2)
     nx, ny = np.linalg.norm(X, axis=(1, 2)), np.linalg.norm(Y, axis=(1, 2))
-    adj_resid = span_residual(X.conj().transpose(0, 2, 1), alg.basis) / nx
-    prod_resid = span_residual(X @ Y, alg.basis) / (nx * ny)
-    return {"identity": id_resid, "adjoint": float(np.max(adj_resid)), "product": float(np.max(prod_resid))}
+    probes = np.concatenate([np.eye(d, dtype=complex)[None] / np.sqrt(d), X.conj().transpose(0, 2, 1), X @ Y])
+    r = np.linalg.norm(_slot_defect(probes, T, shape, "right"), axis=(1, 2))
+    return {"identity": float(r[0]), "adjoint": float(np.max(r[1:1 + _ORACLE_PROBES] / nx)),
+            "product": float(np.max(r[1 + _ORACLE_PROBES:] / (nx * ny)))}
 
 
 def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
@@ -279,25 +277,29 @@ def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL)
     return close_algebra([*a1.generators, *a2.generators], tol, dim=a1.dim)
 
 
-def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
-    """Deviation of T^dag ops T from block-diagonal slot form.
+def _embed(m: np.ndarray, n: int) -> np.ndarray:
+    """1_n (x) m for each matrix of the (k, d, d) stack m: a (k, n d, n d) stack."""
+    return np.einsum("kl,aij->akilj", np.eye(n), m).reshape(len(m), n * m.shape[1], -1)
 
-    side "right": each block must look like 1_n (x) m (algebra side);
-    side "left": each block must look like m (x) 1_d (commutant side), which
-    is the right form of the block with its two slots swapped.
-    """
-    B = T.conj().T @ np.asarray(ops) @ T
-    worst, off = 0.0, 0
+
+def _slot_defect(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> np.ndarray:
+    """T^dag ops T less its HS projection onto slot form: the conditional expectation, block
+    by block (Barnum, Knill, Ortiz & Viola, PRA 68, 032308).  The off-block entries stay, and
+    each block loses its 1_n (x) m part, m = tr_n(block) / n (side "right", the algebra), or
+    its m (x) 1_d part, the right part with the slots swapped (side "left", the commutant)."""
+    B, off = T.conj().T @ np.asarray(ops) @ T, 0
     for n, dd in shape:
-        r = n * dd
-        sub = B[:, off:off + r, off:off + r].reshape(-1, n, dd, n, dd)
+        sub = B[:, off:off + n * dd, off:off + n * dd].reshape(-1, n, dd, n, dd)  # a view, written in place
+        off += n * dd
         if side == "left":
             sub, n = sub.transpose(0, 2, 1, 4, 3), dd
-        recon = np.einsum("kl,aij->akilj", np.eye(n), np.einsum("akikj->aij", sub) / n)
-        worst = max(worst, float(np.max(np.abs(sub - recon), initial=0.0)))
-        B[:, off:off + r, off:off + r] = 0  # leaves the off-block entries
-        off += r
-    return max(worst, float(np.max(np.abs(B), initial=0.0)))
+        sub -= _embed(np.einsum("akikj->aij", sub) / n, n).reshape(sub.shape)
+    return B
+
+
+def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side: str) -> float:
+    """Largest entry of ``_slot_defect``: the deviation of T^dag ops T from slot form."""
+    return float(np.max(np.abs(_slot_defect(ops, T, shape, side)), initial=0.0))
 
 
 @dataclass
@@ -320,8 +322,8 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
     generic element of the commutant of both generator sets, drawn from a
     child stream of seed, is a scalar within resid_abs.  On a positive verdict
-    a1's decomposition at seed checks both algebras against their slot forms,
-    a2 through its basis; no other basis of an algebra with generators is built.
+    a1's decomposition at seed checks a1's and a2's generators against the right and
+    the left slot form (each an algebra); no basis of an algebra with generators is built.
     On a negative verdict the witness is a violating commutator or a
     non-scalar central element.  The residuals are the largest commutator
     entry and, on a positive verdict, the larger slot-form residual.
@@ -355,7 +357,7 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
         sd = structure_decompose(a1, tol, seed=seed)
         if len(sd.block_shape) != 1:
             raise ToleranceError("factor decomposed into more than one block")
-        a2_resid = _block_form_residual(a2.basis, sd.basis_change, sd.block_shape, side="left")
+        a2_resid = _block_form_residual(a2.generators, sd.basis_change, sd.block_shape, side="left")
         residuals["block_form"] = max(sd.residual, a2_resid)
         if residuals["block_form"] > tol.resid_abs:
             raise ToleranceError("slot-form verification failed on a positive verdict")

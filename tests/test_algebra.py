@@ -13,6 +13,8 @@ import tpskit.algebra as algebra_module
 import tpskit.numerics as numerics_module
 from tpskit.algebra import (
     BipartitionCertificate,
+    OperatorAlgebra,
+    StructureDecomposition,
     _block_form_residual,
     algebra_residuals,
     center,
@@ -553,19 +555,18 @@ def clock_shift_algebra(d):
 
 class TestAlgebraResidualsOracle:
     @pytest.mark.parametrize("blocks", [[(2, 2), (1, 3)], [(1, 2), (2, 1)], [(3, 2)]])
-    def test_a_basis_with_one_element_swapped_for_a_random_direction_is_caught(self, blocks):
-        # the swapped span is HS-orthonormal but not product-closed: every
-        # seeded draw of the probe pairs must see it, handed to the oracle as
-        # the basis of an algebra whose block form is valid
-        alg = random_block_algebra(blocks, np.random.default_rng(5))
-        basis, k, d = alg.basis, len(alg), alg.dim
+    def test_a_basis_change_with_one_column_swapped_for_a_random_direction_is_caught(self, blocks):
+        # T with one column replaced by a random unit vector no longer realizes the block
+        # form it is handed with: every seeded draw of the probe pairs must see it
+        sd = structure_decompose(random_block_algebra(blocks, np.random.default_rng(5)))
+        d = sd.basis_change.shape[0]
         caught = 0
         for trial in range(100):
             rng = np.random.default_rng(trial)
-            rest = np.delete(basis, int(rng.integers(k)), axis=0)
-            R = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            R -= np.tensordot(np.tensordot(rest.conj(), R, axes=([1, 2], [0, 1])), rest, axes=1)
-            alg.basis = np.concatenate([rest, [R / np.linalg.norm(R)]])
+            T = sd.basis_change.copy()
+            v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            T[:, int(rng.integers(d))] = v / np.linalg.norm(v)
+            alg = OperatorAlgebra(StructureDecomposition(sd.block_shape, T, sd.residual))
             caught += algebra_residuals(alg, seed=trial)["product"] > 1e-3
         assert caught == 100
 
@@ -582,18 +583,27 @@ class TestAlgebraResidualsOracle:
             assert max(algebra_residuals(alg, seed=trial).values()) < 1e-12
 
     def test_the_probes_stay_within_a_fixed_number_of_products(self, monkeypatch):
-        # O(r (k d^2 + d^3)): one batch of r products, never the k^2 basis pairs
+        # O(r d^3): one stacked defect of 1/sqrt(d), r adjoints and r products, never the
+        # k^2 basis pairs, and no basis
         alg = clock_shift_algebra(8)
-        rows = []
-        real = algebra_module.span_residual
-
-        def counting(stack, basis):
-            rows.append(len(stack))
-            return real(stack, basis)
-
-        monkeypatch.setattr(algebra_module, "span_residual", counting)
+        rows, units = [], []
+        real = algebra_module._slot_defect
+        monkeypatch.setattr(algebra_module, "_slot_defect",
+                            lambda ops, *args: rows.append(len(ops)) or real(ops, *args))
+        monkeypatch.setattr(algebra_module, "_units", lambda *args: units.append(args))
         algebra_residuals(alg)
-        assert sorted(rows) == [1, algebra_module._ORACLE_PROBES, algebra_module._ORACLE_PROBES]
+        assert rows == [1 + 2 * algebra_module._ORACLE_PROBES]
+        assert units == []
+
+    def test_the_slot_defect_is_the_distance_from_the_span_of_the_basis(self):
+        # the HS norm of the block-form defect is the old basis route's span residual
+        rng = np.random.default_rng(2032)
+        for _ in range(20):
+            alg = random_block_algebra(random_block_shape(rng), rng)
+            d = alg.dim
+            ops = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+            defect = algebra_module._slot_defect(ops, alg.form.basis_change, alg.form.block_shape, "right")
+            assert np.max(np.abs(np.linalg.norm(defect, axis=(1, 2)) - span_residual(ops, alg.basis))) < 1e-13
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)

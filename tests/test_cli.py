@@ -416,8 +416,9 @@ class TestDecompose:
 
     def test_the_seed_draws_the_residual_probes(self, capsys):
         # the probe pairs come from --seed: the same seed repeats the report
-        # byte for byte, another seed moves only the probed residuals
-        argv = ["decompose", str(DATA / "bip_slots.json")]
+        # byte for byte, another seed moves only the probed residuals (M_2 (x) 1_2:
+        # a full algebra's probes are exactly in it, at every seed)
+        argv = ["decompose", str(DATA / "slot_xz.json")]
         seven = [run_cli([*argv, "--seed", "7"], capsys)[1] for _ in range(2)]
         assert seven[0] == seven[1]
         eight = json.loads(run_cli([*argv, "--seed", "8"], capsys)[1])
@@ -470,7 +471,7 @@ class TestBipartition:
 
         def block_form(seed):
             sd = structure_decompose(a1, seed=seed)
-            return max(sd.residual, _block_form_residual(a2.basis, sd.basis_change,
+            return max(sd.residual, _block_form_residual(a2.generators, sd.basis_change,
                                                          sd.block_shape, side="left"))
 
         argv = ["bipartition", str(DATA / "bip_slots.json")]
@@ -913,12 +914,55 @@ def test_collective_spin_on_seven_qubits_decomposes_in_a_fresh_process(tmp_path)
     assert (results["dim_algebra"], results["dim_commutant"]) == (120, 429)
 
 
-def test_a_basis_past_the_budget_is_refused_before_it_is_built(tmp_path):
-    # eight qubits decompose, but 165 matrix units of 256 x 256 take 165 MiB
-    code, out, err, _ = run_fresh(["decompose", _collective_spin_spec(tmp_path, 8)])
-    assert (code, out) == (2, "")
-    assert err == ("computation error: ContractViolationError: a basis of 165 elements at dim 256 "
-                   "needs 165 MiB, over the 64 MiB budget\n")
+def test_collective_spin_on_eight_qubits_decomposes_in_a_fresh_process(tmp_path):
+    # eight qubits answer: 165 matrix units of 256 x 256 would take 165 MiB, and
+    # neither the decomposition nor its residual oracle builds them
+    code, out, err, seconds = run_fresh(["decompose", _collective_spin_spec(tmp_path, 8)])
+    assert code == 0, err
+    results = json.loads(out)["results"]
+    assert sorted((b["n"], b["d"]) for b in results["blocks"]) == [(1, 9), (7, 7), (14, 1), (20, 5), (28, 3)]
+    assert (results["dim_algebra"], results["dim_commutant"]) == (165, 1430)
+    assert seconds < 10.0, f"decompose of spin N=8 took {seconds:.2f} s"
+
+
+def _clock_shift(m):
+    return np.diag(np.exp(2j * np.pi * np.arange(m) / m)), np.roll(np.eye(m), 1, axis=0)
+
+
+def test_full_matrix_algebra_on_sixty_four_dimensions_in_a_fresh_process(tmp_path):
+    # its 4096-element basis would take 256 MiB
+    clock, shift = _clock_shift(64)
+    code, out, err, seconds = run_fresh(["decompose", write_spec(tmp_path / "m64.json", 64,
+                                                                 {"clock": clock, "shift": shift})])
+    assert code == 0, err
+    assert json.loads(out)["results"]["blocks"] == [{"n": 1, "d": 64}]
+    assert seconds < 3.0, f"decompose of M_64 took {seconds:.2f} s"
+
+
+def test_a_positive_bipartition_past_a2s_basis_in_a_fresh_process(tmp_path):
+    # X, Z (x) 1_40 against 1_2 (x) clock and shift on C^40: a2's basis would take 156 MiB
+    clock, shift = _clock_shift(40)
+    ops = {"x": np.kron(pauli_string_matrix("X"), np.eye(40)), "z": np.kron(pauli_string_matrix("Z"), np.eye(40)),
+           "c": np.kron(np.eye(2), clock), "s": np.kron(np.eye(2), shift)}
+    path = write_spec(tmp_path / "bip40.json", 80, ops, a1=["x", "z"], a2=["c", "s"])
+    code, out, err, seconds = run_fresh(["bipartition", path])
+    assert code == 0, err
+    assert json.loads(out)["results"]["verdict"] is True
+    assert seconds < 5.0, f"bipartition at d=80 took {seconds:.2f} s"
+
+
+def test_decompose_and_a_positive_bipartition_build_no_basis(monkeypatch, capsys):
+    # the oracle reads the block form and a2 is checked through its generators
+    from tpskit import algebra
+
+    def no_units(*args):
+        raise AssertionError("a basis was built")
+
+    monkeypatch.setattr(algebra, "_units", no_units)
+    for path in sorted(DATA.glob("*.json")):
+        for flags in ([], ["--emit-basis"]):
+            assert run_cli(["decompose", str(path), *flags], capsys)[0] == 0, path.name
+    assert report_of(["bipartition", str(DATA / "bip_slots.json")], capsys)["results"]["verdict"] is True
 
 
 class TestCliPlumbing:

@@ -14,7 +14,9 @@ generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
 refusal messages are compared; and, built in code,
-collective spin on 3 to 5 qubits and its adjacent-swap dual through
+collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
+algebras whose basis is past the byte budget but whose block form is not
+(collective spin on 8 qubits and M_64 from clock and shift), through
 ``decompose --emit-basis``.
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
 its own interpreter with single-threaded BLAS.  Exit code, report and
@@ -89,7 +91,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, and the spin_specs through decompose."""
+    REFUSALS, and the spin_specs and reach_specs through decompose."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -111,11 +113,31 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
     ]
-    argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd)]
+    argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
              "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA)
                              else os.path.basename(a) if a.startswith(cwd) else a for a in argv)}
             for argv in argvs]
+
+
+def write_spec(path: str, ops: dict) -> str:
+    """A spec file at path declaring the named dense operators; returns path."""
+    dim = len(next(iter(ops.values())))
+    doc = {"dim": dim, "operators": [
+        {"name": k, "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in M]}
+        for k, M in ops.items()]}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def collective_spin(N: int) -> dict:
+    """Jx, Jy and Jz on N qubits."""
+    import numpy as np
+
+    paulis = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}
+    on = lambda q, m: np.kron(np.kron(np.eye(2 ** q), m), np.eye(2 ** (N - q - 1)))
+    return {f"j{a}": sum(on(q, np.array(P)) for q in range(N)) / 2 for a, P in paulis.items()}
 
 
 def spin_specs(cwd: str) -> list[str]:
@@ -123,21 +145,24 @@ def spin_specs(cwd: str) -> list[str]:
     and of its Schur-Weyl dual, the swaps of adjacent qubits."""
     import numpy as np
 
-    paulis = {"x": [[0, 1], [1, 0]], "y": [[0, -1j], [1j, 0]], "z": [[1, 0], [0, -1]]}
     swap = np.eye(4)[[0, 2, 1, 3]]
     paths = []
     for N in (3, 4, 5):
-        on = lambda q, m, size: np.kron(np.kron(np.eye(2 ** q), m), np.eye(2 ** (N - q - size)))
-        families = {"spin": {f"j{a}": sum(on(q, np.array(P), 1) for q in range(N)) / 2 for a, P in paulis.items()},
-                    "swaps": {f"s{q}": on(q, swap, 2) for q in range(N - 1)}}
-        for name, ops in families.items():
-            doc = {"dim": 2 ** N, "operators": [
-                {"name": k, "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in M]}
-                for k, M in ops.items()]}
-            paths.append(os.path.join(cwd, f"{name}{N}.json"))
-            with open(paths[-1], "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
+        swaps = {f"s{q}": np.kron(np.kron(np.eye(2 ** q), swap), np.eye(2 ** (N - q - 2))) for q in range(N - 1)}
+        paths += [write_spec(os.path.join(cwd, f"spin{N}.json"), collective_spin(N)),
+                  write_spec(os.path.join(cwd, f"swaps{N}.json"), swaps)]
     return paths
+
+
+def reach_specs(cwd: str) -> list[str]:
+    """Spec files, written to cwd, of algebras whose basis is past the byte budget and
+    whose block form is not: collective spin on 8 qubits (165 units of 256 x 256,
+    165 MiB) and M_64 from clock and shift (4096 units of 64 x 64, 256 MiB)."""
+    import numpy as np
+
+    clock, shift = np.diag(np.exp(2j * np.pi * np.arange(64) / 64)), np.roll(np.eye(64), 1, axis=0)
+    return [write_spec(os.path.join(cwd, "spin8.json"), collective_spin(8)),
+            write_spec(os.path.join(cwd, "clock64.json"), {"clock": clock, "shift": shift})]
 
 
 def run_jobs(jobs_path: str, results_path: str) -> None:
