@@ -92,7 +92,7 @@ def cluster_indices(values, gap: float = DEGENERACY_GAP) -> list[np.ndarray]:
 
 
 def _svd_cut(M, tol: Tolerance):
-    """SVD factors (U, Vh) of the matrix M, with Vh complete, and its numerical rank.
+    """Reduced SVD factors (U, Vh) of the matrix M and its numerical rank: the one rank rule.
 
     Singular values <= rank_rel * max(sigma_max, 1) count as zero: the floor
     keeps pure roundoff, which has full relative rank, at rank 0.
@@ -100,17 +100,18 @@ def _svd_cut(M, tol: Tolerance):
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {M.shape}")
-    U, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < M.shape[1])
+    U, s, Vh = np.linalg.svd(M, full_matrices=False)
     smax = s[0] if s.size else 0.0
     return U, Vh, int(np.count_nonzero(s > tol.rank_rel * max(smax, 1.0)))
 
 
 def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the numerical nullspace of M.
-
-    The rank cut is ``_svd_cut``'s.  The zero matrix yields the full
-    space; an invertible matrix yields an empty (n, 0) basis.
-    """
+    """Orthonormal basis (as columns) of the numerical nullspace of M, at ``_svd_cut``'s rank cut;
+    zero rows, which keep M's rank, complete a wide M's reduced Vh.  The zero matrix yields the
+    full space; an invertible matrix yields an empty (n, 0) basis."""
+    M = np.asarray(M, dtype=complex)
+    if M.ndim == 2 and len(M) < M.shape[1]:
+        M = np.vstack([M, np.zeros((M.shape[1] - len(M), M.shape[1]))])
     _, Vh, rank = _svd_cut(M, tol)
     return Vh[rank:].conj().T
 
@@ -202,26 +203,25 @@ def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def close_span(seed, tol: Tolerance) -> np.ndarray:
-    """HS-orthonormal basis of the Lie algebra generated by ``seed``.
-
-    The seed is orthonormalized into letters.  Each pass takes the
-    commutators of only the directions the previous pass added with the
-    letters and orthonormalizes them after the span, in one stack that keeps
-    the span's rows and becomes the span, so the result spans the left-normed
-    brackets [[[x_1, x_2], x_3], ..., x_k] in the letters.
-    Stops when a pass adds nothing or the span is the whole matrix space.
-    (The associative closure is not grown this way: ``close_algebra`` reads
-    it off generic elements of the commutant.)
-    """
+    """HS-orthonormal basis of the Lie algebra generated by ``seed``: the left-normed brackets
+    [[[x_1, x_2], x_3], ..., x_k] in its orthonormalized letters, which are the first words.
+    Each pass brackets the last pass's words with the letters, projects the brackets off the
+    span twice and cuts their rank once, by ``_svd_cut``: the span gains the leading Vh rows, and
+    the next words are the same combinations of the raw brackets, HS-normalized, so their roundoff
+    is a bracket's, not a small residual's.  Stops when a pass adds nothing or the span is the
+    whole matrix space.  (``close_algebra`` reads the associative closure off the commutant.)"""
     letters = hs_orthonormalize(seed, tol)
-    full = int(np.prod(letters.shape[1:]))
-    span = new = letters
-    while len(new) and len(span) < full:
-        cand = new[:, None] @ letters[None] - letters[None] @ new[:, None]
-        grown = hs_orthonormalize([*span, *cand.reshape(-1, *letters.shape[1:])], tol)
-        grown[:len(span)] = span  # projected again, the span's rows drift by roundoff
-        span, new = grown, grown[len(span):]
-    return span
+    shape, full = letters.shape[1:], math.prod(letters.shape[1:])
+    span, words = letters.reshape(len(letters), full), letters[:, None]
+    while len(words) and len(span) < full:
+        brackets = (words @ letters - letters @ words).reshape(-1, full)
+        rest = brackets - (brackets @ span.conj().T) @ span
+        rest -= (rest @ span.conj().T) @ span
+        U, Vh, rank = _svd_cut(rest, tol)
+        words = (U[:, :rank].conj().T @ brackets).reshape(-1, 1, *shape)
+        words /= np.linalg.norm(words, axis=(2, 3), keepdims=True)
+        span = np.concatenate([span, Vh[:rank]])
+    return span.reshape(len(span), *shape)
 
 
 def span_residual(rows, basis) -> np.ndarray:

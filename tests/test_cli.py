@@ -16,6 +16,7 @@ import pytest
 
 import tpskit
 import tpskit.cli as cli
+from tpskit.algebra import OperatorAlgebra, StructureDecomposition, algebra_residuals
 from tpskit.cli import main, render_json
 from tpskit.opfile import (
     OperatorSpecFile,
@@ -34,6 +35,15 @@ DATA = Path(__file__).parent / "data"
 def as_pairs(M):
     M = np.asarray(M, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+
+
+def residuals_of_the_emitted_form(rep, seed):
+    """The residuals ``decompose --emit-basis --seed seed`` must report: the oracle's on the
+    block shape and the T the report emits."""
+    T = np.array([[complex(re, im) for re, im in row] for row in rep["results"]["basis_change"]])
+    shape = [(b["n"], b["d"]) for b in rep["results"]["blocks"]]
+    form = StructureDecomposition(shape, T, rep["residuals"]["block_form"])
+    return {"block_form": form.residual, **algebra_residuals(OperatorAlgebra(form), seed=seed)}
 
 
 def write_spec(path, dim, operators, states=None, a1=None, a2=None):
@@ -416,16 +426,27 @@ class TestDecompose:
 
     def test_the_seed_draws_the_residual_probes(self, capsys):
         # the probe pairs come from --seed: the same seed repeats the report
-        # byte for byte, another seed moves only the probed residuals (M_2 (x) 1_2:
-        # a full algebra's probes are exactly in it, at every seed)
+        # byte for byte, another seed moves the probed residuals, and each seed
+        # measures the T it reports (M_2 (x) 1_2)
         argv = ["decompose", str(DATA / "slot_xz.json")]
         seven = [run_cli([*argv, "--seed", "7"], capsys)[1] for _ in range(2)]
         assert seven[0] == seven[1]
         eight = json.loads(run_cli([*argv, "--seed", "8"], capsys)[1])
         seven = json.loads(seven[0])
         assert eight["results"] == seven["results"]
-        assert eight["residuals"]["identity"] == seven["residuals"]["identity"]
         assert eight["residuals"]["product"] != seven["residuals"]["product"]
+        for seed, rep in ((7, seven), (8, eight)):
+            emitted = report_of([*argv, "--emit-basis", "--seed", str(seed)], capsys)
+            assert emitted["residuals"] == rep["residuals"]
+            assert rep["residuals"] == residuals_of_the_emitted_form(emitted, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_the_residuals_are_those_of_the_reported_form(self, seed, capsys):
+        # at a seed other than 0 the decomposition is solved again, and its T need not be
+        # the closure's: the oracle measures the one the report emits
+        argv = ["decompose", str(DATA / "slot_xz.json"), "--emit-basis", "--seed", str(seed)]
+        rep = report_of(argv, capsys)
+        assert rep["residuals"] == residuals_of_the_emitted_form(rep, seed)
 
     def test_emit_basis(self, capsys):
         rep = report_of(["decompose", str(DATA / "slot_xz.json"), "--emit-basis"], capsys)

@@ -53,6 +53,7 @@ def fixture_fam():
 RECT1 = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=48)
 RECT2 = LoopPath.rectangle((0.0, 0.0), (-0.7, 0.5), refinement=48)
 RECT3 = LoopPath.rectangle((0.0, 0.0), (0.5, -0.9), refinement=48)
+TWO_RECTS = [LoopPath.rectangle((0.0, 0.0), (0.8, 0.6)), LoopPath.rectangle((0.0, 0.0), (0.5, 0.9))]
 
 
 # ------------------------------------------- one-point references (test-only)
@@ -515,6 +516,22 @@ class TestWitnessAndSpan:
         fam, _ = fixture_fam
         assert holonomy_algebra_span(fam, [RECT1, RECT2, RECT3], 1, 2) == 4
         assert holonomy_algebra_span(fam, [RECT1, RECT2, RECT3], 2, 2) == 4
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_loops_are_universal_on_a_generic_eigenspace(self, n, seed):
+        # holonomic universality past the n = 2 fixture: two rectangles' holonomies
+        # generate all of u(n) on a degeneracy-n eigenspace of a generic family on C^n (x) C^2
+        rng = np.random.default_rng(seed)
+        fam = exponential_family([random_hermitian(rng, 2 * n, _FIXTURE_SCALE) for _ in range(2)])
+        assert holonomy_algebra_span(fam, TWO_RECTS, 1, n) == n * n
+
+    def test_commuting_generators_span_nothing(self):
+        # diagonal generators transport every frame by phases that cancel around a loop:
+        # every log is 0, and so is the span
+        rng = np.random.default_rng(0)
+        fam = exponential_family([np.diag(rng.standard_normal(6)) for _ in range(2)])
+        assert holonomy_algebra_span(fam, TWO_RECTS, 1, 3) == 0
 
     def test_single_loop_spans_one(self, fixture_fam):
         fam, _ = fixture_fam

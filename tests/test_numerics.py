@@ -329,22 +329,6 @@ class TestOrthonormalizeInPlacePinned:
         assert hs_orthonormalize([]).shape == (0, 0, 0)
         assert hs_orthonormalize([np.zeros((3, 3))]).shape == (0, 3, 3)
 
-    def test_close_span_calls(self, monkeypatch):
-        # span plus candidates: every call close_span makes, on a Lie closure of several passes
-        calls = []
-
-        def recording(ops, tol=DEFAULT_TOL):
-            calls.append((list(ops), tol))
-            return hs_orthonormalize(ops, tol)
-
-        monkeypatch.setattr(numerics, "hs_orthonormalize", recording)
-        rng = np.random.default_rng(7)
-        gens = [1j * random_hermitian(rng, 4) for _ in range(2)]
-        assert len(close_span(gens, DEFAULT_TOL)) == 16
-        assert len(calls) > 2
-        for ops, tol in calls:
-            assert_orthonormalized_as_the_reference(ops, tol)
-
 
 def test_hs_orthonormalize_peaks_at_twice_its_input_stack():
     # one stack: the kept directions overwrite input rows already read (the
@@ -398,12 +382,66 @@ def test_close_span_lie_dimension_of_generic_block_pairs(sizes, seed):
     assert len(close_span(gens, DEFAULT_TOL)) == expected
 
 
-@pytest.mark.xfail(strict=True, reason="one roundoff direction is kept at 1.43x the rank_rel cut, and "
-                                       "every later pass grows from it: close_span returns all of u(8)")
-def test_close_span_lie_dimension_of_a_pair_with_a_roundoff_direction_near_the_cut():
-    gens, expected = generic_block_pair([3, 3, 2], 2100340810)
-    assert expected == 21
+@pytest.mark.parametrize("sizes, seed, expected", [
+    # each closed to a wrong dimension (in brackets) when a pass grew from the Gram-Schmidt
+    # residual directions of the last, whose roundoff reached the rank cut
+    ([3, 3, 2], 2100340810, 21),  # 64
+    ([2, 2, 2, 3], 1477260267, 19),  # 81
+    ([2, 3, 2, 3], 3698987415, 24),  # 100
+    ([5, 2, 1], 591101399, 29),  # 64
+    ([3, 4, 4, 2], 3446233914, 43),  # 168
+    ([2, 3, 2, 2], 2873157653, 19),  # 81
+    ([3, 1, 3, 1], 2589713814, 18),  # 64
+    ([3, 3, 3], 1578129494, 26),  # 81
+])
+def test_close_span_lie_dimension_of_a_pair_with_a_roundoff_direction_near_the_cut(sizes, seed, expected):
+    gens, dim = generic_block_pair(sizes, seed)
+    assert dim == expected
     assert len(close_span(gens, DEFAULT_TOL)) == expected
+
+
+def test_close_span_cuts_rank_at_a_wide_gap_on_a_seeded_sweep(monkeypatch):
+    # every rank cut of 400 generic pairs, and of [2, 3, 2] at seed 0 (a Gram-Schmidt stop
+    # fell at 0.97 of the cut there), keeps nothing below 100x the cut and drops nothing
+    # above half of it
+    cut = numerics._svd_cut
+    kept, dropped = [np.inf], [0.0]
+
+    def recording(M, tol):
+        U, Vh, rank = cut(M, tol)
+        s = np.linalg.svd(M, compute_uv=False)
+        floor = tol.rank_rel * max(s[0] if s.size else 0.0, 1.0)
+        kept.extend(s[:rank] / floor)
+        dropped.extend(s[rank:] / floor)
+        return U, Vh, rank
+
+    monkeypatch.setattr(numerics, "_svd_cut", recording)
+    rng = np.random.default_rng(2024)
+    pairs = [generic_block_pair([2, 3, 2], 0)]
+    for _ in range(400):
+        sizes = rng.integers(1, 4, size=rng.integers(1, 5)).tolist()
+        pairs.append(generic_block_pair(sizes, int(rng.integers(2**32))))
+    dims = [(len(close_span(gens, DEFAULT_TOL)), expected) for gens, expected in pairs]
+    assert [d for d in dims if d[0] != d[1]] == []
+    assert min(kept) >= 100 and max(dropped) <= 0.5, (min(kept), max(dropped))
+
+
+def u4_pair():
+    rng = np.random.default_rng(7)
+    return [1j * random_hermitian(rng, 4) for _ in range(2)]
+
+
+@pytest.mark.parametrize("gens", [u4_pair(), generic_block_pair([3, 3, 2], 2100340810)[0]],
+                         ids=["u(4)", "u(3)+u(3)+u(2)"])
+def test_close_span_is_an_orthonormal_bracket_closed_span(gens):
+    # the closure oracle: an orthonormal span that holds the generators and every
+    # bracket of two of its elements
+    Q = close_span(gens, DEFAULT_TOL)
+    G = Q.reshape(len(Q), -1)
+    assert np.max(np.abs(G.conj() @ G.T - np.eye(len(Q)))) <= 1e-12
+    assert np.max(span_residual(gens, Q)) <= 1e-10
+    brackets = Q[:, None] @ Q[None] - Q[None] @ Q[:, None]
+    assert np.max(span_residual(brackets.reshape(-1, *Q.shape[1:]), Q)) <= 1e-10
 
 
 def test_cluster_indices_gaps():
