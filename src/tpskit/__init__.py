@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 # every export, by the module that defines it
 _HOMES = {
-    "algebra": ("BipartitionCertificate", "FactorCheck", "OperatorAlgebra",
-                "StructureDecomposition", "algebra_residuals", "center", "check_bipartition",
-                "close_algebra", "commutant", "is_factor", "join", "structure_decompose"),
+    "algebra": ("BipartitionCertificate", "FactorCheck", "OperatorAlgebra", "algebra_residuals",
+                "center", "check_bipartition", "close_algebra", "commutant", "is_factor", "join",
+                "structure_decompose"),
     "bosonic": ("FockSpace", "ModeSet", "build_fock", "ccr_residual", "mode_entanglement",
                 "rotate_single_particle", "single_excitation_state", "transform_modes"),
     "errors": ("BranchCutError", "ContractViolationError", "DegenerateInputError",

@@ -40,22 +40,41 @@ _JOIN_STREAM, _ORACLE_STREAM = 2**32 - 2, 2**32 - 1
 
 
 class OperatorAlgebra:
-    """A *-algebra held as its block form, which holds at tol, and HS-normalized generators
-    (default: the basis), which a solve at another tolerance or seed and a bipartition read.
+    """A *-algebra held as its block form (+)_J 1_{n_J} (x) M_{d_J}, realized by the unitary T.
+
+    Block J owns the next n_J d_J columns of T, in (n, d) row-major order, so T^dag X T on them
+    is 1_{n_J} (x) m_J for every X in the algebra; residual is the largest deviation from that
+    form over the operators it was solved on (a derived form keeps it; a TPS factor's is 0),
+    at tol.  generators, HS-normalized, are the closure's seed, else two read off the form.
     len is sum d_J^2; the basis of matrix units is written by ``_units`` on its first read."""
 
-    def __init__(self, form: StructureDecomposition, tol: Tolerance = DEFAULT_TOL, generators=None):
-        self.form, self.tol, self._generators = form, tol, generators
+    def __init__(self, block_shape: list[tuple[int, int]], basis_change: np.ndarray, residual: float = 0.0,
+                 tol: Tolerance = DEFAULT_TOL, generators: np.ndarray | None = None):
+        self.block_shape, self.basis_change, self.residual, self.tol = block_shape, basis_change, residual, tol
+        if generators is not None:  # takes the place of the cached property below
+            self.generators = generators
 
-    dim = property(lambda self: self.form.basis_change.shape[0])
-    generators = property(lambda self: self.basis if self._generators is None else self._generators)
+    dim = property(lambda self: self.basis_change.shape[0])
+    blocks = property(lambda self: self.block_shape)  # perfbench's tracer counts len(result.blocks)
+
+    @cached_property
+    def generators(self) -> np.ndarray:  # (1 or 2, dim, dim)
+        """T ((+)_J 1_{n_J} (x) m_J) T^dag for m_J = diag(a_J, ..., a_J + d_J - 1), distinct across blocks,
+        whose polynomials give each 1 (x) E_ii, and the hopping E_{i,i+1} + E_{i+1,i} linking them, if nonzero."""
+        D, H, off, a = np.zeros((self.dim, self.dim)), np.zeros((self.dim, self.dim)), 0, 1
+        for n, d in self.block_shape:
+            D[off:off + n * d, off:off + n * d] = np.kron(np.eye(n), np.diag(np.arange(a, a + d)))
+            H[off:off + n * d, off:off + n * d] = np.kron(np.eye(n), np.eye(d, k=1) + np.eye(d, k=-1))
+            off, a = off + n * d, a + d
+        ops = self.basis_change @ np.array([D, H] if H.any() else [D]) @ self.basis_change.conj().T
+        return ops / np.linalg.norm(ops, axis=(1, 2))[:, None, None]
 
     @cached_property
     def basis(self) -> np.ndarray:  # (len, dim, dim)
-        return _units(self.form.basis_change, self.form.block_shape)
+        return _units(self.basis_change, self.block_shape)
 
     def __len__(self) -> int:
-        return sum(d * d for _, d in self.form.block_shape)
+        return sum(d * d for _, d in self.block_shape)
 
     def basis_rows(self) -> np.ndarray:
         """Vectorized basis, one orthonormal row per element."""
@@ -69,7 +88,7 @@ def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
     C_J / sqrt(n_J)) T^dag, which is sum_b c_b b in ``_units``' order, and Y, with complex
     Gaussian c from a child stream of seed that no decomposition draws from.  A T that does not
     realize the form passes a probe on a measure-zero set of draws only.  O(r d^3), no basis."""
-    T, shape, d, k = alg.form.basis_change, alg.form.block_shape, alg.dim, len(alg)
+    T, shape, d, k = alg.basis_change, alg.block_shape, alg.dim, len(alg)
     refuse_past_budget((_ORACLE_PROBES, d, d), f"a stack of {_ORACLE_PROBES} oracle probes at dim {d}")
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_ORACLE_STREAM,)))
     c = rng.standard_normal((2 * _ORACLE_PROBES, k)) + 1j * rng.standard_normal((2 * _ORACLE_PROBES, k))
@@ -106,7 +125,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
     refuse_past_budget((1 + 2 * len(gens), d, d), f"the closure's seed of {1 + 2 * len(gens)} operators at dim {d}")
     ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
-    return OperatorAlgebra(_decompose(ops, tol, seed=0), tol, ops)
+    return _decompose(ops, tol, 0)
 
 
 def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
@@ -152,22 +171,6 @@ def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
     return V, K / np.linalg.norm(K, axis=(1, 2))[:, None, None]
 
 
-@dataclass
-class StructureDecomposition:
-    """The block form (+)_J 1_{n_J} (x) M_{d_J} and the unitary T realizing it.
-
-    Block J owns the next n_J d_J columns of T, in (n, d) row-major order, so
-    T^dag X T on them is 1_{n_J} (x) m_J for every X in the algebra; residual
-    is the largest deviation from that form over the operators it was solved on
-    (a form read off another keeps its residual; a TPS factor's is exact, 0).
-    """
-
-    block_shape: list[tuple[int, int]]
-    basis_change: np.ndarray
-    residual: float
-    blocks = property(lambda self: self.block_shape)  # perfbench's tracer counts len(sd.blocks)
-
-
 def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance):
     """(shape, T) from K1's eigenspaces, linked into blocks and glued by K2 (both in the
     basis V), or None when linked eigenspaces differ in dimension or a link is singular.
@@ -192,7 +195,7 @@ def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance
     return list(shape), np.hstack(columns)
 
 
-def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposition:
+def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
     """Block form of the *-algebra that ops generate, from three generic Hermitian
     elements K1, K2, K3 of their commutant (Murota, Kanno, Kojima & Kojima 2010):
     1) each eigenspace of K1 is one copy of C^{d_J}, so its multiplicity is d_J;
@@ -217,7 +220,7 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> StructureDecomposi
     if residual > tol.resid_abs:
         raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}: the "
                              "closure misses a generator, an eigenvalue gap is below resolution")
-    return StructureDecomposition(block_shape=shape, basis_change=T, residual=residual)
+    return OperatorAlgebra(shape, T, residual, tol, ops)
 
 
 def _units(T: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
@@ -236,29 +239,24 @@ def _units(T: np.ndarray, shape: list[tuple[int, int]]) -> np.ndarray:
     return out
 
 
-def structure_decompose(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> StructureDecomposition:
-    """Block decomposition of a *-algebra: the form it holds at its tolerance and seed 0,
-    else ``_decompose`` on its generators."""
-    return alg.form if (tol, seed) == (alg.tol, 0) else _decompose(alg.generators, tol, seed)
+def structure_decompose(alg: OperatorAlgebra, *, seed: int = 0) -> OperatorAlgebra:
+    """alg's block form: alg itself at seed 0, else ``_decompose`` on its generators at alg.tol."""
+    return alg if seed == 0 else _decompose(alg.generators, alg.tol, seed)
 
 
-def commutant(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+def commutant(alg: OperatorAlgebra) -> OperatorAlgebra:
     """All operators commuting with alg: its block form with each block's slots swapped,
     (+)_J M_{n_J} (x) 1_{d_J} read as 1_{d_J} (x) M_{n_J} on T's columns in (d, n) order."""
-    sd = structure_decompose(alg, tol)
-    at = np.cumsum([0] + [n * d for n, d in sd.block_shape])
+    at = np.cumsum([0] + [n * d for n, d in alg.block_shape])
     order = np.concatenate([off + np.arange(n * d).reshape(n, d).T.reshape(-1)
-                            for off, (n, d) in zip(at, sd.block_shape)])
-    swapped = [(d, n) for n, d in sd.block_shape]
-    return OperatorAlgebra(StructureDecomposition(swapped, sd.basis_change[:, order], sd.residual), tol)
+                            for off, (n, d) in zip(at, alg.block_shape)])
+    return OperatorAlgebra([(d, n) for n, d in alg.block_shape], alg.basis_change[:, order], alg.residual, alg.tol)
 
 
-def center(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
+def center(alg: OperatorAlgebra) -> OperatorAlgebra:
     """Intersection of alg with its commutant: T read with block J as n_J d_J copies of C^1,
     whose unit is T_J T_J^dag / sqrt(n_J d_J)."""
-    sd = structure_decompose(alg, tol)
-    return OperatorAlgebra(StructureDecomposition([(n * d, 1) for n, d in sd.block_shape], sd.basis_change,
-                                                  sd.residual), tol)
+    return OperatorAlgebra([(n * d, 1) for n, d in alg.block_shape], alg.basis_change, alg.residual, alg.tol)
 
 
 class FactorCheck(NamedTuple):
@@ -266,10 +264,9 @@ class FactorCheck(NamedTuple):
     center_dim: int
 
 
-def is_factor(alg: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> FactorCheck:
+def is_factor(alg: OperatorAlgebra) -> FactorCheck:
     """True iff the center is trivial (scalar multiples of the identity): one block."""
-    z = len(structure_decompose(alg, tol).block_shape)
-    return FactorCheck(z == 1, z)
+    return FactorCheck(len(alg.block_shape) == 1, len(alg.block_shape))
 
 
 def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
@@ -322,11 +319,11 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
     generic element of the commutant of both generator sets, drawn from a
     child stream of seed, is a scalar within resid_abs.  On a positive verdict
-    a1's decomposition at seed checks a1's and a2's generators against the right and
-    the left slot form (each an algebra); no basis of an algebra with generators is built.
-    On a negative verdict the witness is a violating commutator or a
-    non-scalar central element.  The residuals are the largest commutator
-    entry and, on a positive verdict, the larger slot-form residual.
+    a1's decomposition at seed checks a1's and a2's generators against the right
+    and the left slot form (each an algebra); no basis is built.  On a negative
+    verdict the witness is a violating commutator or the traceless part of the
+    center's diagonal generator, of HS norm 1.  The residuals are the largest
+    commutator entry and, on a positive verdict, the larger slot-form residual.
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
@@ -341,20 +338,17 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     _, (K,) = _generic_commutant(np.concatenate([a1.generators, a2.generators]), rng, tol, 1)
     join_is_full = bool(np.max(np.abs(K - np.trace(K) / d * np.eye(d))) <= tol.resid_abs)
 
-    a1_is_factor = is_factor(a1, tol).is_factor
+    a1_is_factor = is_factor(a1).is_factor
     if not a1_is_factor and witness is None:
-        # traceless central part of the first matrix unit the center holds at
-        # least half as strongly as any other: fixed by the span, not the basis
-        ident = np.eye(d, dtype=complex).reshape(-1) / np.sqrt(d)
-        rows = center(a1, tol).basis_rows()
-        weight = np.sum(np.abs(rows) ** 2, axis=0) - np.abs(ident) ** 2
-        j = int(np.argmax(weight >= weight.max() / 2))
-        witness = (rows.T @ rows[:, j].conj() - ident * ident[j]).reshape(d, d)
+        # fixed by the central projectors and the block order, not by a basis
+        z = center(a1).generators[0]
+        witness = z - np.trace(z) / d * np.eye(d)
+        witness /= np.linalg.norm(witness)
 
     verdict = commuting and join_is_full and a1_is_factor
     residuals = {"commutator": comm_resid}
     if verdict:
-        sd = structure_decompose(a1, tol, seed=seed)
+        sd = structure_decompose(a1, seed=seed)
         if len(sd.block_shape) != 1:
             raise ToleranceError("factor decomposed into more than one block")
         a2_resid = _block_form_residual(a2.generators, sd.basis_change, sd.block_shape, side="left")

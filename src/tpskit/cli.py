@@ -158,12 +158,12 @@ def _parity(tokens, spec: OperatorSpecFile | None, tol):
 # ----------------------------------------------------------------- handlers
 
 def _cmd_decompose(args, spec, tol):
-    from .algebra import OperatorAlgebra, algebra_residuals, close_algebra, structure_decompose
+    from .algebra import algebra_residuals, close_algebra, structure_decompose
     gens = list(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
     alg = close_algebra(gens, tol, dim=spec.dim)
-    dec = structure_decompose(alg, tol, seed=args.seed)
+    dec = structure_decompose(alg, seed=args.seed)
     results = {
         "blocks": [{"n": n, "d": d} for n, d in dec.block_shape],
         "center_dim": len(dec.block_shape),
@@ -173,7 +173,7 @@ def _cmd_decompose(args, spec, tol):
     }
     if args.emit_basis:
         results["basis_change"] = dec.basis_change
-    residuals = {"block_form": dec.residual, **algebra_residuals(OperatorAlgebra(dec, tol), seed=args.seed)}
+    residuals = {"block_form": dec.residual, **algebra_residuals(dec, seed=args.seed)}
     return results, residuals
 
 

@@ -174,13 +174,13 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
     last, exact by construction, so its basis, written on first read under the size
     rule, is iso (1 (x) E_ab) iso^dag / sqrt(d / n_i), unit (a, b) at a n_i + b.
     """
-    from .algebra import OperatorAlgebra, StructureDecomposition  # the rest of tps runs without algebra
+    from .algebra import OperatorAlgebra  # the rest of tps runs without algebra
 
     if not 1 <= i <= tps.nfactors:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
     d, n_i = tps.dim, tps.dims[i - 1]
     T = np.moveaxis(tps.iso.reshape(d, *tps.dims), i, -1).reshape(d, d)
-    return OperatorAlgebra(StructureDecomposition([(d // n_i, n_i)], T, 0.0))
+    return OperatorAlgebra([(d // n_i, n_i)], T)
 
 
 def _cut_order(tps: TPS, cut) -> tuple[np.ndarray, int]:

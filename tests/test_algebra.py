@@ -14,7 +14,6 @@ import tpskit.numerics as numerics_module
 from tpskit.algebra import (
     BipartitionCertificate,
     OperatorAlgebra,
-    StructureDecomposition,
     _block_form_residual,
     algebra_residuals,
     center,
@@ -292,17 +291,23 @@ class TestCommutant:
             assert len(back) == len(alg)
             assert np.allclose(span_projector(back.basis), span_projector(alg.basis), atol=1e-8)
 
-    def test_commutant_kept_by_the_closure_is_reused_only_at_its_tolerance(self, monkeypatch):
-        # the closure keeps its decomposition: the commutant at its tolerance solves nothing
-        alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
+    def test_the_tolerance_travels_with_the_record(self, monkeypatch):
+        # a derived algebra is read off the closure's record at the closure's tolerance:
+        # only a seed other than 0 solves again, once, on the generators at that tolerance
+        tight = Tolerance(rank_rel=1e-12)
+        alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)], tight)
         solves, real = [], algebra_module._decompose
         monkeypatch.setattr(algebra_module, "_decompose",
-                            lambda ops, tol, seed: solves.append(tol) or real(ops, tol, seed))
-        kept = commutant(alg)
+                            lambda ops, tol, seed: solves.append((tol, seed)) or real(ops, tol, seed))
+        derived = [commutant(alg), center(alg), commutant(commutant(alg)), center(commutant(alg))]
+        assert is_factor(alg) == (True, 1)
+        assert structure_decompose(alg) is alg
         assert solves == []
-        tight = commutant(alg, Tolerance(rank_rel=1e-12))
-        assert solves == [Tolerance(rank_rel=1e-12)]
-        assert np.allclose(span_projector(tight.basis), span_projector(kept.basis), atol=1e-8)
+        assert [a.tol for a in derived] == [tight] * 4
+        assert structure_decompose(alg, seed=3).tol == tight
+        assert solves == [(tight, 3)]
+        with pytest.raises(TypeError):
+            structure_decompose(alg, Tolerance())
 
     def test_conjugation_covariance(self):
         rng = np.random.default_rng(23)
@@ -566,7 +571,7 @@ class TestAlgebraResidualsOracle:
             T = sd.basis_change.copy()
             v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
             T[:, int(rng.integers(d))] = v / np.linalg.norm(v)
-            alg = OperatorAlgebra(StructureDecomposition(sd.block_shape, T, sd.residual))
+            alg = OperatorAlgebra(sd.block_shape, T, sd.residual)
             caught += algebra_residuals(alg, seed=trial)["product"] > 1e-3
         assert caught == 100
 
@@ -602,7 +607,7 @@ class TestAlgebraResidualsOracle:
             alg = random_block_algebra(random_block_shape(rng), rng)
             d = alg.dim
             ops = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
-            defect = algebra_module._slot_defect(ops, alg.form.basis_change, alg.form.block_shape, "right")
+            defect = algebra_module._slot_defect(ops, alg.basis_change, alg.block_shape, "right")
             assert np.max(np.abs(np.linalg.norm(defect, axis=(1, 2)) - span_residual(ops, alg.basis))) < 1e-13
 
 
@@ -681,9 +686,9 @@ class TestCheckBipartition:
         real = algebra_module.center
         calls = []
 
-        def counting(alg, tol=DEFAULT_TOL):
+        def counting(alg):
             calls.append(alg)
-            return real(alg, tol)
+            return real(alg)
 
         monkeypatch.setattr(algebra_module, "center", counting)
         assert check_bipartition(a1, a2).verdict
@@ -736,12 +741,13 @@ class TestCheckBipartition:
         assert np.linalg.norm(W) > 0.5
 
     def test_center_witness_fixed_by_the_span(self):
-        # the same algebra under a rotated basis yields the same witness:
-        # the traceless central part of the first diagonal matrix unit
+        # the same algebra under a rotated basis yields the same witness: the
+        # traceless part of the center's diagonal generator, which weighs the
+        # central projectors 1, 2, 3 in block order (here e3, e2, e1)
         a1 = close_algebra([np.diag([1.0, 2.0, 3.0])])
         R = haar_unitary(len(a1), np.random.default_rng(5))
         rotated = close_algebra(list(np.tensordot(R, a1.basis, axes=1)))
-        expected = np.diag([2.0, -1.0, -1.0]) / 3
+        expected = np.diag([1.0, 0.0, -1.0]) / np.sqrt(2)
         for alg in (a1, rotated):
             W = check_bipartition(alg, alg).witness
             assert np.allclose(W, expected, atol=1e-12)
@@ -848,7 +854,7 @@ class TestUnitsPinned:
     def test_units_peak_at_the_stack_they_return(self):
         # one (count, d, d) allocation, the one the size rule predicted (the
         # list of per-block stacks and its concatenation peaked at 2x)
-        sd = algebra_module.StructureDecomposition([(1, 40)], haar_unitary(40, np.random.default_rng(40)), 0.0)
+        sd = OperatorAlgebra([(1, 40)], haar_unitary(40, np.random.default_rng(40)), 0.0)
         tracemalloc.start()
         try:
             units = algebra_module._units(sd.basis_change, sd.block_shape)
@@ -909,6 +915,50 @@ def test_a_bipartition_builds_no_basis_for_a1(monkeypatch):
     with pytest.raises(ContractViolationError,
                        match=r"^a basis of 35 elements at dim 16 needs 0\.137 MiB, over the 0 MiB budget$"):
         a1.basis
+
+
+def test_a_commutant_pair_builds_no_basis(monkeypatch):
+    # a derived algebra's generators are read off its form, not its basis: with the budget
+    # one byte under the commutant's basis, each pair answers without writing a unit
+    a1 = close_algebra([kron_all(SX, I2, I2), kron_all(SZ, I2, I2)])
+    comm = commutant(a1)
+    monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * len(comm) * 8 * 8 - 1)
+    calls = []
+    monkeypatch.setattr(algebra_module, "_units", lambda *args: calls.append(args))
+    cert = check_bipartition(a1, comm)
+    assert (cert.commuting, cert.join_is_full, cert.a1_is_factor, cert.verdict) == (True, True, True, True)
+    assert len(join(a1, comm)) == 64
+    assert structure_decompose(comm, seed=1).block_shape == [(2, 4)]
+    assert calls == []
+
+
+def test_a_commuting_non_factor_pair_builds_no_basis(monkeypatch):
+    # spin N=4 against its own commutant: the witness is read off the center's
+    # generator, a traceless central element of HS norm 1, and no unit is written
+    alg = close_algebra(collective_spin_generators(4))
+    comm = commutant(alg)
+    calls = []
+    monkeypatch.setattr(algebra_module, "_units", lambda *args: calls.append(args))
+    cert = check_bipartition(alg, comm)
+    assert (cert.commuting, cert.a1_is_factor, cert.verdict) == (True, False, False)
+    assert calls == []
+    W = cert.witness
+    assert abs(np.trace(W)) < 1e-12 and abs(np.linalg.norm(W) - 1) < 1e-12
+    for g in (*alg.generators, *comm.generators):
+        assert np.max(np.abs(W @ g - g @ W)) <= DEFAULT_TOL.resid_abs
+
+
+def test_the_generators_of_a_record_close_to_it():
+    # the generators read off a form, or kept from a closure, generate the same algebra
+    rng = np.random.default_rng(2034)
+    for _ in range(30):
+        alg = random_block_algebra(random_block_shape(rng), rng)
+        dims = tuple(int(n) for n in rng.integers(2, 4, size=int(rng.integers(1, 4))))
+        local = local_algebra(TPS(dims, haar_unitary(int(np.prod(dims)), rng)), int(rng.integers(1, len(dims) + 1)))
+        for x in (alg, commutant(alg), center(alg), local):
+            closed = close_algebra(list(x.generators))
+            assert sorted(closed.block_shape) == sorted(x.block_shape)
+            assert len(closed) == len(x)
 
 
 class TestInputSizedStacksRefused:

@@ -16,7 +16,7 @@ import pytest
 
 import tpskit
 import tpskit.cli as cli
-from tpskit.algebra import OperatorAlgebra, StructureDecomposition, algebra_residuals
+from tpskit.algebra import OperatorAlgebra, algebra_residuals
 from tpskit.cli import main, render_json
 from tpskit.opfile import (
     OperatorSpecFile,
@@ -42,8 +42,8 @@ def residuals_of_the_emitted_form(rep, seed):
     block shape and the T the report emits."""
     T = np.array([[complex(re, im) for re, im in row] for row in rep["results"]["basis_change"]])
     shape = [(b["n"], b["d"]) for b in rep["results"]["blocks"]]
-    form = StructureDecomposition(shape, T, rep["residuals"]["block_form"])
-    return {"block_form": form.residual, **algebra_residuals(OperatorAlgebra(form), seed=seed)}
+    alg = OperatorAlgebra(shape, T, rep["residuals"]["block_form"])
+    return {"block_form": alg.residual, **algebra_residuals(alg, seed=seed)}
 
 
 def write_spec(path, dim, operators, states=None, a1=None, a2=None):
