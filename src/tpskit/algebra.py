@@ -269,9 +269,9 @@ def is_factor(alg: OperatorAlgebra) -> FactorCheck:
     return FactorCheck(len(alg.block_shape) == 1, len(alg.block_shape))
 
 
-def join(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL) -> OperatorAlgebra:
-    """Smallest *-algebra containing both operands: the closure of their generators."""
-    return close_algebra([*a1.generators, *a2.generators], tol, dim=a1.dim)
+def join(a1: OperatorAlgebra, a2: OperatorAlgebra) -> OperatorAlgebra:
+    """Smallest *-algebra containing both operands: the closure of their generators at a1.tol."""
+    return close_algebra([*a1.generators, *a2.generators], a1.tol, dim=a1.dim)
 
 
 def _embed(m: np.ndarray, n: int) -> np.ndarray:
@@ -311,9 +311,8 @@ class BipartitionCertificate:
     residuals: dict[str, float] = field(default_factory=dict, repr=False)
 
 
-def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance = DEFAULT_TOL,
-                      seed: int = 0) -> BipartitionCertificate:
-    """Certify that (a1, a2) describe a genuine bipartition.
+def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, *, seed: int = 0) -> BipartitionCertificate:
+    """Certify that (a1, a2) describe a genuine bipartition, every decision at a1.tol.
 
     Tests commutation of the generators, fullness of the join, and triviality
     of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
@@ -327,7 +326,7 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, tol: Tolerance =
     """
     if a1.dim != a2.dim:
         raise DimensionMismatchError("algebras act on different spaces")
-    d = a1.dim
+    d, tol = a1.dim, a1.tol
 
     witness, comm_resid = max(((C, float(np.max(np.abs(C)))) for b1 in a1.generators
                                for C in b1 @ a2.generators - a2.generators @ b1), key=lambda pair: pair[1])

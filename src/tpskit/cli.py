@@ -181,7 +181,7 @@ def _cmd_bipartition(args, spec, tol):
     from .algebra import check_bipartition, close_algebra
     a1 = close_algebra(spec.generator_matrices("a1"), tol, dim=spec.dim)
     a2 = close_algebra(spec.generator_matrices("a2"), tol, dim=spec.dim)
-    cert = check_bipartition(a1, a2, tol, seed=args.seed)
+    cert = check_bipartition(a1, a2, seed=args.seed)
     results = {
         "commuting": cert.commuting,
         "join_is_full": cert.join_is_full,
@@ -302,10 +302,9 @@ def _cmd_bosonic(args, spec, tol):
 
 def _cmd_holonomy(args, spec, tol):
     from .holonomy import LoopPath, builtin_family, holonomy_nonabelian_witness, refinement_ladder
-    fam, op = builtin_family(args.family)
+    fam, op = builtin_family(args.family, tol)
     loop = LoopPath.rectangle(args.rect[:2], args.rect[2:], refinement=args.refinement)
-    ladder = refinement_ladder(fam, loop, args.eigenspace, op.n,
-                               doublings=args.doublings, tol=tol)
+    ladder = refinement_ladder(fam, loop, args.eigenspace, op.n, doublings=args.doublings)
     results = {
         "family": args.family,
         "eigenspace": args.eigenspace,
@@ -317,8 +316,7 @@ def _cmd_holonomy(args, spec, tol):
     }
     if args.rect2 is not None:
         loop2 = LoopPath.rectangle(args.rect2[:2], args.rect2[2:], refinement=args.refinement)
-        results["witness"] = holonomy_nonabelian_witness(
-            fam, loop, loop2, args.eigenspace, op.n, tol)
+        results["witness"] = holonomy_nonabelian_witness(fam, loop, loop2, args.eigenspace, op.n)
     return results, {"unitarity_defect": unitarity_defect(ladder.holonomy)}
 
 

@@ -64,37 +64,39 @@ def _eigenspace(dim: int, n: int, i: int) -> slice:
 
 @dataclass
 class UnitaryFamily:
-    """Map from control parameters to unitaries, checked on every call.
+    """Map from control parameters to unitaries, checked on every call at tol.
 
     evaluate maps a (P, D) stack of points to the (P, dim, dim) stack of
     their unitaries; along checks shapes and unitarity of a whole stack,
-    and calling the family is the one-point view of it.
+    and calling the family is the one-point view of it.  Every transport
+    and Lie span of the family is cut at the same tol.
     """
 
     D: int
     dim: int
     evaluate: Callable = field(repr=False)
+    tol: Tolerance = DEFAULT_TOL
 
-    def along(self, points, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    def along(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.D:
             raise DimensionMismatchError(f"points shape {pts.shape} != (P, {self.D})")
         Us = np.asarray(self.evaluate(pts), dtype=complex)
         if Us.shape != (len(pts), self.dim, self.dim):
             raise DimensionMismatchError("family evaluation has the wrong dimension")
-        if not unitarity_defect(Us) <= tol.resid_abs:  # a NaN defect fails too
+        if not unitarity_defect(Us) <= self.tol.resid_abs:  # a NaN defect fails too
             raise ContractViolationError("family evaluation is not unitary")
         return Us
 
-    def __call__(self, lam, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    def __call__(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.shape != (self.D,):
             raise DimensionMismatchError(f"parameter shape {lam.shape} != ({self.D},)")
-        return self.along(lam[None], tol)[0]
+        return self.along(lam[None])[0]
 
 
 def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
-    """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators."""
+    """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators, checked at tol."""
     gens = [np.asarray(G, dtype=complex) for G in generators]
     if not gens:
         raise ContractViolationError("need at least one generator")
@@ -110,15 +112,15 @@ def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamil
             U = U @ (V * phases[:, None, :]) @ V.conj().T
         return U
 
-    return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate)
+    return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate, tol=tol)
 
 
 _FIXTURE_SEED = 7
 _FIXTURE_SCALE = 1.8
 
 
-def builtin_family(name: str):
-    """Named built-in families; returns (UnitaryFamily, IsoDegenerateOperator).
+def builtin_family(name: str, tol: Tolerance = DEFAULT_TOL):
+    """Named built-in families at tol; returns (UnitaryFamily, IsoDegenerateOperator).
 
     "fixture-n2d2": a fixed 2-parameter exponential family on dimension 4
     with a doubly degenerate reference operator (n = 2, d = 2), generated
@@ -134,7 +136,7 @@ def builtin_family(name: str):
         G = (G + G.conj().T) / 2
         G *= _FIXTURE_SCALE / np.linalg.norm(G, 2)
         gens.append(G)
-    fam = exponential_family(gens)
+    fam = exponential_family(gens, tol)
     return fam, IsoDegenerateOperator(n=2)
 
 
@@ -200,25 +202,23 @@ class LoopPath:
         return cls(wps, refinement)
 
 
-def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
-                 tol: Tolerance) -> np.ndarray:
+def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:
     """(P, dim, n) stack of eigenspace-i frames at the loop's points; the family stack,
     predicted from the point count, is refused past the budget before any point is built."""
     cols = _eigenspace(fam.dim, n, i)
     refuse_past_budget((loop.n_points, fam.dim, fam.dim),
                        f"a family stack of {count_text(loop.n_points)} points at dim {fam.dim}")
-    return fam.along(loop.points(), tol)[..., cols]
+    return fam.along(loop.points())[..., cols]
 
 
-def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
-                  tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:
     """Discrete Wilson loop of eigenspace i along the path.
 
     Frames F(lambda) = U(lambda) S_i are linked by the unitary polar
     factors of the overlaps F(t+1)-dagger F(t), multiplied in path order; the
     result is the parallel-transport unitary expressed in the base frame.
     """
-    return _transport(_loop_frames(fam, loop, i, n, tol), tol)
+    return _transport(_loop_frames(fam, loop, i, n), fam.tol)
 
 
 def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -244,12 +244,12 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def holonomy_nonabelian_witness(fam: UnitaryFamily, loop1: LoopPath, loop2: LoopPath,
-                                i: int, n: int, tol: Tolerance = DEFAULT_TOL) -> float:
+                                i: int, n: int) -> float:
     """Frobenius norm of the commutator of two loop holonomies."""
     if not np.array_equal(loop1.waypoints[0], loop2.waypoints[0]):
         raise ContractViolationError("witness loops must share their base point")
-    H1 = loop_holonomy(fam, loop1, i, n, tol)
-    H2 = loop_holonomy(fam, loop2, i, n, tol)
+    H1 = loop_holonomy(fam, loop1, i, n)
+    H2 = loop_holonomy(fam, loop2, i, n)
     return float(np.linalg.norm(H1 @ H2 - H2 @ H1))
 
 
@@ -274,20 +274,19 @@ def principal_log_unitary(H) -> np.ndarray:
     return (Z * (1j * phases)) @ Z.conj().T
 
 
-def _collect_log(fam, loop, i, n, tol, depth=0):
-    H = loop_holonomy(fam, loop, i, n, tol)
+def _collect_log(fam, loop, i, n, depth=0):
+    H = loop_holonomy(fam, loop, i, n)
     try:
         return [principal_log_unitary(H)]
     except BranchCutError:
         if depth >= _MAX_SPLIT_DEPTH:
             raise
         first, second = loop.split()
-        return (_collect_log(fam, first, i, n, tol, depth + 1)
-                + _collect_log(fam, second, i, n, tol, depth + 1))
+        return (_collect_log(fam, first, i, n, depth + 1)
+                + _collect_log(fam, second, i, n, depth + 1))
 
 
-def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
-                          tol: Tolerance = DEFAULT_TOL) -> int:
+def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int) -> int:
     """Real dimension of the Lie algebra generated by the loop holonomies.
 
     Principal logs of the holonomies (with branch-cut splitting retries)
@@ -299,12 +298,12 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int,
         raise ContractViolationError("need at least one loop")
     logs = []
     for loop in loops:
-        logs.extend(_collect_log(fam, loop, i, n, tol))
+        logs.extend(_collect_log(fam, loop, i, n))
 
     # anti-Hermitian matrices are real-independent iff complex-independent
     # (a matrix both Hermitian and anti-Hermitian is 0), so the complex
     # span of the logs' commutator closure has the real Lie dimension
-    return len(close_span(logs, tol))
+    return len(close_span(logs, fam.tol))
 
 
 @dataclass
@@ -317,7 +316,7 @@ class RefinementLadder:
 
 
 def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
-                      doublings: int = 4, tol: Tolerance = DEFAULT_TOL) -> RefinementLadder:
+                      doublings: int = 4) -> RefinementLadder:
     """Holonomies of the loop at refinements r, 2r, ..., 2^doublings r.
 
     The family is evaluated once, on the finest loop's points; level j
@@ -331,7 +330,7 @@ def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
         raise ContractViolationError(f"{doublings} doublings give a loop of over 2^{doublings} "
                                      f"points, over {budget_text()}")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
-    frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n, tol)
-    hols = [_transport(frames[::2 ** (doublings - j)], tol) for j in range(doublings + 1)]
+    frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n)
+    hols = [_transport(frames[::2 ** (doublings - j)], fam.tol) for j in range(doublings + 1)]
     defects = [float(np.linalg.norm(hols[j] - hols[j + 1])) for j in range(doublings)]
     return RefinementLadder(refinements=refs, defects=defects, holonomy=hols[-1])

@@ -368,6 +368,11 @@ class TestJoin:
         with pytest.raises(DimensionMismatchError):
             join(close_algebra([SX]), close_algebra([np.eye(3)]))
 
+    def test_join_closes_at_its_first_operands_tolerance(self):
+        tight = Tolerance(rank_rel=1e-12)
+        a = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)], tight)
+        assert join(a, commutant(a)).tol == tight
+
 
 def collective_spin_algebra():
     X1 = kron_all(SX, I2, I2) + kron_all(I2, SX, I2) + kron_all(I2, I2, SX)
@@ -755,6 +760,21 @@ class TestCheckBipartition:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             check_bipartition(close_algebra([SX]), close_algebra([np.eye(3)]))
+
+    def test_every_decision_is_taken_at_a1s_tolerance(self):
+        # a2's legs are turned by U = V exp(1e-9 i w) V^dag, so they miss a1's commutant by
+        # ~1.6e-9: inside the default resid_abs, 16x past the 1e-10 that a1 was closed at
+        rng = np.random.default_rng(1)
+        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        w, V = np.linalg.eigh((G + G.conj().T) / 2)
+        U = V @ np.diag(np.exp(1e-9j * w)) @ V.conj().T
+        a1 = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)], Tolerance(resid_abs=1e-10))
+        a2 = close_algebra([U @ kron_all(I2, P) @ U.conj().T for P in (SX, SZ)])
+        cert = check_bipartition(a1, a2)
+        assert 1e-10 < cert.residuals["commutator"] < DEFAULT_TOL.resid_abs
+        assert not cert.commuting and not cert.verdict
+        with pytest.raises(TypeError):
+            check_bipartition(a1, a2, Tolerance())
 
 
 def reference_block_form_residual(ops, T, shape, side):

@@ -1,5 +1,6 @@
 """Spec-file parsing and CLI behavior: reports, errors, determinism."""
 
+import inspect
 import json
 import os
 import resource
@@ -1269,3 +1270,24 @@ def test_export_list_matches_the_package_namespace():
     public = {name for name, value in vars(tpskit).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(tpskit.__all__) - {"__version__"} == public
+
+
+def test_no_export_that_reads_an_algebra_or_a_family_takes_a_tolerance():
+    # an algebra or a family carries the tolerance it was checked at, and every
+    # function or method that reads one decides there: only a constructor sets it;
+    # annotations are read as written, a name or a class
+    records = ("OperatorAlgebra", "UnitaryFamily")
+    offenders = []
+    for name in (name for names in tpskit._HOMES.values() for name in names):
+        value = getattr(tpskit, name)
+        if isinstance(value, type):
+            members = [(f"{name}.{m}", f, name in records) for m, f in vars(value).items()
+                       if inspect.isfunction(f) and m != "__init__"]
+        else:
+            members = [(name, value, False)] if callable(value) else []
+        for label, f, is_method in members:
+            params = inspect.signature(f).parameters
+            if "tol" in params and (is_method or any(r in str(p.annotation) for p in params.values()
+                                                     for r in records)):
+                offenders.append(label)
+    assert offenders == []

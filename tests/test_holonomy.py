@@ -254,13 +254,26 @@ class TestFamilies:
         with pytest.raises(ContractViolationError, match="Hermitian"):
             exponential_family([G], Tolerance(resid_abs=1e-11))
 
-    def test_loop_holonomy_passes_its_tolerance_to_the_family(self):
+    @pytest.mark.parametrize("entry", [
+        lambda fam: fam.along(TWO_RECTS[0].points()),
+        lambda fam: fam([0.3, -0.4]),
+        lambda fam: loop_holonomy(fam, TWO_RECTS[0], 1, 2),
+        lambda fam: refinement_ladder(fam, TWO_RECTS[0], 1, 2, doublings=1),
+        lambda fam: holonomy_nonabelian_witness(fam, *TWO_RECTS, 1, 2),
+        lambda fam: holonomy_algebra_span(fam, TWO_RECTS, 1, 2),
+    ], ids=["along", "call", "loop_holonomy", "refinement_ladder", "witness", "algebra_span"])
+    def test_every_entry_checks_the_family_at_its_own_tolerance(self, entry):
         base, _ = builtin_family("fixture-n2d2")
-        fam = UnitaryFamily(D=2, dim=4, evaluate=lambda lams: (1 + 1e-9) * base.evaluate(lams))
-        loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6))
-        loop_holonomy(fam, loop, 1, 2)  # a ~2e-9 defect is inside the default 1e-8
-        with pytest.raises(ContractViolationError):
-            loop_holonomy(fam, loop, 1, 2, Tolerance(resid_abs=1e-10))
+        scaled = lambda lams: (1 + 1e-9) * base.evaluate(lams)
+        entry(UnitaryFamily(D=2, dim=4, evaluate=scaled))  # a ~2e-9 defect is inside the default 1e-8
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            entry(UnitaryFamily(D=2, dim=4, evaluate=scaled, tol=Tolerance(resid_abs=1e-10)))
+
+    def test_a_family_carries_the_tolerance_it_was_built_at(self):
+        tight = Tolerance(resid_abs=1e-11)
+        assert exponential_family([np.diag([1.0, -1.0])], tight).tol == tight
+        assert builtin_family("fixture-n2d2", tight)[0].tol == tight
+        assert builtin_family("fixture-n2d2")[0].tol == numerics.DEFAULT_TOL
 
     def test_family_checks_parameter_shape(self):
         fam = exponential_family([np.diag([1.0, -1.0])])
@@ -617,7 +630,7 @@ class TestStackedTransportBitIdentity:
         fam, op = fixture_fam
         S = np.eye(4, dtype=complex)[:, [i - 1, i + 1]]
         assert np.array_equal(selector(op.n, fam.dim // op.n, i), S)
-        frames = holonomy._loop_frames(fam, RECT1, i, op.n, Tolerance())
+        frames = holonomy._loop_frames(fam, RECT1, i, op.n)
         assert np.array_equal(frames, fam.along(RECT1.points()) @ S)
 
     @pytest.mark.parametrize("rect,refinement,doublings", [
