@@ -123,8 +123,9 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise ContractViolationError("generator has a non-finite entry")
     if dim is not None and dim != d:
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
-    refuse_past_budget((1 + 2 * len(gens), d, d), f"the closure's seed of {1 + 2 * len(gens)} operators at dim {d}")
-    ops = hs_orthonormalize([np.eye(d, dtype=complex), *(m for g in gens for m in (g, g.conj().T))], tol)
+    seed = [m for g in gens for m in ((g,) if np.array_equal(g, g.conj().T) else (g, g.conj().T))]
+    refuse_past_budget((1 + len(seed), d, d), f"the closure's seed of {1 + len(seed)} operators at dim {d}")
+    ops = hs_orthonormalize([np.eye(d, dtype=complex), *seed], tol)
     return _decompose(ops, tol, 0)
 
 

@@ -51,6 +51,7 @@ class FockSpace:
     occ: np.ndarray  # (N, dim) int, the occupation m_j of each basis state
     low: np.ndarray  # (N, dim) int, -1 where the mode is empty
     w: np.ndarray  # (N, dim) float
+    tol: Tolerance  # every check on the space or its modes decides at it
 
     @property
     def dim(self) -> int:
@@ -91,7 +92,7 @@ def _dense(fock: FockSpace, coeffs) -> np.ndarray:
     return a
 
 
-def build_fock(N: int, M: int) -> FockSpace:
+def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
     """Truncated Fock space of dimension binomial(N+M, N), sized up before it is built."""
     if N < 1 or M < 1:
         raise ContractViolationError("need at least one mode and cutoff >= 1")
@@ -123,7 +124,7 @@ def build_fock(N: int, M: int) -> FockSpace:
     later = np.cumsum(grow[::-1], axis=0)[::-1] - grow
     low = np.where(occ > 0, np.arange(dim) - drop + later, -1)
     w = np.sqrt(occ)
-    return FockSpace(N=N, M=M, occ=occ, low=low, w=w)
+    return FockSpace(N=N, M=M, occ=occ, low=low, w=w, tol=tol)
 
 
 @dataclass
@@ -140,17 +141,17 @@ class ModeSet:
         return _dense(self.fock, self.U[:, i - 1])
 
 
-def transform_modes(fock: FockSpace, U, tol: Tolerance = DEFAULT_TOL) -> ModeSet:
+def transform_modes(fock: FockSpace, U) -> ModeSet:
     """Rotated modes a_i^U = sum_j U_ji a_j, with their invariants verified.
 
     Vacuum annihilation is exact by construction.  The CCR residual
     (ccr_residual: the unitarity defect of U plus N (1 + defect) times
     the ladder tables' own residual) is stored on the ModeSet, and a value above
-    resid_abs raises: once U passes the unitarity check, only broken
+    fock.tol.resid_abs raises: once U passes the unitarity check, only broken
     tables or a defect within that margin of resid_abs can fail it.
     """
     U = np.asarray(U, dtype=complex)
-    N = fock.N
+    N, tol = fock.N, fock.tol
     if U.shape != (N, N):
         raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({N}, {N})")
     if unitarity_defect(U) > tol.resid_abs:
@@ -227,10 +228,10 @@ def _one_photon(fock: FockSpace) -> np.ndarray:
 def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     """Apply an N x N rotation to the one-photon amplitudes of a state.
 
-    The state must be supported on total excitation <= 1.  To express a
-    state in the mode frame of transform_modes(fock, U), rotate by U.T
-    (states sum_i c_i a_i^U-dagger |0> carry reference amplitudes
-    conj(U) c, so U.T undoes the mode change).
+    The state must be supported on total excitation <= 1, within
+    fock.tol.resid_abs.  To express a state in the mode frame of
+    transform_modes(fock, U), rotate by U.T (states sum_i c_i a_i^U-dagger |0>
+    carry reference amplitudes conj(U) c, so U.T undoes the mode change).
     """
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape[0] != fock.dim:
@@ -238,7 +239,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     V = np.asarray(V, dtype=complex)
     if V.shape != (fock.N, fock.N):
         raise DimensionMismatchError("rotation must act on the mode amplitudes")
-    if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > DEFAULT_TOL.resid_abs:
+    if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > fock.tol.resid_abs:
         raise TruncationBoundaryError(
             "state has support beyond the one-excitation sector")
     one_photon = _one_photon(fock)
@@ -248,7 +249,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     return out
 
 
-def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT_TOL) -> float:
+def mode_entanglement(state, ms: ModeSet | FockSpace, cut, kind: str = "vn") -> float:
     """Entanglement of a truncated state across a bipartition of modes.
 
     The state is Schmidt-decomposed across the cut of reference modes
@@ -256,9 +257,9 @@ def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT
     the state's occupations on the cut and the column of those on the
     complement, each ranked among the occupations the truncation keeps.
     That is the product of per-mode occupation spaces with the rows and
-    columns no kept state reaches left out.  States with weight on the top
-    shell (total excitation = M) straddling the cut are rejected: there
-    the simplex truncation and the product structure disagree.
+    columns no kept state reaches left out.  Top-shell weight (total
+    excitation = M) straddling the cut past fock.tol.resid_abs is rejected:
+    there the simplex truncation and the product structure disagree.
     """
     fock = ms.fock if isinstance(ms, ModeSet) else ms
     v = _check_state(state, fock.dim)
@@ -267,7 +268,7 @@ def mode_entanglement(state, ms, cut, kind: str = "vn", tol: Tolerance = DEFAULT
 
     straddle = (occ.sum(axis=0) == fock.M) & occ[left].any(axis=0) & occ[right].any(axis=0)
     boundary_weight = float(np.sum(np.abs(v[straddle]) ** 2))
-    if boundary_weight > tol.resid_abs:
+    if boundary_weight > fock.tol.resid_abs:
         raise TruncationBoundaryError(
             f"top-shell weight {boundary_weight:.3e} straddles the cut; raise the "
             "cutoff to make the factorization truncation-safe")

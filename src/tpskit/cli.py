@@ -142,7 +142,7 @@ def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
     if spec is not None and math.prod(dims) != spec.dim:
         raise DimensionMismatchError(f"--dims give dimension {math.prod(dims)}, but the spec file "
                                      f"declares {spec.dim}")
-    return TPS.natural(dims) if iso is None else TPS(dims, iso, tol)
+    return TPS.natural(dims, tol) if iso is None else TPS(dims, iso, tol)
 
 
 def _parity(tokens, spec: OperatorSpecFile | None, tol):
@@ -152,7 +152,7 @@ def _parity(tokens, spec: OperatorSpecFile | None, tol):
     ops = [spec.operators[tok] if spec is not None and tok in spec.operators
            else parse_pauli_token(tok) for tok in tokens]
     ps = validate_parity_set(ops, tol)
-    return ps, syndrome_decompose(ps, tol)
+    return ps, syndrome_decompose(ps)
 
 
 # ----------------------------------------------------------------- handlers
@@ -208,7 +208,7 @@ def _cmd_distance(args, spec, tol):
     U = spec.operator(args.unitary)
     tps = _structure(args.dims, None, spec, tol)
     measure = EntanglementMeasure(kind=args.measure, cut=args.cut)
-    est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed, tol=tol)
+    est = entangling_power(U, tps, measure, samples=args.samples, seed=args.seed)
     results = {
         "unitary": args.unitary,
         "dims": list(tps.dims),
@@ -227,7 +227,7 @@ def _cmd_equivalent(args, spec, tol):
     from .tps import tps_equivalent
     t1 = _structure(args.dims1, args.iso1, spec, tol)
     t2 = _structure(args.dims2, args.iso2, spec, tol)
-    perm = tps_equivalent(t1, t2, tol)
+    perm = tps_equivalent(t1, t2)
     results = {
         "dims1": list(t1.dims),
         "dims2": list(t2.dims),
@@ -277,16 +277,16 @@ def _cmd_parity(args, spec, tol):
 
 def _cmd_bosonic(args, spec, tol):
     from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
-    fock = build_fock(args.modes, args.cutoff)
+    fock = build_fock(args.modes, args.cutoff, tol)
     if args.unitary is None:
         U = np.eye(args.modes)
     elif spec is None:
         raise _UsageError("--unitary needs a spec file to read from")
     else:
         U = spec.operator(args.unitary)
-    ms = transform_modes(fock, U, tol)
+    ms = transform_modes(fock, U)
     state = single_excitation_state(ms, args.excite)
-    value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure, tol=tol)
+    value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure)
     results = {
         "modes": args.modes,
         "cutoff": args.cutoff,

@@ -224,16 +224,6 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
     return span.reshape(len(span), *shape)
 
 
-def span_residual(rows, basis) -> np.ndarray:
-    """HS distance of each element of ``rows`` from the span of ``basis``, the tests' span
-    oracle (tpskit reads a span off its block form, ``algebra._slot_defect``): rows is a
-    (m, ...) stack, basis a HS-orthonormal (k, ...) stack of the same element shape."""
-    A = np.asarray(rows, dtype=complex)
-    A = A.reshape(A.shape[0], -1)
-    Q = np.asarray(basis, dtype=complex).reshape(-1, A.shape[1])
-    return np.linalg.norm(A - (A @ Q.conj().T) @ Q, axis=1)
-
-
 def schmidt_entropy(probabilities, kind: str = "vn"):
     """Entropy of a Schmidt probability vector, or of each row of a stack.
 

@@ -57,6 +57,7 @@ class ParitySet:
 
     n: int
     sectors: dict  # +-1 label tuple (one sign per op) -> joint eigenbasis columns, canonical order
+    tol: Tolerance  # the tolerance the family was validated at
 
     @property
     def k(self) -> int:
@@ -112,7 +113,7 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
             raise ParitySetError(
                 f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
                 "equal ones: the set is dependent (some subset product is not traceless)")
-        return ParitySet(n=n, sectors=dict(sectors))
+        return ParitySet(n=n, sectors=dict(sectors), tol=tol)
 
     eye = np.eye(d)
     problems = []
@@ -182,17 +183,16 @@ class SyndromeDecomposition:
     tps: TPS
 
 
-def syndrome_decompose(ps: ParitySet, tol: Tolerance = DEFAULT_TOL) -> SyndromeDecomposition:
-    """Assemble the sector TPS from the validated parity sectors."""
+def syndrome_decompose(ps: ParitySet) -> SyndromeDecomposition:
+    """Assemble the sector TPS from the validated parity sectors, at ps.tol."""
     from .tps import TPS
     n, k, d = ps.n, ps.k, ps.dim
     if k >= n:
         raise ParitySetError(
             f"{k} parities on {n} qubits leave no logical factor to decompose")
-    d_code = 2 ** (n - k)
 
     sectors = dict(ps.sectors)
     iso = np.stack(list(sectors.values()), -1).reshape(d, d)
-    tps = TPS((d_code, 2 ** k), iso, tol)
+    tps = TPS((2 ** (n - k), 2 ** k), iso, ps.tol)  # (logical, syndrome)
     return SyndromeDecomposition(sectors=sectors, tps=tps)
 

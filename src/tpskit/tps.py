@@ -14,7 +14,7 @@ Factor indices are 1-based throughout, matching the subscripts in
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +56,16 @@ class TPS:
 
     dims: tuple[int, ...]
     iso: np.ndarray
-    tol: InitVar[Tolerance] = DEFAULT_TOL
+    tol: Tolerance = DEFAULT_TOL  # iso is checked at it, and every reader of the TPS decides at it
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         self.dims = _factor_dims(self.dims)
         self.iso = np.asarray(self.iso, dtype=complex)
         if self.iso.shape != (self.dim, self.dim):
             raise DimensionMismatchError(
                 f"iso shape {self.iso.shape} does not match factor product {self.dim}")
         defect = unitarity_defect(self.iso)
-        if defect > tol.resid_abs:
+        if defect > self.tol.resid_abs:
             raise ContractViolationError(f"iso unitarity defect {defect:.3e}")
 
     @property
@@ -77,13 +77,13 @@ class TPS:
         return len(self.dims)
 
     @classmethod
-    def natural(cls, dims) -> "TPS":
+    def natural(cls, dims, tol: Tolerance = DEFAULT_TOL) -> "TPS":
         """The TPS in which the ambient basis is already the product basis; its
         complex identity, 16 d^2 bytes, is refused past BYTES_BUDGET before it is built."""
         d = math.prod(int(n) for n in dims)
         refuse_past_budget((d, d), f"the identity of a natural structure at dim {count_text(d)}")
         tps = object.__new__(cls)  # the identity is exactly unitary: no O(d^3) __post_init__ check
-        tps.dims, tps.iso = _factor_dims(dims), np.eye(d, dtype=complex)
+        tps.dims, tps.iso, tps.tol = _factor_dims(dims), np.eye(d, dtype=complex), tol
         return tps
 
 
@@ -168,7 +168,7 @@ def multiplicative_partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
-    """Operators acting on factor i only, conjugated into the ambient space.
+    """Operators acting on factor i only, conjugated into the ambient space, at tps.tol.
 
     Factor i is the one-block form 1_{d/n_i} (x) M_{n_i} of iso with slot i moved
     last, exact by construction, so its basis, written on first read under the size
@@ -180,7 +180,7 @@ def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:
         raise IndexRangeError(f"factor index {i} out of range 1..{tps.nfactors}")
     d, n_i = tps.dim, tps.dims[i - 1]
     T = np.moveaxis(tps.iso.reshape(d, *tps.dims), i, -1).reshape(d, d)
-    return OperatorAlgebra([(d // n_i, n_i)], T)
+    return OperatorAlgebra([(d // n_i, n_i)], T, tol=tps.tol)
 
 
 def _cut_order(tps: TPS, cut) -> tuple[np.ndarray, int]:
@@ -205,8 +205,7 @@ def entanglement(state, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
 
 def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
-                     samples: int = 20000, seed: int = 0,
-                     tol: Tolerance = DEFAULT_TOL) -> EntanglingPowerEstimate:
+                     samples: int = 20000, seed: int = 0) -> EntanglingPowerEstimate:
     """Haar-average entanglement that U creates from product states.
 
     Product states across the measure's cut are sampled as normalized
@@ -223,7 +222,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     if U.shape != (d, d):
         raise DimensionMismatchError(f"unitary shape {U.shape} != dimension {d}")
     defect = unitarity_defect(U)
-    if defect > tol.resid_abs:
+    if defect > tps.tol.resid_abs:
         raise ContractViolationError("U is not unitary within tolerance")
 
     order, dL = _cut_order(tps, measure.cut)
@@ -253,21 +252,20 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
 
 def tps_distance(U, tps: TPS, measure: EntanglementMeasure = EntanglementMeasure(),
-                 samples: int = 20000, seed: int = 0,
-                 tol: Tolerance = DEFAULT_TOL) -> float:
+                 samples: int = 20000, seed: int = 0) -> float:
     """Square root of the entangling-power mean: how far U carries the TPS."""
-    est = entangling_power(U, tps, measure, samples=samples, seed=seed, tol=tol)
+    est = entangling_power(U, tps, measure, samples=samples, seed=seed)
     return float(np.sqrt(est.mean))
 
 
-def tps_equivalent(t1: TPS, t2: TPS, tol: Tolerance = DEFAULT_TOL):
+def tps_equivalent(t1: TPS, t2: TPS):
     """Permutation identifying the two structures, or None.
 
     pi[k] = j means factor k+1 of t1 induces the same local algebra as factor j
     of t2, both of dimension n; None when no permutation does.  That holds exactly
     when the transition unitary W = t2.iso^dag t1.iso, read from (k+1, rest) to
     (j, rest), is a product u (x) v, so that its (n^2, (d/n)^2) realignment has rank
-    one and s_1 = sqrt(d); a match is accepted when s_2 <= resid_abs * s_1.
+    one and s_1 = sqrt(d); a match is accepted when s_2 <= t1.tol.resid_abs * s_1.
     Distinct factors' algebras share only the scalars: each factor matches at most one.
     """
     if t1.dim != t2.dim:
@@ -280,7 +278,7 @@ def tps_equivalent(t1: TPS, t2: TPS, tol: Tolerance = DEFAULT_TOL):
     for k, n in enumerate(t1.dims):
         for j in (j for j in range(m) if t2.dims[j] == n):
             s = np.linalg.svd(np.moveaxis(W, (j, m + k), (0, 1)).reshape(n * n, -1), compute_uv=False)
-            if s[1:].max(initial=0.0) <= tol.resid_abs * s[0]:  # one factor: s has no s_2
+            if s[1:].max(initial=0.0) <= t1.tol.resid_abs * s[0]:  # one factor: s has no s_2
                 pi.append(j + 1)
                 break
         else:

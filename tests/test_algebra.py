@@ -26,11 +26,11 @@ from tpskit.algebra import (
 )
 from tpskit.bosonic import build_fock
 from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
-from tpskit.numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, span_residual
+from tpskit.numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance
 from tpskit.opfile import load_spec
 from tpskit.tps import TPS, local_algebra
 
-from helpers import haar_unitary
+from helpers import haar_unitary, span_residual
 from reference_closure import reference_closure
 
 DATA = Path(__file__).parent / "data"
@@ -112,6 +112,19 @@ class TestCloseAlgebra:
         bad[0, 1] = np.nan
         with pytest.raises(ContractViolationError, match="non-finite"):
             close_algebra([SX, bad])
+
+    def test_a_hermitian_generator_seeds_no_adjoint_and_keeps_the_same_generators(self, monkeypatch):
+        # Gram-Schmidt drops an exactly equal g^dag, so leaving it out changes no kept row
+        rng = np.random.default_rng(12)
+        H, N = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        H, Z = H + H.conj().T, kron_all(SZ, I2)
+        real, stacked = algebra_module.hs_orthonormalize, []
+        monkeypatch.setattr(algebra_module, "hs_orthonormalize",
+                            lambda ops, tol: stacked.append(len(ops)) or real(ops, tol))
+        alg = close_algebra([H, N, Z])
+        assert stacked == [1 + 1 + 2 + 1]
+        every_adjoint = real([np.eye(4), H, H.conj().T, N, N.conj().T, Z, Z.conj().T])
+        assert alg.generators.tobytes() == every_adjoint.tobytes()
 
     def test_closure_invariants_random_generators(self):
         rng = np.random.default_rng(11)
@@ -986,14 +999,18 @@ class TestInputSizedStacksRefused:
     stack, a local algebra's basis and a dense ladder matrix are refused past
     the byte budget before they are built."""
 
-    def test_the_closure_seed_is_refused_before_it_is_stacked(self, monkeypatch):
+    @pytest.mark.parametrize("generator, count", [
+        (np.kron(SX + 1j * SZ, np.eye(8)), 3),  # the identity, g and g^dag
+        (np.kron(SX, np.eye(8)), 2),  # a Hermitian g is its own adjoint
+    ], ids=["non-hermitian", "hermitian"])
+    def test_the_closure_seed_is_refused_before_it_is_stacked(self, generator, count, monkeypatch):
         def no_stack(*args, **kwargs):
             raise AssertionError("the seed was stacked")
 
         monkeypatch.setattr(algebra_module, "hs_orthonormalize", no_stack)
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 2 * 16 * 16 * 16)
-        with pytest.raises(ContractViolationError, match=r"^the closure's seed of 3 operators at dim 16 needs "):
-            close_algebra([np.kron(SX, np.eye(8))])
+        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", (count - 1) * 16 * 16 * 16)
+        with pytest.raises(ContractViolationError, match=rf"^the closure's seed of {count} operators at dim 16 needs "):
+            close_algebra([generator])
 
     def test_the_product_stack_is_refused_before_anything_is_drawn(self, monkeypatch):
         alg = close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])

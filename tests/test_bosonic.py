@@ -24,7 +24,7 @@ from tpskit.errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from tpskit.numerics import schmidt_entropy, unitarity_defect
+from tpskit.numerics import Tolerance, schmidt_entropy, unitarity_defect
 
 from helpers import haar_unitary
 
@@ -523,3 +523,27 @@ class TestModeEntanglement:
         v[fock.index((2, 0))] = 1
         with pytest.raises(TruncationBoundaryError):
             rotate_single_particle(fock, v, np.eye(2))
+
+    def test_rotate_checks_the_one_excitation_support_at_the_fock_tolerance(self):
+        # ~1e-9 of weight on two photons: inside the default residual bound, outside 1e-10
+        fock, tight = build_fock(2, 2), build_fock(2, 2, Tolerance(resid_abs=1e-10))
+        v = np.zeros(fock.dim, dtype=complex)
+        v[fock.index((0, 1))], v[fock.index((1, 0))], v[fock.index((1, 1))] = np.sqrt(0.5), np.sqrt(0.5), 1e-9
+        out = rotate_single_particle(fock, v, np.eye(2))
+        assert np.array_equal(out, np.where(np.arange(fock.dim) == fock.index((1, 1)), 0, v))
+        with pytest.raises(TruncationBoundaryError):
+            rotate_single_particle(tight, v, np.eye(2))
+
+    def test_the_fock_tolerance_reaches_every_check_on_its_modes(self):
+        # a rotation scaled by 1 + 2e-10 has a unitarity defect of ~4e-10; a top-shell
+        # weight of 1e-9 straddles the cut: both inside the default bound, outside 1e-10
+        tight = build_fock(2, 2, Tolerance(resid_abs=1e-10))
+        assert build_fock(2, 2).tol is not tight.tol
+        with pytest.raises(ContractViolationError, match="not unitary"):
+            transform_modes(tight, np.eye(2) * (1 + 2e-10))
+        v = np.zeros(tight.dim, dtype=complex)
+        v[tight.index((0, 0))], v[tight.index((1, 1))] = np.sqrt(1 - 1e-9), np.sqrt(1e-9)
+        assert mode_entanglement(v, build_fock(2, 2), (1,)) > 0
+        for ms in (tight, transform_modes(tight, np.eye(2))):
+            with pytest.raises(TruncationBoundaryError, match="straddles the cut"):
+                mode_entanglement(v, ms, (1,))

@@ -857,12 +857,13 @@ class TestSizeRefusals:
         assert seconds < 1.0
 
     @pytest.mark.parametrize("qubits, message", [
-        (10, "the closure's seed of 5 operators at dim 1024 needs 80 MiB"),
-        (11, "the closure's seed of 5 operators at dim 2048 needs 320 MiB"),
+        (10, "a commutant product stack of 3 x 3 operators at dim 1024 needs 144 MiB"),
+        (11, "the closure's seed of 3 operators at dim 2048 needs 192 MiB"),
     ])
-    def test_two_paulis_on_many_qubits_are_refused_at_the_closure_seed(self, qubits, message, tmp_path):
+    def test_two_paulis_on_many_qubits_are_refused_before_a_stack_is_built(self, qubits, message, tmp_path):
         # X and Z on the first qubit: unchecked, these died in a raw _ArrayMemoryError,
-        # in the oracle's probe stack at 10 qubits and in Gram-Schmidt at 11
+        # in the oracle's probe stack at 10 qubits and in Gram-Schmidt at 11; both are
+        # Hermitian, so the seed is the identity, X and Z
         path = tmp_path / f"xz{qubits}.json"
         path.write_text(json.dumps({"dim": 2 ** qubits, "operators": [
             {"name": p.lower(), "pauli": p + "I" * (qubits - 1)} for p in "XZ"]}))
@@ -1100,6 +1101,16 @@ class TestToleranceReachesChecks:
         assert "ContractViolationError" in err and "unitar" in err
 
 
+def test_the_natural_structure_is_built_at_the_cli_tolerance(tmp_path, capsys):
+    # exp(1e-9 i Z (x) Z) realigns with s_2 / s_1 = tan(1e-9): a match at the default
+    # resid_abs, none at --tol-resid 1e-10, which the natural structure --dims1 must carry
+    u = np.diag(np.exp(1e-9j * np.array([1, -1, -1, 1])))
+    argv = ["tps", "equivalent", write_spec(tmp_path / "zz.json", 4, {"u": u}),
+            "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"]
+    assert report_of(argv, capsys)["results"]["permutation"] == [1, 2]
+    assert report_of(argv + ["--tol-resid", "1e-10"], capsys)["results"]["equivalent"] is False
+
+
 class TestDeterminism:
     def run_bytes(self, argv):
         proc = subprocess.run([sys.executable, "-m", "tpskit", *argv],
@@ -1272,11 +1283,11 @@ def test_export_list_matches_the_package_namespace():
     assert set(tpskit.__all__) - {"__version__"} == public
 
 
-def test_no_export_that_reads_an_algebra_or_a_family_takes_a_tolerance():
-    # an algebra or a family carries the tolerance it was checked at, and every
-    # function or method that reads one decides there: only a constructor sets it;
-    # annotations are read as written, a name or a class
-    records = ("OperatorAlgebra", "UnitaryFamily")
+def test_no_export_that_reads_a_record_takes_a_tolerance():
+    # an algebra, a family, a structure, a parity set, a Fock space or its modes carries
+    # the tolerance it was checked at, and every function or method that reads one decides
+    # there: only a constructor sets it; annotations are read as written, a name or a class
+    records = ("OperatorAlgebra", "UnitaryFamily", "TPS", "ParitySet", "FockSpace", "ModeSet")
     offenders = []
     for name in (name for names in tpskit._HOMES.values() for name in names):
         value = getattr(tpskit, name)

@@ -96,8 +96,7 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
         assert "over the 64 MiB budget" in capsys.readouterr().err
     # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
-    for argv in (a for a in argvs if a[:2] == ["tps", "equivalent"] and a[2] not in files
-                 and a not in refusals):
+    for argv in (a for a in argvs if a[:3] == ["tps", "equivalent", "--dims1"] and a not in refusals):
         assert main(argv) == 0
         verdicts.add(json.loads(capsys.readouterr().out)["results"]["equivalent"])
     assert verdicts == {True, False}
@@ -118,3 +117,21 @@ def test_the_spin_fixtures_decompose_to_the_schur_weyl_shapes_and_their_transpos
     for N in (3, 4, 5):
         spin, swaps = shapes[f"spin{N}"], shapes[f"swaps{N}"]
         assert swaps == (sorted((d, n) for n, d in spin[0]), spin[2], spin[1])
+
+
+def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, capsys):
+    # the benchmark jobs all run at the default tolerance: these twins are what show
+    # a tolerance that no longer reaches its check
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
+    assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
+    argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
+    tight = [a for a in argvs if "--tol-resid" in a]
+    assert len(tight) == 6 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
+    for argv in tight:
+        default = argv[:argv.index("--tol-resid")]
+        assert argvs[argvs.index(argv) - 1] == default
+        answers = []
+        for a in (default, argv):
+            code, out = main(a), capsys.readouterr().out
+            answers.append((code, json.loads(out)["results"].get("equivalent") if code == 0 else None))
+        assert answers[0][0] == 0 and answers[0] != answers[1], argv

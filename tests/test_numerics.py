@@ -23,11 +23,10 @@ from tpskit.numerics import (
     polar_isometry,
     refuse_past_budget,
     schmidt_entropy,
-    span_residual,
     unitarity_defect,
 )
 
-from helpers import haar_unitary
+from helpers import haar_unitary, span_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)

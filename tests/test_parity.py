@@ -87,7 +87,7 @@ def reference_validate_parity_set(ops, tol=Tolerance()):
         raise ParitySetError(
             f"joint eigenspace dimensions {dims_found} are not {2 ** len(mats)} "
             "equal ones: the set is dependent (some subset product is not traceless)")
-    return ParitySet(n=n, sectors=dict(sectors))
+    return ParitySet(n=n, sectors=dict(sectors), tol=tol)
 
 
 def gf2_independent_rows(rng, n, k):
@@ -486,6 +486,11 @@ class TestSyndromeDecompose:
         ps = validate_parity_set([pauli_string_matrix("XX"), pauli_string_matrix("ZZ")])
         with pytest.raises(ParitySetError, match="no logical factor"):
             syndrome_decompose(ps)
+
+    def test_the_sector_structure_carries_the_parity_set_tolerance(self):
+        tol = Tolerance(rank_rel=1e-12, resid_abs=1e-9)
+        ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")], tol)
+        assert ps.tol is tol and syndrome_decompose(ps).tps.tol is tol
 
     def test_determinism(self):
         ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])

@@ -9,7 +9,7 @@ import tpskit.numerics as numerics
 import tpskit.tps as tps_module
 from tpskit.algebra import close_algebra, commutant, is_factor, structure_decompose
 from tpskit.errors import ContractViolationError, DimensionMismatchError
-from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy, span_residual
+from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy
 from tpskit.tps import (
     TPS,
     EntanglementMeasure,
@@ -21,7 +21,7 @@ from tpskit.tps import (
     tps_equivalent,
 )
 
-from helpers import haar_unitary
+from helpers import haar_unitary, span_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -131,6 +131,13 @@ class TestTPSType:
         with pytest.raises(ContractViolationError):
             TPS((2, 2), 2.0 * np.eye(4, dtype=complex))
 
+    def test_the_iso_is_checked_at_the_structure_tolerance(self):
+        # a unitarity defect of ~1e-10: inside the default residual bound, outside 1e-12
+        iso = (1 + 5e-11) * np.eye(4, dtype=complex)
+        assert TPS((2, 2), iso).tol is DEFAULT_TOL
+        with pytest.raises(ContractViolationError, match="iso unitarity defect"):
+            TPS((2, 2), iso, Tolerance(resid_abs=1e-12))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             TPS((2, 2), np.eye(6, dtype=complex))
@@ -218,6 +225,13 @@ class TestLocalAlgebra:
         t = TPS(sd.block_shape[0], sd.basis_change)
         assert spans_equal(local_algebra(t, 2), a1, DEFAULT_TOL)
         assert spans_equal(local_algebra(t, 1), commutant(a1), DEFAULT_TOL)
+
+    def test_the_structure_tolerance_travels_to_its_local_algebras(self):
+        tol = Tolerance(rank_rel=1e-12, resid_abs=1e-9)
+        t = TPS((2, 3), haar_unitary(6, np.random.default_rng(5)), tol)
+        assert t.tol is tol and all(local_algebra(t, i).tol is tol for i in (1, 2))
+        assert local_algebra(TPS.natural((2, 3), tol), 1).tol is tol
+        assert local_algebra(TPS.natural((2, 3)), 1).tol is DEFAULT_TOL
 
     def test_index_out_of_range(self):
         t = TPS.natural((2, 2))
@@ -524,10 +538,9 @@ class TestTpsDistance:
         # a unitarity defect of ~1e-10: inside the default residual bound,
         # outside resid_abs=1e-12
         U = (1 + 5e-11) * CNOT
-        t = TPS.natural((2, 2))
-        assert tps_distance(U, t, samples=100, seed=0) > 0
+        assert tps_distance(U, TPS.natural((2, 2)), samples=100, seed=0) > 0
         with pytest.raises(ContractViolationError, match="unitary"):
-            tps_distance(U, t, samples=100, seed=0, tol=Tolerance(resid_abs=1e-12))
+            tps_distance(U, TPS.natural((2, 2), Tolerance(resid_abs=1e-12)), samples=100, seed=0)
 
 
 # --------------------------------------------------------------- equivalence
@@ -645,7 +658,7 @@ class TestTpsEquivalent:
         for factor, expected in [(0.9, (1, 2)), (1.1, None)]:
             phases = np.exp(1j * factor * resid_abs * np.array([1, -1, -1, 1]))
             t2 = TPS((2, 2), np.diag(phases))
-            assert tps_equivalent(TPS.natural((2, 2)), t2, Tolerance(resid_abs=resid_abs)) == expected
+            assert tps_equivalent(TPS.natural((2, 2), Tolerance(resid_abs=resid_abs)), t2) == expected
 
     @pytest.mark.parametrize("eps,expect_match", [(1e-10, True), (1e-6, False)])
     def test_a_near_local_transition_agrees_with_the_span_oracle(self, eps, expect_match):

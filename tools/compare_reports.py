@@ -17,7 +17,10 @@ refusal messages are compared; and, built in code,
 collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
 algebras whose basis is past the byte budget but whose block form is not
 (collective spin on 8 qubits and M_64 from clock and shift), through
-``decompose --emit-basis``.
+``decompose --emit-basis``, and six ``tps`` jobs whose operators sit
+between the default ``--tol-resid`` and a tight one, each run at both, so
+a tolerance that stops reaching its check changes a verdict or an exit code
+(every benchmark job runs at the default tolerance).
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
 its own interpreter with single-threaded BLAS.  Exit code, report and
 stderr are compared, with the wall-time line masked.  Prints
@@ -91,7 +94,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, and the spin_specs and reach_specs through decompose."""
+    REFUSALS, the spin_specs and reach_specs through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -114,18 +117,20 @@ def fixture_jobs(cwd: str) -> list[dict]:
         *REFUSALS,
     ]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
+    argvs += tolerance_jobs(cwd)
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
              "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA)
                              else os.path.basename(a) if a.startswith(cwd) else a for a in argv)}
             for argv in argvs]
 
 
-def write_spec(path: str, ops: dict) -> str:
-    """A spec file at path declaring the named dense operators; returns path."""
+def write_spec(path: str, ops: dict, states: dict | None = None) -> str:
+    """A spec file at path declaring the named dense operators and states; returns path."""
     dim = len(next(iter(ops.values())))
-    doc = {"dim": dim, "operators": [
-        {"name": k, "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in M]}
-        for k, M in ops.items()]}
+    pairs = lambda v: [[float(z.real), float(z.imag)] for z in v]
+    doc = {"dim": dim, "operators": [{"name": k, "matrix": [pairs(row) for row in M]} for k, M in ops.items()]}
+    if states:
+        doc["states"] = [{"name": k, "vector": pairs(v)} for k, v in states.items()]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
@@ -163,6 +168,34 @@ def reach_specs(cwd: str) -> list[str]:
     clock, shift = np.diag(np.exp(2j * np.pi * np.arange(64) / 64)), np.roll(np.eye(64), 1, axis=0)
     return [write_spec(os.path.join(cwd, "spin8.json"), collective_spin(8)),
             write_spec(os.path.join(cwd, "clock64.json"), {"clock": clock, "shift": shift})]
+
+
+def tolerance_jobs(cwd: str) -> list[list[str]]:
+    """tps jobs on spec files written to cwd, each followed by its twin at a tight
+    --tol-resid, under which it is refused or its verdict flips: distance, equivalent,
+    entangle and bosonic on operators with a unitarity defect of ~5e-13 (tight 1e-14),
+    parity with a Hermiticity defect of 1e-10 (tight 1e-11), and equivalent of a natural
+    structure and exp(1e-9 i Z (x) Z), whose realignment ratio is ~1e-9 (tight 1e-10)."""
+    import numpy as np
+
+    scale = 1 + 2.5e-13
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    zzi = np.diag([1, 1, -1, -1, -1, -1, 1, 1]).astype(complex)
+    zzi[0, 1] += 1e-10j
+    two = write_spec(os.path.join(cwd, "near_bs.json"), {"bs": scale * np.array([[1, 1], [1, -1]]) / np.sqrt(2)})
+    four = write_spec(os.path.join(cwd, "near_cnot.json"), {"u": scale * cnot},
+                      {"s": np.array([1, 0, 0, 1]) / np.sqrt(2)})
+    eight = write_spec(os.path.join(cwd, "near_zzi.json"), {"zzi": zzi})
+    zz = write_spec(os.path.join(cwd, "near_zz.json"), {"u": np.diag(np.exp(1e-9j * np.array([1, -1, -1, 1])))})
+    tight = [
+        (["tps", "distance", four, "--unitary", "u", "--dims", "2,2", "--samples", "100"], "1e-14"),
+        (["tps", "equivalent", four, "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"], "1e-14"),
+        (["tps", "entangle", four, "--state", "s", "--dims", "2,2", "--iso", "u"], "1e-14"),
+        (["tps", "bosonic", two, "--modes", "2", "--cutoff", "2", "--unitary", "bs"], "1e-14"),
+        (["tps", "parity", eight, "--parity", "zzi", "IZZ"], "1e-11"),
+        (["tps", "equivalent", zz, "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"], "1e-10"),
+    ]
+    return [argv for default, tol in tight for argv in (default, default + ["--tol-resid", tol])]
 
 
 def run_jobs(jobs_path: str, results_path: str) -> None:
