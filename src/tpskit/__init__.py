@@ -32,8 +32,7 @@ _HOMES = {
                  "refinement_ladder"),
     "numerics": ("DEFAULT_TOL", "Tolerance"),
     "opfile": ("OperatorSpecFile", "SpecFileError", "load_spec", "parse_spec"),
-    "parity": ("ParitySet", "SyndromeDecomposition", "pauli_string_matrix",
-               "syndrome_decompose", "validate_parity_set"),
+    "parity": ("ParitySet", "pauli_string_matrix", "syndrome_decompose", "validate_parity_set"),
     "tps": ("TPS", "EntanglementMeasure", "EntanglingPowerEstimate", "entanglement",
             "entangling_power", "local_algebra", "multiplicative_partitions", "tps_distance",
             "tps_equivalent"),

@@ -6,7 +6,7 @@ entangle, parity, bosonic and holonomy subcommands.  main reads the spec
 file a command names once, then calls its handler(args, spec, tol); each
 handler imports the layers it runs, so a fresh process loads no other.
 All randomness flows from --seed, every report embeds the tolerances
-actually used, and numeric fields are serialized with 17 significant
+it ran at, and numeric fields are serialized with 17 significant
 digits so identical invocations produce byte-identical output.  Wall time
 (the spec read and the handler, with its first imports) goes to stderr
 only, keeping reports reproducible.
@@ -147,12 +147,11 @@ def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
 
 def _parity(tokens, spec: OperatorSpecFile | None, tol):
     """The parity set --parity names, each token a spec operator or a Pauli
-    string, and its syndrome decomposition."""
+    string, with its sector structure built."""
     from .parity import syndrome_decompose, validate_parity_set
     ops = [spec.operators[tok] if spec is not None and tok in spec.operators
            else parse_pauli_token(tok) for tok in tokens]
-    ps = validate_parity_set(ops, tol)
-    return ps, syndrome_decompose(ps)
+    return syndrome_decompose(validate_parity_set(ops, tol))
 
 
 # ----------------------------------------------------------------- handlers
@@ -245,7 +244,7 @@ def _cmd_entangle(args, spec, tol):
     if args.iso is not None and args.dims is None:
         raise _UsageError("--iso goes with --dims only")
     if args.parity is not None:
-        tps = _parity(args.parity, spec, tol)[1].tps
+        tps = _parity(args.parity, spec, tol).tps
         origin = {"parity": list(args.parity)}
     else:
         tps = _structure(args.dims, args.iso, spec, tol)
@@ -264,13 +263,13 @@ def _cmd_entangle(args, spec, tol):
 
 
 def _cmd_parity(args, spec, tol):
-    ps, sd = _parity(args.parity, spec, tol)
+    ps = _parity(args.parity, spec, tol)
     results = {
         "n": ps.n,
         "k": ps.k,
         "sectors": [{"label": list(label), "dim": V.shape[1]}
-                    for label, V in sd.sectors.items()],
-        "tps_dims": list(sd.tps.dims),
+                    for label, V in ps.sectors.items()],
+        "tps_dims": list(ps.tps.dims),
     }
     return results, {}
 

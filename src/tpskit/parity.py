@@ -10,6 +10,7 @@ is the deterministic eigensolver ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING
 
@@ -53,7 +54,8 @@ def pauli_string_matrix(s: str) -> np.ndarray:
 
 @dataclass
 class ParitySet:
-    """A validated family of commuting, independent parity operators."""
+    """A validated family of commuting, independent parity operators and the
+    sector structure they induce."""
 
     n: int
     sectors: dict  # +-1 label tuple (one sign per op) -> joint eigenbasis columns, canonical order
@@ -66,6 +68,22 @@ class ParitySet:
     @property
     def dim(self) -> int:
         return 2 ** self.n
+
+    @cached_property
+    def tps(self) -> TPS:
+        """The sector TPS, built on first read at self.tol.
+
+        Its dims are (2^(n-k), 2^k): logical factor first, syndrome factor
+        second; iso column (l, s) is the l-th basis vector of the s-th
+        sector in canonical label order (+1 before -1 at each level).
+        """
+        from .tps import TPS
+        n, k, d = self.n, self.k, self.dim
+        if k >= n:
+            raise ParitySetError(
+                f"{k} parities on {n} qubits leave no logical factor to decompose")
+        iso = np.stack(list(self.sectors.values()), -1).reshape(d, d)
+        return TPS((2 ** (n - k), 2 ** k), iso, self.tol)  # (logical, syndrome)
 
 
 def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
@@ -170,29 +188,7 @@ def _split_sectors(sectors, X, tol: Tolerance):
     return resid, refined
 
 
-@dataclass
-class SyndromeDecomposition:
-    """Sector bases keyed by their +-1 label tuples, plus the induced TPS.
-
-    The TPS has dims (2^(n-k), 2^k): logical factor first, syndrome
-    factor second; iso column (l, s) is the l-th basis vector of the
-    s-th sector in canonical label order (+1 before -1 at each level).
-    """
-
-    sectors: dict
-    tps: TPS
-
-
-def syndrome_decompose(ps: ParitySet) -> SyndromeDecomposition:
-    """Assemble the sector TPS from the validated parity sectors, at ps.tol."""
-    from .tps import TPS
-    n, k, d = ps.n, ps.k, ps.dim
-    if k >= n:
-        raise ParitySetError(
-            f"{k} parities on {n} qubits leave no logical factor to decompose")
-
-    sectors = dict(ps.sectors)
-    iso = np.stack(list(sectors.values()), -1).reshape(d, d)
-    tps = TPS((2 ** (n - k), 2 ** k), iso, ps.tol)  # (logical, syndrome)
-    return SyndromeDecomposition(sectors=sectors, tps=tps)
-
+def syndrome_decompose(ps: ParitySet) -> ParitySet:
+    """Build ps's sector TPS (ps.tps) and return ps."""
+    ps.tps
+    return ps

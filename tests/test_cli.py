@@ -698,6 +698,16 @@ class TestTpsCommands:
         assert code == 2
         assert "ParitySetError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["tps", "parity", "--parity", "XX", "ZZ"],
+        ["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus", "--parity", "XX", "ZZ"],
+    ], ids=["parity", "entangle"])
+    def test_no_logical_factor_is_refused_with_its_message(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == ("computation error: ParitySetError: 2 parities on 2 qubits "
+                       "leave no logical factor to decompose\n")
+
     def test_bosonic_reference_mode_is_product(self, capsys):
         rep = report_of(["tps", "bosonic", "--modes", "2", "--cutoff", "2"], capsys)
         assert rep["results"]["value"] == 0.0

@@ -94,6 +94,14 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     for argv in refusals:
         assert main(argv) == 2
         assert "over the 64 MiB budget" in capsys.readouterr().err
+    # parity sets with no logical factor: the refusal of the sector structure is compared
+    no_logical_factor = [["tps", "parity", "--parity", "XX", "ZZ"],
+                         ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus",
+                          "--parity", "XX", "ZZ"]]
+    assert [a for a in argvs if a in no_logical_factor] == no_logical_factor
+    for argv in no_logical_factor:
+        assert main(argv) == 2
+        assert "leave no logical factor to decompose" in capsys.readouterr().err
     # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
     for argv in (a for a in argvs if a[:3] == ["tps", "equivalent", "--dims1"] and a not in refusals):

@@ -493,10 +493,28 @@ class TestSyndromeDecompose:
         assert ps.tol is tol and syndrome_decompose(ps).tps.tol is tol
 
     def test_determinism(self):
+        # two validations of fresh copies of the ops give the same bytes
+        words = ("ZZI", "IZZ")
+        a, b = (syndrome_decompose(validate_parity_set([pauli_string_matrix(w) for w in words]))
+                for _ in range(2))
+        assert list(a.sectors) == list(b.sectors)
+        for V, W in zip(a.sectors.values(), b.sectors.values()):
+            assert V.tobytes() == W.tobytes()
+        assert a.tps.iso.tobytes() == b.tps.iso.tobytes()
+
+    def test_the_parity_set_is_its_sector_structure(self):
         ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
-        a = syndrome_decompose(ps)
-        b = syndrome_decompose(ps)
-        assert np.array_equal(a.tps.iso, b.tps.iso)
+        assert syndrome_decompose(ps) is ps
+        assert ps.tps is ps.tps
+
+    def test_the_sector_iso_is_checked_for_unitarity_once(self, monkeypatch):
+        import tpskit.tps
+        calls = []
+        real = tpskit.tps.unitarity_defect
+        monkeypatch.setattr(tpskit.tps, "unitarity_defect", lambda U: calls.append(U) or real(U))
+        ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
+        tps = syndrome_decompose(ps).tps
+        assert ps.tps is tps and len(calls) == 1
 
 
 class TestConjugateParitySet:
@@ -526,9 +544,14 @@ class TestCrossModuleStructure:
 
 
 def test_import_leaves_the_tps_layer_unloaded():
-    # reading a Pauli string must not compile tps: only syndrome_decompose needs TPS
-    proc = subprocess.run([sys.executable, "-c",
-                           "import sys, tpskit.parity; print('tpskit.tps' in sys.modules)"],
-                          capture_output=True, text=True, timeout=120)
+    # reading a Pauli string or validating a set must not compile tps: only the
+    # sector structure's first read needs TPS
+    code = ("import sys, tpskit.parity as p\n"
+            "print('tpskit.tps' in sys.modules)\n"
+            "ps = p.validate_parity_set([p.pauli_string_matrix('ZZI'), p.pauli_string_matrix('IZZ')])\n"
+            "print('tpskit.tps' in sys.modules)\n"
+            "ps.tps\n"
+            "print('tpskit.tps' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False", "True"]

@@ -13,10 +13,11 @@ files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
-refusal messages are compared; and, built in code,
-collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
-algebras whose basis is past the byte budget but whose block form is not
-(collective spin on 8 qubits and M_64 from clock and shift), through
+refusal messages are compared; ``tps parity`` and ``tps entangle --parity``
+of two parities on two qubits, refused for leaving no logical factor; and,
+built in code, collective spin on 3 to 5 qubits and its adjacent-swap dual,
+and two algebras whose basis is past the byte budget but whose block form
+is not (collective spin on 8 qubits and M_64 from clock and shift), through
 ``decompose --emit-basis``, and six ``tps`` jobs whose operators sit
 between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
@@ -65,6 +66,11 @@ REFUSALS = [
     ["tps", "equivalent", "--dims1", "4096,4096", "--dims2", "4096,4096"],
     ["tps", "parity", "--parity", "Z" * 20],
 ]
+# parity sets with no logical factor, refused where the sector structure is built
+NO_LOGICAL_FACTOR = [
+    ["tps", "parity", "--parity", "XX", "ZZ"],
+    ["tps", "entangle", os.path.join(DATA, "bell_xx.json"), "--state", "bell_plus", "--parity", "XX", "ZZ"],
+]
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
@@ -94,7 +100,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, the spin_specs and reach_specs through decompose, and the tolerance_jobs."""
+    REFUSALS and NO_LOGICAL_FACTOR, the spin_specs and reach_specs through
+    decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -115,6 +122,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", cnot, "--modes", "2", "--cutoff", "2"],
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
+        *NO_LOGICAL_FACTOR,
     ]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
     argvs += tolerance_jobs(cwd)
