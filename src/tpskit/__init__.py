@@ -21,7 +21,7 @@ _HOMES = {
     "algebra": ("BipartitionCertificate", "FactorCheck", "OperatorAlgebra", "algebra_residuals",
                 "center", "check_bipartition", "close_algebra", "commutant", "is_factor", "join",
                 "structure_decompose"),
-    "bosonic": ("FockSpace", "ModeSet", "build_fock", "ccr_residual", "mode_entanglement",
+    "bosonic": ("FockSpace", "build_fock", "ccr_residual", "mode_entanglement",
                 "rotate_single_particle", "single_excitation_state", "transform_modes"),
     "errors": ("BranchCutError", "ContractViolationError", "DegenerateInputError",
                "DegeneracyError", "DimensionMismatchError", "IndexRangeError", "ParitySetError",

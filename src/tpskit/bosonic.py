@@ -1,4 +1,4 @@
-"""Truncated Fock spaces, transformed bosonic modes, and mode entanglement.
+"""Truncated Fock spaces, their mode frames, and mode entanglement.
 
 The truncation keeps occupation tuples with total excitation at most M
 (a simplex cutoff), so ladder-operator identities hold exactly on the
@@ -9,7 +9,8 @@ matching the subscripts a_1, ..., a_N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from math import comb
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     TruncationBoundaryError,
 )
 from .numerics import DEFAULT_TOL, Tolerance, refuse_past_budget, schmidt_entropy, unitarity_defect
-from .tps import _check_state, _split_cut
+from .tps import EntanglementMeasure, _check_state, _split_cut
 
 _DIM_CAP = 4096
 _WORK_CAP = 1 << 23  # N^2 dim, the work of the tables' own CCR check in transform_modes
@@ -35,7 +36,7 @@ def _check_mode(i: int, N: int) -> None:
 
 @dataclass
 class FockSpace:
-    """N bosonic modes truncated at total excitation M.
+    """N bosonic modes truncated at total excitation M, read in the mode frame U.
 
     The basis states are the occupations (m_1, ..., m_N) with sum <= M in
     lexicographic order, stored once as the (N, dim) table occ: column c
@@ -43,7 +44,9 @@ class FockSpace:
     as (N, dim) tables in the same layout, one row per mode:
     a_j e_c = w[j, c] e_low[j, c] with w[j, c] = sqrt(m_j), and low[j, c] = -1
     where m_j = 0.  Raising inverts them: a_j^dag e_c lands on the column
-    c' with low[j, c'] = c, with weight w[j, c'].
+    c' with low[j, c'] = c, with weight w[j, c'].  U is the mode frame,
+    a_i^U = sum_j U_ji a_j over those reference modes (the identity from
+    build_fock), and ccr its ccr_residual, computed once, on first read.
     """
 
     N: int
@@ -52,6 +55,11 @@ class FockSpace:
     low: np.ndarray  # (N, dim) int, -1 where the mode is empty
     w: np.ndarray  # (N, dim) float
     tol: Tolerance  # every check on the space or its modes decides at it
+    U: np.ndarray  # (N, N) complex, the mode frame over the tables
+
+    @cached_property
+    def ccr(self) -> float:
+        return ccr_residual(self)
 
     @property
     def dim(self) -> int:
@@ -73,9 +81,9 @@ class FockSpace:
         return int(np.argmax(match))
 
     def lowering(self, i: int) -> np.ndarray:
-        """Dense annihilation matrix of mode i (1-based), built on demand."""
+        """Dense annihilation matrix of mode i (1-based) of the frame U, built on demand."""
         _check_mode(i, self.N)
-        return _dense(self, np.eye(self.N)[i - 1])
+        return _dense(self, self.U[:, i - 1])
 
     def interior_mask(self) -> np.ndarray:
         """Basis states with total excitation <= M-1, where the CCR are exact."""
@@ -124,48 +132,39 @@ def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
     later = np.cumsum(grow[::-1], axis=0)[::-1] - grow
     low = np.where(occ > 0, np.arange(dim) - drop + later, -1)
     w = np.sqrt(occ)
-    return FockSpace(N=N, M=M, occ=occ, low=low, w=w, tol=tol)
+    return FockSpace(N=N, M=M, occ=occ, low=low, w=w, tol=tol, U=np.eye(N, dtype=complex))
 
 
-@dataclass
-class ModeSet:
-    """Reference Fock space plus the mode rotation U of a_i^U = sum_j U_ji a_j."""
-
-    fock: FockSpace
-    U: np.ndarray  # (N, N)
-    ccr: float = float("nan")  # the ccr_residual transform_modes verified
-
-    def lowering(self, i: int) -> np.ndarray:
-        """Dense annihilation matrix of rotated mode i (1-based), built on demand."""
-        _check_mode(i, self.fock.N)
-        return _dense(self.fock, self.U[:, i - 1])
+def _rotation(fock: FockSpace, U) -> np.ndarray:
+    """U as a complex (N, N) array, refused unless unitary within fock.tol.resid_abs."""
+    U = np.asarray(U, dtype=complex)
+    if U.shape != (fock.N, fock.N):
+        raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({fock.N}, {fock.N})")
+    if unitarity_defect(U) > fock.tol.resid_abs:
+        raise ContractViolationError("mode rotation is not unitary")
+    return U
 
 
-def transform_modes(fock: FockSpace, U) -> ModeSet:
-    """Rotated modes a_i^U = sum_j U_ji a_j, with their invariants verified.
+def transform_modes(fock: FockSpace, U) -> FockSpace:
+    """fock read in the rotated modes a_i^U = sum_j U_ji a_j, invariants verified.
 
-    Vacuum annihilation is exact by construction.  The CCR residual
-    (ccr_residual: the unitarity defect of U plus N (1 + defect) times
-    the ladder tables' own residual) is stored on the ModeSet, and a value above
+    U is relative to the reference tables, not composed with fock.U: the new
+    record shares fock's tables, and fock is left untouched.  Vacuum
+    annihilation is exact by construction.  A CCR residual (ccr: the unitarity
+    defect of U plus N (1 + defect) times the tables' own residual) above
     fock.tol.resid_abs raises: once U passes the unitarity check, only broken
     tables or a defect within that margin of resid_abs can fail it.
     """
-    U = np.asarray(U, dtype=complex)
-    N, tol = fock.N, fock.tol
-    if U.shape != (N, N):
-        raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({N}, {N})")
-    if unitarity_defect(U) > tol.resid_abs:
-        raise ContractViolationError("mode rotation is not unitary")
-    ms = ModeSet(fock=fock, U=U)
-    ms.ccr = ccr_residual(ms)
-    if ms.ccr > tol.resid_abs:
-        raise ToleranceError(f"CCR residual {ms.ccr:.3e} exceeds {tol.resid_abs:.3e}")
-    return ms
+    rotated = replace(fock, U=_rotation(fock, U))
+    if rotated.ccr > fock.tol.resid_abs:
+        raise ToleranceError(f"CCR residual {rotated.ccr:.3e} exceeds {fock.tol.resid_abs:.3e}")
+    return rotated
 
 
-def ccr_residual(ms: ModeSet) -> float:
-    """Worst deviation from the CCR, bounded from above: [a_i, a_k] on the
-    whole space and [a_i, a_k^dag] - delta_ik compressed to the interior.
+def ccr_residual(fock: FockSpace) -> float:
+    """Worst deviation from the CCR of the modes of fock's frame U, bounded
+    from above: [a_i, a_k] on the whole space and [a_i, a_k^dag] - delta_ik
+    compressed to the interior.  FockSpace.ccr caches it.
 
     The rotated commutators are sums of the reference ones:
     [a_i^U, a_k^U] = sum_jl U_ji U_lk [a_j, a_l], and on the interior
@@ -178,8 +177,8 @@ def ccr_residual(ms: ModeSet) -> float:
     residual lies within N (1 + defect) t of defect; the upper end is
     returned.  Exact tables leave t at the roundoff of sqrt(m)^2.
     """
-    defect = unitarity_defect(ms.U)
-    return defect + ms.fock.N * (1 + defect) * _table_ccr_residual(ms.fock)
+    defect = unitarity_defect(fock.U)
+    return defect + fock.N * (1 + defect) * _table_ccr_residual(fock)
 
 
 def _table_ccr_residual(fock: FockSpace) -> float:
@@ -209,13 +208,12 @@ def _table_ccr_residual(fock: FockSpace) -> float:
     return worst
 
 
-def single_excitation_state(ms: ModeSet, i: int) -> np.ndarray:
-    """The normalized one-photon state of rotated mode i, a_i^U-dagger |0>:
+def single_excitation_state(fock: FockSpace, i: int) -> np.ndarray:
+    """The normalized one-photon state of mode i of fock's frame, a_i^U-dagger |0>:
     amplitude conj(U_ji) on each one-photon state, whose ladder weight is 1."""
-    fock = ms.fock
     _check_mode(i, fock.N)
     v = np.zeros(fock.dim, dtype=complex)
-    v[_one_photon(fock)] = ms.U[:, i - 1].conj()
+    v[_one_photon(fock)] = fock.U[:, i - 1].conj()
     return v / np.linalg.norm(v)
 
 
@@ -228,17 +226,15 @@ def _one_photon(fock: FockSpace) -> np.ndarray:
 def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     """Apply an N x N rotation to the one-photon amplitudes of a state.
 
-    The state must be supported on total excitation <= 1, within
-    fock.tol.resid_abs.  To express a state in the mode frame of
+    V must be unitary and the state supported on total excitation <= 1,
+    both within fock.tol.resid_abs.  To express a state in the mode frame of
     transform_modes(fock, U), rotate by U.T (states sum_i c_i a_i^U-dagger |0>
     carry reference amplitudes conj(U) c, so U.T undoes the mode change).
     """
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape[0] != fock.dim:
         raise DimensionMismatchError("state length does not match the Fock dimension")
-    V = np.asarray(V, dtype=complex)
-    if V.shape != (fock.N, fock.N):
-        raise DimensionMismatchError("rotation must act on the mode amplitudes")
+    V = _rotation(fock, V)
     if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > fock.tol.resid_abs:
         raise TruncationBoundaryError(
             "state has support beyond the one-excitation sector")
@@ -249,7 +245,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     return out
 
 
-def mode_entanglement(state, ms: ModeSet | FockSpace, cut, kind: str = "vn") -> float:
+def mode_entanglement(state, fock: FockSpace, cut, kind: str = "vn") -> float:
     """Entanglement of a truncated state across a bipartition of modes.
 
     The state is Schmidt-decomposed across the cut of reference modes
@@ -261,7 +257,7 @@ def mode_entanglement(state, ms: ModeSet | FockSpace, cut, kind: str = "vn") -> 
     excitation = M) straddling the cut past fock.tol.resid_abs is rejected:
     there the simplex truncation and the product structure disagree.
     """
-    fock = ms.fock if isinstance(ms, ModeSet) else ms
+    EntanglementMeasure(kind)  # refuses an unknown kind before any work
     v = _check_state(state, fock.dim)
     left, right = _split_cut(fock.N, cut)
     occ = fock.occ

@@ -278,14 +278,14 @@ def _cmd_bosonic(args, spec, tol):
     from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
     fock = build_fock(args.modes, args.cutoff, tol)
     if args.unitary is None:
-        U = np.eye(args.modes)
+        U = fock.U
     elif spec is None:
         raise _UsageError("--unitary needs a spec file to read from")
     else:
         U = spec.operator(args.unitary)
-    ms = transform_modes(fock, U)
-    state = single_excitation_state(ms, args.excite)
-    value = mode_entanglement(state, ms, cut=args.cut, kind=args.measure)
+    fock = transform_modes(fock, U)
+    state = single_excitation_state(fock, args.excite)
+    value = mode_entanglement(state, fock, cut=args.cut, kind=args.measure)
     results = {
         "modes": args.modes,
         "cutoff": args.cutoff,
@@ -296,7 +296,7 @@ def _cmd_bosonic(args, spec, tol):
         "measure": args.measure,
         "value": value,
     }
-    return results, {"ccr": ms.ccr}
+    return results, {"ccr": fock.ccr}
 
 
 def _cmd_holonomy(args, spec, tol):

@@ -4,13 +4,15 @@ import itertools
 import re
 import time
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
 
+import tpskit.bosonic
 from tpskit.bosonic import (
-    ModeSet,
+    FockSpace,
     build_fock,
     ccr_residual,
     mode_entanglement,
@@ -60,10 +62,9 @@ def loop_ladder_tables(N, M):
     return low, w
 
 
-def dense_ccr_residual(ms):
-    """Oracle: the CCR residual from dense products of the rotated modes."""
-    fock = ms.fock
-    transformed = np.einsum("ji,jab->iab", ms.U, dense_ladders(fock.N, fock.M))
+def dense_ccr_residual(fock):
+    """Oracle: the CCR residual from dense products of the modes of fock's frame."""
+    transformed = np.einsum("ji,jab->iab", fock.U, dense_ladders(fock.N, fock.M))
     interior = fock.interior_mask()
     keep = np.ix_(interior, interior)
     eye = np.eye(fock.dim)
@@ -228,6 +229,26 @@ class TestTransformModes:
         for i in (1, 2):
             assert np.array_equal(ms.lowering(i), fock.lowering(i))
 
+    def test_a_rotated_space_shares_the_tables_and_leaves_the_original(self):
+        fock = build_fock(3, 2)
+        U = haar_unitary(3, np.random.default_rng(5))
+        ms = transform_modes(fock, U)
+        assert type(ms) is FockSpace and ms is not fock and ms.tol is fock.tol
+        assert ms.occ is fock.occ and ms.low is fock.low and ms.w is fock.w
+        assert np.array_equal(ms.U, U) and np.array_equal(fock.U, np.eye(3))
+        # U is taken from the reference tables, never composed with the frame it is given
+        assert np.array_equal(transform_modes(ms, U).U, U)
+
+    def test_the_ccr_residual_is_computed_once_per_frame(self, monkeypatch):
+        # transform_modes checks ccr and later reads find it cached on the record
+        calls = []
+        real = tpskit.bosonic._table_ccr_residual
+        monkeypatch.setattr(tpskit.bosonic, "_table_ccr_residual", lambda f: calls.append(f) or real(f))
+        fock = build_fock(2, 3)
+        assert not calls
+        ms = transform_modes(fock, BEAMSPLITTER)
+        assert ms.ccr == ms.ccr < 1e-12 and calls == [ms]
+
     def test_nan_rotation_is_not_unitary(self):
         fock = build_fock(2, 2)
         for bad in (np.nan, np.inf):
@@ -291,7 +312,7 @@ class TestTransformModes:
         rng = np.random.default_rng(31)
         for N, M in [(2, 3), (3, 2), (4, 3)]:
             fock = build_fock(N, M)
-            ms = ModeSet(fock=fock, U=haar_unitary(N, rng) * (1 + 1e-6))
+            ms = replace(fock, U=haar_unitary(N, rng) * (1 + 1e-6))
             sparse, dense = ccr_residual(ms), dense_ccr_residual(ms)
             assert abs(sparse - 2e-6) < 1e-8
             assert abs(sparse - dense) < 1e-12
@@ -303,7 +324,7 @@ class TestTransformModes:
         for N, M in itertools.product(range(1, 7), range(1, 9)):
             fock = build_fock(N, M)
             for U in (haar_unitary(N, rng), haar_unitary(N, rng) * (1 + 1e-6)):
-                ccr = ccr_residual(ModeSet(fock=fock, U=U))
+                ccr = ccr_residual(replace(fock, U=U))
                 assert abs(ccr - unitarity_defect(U)) <= 1e-13, (N, M)
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
@@ -312,7 +333,7 @@ class TestTransformModes:
         for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
             fock = build_fock(N, M)
             fock.w[0, c] += 1e-9
-            assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1e-9, c
+            assert ccr_residual(replace(fock, U=U)) >= 1e-9, c
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_ccr_residual_sees_a_mispointed_lowering(self, N, M):
@@ -320,7 +341,7 @@ class TestTransformModes:
         for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
             fock = build_fock(N, M)
             fock.low[0, c] = (fock.low[0, c] + 1) % fock.dim
-            assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1, c
+            assert ccr_residual(replace(fock, U=U)) >= 1, c
             with pytest.raises(ToleranceError):
                 transform_modes(fock, U)
 
@@ -335,7 +356,7 @@ class TestTransformModes:
             if m1[c1] == m1[c2]:
                 fock = build_fock(N, M)
                 fock.low[0, [c1, c2]] = fock.low[0, [c2, c1]]
-                assert ccr_residual(ModeSet(fock=fock, U=U)) >= 1, (c1, c2)
+                assert ccr_residual(replace(fock, U=U)) >= 1, (c1, c2)
 
     def test_six_modes_cutoff_eight_peaks_under_10_mb(self):
         # memory guard: the pairwise composer's (N^2, entries) value arrays
@@ -547,3 +568,16 @@ class TestModeEntanglement:
         for ms in (tight, transform_modes(tight, np.eye(2))):
             with pytest.raises(TruncationBoundaryError, match="straddles the cut"):
                 mode_entanglement(v, ms, (1,))
+        # rotate_single_particle's V likewise; 3 * 1 and NaN are refused at any tolerance
+        one = one_photon_state(tight, [0, 1])
+        scaled = np.eye(2) * (1 + 2e-10)
+        assert np.linalg.norm(rotate_single_particle(build_fock(2, 2), one, scaled)) > 1
+        for fock, V in ((tight, scaled), (tight, 3 * np.eye(2)), (build_fock(2, 2), 3 * np.eye(2)),
+                        (build_fock(2, 2), np.full((2, 2), np.nan))):
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                rotate_single_particle(fock, one, V)
+
+    def test_an_unknown_kind_is_refused_before_any_work(self):
+        fock = build_fock(2, 2)
+        with pytest.raises(ContractViolationError, match="unknown entropy kind"):
+            mode_entanglement(np.ones(fock.dim + 1), fock, cut=(1,), kind="renyi")

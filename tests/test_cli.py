@@ -1297,7 +1297,7 @@ def test_no_export_that_reads_a_record_takes_a_tolerance():
     # an algebra, a family, a structure, a parity set, a Fock space or its modes carries
     # the tolerance it was checked at, and every function or method that reads one decides
     # there: only a constructor sets it; annotations are read as written, a name or a class
-    records = ("OperatorAlgebra", "UnitaryFamily", "TPS", "ParitySet", "FockSpace", "ModeSet")
+    records = ("OperatorAlgebra", "UnitaryFamily", "TPS", "ParitySet", "FockSpace")
     offenders = []
     for name in (name for names in tpskit._HOMES.values() for name in names):
         value = getattr(tpskit, name)

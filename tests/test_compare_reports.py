@@ -134,7 +134,7 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
     assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
     argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
     tight = [a for a in argvs if "--tol-resid" in a]
-    assert len(tight) == 6 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
+    assert len(tight) == 7 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
     for argv in tight:
         default = argv[:argv.index("--tol-resid")]
         assert argvs[argvs.index(argv) - 1] == default

@@ -18,7 +18,7 @@ of two parities on two qubits, refused for leaving no logical factor; and,
 built in code, collective spin on 3 to 5 qubits and its adjacent-swap dual,
 and two algebras whose basis is past the byte budget but whose block form
 is not (collective spin on 8 qubits and M_64 from clock and shift), through
-``decompose --emit-basis``, and six ``tps`` jobs whose operators sit
+``decompose --emit-basis``, and seven ``tps`` jobs whose operators sit
 between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
@@ -182,8 +182,10 @@ def tolerance_jobs(cwd: str) -> list[list[str]]:
     """tps jobs on spec files written to cwd, each followed by its twin at a tight
     --tol-resid, under which it is refused or its verdict flips: distance, equivalent,
     entangle and bosonic on operators with a unitarity defect of ~5e-13 (tight 1e-14),
-    parity with a Hermiticity defect of 1e-10 (tight 1e-11), and equivalent of a natural
-    structure and exp(1e-9 i Z (x) Z), whose realignment ratio is ~1e-9 (tight 1e-10)."""
+    parity with a Hermiticity defect of 1e-10 (tight 1e-11), equivalent of a natural
+    structure and exp(1e-9 i Z (x) Z), whose realignment ratio is ~1e-9 (tight 1e-10),
+    and bosonic in the identity frame, whose CCR residual at N = M = 4 is ~3.6e-15
+    (tight 1e-15): without --unitary the CCR check still runs."""
     import numpy as np
 
     scale = 1 + 2.5e-13
@@ -202,6 +204,7 @@ def tolerance_jobs(cwd: str) -> list[list[str]]:
         (["tps", "bosonic", two, "--modes", "2", "--cutoff", "2", "--unitary", "bs"], "1e-14"),
         (["tps", "parity", eight, "--parity", "zzi", "IZZ"], "1e-11"),
         (["tps", "equivalent", zz, "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"], "1e-10"),
+        (["tps", "bosonic", "--modes", "4", "--cutoff", "4"], "1e-15"),
     ]
     return [argv for default, tol in tight for argv in (default, default + ["--tol-resid", tol])]
 
