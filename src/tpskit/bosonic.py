@@ -132,6 +132,8 @@ def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
     later = np.cumsum(grow[::-1], axis=0)[::-1] - grow
     low = np.where(occ > 0, np.arange(dim) - drop + later, -1)
     w = np.sqrt(occ)
+    for table in (occ, low, w):  # shared by every frame and read by its cached ccr
+        table.flags.writeable = False
     return FockSpace(N=N, M=M, occ=occ, low=low, w=w, tol=tol, U=np.eye(N, dtype=complex))
 
 

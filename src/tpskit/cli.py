@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -263,13 +264,18 @@ def _cmd_entangle(args, spec, tol):
 
 
 def _cmd_parity(args, spec, tol):
-    ps = _parity(args.parity, spec, tol)
+    if spec is not None and any(tok in spec.operators for tok in args.parity):
+        ps = _parity(args.parity, spec, tol)
+        n, k = ps.n, ps.k
+    else:  # Pauli strings only: judged exactly from their (x|z) bits
+        from .parity import pauli_bits, pauli_parity_shape
+        n, k = pauli_parity_shape([parse_pauli_token(tok, read=pauli_bits) for tok in args.parity])
     results = {
-        "n": ps.n,
-        "k": ps.k,
-        "sectors": [{"label": list(label), "dim": V.shape[1]}
-                    for label, V in ps.sectors.items()],
-        "tps_dims": list(ps.tps.dims),
+        "n": n,
+        "k": k,
+        "sectors": [{"label": list(label), "dim": 2 ** (n - k)}
+                    for label in itertools.product((1, -1), repeat=k)],
+        "tps_dims": [2 ** (n - k), 2 ** k],
     }
     return results, {}
 

@@ -105,8 +105,8 @@ def _state_vector(entries, dim: int, where: str) -> np.ndarray:
     return vec / norm
 
 
-def parse_pauli_token(token: str, dim=None) -> np.ndarray:
-    """A bare Pauli string like "XX" or "ZZI", checked against dim, if given, before it is built."""
+def parse_pauli_token(token: str, dim=None, read=None):
+    """A bare Pauli string like "XX" or "ZZI", checked against dim, if given, then read (built by default)."""
     from .parity import pauli_string_matrix  # only a spec naming a Pauli string loads parity
 
     if not isinstance(token, str) or not token or any(ch not in "IXYZ" for ch in token):
@@ -114,7 +114,7 @@ def parse_pauli_token(token: str, dim=None) -> np.ndarray:
     if dim is not None and 2 ** len(token) != dim:
         raise SpecFileError(
             f"Pauli string {token!r} has dimension {count_text(2 ** len(token))}, spec declares {dim}")
-    return pauli_string_matrix(token)
+    return (read or pauli_string_matrix)(token)
 
 
 def _named_entries(data: dict, key: str, what: str, required: tuple):

@@ -239,6 +239,16 @@ class TestTransformModes:
         # U is taken from the reference tables, never composed with the frame it is given
         assert np.array_equal(transform_modes(ms, U).U, U)
 
+    def test_the_shared_tables_are_read_only(self):
+        # a frame caches its ccr over tables every other frame shares: an edit in place
+        # would leave that cached value stale
+        fock = build_fock(2, 3)
+        ms = transform_modes(fock, np.eye(2))
+        for table in (fock.occ, fock.low, fock.w):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 1] += 1
+        assert ms.ccr == ccr_residual(ms)
+
     def test_the_ccr_residual_is_computed_once_per_frame(self, monkeypatch):
         # transform_modes checks ccr and later reads find it cached on the record
         calls = []
@@ -330,17 +340,20 @@ class TestTransformModes:
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_ccr_residual_sees_a_perturbed_ladder_weight(self, N, M):
         U = haar_unitary(N, np.random.default_rng(10 * N + M))
-        for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
-            fock = build_fock(N, M)
-            fock.w[0, c] += 1e-9
-            assert ccr_residual(replace(fock, U=U)) >= 1e-9, c
+        fock = build_fock(N, M)
+        for c in np.flatnonzero(fock.low[0] >= 0):
+            w = fock.w.copy()
+            w[0, c] += 1e-9
+            assert ccr_residual(replace(fock, w=w, U=U)) >= 1e-9, c
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_ccr_residual_sees_a_mispointed_lowering(self, N, M):
         U = haar_unitary(N, np.random.default_rng(10 * N + M))
-        for c in np.flatnonzero(build_fock(N, M).low[0] >= 0):
-            fock = build_fock(N, M)
-            fock.low[0, c] = (fock.low[0, c] + 1) % fock.dim
+        reference = build_fock(N, M)
+        for c in np.flatnonzero(reference.low[0] >= 0):
+            low = reference.low.copy()
+            low[0, c] = (low[0, c] + 1) % reference.dim
+            fock = replace(reference, low=low)
             assert ccr_residual(replace(fock, U=U)) >= 1, c
             with pytest.raises(ToleranceError):
                 transform_modes(fock, U)
@@ -351,12 +364,13 @@ class TestTransformModes:
         # [a_1, a_1^dag], stay right, so only the rows of a mixed product
         # differ, where the larger weight counts
         U = haar_unitary(N, np.random.default_rng(10 * N + M))
-        m1 = build_fock(N, M).occ[0]
+        fock = build_fock(N, M)
+        m1 = fock.occ[0]
         for c1, c2 in itertools.combinations(np.flatnonzero(m1 > 0), 2):
             if m1[c1] == m1[c2]:
-                fock = build_fock(N, M)
-                fock.low[0, [c1, c2]] = fock.low[0, [c2, c1]]
-                assert ccr_residual(replace(fock, U=U)) >= 1, (c1, c2)
+                low = fock.low.copy()
+                low[0, [c1, c2]] = low[0, [c2, c1]]
+                assert ccr_residual(replace(fock, low=low, U=U)) >= 1, (c1, c2)
 
     def test_six_modes_cutoff_eight_peaks_under_10_mb(self):
         # memory guard: the pairwise composer's (N^2, entries) value arrays

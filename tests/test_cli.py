@@ -693,6 +693,19 @@ class TestTpsCommands:
         assert code == 2
         assert "ParitySetError" in err
 
+    @pytest.mark.parametrize("tokens, k", [(["XIII", "IYYY"], 2), (["IXZ"], 1)])
+    def test_an_all_pauli_set_is_judged_exactly_at_any_tol_resid(self, tokens, k, capsys):
+        # the dense split refused these at 1e-300 on its own rounding ("invariant only
+        # within 1.110e-16", "iso unitarity defect 2.220e-16"); their bits decide exactly
+        rep = report_of(["tps", "parity", "--parity", *tokens, "--tol-resid", "1e-300"], capsys)
+        assert rep["results"]["k"] == k
+
+    def test_a_non_commuting_pauli_pair_is_named_at_a_loose_tol_resid(self, capsys):
+        # at 1.5 the dense split let XX past ZI and called the pair dependent
+        code, out, err = run_cli(["tps", "parity", "--parity", "XX", "ZI", "--tol-resid", "1.5"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "computation error: ParitySetError: ops 0 and 1 do not commute\n"
+
     def test_parity_full_set_is_computation_error(self, capsys):
         code, _, err = run_cli(["tps", "parity", "--parity", "XX", "YY"], capsys)
         assert code == 2
@@ -1279,6 +1292,20 @@ def test_a_command_loads_only_its_layers(tmp_path):
                  ["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "2,2", "--dims2", "2,2",
                   "--iso1", "swap"]):
         assert _fresh_main([*argv, "--out", out], ("tpskit.algebra",)) == "0 []"
+    # Pauli tokens are judged from their bits: no sector structure is built
+    assert _fresh_main(["tps", "parity", "--parity", "ZZI", "IZZ", "--out", out],
+                       ("tpskit.tps", "tpskit.algebra")) == "0 []"
+
+
+def test_eleven_qubit_parities_answer_from_their_bits_in_a_fresh_process(tmp_path):
+    # three 11-qubit strings: the dense split ran on 2048 x 2048 matrices for ~7 s
+    argv = ["tps", "parity", "--parity", "ZZIIIIIIIII", "IZZIIIIIIII", "XXXXXXXXXXX"]
+    code, out, err, seconds = run_fresh(argv)
+    assert code == 0, err
+    assert [s["dim"] for s in json.loads(out)["results"]["sectors"]] == [256] * 8
+    assert seconds < 0.5
+    out_path = str(tmp_path / "report.json")
+    assert _fresh_main([*argv, "--out", out_path], ("tpskit.tps", "tpskit.algebra")) == "0 []"
 
 
 def test_export_list_matches_the_package_namespace():

@@ -102,6 +102,16 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     for argv in no_logical_factor:
         assert main(argv) == 2
         assert "leave no logical factor to decompose" in capsys.readouterr().err
+    # all-Pauli parity sets: each refusal of the exact route is compared, and a valid set
+    pauli = [a for a in argvs if a in compare_reports.PAULI_PARITY]
+    assert pauli == compare_reports.PAULI_PARITY
+    expected = [(2, "op 0 is not traceless"), (2, "parity operators differ in dimension"),
+                (2, "[1, 1, 1, 1] are not 8 equal ones"), (2, "[4, 4] are not 4 equal ones"),
+                (1, "not a Pauli string over IXYZ"), (0, '"tps_dims": [64, 8]')]
+    for argv, (code, text) in zip(pauli, expected):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert text in (captured.err if code else captured.out), argv
     # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
     for argv in (a for a in argvs if a[:3] == ["tps", "equivalent", "--dims1"] and a not in refusals):

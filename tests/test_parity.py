@@ -1,5 +1,6 @@
 """Tests for parity operator validation and sector splitting."""
 
+import json
 import subprocess
 import sys
 import time
@@ -11,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tpskit.algebra import close_algebra, structure_decompose
-from tpskit.errors import ContractViolationError, DimensionMismatchError, ParitySetError
+from tpskit.cli import main
+from tpskit.errors import ContractViolationError, DimensionMismatchError, ParitySetError, TpskitError
 from tpskit.numerics import Tolerance, fix_column_phases, hermitian_eig
+from tpskit.opfile import SpecFileError, parse_pauli_token
 from tpskit.parity import (
     ParitySet,
     _split_sectors,
+    pauli_bits,
     pauli_string_matrix,
     syndrome_decompose,
     validate_parity_set,
@@ -555,3 +559,68 @@ def test_import_leaves_the_tps_layer_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False", "False", "True"]
+
+
+# ------------------------------------------------ the exact route of all-Pauli sets
+
+def dense_route(tokens):
+    """(exit code, results or stderr) of the dense route on Pauli tokens:
+    validate_parity_set on each token's matrix, then the sector TPS."""
+    try:
+        ps = validate_parity_set([parse_pauli_token(t) for t in tokens])
+        tps_dims = list(ps.tps.dims)
+    except SpecFileError as exc:
+        return 1, f"spec file error: {exc}\n"
+    except TpskitError as exc:
+        return 2, f"computation error: {type(exc).__name__}: {exc}\n"
+    return 0, {"n": ps.n, "k": ps.k,
+               "sectors": [{"label": list(label), "dim": V.shape[1]} for label, V in ps.sectors.items()],
+               "tps_dims": tps_dims}
+
+
+def exact_route(tokens, capsys):
+    """(exit code, results or stderr) of `tps parity --parity TOKENS`."""
+    code = main(["tps", "parity", "--parity", *tokens])
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["results"] if code == 0 else err
+
+
+EDGE_TOKEN_SETS = [["II"], ["IIII", "ZZII"], ["ZZI", "ZZI"], ["XX", "YY", "ZZ"], ["ZZ", "ZZZ"],
+                   ["XX", "ZZ"], ["ZA"], ["Z" * 12], ["Z" * 20], ["Z" * 12, "ZA"], ["ZA", "Z" * 12],
+                   ["ZZ", "Z" * 20], ["ZZ", "XI", "II"], ["", "ZZ"], ["XIII", "IYYY"], ["IXZ"]]
+
+
+def random_token_sets(seed, count):
+    """count token sets of k = 1..4 strings on n = 2..6 qubits over IZ, IXZ or IXYZ;
+    a third are commuting sets, half of those with one string's product appended."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for i in range(count):
+        n, k, alphabet = int(rng.integers(2, 7)), int(rng.integers(1, 5)), ("IZ", "IXZ", "IXYZ")[i % 3]
+        if i % 3 == 2 and k <= n:
+            letters = rng.choice(list("XYZ"), n)
+            toks = ["".join(c if bit else "I" for c, bit in zip(letters, row))
+                    for row in gf2_independent_rows(rng, n, k)]
+            if rng.integers(2) and k >= 2:
+                toks.append("".join(c if a != b else "I" for a, b, c in zip(toks[0], toks[1], letters)))
+        else:
+            toks = ["".join(rng.choice(list(alphabet), n)) for _ in range(k)]
+        sets.append(toks)
+    return sets
+
+
+def test_the_exact_route_answers_as_the_dense_route(capsys):
+    outcomes = set()
+    for tokens in EDGE_TOKEN_SETS + random_token_sets(43, 360):
+        expected = dense_route(tokens)
+        assert exact_route(tokens, capsys) == expected, tokens
+        outcomes.add(expected[0] if expected[0] != 2 else expected[1].split(":")[1].strip())
+    # every verdict is reached, and each kind of refusal
+    assert outcomes == {0, 1, "ParitySetError", "DimensionMismatchError", "ContractViolationError"}
+
+
+def test_pauli_bits_mark_x_and_z_letters_leftmost_most_significant():
+    assert pauli_bits("IXYZ") == (4, 0b0110, 0b0011)
+    # the dense route's size rule holds on the exact route too, which builds no matrix
+    with pytest.raises(ContractViolationError, match="12-qubit Pauli string needs 256 MiB"):
+        pauli_bits("Z" * 12)

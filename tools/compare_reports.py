@@ -14,10 +14,12 @@ generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
 refusal messages are compared; ``tps parity`` and ``tps entangle --parity``
-of two parities on two qubits, refused for leaving no logical factor; and,
-built in code, collective spin on 3 to 5 qubits and its adjacent-swap dual,
-and two algebras whose basis is past the byte budget but whose block form
-is not (collective spin on 8 qubits and M_64 from clock and shift), through
+of two parities on two qubits, refused for leaving no logical factor;
+``tps parity`` of six all-Pauli sets, five refused with messages no
+benchmark job reaches and one valid on 9 qubits; and, built in code,
+collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
+algebras whose basis is past the byte budget but whose block form is not
+(collective spin on 8 qubits and M_64 from clock and shift), through
 ``decompose --emit-basis``, and seven ``tps`` jobs whose operators sit
 between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
@@ -71,6 +73,12 @@ NO_LOGICAL_FACTOR = [
     ["tps", "parity", "--parity", "XX", "ZZ"],
     ["tps", "entangle", os.path.join(DATA, "bell_xx.json"), "--state", "bell_plus", "--parity", "XX", "ZZ"],
 ]
+# all-Pauli parity sets, judged from their bits: one for each verdict that no benchmark
+# job reaches (an all-I string, strings of two lengths, a dependent set with a sign, a
+# repeated string, a letter outside IXYZ) and a valid set on 9 qubits
+PAULI_PARITY = [["tps", "parity", "--parity", *tokens] for tokens in (
+    ["IIII", "ZZII"], ["ZZ", "ZZZ"], ["XX", "YY", "ZZ"], ["ZZI", "ZZI"], ["ZA"],
+    ["ZZIIIIIII", "IIXXIIIII", "YYYYIIIII"])]
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
@@ -100,8 +108,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS and NO_LOGICAL_FACTOR, the spin_specs and reach_specs through
-    decompose, and the tolerance_jobs."""
+    REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, the spin_specs and reach_specs
+    through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -123,6 +131,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
         *NO_LOGICAL_FACTOR,
+        *PAULI_PARITY,
     ]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
     argvs += tolerance_jobs(cwd)
