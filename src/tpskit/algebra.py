@@ -105,11 +105,13 @@ def algebra_residuals(alg: OperatorAlgebra, seed: int = 0) -> dict[str, float]:
             "product": float(np.max(r[1 + _ORACLE_PROBES:] / (nx * ny)))}
 
 
-def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None) -> OperatorAlgebra:
+def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = None, *,
+                  seed: int = 0) -> OperatorAlgebra:
     """Smallest unital *-algebra containing the generators.
 
     It is S'' for S the identity, the generators and their adjoints: its block form
-    is read off generic elements of S' drawn at seed 0.  The result keeps S.
+    is read off generic elements of S' drawn at seed, which is the form
+    ``structure_decompose`` gives at that seed.  The result keeps S.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens and dim is None:
@@ -123,10 +125,10 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise ContractViolationError("generator has a non-finite entry")
     if dim is not None and dim != d:
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
-    seed = [m for g in gens for m in ((g,) if np.array_equal(g, g.conj().T) else (g, g.conj().T))]
-    refuse_past_budget((1 + len(seed), d, d), f"the closure's seed of {1 + len(seed)} operators at dim {d}")
-    ops = hs_orthonormalize([np.eye(d, dtype=complex), *seed], tol)
-    return _decompose(ops, tol, 0)
+    seed_ops = [m for g in gens for m in ((g,) if np.array_equal(g, g.conj().T) else (g, g.conj().T))]
+    refuse_past_budget((1 + len(seed_ops), d, d), f"the closure's seed of {1 + len(seed_ops)} operators at dim {d}")
+    ops = hs_orthonormalize([np.eye(d, dtype=complex), *seed_ops], tol)
+    return _decompose(ops, tol, seed)
 
 
 def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):

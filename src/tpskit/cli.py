@@ -158,22 +158,21 @@ def _parity(tokens, spec: OperatorSpecFile | None, tol):
 # ----------------------------------------------------------------- handlers
 
 def _cmd_decompose(args, spec, tol):
-    from .algebra import algebra_residuals, close_algebra, structure_decompose
+    from .algebra import algebra_residuals, close_algebra
     gens = list(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
-    alg = close_algebra(gens, tol, dim=spec.dim)
-    dec = structure_decompose(alg, seed=args.seed)
+    alg = close_algebra(gens, tol, dim=spec.dim, seed=args.seed)
     results = {
-        "blocks": [{"n": n, "d": d} for n, d in dec.block_shape],
-        "center_dim": len(dec.block_shape),
-        "is_factor": len(dec.block_shape) == 1,
+        "blocks": [{"n": n, "d": d} for n, d in alg.block_shape],
+        "center_dim": len(alg.block_shape),
+        "is_factor": len(alg.block_shape) == 1,
         "dim_algebra": len(alg),
-        "dim_commutant": sum(n * n for n, _ in dec.block_shape),
+        "dim_commutant": sum(n * n for n, _ in alg.block_shape),
     }
     if args.emit_basis:
-        results["basis_change"] = dec.basis_change
-    residuals = {"block_form": dec.residual, **algebra_residuals(dec, seed=args.seed)}
+        results["basis_change"] = alg.basis_change
+    residuals = {"block_form": alg.residual, **algebra_residuals(alg, seed=args.seed)}
     return results, residuals
 
 

@@ -105,11 +105,13 @@ def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamil
 
     def evaluate(lams):
         # every point is multiplied in the one-point association order,
-        # (U @ (V e^{-i lambda w})) @ V^dag, so a stack matches its points bit for bit
-        U = np.broadcast_to(np.eye(dim, dtype=complex), (len(lams), dim, dim))
+        # (U @ (V e^{-i lambda w})) @ V^dag, so a stack matches its points bit for bit;
+        # the first factor starts the product (1 @ X is X), and V * phases stays a
+        # temporary, so no factor's stack outlives its product
+        U = None
         for mu, (w, V) in enumerate(eigs):
-            phases = np.exp(-1j * lams[:, mu, None] * w)
-            U = U @ (V * phases[:, None, :]) @ V.conj().T
+            phases = np.exp(-1j * lams[:, mu, None] * w)[:, None, :]
+            U = (V * phases if U is None else U @ (V * phases)) @ V.conj().T
         return U
 
     return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate, tol=tol)
@@ -215,8 +217,9 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndar
     """Discrete Wilson loop of eigenspace i along the path.
 
     Frames F(lambda) = U(lambda) S_i are linked by the unitary polar
-    factors of the overlaps F(t+1)-dagger F(t), multiplied in path order; the
-    result is the parallel-transport unitary expressed in the base frame.
+    factors of the overlaps F(t+1)-dagger F(t), later steps on the left,
+    multiplied pairwise by ``_transport``; the result is the
+    parallel-transport unitary expressed in the base frame.
     """
     return _transport(_loop_frames(fam, loop, i, n), fam.tol)
 
@@ -225,7 +228,11 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Product of the polar factors of consecutive frame overlaps, in path order.
 
     frames: a (P, dim, n) stack.  All P - 1 overlaps are formed and
-    decomposed as one stack; only the n x n product runs step by step.
+    decomposed as one stack.  Their polar factors are multiplied pairwise,
+    in ceil(log2(P - 1)) batched rounds, as deviations E from the identity:
+    adjacent a, b (b later) become (1 + b)(1 + a) - 1 = a + b + b a, and an
+    odd last one carries over.  A plain pairwise product of the factors
+    would round their near-identity parts off alike in every round.
     """
     overlaps = np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1]
     U, sv, Vh = np.linalg.svd(overlaps, full_matrices=False)
@@ -234,9 +241,13 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
         t = int(lost[0]) + 1
         raise PathSingularityError(
             f"frame overlap lost rank at step {t} (sigma_min = {sv[t - 1, -1]:.3e})")
-    H = np.eye(frames.shape[2], dtype=complex)
-    for W in U @ Vh:
-        H = W @ H
+    eye = np.eye(frames.shape[2], dtype=complex)
+    E = U @ Vh - eye
+    while len(E) > 1:
+        paired = len(E) // 2 * 2
+        a, b = E[0:paired:2], E[1:paired:2]
+        E = np.concatenate([a + b + b @ a, E[paired:]])
+    H = eye + E[0] if len(E) else eye  # one frame: no step
     defect = unitarity_defect(H)
     if defect > tol.resid_abs:
         raise ToleranceError(f"holonomy unitarity defect {defect:.3e}")

@@ -139,8 +139,12 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
     exactly when its restrictions have eigenvalues +-1 within resid_abs.
     The first op that is not Hermitian or not traceless, or that the
     split refuses, ends the split; only then are every X X and every
-    pairwise commutator formed, to name the problems.
+    pairwise commutator formed, to name the problems.  A resid_abs of 1 or more
+    is refused first: at it the identity passes as traceless and 0 as +-1.
     """
+    if tol.resid_abs >= 1:
+        raise ContractViolationError(f"resid_abs {tol.resid_abs:g} is not below 1, the bound under which "
+                                     "a parity set's trace and +-1 checks can decide")
     mats = [np.asarray(X, dtype=complex) for X in ops]
     if not mats:
         raise ParitySetError("a parity set needs at least one operator")

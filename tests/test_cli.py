@@ -411,6 +411,24 @@ class TestDecompose:
         assert solves == [(3, 3)]
         assert rep["results"]["dim_commutant"] == 4
 
+    def test_a_seeded_decompose_solves_once_at_its_seed(self, monkeypatch, capsys):
+        # decompose --seed S closes at S: one solve, whose form is the one
+        # structure_decompose gives at S
+        import tpskit.algebra as algebra
+
+        spec = load_spec(DATA / "slot_xz.json")
+        twice = algebra.structure_decompose(
+            algebra.close_algebra(list(spec.operators.values()), dim=spec.dim), seed=5)
+        real = algebra._decompose
+        seeds = []
+        monkeypatch.setattr(algebra, "_decompose",
+                            lambda ops, tol, seed: seeds.append(seed) or real(ops, tol, seed))
+        rep = report_of(["decompose", "--emit-basis", "--seed", "5", str(DATA / "slot_xz.json")],
+                        capsys)
+        assert seeds == [5]
+        assert rep["results"]["basis_change"] == as_pairs(twice.basis_change)
+        assert rep["residuals"]["block_form"] == twice.residual
+
     def test_full_matrix_algebra_on_thirty_two_dimensions(self, tmp_path, capsys):
         # reach guard: checking all 1024^2 basis products took minutes; the
         # probe pairs leave closure and decomposition to set the pace
@@ -443,8 +461,8 @@ class TestDecompose:
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_the_residuals_are_those_of_the_reported_form(self, seed, capsys):
-        # at a seed other than 0 the decomposition is solved again, and its T need not be
-        # the closure's: the oracle measures the one the report emits
+        # the closure solves at --seed, and its T need not be seed 0's: the oracle
+        # measures the one the report emits
         argv = ["decompose", str(DATA / "slot_xz.json"), "--emit-basis", "--seed", str(seed)]
         rep = report_of(argv, capsys)
         assert rep["residuals"] == residuals_of_the_emitted_form(rep, seed)
@@ -705,6 +723,21 @@ class TestTpsCommands:
         code, out, err = run_cli(["tps", "parity", "--parity", "XX", "ZI", "--tol-resid", "1.5"], capsys)
         assert (code, out) == (2, "")
         assert err == "computation error: ParitySetError: ops 0 and 1 do not commute\n"
+
+    @pytest.mark.parametrize("names", [["a", "b"], ["i", "b"]], ids=["non-commuting", "identity"])
+    def test_spec_file_parities_refuse_a_tol_resid_of_one_or_more(self, names, tmp_path, capsys):
+        # from 1 up the dense checks pass the identity as traceless and 0 as +-1, so
+        # they would call XX, ZI dependent and II, ZI dependent
+        spec = write_spec(tmp_path / "ops.json", 4, {"a": pauli_string_matrix("XX"),
+                                                     "b": pauli_string_matrix("ZI"),
+                                                     "i": pauli_string_matrix("II")})
+        for tol in ("1.5", "1"):
+            code, out, err = run_cli(["tps", "parity", spec, "--parity", *names, "--tol-resid", tol],
+                                     capsys)
+            assert (code, out) == (2, "")
+            assert err == (f"computation error: ContractViolationError: resid_abs {tol} is not "
+                           "below 1, the bound under which a parity set's trace and +-1 checks "
+                           "can decide\n")
 
     def test_parity_full_set_is_computation_error(self, capsys):
         code, _, err = run_cli(["tps", "parity", "--parity", "XX", "YY"], capsys)

@@ -94,6 +94,16 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     for argv in refusals:
         assert main(argv) == 2
         assert "over the 64 MiB budget" in capsys.readouterr().err
+    # long ladders, past every benchmark holonomy job's doublings, with and without the witness
+    long_ladders = [["tps", "holonomy", "--doublings", "10"],
+                    ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"]]
+    assert [a for a in argvs if a[:2] == ["tps", "holonomy"] and a not in refusals] == long_ladders
+    assert max(int(job["argv"][job["argv"].index("--doublings") + 1]) for job in jobs
+               if job["argv"][:2] == ["tps", "holonomy"] and job["workload"] != "fixtures") < 10
+    for argv in long_ladders:
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert len(results["ladder_defects"]) == 10 and ("witness" in results) == ("--rect2" in argv)
     # parity sets with no logical factor: the refusal of the sector structure is compared
     no_logical_factor = [["tps", "parity", "--parity", "XX", "ZZ"],
                          ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus",

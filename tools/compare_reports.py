@@ -13,8 +13,10 @@ files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
-refusal messages are compared; ``tps parity`` and ``tps entangle --parity``
-of two parities on two qubits, refused for leaving no logical factor;
+refusal messages are compared; ``tps holonomy --doublings 10``, with and
+without ``--rect2``, a longer ladder than any benchmark job's; ``tps
+parity`` and ``tps entangle --parity`` of two parities on two qubits,
+refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; and, built in code,
 collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
@@ -54,8 +56,7 @@ SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
 TWIN_FLAGS = {"decompose": ["--emit-basis"], "holonomy": ["--eigenspace", "2"]}  # appended to a twin job
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# a seed other than 0: decompose solves its decomposition at S after the closure's at 0,
-# bipartition reads the slot form at S
+# a seed other than 0: decompose closes its algebra at S, bipartition reads the slot form at S
 SEEDED = [
     ["decompose", "--emit-basis", "--seed", "5", os.path.join(DATA, "slot_xz.json")],
     ["bipartition", "--seed", "5", os.path.join(DATA, "bip_slots.json")],
@@ -67,6 +68,12 @@ REFUSALS = [
      "--samples", "100000000"],
     ["tps", "equivalent", "--dims1", "4096,4096", "--dims2", "4096,4096"],
     ["tps", "parity", "--parity", "Z" * 20],
+]
+# long ladders: every benchmark holonomy job stops at 5 doublings, so a rounding change that
+# shows only on long loops shows here, at 65,537 points, with and without the witness
+LONG_LADDERS = [
+    ["tps", "holonomy", "--doublings", "10"],
+    ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"],
 ]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
@@ -108,8 +115,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, the spin_specs and reach_specs
-    through decompose, and the tolerance_jobs."""
+    REFUSALS, LONG_LADDERS, NO_LOGICAL_FACTOR and PAULI_PARITY, the spin_specs and
+    reach_specs through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -130,6 +137,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", cnot, "--modes", "2", "--cutoff", "2"],
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
+        *LONG_LADDERS,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
     ]
