@@ -248,17 +248,31 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
 def density_entropy(rho, kind: str = "vn"):
     """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
 
-    kind "vn": ``schmidt_entropy`` of the eigenvalues; kind "linear":
-    1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.  The
-    same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.
+    kind "vn": ``schmidt_entropy`` of the eigenvalues, in closed form
+    (``_eigvals_2x2``) when n = 2 and from ``eigvalsh`` otherwise; kind
+    "linear": 1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.
+    The same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.
     """
     rho = np.asarray(rho, dtype=complex)
     if kind == "vn":
-        return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
+        return schmidt_entropy(_eigvals_2x2(rho) if rho.shape[-2:] == (2, 2)
+                               else np.linalg.eigvalsh(rho), kind)
     if kind != "linear":
         raise ValueError(f"unknown entropy kind {kind!r}")
     S = _floored(1.0 - (rho.real ** 2 + rho.imag ** 2).sum(axis=(-2, -1)))
     return float(S) if rho.ndim == 2 else S
+
+
+def _eigvals_2x2(rho: np.ndarray) -> np.ndarray:
+    """Eigenvalues (lo, hi) of each Hermitian 2 x 2 matrix of a (..., 2, 2) stack, read
+    from its lower triangle as ``eigvalsh`` reads it: hi = (a + c)/2 + sqrt(((a - c)/2)^2
+    + |b|^2) and lo = (ac - |b|^2) / hi, the determinant over hi, which keeps a product
+    state's lo at roundoff of 0; lo = 0 when hi = 0."""
+    a, c, b = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 1, 0]
+    bb = b.real ** 2 + b.imag ** 2
+    hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + bb)
+    lo = np.divide(a * c - bb, hi, out=np.zeros_like(hi), where=hi != 0)
+    return np.stack([lo, hi], axis=-1)
 
 
 def _floored(S):

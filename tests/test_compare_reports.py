@@ -17,20 +17,46 @@ def test_paths_of_differing_keys_nested_and_one_sided():
          "residuals": {"identity": 1e-16, "product": 2e-16}}
     b = {"results": {"blocks": [{"n": 1, "d": 2}], "dim": 4},
          "residuals": {"identity": 1e-16, "product": 3e-16, "adjoint": 0.0}}
-    assert compare_reports.report_paths(json.dumps(a), json.dumps(b)) == [
-        "residuals.product", "residuals.adjoint"]
+    assert compare_reports.report_changes(json.dumps(a), json.dumps(b)) == [
+        ("residuals.product", 1e-16), ("residuals.adjoint", None)]
 
 
 def test_a_list_differs_as_a_whole():
     a = {"results": {"blocks": [{"n": 1, "d": 2}, {"n": 2, "d": 1}]}}
     b = {"results": {"blocks": [{"n": 1, "d": 2}, {"n": 1, "d": 1}]}}
-    assert compare_reports.report_paths(json.dumps(a), json.dumps(b)) == ["results.blocks"]
+    assert compare_reports.report_changes(json.dumps(a), json.dumps(b)) == [("results.blocks", None)]
 
 
 def test_reports_that_differ_only_in_text_or_are_not_json():
-    assert compare_reports.report_paths('{"a": 1}', '{"a":1}') == ["<text only>"]
-    assert compare_reports.report_paths("", '{"a": 1}') == ["<not JSON>"]
-    assert compare_reports.report_paths("[1]", "[2]") == ["<whole report>"]
+    assert compare_reports.report_changes('{"a": 1}', '{"a":1}') == [("<text only>", None)]
+    assert compare_reports.report_changes("", '{"a": 1}') == [("<not JSON>", None)]
+    assert compare_reports.report_changes("[1]", "[2]") == [("<whole report>", 1.0)]
+
+
+def test_each_differing_path_carries_its_largest_change():
+    # numbers and equal-shape numeric lists, complex [re, im] pairs included, give the
+    # largest change of any one number; anything else gives None
+    a = {"results": {"holonomy": [[[0.5, -0.25], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.25]]],
+                     "mean": 0.75, "defects": [1e-3, 2e-4], "equivalent": True,
+                     "blocks": [{"n": 1}], "shape": [1, 2], "name": "a"},
+         "residuals": {"unitarity_defect": 1e-13}}
+    b = {"results": {"holonomy": [[[0.5, -0.25 + 2**-42], [0.0, 1.0]], [[1.0 - 2**-47, 0.0], [0.5, 0.25]]],
+                     "mean": 0.75 + 2**-50, "defects": [1e-3, 2.5e-4], "equivalent": False,
+                     "blocks": [{"n": 2}], "shape": [1, 2, 3], "name": "b"},
+         "residuals": {"unitarity_defect": 3}}
+    changes = dict(compare_reports.report_changes(json.dumps(a), json.dumps(b)))
+    assert list(changes) == ["results.holonomy", "results.mean", "results.defects",
+                             "results.equivalent", "results.blocks", "results.shape",
+                             "results.name", "residuals.unitarity_defect"]
+    assert changes["results.holonomy"] == 2**-42 and changes["results.mean"] == 2**-50
+    assert changes["results.defects"] == 2.5e-4 - 2e-4
+    assert changes["residuals.unitarity_defect"] == 3 - 1e-13
+    assert [changes[p] for p in ("results.equivalent", "results.blocks", "results.shape",
+                                 "results.name")] == [None] * 4
+    assert compare_reports.largest_change([[1, 2], [3]], [[1, 2], [4]]) is None  # ragged
+    assert compare_reports.largest_change(None, 1.0) is None
+    assert compare_reports.change_text("results.mean", 1e-15) == "results.mean by 1e-15"
+    assert compare_reports.change_text("results.blocks", None) == "results.blocks"
 
 
 def test_every_decompose_job_has_an_emit_basis_twin(tmp_path):

@@ -83,16 +83,42 @@ def reference_exponential(generators):
     return U_at
 
 
+def reference_polar_2x2(A):
+    """The closed-form polar factor of one 2 x 2 overlap and its sigma_min, in the
+    transport's operation order.  Complex products, quotients and moduli go through
+    numpy's ufuncs: its scalar operators round a complex product otherwise."""
+    sq = A.real ** 2 + A.imag ** 2
+    f = sq[0, 0] + sq[0, 1] + sq[1, 0] + sq[1, 1]
+    det = np.multiply(A[0, 0], A[1, 1]) - np.multiply(A[0, 1], A[1, 0])
+    absdet = np.abs(det)
+    s = np.sqrt(f + 2 * absdet)
+    smax = (s + np.sqrt(max(f - 2 * absdet, 0.0))) / 2
+    smin = np.divide(absdet, smax) if smax > 0 else 0.0
+    if smin < _MIN_OVERLAP_SV:
+        return None, smin
+    adj_dag = lambda X: np.array([[X[1, 1], -X[1, 0]], [-X[0, 1], X[0, 0]]]).conj()
+    U = (A + np.divide(det, absdet) * adj_dag(A)) / s
+    det_U = np.multiply(U[0, 0], U[1, 1]) - np.multiply(U[0, 1], U[1, 0])
+    return (U + adj_dag(U) / np.conj(det_U)) / 2, smin
+
+
+def reference_polar_svd(A):
+    """The polar factor of one overlap from its SVD, and its sigma_min."""
+    U, sv, Vh = np.linalg.svd(A, full_matrices=False)
+    return (U @ Vh if sv[-1] >= _MIN_OVERLAP_SV else None), sv[-1]
+
+
 def reference_steps(frames):
-    """The polar factors of the consecutive frame overlaps, one step at a time."""
+    """The polar factors of the consecutive frame overlaps, one step at a time:
+    in closed form for 2 x 2 overlaps, from the SVD otherwise."""
+    polar = reference_polar_2x2 if frames[0].shape[1] == 2 else reference_polar_svd
     steps = []
     for t in range(1, len(frames)):
-        U, sv, Vh = np.linalg.svd(frames[t].conj().T @ frames[t - 1],
-                                  full_matrices=False)
-        if sv[-1] < _MIN_OVERLAP_SV:
+        W, smin = polar(frames[t].conj().T @ frames[t - 1])
+        if W is None:
             raise PathSingularityError(
-                f"frame overlap lost rank at step {t} (sigma_min = {sv[-1]:.3e})")
-        steps.append(U @ Vh)
+                f"frame overlap lost rank at step {t} (sigma_min = {smin:.3e})")
+        steps.append(W)
     return steps
 
 
@@ -705,22 +731,111 @@ class TestStackedTransportBitIdentity:
 
 # ---------------------------------------------------------- transport accuracy
 
+def fixture_overlaps(fam, loop, i, n):
+    frames = holonomy._loop_frames(fam, loop, i, n)
+    return np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1]
+
+
+def extended_polar(A):
+    """Polar factors of a (M, 2, 2) stack in np.clongdouble, by Newton's iteration
+    X <- (X + X^-dag) / 2 from X = A, run until a round moves no entry by 1e-18."""
+    X = A.astype(np.clongdouble)
+    for _ in range(12):
+        det = X[:, 0, 0] * X[:, 1, 1] - X[:, 0, 1] * X[:, 1, 0]
+        inverse = np.stack([np.stack([X[:, 1, 1], -X[:, 0, 1]], -1),
+                            np.stack([-X[:, 1, 0], X[:, 0, 0]], -1)], -2) / det[:, None, None]
+        X, last = (X + np.swapaxes(inverse.conj(), -1, -2)) / 2, X
+        if np.max(np.abs(X - last)) < 1e-18:
+            return X
+    raise AssertionError("the extended-precision Newton iteration did not converge")
+
+
 @pytest.mark.parametrize("refinement", [16, 256, 4096])
 def test_transport_stays_within_roundoff_of_an_extended_precision_product(fixture_fam,
                                                                           refinement):
     # 65, 1025 and 16,385 points: the pairwise product stays within 1e-15 of the
-    # extended-precision product of its polar steps, where a step-by-step double
-    # loop drifts to ~1e-14; the two double results stay within 1e-13 of each other
+    # extended-precision product of the transport's own polar steps, where a
+    # step-by-step double loop drifts to ~1e-14; the two double results stay within
+    # 1e-13 of each other
     fam, op = fixture_fam
     loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement)
     for i in (1, 2):
-        frames = holonomy._loop_frames(fam, loop, i, op.n)
-        U, _, Vh = np.linalg.svd(np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1],
-                                 full_matrices=False)
-        steps = U @ Vh
+        steps = holonomy._polar_steps(fixture_overlaps(fam, loop, i, op.n))
         loop_product = np.eye(op.n, dtype=complex)
         for W in steps:
             loop_product = W @ loop_product
         H = loop_holonomy(fam, loop, i, op.n)
         assert np.max(np.abs(H - extended_product(steps))) < 1e-15
         assert np.max(np.abs(H - loop_product)) < 1e-13
+
+
+@pytest.mark.parametrize("refinement", [16, 256, 4096, 8192])
+def test_closed_form_steps_are_polar_factors_to_roundoff(fixture_fam, refinement):
+    # 65 to 32,769 points: each closed-form step is within 4e-16 of the overlap's
+    # polar factor from an extended-precision Newton iteration (0.9-1.9e-16 measured;
+    # the SVD's steps are 0.6-1.05e-15 from it) and within 2e-15 of the SVD's
+    fam, op = fixture_fam
+    loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement)
+    for i in (1, 2):
+        overlaps = fixture_overlaps(fam, loop, i, op.n)
+        steps = holonomy._polar_2x2(overlaps)
+        U, _, Vh = np.linalg.svd(overlaps)
+        assert np.max(np.abs(steps - extended_polar(overlaps))) < 4e-16
+        assert np.max(np.abs(steps - U @ Vh)) < 2e-15
+
+
+def frames_losing_rank_at(step, sigma_min, rotate, P=9):
+    """(P, 4, 2) frames whose overlap at ``step`` (1-based) has singular values 1 and
+    sigma_min, as the second column turns from e1 towards e2; every other overlap is
+    unitary.  With rotate, each frame is right-multiplied by its own 2 x 2 unitary."""
+    frames = np.zeros((P, 4, 2), dtype=complex)
+    frames[:, 0, 0] = 1.0
+    frames[:step, 1, 1] = 1.0
+    frames[step:, 1, 1] = sigma_min
+    frames[step:, 2, 1] = np.sqrt(1 - sigma_min ** 2)
+    if rotate:
+        rng = np.random.default_rng([47, step])
+        frames = frames @ np.array([haar_unitary(2, rng) for _ in range(P)])
+    return frames
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma_min", [0.0, 5e-7, 2e-6])
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_the_closed_form_decides_lost_rank_as_the_svd_does(monkeypatch, sigma_min, rotate):
+    # below _MIN_OVERLAP_SV = 1e-6 the same step is refused as from the SVD, with its
+    # sigma_min to 1e-8 relative; no overlap gives a NaN or a warning on the way
+    frames = frames_losing_rank_at(3, sigma_min, rotate)
+    overlaps = np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1]
+    sv = np.linalg.svd(overlaps, compute_uv=False)[:, -1]
+    seen, refuse = [], holonomy._refuse_lost_rank
+    monkeypatch.setattr(holonomy, "_refuse_lost_rank", lambda s: seen.append(s) or refuse(s))
+    if sigma_min < _MIN_OVERLAP_SV:
+        assert np.flatnonzero(sv < _MIN_OVERLAP_SV).tolist() == [2]
+        with pytest.raises(PathSingularityError, match=r"lost rank at step 3 \(sigma_min = "):
+            holonomy._transport(frames, Tolerance())
+    else:
+        assert sv.min() >= _MIN_OVERLAP_SV
+        H = holonomy._transport(frames, Tolerance())
+        U, _, Vh = np.linalg.svd(overlaps)
+        assert np.isfinite(H).all()
+        assert np.max(np.abs(H - extended_product(U @ Vh))) < 1e-9
+    closed = seen[0][2]
+    if sigma_min:
+        assert abs(closed - sv[2]) <= 1e-8 * sv[2]
+    elif rotate:
+        assert max(closed, sv[2]) < 1e-15
+    else:
+        assert closed == sv[2] == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_zero_overlap_is_refused_with_sigma_min_zero():
+    # a frame orthogonal to the one before: the overlap is the zero matrix, whose
+    # s_min = |det| / s_max is 0 / 0 unless s_max = 0 is caught
+    frames = np.zeros((4, 4, 2), dtype=complex)
+    frames[:2, [0, 1], [0, 1]] = 1.0
+    frames[2:, [2, 3], [0, 1]] = 1.0
+    with pytest.raises(PathSingularityError, match=r"^frame overlap lost rank at step 2 "
+                                                   r"\(sigma_min = 0\.000e\+00\)$"):
+        holonomy._transport(frames, Tolerance())

@@ -476,17 +476,28 @@ def test_schmidt_entropy_stack_matches_rows():
         assert stacked[2] == 0.0
 
 
-def test_density_entropy_matches_schmidt_spectrum():
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows,cols", [(3, 4), (2, 2), (2, 4)])
+def test_density_entropy_matches_schmidt_spectrum(rows, cols):
+    # 2-row coefficients give 2 x 2 reduced densities, whose spectrum is in closed form
     rng = np.random.default_rng(41)
-    C = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    C = rng.standard_normal((5, rows, cols)) + 1j * rng.standard_normal((5, rows, cols))
+    C[0] = np.outer(rng.standard_normal(rows) + 1j, rng.standard_normal(cols) - 2j)  # product state
+    C[1] = np.eye(rows, cols)  # maximally entangled
     C /= np.linalg.norm(C, axis=(1, 2), keepdims=True)
-    C[0] = np.outer([1, 1j, 0], [0.5, 0.5, 0.5, 0.5]) / np.sqrt(2)  # product state
     rho = C @ C.conj().transpose(0, 2, 1)
     s = np.linalg.svd(C, compute_uv=False)
+    if rows == 2:
+        assert np.max(np.abs(numerics._eigvals_2x2(rho) - (s * s)[:, ::-1])) < 1e-14
     for kind in ("vn", "linear"):
         dens = density_entropy(rho, kind)
         assert np.max(np.abs(dens - schmidt_entropy(s * s, kind))) < 1e-14
         assert dens[0] == 0.0
         assert density_entropy(rho[1], kind) == dens[1]
+    if rows == 2:
+        half = np.eye(2) / 2
+        assert density_entropy(half, "vn") == 1.0 and density_entropy(half, "linear") == 0.5
+        assert np.array_equal(density_entropy(np.array([half, half]), "vn"), [1.0, 1.0])
+        assert density_entropy(np.zeros((2, 2)), "vn") == 0.0  # hi = 0: lo is 0, not 0 / 0
     with pytest.raises(ValueError):
         density_entropy(rho, "renyi")

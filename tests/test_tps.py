@@ -496,6 +496,20 @@ class TestEntanglingPower:
         local = t.iso @ np.kron(haar_unitary(2, rng), haar_unitary(3, rng)) @ t.iso.conj().T
         assert abs(haar_linear_entangling_power(local, t, {2})) < 1e-14
 
+    @pytest.mark.parametrize("cut", [{1}, {2}], ids=["2x3", "3x2"])
+    def test_a_two_dim_side_matches_the_eigvalsh_spectrum(self, cut, monkeypatch):
+        # the 2 x 2 reduced densities of a 2 x 3 cut, and of the transposed 3 x 2 one,
+        # take a closed-form spectrum; eigvalsh's gives the same estimate to roundoff
+        U = haar_unitary(6, np.random.default_rng(79))
+        t, measure = TPS.natural((2, 3)), EntanglementMeasure(kind="vn", cut=frozenset(cut))
+        est = entangling_power(U, t, measure, samples=3000, seed=4)
+        monkeypatch.setattr(tps_module, "density_entropy",
+                            lambda rho, kind: schmidt_entropy(np.linalg.eigvalsh(rho), kind))
+        ref = entangling_power(U, t, measure, samples=3000, seed=4)
+        assert est.mean > 0.1
+        assert abs(est.mean - ref.mean) < 1e-15
+        assert abs(est.stderr - ref.stderr) < 1e-15
+
     @pytest.mark.parametrize("kind", ["vn", "linear"])
     def test_takes_no_svd(self, kind, monkeypatch):
         def no_svd(*args, **kwargs):
