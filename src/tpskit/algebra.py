@@ -321,8 +321,8 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, *, seed: int = 0
     of the center of a1.  The join is full iff a1' & a2' is the scalars: iff a
     generic element of the commutant of both generator sets, drawn from a
     child stream of seed, is a scalar within resid_abs.  On a positive verdict
-    a1's decomposition at seed checks a1's and a2's generators against the right
-    and the left slot form (each an algebra); no basis is built.  On a negative
+    a1's own block form checks a1's and a2's generators against the right and
+    the left slot form (each an algebra); no basis is built.  On a negative
     verdict the witness is a violating commutator or the traceless part of the
     center's diagonal generator, of HS norm 1.  The residuals are the largest
     commutator entry and, on a positive verdict, the larger slot-form residual.
@@ -350,11 +350,8 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, *, seed: int = 0
     verdict = commuting and join_is_full and a1_is_factor
     residuals = {"commutator": comm_resid}
     if verdict:
-        sd = structure_decompose(a1, seed=seed)
-        if len(sd.block_shape) != 1:
-            raise ToleranceError("factor decomposed into more than one block")
-        a2_resid = _block_form_residual(a2.generators, sd.basis_change, sd.block_shape, side="left")
-        residuals["block_form"] = max(sd.residual, a2_resid)
+        a2_resid = _block_form_residual(a2.generators, a1.basis_change, a1.block_shape, side="left")
+        residuals["block_form"] = max(a1.residual, a2_resid)
         if residuals["block_form"] > tol.resid_abs:
             raise ToleranceError("slot-form verification failed on a positive verdict")
     return BipartitionCertificate(commuting, join_is_full, a1_is_factor, verdict, witness, residuals)

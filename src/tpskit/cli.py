@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, TpskitError
 from .numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, unitarity_defect
-from .opfile import OperatorSpecFile, SpecFileError, load_spec, parse_pauli_token
+from .opfile import OperatorSpecFile, SpecFileError, as_matrices, load_spec, parse_pauli_token
 
 
 class _UsageError(Exception):
@@ -146,20 +146,24 @@ def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
     return TPS.natural(dims, tol) if iso is None else TPS(dims, iso, tol)
 
 
-def _parity(tokens, spec: OperatorSpecFile | None, tol):
-    """The parity set --parity names, each token a spec operator or a Pauli
-    string, with its sector structure built."""
+def _operands(tokens, spec: OperatorSpecFile | None) -> list:
+    """The operands --parity names: a spec operator as the file gave it, a dense
+    matrix or a Pauli string, else the token itself as a Pauli string."""
+    return [spec.operators[tok] if spec is not None and tok in spec.operators
+            else parse_pauli_token(tok) for tok in tokens]
+
+
+def _parity(ops, tol):
+    """The parity set of the operands, split densely, with its sector structure built."""
     from .parity import syndrome_decompose, validate_parity_set
-    ops = [spec.operators[tok] if spec is not None and tok in spec.operators
-           else parse_pauli_token(tok) for tok in tokens]
-    return syndrome_decompose(validate_parity_set(ops, tol))
+    return syndrome_decompose(validate_parity_set(as_matrices(ops), tol))
 
 
 # ----------------------------------------------------------------- handlers
 
 def _cmd_decompose(args, spec, tol):
     from .algebra import algebra_residuals, close_algebra
-    gens = list(spec.operators.values())
+    gens = as_matrices(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
     alg = close_algebra(gens, tol, dim=spec.dim, seed=args.seed)
@@ -178,8 +182,7 @@ def _cmd_decompose(args, spec, tol):
 
 def _cmd_bipartition(args, spec, tol):
     from .algebra import check_bipartition, close_algebra
-    a1 = close_algebra(spec.generator_matrices("a1"), tol, dim=spec.dim)
-    a2 = close_algebra(spec.generator_matrices("a2"), tol, dim=spec.dim)
+    a1, a2 = (close_algebra(spec.generator_matrices(w), tol, dim=spec.dim, seed=args.seed) for w in ("a1", "a2"))
     cert = check_bipartition(a1, a2, seed=args.seed)
     results = {
         "commuting": cert.commuting,
@@ -244,7 +247,7 @@ def _cmd_entangle(args, spec, tol):
     if args.iso is not None and args.dims is None:
         raise _UsageError("--iso goes with --dims only")
     if args.parity is not None:
-        tps = _parity(args.parity, spec, tol).tps
+        tps = _parity(_operands(args.parity, spec), tol).tps
         origin = {"parity": list(args.parity)}
     else:
         tps = _structure(args.dims, args.iso, spec, tol)
@@ -263,12 +266,13 @@ def _cmd_entangle(args, spec, tol):
 
 
 def _cmd_parity(args, spec, tol):
-    if spec is not None and any(tok in spec.operators for tok in args.parity):
-        ps = _parity(args.parity, spec, tol)
-        n, k = ps.n, ps.k
-    else:  # Pauli strings only: judged exactly from their (x|z) bits
+    ops = _operands(args.parity, spec)
+    if all(isinstance(op, str) for op in ops):  # Pauli strings only: judged exactly from their (x|z) bits
         from .parity import pauli_bits, pauli_parity_shape
-        n, k = pauli_parity_shape([parse_pauli_token(tok, read=pauli_bits) for tok in args.parity])
+        n, k = pauli_parity_shape([pauli_bits(op) for op in ops])
+    else:
+        ps = _parity(ops, tol)
+        n, k = ps.n, ps.k
     results = {
         "n": n,
         "k": k,

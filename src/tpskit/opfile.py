@@ -2,7 +2,8 @@
 
 A spec file declares a dimension and named operators, each either a dense
 complex matrix (entries as finite [re, im] pairs, row-major) or a Pauli
-string over IXYZ (dimension 2^length).  Optional sections name generator
+string over IXYZ (dimension 2^length), kept as a string until a dense
+reader builds it (``as_matrices``).  Optional sections name generator
 lists for bipartition checks and complex state vectors.  Parse failures
 raise SpecFileError with the offending field spelled out; they are usage
 errors, not computation errors.
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import count_text
+from .numerics import count_text, refuse_past_budget
 
 
 class SpecFileError(ValueError):
@@ -26,7 +27,7 @@ class SpecFileError(ValueError):
 @dataclass
 class OperatorSpecFile:
     dim: int
-    operators: dict
+    operators: dict  # name -> dense matrix or Pauli string, as the file gave it
     states: dict = field(default_factory=dict)
     a1_generators: list = field(default_factory=list)
     a2_generators: list = field(default_factory=list)
@@ -34,7 +35,7 @@ class OperatorSpecFile:
     def operator(self, name: str) -> np.ndarray:
         if name not in self.operators:
             raise SpecFileError(f"no operator named {name!r} in spec file")
-        return self.operators[name]
+        return as_matrices([self.operators[name]])[0]
 
     def state(self, name: str) -> np.ndarray:
         if name not in self.states:
@@ -45,7 +46,19 @@ class OperatorSpecFile:
         names = self.a1_generators if which == "a1" else self.a2_generators
         if not names:
             raise SpecFileError(f"spec file declares no {which}_generators")
-        return [self.operator(n) for n in names]
+        return as_matrices(self.operators[n] for n in names)
+
+
+def as_matrices(ops) -> list:
+    """The matrices of ops, each a dense matrix or a Pauli string: each string is refused past
+    the byte budget as its own matrix is, then all of them together, before any is built."""
+    ops = list(ops)
+    if not (strings := [op for op in ops if isinstance(op, str)]):
+        return ops
+    from .parity import pauli_bits, pauli_string_matrix  # only a Pauli string loads parity
+    refuse_past_budget((sum(4 ** pauli_bits(s)[0] for s in strings),),  # each string first, then all
+                       f"the matrix list of {len(strings)} Pauli strings")
+    return [pauli_string_matrix(op) if isinstance(op, str) else op for op in ops]
 
 
 def _complex_entry(value, where: str) -> complex:
@@ -105,16 +118,14 @@ def _state_vector(entries, dim: int, where: str) -> np.ndarray:
     return vec / norm
 
 
-def parse_pauli_token(token: str, dim=None, read=None):
-    """A bare Pauli string like "XX" or "ZZI", checked against dim, if given, then read (built by default)."""
-    from .parity import pauli_string_matrix  # only a spec naming a Pauli string loads parity
-
+def parse_pauli_token(token: str, dim=None) -> str:
+    """A bare Pauli string like "XX" or "ZZI", checked for its letters and against dim, if given."""
     if not isinstance(token, str) or not token or any(ch not in "IXYZ" for ch in token):
         raise SpecFileError(f"not a Pauli string over IXYZ: {token!r}")
     if dim is not None and 2 ** len(token) != dim:
         raise SpecFileError(
             f"Pauli string {token!r} has dimension {count_text(2 ** len(token))}, spec declares {dim}")
-    return (read or pauli_string_matrix)(token)
+    return token
 
 
 def _named_entries(data: dict, key: str, what: str, required: tuple):

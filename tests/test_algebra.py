@@ -27,7 +27,7 @@ from tpskit.algebra import (
 from tpskit.bosonic import build_fock
 from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance
-from tpskit.opfile import load_spec
+from tpskit.opfile import as_matrices, load_spec
 from tpskit.tps import TPS, local_algebra
 
 from helpers import haar_unitary, span_residual
@@ -825,7 +825,7 @@ class TestBlockFormResidualPinned:
     @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
     def test_fixtures(self, name):
         spec = load_spec(DATA / f"{name}.json")
-        algs = [close_algebra(list(spec.operators.values()), dim=spec.dim)]
+        algs = [close_algebra(as_matrices(spec.operators.values()), dim=spec.dim)]
         if spec.a1_generators:
             algs += [close_algebra(spec.generator_matrices(w), dim=spec.dim) for w in ("a1", "a2")]
         for alg in algs:
@@ -877,7 +877,7 @@ class TestUnitsPinned:
     @pytest.mark.parametrize("name", sorted(p.stem for p in DATA.glob("*.json")))
     def test_fixtures(self, name):
         spec = load_spec(DATA / f"{name}.json")
-        self.assert_pinned(close_algebra(list(spec.operators.values()), dim=spec.dim))
+        self.assert_pinned(close_algebra(as_matrices(spec.operators.values()), dim=spec.dim))
 
     def test_seeded_direct_sums(self):
         rng = np.random.default_rng(2028)

@@ -22,6 +22,7 @@ from tpskit.cli import main, render_json
 from tpskit.opfile import (
     OperatorSpecFile,
     SpecFileError,
+    as_matrices,
     load_spec,
     parse_pauli_token,
     parse_spec,
@@ -418,7 +419,7 @@ class TestDecompose:
 
         spec = load_spec(DATA / "slot_xz.json")
         twice = algebra.structure_decompose(
-            algebra.close_algebra(list(spec.operators.values()), dim=spec.dim), seed=5)
+            algebra.close_algebra(as_matrices(spec.operators.values()), dim=spec.dim), seed=5)
         real = algebra._decompose
         seeds = []
         monkeypatch.setattr(algebra, "_decompose",
@@ -519,6 +520,25 @@ class TestBipartition:
         zero = report_of(argv, capsys)["residuals"]["block_form"]
         assert (five, zero) == (block_form(5), block_form(0))
         assert five != zero
+
+    def test_a_seeded_bipartition_solves_each_algebra_once_at_its_seed(self, monkeypatch, capsys):
+        # bipartition --seed S closes a1 and a2 at S and reads a1's own form: no second
+        # solve, and the block_form of a1 re-solved at S
+        import tpskit.algebra as algebra
+
+        spec = load_spec(DATA / "bip_slots.json")
+        a1, a2 = (algebra.close_algebra(spec.generator_matrices(w), dim=spec.dim) for w in ("a1", "a2"))
+        sd = algebra.structure_decompose(a1, seed=5)
+        re_solved = max(sd.residual, algebra._block_form_residual(a2.generators, sd.basis_change,
+                                                                  sd.block_shape, side="left"))
+        real = algebra._decompose
+        seeds = []
+        monkeypatch.setattr(algebra, "_decompose",
+                            lambda ops, tol, seed: seeds.append(seed) or real(ops, tol, seed))
+        rep = report_of(["bipartition", "--seed", "5", str(DATA / "bip_slots.json")], capsys)
+        assert seeds == [5, 5]
+        assert rep["results"]["verdict"] is True
+        assert rep["residuals"]["block_form"] == re_solved
 
     def test_missing_generators_is_usage_error(self, tmp_path, capsys):
         path = write_spec(tmp_path / "nogen.json", 2, {"x": pauli_string_matrix("X")})
@@ -896,6 +916,39 @@ class TestSizeRefusals:
         assert err.startswith(f"computation error: {error}: ") and err.count("\n") == 1
         assert seconds < 1.0
 
+    @staticmethod
+    def twenty_paulis(tmp_path):
+        """A spec of twenty seeded 11-letter pauli entries, 64 MiB each as matrices and 1.28e+03
+        MiB together, all named in a1_generators, with a state; and the twenty strings."""
+        strings = ["".join(row) for row in np.random.default_rng(20).choice(list("IXYZ"), (20, 11))]
+        names = [f"p{j}" for j in range(20)]
+        path = tmp_path / "twenty.json"
+        path.write_text(json.dumps({
+            "dim": 2 ** 11, "operators": [{"name": n, "pauli": p} for n, p in zip(names, strings)],
+            "states": [{"name": "s", "vector": [[1, 0]] + [[0, 0]] * (2 ** 11 - 1)}],
+            "a1_generators": names, "a2_generators": names[:1]}))
+        return str(path), strings
+
+    def test_pauli_entries_that_a_command_does_not_read_are_not_built(self, tmp_path):
+        # the twenty entries were built at load and died in a raw _ArrayMemoryError
+        path, _ = self.twenty_paulis(tmp_path)
+        code, out, err, seconds = run_fresh(["tps", "parity", path, "--parity", "ZZIIIIIIIII"])
+        assert code == 0, err
+        assert json.loads(out)["results"]["tps_dims"] == [1024, 2]
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize("command", ["decompose", "bipartition", "entangle"])
+    def test_pauli_strings_that_fit_one_at_a_time_are_refused_together(self, command, tmp_path):
+        # each of the twenty 11-letter strings fits the budget, and their matrices together do not
+        path, strings = self.twenty_paulis(tmp_path)
+        argv = {"decompose": ["decompose", path], "bipartition": ["bipartition", path],
+                "entangle": ["tps", "entangle", path, "--state", "s", "--parity", *strings]}[command]
+        code, out, err, seconds = run_fresh(argv)
+        assert (code, out) == (2, "")
+        assert err == ("computation error: ContractViolationError: the matrix list of 20 Pauli strings "
+                       "needs 1.28e+03 MiB, over the 64 MiB budget\n")
+        assert seconds < 1.0
+
     def test_sizes_that_fit_a_float_keep_their_message(self):
         code, out, err, _ = run_fresh(["tps", "holonomy", "--doublings", "40"])
         assert (code, out) == (2, "")
@@ -914,12 +967,13 @@ class TestSizeRefusals:
 
     @pytest.mark.parametrize("qubits, message", [
         (10, "a commutant product stack of 3 x 3 operators at dim 1024 needs 144 MiB"),
-        (11, "the closure's seed of 3 operators at dim 2048 needs 192 MiB"),
+        (11, "the matrix list of 2 Pauli strings needs 128 MiB"),
     ])
     def test_two_paulis_on_many_qubits_are_refused_before_a_stack_is_built(self, qubits, message, tmp_path):
         # X and Z on the first qubit: unchecked, these died in a raw _ArrayMemoryError,
-        # in the oracle's probe stack at 10 qubits and in Gram-Schmidt at 11; both are
-        # Hermitian, so the seed is the identity, X and Z
+        # in the oracle's probe stack at 10 qubits and in Gram-Schmidt at 11.  At 11 the
+        # two matrices, counted together, are refused before either is built; at 10
+        # they fit, and so does the closure's seed (the identity, X and Z: both are Hermitian)
         path = tmp_path / f"xz{qubits}.json"
         path.write_text(json.dumps({"dim": 2 ** qubits, "operators": [
             {"name": p.lower(), "pauli": p + "I" * (qubits - 1)} for p in "XZ"]}))
@@ -1314,7 +1368,7 @@ def _fresh_main(argv, unloaded):
 
 
 def test_a_command_loads_only_its_layers(tmp_path):
-    # a matrix spec: a Pauli string would load parity (and tps) to read it
+    # a matrix spec: a Pauli entry would load parity to build its matrix
     spec = write_spec(tmp_path / "slot.json", 4, {"x1": pauli_string_matrix("XI"),
                                                    "z1": pauli_string_matrix("ZI")})
     out = str(tmp_path / "report.json")
@@ -1327,6 +1381,12 @@ def test_a_command_loads_only_its_layers(tmp_path):
         assert _fresh_main([*argv, "--out", out], ("tpskit.algebra",)) == "0 []"
     # Pauli tokens are judged from their bits: no sector structure is built
     assert _fresh_main(["tps", "parity", "--parity", "ZZI", "IZZ", "--out", out],
+                       ("tpskit.tps", "tpskit.algebra")) == "0 []"
+    # and so are spec-file Pauli entries
+    paulis = tmp_path / "paulis.json"
+    paulis.write_text(json.dumps({"dim": 8, "operators": [{"name": "a", "pauli": "ZZI"},
+                                                          {"name": "b", "pauli": "IZZ"}]}))
+    assert _fresh_main(["tps", "parity", str(paulis), "--parity", "a", "b", "--out", out],
                        ("tpskit.tps", "tpskit.algebra")) == "0 []"
 
 

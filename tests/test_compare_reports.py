@@ -148,6 +148,19 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
         assert main(argv) == code
         captured = capsys.readouterr()
         assert text in (captured.err if code else captured.out), argv
+    # spec-file pauli entries: each verdict, and an entry mixed with a bare token
+    paulis = str(tmp_path / "paulis3.json")
+    entries = [a for a in argvs if a[:3] == ["tps", "parity", paulis]]
+    assert [a[4:] for a in entries] == compare_reports.PAULI_ENTRY_SETS
+    expected = [(0, '"tps_dims": [2, 4]'), (2, "ops 0 and 1 do not commute"),
+                (2, "[2, 2, 2, 2] are not 8 equal ones"), (0, '"tps_dims": [2, 4]')]
+    for argv, (code, text) in zip(entries, expected):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert text in (captured.err if code else captured.out), argv
+    entangle = ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus", "--parity", "xx"]
+    assert entangle in argvs and main(entangle) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.0
     # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
     for argv in (a for a in argvs if a[:3] == ["tps", "equivalent", "--dims1"] and a not in refusals):

@@ -567,7 +567,7 @@ def dense_route(tokens):
     """(exit code, results or stderr) of the dense route on Pauli tokens:
     validate_parity_set on each token's matrix, then the sector TPS."""
     try:
-        ps = validate_parity_set([parse_pauli_token(t) for t in tokens])
+        ps = validate_parity_set([pauli_string_matrix(t) for t in [parse_pauli_token(t) for t in tokens]])
         tps_dims = list(ps.tps.dims)
     except SpecFileError as exc:
         return 1, f"spec file error: {exc}\n"
@@ -617,6 +617,37 @@ def test_the_exact_route_answers_as_the_dense_route(capsys):
         outcomes.add(expected[0] if expected[0] != 2 else expected[1].split(":")[1].strip())
     # every verdict is reached, and each kind of refusal
     assert outcomes == {0, 1, "ParitySetError", "DimensionMismatchError", "ContractViolationError"}
+
+
+def as_spec_entries(tokens, path):
+    """Write to path, as pauli entries named by their place, the tokens that a spec of the
+    first token's dimension can hold; the --parity names that stand for the tokens (the
+    rest stay bare), and whether every token is an entry."""
+    dim = 2 ** len(tokens[0])
+    held = [bool(t) and set(t) <= set("IXYZ") and 2 ** len(t) == dim for t in tokens]
+    path.write_text(json.dumps({"dim": dim, "operators": [
+        {"name": f"t{j}", "pauli": t} for j, (t, h) in enumerate(zip(tokens, held)) if h]}))
+    return [f"t{j}" if h else t for j, (t, h) in enumerate(zip(tokens, held))], all(held)
+
+
+def parity_answer(argv, capsys):
+    """(exit code, results or stderr) of main(argv)."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, json.loads(out)["results"] if code == 0 else err
+
+
+def test_spec_file_pauli_entries_answer_as_bare_tokens(tmp_path, capsys):
+    # one input kind takes one route: the sweep above with the tokens as spec-file entries,
+    # at the default --tol-resid and at one under which the dense split refuses
+    path, entries_only = tmp_path / "tokens.json", 0
+    for tokens in EDGE_TOKEN_SETS + random_token_sets(43, 360):
+        names, all_held = as_spec_entries(tokens, path)
+        for flags in ([], ["--tol-resid", "1e-300"]):
+            assert (parity_answer(["tps", "parity", str(path), "--parity", *names, *flags], capsys)
+                    == parity_answer(["tps", "parity", "--parity", *tokens, *flags], capsys)), (tokens, flags)
+        entries_only += all_held
+    assert entries_only >= 360
 
 
 def test_pauli_bits_mark_x_and_z_letters_leftmost_most_significant():

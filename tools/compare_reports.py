@@ -18,8 +18,12 @@ without ``--rect2``, a longer ladder than any benchmark job's; ``tps
 parity`` and ``tps entangle --parity`` of two parities on two qubits,
 refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
-benchmark job reaches and one valid on 9 qubits; and, built in code,
-collective spin on 3 to 5 qubits and its adjacent-swap dual, and two
+benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
+of ``bell_xx.json``'s ``pauli`` entry; ``tps parity`` over the ``pauli``
+entries of a 3-qubit spec file written in code (a valid, a non-commuting
+and a dependent set, and a set mixing an entry with a bare token), which
+take the bit route as bare tokens do; and, built in code, collective spin
+on 3 to 5 qubits and its adjacent-swap dual, and two
 algebras whose basis is past the byte budget but whose block form is not
 (collective spin on 8 qubits and M_64 from clock and shift), through
 ``decompose --emit-basis``, and seven ``tps`` jobs whose operators sit
@@ -90,6 +94,10 @@ NO_LOGICAL_FACTOR = [
 PAULI_PARITY = [["tps", "parity", "--parity", *tokens] for tokens in (
     ["IIII", "ZZII"], ["ZZ", "ZZZ"], ["XX", "YY", "ZZ"], ["ZZI", "ZZI"], ["ZA"],
     ["ZZIIIIIII", "IIXXIIIII", "YYYYIIIII"])]
+# spec-file pauli entries, each set on one route with bare tokens: valid, non-commuting,
+# dependent, and an entry mixed with a bare token
+PAULI_ENTRIES = {"zzi": "ZZI", "izz": "IZZ", "ziz": "ZIZ", "xii": "XII"}
+PAULI_ENTRY_SETS = [["zzi", "izz"], ["zzi", "xii"], ["zzi", "izz", "ziz"], ["zzi", "IZZ"]]
 
 
 def build_jobs(root: str, seeds, sets) -> list[dict]:
@@ -119,8 +127,9 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, LONG_LADDERS, NO_LOGICAL_FACTOR and PAULI_PARITY, the spin_specs and
-    reach_specs through decompose, and the tolerance_jobs."""
+    REFUSALS, LONG_LADDERS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps entangle --parity of
+    a pauli entry, tps parity of the PAULI_ENTRY_SETS, the spin_specs and reach_specs
+    through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -144,7 +153,12 @@ def fixture_jobs(cwd: str) -> list[dict]:
         *LONG_LADDERS,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
+        ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
     ]
+    paulis = os.path.join(cwd, "paulis3.json")
+    with open(paulis, "w", encoding="utf-8") as fh:
+        json.dump({"dim": 8, "operators": [{"name": k, "pauli": v} for k, v in PAULI_ENTRIES.items()]}, fh)
+    argvs += [["tps", "parity", paulis, "--parity", *names] for names in PAULI_ENTRY_SETS]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
     argvs += tolerance_jobs(cwd)
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
