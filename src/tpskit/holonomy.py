@@ -205,12 +205,13 @@ class LoopPath:
 
 
 def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:
-    """(P, dim, n) stack of eigenspace-i frames at the loop's points; the family stack,
-    predicted from the point count, is refused past the budget before any point is built."""
+    """(P, dim, n) stack of eigenspace-i frames at the loop's points, a contiguous copy, so
+    the family stack is freed on return; that stack, predicted from the point count, is
+    refused past the budget before any point is built."""
     cols = _eigenspace(fam.dim, n, i)
     refuse_past_budget((loop.n_points, fam.dim, fam.dim),
                        f"a family stack of {count_text(loop.n_points)} points at dim {fam.dim}")
-    return fam.along(loop.points())[..., cols]
+    return fam.along(loop.points())[..., cols].copy()
 
 
 def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:

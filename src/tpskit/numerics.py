@@ -248,28 +248,42 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
 def density_entropy(rho, kind: str = "vn"):
     """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
 
-    kind "vn": ``schmidt_entropy`` of the eigenvalues, in closed form
-    (``_eigvals_2x2``) when n = 2 and from ``eigvalsh`` otherwise; kind
-    "linear": 1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.
+    n = 2 goes to ``entropy_2x2`` on rho's diagonal and lower entry.  Otherwise
+    kind "vn" is ``schmidt_entropy`` of the ``eigvalsh`` eigenvalues and kind
+    "linear" is 1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.
     The same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.
     """
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] == (2, 2):
+        return entropy_2x2(rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 1, 0], kind)
     if kind == "vn":
-        return schmidt_entropy(_eigvals_2x2(rho) if rho.shape[-2:] == (2, 2)
-                               else np.linalg.eigvalsh(rho), kind)
+        return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
     if kind != "linear":
         raise ValueError(f"unknown entropy kind {kind!r}")
     S = _floored(1.0 - (rho.real ** 2 + rho.imag ** 2).sum(axis=(-2, -1)))
     return float(S) if rho.ndim == 2 else S
 
 
-def _eigvals_2x2(rho: np.ndarray) -> np.ndarray:
-    """Eigenvalues (lo, hi) of each Hermitian 2 x 2 matrix of a (..., 2, 2) stack, read
-    from its lower triangle as ``eigvalsh`` reads it: hi = (a + c)/2 + sqrt(((a - c)/2)^2
-    + |b|^2) and lo = (ac - |b|^2) / hi, the determinant over hi, which keeps a product
-    state's lo at roundoff of 0; lo = 0 when hi = 0."""
-    a, c, b = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 1, 0]
+def entropy_2x2(a, c, b, kind: str = "vn"):
+    """Entropy of the 2 x 2 density [[a, b*], [b, c]], or of each of a stack, from its
+    real diagonal a, c and complex lower entry b (same-shape arrays, the rest of rho
+    unread, as ``eigvalsh`` reads its lower triangle).  kind "vn": ``schmidt_entropy``
+    of the closed-form spectrum ``_eigvals_2x2``; kind "linear": 1 - (a^2 + c^2 + 2|b|^2).
+    A scalar density gives a float, a stack an array."""
     bb = b.real ** 2 + b.imag ** 2
+    if kind == "vn":
+        return schmidt_entropy(_eigvals_2x2(a, c, bb), kind)
+    if kind != "linear":
+        raise ValueError(f"unknown entropy kind {kind!r}")
+    S = _floored(1.0 - (a * a + c * c + 2 * bb))
+    return float(S) if S.ndim == 0 else S
+
+
+def _eigvals_2x2(a, c, bb) -> np.ndarray:
+    """Eigenvalues (lo, hi), stacked on a last axis, of each Hermitian 2 x 2 matrix with
+    diagonal a, c and |off-diagonal|^2 bb: hi = (a + c)/2 + sqrt(((a - c)/2)^2 + bb) and
+    lo = (ac - bb) / hi, the determinant over hi, which keeps a product state's lo at
+    roundoff of 0; lo = 0 when hi = 0."""
     hi = (a + c) / 2 + np.sqrt(((a - c) / 2) ** 2 + bb)
     lo = np.divide(a * c - bb, hi, out=np.zeros_like(hi), where=hi != 0)
     return np.stack([lo, hi], axis=-1)

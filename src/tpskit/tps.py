@@ -24,6 +24,7 @@ from .numerics import (
     Tolerance,
     count_text,
     density_entropy,
+    entropy_2x2,
     refuse_past_budget,
     schmidt_entropy,
     unitarity_defect,
@@ -34,8 +35,8 @@ _STATE_NORM_ATOL = 1e-10
 # factorizations, 73513440 already 269052, and trial division of a prime
 # near 10^18 would take ~10^9 steps
 _MAX_PARTITION_N = 10**6
-# product-state samples per entangling-power block
-_BATCH = 2048
+# bytes of one entangling-power pass's (rows, dim) stack of product states: 2048 rows at dim 4
+_PASS_BYTES = 128 * 2**10
 
 
 def _factor_dims(dims) -> tuple[int, ...]:
@@ -212,8 +213,12 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     complex Gaussian vectors on each side (exact Haar on each factor);
     the estimate is deterministic given the seed.  Each output state's
     entropy comes from its reduced density on the smaller side of the cut,
-    so no sample takes an SVD.  The draw's size is predicted from
-    (samples, dL, dR) and refused past BYTES_BUDGET before it is made.
+    so no sample takes an SVD: a 2-dim side's three entries are sums over
+    the long side, read by ``entropy_2x2``; other sizes form the stacked
+    Gram and read ``density_entropy``.  The draw, 16 * samples * (dL + dR)
+    bytes, is predicted from (samples, dL, dR) and refused past BYTES_BUDGET
+    before it is made; it is the one array of that size, since its rows are
+    normalized and contracted in passes of _PASS_BYTES per product stack.
     """
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
@@ -232,19 +237,28 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # one canonical draw so the estimate is independent of the batch size
-    Z1 = rng.standard_normal((samples, dL)) + 1j * rng.standard_normal((samples, dL))
-    Z2 = rng.standard_normal((samples, dR)) + 1j * rng.standard_normal((samples, dR))
-    Z1 /= np.linalg.norm(Z1, axis=1, keepdims=True)
-    Z2 /= np.linalg.norm(Z2, axis=1, keepdims=True)
+    # one canonical draw, so the estimate is independent of the pass size: each side's
+    # real parts, then its imaginary parts, written in place in the stream order of a + 1j b
+    Z1, Z2 = np.empty((samples, dL), dtype=complex), np.empty((samples, dR), dtype=complex)
+    for Z in (Z1, Z2):
+        Z.real = rng.standard_normal(Z.shape)
+        Z.imag = rng.standard_normal(Z.shape)
     vals = np.empty(samples)
-    for at in range(0, samples, _BATCH):
-        z1, z2 = Z1[at:at + _BATCH], Z2[at:at + _BATCH]
-        out = (np.einsum("bi,bj->bij", z1, z2).reshape(len(z1), d) @ W.T).reshape(-1, dL, dR)
+    rows = max(1, _PASS_BYTES // (16 * d))
+    for at in range(0, samples, rows):
+        z1, z2 = Z1[at:at + rows], Z2[at:at + rows]
+        z1 /= np.linalg.norm(z1, axis=1, keepdims=True)
+        z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
+        out = (np.einsum("bi,bj->bij", z1, z2).reshape(-1, d) @ W.T).reshape(-1, dL, dR)
         if dL > dR:
             out = out.transpose(0, 2, 1)
-        rho = out @ out.conj().transpose(0, 2, 1)
-        vals[at:at + _BATCH] = density_entropy(rho, kind=measure.kind)
+        if min(dL, dR) == 2:  # rho = [[|r0|^2, r0 . r1^*], [r1 . r0^*, |r1|^2]] over rows r0, r1
+            r0, r1 = out[:, 0], out[:, 1]
+            vals[at:at + rows] = entropy_2x2((r0.real ** 2 + r0.imag ** 2).sum(axis=1),
+                                             (r1.real ** 2 + r1.imag ** 2).sum(axis=1),
+                                             (r1 * r0.conj()).sum(axis=1), measure.kind)
+        else:
+            vals[at:at + rows] = density_entropy(out @ out.conj().transpose(0, 2, 1), measure.kind)
 
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -680,6 +680,8 @@ class TestStackedTransportBitIdentity:
         assert np.array_equal(selector(op.n, fam.dim // op.n, i), S)
         frames = holonomy._loop_frames(fam, RECT1, i, op.n)
         assert np.array_equal(frames, fam.along(RECT1.points()) @ S)
+        # a contiguous copy: no view keeps the (P, dim, dim) family stack alive
+        assert frames.flags.owndata and frames.flags.c_contiguous
 
     @pytest.mark.parametrize("rect,refinement,doublings", [
         ((0.0, 0.0, 0.8, 0.6), 16, 4),

@@ -1,6 +1,8 @@
 """Tests for tensor product structures, entanglement, and entangling power."""
 
 import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,9 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 CNOT = np.eye(4)[[0, 1, 3, 2]].astype(complex)
 SWAP = np.eye(4)[[0, 2, 1, 3]].astype(complex)
+SWAP3 = np.eye(9)[[3 * j + i for i in range(3) for j in range(3)]].astype(complex)
+# the qutrit controlled shift |i, j> -> |i, i + j mod 3>
+CSUM = np.eye(9)[:, [3 * i + (i + j) % 3 for i in range(3) for j in range(3)]].astype(complex)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
@@ -424,12 +429,65 @@ class TestEntanglingPower:
         assert a.mean == b.mean and a.stderr == b.stderr
 
     def test_batch_size_does_not_change_result(self, monkeypatch):
-        t = TPS.natural((2, 2))
-        monkeypatch.setattr(tps_module, "_BATCH", 3000)
-        a = entangling_power(CNOT, t, samples=3000, seed=8)
-        monkeypatch.setattr(tps_module, "_BATCH", 128)
-        b = entangling_power(CNOT, t, samples=3000, seed=8)
-        assert abs(a.mean - b.mean) < 1e-12
+        # one row per pass and the whole draw in one pass give the same estimate bit for bit.
+        # Permutation gates keep the contraction exact: a one-row pass takes BLAS's
+        # matrix-vector product, which rounds differently from the matrix-matrix one
+        for dims, U in (((2, 2), CNOT), ((3, 3), CSUM)):
+            t = TPS.natural(dims)
+            for kind in ("vn", "linear"):
+                ests = []
+                for rows in (1, 3000):
+                    monkeypatch.setattr(tps_module, "_PASS_BYTES", 16 * t.dim * rows)
+                    ests.append(entangling_power(U, t, EntanglementMeasure(kind=kind),
+                                                 samples=3000, seed=8))
+                assert ests[0].mean > 0.1
+                assert (ests[0].mean, ests[0].stderr) == (ests[1].mean, ests[1].stderr)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 4)])
+    def test_passes_of_two_rows_or_more_match_one_pass_bit_for_bit(self, dims, monkeypatch):
+        t = TPS.natural(dims)
+        U = haar_unitary(t.dim, np.random.default_rng(5))
+        for kind in ("vn", "linear"):
+            ests = []
+            for rows in (2, 7, 3000):
+                monkeypatch.setattr(tps_module, "_PASS_BYTES", 16 * t.dim * rows)
+                ests.append(entangling_power(U, t, EntanglementMeasure(kind=kind),
+                                             samples=3000, seed=8))
+            assert len({(e.mean, e.stderr) for e in ests}) == 1
+
+    @pytest.mark.parametrize("dims,gate", [((2, 2), "local"), ((2, 4), "local"), ((4, 2), "local"),
+                                           ((3, 3), "local"), ((2, 2), "swap"), ((3, 3), "swap")])
+    @pytest.mark.parametrize("kind", ["vn", "linear"])
+    def test_local_unitaries_and_swaps_give_exact_zeros(self, dims, gate, kind):
+        t = TPS.natural(dims)
+        if gate == "swap":
+            U = SWAP if dims == (2, 2) else SWAP3
+        else:
+            rng = np.random.default_rng([83, *dims])
+            U = np.kron(haar_unitary(dims[0], rng), haar_unitary(dims[1], rng))
+        est = entangling_power(U, t, EntanglementMeasure(kind=kind), samples=2000, seed=6)
+        assert est.mean == 0.0
+        assert est.stderr == 0.0
+
+    @pytest.mark.parametrize("dims,samples", [((8, 8), 20000), ((2, 2), 2**20)],
+                             ids=["8x8", "2x2-at-the-budget"])
+    def test_peak_stays_near_the_draw(self, dims, samples):
+        # the draw, 16 * samples * (dL + dR) bytes, is what the size rule predicts;
+        # 2^20 samples at 2 x 2 is the largest draw the 64 MiB budget admits
+        assert 16 * samples * sum(dims) <= numerics.BYTES_BUDGET
+        t = TPS.natural(dims)
+        U = haar_unitary(t.dim, np.random.default_rng(89))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            est = entangling_power(U, t, samples=samples, seed=2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.mean > 0.1
+        assert peak <= 1.3 * 16 * samples * sum(dims)
+        assert elapsed < 1.0
 
     def test_multilocal_invariance(self):
         t = TPS.natural((2, 2))
@@ -443,7 +501,7 @@ class TestEntanglingPower:
             assert abs(e1.mean - e2.mean) <= 3 * (e1.stderr + e2.stderr)
 
     @pytest.mark.parametrize("dims,cut", [((2, 2), {1}), ((4, 2), {1}), ((3, 3), {1}),
-                                          ((2, 3, 4), {1, 3})])
+                                          ((2, 3, 4), {1, 3}), ((2, 4), {1}), ((3, 2), {1})])
     @pytest.mark.parametrize("kind", ["vn", "linear"])
     def test_matches_per_sample_svd_reference(self, dims, cut, kind):
         rng = np.random.default_rng(61)
@@ -499,13 +557,22 @@ class TestEntanglingPower:
     @pytest.mark.parametrize("cut", [{1}, {2}], ids=["2x3", "3x2"])
     def test_a_two_dim_side_matches_the_eigvalsh_spectrum(self, cut, monkeypatch):
         # the 2 x 2 reduced densities of a 2 x 3 cut, and of the transposed 3 x 2 one,
-        # take a closed-form spectrum; eigvalsh's gives the same estimate to roundoff
+        # come from three sums and take a closed-form spectrum; eigvalsh's spectrum of
+        # the same densities gives the same estimate to roundoff
+        read = []
+
+        def eigvalsh_entropy(a, c, b, kind):
+            read.append(len(a))
+            rho = np.empty(a.shape + (2, 2), dtype=complex)
+            rho[:, 0, 0], rho[:, 1, 1], rho[:, 1, 0], rho[:, 0, 1] = a, c, b, b.conj()
+            return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
+
         U = haar_unitary(6, np.random.default_rng(79))
         t, measure = TPS.natural((2, 3)), EntanglementMeasure(kind="vn", cut=frozenset(cut))
         est = entangling_power(U, t, measure, samples=3000, seed=4)
-        monkeypatch.setattr(tps_module, "density_entropy",
-                            lambda rho, kind: schmidt_entropy(np.linalg.eigvalsh(rho), kind))
+        monkeypatch.setattr(tps_module, "entropy_2x2", eigvalsh_entropy)
         ref = entangling_power(U, t, measure, samples=3000, seed=4)
+        assert sum(read) == 3000
         assert est.mean > 0.1
         assert abs(est.mean - ref.mean) < 1e-15
         assert abs(est.stderr - ref.stderr) < 1e-15
