@@ -11,7 +11,6 @@ unitary at every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -64,57 +63,55 @@ def _eigenspace(dim: int, n: int, i: int) -> slice:
 
 @dataclass
 class UnitaryFamily:
-    """Map from control parameters to unitaries, checked on every call at tol.
+    """U(lambda) = prod_mu exp(-i lambda_mu G_mu), held as each Hermitian generator's
+    spectrum (w_mu, V_mu) from ``hermitian_eig``, checked at tol.
 
-    evaluate maps a (P, D) stack of points to the (P, dim, dim) stack of
-    their unitaries; along checks shapes and unitarity of a whole stack,
-    and calling the family is the one-point view of it.  Every transport
-    and Lie span of the family is cut at the same tol.
+    D and dim are read off the spectra, and each V_mu's unitarity is checked once, here.
+    ``frames`` is the one evaluation; calling the family is its one-point full frame U(lambda).
+    Every transport and Lie span of the family is cut at the same tol.
     """
 
-    D: int
-    dim: int
-    evaluate: Callable = field(repr=False)
+    spectra: list = field(repr=False)  # [(w_mu, V_mu)], mu = 1..D
     tol: Tolerance = DEFAULT_TOL
 
-    def along(self, points) -> np.ndarray:
+    def __post_init__(self):
+        if not self.spectra:
+            raise ContractViolationError("need at least one generator")
+        if not max(unitarity_defect(V) for _, V in self.spectra) <= self.tol.resid_abs:
+            raise ContractViolationError("generator eigenbasis is not unitary")
+
+    D = property(lambda self: len(self.spectra))
+    dim = property(lambda self: self.spectra[0][1].shape[0])
+
+    def frames(self, points, cols) -> np.ndarray:
+        """(P, dim, n) stack of U(lambda) S at a (P, D) stack of points, S the identity's
+        columns ``cols``, computed right to left from S as F <- V_mu (e^{-i lambda_mu w_mu}
+        (.) (V_mu^dag F)) for mu = D..1: no (P, dim, dim) array, and at most two frame
+        stacks alive while it is built.  Its isometry defect is checked at tol (inf for a NaN)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.D:
             raise DimensionMismatchError(f"points shape {pts.shape} != (P, {self.D})")
-        Us = np.asarray(self.evaluate(pts), dtype=complex)
-        if Us.shape != (len(pts), self.dim, self.dim):
-            raise DimensionMismatchError("family evaluation has the wrong dimension")
-        if not unitarity_defect(Us) <= self.tol.resid_abs:  # a NaN defect fails too
-            raise ContractViolationError("family evaluation is not unitary")
-        return Us
+        F = None
+        for mu in reversed(range(self.D)):
+            w, V = self.spectra[mu]
+            F = V.conj().T[:, cols] if F is None else V.conj().T @ F  # V^dag S: V^dag's columns
+            F = np.multiply(F, np.exp(-1j * pts[:, mu, None] * w)[:, :, None],
+                            out=F if F.ndim == 3 else None)  # the first step makes the stack
+            F = V @ F
+        if not unitarity_defect(F) <= self.tol.resid_abs:
+            raise ContractViolationError("family frames are not an isometry")
+        return F
 
     def __call__(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         if lam.shape != (self.D,):
             raise DimensionMismatchError(f"parameter shape {lam.shape} != ({self.D},)")
-        return self.along(lam[None])[0]
+        return self.frames(lam[None], slice(None))[0]
 
 
 def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
     """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators, checked at tol."""
-    gens = [np.asarray(G, dtype=complex) for G in generators]
-    if not gens:
-        raise ContractViolationError("need at least one generator")
-    dim = gens[0].shape[0]
-    eigs = [hermitian_eig(G, tol) for G in gens]
-
-    def evaluate(lams):
-        # every point is multiplied in the one-point association order,
-        # (U @ (V e^{-i lambda w})) @ V^dag, so a stack matches its points bit for bit;
-        # the first factor starts the product (1 @ X is X), and V * phases stays a
-        # temporary, so no factor's stack outlives its product
-        U = None
-        for mu, (w, V) in enumerate(eigs):
-            phases = np.exp(-1j * lams[:, mu, None] * w)[:, None, :]
-            U = (V * phases if U is None else U @ (V * phases)) @ V.conj().T
-        return U
-
-    return UnitaryFamily(D=len(gens), dim=dim, evaluate=evaluate, tol=tol)
+    return UnitaryFamily([hermitian_eig(G, tol) for G in generators], tol)
 
 
 _FIXTURE_SEED = 7
@@ -205,13 +202,12 @@ class LoopPath:
 
 
 def _loop_frames(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:
-    """(P, dim, n) stack of eigenspace-i frames at the loop's points, a contiguous copy, so
-    the family stack is freed on return; that stack, predicted from the point count, is
-    refused past the budget before any point is built."""
+    """(P, dim, n) stack of eigenspace-i frames at the loop's points; the stack, predicted
+    from the point count, is refused past the budget before any point is built."""
     cols = _eigenspace(fam.dim, n, i)
-    refuse_past_budget((loop.n_points, fam.dim, fam.dim),
-                       f"a family stack of {count_text(loop.n_points)} points at dim {fam.dim}")
-    return fam.along(loop.points())[..., cols].copy()
+    refuse_past_budget((loop.n_points, fam.dim, n),
+                       f"a frame stack of {count_text(loop.n_points)} points at {fam.dim} x {n}")
+    return fam.frames(loop.points(), cols)
 
 
 def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import ContractViolationError, DegenerateInputError, DimensionMisma
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
 # Largest complex array built from a size given from outside (``refuse_past_budget``):
-# 64 MiB, a family stack of 2^18 points at dim 4 (~4x with temporaries).
+# 64 MiB, the (P, 4, 2) holonomy frames of a loop of 2^19 points.
 BYTES_BUDGET = 64 * 2**20
 # Eigenvalue clustering gap of cluster_indices, relative to the larger of the
 # spectral range, the spectral radius and 1.
@@ -135,8 +135,9 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 
 def unitarity_defect(U) -> float:
-    """Max-entry deviation of U^dag U from the identity, over a matrix or an (..., n, n)
-    stack; inf when U has a non-finite entry, so every ``defect > tol`` check refuses it."""
+    """Max-entry deviation of U^dag U from the identity, over a matrix or an (..., m, n)
+    stack (an isometry's defect when m > n); inf when U has a non-finite entry, so every
+    ``defect > tol`` check refuses it."""
     U = np.asarray(U)
     if not np.isfinite(U).all():
         return float("inf")
@@ -248,14 +249,12 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
 def density_entropy(rho, kind: str = "vn"):
     """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
 
-    n = 2 goes to ``entropy_2x2`` on rho's diagonal and lower entry.  Otherwise
-    kind "vn" is ``schmidt_entropy`` of the ``eigvalsh`` eigenvalues and kind
+    Kind "vn" is ``schmidt_entropy`` of the ``eigvalsh`` eigenvalues and kind
     "linear" is 1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.
-    The same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.
+    The same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.  (A 2 x 2
+    density has its closed form, ``entropy_2x2``.)
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape[-2:] == (2, 2):
-        return entropy_2x2(rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 1, 0], kind)
     if kind == "vn":
         return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
     if kind != "linear":

@@ -237,14 +237,15 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    # one canonical draw, so the estimate is independent of the pass size: each side's
-    # real parts, then its imaginary parts, written in place in the stream order of a + 1j b
-    Z1, Z2 = np.empty((samples, dL), dtype=complex), np.empty((samples, dR), dtype=complex)
-    for Z in (Z1, Z2):
-        Z.real = rng.standard_normal(Z.shape)
-        Z.imag = rng.standard_normal(Z.shape)
-    vals = np.empty(samples)
     rows = max(1, _PASS_BYTES // (16 * d))
+    # one canonical draw, so the estimate is independent of the pass size: each side's
+    # real parts, then its imaginary parts, written in place pass by pass in the stream
+    # order of a + 1j b (a Generator draws its normals one after another)
+    Z1, Z2 = np.empty((samples, dL), dtype=complex), np.empty((samples, dR), dtype=complex)
+    for part in (Z1.real, Z1.imag, Z2.real, Z2.imag):
+        for at in range(0, samples, rows):
+            part[at:at + rows] = rng.standard_normal(part[at:at + rows].shape)
+    vals = np.empty(samples)
     for at in range(0, samples, rows):
         z1, z2 = Z1[at:at + rows], Z2[at:at + rows]
         z1 /= np.linalg.norm(z1, axis=1, keepdims=True)

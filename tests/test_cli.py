@@ -952,8 +952,17 @@ class TestSizeRefusals:
     def test_sizes_that_fit_a_float_keep_their_message(self):
         code, out, err, _ = run_fresh(["tps", "holonomy", "--doublings", "40"])
         assert (code, out) == (2, "")
-        assert err == ("computation error: ContractViolationError: a family stack of 70368744177665 "
-                       "points at dim 4 needs 1.72e+10 MiB, over the 64 MiB budget\n")
+        assert err == ("computation error: ContractViolationError: a frame stack of 70368744177665 "
+                       "points at 4 x 2 needs 8.59e+09 MiB, over the 64 MiB budget\n")
+
+    def test_a_ladder_of_twelve_doublings_answers(self):
+        # 262,145 points: their (P, 4, 2) frames, 32 MiB, fit the budget where the
+        # (P, 4, 4) family stack was refused by 256 bytes
+        code, out, err, _ = run_fresh(["tps", "holonomy", "--doublings", "12"])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["results"]["refinements"][-1] == 16 * 2 ** 12
+        assert rep["residuals"]["unitarity_defect"] < 1e-8
 
     def test_a_pauli_string_is_checked_against_the_spec_dim_before_it_is_built(self, tmp_path):
         # 40 Z's asked for an 8 TiB matrix before the dimension was compared

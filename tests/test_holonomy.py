@@ -1,5 +1,6 @@
 """Holonomy tests: transport invariants, analytic holonomy oracles, fixtures."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -58,7 +59,7 @@ TWO_RECTS = [LoopPath.rectangle((0.0, 0.0), (0.8, 0.6)), LoopPath.rectangle((0.0
 
 # ------------------------------------------- one-point references (test-only)
 #
-# The loop code evaluates families, builds points and transports frames on
+# The loop code evaluates frames, builds points and transports frames on
 # whole stacks.  These are the one-point-at-a-time versions it replaced,
 # kept to require that the stacked results are the same bits.
 
@@ -70,17 +71,18 @@ def reference_points(loop):
     return np.array(pts)
 
 
-def reference_exponential(generators):
-    eigs = [np.linalg.eigh(np.asarray(G, dtype=complex)) for G in generators]
-    dim = eigs[0][1].shape[0]
+def reference_spectra(generators):
+    return [np.linalg.eigh(np.asarray(G, dtype=complex)) for G in generators]
 
-    def U_at(lam):
-        U = np.eye(dim, dtype=complex)
-        for mu, (w, V) in enumerate(eigs):
-            U = U @ (V * np.exp(-1j * lam[mu] * w)) @ V.conj().T
-        return U
 
-    return U_at
+def reference_frame(spectra, lam, S):
+    """U(lam) S at one point, right to left from S: F <- V_mu ((V_mu^dag F) e^{-i lam_mu w_mu})
+    for mu = D..1, each product one 2-D matmul."""
+    F = S
+    for mu in reversed(range(len(spectra))):
+        w, V = spectra[mu]
+        F = V @ ((V.conj().T @ F) * np.exp(-1j * lam[mu] * w)[:, None])
+    return F
 
 
 def reference_polar_2x2(A):
@@ -145,13 +147,13 @@ def extended_product(steps):
     return H
 
 
-def reference_frames(U_at, loop, S):
-    return [U_at(p) @ S for p in reference_points(loop)]
+def reference_frames(spectra, loop, S):
+    return [reference_frame(spectra, p, S) for p in reference_points(loop)]
 
 
-def reference_ladder(U_at, loop, S, doublings):
+def reference_ladder(spectra, loop, S, doublings):
     """(holonomy, defects) of the ladder, each level transported on its own."""
-    hols = [reference_transport(reference_frames(U_at, loop.refined(2 ** j), S))
+    hols = [reference_transport(reference_frames(spectra, loop.refined(2 ** j), S))
             for j in range(doublings + 1)]
     return hols[-1], [float(np.linalg.norm(a - b)) for a, b in zip(hols[:-1], hols[1:])]
 
@@ -166,14 +168,21 @@ def fixture_generators():
     return gens
 
 
-def _jumping_family():
-    """Nearest-node lookup in a table that jumps between I and 1 (x) sigma_x:
-    the eigenspace frames on either side of the jump are orthogonal."""
-    flip = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
-    nodes = np.array([0.0, 1.0])
-    table = np.array([np.eye(4), flip], dtype=complex)
-    return UnitaryFamily(D=1, dim=4, evaluate=lambda lams: table[
-        np.argmin(np.abs(nodes - lams[:, :1]), axis=1)])
+# exp(-i lambda (1 (x) sigma_x)) on C^2 (x) C^2: a step of lambda by a quarter turn maps
+# eigenspace 1 onto eigenspace 2, so the frames on either side of it are orthogonal
+TURN = np.kron(np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]))
+QUARTER = np.pi / 2
+
+
+def extended_frames(fam, points, cols):
+    """fam.frames(points, cols) computed in np.clongdouble from the family's own spectra,
+    right to left from S, and rounded to complex128."""
+    F = None
+    for mu in reversed(range(fam.D)):
+        w, V = (x.astype(np.clongdouble) for x in fam.spectra[mu])
+        F = V.conj().T[:, cols] if F is None else V.conj().T @ F
+        F = V @ (F * np.exp(-1j * (points[:, mu, None].astype(np.longdouble) * w))[:, :, None])
+    return F.astype(complex)
 
 
 # ---------------------------------------------------------------- reference op
@@ -252,48 +261,77 @@ class TestFamilies:
         expected = expm(-1j * lam[0] * G1) @ expm(-1j * lam[1] * G2)
         assert np.max(np.abs(fam(lam) - expected)) < 1e-12
         assert np.allclose(fam([0.0, 0.0]), np.eye(4))
+        # the full frame's columns are the frames computed from those columns, to roundoff
+        pts = rng.uniform(-1.0, 1.0, (20, 2))
+        for cols in (_eigenspace(4, 2, 1), _eigenspace(4, 2, 2), [3, 0]):
+            frames = fam.frames(pts, cols)
+            for p, F in zip(pts, frames):
+                assert np.max(np.abs(fam(p)[:, cols] - F)) < 1e-15
 
-    def test_family_checks_unitarity(self):
-        fam = UnitaryFamily(D=1, dim=2,
-                            evaluate=lambda lams: np.array([np.eye(2) * 2.0] * len(lams)))
-        with pytest.raises(ContractViolationError):
-            fam([0.0])
+    def test_a_family_is_its_spectra_and_its_tolerance(self):
+        assert [f.name for f in fields(UnitaryFamily)] == ["spectra", "tol"]
+        fam = exponential_family([np.diag([1.0, -1.0, 0.5]), np.eye(3)])
+        assert (fam.D, fam.dim) == (2, 3)
+        with pytest.raises(ContractViolationError, match="at least one generator"):
+            exponential_family([])
 
-    def test_family_checks_every_point_of_a_stack(self):
-        def one_bad_point(lams):
-            Us = np.array([np.eye(2, dtype=complex)] * len(lams))
-            Us[lams[:, 0] > 0.5] *= 1 + 1e-6
-            return Us
+    def test_a_spectrum_is_checked_once_at_the_familys_tolerance(self):
+        # a (1 + 1e-9)-scaled eigenbasis is ~2e-9 off unitary: inside the default 1e-8,
+        # refused at 1e-10 where the family is built, before any point is evaluated;
+        # a twice-scaled one is refused at the default
+        base, _ = builtin_family("fixture-n2d2")
+        scaled = [(w, (1 + 1e-9) * V) for w, V in base.spectra]
+        assert unitarity_defect(UnitaryFamily(scaled)([0.3, -0.4])) < 1e-8
+        for spectra, tol in ((scaled, Tolerance(resid_abs=1e-10)),
+                             ([(w, 2.0 * V) for w, V in base.spectra], Tolerance())):
+            with pytest.raises(ContractViolationError, match="not unitary"):
+                UnitaryFamily(spectra, tol)
 
-        fam = UnitaryFamily(D=1, dim=2, evaluate=one_bad_point)
-        assert fam.along([[0.1], [0.2]]).shape == (2, 2, 2)
-        with pytest.raises(ContractViolationError, match="not unitary"):
-            fam.along([[0.1], [0.9], [0.2]])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # -1j * inf
+    def test_non_finite_points_are_refused(self):
+        # a non-finite frame has an infinite isometry defect, in a one-point or a whole stack
+        fam, _ = builtin_family("fixture-n2d2")
+        for lam in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(ContractViolationError, match="not an isometry"):
+                fam(lam)
+        with pytest.raises(ContractViolationError, match="not an isometry"):
+            fam.frames([[0.1, 0.2], [np.nan, 0.3], [0.2, 0.1]], _eigenspace(4, 2, 1))
 
-    def test_family_rejects_non_finite_evaluations(self):
-        fam = UnitaryFamily(D=1, dim=2, evaluate=lambda lams: np.full((len(lams), 2, 2), np.nan))
-        with pytest.raises(ContractViolationError, match="not unitary"):
-            fam([0.0])
+    @pytest.mark.parametrize("entry", [
+        lambda fam: fam.frames(TWO_RECTS[0].points(), _eigenspace(4, 2, 1)),
+        lambda fam: fam([0.3, -0.4]),
+        lambda fam: loop_holonomy(fam, TWO_RECTS[0], 1, 2),
+        lambda fam: refinement_ladder(fam, TWO_RECTS[0], 1, 2, doublings=1),
+        lambda fam: holonomy_nonabelian_witness(fam, *TWO_RECTS, 1, 2),
+        lambda fam: holonomy_algebra_span(fam, TWO_RECTS, 1, 2),
+    ], ids=["frames", "call", "loop_holonomy", "refinement_ladder", "witness", "algebra_span"])
+    def test_every_entry_checks_the_family_at_its_own_tolerance(self, entry):
+        # a spectrum 1e-9 off the real line scales the frames by e^{1e-9 lambda_1}: an
+        # isometry defect of ~2e-9 lambda_1, inside the default 1e-8 and refused at 1e-10
+        base, _ = builtin_family("fixture-n2d2")
+        (w, V), rest = base.spectra[0], base.spectra[1:]
+        off = [(w + 1e-9j, V), *rest]
+        entry(UnitaryFamily(off))
+        with pytest.raises(ContractViolationError, match="not an isometry"):
+            entry(UnitaryFamily(off, Tolerance(resid_abs=1e-10)))
 
     def test_family_checks_stack_shapes(self):
         fam = exponential_family([np.diag([1.0, -1.0]), np.diag([1.0, 1.0])])
         with pytest.raises(DimensionMismatchError, match="points shape"):
-            fam.along([0.1, 0.2])
+            fam.frames([0.1, 0.2], slice(None))
         with pytest.raises(DimensionMismatchError, match="points shape"):
-            fam.along([[0.1, 0.2, 0.3]])
-        wrong = UnitaryFamily(D=2, dim=2, evaluate=lambda lams: fam.evaluate(lams)[0])
-        with pytest.raises(DimensionMismatchError, match="wrong dimension"):
-            wrong.along([[0.1, 0.2]])
+            fam.frames([[0.1, 0.2, 0.3]], slice(None))
 
     def test_stack_matches_its_points_bit_for_bit(self):
         rng = np.random.default_rng(29)
         gens = [random_hermitian(rng, 6) for _ in range(3)]
-        fam, U_at = exponential_family(gens), reference_exponential(gens)
+        fam, spectra = exponential_family(gens), reference_spectra(gens)
         pts = rng.uniform(-1.0, 1.0, (17, 3))
-        Us = fam.along(pts)
-        for p, U in zip(pts, Us):
-            assert np.array_equal(U, fam(p))
-            assert np.array_equal(U, U_at(p))
+        for cols in (slice(None), _eigenspace(6, 3, 2)):
+            S = np.eye(6, dtype=complex)[:, cols]
+            for p, F in zip(pts, fam.frames(pts, cols)):
+                assert np.array_equal(F, fam.frames(p[None], cols)[0])
+                assert np.array_equal(F, reference_frame(spectra, p, S))
 
     def test_exponential_family_obeys_the_callers_tolerance(self):
         G = np.diag([1.0, -1.0, 0.5]).astype(complex)
@@ -301,21 +339,6 @@ class TestFamilies:
         exponential_family([G])  # inside the default resid_abs = 1e-8
         with pytest.raises(ContractViolationError, match="Hermitian"):
             exponential_family([G], Tolerance(resid_abs=1e-11))
-
-    @pytest.mark.parametrize("entry", [
-        lambda fam: fam.along(TWO_RECTS[0].points()),
-        lambda fam: fam([0.3, -0.4]),
-        lambda fam: loop_holonomy(fam, TWO_RECTS[0], 1, 2),
-        lambda fam: refinement_ladder(fam, TWO_RECTS[0], 1, 2, doublings=1),
-        lambda fam: holonomy_nonabelian_witness(fam, *TWO_RECTS, 1, 2),
-        lambda fam: holonomy_algebra_span(fam, TWO_RECTS, 1, 2),
-    ], ids=["along", "call", "loop_holonomy", "refinement_ladder", "witness", "algebra_span"])
-    def test_every_entry_checks_the_family_at_its_own_tolerance(self, entry):
-        base, _ = builtin_family("fixture-n2d2")
-        scaled = lambda lams: (1 + 1e-9) * base.evaluate(lams)
-        entry(UnitaryFamily(D=2, dim=4, evaluate=scaled))  # a ~2e-9 defect is inside the default 1e-8
-        with pytest.raises(ContractViolationError, match="not unitary"):
-            entry(UnitaryFamily(D=2, dim=4, evaluate=scaled, tol=Tolerance(resid_abs=1e-10)))
 
     def test_a_family_carries_the_tolerance_it_was_built_at(self):
         tight = Tolerance(resid_abs=1e-11)
@@ -443,21 +466,21 @@ class TestLoopHolonomy:
         assert np.linalg.norm(H_fine - H_finer) < np.linalg.norm(H_coarse - H_finer)
 
     def test_rank_loss_raises(self):
-        fam = _jumping_family()
-        loop = LoopPath(np.array([[0.0], [1.0], [0.0]]), refinement=1)
+        fam = exponential_family([TURN])
+        loop = LoopPath(np.array([[0.0], [QUARTER], [0.0]]), refinement=1)
         with pytest.raises(PathSingularityError, match="at step 1 "):
             loop_holonomy(fam, loop, 1, 2)
 
     def test_rank_loss_names_the_first_failing_step(self):
-        fam = _jumping_family()
-        # points 0, 0.2, 0.4 snap to node 0 and 0.6, 0.8 to node 1: step 3
-        # jumps there, and step 6 jumps back
-        loop = LoopPath(np.array([[0.0], [0.8], [0.0]]), refinement=4)
+        fam = exponential_family([TURN])
+        # steps of 0.1, then a quarter turn out (step 3) and back (step 4); every
+        # other overlap is cos(0.1) times the identity
+        loop = LoopPath(np.array([[0.0], [0.1], [0.2], [0.2 + QUARTER], [0.2], [0.1], [0.0]]),
+                        refinement=1)
         with pytest.raises(PathSingularityError, match="at step 3 ") as err:
             loop_holonomy(fam, loop, 1, 2)
         with pytest.raises(PathSingularityError) as ref:
-            S = selector(2, 2, 1)
-            reference_transport([fam(p) @ S for p in loop.points()])
+            reference_transport(reference_frames(reference_spectra([TURN]), loop, selector(2, 2, 1)))
         assert str(err.value) == str(ref.value)
 
     def test_oversized_loops_refused_before_their_points_are_built(self, fixture_fam,
@@ -475,7 +498,7 @@ class TestLoopHolonomy:
 
     def test_loops_up_to_the_cap_run(self, fixture_fam, monkeypatch):
         fam, _ = fixture_fam
-        monkeypatch.setattr(numerics, "BYTES_BUDGET", 4097 * fam.dim ** 2 * 16)
+        monkeypatch.setattr(numerics, "BYTES_BUDGET", 4097 * fam.dim * 2 * 16)  # (P, dim, n) frames
         loop = LoopPath(np.array([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]]), refinement=2048)
         assert loop.n_points == 4097
         assert np.max(np.abs(loop_holonomy(fam, loop, 1, 2) - np.eye(2))) < 1e-8
@@ -642,17 +665,17 @@ class TestRefinementLadder:
         assert ladder.defects == [float(np.linalg.norm(a - b))
                                   for a, b in zip(hols[:-1], hols[1:])]
 
-    def test_family_evaluated_once_per_finest_point(self, fixture_fam):
+    def test_family_evaluated_once_per_finest_point(self, fixture_fam, monkeypatch):
         fam, _ = fixture_fam
-        calls = []
+        calls, frames = [], UnitaryFamily.frames
 
-        def counted(lams):
-            calls.append(lams)
-            return fam.evaluate(lams)
+        def counted(self, points, cols):
+            calls.append(points)
+            return frames(self, points, cols)
 
+        monkeypatch.setattr(UnitaryFamily, "frames", counted)
         base = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), refinement=5)
-        refinement_ladder(UnitaryFamily(D=fam.D, dim=fam.dim, evaluate=counted),
-                          base, 1, 2, doublings=3)
+        refinement_ladder(fam, base, 1, 2, doublings=3)
         assert len(calls) == 1
         assert np.array_equal(calls[0], base.refined(2 ** 3).points())
 
@@ -668,8 +691,8 @@ class TestStackedTransportBitIdentity:
     def test_fixture_generators_rebuild_the_fixture(self, fixture_fam):
         fam, _ = fixture_fam
         pts = RECT1.points()
-        assert np.array_equal(exponential_family(fixture_generators()).along(pts),
-                              fam.along(pts))
+        assert np.array_equal(exponential_family(fixture_generators()).frames(pts, slice(None)),
+                              fam.frames(pts, slice(None)))
 
     @pytest.mark.parametrize("i", [1, 2])
     def test_loop_frames_are_the_selected_columns(self, fixture_fam, i):
@@ -679,8 +702,8 @@ class TestStackedTransportBitIdentity:
         S = np.eye(4, dtype=complex)[:, [i - 1, i + 1]]
         assert np.array_equal(selector(op.n, fam.dim // op.n, i), S)
         frames = holonomy._loop_frames(fam, RECT1, i, op.n)
-        assert np.array_equal(frames, fam.along(RECT1.points()) @ S)
-        # a contiguous copy: no view keeps the (P, dim, dim) family stack alive
+        assert np.array_equal(frames, reference_frames(reference_spectra(fixture_generators()), RECT1, S))
+        # computed from S, not sliced from a (P, dim, dim) stack
         assert frames.flags.owndata and frames.flags.c_contiguous
 
     @pytest.mark.parametrize("rect,refinement,doublings", [
@@ -691,16 +714,16 @@ class TestStackedTransportBitIdentity:
     ])
     def test_fixture_ladder_and_loop(self, fixture_fam, rect, refinement, doublings):
         fam, op = fixture_fam
-        U_at = reference_exponential(fixture_generators())
+        spectra = reference_spectra(fixture_generators())
         loop = LoopPath.rectangle(rect[:2], rect[2:], refinement)
         for i in (1, 2):
             S = selector(op.n, fam.dim // op.n, i)
             ladder = refinement_ladder(fam, loop, i, op.n, doublings=doublings)
-            H, defects = reference_ladder(U_at, loop, S, doublings)
+            H, defects = reference_ladder(spectra, loop, S, doublings)
             assert np.array_equal(ladder.holonomy, H)
             assert ladder.defects == defects
             assert np.array_equal(loop_holonomy(fam, loop, i, op.n),
-                                  reference_transport(reference_frames(U_at, loop, S)))
+                                  reference_transport(reference_frames(spectra, loop, S)))
 
     @pytest.mark.parametrize("seed", range(24))
     def test_random_exponential_families(self, seed):
@@ -710,14 +733,14 @@ class TestStackedTransportBitIdentity:
         a = rng.uniform(-0.5, 0.5, 2)
         loop = LoopPath.rectangle(a, a + rng.uniform(0.2, 0.9, 2), int(rng.integers(2, 12)))
         i, doublings = int(rng.integers(1, d + 1)), int(rng.integers(0, 5))
-        fam, U_at = exponential_family(gens), reference_exponential(gens)
+        fam, spectra = exponential_family(gens), reference_spectra(gens)
         S = selector(n, d, i)
         ladder = refinement_ladder(fam, loop, i, n, doublings=doublings)
-        H, defects = reference_ladder(U_at, loop, S, doublings)
+        H, defects = reference_ladder(spectra, loop, S, doublings)
         assert np.array_equal(ladder.holonomy, H)
         assert ladder.defects == defects
         assert np.array_equal(loop_holonomy(fam, loop, i, n),
-                              reference_transport(reference_frames(U_at, loop, S)))
+                              reference_transport(reference_frames(spectra, loop, S)))
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 5])
     def test_short_paths_pair_their_steps_as_the_reference_does(self, fixture_fam, steps):
@@ -725,7 +748,7 @@ class TestStackedTransportBitIdentity:
         fam, op = fixture_fam
         pts = np.random.default_rng([43, steps]).uniform(-0.3, 0.3, (steps + 1, 2))
         for i in (1, 2):
-            frames = fam.along(pts) @ selector(op.n, fam.dim // op.n, i)
+            frames = fam.frames(pts, _eigenspace(fam.dim, op.n, i))
             H = holonomy._transport(frames, fam.tol)
             assert np.array_equal(H, reference_transport(list(frames)))
             assert np.max(np.abs(H - extended_product(reference_steps(frames)))) < 1e-15
@@ -784,6 +807,40 @@ def test_closed_form_steps_are_polar_factors_to_roundoff(fixture_fam, refinement
         U, _, Vh = np.linalg.svd(overlaps)
         assert np.max(np.abs(steps - extended_polar(overlaps))) < 4e-16
         assert np.max(np.abs(steps - U @ Vh)) < 2e-15
+
+
+@pytest.mark.parametrize("doublings,bound", [(8, 1e-13), (11, 1e-12)])
+def test_ladder_stays_near_the_holonomy_of_extended_precision_frames(fixture_fam, doublings, bound):
+    # 16,385 and 131,073 points: the frames are within 6e-16 of frames computed in
+    # np.clongdouble (and rounded), and carried over every step, their rounding sets the
+    # holonomy's error: 1.9e-14 and 1.1e-14 at 8 doublings (eigenspaces 1 and 2), 3.3e-13
+    # and 7.6e-15 at 11, measured against the holonomy of the extended frames
+    fam, op = fixture_fam
+    loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), 16)
+    points = loop.refined(2 ** doublings).points()
+    for i in (1, 2):
+        cols = _eigenspace(fam.dim, op.n, i)
+        extended = extended_frames(fam, points, cols)
+        assert np.max(np.abs(fam.frames(points, cols) - extended)) < 1e-15
+        H = refinement_ladder(fam, loop, i, op.n, doublings=doublings).holonomy
+        assert np.max(np.abs(H - holonomy._transport(extended, fam.tol))) < bound
+
+
+def test_an_eleven_doubling_ladder_peaks_under_the_budget(fixture_fam):
+    # 131,073 points: the rule predicts the (P, dim, n) frames, 16 MiB; the transport's
+    # overlap and polar-step stacks set the peak, 3.76x that (60.1 MiB measured), where
+    # the (P, dim, dim) family stack and its evaluation peaked at 106 MiB
+    fam, op = fixture_fam
+    loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), 16)
+    predicted = 16 * loop.refined(2 ** 11).n_points * fam.dim * op.n
+    tracemalloc.start()
+    try:
+        refinement_ladder(fam, loop, 1, op.n, doublings=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert peak <= 3.9 * predicted
 
 
 def frames_losing_rank_at(step, sigma_min, rotate, P=9):

@@ -469,11 +469,13 @@ class TestEntanglingPower:
         assert est.mean == 0.0
         assert est.stderr == 0.0
 
-    @pytest.mark.parametrize("dims,samples", [((8, 8), 20000), ((2, 2), 2**20)],
+    @pytest.mark.parametrize("dims,samples,bound", [((8, 8), 20000, 1.15), ((2, 2), 2**20, 1.3)],
                              ids=["8x8", "2x2-at-the-budget"])
-    def test_peak_stays_near_the_draw(self, dims, samples):
+    def test_peak_stays_near_the_draw(self, dims, samples, bound):
         # the draw, 16 * samples * (dL + dR) bytes, is what the size rule predicts;
-        # 2^20 samples at 2 x 2 is the largest draw the 64 MiB budget admits
+        # 2^20 samples at 2 x 2 is the largest draw the 64 MiB budget admits.  Drawn in
+        # passes, the draw makes no whole-part temporary: 1.12x measured at 8 x 8; at 2 x 2
+        # (1.25x) the peak is set by vals and the temporary inside vals.std, an eighth each
         assert 16 * samples * sum(dims) <= numerics.BYTES_BUDGET
         t = TPS.natural(dims)
         U = haar_unitary(t.dim, np.random.default_rng(89))
@@ -486,7 +488,7 @@ class TestEntanglingPower:
         finally:
             tracemalloc.stop()
         assert est.mean > 0.1
-        assert peak <= 1.3 * 16 * samples * sum(dims)
+        assert peak <= bound * 16 * samples * sum(dims)
         assert elapsed < 1.0
 
     def test_multilocal_invariance(self):

@@ -14,7 +14,8 @@ generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
 refusal messages are compared; ``tps holonomy --doublings 10``, with and
-without ``--rect2``, a longer ladder than any benchmark job's; ``tps
+without ``--rect2``, a longer ladder than any benchmark job's, and
+``--doublings 12``, the longest the byte budget admits; ``tps
 parity`` and ``tps entangle --parity`` of two parities on two qubits,
 refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
@@ -78,10 +79,12 @@ REFUSALS = [
     ["tps", "parity", "--parity", "Z" * 20],
 ]
 # long ladders: every benchmark holonomy job stops at 5 doublings, so a rounding change that
-# shows only on long loops shows here, at 65,537 points, with and without the witness
+# shows only on long loops shows here, at 65,537 points, with and without the witness, and at
+# 262,145 points, the longest ladder whose frames the byte budget admits
 LONG_LADDERS = [
     ["tps", "holonomy", "--doublings", "10"],
     ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"],
+    ["tps", "holonomy", "--doublings", "12"],
 ]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
