@@ -24,12 +24,12 @@ from .numerics import (
     DEFAULT_TOL,
     DEGENERACY_GAP,
     Tolerance,
+    check_unitary,
     cluster_indices,
     hermitian_eig,
     hs_orthonormalize,
     polar_isometry,
     refuse_past_budget,
-    unitarity_defect,
 )
 
 _MAX_PROBE_RETRIES = 16  # draws of generic commutant elements per decomposition
@@ -217,8 +217,7 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
             break
     else:
         raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws")
-    if unitarity_defect(T) > tol.resid_abs:
-        raise ToleranceError("assembled basis change is not unitary within tolerance")
+    check_unitary(T, tol, "assembled basis change", error=ToleranceError)
     residual = _block_form_residual(ops, T, shape, side="right")
     if residual > tol.resid_abs:
         raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}: the "

@@ -22,7 +22,7 @@ from .errors import (
     ToleranceError,
     TruncationBoundaryError,
 )
-from .numerics import DEFAULT_TOL, Tolerance, refuse_past_budget, schmidt_entropy, unitarity_defect
+from .numerics import DEFAULT_TOL, Tolerance, check_unitary, refuse_past_budget, schmidt_entropy, unitarity_defect
 from .tps import EntanglementMeasure, _check_state, _split_cut
 
 _DIM_CAP = 4096
@@ -137,16 +137,6 @@ def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
     return FockSpace(N=N, M=M, occ=occ, low=low, w=w, tol=tol, U=np.eye(N, dtype=complex))
 
 
-def _rotation(fock: FockSpace, U) -> np.ndarray:
-    """U as a complex (N, N) array, refused unless unitary within fock.tol.resid_abs."""
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (fock.N, fock.N):
-        raise DimensionMismatchError(f"mode rotation shape {U.shape} != ({fock.N}, {fock.N})")
-    if unitarity_defect(U) > fock.tol.resid_abs:
-        raise ContractViolationError("mode rotation is not unitary")
-    return U
-
-
 def transform_modes(fock: FockSpace, U) -> FockSpace:
     """fock read in the rotated modes a_i^U = sum_j U_ji a_j, invariants verified.
 
@@ -157,7 +147,7 @@ def transform_modes(fock: FockSpace, U) -> FockSpace:
     fock.tol.resid_abs raises: once U passes the unitarity check, only broken
     tables or a defect within that margin of resid_abs can fail it.
     """
-    rotated = replace(fock, U=_rotation(fock, U))
+    rotated = replace(fock, U=check_unitary(U, fock.tol, "mode rotation", (fock.N, fock.N))[0])
     if rotated.ccr > fock.tol.resid_abs:
         raise ToleranceError(f"CCR residual {rotated.ccr:.3e} exceeds {fock.tol.resid_abs:.3e}")
     return rotated
@@ -236,7 +226,7 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     v = np.asarray(state, dtype=complex).reshape(-1)
     if v.shape[0] != fock.dim:
         raise DimensionMismatchError("state length does not match the Fock dimension")
-    V = _rotation(fock, V)
+    V, _ = check_unitary(V, fock.tol, "mode rotation", (fock.N, fock.N))
     if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > fock.tol.resid_abs:
         raise TruncationBoundaryError(
             "state has support beyond the one-excitation sector")

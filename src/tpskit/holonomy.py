@@ -26,11 +26,11 @@ from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     budget_text,
+    check_unitary,
     close_span,
     count_text,
     hermitian_eig,
     refuse_past_budget,
-    unitarity_defect,
 )
 
 _MIN_OVERLAP_SV = 1e-6
@@ -66,7 +66,8 @@ class UnitaryFamily:
     """U(lambda) = prod_mu exp(-i lambda_mu G_mu), held as each Hermitian generator's
     spectrum (w_mu, V_mu) from ``hermitian_eig``, checked at tol.
 
-    D and dim are read off the spectra, and each V_mu's unitarity is checked once, here.
+    D and dim are read off the spectra; each V_mu's unitarity and each (w_mu, V_mu)'s shape
+    are checked once, here.
     ``frames`` is the one evaluation; calling the family is its one-point full frame U(lambda).
     Every transport and Lie span of the family is cut at the same tol.
     """
@@ -77,8 +78,10 @@ class UnitaryFamily:
     def __post_init__(self):
         if not self.spectra:
             raise ContractViolationError("need at least one generator")
-        if not max(unitarity_defect(V) for _, V in self.spectra) <= self.tol.resid_abs:
-            raise ContractViolationError("generator eigenbasis is not unitary")
+        for w, V in self.spectra:
+            check_unitary(V, self.tol, "generator eigenbasis", (self.dim, self.dim))
+            if np.shape(w) != (self.dim,):
+                raise DimensionMismatchError(f"generator spectrum shape {np.shape(w)} is not ({self.dim},)")
 
     D = property(lambda self: len(self.spectra))
     dim = property(lambda self: self.spectra[0][1].shape[0])
@@ -87,10 +90,13 @@ class UnitaryFamily:
         """(P, dim, n) stack of U(lambda) S at a (P, D) stack of points, S the identity's
         columns ``cols``, computed right to left from S as F <- V_mu (e^{-i lambda_mu w_mu}
         (.) (V_mu^dag F)) for mu = D..1: no (P, dim, dim) array, and at most two frame
-        stacks alive while it is built.  Its isometry defect is checked at tol (inf for a NaN)."""
+        stacks alive while it is built.  A non-finite point is refused before it is
+        exponentiated, and the stack's isometry defect is checked at tol."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.D:
             raise DimensionMismatchError(f"points shape {pts.shape} != (P, {self.D})")
+        if not np.isfinite(pts).all():
+            raise ContractViolationError("family points must be finite")
         F = None
         for mu in reversed(range(self.D)):
             w, V = self.spectra[mu]
@@ -98,9 +104,7 @@ class UnitaryFamily:
             F = np.multiply(F, np.exp(-1j * pts[:, mu, None] * w)[:, :, None],
                             out=F if F.ndim == 3 else None)  # the first step makes the stack
             F = V @ F
-        if not unitarity_defect(F) <= self.tol.resid_abs:
-            raise ContractViolationError("family frames are not an isometry")
-        return F
+        return check_unitary(F, self.tol, "family frames")[0]
 
     def __call__(self, lam) -> np.ndarray:
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -238,10 +242,7 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
         a, b = E[0:paired:2], E[1:paired:2]
         E = np.concatenate([a + b + b @ a, E[paired:]])
     H = eye + E[0] if len(E) else eye  # one frame: no step
-    defect = unitarity_defect(H)
-    if defect > tol.resid_abs:
-        raise ToleranceError(f"holonomy unitarity defect {defect:.3e}")
-    return H
+    return check_unitary(H, tol, "holonomy", error=ToleranceError)[0]
 
 
 def _polar_steps(overlaps: np.ndarray) -> np.ndarray:

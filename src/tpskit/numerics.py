@@ -136,8 +136,8 @@ def polar_isometry(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def unitarity_defect(U) -> float:
     """Max-entry deviation of U^dag U from the identity, over a matrix or an (..., m, n)
-    stack (an isometry's defect when m > n); inf when U has a non-finite entry, so every
-    ``defect > tol`` check refuses it."""
+    stack (an isometry's defect when m > n); inf when U has a non-finite entry, so
+    ``check_unitary`` refuses it at any tolerance."""
     U = np.asarray(U)
     if not np.isfinite(U).all():
         return float("inf")
@@ -164,6 +164,18 @@ def refuse_past_budget(shape, what: str) -> None:
     16 an entry, are counted by math.prod on ints, so astronomic shapes are refused too."""
     if (nbytes := 16 * math.prod(shape)) > BYTES_BUDGET:
         raise ContractViolationError(f"{what} needs {mib_text(nbytes)} MiB, over {budget_text()}")
+
+
+def check_unitary(U, tol: Tolerance, what: str, shape=None,
+                  error=ContractViolationError) -> tuple[np.ndarray, float]:
+    """U as a complex array and its unitarity_defect, refused unless it has ``shape`` (when
+    given) and its defect is at most tol.resid_abs; a non-finite entry's inf is refused too."""
+    U = np.asarray(U, dtype=complex)
+    if shape is not None and U.shape != shape:
+        raise DimensionMismatchError(f"{what} shape {U.shape} is not {shape}")
+    if not (defect := unitarity_defect(U)) <= tol.resid_abs:
+        raise error(f"{what} unitarity defect {defect:.3e}, over resid_abs {tol.resid_abs:.3e}")
+    return U, defect
 
 
 def count_text(n: int) -> str:

@@ -22,12 +22,12 @@ from .errors import ContractViolationError, DimensionMismatchError, IndexRangeEr
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
+    check_unitary,
     count_text,
     density_entropy,
     entropy_2x2,
     refuse_past_budget,
     schmidt_entropy,
-    unitarity_defect,
 )
 
 _STATE_NORM_ATOL = 1e-10
@@ -61,13 +61,7 @@ class TPS:
 
     def __post_init__(self):
         self.dims = _factor_dims(self.dims)
-        self.iso = np.asarray(self.iso, dtype=complex)
-        if self.iso.shape != (self.dim, self.dim):
-            raise DimensionMismatchError(
-                f"iso shape {self.iso.shape} does not match factor product {self.dim}")
-        defect = unitarity_defect(self.iso)
-        if defect > self.tol.resid_abs:
-            raise ContractViolationError(f"iso unitarity defect {defect:.3e}")
+        self.iso = check_unitary(self.iso, self.tol, "iso", (self.dim, self.dim))[0]
 
     @property
     def dim(self) -> int:
@@ -223,12 +217,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
     d = tps.dim
-    U = np.asarray(U, dtype=complex)
-    if U.shape != (d, d):
-        raise DimensionMismatchError(f"unitary shape {U.shape} != dimension {d}")
-    defect = unitarity_defect(U)
-    if defect > tps.tol.resid_abs:
-        raise ContractViolationError("U is not unitary within tolerance")
+    U, defect = check_unitary(U, tps.tol, "U", (d, d))
 
     order, dL = _cut_order(tps, measure.cut)
     dR = d // dL

@@ -264,7 +264,8 @@ class TestTransformModes:
         for bad in (np.nan, np.inf):
             U = np.eye(2, dtype=complex)
             U[1, 0] = bad
-            with pytest.raises(ContractViolationError, match="not unitary"):
+            with pytest.raises(ContractViolationError,
+                               match=r"mode rotation unitarity defect inf, over resid_abs 1\.000e-08"):
                 transform_modes(fock, U)
 
     def test_nonunitary_rejected(self):
@@ -574,7 +575,8 @@ class TestModeEntanglement:
         # weight of 1e-9 straddles the cut: both inside the default bound, outside 1e-10
         tight = build_fock(2, 2, Tolerance(resid_abs=1e-10))
         assert build_fock(2, 2).tol is not tight.tol
-        with pytest.raises(ContractViolationError, match="not unitary"):
+        with pytest.raises(ContractViolationError,
+                           match=r"mode rotation unitarity defect 4\.\d{3}e-10, over resid_abs 1\.000e-10"):
             transform_modes(tight, np.eye(2) * (1 + 2e-10))
         v = np.zeros(tight.dim, dtype=complex)
         v[tight.index((0, 0))], v[tight.index((1, 1))] = np.sqrt(1 - 1e-9), np.sqrt(1e-9)
@@ -588,7 +590,8 @@ class TestModeEntanglement:
         assert np.linalg.norm(rotate_single_particle(build_fock(2, 2), one, scaled)) > 1
         for fock, V in ((tight, scaled), (tight, 3 * np.eye(2)), (build_fock(2, 2), 3 * np.eye(2)),
                         (build_fock(2, 2), np.full((2, 2), np.nan))):
-            with pytest.raises(ContractViolationError, match="not unitary"):
+            with pytest.raises(ContractViolationError, match="mode rotation unitarity defect .*, over "
+                               f"resid_abs {fock.tol.resid_abs:.3e}"):
                 rotate_single_particle(fock, one, V)
 
     def test_an_unknown_kind_is_refused_before_any_work(self):

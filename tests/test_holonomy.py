@@ -282,19 +282,20 @@ class TestFamilies:
         base, _ = builtin_family("fixture-n2d2")
         scaled = [(w, (1 + 1e-9) * V) for w, V in base.spectra]
         assert unitarity_defect(UnitaryFamily(scaled)([0.3, -0.4])) < 1e-8
-        for spectra, tol in ((scaled, Tolerance(resid_abs=1e-10)),
-                             ([(w, 2.0 * V) for w, V in base.spectra], Tolerance())):
-            with pytest.raises(ContractViolationError, match="not unitary"):
+        for spectra, tol, defect in ((scaled, Tolerance(resid_abs=1e-10), r"2\.\d{3}e-09"),
+                                     ([(w, 2.0 * V) for w, V in base.spectra], Tolerance(), r"3\.000e\+00")):
+            with pytest.raises(ContractViolationError, match=f"generator eigenbasis unitarity defect {defect}, "
+                               f"over resid_abs {tol.resid_abs:.3e}"):
                 UnitaryFamily(spectra, tol)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")  # -1j * inf
+    @pytest.mark.filterwarnings("error")  # a RuntimeWarning from -1j * inf fails the test
     def test_non_finite_points_are_refused(self):
-        # a non-finite frame has an infinite isometry defect, in a one-point or a whole stack
+        # refused before they are exponentiated, in a one-point or a whole stack
         fam, _ = builtin_family("fixture-n2d2")
-        for lam in ([np.nan, 0.0], [0.0, np.inf]):
-            with pytest.raises(ContractViolationError, match="not an isometry"):
+        for lam in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ContractViolationError, match="family points must be finite"):
                 fam(lam)
-        with pytest.raises(ContractViolationError, match="not an isometry"):
+        with pytest.raises(ContractViolationError, match="family points must be finite"):
             fam.frames([[0.1, 0.2], [np.nan, 0.3], [0.2, 0.1]], _eigenspace(4, 2, 1))
 
     @pytest.mark.parametrize("entry", [
@@ -312,8 +313,16 @@ class TestFamilies:
         (w, V), rest = base.spectra[0], base.spectra[1:]
         off = [(w + 1e-9j, V), *rest]
         entry(UnitaryFamily(off))
-        with pytest.raises(ContractViolationError, match="not an isometry"):
+        with pytest.raises(ContractViolationError,
+                           match=r"family frames unitarity defect \S+, over resid_abs 1\.000e-10"):
             entry(UnitaryFamily(off, Tolerance(resid_abs=1e-10)))
+
+    def test_mixed_dimensions_and_a_wrong_spectrum_are_refused_where_the_family_is_built(self):
+        # each is refused before any point is evaluated, as a typed shape mismatch
+        with pytest.raises(DimensionMismatchError, match=r"generator eigenbasis shape \(3, 3\) is not \(2, 2\)"):
+            exponential_family([np.eye(2), np.eye(3)])
+        with pytest.raises(DimensionMismatchError, match=r"generator spectrum shape \(3,\) is not \(2,\)"):
+            UnitaryFamily([(np.zeros(3), np.eye(2))])
 
     def test_family_checks_stack_shapes(self):
         fam = exponential_family([np.diag([1.0, -1.0]), np.diag([1.0, 1.0])])

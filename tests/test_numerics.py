@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpskit.numerics as numerics
-from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
+from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import (
     DEFAULT_TOL,
     DEGENERACY_GAP,
     Tolerance,
+    check_unitary,
     close_span,
     cluster_indices,
     count_text,
@@ -102,6 +105,38 @@ def test_refuse_past_budget_counts_16_bytes_an_entry_against_the_budget_at_call_
     refuse_past_budget((2**17,), "a row")
     with pytest.raises(ContractViolationError, match=r"^a row needs 2 MiB, over the 2 MiB budget$"):
         refuse_past_budget((2**17 + 1,), "a row")
+
+
+def test_check_unitary_names_its_defect_and_bound_and_refuses_a_wrong_shape():
+    U, defect = check_unitary([[0, 1], [1, 0]], DEFAULT_TOL, "x", (2, 2))
+    assert U.dtype == complex and np.array_equal(U, SX) and defect == 0.0
+    scaled = (1 + 2**-20) * np.eye(3)
+    assert check_unitary(scaled, Tolerance(resid_abs=unitarity_defect(scaled)), "x")[1] == unitarity_defect(scaled)
+    with pytest.raises(ContractViolationError) as err:
+        check_unitary(2 * SX, DEFAULT_TOL, "a rotation", (2, 2))
+    assert str(err.value) == "a rotation unitarity defect 3.000e+00, over resid_abs 1.000e-08"
+    with pytest.raises(ToleranceError, match=r"^x unitarity defect inf, over resid_abs 1\.000e-08$"):
+        check_unitary(np.full((3, 2), np.nan), DEFAULT_TOL, "x", error=ToleranceError)
+    with pytest.raises(DimensionMismatchError) as err:
+        check_unitary(2 * np.eye(3), DEFAULT_TOL, "an iso", (2, 2))  # the shape is checked first
+    assert str(err.value) == "an iso shape (3, 3) is not (2, 2)"
+
+
+def test_every_unitarity_decision_goes_through_check_unitary():
+    # a unitarity_defect call anywhere else in src/tpskit is a check beside the rule
+    callers = set()
+
+    def visit(node, module, scope):
+        scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "unitarity_defect":
+            callers.add((module, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    # the rule itself, and the two sites that report a defect without deciding on it
+    assert callers == {("numerics", "check_unitary"), ("bosonic", "ccr_residual"), ("cli", "_cmd_holonomy")}
 
 
 def test_count_text_prints_any_count():

@@ -512,10 +512,10 @@ class TestSyndromeDecompose:
         assert ps.tps is ps.tps
 
     def test_the_sector_iso_is_checked_for_unitarity_once(self, monkeypatch):
-        import tpskit.tps
+        import tpskit.numerics
         calls = []
-        real = tpskit.tps.unitarity_defect
-        monkeypatch.setattr(tpskit.tps, "unitarity_defect", lambda U: calls.append(U) or real(U))
+        real = tpskit.numerics.unitarity_defect
+        monkeypatch.setattr(tpskit.numerics, "unitarity_defect", lambda U: calls.append(U) or real(U))
         ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
         tps = syndrome_decompose(ps).tps
         assert ps.tps is tps and len(calls) == 1

@@ -15,9 +15,11 @@ and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
 one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
 refusal messages are compared; ``tps holonomy --doublings 10``, with and
 without ``--rect2``, a longer ladder than any benchmark job's, and
-``--doublings 12``, the longest the byte budget admits; ``tps
-parity`` and ``tps entangle --parity`` of two parities on two qubits,
-refused for leaving no logical factor;
+``--doublings 12``, the longest the byte budget admits; ``tps holonomy``
+at ``--tol-resid`` 1e-15 and 1e-16, refused for its family's frames and
+for its generators' eigenbases, the two unitarity refusals no other job
+reaches; ``tps parity`` and ``tps entangle --parity`` of two parities on
+two qubits, refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
 of ``bell_xx.json``'s ``pauli`` entry; ``tps parity`` over the ``pauli``
@@ -86,6 +88,8 @@ LONG_LADDERS = [
     ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"],
     ["tps", "holonomy", "--doublings", "12"],
 ]
+# the built-in family at a resid_abs its frames (1e-15) and its eigenbases (1e-16) miss
+UNITARITY_REFUSALS = [["tps", "holonomy", "--tol-resid", "1e-15"], ["tps", "holonomy", "--tol-resid", "1e-16"]]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
     ["tps", "parity", "--parity", "XX", "ZZ"],
@@ -130,9 +134,9 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, LONG_LADDERS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps entangle --parity of
-    a pauli entry, tps parity of the PAULI_ENTRY_SETS, the spin_specs and reach_specs
-    through decompose, and the tolerance_jobs."""
+    REFUSALS, LONG_LADDERS, UNITARITY_REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
+    entangle --parity of a pauli entry, tps parity of the PAULI_ENTRY_SETS, the spin_specs
+    and reach_specs through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -154,6 +158,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
         *LONG_LADDERS,
+        *UNITARITY_REFUSALS,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
         ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
