@@ -37,6 +37,10 @@ _STATE_NORM_ATOL = 1e-10
 _MAX_PARTITION_N = 10**6
 # bytes of one entangling-power pass's (rows, dim) stack of product states: 2048 rows at dim 4
 _PASS_BYTES = 128 * 2**10
+# fewest rows in a pass: past dim 64 a 128 KiB pass is under 128 rows, and short passes cost
+# per-call overhead (at 16x16, 20000 samples took ~770 ms vn and ~348 ms linear in 32-row
+# passes, ~728 and ~286 ms in 128-row ones, on one pinned CPU of a 2-vCPU VM)
+_MIN_PASS_ROWS = 128
 
 
 def _factor_dims(dims) -> tuple[int, ...]:
@@ -209,10 +213,11 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     entropy comes from its reduced density on the smaller side of the cut,
     so no sample takes an SVD: a 2-dim side's three entries are sums over
     the long side, read by ``entropy_2x2``; other sizes form the stacked
-    Gram and read ``density_entropy``.  The draw, 16 * samples * (dL + dR)
-    bytes, is predicted from (samples, dL, dR) and refused past BYTES_BUDGET
-    before it is made; it is the one array of that size, since its rows are
-    normalized and contracted in passes of _PASS_BYTES per product stack.
+    Gram and read ``density_entropy``.  Samples are drawn, normalized and
+    contracted in passes of _PASS_BYTES per (rows, dim) product stack, and
+    at least _MIN_PASS_ROWS rows, so no array grows with samples but the
+    entropies and the temporary inside their std: 16 * samples bytes,
+    predicted from samples and refused past BYTES_BUDGET before any draw.
     """
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
@@ -221,22 +226,20 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
 
     order, dL = _cut_order(tps, measure.cut)
     dR = d // dL
-    refuse_past_budget((samples, dL + dR), f"a draw of {samples} samples of {dL} x {dR} product states")
+    refuse_past_budget((samples,), f"an entropy stack of {count_text(samples)} samples")
     # tensor-coordinate action of U, with both indices in (cut, complement) order
     W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = max(1, _PASS_BYTES // (16 * d))
-    # one canonical draw, so the estimate is independent of the pass size: each side's
-    # real parts, then its imaginary parts, written in place pass by pass in the stream
-    # order of a + 1j b (a Generator draws its normals one after another)
-    Z1, Z2 = np.empty((samples, dL), dtype=complex), np.empty((samples, dR), dtype=complex)
-    for part in (Z1.real, Z1.imag, Z2.real, Z2.imag):
-        for at in range(0, samples, rows):
-            part[at:at + rows] = rng.standard_normal(part[at:at + rows].shape)
+    rows = max(_MIN_PASS_ROWS, _PASS_BYTES // (16 * d))
+    # one canonical draw, sample by sample: each row's 2 (dL + dR) normals are the real and
+    # imaginary parts of its cut side, then of its complement, so the estimate does not
+    # depend on the pass size and the first k samples of a run are the k-sample run
+    buf = np.empty((rows, 2 * (dL + dR)))
     vals = np.empty(samples)
     for at in range(0, samples, rows):
-        z1, z2 = Z1[at:at + rows], Z2[at:at + rows]
+        z = rng.standard_normal(out=buf[:samples - at]).view(complex)
+        z1, z2 = z[:, :dL], z[:, dL:]
         z1 /= np.linalg.norm(z1, axis=1, keepdims=True)
         z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
         out = (np.einsum("bi,bj->bij", z1, z2).reshape(-1, d) @ W.T).reshape(-1, dL, dR)

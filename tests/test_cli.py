@@ -631,14 +631,14 @@ class TestTpsCommands:
         assert res["factorizations"][-1] == [1000000]
 
     def test_distance_draw_past_the_budget_is_refused_before_drawing(self, capsys):
-        # 1e8 samples of 2 x 2 product states would draw 6.4 GB
+        # 1e8 samples' entropies would take 1.6 GB
         start = time.perf_counter()
         code, out, err = run_cli(["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot",
                                   "--dims", "2,2", "--samples", "100000000"], capsys)
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (2, "")
-        assert err == ("computation error: ContractViolationError: a draw of 100000000 samples of "
-                       "2 x 2 product states needs 6.1e+03 MiB, over the 64 MiB budget\n")
+        assert err == ("computation error: ContractViolationError: an entropy stack of 100000000 "
+                       "samples needs 1.53e+03 MiB, over the 64 MiB budget\n")
 
     def test_distance_identity_is_zero(self, capsys):
         rep = report_of(["tps", "distance", str(DATA / "cnot.json"),
@@ -885,6 +885,9 @@ class TestSizeRefusals:
         (["tps", "holonomy", "--refinement", ASTRONOMIC], "ContractViolationError"),
         (["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot", "--dims", "2,2",
           "--samples", ASTRONOMIC], "ContractViolationError"),
+        # 1e8 samples' entropies are predicted past the budget before the first draw
+        (["tps", "distance", str(DATA / "cnot.json"), "--unitary", "cnot", "--dims", "2,2",
+          "--samples", "100000000"], "ContractViolationError"),
         (["tps", "holonomy", "--doublings", "20000"], "ContractViolationError"),
         (["tps", "holonomy", "--doublings", "300000"], "ContractViolationError"),
         (["tps", "holonomy", "--doublings", "1000000000"], "ContractViolationError"),
@@ -906,7 +909,7 @@ class TestSizeRefusals:
         # a Pauli string's dense matrix is predicted from its length
         (["tps", "parity", "--parity", "Z" * 12], "ContractViolationError"),
         (["tps", "parity", "--parity", "Z" * 40], "ContractViolationError"),
-    ], ids=["refinement", "samples", "doublings-2e4", "doublings-3e5", "doublings-1e9",
+    ], ids=["refinement", "samples", "samples-1e8", "doublings-2e4", "doublings-3e5", "doublings-1e9",
             "entangle-dims-512", "entangle-dims-64", "distance-dims-65536",
             "refinement-4300-digits", "equivalent-dims-4096", "equivalent-natural-4096x4096",
             "equivalent-natural-2x2048", "parity-pauli-12", "parity-pauli-40"])
