@@ -25,17 +25,17 @@ _HOMES = {
                 "rotate_single_particle", "single_excitation_state", "transform_modes"),
     "errors": ("BranchCutError", "ContractViolationError", "DegenerateInputError",
                "DegeneracyError", "DimensionMismatchError", "IndexRangeError", "ParitySetError",
-               "PathSingularityError", "ToleranceError", "TpskitError", "TruncationBoundaryError"),
+               "PathSingularityError", "SpecFileError", "ToleranceError", "TpskitError",
+               "TruncationBoundaryError"),
     "holonomy": ("IsoDegenerateOperator", "LoopPath", "RefinementLadder", "UnitaryFamily",
                  "builtin_family", "exponential_family", "holonomy_algebra_span",
                  "holonomy_nonabelian_witness", "loop_holonomy", "principal_log_unitary",
                  "refinement_ladder"),
-    "numerics": ("DEFAULT_TOL", "Tolerance"),
-    "opfile": ("OperatorSpecFile", "SpecFileError", "load_spec", "parse_spec"),
+    "opfile": ("OperatorSpecFile", "load_spec", "parse_spec"),
     "parity": ("ParitySet", "pauli_string_matrix", "syndrome_decompose", "validate_parity_set"),
+    "pure": ("DEFAULT_TOL", "Tolerance", "multiplicative_partitions"),
     "tps": ("TPS", "EntanglementMeasure", "EntanglingPowerEstimate", "entanglement",
-            "entangling_power", "local_algebra", "multiplicative_partitions", "tps_distance",
-            "tps_equivalent"),
+            "entangling_power", "local_algebra", "tps_distance", "tps_equivalent"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -4,12 +4,12 @@ Commands wrap the library modules: `decompose` and `bipartition` ingest
 operator spec files; `tps` fans out to partitions, distance, equivalent,
 entangle, parity, bosonic and holonomy subcommands.  main reads the spec
 file a command names once, then calls its handler(args, spec, tol); each
-handler imports the layers it runs, so a fresh process loads no other.
-All randomness flows from --seed, every report embeds the tolerances
-it ran at, and numeric fields are serialized with 17 significant
-digits so identical invocations produce byte-identical output.  Wall time
-(the spec read and the handler, with its first imports) goes to stderr
-only, keeping reports reproducible.
+handler imports the layers it runs, so a fresh process loads no other, and
+numpy only with the first layer that builds a matrix.  All randomness flows
+from --seed, every report embeds the tolerances it ran at, and numeric fields
+are serialized with 17 significant digits so identical invocations produce
+byte-identical output.  Wall time (the spec read and the handler, with its
+first imports) goes to stderr only, keeping reports reproducible.
 
 Exit codes: 0 success, 1 usage or input-file errors, 2 computation
 errors surfaced by the library.
@@ -25,11 +25,9 @@ import math
 import sys
 import time
 
-import numpy as np
-
-from .errors import DimensionMismatchError, TpskitError
-from .numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance, unitarity_defect
-from .opfile import OperatorSpecFile, SpecFileError, as_matrices, load_spec, parse_pauli_token
+from .errors import DimensionMismatchError, SpecFileError, TpskitError
+from .pure import (DEFAULT_TOL, DEGENERACY_GAP, Tolerance, multiplicative_partitions, parse_pauli_token,
+                   pauli_bits, pauli_parity_shape)
 
 
 class _UsageError(Exception):
@@ -66,7 +64,7 @@ _TEXT_OF_TYPE = {
 
 def _scalar_text(v) -> str | None:
     """The JSON text of a scalar, a numpy scalar as its Python scalar, or None when v is not one."""
-    if isinstance(v, np.generic):
+    if (np := sys.modules.get("numpy")) is not None and isinstance(v, np.generic):
         v = v.item()
     text = _TEXT_OF_TYPE.get(type(v))
     return None if text is None else text(v)
@@ -75,7 +73,7 @@ def _scalar_text(v) -> str | None:
 def render_json(obj, indent: int = 0) -> str:
     """Deterministic JSON: floats at 17 significant digits, complex as [re, im]."""
     pad = "  " * indent
-    if isinstance(obj, np.ndarray):
+    if (np := sys.modules.get("numpy")) is not None and isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         texts = [_TEXT_OF_TYPE.get(type(v), _scalar_text)(v) for v in obj]
@@ -133,7 +131,7 @@ def _corners_arg(text: str):
     return vals
 
 
-def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
+def _structure(dims, iso_name, spec, tol):
     """The structure --dims and --iso name; with a spec, dims that do not
     multiply to its dim are refused before any structure is built."""
     from .tps import TPS
@@ -146,7 +144,7 @@ def _structure(dims, iso_name, spec: OperatorSpecFile | None, tol):
     return TPS.natural(dims, tol) if iso is None else TPS(dims, iso, tol)
 
 
-def _operands(tokens, spec: OperatorSpecFile | None) -> list:
+def _operands(tokens, spec) -> list:
     """The operands --parity names: a spec operator as the file gave it, a dense
     matrix or a Pauli string, else the token itself as a Pauli string."""
     return [spec.operators[tok] if spec is not None and tok in spec.operators
@@ -155,6 +153,7 @@ def _operands(tokens, spec: OperatorSpecFile | None) -> list:
 
 def _parity(ops, tol):
     """The parity set of the operands, split densely, with its sector structure built."""
+    from .opfile import as_matrices
     from .parity import syndrome_decompose, validate_parity_set
     return syndrome_decompose(validate_parity_set(as_matrices(ops), tol))
 
@@ -163,6 +162,7 @@ def _parity(ops, tol):
 
 def _cmd_decompose(args, spec, tol):
     from .algebra import algebra_residuals, close_algebra
+    from .opfile import as_matrices
     gens = as_matrices(spec.operators.values())
     if not gens:
         raise SpecFileError("spec file declares no operators")
@@ -195,7 +195,6 @@ def _cmd_bipartition(args, spec, tol):
 
 
 def _cmd_partitions(args, spec, tol):
-    from .tps import multiplicative_partitions
     parts = multiplicative_partitions(args.n)
     results = {
         "n": args.n,
@@ -220,7 +219,7 @@ def _cmd_distance(args, spec, tol):
         "stderr": est.stderr,
         "samples": args.samples,
         "seed": args.seed,
-        "distance": float(np.sqrt(est.mean)),
+        "distance": math.sqrt(est.mean),
     }
     return results, {"unitarity_defect": est.unitarity_defect}
 
@@ -268,7 +267,6 @@ def _cmd_entangle(args, spec, tol):
 def _cmd_parity(args, spec, tol):
     ops = _operands(args.parity, spec)
     if all(isinstance(op, str) for op in ops):  # Pauli strings only: judged exactly from their (x|z) bits
-        from .parity import pauli_bits, pauli_parity_shape
         n, k = pauli_parity_shape([pauli_bits(op) for op in ops])
     else:
         ps = _parity(ops, tol)
@@ -310,6 +308,7 @@ def _cmd_bosonic(args, spec, tol):
 
 def _cmd_holonomy(args, spec, tol):
     from .holonomy import LoopPath, builtin_family, holonomy_nonabelian_witness, refinement_ladder
+    from .numerics import unitarity_defect
     fam, op = builtin_family(args.family, tol)
     loop = LoopPath.rectangle(args.rect[:2], args.rect[2:], refinement=args.refinement)
     ladder = refinement_ladder(fam, loop, args.eigenspace, op.n, doublings=args.doublings)
@@ -449,7 +448,9 @@ def main(argv=None) -> int:
 
     start = time.perf_counter()
     try:
-        spec = None if getattr(args, "file", None) is None else load_spec(args.file)
+        if (path := getattr(args, "file", None)) is not None:
+            from .opfile import load_spec  # a spec file's dense entries load numpy
+        spec = None if path is None else load_spec(path)
         results, residuals = args.handler(args, spec, tol)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -43,3 +43,7 @@ class PathSingularityError(TpskitError):
 
 class BranchCutError(TpskitError):
     """A holonomy eigenvalue sits on the logarithm branch cut after retries."""
+
+
+class SpecFileError(ValueError):
+    """Malformed operator specification file."""

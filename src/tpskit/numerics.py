@@ -1,51 +1,24 @@
 """Dense complex linear-algebra kernel.
 
-Every other module builds on the operations here; this module owns the
-tolerance and rank policy.  All operator spaces use the Hilbert-Schmidt
-inner product <A, B> = Tr(A^dag B), which on row-major vectorized
-matrices coincides with the ordinary complex dot product.
+Every other module builds on the operations here; this module owns the rank
+policy and reads the tolerance and the size rule from ``pure``.  All operator
+spaces use the Hilbert-Schmidt inner product <A, B> = Tr(A^dag B), which on
+row-major vectorized matrices coincides with the ordinary complex dot product.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
+from .pure import (DEFAULT_TOL, DEGENERACY_GAP, Tolerance, budget_text, count_text,  # noqa: F401
+                   mib_text, refuse_past_budget)
 
 # Entropies below this are reported as exactly 0.0 (double-precision noise
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
-# Largest complex array built from a size given from outside (``refuse_past_budget``):
-# 64 MiB, the (P, 4, 2) holonomy frames of a loop of 2^19 points.
-BYTES_BUDGET = 64 * 2**20
-# Eigenvalue clustering gap of cluster_indices, relative to the larger of the
-# spectral range, the spectral radius and 1.
-DEGENERACY_GAP = 1e-7
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    """Numerical policy knobs.
-
-    rank_rel : singular-value cutoff for rank decisions, relative to the
-        larger of the largest singular value and 1.
-    resid_abs : absolute bound on residuals of verified identities.
-    """
-
-    rank_rel: float = 1e-10
-    resid_abs: float = 1e-8
-
-    def __post_init__(self):
-        if not all(0 < t < np.inf for t in (self.rank_rel, self.resid_abs)):
-            raise ValueError("tolerances must be finite and strictly positive")
-        if self.rank_rel >= 1:
-            raise ValueError("rank_rel must be < 1")
-
-
-DEFAULT_TOL = Tolerance()
 
 
 def _as_square(M) -> np.ndarray:
@@ -144,28 +117,6 @@ def unitarity_defect(U) -> float:
     return float(np.max(np.abs(np.swapaxes(U.conj(), -1, -2) @ U - np.eye(U.shape[-1])), initial=0.0))
 
 
-def mib_text(nbytes: int) -> str:
-    """A byte count in MiB as ``f"{x:.3g}"`` prints it, for any int: past floats, from its log10."""
-    try:
-        return f"{nbytes / 2**20:.3g}"
-    except OverflowError:
-        exponent, fraction = divmod(math.log10(nbytes) - 20 * math.log10(2), 1)
-        mantissa, _, carry = f"{10 ** fraction:.2e}".partition("e")  # 9.996 -> 1.00e+01
-        return f"{float(mantissa):g}e+{int(exponent) + int(carry)}"
-
-
-def budget_text() -> str:
-    """The budget as a refusal words it, read at call time."""
-    return f"the {BYTES_BUDGET >> 20} MiB budget"
-
-
-def refuse_past_budget(shape, what: str) -> None:
-    """Refuse a complex array of ``shape`` past BYTES_BUDGET before it is built: its bytes,
-    16 an entry, are counted by math.prod on ints, so astronomic shapes are refused too."""
-    if (nbytes := 16 * math.prod(shape)) > BYTES_BUDGET:
-        raise ContractViolationError(f"{what} needs {mib_text(nbytes)} MiB, over {budget_text()}")
-
-
 def check_unitary(U, tol: Tolerance, what: str, shape=None,
                   error=ContractViolationError) -> tuple[np.ndarray, float]:
     """U as a complex array and its unitarity_defect, refused unless it has ``shape`` (when
@@ -176,14 +127,6 @@ def check_unitary(U, tol: Tolerance, what: str, shape=None,
     if not (defect := unitarity_defect(U)) <= tol.resid_abs:
         raise error(f"{what} unitarity defect {defect:.3e}, over resid_abs {tol.resid_abs:.3e}")
     return U, defect
-
-
-def count_text(n: int) -> str:
-    """A count in decimal, or as ``f"{n:.3g}"`` would print it past the digits ``str`` prints."""
-    try:
-        return str(n)
-    except ValueError:
-        return mib_text(n * 2**20)  # n MiB, in MiB
 
 
 def hs_orthonormalize(ops, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -17,11 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import count_text, refuse_past_budget
-
-
-class SpecFileError(ValueError):
-    """Malformed operator specification file."""
+from .errors import SpecFileError
+from .pure import parse_pauli_token, pauli_bits, refuse_past_budget
 
 
 @dataclass
@@ -55,7 +52,7 @@ def as_matrices(ops) -> list:
     ops = list(ops)
     if not (strings := [op for op in ops if isinstance(op, str)]):
         return ops
-    from .parity import pauli_bits, pauli_string_matrix  # only a Pauli string loads parity
+    from .parity import pauli_string_matrix  # only a Pauli string loads parity
     refuse_past_budget((sum(4 ** pauli_bits(s)[0] for s in strings),),  # each string first, then all
                        f"the matrix list of {len(strings)} Pauli strings")
     return [pauli_string_matrix(op) if isinstance(op, str) else op for op in ops]
@@ -116,16 +113,6 @@ def _state_vector(entries, dim: int, where: str) -> np.ndarray:
     if norm < 1e-14:
         raise SpecFileError(f"{where}: state vector is zero")
     return vec / norm
-
-
-def parse_pauli_token(token: str, dim=None) -> str:
-    """A bare Pauli string like "XX" or "ZZI", checked for its letters and against dim, if given."""
-    if not isinstance(token, str) or not token or any(ch not in "IXYZ" for ch in token):
-        raise SpecFileError(f"not a Pauli string over IXYZ: {token!r}")
-    if dim is not None and 2 ** len(token) != dim:
-        raise SpecFileError(
-            f"Pauli string {token!r} has dimension {count_text(2 ** len(token))}, spec declares {dim}")
-    return token
 
 
 def _named_entries(data: dict, key: str, what: str, required: tuple):

@@ -5,7 +5,8 @@ k independent parity operators on n qubits split the state space into
 gives a bipartite structure (logical factor, syndrome factor).  The
 identification of logical factors across sectors is non-canonical; it
 is the deterministic eigensolver ordering.  A set of Pauli strings is also
-judged exactly, from their (x|z) bits, with the split's verdicts.
+judged exactly, from their (x|z) bits, with the split's verdicts
+(``pure.pauli_parity_shape``, which needs no matrix).
 """
 
 from __future__ import annotations
@@ -18,23 +19,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import (DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect,
-                       refuse_past_budget)
+from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect
+from .pure import _dependent, _logical_dim, pauli_bits
 
 if TYPE_CHECKING:
     from .tps import TPS
 
 _PHASES = np.array([1, 1j, -1, -1j])
-_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-
-
-def pauli_bits(s: str) -> tuple[int, int, int]:
-    """(n, x, z) of an n-letter Pauli string, x marking its X and Y letters and z its Z
-    and Y letters, leftmost most significant; refused past the budget, as its matrix is."""
-    if not s or any(c not in "IXYZ" for c in s):
-        raise ContractViolationError(f"invalid Pauli string {s!r}")
-    refuse_past_budget((2 ** len(s),) * 2, f"the matrix of a {len(s)}-qubit Pauli string")
-    return len(s), int(s.translate(_X_BITS), 2), int(s.translate(_Z_BITS), 2)
 
 
 def pauli_string_matrix(s: str) -> np.ndarray:
@@ -51,44 +42,6 @@ def pauli_string_matrix(s: str) -> np.ndarray:
     out = np.zeros((d, d), dtype=complex)
     out[r ^ x, r] = _PHASES[quarter_turns % 4]
     return out
-
-
-def pauli_parity_shape(strings) -> tuple[int, int]:
-    """(n, k) of k Pauli strings on n qubits as pauli_bits reads them, judged exactly:
-    each refusal is validate_parity_set's and ParitySet.tps's on their matrices.  An
-    all-I string is not traceless, two strings commute when popcount(x_a & z_b) +
-    popcount(z_a & x_b) is even, and the F2 rank r of the (x|z) rows gives 2^r joint
-    eigenspaces of dimension 2^(n-r), so the set is independent when r = k."""
-    n = strings[0][0]
-    if any(m != n for m, _, _ in strings):
-        raise DimensionMismatchError("parity operators differ in dimension")
-    problems = [f"op {j} is not traceless" for j, (_, x, z) in enumerate(strings) if not x | z]
-    problems += [f"ops {a} and {b} do not commute"
-                 for (a, (_, xa, za)), (b, (_, xb, zb)) in combinations(enumerate(strings), 2)
-                 if ((xa & zb).bit_count() + (za & xb).bit_count()) % 2]
-    if problems:
-        raise ParitySetError("; ".join(problems))
-    rows, r, k = [x << n | z for _, x, z in strings], 0, len(strings)
-    while any(rows):  # eliminate the highest leading bit left: one pivot per rank
-        pivot = max(rows)
-        rows, r = [min(v, v ^ pivot) for v in rows], r + 1
-    if r != k:
-        raise _dependent([2 ** (n - r)] * 2 ** r, k)
-    _logical_dim(n, k)
-    return n, k
-
-
-def _logical_dim(n: int, k: int) -> int:
-    """2^(n-k), the logical factor k independent parities on n qubits leave;
-    k >= n leave none and are refused."""
-    if k >= n:
-        raise ParitySetError(f"{k} parities on {n} qubits leave no logical factor to decompose")
-    return 2 ** (n - k)
-
-
-def _dependent(dims: list, k: int) -> ParitySetError:
-    return ParitySetError(f"joint eigenspace dimensions {dims} are not {2 ** k} equal ones: "
-                          "the set is dependent (some subset product is not traceless)")
 
 
 @dataclass

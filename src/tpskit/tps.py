@@ -4,8 +4,8 @@ A TPS is a unitary identification of the state space with a tensor
 product of factors.  Everything downstream of that identification lives
 here: the induced local algebras, entanglement relative to the TPS,
 Monte Carlo entangling power (whose square root serves as a distance
-between structures), factorization enumeration, and an equivalence test
-that reads the local algebras' match off one transition unitary.
+between structures), and an equivalence test that reads the local algebras'
+match off one transition unitary (factorizations need no matrix: ``pure``).
 
 Factor indices are 1-based throughout, matching the subscripts in
 ``dims = (n_1, ..., n_m)``.
@@ -29,12 +29,9 @@ from .numerics import (
     refuse_past_budget,
     schmidt_entropy,
 )
+from .pure import multiplicative_partitions  # noqa: F401
 
 _STATE_NORM_ATOL = 1e-10
-# largest n multiplicative_partitions takes: 907200 <= 10^6 has 22711
-# factorizations, 73513440 already 269052, and trial division of a prime
-# near 10^18 would take ~10^9 steps
-_MAX_PARTITION_N = 10**6
 # bytes of one entangling-power pass's (rows, dim) stack of product states: 2048 rows at dim 4
 _PASS_BYTES = 128 * 2**10
 # fewest rows in a pass: past dim 64 a 128 KiB pass is under 128 rows, and short passes cost
@@ -138,32 +135,6 @@ def _check_state(state, dim: int) -> np.ndarray:
     if not abs(nrm - 1.0) <= _STATE_NORM_ATOL:  # refuses a NaN norm too
         raise ContractViolationError(f"state norm {nrm} is not 1")
     return v
-
-
-def multiplicative_partitions(n: int) -> list[tuple[int, ...]]:
-    """All unordered factorizations of n into factors >= 2.
-
-    Each factorization is an ascending tuple; the singleton (n,) is
-    included; the full list is sorted lexicographically.  Recursive
-    divisor descent with a minimum-factor argument avoids duplicates.
-    n past _MAX_PARTITION_N is refused before the first division.
-    """
-    if n < 2:
-        raise ContractViolationError("n must be >= 2")
-    if n > _MAX_PARTITION_N:
-        raise ContractViolationError(f"n = {n} exceeds the bound {_MAX_PARTITION_N}")
-    out = []
-
-    def descend(remaining, min_factor, prefix):
-        f = min_factor
-        while f * f <= remaining:
-            if remaining % f == 0:
-                descend(remaining // f, f, prefix + (f,))
-            f += 1
-        out.append(prefix + (remaining,))
-
-    descend(n, 2, ())
-    return sorted(out)
 
 
 def local_algebra(tps: TPS, i: int) -> OperatorAlgebra:

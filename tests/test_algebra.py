@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tpskit.algebra as algebra_module
 import tpskit.numerics as numerics_module
+import tpskit.pure as pure_module
 from tpskit.algebra import (
     BipartitionCertificate,
     OperatorAlgebra,
@@ -933,7 +934,7 @@ def test_a_bipartition_builds_no_basis_for_a1(monkeypatch):
     # a1's basis, spin N=4 against X on the first qubit answers as at the full budget
     a1_gens, a2_gens = collective_spin_generators(4), [kron_all(SX, I2, I2, I2)]
     full = check_bipartition(close_algebra(a1_gens), close_algebra(a2_gens))
-    monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 35 * 16 * 16 - 1)
+    monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 35 * 16 * 16 - 1)
     a1, a2 = close_algebra(a1_gens), close_algebra(a2_gens)
     calls = []
     real = algebra_module._units
@@ -955,7 +956,7 @@ def test_a_commutant_pair_builds_no_basis(monkeypatch):
     # one byte under the commutant's basis, each pair answers without writing a unit
     a1 = close_algebra([kron_all(SX, I2, I2), kron_all(SZ, I2, I2)])
     comm = commutant(a1)
-    monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * len(comm) * 8 * 8 - 1)
+    monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * len(comm) * 8 * 8 - 1)
     calls = []
     monkeypatch.setattr(algebra_module, "_units", lambda *args: calls.append(args))
     cert = check_bipartition(a1, comm)
@@ -1008,7 +1009,7 @@ class TestInputSizedStacksRefused:
             raise AssertionError("the seed was stacked")
 
         monkeypatch.setattr(algebra_module, "hs_orthonormalize", no_stack)
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", (count - 1) * 16 * 16 * 16)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", (count - 1) * 16 * 16 * 16)
         with pytest.raises(ContractViolationError, match=rf"^the closure's seed of {count} operators at dim 16 needs "):
             close_algebra([generator])
 
@@ -1018,38 +1019,38 @@ class TestInputSizedStacksRefused:
         k, d = ops.shape[:2]
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 3 * k * d * d - 1)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 3 * k * d * d - 1)
         with pytest.raises(ContractViolationError,
                            match=rf"^a commutant product stack of 3 x {k} operators at dim {d} needs "):
             algebra_module._generic_commutant(ops, rng, DEFAULT_TOL, 3)
         assert rng.bit_generator.state == state
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 3 * k * d * d)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 3 * k * d * d)
         algebra_module._generic_commutant(ops, rng, DEFAULT_TOL, 3)
 
     def test_the_probe_stack_is_refused_before_it_is_drawn(self, monkeypatch):
         alg = close_algebra([SX, SZ])
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 8 * 2 * 2 - 1)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 8 * 2 * 2 - 1)
         with pytest.raises(ContractViolationError, match=r"^a stack of 8 oracle probes at dim 2 needs "):
             algebra_residuals(alg)
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 8 * 2 * 2)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 8 * 2 * 2)
         assert algebra_residuals(alg)["product"] < 1e-12
 
     def test_a_local_algebra_is_refused_at_its_basis(self, monkeypatch):
         t = TPS.natural((2, 3))
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6 - 1)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 4 * 6 * 6 - 1)
         alg = local_algebra(t, 1)
         assert len(alg) == 4
         with pytest.raises(ContractViolationError, match=r"^a basis of 4 elements at dim 6 needs "):
             alg.basis
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 4 * 6 * 6)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 4 * 6 * 6)
         assert alg.basis.shape == (4, 6, 6)
 
     def test_a_dense_ladder_matrix_is_refused_before_it_is_built(self, monkeypatch):
         fock = build_fock(2, 2)
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 6 * 6 - 1)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 6 * 6 - 1)
         with pytest.raises(ContractViolationError, match=r"^a dense ladder matrix at dim 6 needs "):
             fock.lowering(1)
-        monkeypatch.setattr(numerics_module, "BYTES_BUDGET", 16 * 6 * 6)
+        monkeypatch.setattr(pure_module, "BYTES_BUDGET", 16 * 6 * 6)
         assert fock.lowering(1).shape == (6, 6)
 
 

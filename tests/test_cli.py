@@ -1391,6 +1391,12 @@ def test_a_command_loads_only_its_layers(tmp_path):
                  ["tps", "equivalent", str(DATA / "cnot.json"), "--dims1", "2,2", "--dims2", "2,2",
                   "--iso1", "swap"]):
         assert _fresh_main([*argv, "--out", out], ("tpskit.algebra",)) == "0 []"
+    # a command that builds no matrix loads no numpy, and neither do the numpy-free exports
+    no_matrix = ("numpy", "tpskit.numerics", "tpskit.opfile", "tpskit.parity", "tpskit.tps")
+    for argv in (["tps", "partitions", "12"], ["tps", "parity", "--parity", "ZZI", "IZZ"]):
+        assert _fresh_main([*argv, "--out", out], no_matrix) == "0 []"
+    assert _fresh_import_of_tpskit("'numpy' in sys.modules", then="tpskit.Tolerance, "
+                                   "tpskit.DEFAULT_TOL, tpskit.multiplicative_partitions") == "False"
     # Pauli tokens are judged from their bits: no sector structure is built
     assert _fresh_main(["tps", "parity", "--parity", "ZZI", "IZZ", "--out", out],
                        ("tpskit.tps", "tpskit.algebra")) == "0 []"
@@ -1410,7 +1416,9 @@ def test_eleven_qubit_parities_answer_from_their_bits_in_a_fresh_process(tmp_pat
     assert [s["dim"] for s in json.loads(out)["results"]["sectors"]] == [256] * 8
     assert seconds < 0.5
     out_path = str(tmp_path / "report.json")
-    assert _fresh_main([*argv, "--out", out_path], ("tpskit.tps", "tpskit.algebra")) == "0 []"
+    assert _fresh_main([*argv, "--out", out_path],
+                       ("tpskit.tps", "tpskit.algebra", "numpy", "tpskit.numerics", "tpskit.opfile")
+                       ) == "0 []"
 
 
 def test_export_list_matches_the_package_namespace():

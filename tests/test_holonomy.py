@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, schur
 
-from tpskit import holonomy, numerics
+from tpskit import holonomy, numerics, pure
 from tpskit.errors import (
     BranchCutError,
     ContractViolationError,
@@ -507,7 +507,7 @@ class TestLoopHolonomy:
 
     def test_loops_up_to_the_cap_run(self, fixture_fam, monkeypatch):
         fam, _ = fixture_fam
-        monkeypatch.setattr(numerics, "BYTES_BUDGET", 4097 * fam.dim * 2 * 16)  # (P, dim, n) frames
+        monkeypatch.setattr(pure, "BYTES_BUDGET", 4097 * fam.dim * 2 * 16)  # (P, dim, n) frames
         loop = LoopPath(np.array([[0.0, 0.0], [0.3, 0.2], [0.0, 0.0]]), refinement=2048)
         assert loop.n_points == 4097
         assert np.max(np.abs(loop_holonomy(fam, loop, 1, 2) - np.eye(2))) < 1e-8

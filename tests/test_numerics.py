@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tpskit.numerics as numerics
+import tpskit.pure as pure
 from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import (
     DEFAULT_TOL,
@@ -101,7 +102,7 @@ def test_refuse_past_budget_counts_16_bytes_an_entry_against_the_budget_at_call_
     assert str(err.value) == "a stack needs 64 MiB, over the 64 MiB budget"
     with pytest.raises(ContractViolationError, match=r"^x needs 1\.6e\+401 MiB, over the 64 MiB budget$"):
         refuse_past_budget((10**400, 1, 2**20), "x")  # past floats
-    monkeypatch.setattr(numerics, "BYTES_BUDGET", 2 * 2**20)
+    monkeypatch.setattr(pure, "BYTES_BUDGET", 2 * 2**20)
     refuse_past_budget((2**17,), "a row")
     with pytest.raises(ContractViolationError, match=r"^a row needs 2 MiB, over the 2 MiB budget$"):
         refuse_past_budget((2**17 + 1,), "a row")

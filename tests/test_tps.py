@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import tpskit.numerics as numerics
+import tpskit.pure as pure
 import tpskit.tps as tps_module
 from tpskit.algebra import close_algebra, commutant, is_factor, structure_decompose
 from tpskit.errors import ContractViolationError, DimensionMismatchError
@@ -372,6 +373,21 @@ def haar_linear_entangling_power(U, tps, cut):
     return 1.0 - purity / (dL * (dL + 1) * dR * (dR + 1))
 
 
+def contracted_linear_entangling_power(U, dL, dR):
+    """haar_linear_entangling_power of U on the natural (dL, dR) structure, cut {1}, in O(d^5).
+
+    With W = U reshaped to (out L, out R, in L, in R), the output purity sum
+    W[a,b,c,e] W*[x,b,c',e'] W[x,y,u,v] W*[a,y,u',v'] is averaged by pairing each
+    conjugate input with an input of either copy: (c', u') is (c, u) or (u, c), and
+    (e', v') is (e, v) or (v, e), the four terms of (1 + S_L)(1 + S_R).
+    """
+    W = np.asarray(U, dtype=complex).reshape(dL, dR, dL, dR)
+    pairings = ("xbce,ayuv", "xbue,aycv", "xbcv,ayue", "xbuv,ayce")
+    purity = sum(np.einsum(f"abce,xyuv,{p}->", W, W, W.conj(), W.conj(), optimize=True)
+                 for p in pairings).real
+    return 1.0 - purity / (dL * (dL + 1) * dR * (dR + 1))
+
+
 class TestEntanglingPower:
     def test_identity_exact_zero(self):
         t = TPS.natural((2, 2))
@@ -400,7 +416,7 @@ class TestEntanglingPower:
         measure = EntanglementMeasure(cut=frozenset(cut))
         # the size rule predicts the entropies, 16 bytes a sample: vals and the temporary in its std
         ref = entangling_power(U, t, measure, samples=1000, seed=5)
-        monkeypatch.setattr(numerics, "BYTES_BUDGET", 1000 * 16)
+        monkeypatch.setattr(pure, "BYTES_BUDGET", 1000 * 16)
         at = entangling_power(U, t, measure, samples=1000, seed=5)
         assert (at.mean, at.stderr) == (ref.mean, ref.stderr)
 
@@ -417,10 +433,10 @@ class TestEntanglingPower:
         t = TPS.natural((8, 8))
         U = haar_unitary(64, np.random.default_rng(37))
         ref = entangling_power(U, t, samples=4096, seed=3)
-        monkeypatch.setattr(numerics, "BYTES_BUDGET", 4096 * 16)
+        monkeypatch.setattr(pure, "BYTES_BUDGET", 4096 * 16)
         at = entangling_power(U, t, samples=4096, seed=3)
         assert (at.mean, at.stderr) == (ref.mean, ref.stderr)
-        assert 16 * 257 * (8 + 8) > numerics.BYTES_BUDGET
+        assert 16 * 257 * (8 + 8) > pure.BYTES_BUDGET
         with pytest.raises(ContractViolationError, match="an entropy stack of 4097 samples needs"):
             entangling_power(U, t, samples=4097, seed=3)
 
@@ -580,6 +596,22 @@ class TestEntanglingPower:
         U = haar_unitary(t.dim, rng)
         exact = haar_linear_entangling_power(U, t, cut)
         est = entangling_power(U, t, EntanglementMeasure(kind="linear", cut=frozenset(cut)),
+                               samples=20000, seed=5)
+        assert abs(est.mean - exact) < 5 * est.stderr
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 4)])
+    def test_contracted_oracle_matches_the_dense_one(self, dims):
+        U = haar_unitary(dims[0] * dims[1], np.random.default_rng(79))
+        dense = haar_linear_entangling_power(U, TPS.natural(dims), {1})
+        assert abs(contracted_linear_entangling_power(U, *dims) - dense) < 1e-13
+
+    def test_an_8x8_linear_estimate_against_the_contracted_oracle(self):
+        # the dense oracle's four (d^2, d^2) matrices are 256 MiB each at 8 x 8
+        U = haar_unitary(64, np.random.default_rng(83))
+        start = time.perf_counter()
+        exact = contracted_linear_entangling_power(U, 8, 8)
+        assert time.perf_counter() - start < 1.0
+        est = entangling_power(U, TPS.natural((8, 8)), EntanglementMeasure(kind="linear"),
                                samples=20000, seed=5)
         assert abs(est.mean - exact) < 5 * est.stderr
 
