@@ -144,11 +144,11 @@ def _structure(dims, iso_name, spec, tol):
     return TPS.natural(dims, tol) if iso is None else TPS(dims, iso, tol)
 
 
-def _operands(tokens, spec) -> list:
+def _operands(tokens, spec, dim=None) -> list:
     """The operands --parity names: a spec operator as the file gave it, a dense
-    matrix or a Pauli string, else the token itself as a Pauli string."""
+    matrix or a Pauli string, else the token itself as a Pauli string, read against dim if given."""
     return [spec.operators[tok] if spec is not None and tok in spec.operators
-            else parse_pauli_token(tok) for tok in tokens]
+            else parse_pauli_token(tok, dim) for tok in tokens]
 
 
 def _parity(ops, tol):
@@ -246,7 +246,7 @@ def _cmd_entangle(args, spec, tol):
     if args.iso is not None and args.dims is None:
         raise _UsageError("--iso goes with --dims only")
     if args.parity is not None:
-        tps = _parity(_operands(args.parity, spec), tol).tps
+        tps = _parity(_operands(args.parity, spec, spec.dim), tol).tps
         origin = {"parity": list(args.parity)}
     else:
         tps = _structure(args.dims, args.iso, spec, tol)

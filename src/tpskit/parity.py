@@ -46,8 +46,8 @@ def pauli_string_matrix(s: str) -> np.ndarray:
 
 @dataclass
 class ParitySet:
-    """A validated family of commuting, independent parity operators and the
-    sector structure they induce."""
+    """A validated family of commuting, independent parity operators and the sector
+    structure they induce, from validate_parity_set (a hand-built one's columns are not checked)."""
 
     n: int
     sectors: dict  # +-1 label tuple (one sign per op) -> joint eigenbasis columns, canonical order
@@ -67,11 +67,15 @@ class ParitySet:
 
         Its dims are (2^(n-k), 2^k): logical factor first, syndrome factor
         second; iso column (l, s) is the l-th basis vector of the s-th
-        sector in canonical label order (+1 before -1 at each level).
+        sector in canonical label order (+1 before -1 at each level).  Only the sectors'
+        count and shapes are checked: their columns, eigh's times orthonormal parents, are trusted.
         """
         from .tps import TPS
-        iso = np.stack(list(self.sectors.values()), -1).reshape(self.dim, self.dim)
-        return TPS((_logical_dim(self.n, self.k), 2 ** self.k), iso, self.tol)  # (logical, syndrome)
+        dims = (_logical_dim(self.n, self.k), 2 ** self.k)  # (logical, syndrome)
+        if len(self.sectors) != dims[1] or any(np.shape(V) != (self.dim, dims[0]) for V in self.sectors.values()):
+            raise DimensionMismatchError(f"the sectors are not {dims[1]} bases of shape {(self.dim, dims[0])}")
+        iso = np.stack(list(self.sectors.values()), -1, dtype=complex).reshape(self.dim, self.dim)
+        return TPS._unchecked(dims, iso, self.tol)
 
 
 def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
@@ -109,7 +113,7 @@ def validate_parity_set(ops, tol: Tolerance = DEFAULT_TOL) -> ParitySet:
         if X.shape != (d, d):
             raise DimensionMismatchError("parity operators differ in dimension")
 
-    sectors = [((), np.eye(d, dtype=complex))]
+    sectors = [((), None)]  # level 0: the whole space, no basis
     for i, X in enumerate(mats):
         resid, refined = 0.0, None
         if hermiticity_defect(X) <= tol.resid_abs and abs(np.trace(X)) <= tol.resid_abs * d:
@@ -149,14 +153,13 @@ def _split_sectors(sectors, X, tol: Tolerance):
     Returns (invariance residual max|V^dag X - (V^dag X V) V^dag|, refined
     (label, basis) list); the list is None when the residual exceeds
     resid_abs (no split is tried) or a restricted eigenvalue is away
-    from +-1.  At level 0 (empty label) V is the identity: the block is X
-    itself, which splits bit-identically to (I^dag X) I.  The product V cols
-    stays: BLAS sets the signs of its zero parts, which cols alone does not match.
+    from +-1.  At level 0 (empty label) V is None, the whole space: the block
+    is X itself and each half is X's rephased eigenvectors, with no product.
     """
     blocks = []
     resid = 0.0
     for label, V in sectors:
-        if not label:
+        if V is None:
             blocks.append(X)
             continue
         Vh = V.conj().T
@@ -174,7 +177,7 @@ def _split_sectors(sectors, X, tol: Tolerance):
         for sign in (+1, -1):
             cols = W[:, w > 0] if sign > 0 else W[:, w < 0]
             if cols.shape[1]:
-                refined.append((label + (sign,), fix_column_phases(V @ cols)))
+                refined.append((label + (sign,), fix_column_phases(cols if V is None else V @ cols)))
     return resid, refined
 
 

@@ -78,8 +78,13 @@ class TPS:
         complex identity, 16 d^2 bytes, is refused past BYTES_BUDGET before it is built."""
         d = math.prod(int(n) for n in dims)
         refuse_past_budget((d, d), f"the identity of a natural structure at dim {count_text(d)}")
-        tps = object.__new__(cls)  # the identity is exactly unitary: no O(d^3) __post_init__ check
-        tps.dims, tps.iso, tps.tol = _factor_dims(dims), np.eye(d, dtype=complex), tol
+        return cls._unchecked(dims, np.eye(d, dtype=complex), tol)
+
+    @classmethod
+    def _unchecked(cls, dims, iso: np.ndarray, tol: Tolerance) -> "TPS":
+        """A TPS on a complex iso unitary by construction: no O(d^3) __post_init__ check."""
+        tps = object.__new__(cls)
+        tps.dims, tps.iso, tps.tol = _factor_dims(dims), iso, tol
         return tps
 
 

@@ -698,6 +698,21 @@ class TestTpsCommands:
                          "--state", "bell_minus", "--parity", "XX"], capsys)
         assert rep["results"]["value"] == 0.0
 
+    def test_entangle_parity_answers_at_a_tol_resid_under_the_sector_basis_rounding(self, capsys):
+        # the sector iso, built unchecked, has a unitarity defect of 2.2e-16: a check of it
+        # refused both tolerances; XX itself meets them exactly
+        argv = ["tps", "entangle", str(DATA / "bell_xx.json"), "--state", "bell_plus", "--parity", "xx"]
+        default = report_of(argv, capsys)["results"]
+        for tol in ("1e-300", "1e-16"):
+            assert report_of(argv + ["--tol-resid", tol], capsys)["results"] == default
+
+    def test_entangle_reads_a_bare_token_against_the_spec_dimension(self, capsys):
+        # refused as a spec pauli entry is, before its 1024 x 1024 matrix is built and split
+        code, out, err = run_cli(["tps", "entangle", str(DATA / "bell_xx.json"),
+                                  "--state", "bell_plus", "--parity", "Z" * 10], capsys)
+        assert (code, out) == (1, "")
+        assert err == "spec file error: Pauli string 'ZZZZZZZZZZ' has dimension 1024, spec declares 4\n"
+
     def test_entangle_requires_one_structure(self, capsys):
         code, _, err = run_cli(["tps", "entangle", str(DATA / "bell_xx.json"),
                                 "--state", "bell_plus"], capsys)

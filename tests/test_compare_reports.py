@@ -171,6 +171,14 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     entangle = ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus", "--parity", "xx"]
     assert entangle in argvs and main(entangle) == 0
     assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.0
+    # entangle --parity at a resid_abs under the sector basis's rounding, and a bare token
+    # refused against the spec's dim before it is split
+    tight, mismatch = compare_reports.PARITY_ENTANGLE
+    assert argvs[argvs.index(entangle) + 1:argvs.index(entangle) + 3] == [tight, mismatch]
+    assert tight == entangle + ["--tol-resid", "1e-300"] and main(tight) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["value"] == 0.0
+    assert main(mismatch) == 1
+    assert "Pauli string 'ZZZZZZZZZZ' has dimension 1024, spec declares 4" in capsys.readouterr().err
     # the other spec-less equivalent jobs reach both verdicts of the no-FILE path
     verdicts = set()
     for argv in (a for a in argvs if a[:3] == ["tps", "equivalent", "--dims1"] and a not in refusals):
@@ -202,7 +210,8 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
     jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
     assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
     argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
-    tight = [a for a in argvs if "--tol-resid" in a and a not in compare_reports.UNITARITY_REFUSALS]
+    tight = [a for a in argvs if "--tol-resid" in a
+             and a not in compare_reports.UNITARITY_REFUSALS + compare_reports.PARITY_ENTANGLE]
     assert len(tight) == 7 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
     for argv in tight:
         default = argv[:argv.index("--tol-resid")]

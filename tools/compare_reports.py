@@ -22,7 +22,9 @@ reaches; ``tps parity`` and ``tps entangle --parity`` of two parities on
 two qubits, refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
-of ``bell_xx.json``'s ``pauli`` entry; ``tps parity`` over the ``pauli``
+of ``bell_xx.json``'s ``pauli`` entry, also at ``--tol-resid 1e-300``, under
+the rounding of the sector basis, and of a 10-qubit bare token, refused
+against the spec's dim (PARITY_ENTANGLE); ``tps parity`` over the ``pauli``
 entries of a 3-qubit spec file written in code (a valid, a non-commuting
 and a dependent set, and a set mixing an entry with a bare token), which
 take the bit route as bare tokens do; and, built in code, collective spin
@@ -101,6 +103,10 @@ NO_LOGICAL_FACTOR = [
 PAULI_PARITY = [["tps", "parity", "--parity", *tokens] for tokens in (
     ["IIII", "ZZII"], ["ZZ", "ZZZ"], ["XX", "YY", "ZZ"], ["ZZI", "ZZI"], ["ZA"],
     ["ZZIIIIIII", "IIXXIIIII", "YYYYIIIII"])]
+# tps entangle --parity of bell_xx.json at a resid_abs under the rounding of the sector basis,
+# which its XX entry meets exactly, and of a bare token refused against the spec's dim of 4
+PARITY_ENTANGLE = [["tps", "entangle", os.path.join(DATA, "bell_xx.json"), "--state", "bell_plus", "--parity",
+                    *tokens] for tokens in (["xx", "--tol-resid", "1e-300"], ["Z" * 10])]
 # spec-file pauli entries, each set on one route with bare tokens: valid, non-commuting,
 # dependent, and an entry mixed with a bare token
 PAULI_ENTRIES = {"zzi": "ZZI", "izz": "IZZ", "ziz": "ZIZ", "xii": "XII"}
@@ -135,8 +141,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
     REFUSALS, LONG_LADDERS, UNITARITY_REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
-    entangle --parity of a pauli entry, tps parity of the PAULI_ENTRY_SETS, the spin_specs
-    and reach_specs through decompose, and the tolerance_jobs."""
+    entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
+    PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -162,6 +168,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
         ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
+        *PARITY_ENTANGLE,
     ]
     paulis = os.path.join(cwd, "paulis3.json")
     with open(paulis, "w", encoding="utf-8") as fh:
