@@ -19,6 +19,8 @@ from .pure import (DEFAULT_TOL, DEGENERACY_GAP, Tolerance, budget_text, count_te
 # Entropies below this are reported as exactly 0.0 (double-precision noise
 # floor for Schmidt spectra of product states).
 ENTROPY_FLOOR = 1e-12
+# how near 0 or pi/3 the angle of _eigvals_3x3 may come before its row takes eigvalsh
+_TRIG_GAP = 1e-2
 
 
 def _as_square(M) -> np.ndarray:
@@ -204,18 +206,43 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
 def density_entropy(rho, kind: str = "vn"):
     """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
 
-    Kind "vn" is ``schmidt_entropy`` of the ``eigvalsh`` eigenvalues and kind
-    "linear" is 1 - Tr rho^2 = 1 - sum |rho_ik|^2, which needs no eigensolver.
-    The same ENTROPY_FLOOR rule as ``schmidt_entropy`` applies.  (A 2 x 2
-    density has its closed form, ``entropy_2x2``.)
+    Kind "vn" is ``schmidt_entropy`` of the eigenvalues, a 3 x 3 density's in
+    closed form (``_eigvals_3x3``) and any other size's from ``eigvalsh``; kind
+    "linear" is 1 - Tr rho^2 = 1 - sum |rho_ik|^2, one contraction over rho's
+    float view, which needs no eigensolver.  The same ENTROPY_FLOOR rule as
+    ``schmidt_entropy`` applies.  (A 2 x 2 density has its closed form, ``entropy_2x2``.)
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = np.ascontiguousarray(rho, dtype=complex)
     if kind == "vn":
-        return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
+        return schmidt_entropy(_eigvals_3x3(rho) if rho.shape[-1] == 3 else np.linalg.eigvalsh(rho), kind)
     if kind != "linear":
         raise ValueError(f"unknown entropy kind {kind!r}")
-    S = _floored(1.0 - (rho.real ** 2 + rho.imag ** 2).sum(axis=(-2, -1)))
+    S = _floored(1.0 - np.einsum("...ij,...ij->...", rho.view(float), rho.view(float)))
     return float(S) if rho.ndim == 2 else S
+
+
+def _eigvals_3x3(rho) -> np.ndarray:
+    """Eigenvalues, ascending on a last axis, of each Hermitian 3 x 3 matrix of a (..., 3, 3) stack, read
+    from its diagonal and lower triangle as eigvalsh reads it, in trigonometric form (Smith 1961; Kopp,
+    arXiv:physics/0610206): q + 2p cos(phi + 2 pi k / 3), q = Tr / 3, 6 p^2 = |rho - q|_F^2 and phi =
+    arccos(det(rho - q) / 2p^3) / 3 in [0, pi/3].  Its roundoff grows as one over the gap between the
+    closest two eigenvalues (~1e-8 on a rank-1 density's double zero), so rows with phi within _TRIG_GAP
+    of an end (those two under 2 sqrt(3) sin(_TRIG_GAP) p ~ 0.035 p apart) take eigvalsh."""
+    a, c, f = rho[..., 0, 0].real, rho[..., 1, 1].real, rho[..., 2, 2].real
+    x, y, z = rho[..., 1, 0], rho[..., 2, 0], rho[..., 2, 1]
+    q = (tr := a + c + f) / 3
+    a, c, f = a - q, c - q, f - q
+    xx, yy, zz = x.real ** 2 + x.imag ** 2, y.real ** 2 + y.imag ** 2, z.real ** 2 + z.imag ** 2
+    p = np.sqrt((a * a + c * c + f * f + 2 * (xx + yy + zz)) / 6)
+    xz = x * z
+    det = a * (c * f - zz) - c * yy - f * xx + 2 * (xz.real * y.real + xz.imag * y.imag)
+    p3 = 2 * p ** 3  # 0 at p = 0, a threefold eigenvalue: phi = 0 sends it to eigvalsh
+    phi = np.arccos(np.clip(np.divide(det, p3, out=np.ones_like(p), where=p3 > 0), -1.0, 1.0)) / 3
+    hi, lo = q + 2 * p * np.cos(phi), q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+    lam = np.stack([lo, tr - hi - lo, hi], axis=-1)
+    if (fall := np.minimum(phi, np.pi / 3 - phi) < _TRIG_GAP).any():
+        lam[fall] = np.linalg.eigvalsh(rho[fall])
+    return lam
 
 
 def entropy_2x2(a, c, b, kind: str = "vn"):

@@ -6,7 +6,7 @@ string over IXYZ (dimension 2^length), kept as a string until a dense
 reader builds it (``as_matrices``).  Optional sections name generator
 lists for bipartition checks and complex state vectors.  Parse failures
 raise SpecFileError with the offending field spelled out; they are usage
-errors, not computation errors.
+errors, not computation errors.  Only a dense entry loads numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import cmath
 import json
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import SpecFileError
 from .pure import parse_pauli_token, pauli_bits, refuse_past_budget
@@ -75,6 +73,7 @@ def _numeric_pairs(value, shape) -> np.ndarray | None:
     """value as a complex array when it is an all-numeric, finite array of
     [re, im] pairs of the given shape (bit-identical to complex(re, im)
     entry by entry), else None: other input takes the per-entry checks."""
+    import numpy as np  # only a dense entry loads numpy
     try:
         arr = np.asarray(value)
     except (ValueError, TypeError):
@@ -87,6 +86,7 @@ def _numeric_pairs(value, shape) -> np.ndarray | None:
 
 
 def _dense_matrix(rows, dim: int, where: str) -> np.ndarray:
+    import numpy as np  # only a dense entry loads numpy
     if not isinstance(rows, list) or len(rows) != dim:
         raise SpecFileError(f"{where}: expected {dim} rows")
     if all(isinstance(row, list) for row in rows):
@@ -103,6 +103,7 @@ def _dense_matrix(rows, dim: int, where: str) -> np.ndarray:
 
 
 def _state_vector(entries, dim: int, where: str) -> np.ndarray:
+    import numpy as np  # only a dense entry loads numpy
     if not isinstance(entries, list) or len(entries) != dim:
         raise SpecFileError(f"{where}: expected {dim} amplitudes")
     vec = _numeric_pairs(entries, (dim,))

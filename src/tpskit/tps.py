@@ -187,8 +187,8 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     complex Gaussian vectors on each side (exact Haar on each factor);
     the estimate is deterministic given the seed.  Each output state's
     entropy comes from its reduced density on the smaller side of the cut,
-    so no sample takes an SVD: a 2-dim side's three entries are sums over
-    the long side, read by ``entropy_2x2``; other sizes form the stacked
+    so no sample takes an SVD: a 2-dim side's three entries are contractions
+    over the long side, read by ``entropy_2x2``; other sizes form the stacked
     Gram and read ``density_entropy``.  Samples are drawn, normalized and
     contracted in passes of _PASS_BYTES per (rows, dim) product stack, and
     at least _MIN_PASS_ROWS rows, so no array grows with samples but the
@@ -201,10 +201,11 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     U, defect = check_unitary(U, tps.tol, "U", (d, d))
 
     order, dL = _cut_order(tps, measure.cut)
-    dR = d // dL
+    dR, ds = d // dL, min(dL, d // dL)
     refuse_past_budget((samples,), f"an entropy stack of {count_text(samples)} samples")
-    # tensor-coordinate action of U, with both indices in (cut, complement) order
-    W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(order, order)]
+    # tensor-coordinate action of U from (cut, complement) order to (smaller side, larger side)
+    outs = order if dL == ds else order.reshape(dL, dR).T.reshape(-1)
+    W = (tps.iso.conj().T @ U @ tps.iso)[np.ix_(outs, order)]
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rows = max(_MIN_PASS_ROWS, _PASS_BYTES // (16 * d))
@@ -214,20 +215,20 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     buf = np.empty((rows, 2 * (dL + dR)))
     vals = np.empty(samples)
     for at in range(0, samples, rows):
-        z = rng.standard_normal(out=buf[:samples - at]).view(complex)
-        z1, z2 = z[:, :dL], z[:, dL:]
-        z1 /= np.linalg.norm(z1, axis=1, keepdims=True)
-        z2 /= np.linalg.norm(z2, axis=1, keepdims=True)
-        out = (np.einsum("bi,bj->bij", z1, z2).reshape(-1, d) @ W.T).reshape(-1, dL, dR)
-        if dL > dR:
-            out = out.transpose(0, 2, 1)
-        if min(dL, dR) == 2:  # rho = [[|r0|^2, r0 . r1^*], [r1 . r0^*, |r1|^2]] over rows r0, r1
-            r0, r1 = out[:, 0], out[:, 1]
-            vals[at:at + rows] = entropy_2x2((r0.real ** 2 + r0.imag ** 2).sum(axis=1),
-                                             (r1.real ** 2 + r1.imag ** 2).sum(axis=1),
-                                             (r1 * r0.conj()).sum(axis=1), measure.kind)
-        else:
-            vals[at:at + rows] = density_entropy(out @ out.conj().transpose(0, 2, 1), measure.kind)
+        x = rng.standard_normal(out=buf[:samples - at])
+        x1, x2 = x[:, :2 * dL], x[:, 2 * dL:]
+        # the product state's norm |z1| |z2| is divided out of the cut side alone
+        x1 /= np.sqrt(np.einsum("bi,bi->b", x1, x1) * np.einsum("bi,bi->b", x2, x2))[:, None]
+        z = x.view(complex)
+        out = (np.einsum("bi,bj->bij", z[:, :dL], z[:, dL:]).reshape(-1, d) @ W.T).reshape(-1, ds, d // ds)
+        if ds == 2:  # rho = [[|r0|^2, r0 . r1^*], [r1 . r0^*, |r1|^2]] over rows r0, r1
+            a, c = np.einsum("bik,bik->ib", out.view(float), out.view(float))
+            vals[at:at + rows] = entropy_2x2(a, c, np.einsum("bk,bk->b", out[:, 1], out[:, 0].conj()),
+                                             measure.kind)
+        else:  # einsum forms a 3 x 3 stack's Gram in half matmul's time; matmul wins from 4 x 4 on
+            vals[at:at + rows] = density_entropy(np.einsum("bik,bjk->bij", out, out.conj()) if ds == 3
+                                                 else out @ out.conj().transpose(0, 2, 1), measure.kind)
+        del out  # a pass's output goes before the next pass's draw
 
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0

@@ -1415,12 +1415,13 @@ def test_a_command_loads_only_its_layers(tmp_path):
     # Pauli tokens are judged from their bits: no sector structure is built
     assert _fresh_main(["tps", "parity", "--parity", "ZZI", "IZZ", "--out", out],
                        ("tpskit.tps", "tpskit.algebra")) == "0 []"
-    # and so are spec-file Pauli entries
+    # and so are spec-file Pauli entries, read with no numpy: only a dense entry loads it
     paulis = tmp_path / "paulis.json"
     paulis.write_text(json.dumps({"dim": 8, "operators": [{"name": "a", "pauli": "ZZI"},
                                                           {"name": "b", "pauli": "IZZ"}]}))
     assert _fresh_main(["tps", "parity", str(paulis), "--parity", "a", "b", "--out", out],
-                       ("tpskit.tps", "tpskit.algebra")) == "0 []"
+                       ("tpskit.tps", "tpskit.algebra", "numpy", "tpskit.numerics", "tpskit.parity")
+                       ) == "0 []"
 
 
 def test_eleven_qubit_parities_answer_from_their_bits_in_a_fresh_process(tmp_path):

@@ -204,6 +204,25 @@ def test_the_spin_fixtures_decompose_to_the_schur_weyl_shapes_and_their_transpos
         assert swaps == (sorted((d, n) for n, d in spin[0]), spin[2], spin[1])
 
 
+def test_the_distance_jobs_take_the_routes_no_benchmark_job_takes(tmp_path, capsys):
+    # 3 x 4 and 4 x 3 reduce to 3 x 3 densities on either side of the cut, vn and linear;
+    # a 3 x 3 local unitary's rank-1 outputs take eigvalsh's exact zeros (every input set
+    # has the same job slots, so one set shows every benchmark job's dims)
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
+    distance = [job["argv"] for job in jobs if job["argv"][:2] == ["tps", "distance"]]
+    dims = lambda argv: argv[argv.index("--dims") + 1]
+    fixtures = compare_reports.distance_jobs(str(tmp_path))
+    assert [a for a in distance if a in fixtures] == fixtures
+    assert {(dims(a), a[-1]) for a in fixtures} == {("3,4", "vn"), ("3,4", "linear"), ("4,3", "vn"),
+                                                     ("4,3", "linear"), ("3,3", "vn")}
+    assert not {dims(a) for a in distance if a not in fixtures} & {"3,4", "4,3"}
+    means = []
+    for argv in fixtures:
+        assert main(argv) == 0
+        means.append(json.loads(capsys.readouterr().out)["results"]["mean"])
+    assert min(means[:4]) > 0.1 and means[4] == 0.0
+
+
 def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, capsys):
     # the benchmark jobs all run at the default tolerance: these twins are what show
     # a tolerance that no longer reaches its check

@@ -541,3 +541,47 @@ def test_density_entropy_matches_schmidt_spectrum(rows, cols):
         assert entropy(np.zeros((2, 2)), "vn") == 0.0  # hi = 0: lo is 0, not 0 / 0
     with pytest.raises(ValueError):
         entropy(rho, "renyi")
+
+
+def trig_oracle_cases(rng):
+    """Seeded 3 x 3 density stacks, one per case of the closed-form spectrum's oracle."""
+    def reduced(n, k):  # Haar states of a 3 x k bipartition, reduced to the 3-dim side: rank min(3, k)
+        C = rng.standard_normal((n, 3, k)) + 1j * rng.standard_normal((n, 3, k))
+        C /= np.linalg.norm(C, axis=(1, 2), keepdims=True)
+        return C @ C.conj().transpose(0, 2, 1)
+
+    def rotated(spectra):
+        U = np.array([haar_unitary(3, rng) for _ in spectra])
+        return (U * spectra[:, None, :]) @ U.conj().transpose(0, 2, 1)
+
+    a = rng.uniform(0.05, 0.45, 400)
+    split = np.repeat([0.0, 1e-14, 1e-10, 1e-6, 1e-3], 80)
+    return {
+        "haar": np.concatenate([reduced(3000, 3), reduced(3000, 4)]),
+        "rank 1": reduced(400, 1),
+        "rank 2": reduced(400, 2),
+        "two-fold": rotated(np.stack([a - split, a + split, 1 - 2 * a], axis=1)),
+        "three-fold": rotated(1 / 3 + np.repeat([0.0, 1e-15, 1e-12, 1e-8], 100)[:, None]
+                              * rng.standard_normal((400, 3))),
+        "diagonal": np.eye(3) * rng.dirichlet(np.ones(3), 400)[:, None, :],
+    }
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_3x3_closed_form_spectrum_matches_eigvalsh():
+    # each eigenvalue within 8e-15 of eigvalsh's, relative to the largest (measured: 3.2e-15
+    # unscaled, 5.1e-15 scaled by 1e-6 or 1e3); each vn entropy within 1e-14 of eigvalsh's, or
+    # 2e-13 where the spectrum has a zero (measured 4.8e-15 and 9.2e-14: roundoff of 1e-15 on
+    # a zero eigenvalue costs 1e-15 log2(1e15) in entropy, as it would from any eigensolver).
+    # Rank-1 rows, whose two zeros the closed form reads only to ~1e-8, take eigvalsh: their
+    # entropies are exactly 0
+    cases = trig_oracle_cases(np.random.default_rng(97))
+    for case, rho in cases.items():
+        ref = np.linalg.eigvalsh(rho)
+        for scale in (1.0, 1e-6, 1e3):
+            err = np.abs(numerics._eigvals_3x3(scale * rho) - scale * ref).max(axis=1)
+            assert np.all(err <= 8e-15 * np.abs(scale * ref).max(axis=1)), case
+        bound = 2e-13 if case == "rank 2" else 1e-14
+        assert np.abs(density_entropy(rho, "vn") - schmidt_entropy(ref, "vn")).max() <= bound, case
+    assert np.all(density_entropy(cases["rank 1"], "vn") == 0.0)
+    assert density_entropy(cases["rank 1"][0], "vn") == 0.0 and density_entropy(np.eye(3) / 3, "vn") == np.log2(3)

@@ -429,6 +429,18 @@ def test_level_zero_split_equals_the_split_through_the_identity():
     assert sectors == 112
 
 
+def test_level_zero_takes_x_without_a_second_hermiticity_check(monkeypatch):
+    # validate_parity_set bounds each X's Hermiticity at the absolute resid_abs, stricter than
+    # hermitian_eig's relative bound, so level 0's eigh reads X unchecked; the 4 x 4 blocks of
+    # the later level keep hermitian_eig's check
+    import tpskit.numerics
+    checked = []
+    real = tpskit.numerics.hermiticity_defect
+    monkeypatch.setattr(tpskit.numerics, "hermiticity_defect", lambda M: checked.append(len(M)) or real(M))
+    ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
+    assert len(ps.sectors) == 4 and checked == [4, 4]
+
+
 class TestSyndromeDecompose:
     def test_x_slot_sectors(self):
         ps = validate_parity_set([np.kron(SX, I2)])

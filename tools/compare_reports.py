@@ -31,8 +31,11 @@ take the bit route as bare tokens do; and, built in code, collective spin
 on 3 to 5 qubits and its adjacent-swap dual, and two
 algebras whose basis is past the byte budget but whose block form is not
 (collective spin on 8 qubits and M_64 from clock and shift), through
-``decompose --emit-basis``, and seven ``tps`` jobs whose operators sit
-between the default ``--tol-resid`` and a tight one, each run at both, so
+``decompose --emit-basis``; ``tps distance`` on the routes no benchmark job
+takes (``distance_jobs``): a Haar unitary at ``--dims 3,4`` and ``4,3``,
+vn and linear, whose 3 x 3 reduced densities sit on the cut side and on
+the complement, and vn of a 3 x 3 local unitary, exactly 0; and seven
+``tps`` jobs whose operators sit between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
 Each tree then runs all the jobs in process, through tpskit.cli.main, in
@@ -142,7 +145,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     equivalent, parity and bosonic each with and without a spec file, the
     REFUSALS, LONG_LADDERS, UNITARITY_REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
     entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
-    PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, and the tolerance_jobs."""
+    PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs and
+    the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -175,6 +179,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         json.dump({"dim": 8, "operators": [{"name": k, "pauli": v} for k, v in PAULI_ENTRIES.items()]}, fh)
     argvs += [["tps", "parity", paulis, "--parity", *names] for names in PAULI_ENTRY_SETS]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
+    argvs += distance_jobs(cwd)
     argvs += tolerance_jobs(cwd)
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
              "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA)
@@ -226,6 +231,26 @@ def reach_specs(cwd: str) -> list[str]:
     clock, shift = np.diag(np.exp(2j * np.pi * np.arange(64) / 64)), np.roll(np.eye(64), 1, axis=0)
     return [write_spec(os.path.join(cwd, "spin8.json"), collective_spin(8)),
             write_spec(os.path.join(cwd, "clock64.json"), {"clock": clock, "shift": shift})]
+
+
+def distance_jobs(cwd: str) -> list[list[str]]:
+    """tps distance on spec files written to cwd, on the routes no benchmark job takes: a
+    seeded Haar unitary at --dims 3,4 and 4,3, vn and linear, whose 3 x 3 reduced densities
+    are on the cut side and then on the complement, and vn of a 3 x 3 local unitary, whose
+    rank-1 reduced densities give exactly 0."""
+    import numpy as np
+
+    rng = np.random.default_rng(12)
+
+    def haar(d):
+        Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+    haar12 = write_spec(os.path.join(cwd, "haar12.json"), {"u": haar(12)})
+    local9 = write_spec(os.path.join(cwd, "local9.json"), {"u": np.kron(haar(3), haar(3))})
+    return [["tps", "distance", haar12, "--unitary", "u", "--dims", dims, "--measure", m]
+            for dims in ("3,4", "4,3") for m in ("vn", "linear")] + [
+        ["tps", "distance", local9, "--unitary", "u", "--dims", "3,3", "--measure", "vn"]]
 
 
 def tolerance_jobs(cwd: str) -> list[list[str]]:
