@@ -28,7 +28,7 @@ _HOMES = {
                "PathSingularityError", "SpecFileError", "ToleranceError", "TpskitError",
                "TruncationBoundaryError"),
     "holonomy": ("IsoDegenerateOperator", "LoopPath", "RefinementLadder", "UnitaryFamily",
-                 "builtin_family", "exponential_family", "holonomy_algebra_span",
+                 "builtin_family", "holonomy_algebra_span",
                  "holonomy_nonabelian_witness", "loop_holonomy", "principal_log_unitary",
                  "refinement_ladder"),
     "opfile": ("OperatorSpecFile", "load_spec", "parse_spec"),

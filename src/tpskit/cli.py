@@ -477,8 +477,12 @@ def main(argv=None) -> int:
     }
     text = render_json(report) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"usage error: cannot write report to {args.out}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     print(f"wall-time {elapsed:.3f} s", file=sys.stderr)

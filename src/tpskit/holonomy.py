@@ -10,7 +10,7 @@ unitary at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -20,13 +20,11 @@ from .errors import (
     DimensionMismatchError,
     IndexRangeError,
     PathSingularityError,
-    ToleranceError,
 )
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     budget_text,
-    check_unitary,
     close_span,
     count_text,
     hermitian_eig,
@@ -63,35 +61,35 @@ def _eigenspace(dim: int, n: int, i: int) -> slice:
 
 @dataclass
 class UnitaryFamily:
-    """U(lambda) = prod_mu exp(-i lambda_mu G_mu), held as each Hermitian generator's
-    spectrum (w_mu, V_mu) from ``hermitian_eig``, checked at tol.
+    """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators G_mu, built at tol.
 
-    D and dim are read off the spectra; each V_mu's unitarity and each (w_mu, V_mu)'s shape
-    are checked once, here.
-    ``frames`` is the one evaluation; calling the family is its one-point full frame U(lambda).
-    Every transport and Lie span of the family is cut at the same tol.
+    The generators are judged once, here: each by ``hermitian_eig`` at tol, whose spectrum
+    (w_mu, V_mu) the family keeps as ``spectra``, and all of one dimension.  D and dim are
+    read off the spectra.  ``frames`` is the one evaluation.  Every Lie span of the family
+    is cut at the same tol.
     """
 
-    spectra: list = field(repr=False)  # [(w_mu, V_mu)], mu = 1..D
+    generators: InitVar[list]
     tol: Tolerance = DEFAULT_TOL
+    spectra: list = field(init=False, repr=False)  # [(w_mu, V_mu)], mu = 1..D
 
-    def __post_init__(self):
+    def __post_init__(self, generators):
+        self.spectra = [hermitian_eig(G, self.tol) for G in generators]
         if not self.spectra:
             raise ContractViolationError("need at least one generator")
-        for w, V in self.spectra:
-            check_unitary(V, self.tol, "generator eigenbasis", (self.dim, self.dim))
-            if np.shape(w) != (self.dim,):
-                raise DimensionMismatchError(f"generator spectrum shape {np.shape(w)} is not ({self.dim},)")
+        if (dims := sorted({len(w) for w, _ in self.spectra})) != [self.dim]:
+            raise DimensionMismatchError(f"generators of mixed dimensions {dims}")
 
     D = property(lambda self: len(self.spectra))
-    dim = property(lambda self: self.spectra[0][1].shape[0])
+    dim = property(lambda self: len(self.spectra[0][0]))
 
     def frames(self, points, cols) -> np.ndarray:
         """(P, dim, n) stack of U(lambda) S at a (P, D) stack of points, S the identity's
         columns ``cols``, computed right to left from S as F <- V_mu (e^{-i lambda_mu w_mu}
         (.) (V_mu^dag F)) for mu = D..1: no (P, dim, dim) array, and at most two frame
         stacks alive while it is built.  A non-finite point is refused before it is
-        exponentiated, and the stack's isometry defect is checked at tol."""
+        exponentiated.  Each frame is a product of eigh's unitaries and unit phases,
+        unitary to roundoff: it is not judged again."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.D:
             raise DimensionMismatchError(f"points shape {pts.shape} != (P, {self.D})")
@@ -104,18 +102,7 @@ class UnitaryFamily:
             F = np.multiply(F, np.exp(-1j * pts[:, mu, None] * w)[:, :, None],
                             out=F if F.ndim == 3 else None)  # the first step makes the stack
             F = V @ F
-        return check_unitary(F, self.tol, "family frames")[0]
-
-    def __call__(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        if lam.shape != (self.D,):
-            raise DimensionMismatchError(f"parameter shape {lam.shape} != ({self.D},)")
-        return self.frames(lam[None], slice(None))[0]
-
-
-def exponential_family(generators, tol: Tolerance = DEFAULT_TOL) -> UnitaryFamily:
-    """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators, checked at tol."""
-    return UnitaryFamily([hermitian_eig(G, tol) for G in generators], tol)
+        return F
 
 
 _FIXTURE_SEED = 7
@@ -139,8 +126,7 @@ def builtin_family(name: str, tol: Tolerance = DEFAULT_TOL):
         G = (G + G.conj().T) / 2
         G *= _FIXTURE_SCALE / np.linalg.norm(G, 2)
         gens.append(G)
-    fam = exponential_family(gens, tol)
-    return fam, IsoDegenerateOperator(n=2)
+    return UnitaryFamily(gens, tol), IsoDegenerateOperator(n=2)
 
 
 @dataclass
@@ -222,10 +208,10 @@ def loop_holonomy(fam: UnitaryFamily, loop: LoopPath, i: int, n: int) -> np.ndar
     multiplied pairwise by ``_transport``; the result is the
     parallel-transport unitary expressed in the base frame.
     """
-    return _transport(_loop_frames(fam, loop, i, n), fam.tol)
+    return _transport(_loop_frames(fam, loop, i, n))
 
 
-def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _transport(frames: np.ndarray) -> np.ndarray:
     """Product of the polar factors of consecutive frame overlaps, in path order.
 
     frames: a (P, dim, n) stack.  All P - 1 overlaps are formed as one stack
@@ -233,7 +219,8 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
     pairwise, in ceil(log2(P - 1)) batched rounds, as deviations E from the
     identity: adjacent a, b (b later) become (1 + b)(1 + a) - 1 = a + b + b a,
     and an odd last one carries over.  A plain pairwise product of the factors
-    would round their near-identity parts off alike in every round.
+    would round their near-identity parts off alike in every round.  Each step is
+    unitary to roundoff, and so is their product: it is not judged again.
     """
     eye = np.eye(frames.shape[2], dtype=complex)
     E = _polar_steps(np.swapaxes(frames[1:].conj(), -1, -2) @ frames[:-1]) - eye
@@ -241,8 +228,7 @@ def _transport(frames: np.ndarray, tol: Tolerance) -> np.ndarray:
         paired = len(E) // 2 * 2
         a, b = E[0:paired:2], E[1:paired:2]
         E = np.concatenate([a + b + b @ a, E[paired:]])
-    H = eye + E[0] if len(E) else eye  # one frame: no step
-    return check_unitary(H, tol, "holonomy", error=ToleranceError)[0]
+    return eye + E[0] if len(E) else eye  # one frame: no step
 
 
 def _polar_steps(overlaps: np.ndarray) -> np.ndarray:
@@ -388,6 +374,6 @@ def refinement_ladder(fam: UnitaryFamily, loop: LoopPath, i: int, n: int,
                                      f"points, over {budget_text()}")
     refs = [loop.refinement * 2 ** j for j in range(doublings + 1)]
     frames = _loop_frames(fam, loop.refined(2 ** doublings), i, n)
-    hols = [_transport(frames[::2 ** (doublings - j)], fam.tol) for j in range(doublings + 1)]
+    hols = [_transport(frames[::2 ** (doublings - j)]) for j in range(doublings + 1)]
     defects = [float(np.linalg.norm(hols[j] - hols[j + 1])) for j in range(doublings)]
     return RefinementLadder(refinements=refs, defects=defects, holonomy=hols[-1])

@@ -40,11 +40,13 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (w, V) with eigenvalues w ascending and V unitary,
-    M = V diag(w) V^dag.  Rejects inputs whose Hermiticity defect exceeds
+    M = V diag(w) V^dag.  Rejects a non-finite entry, then a Hermiticity defect over
     resid_abs relative to the larger of the largest entry and 1.
     """
     M = _as_square(M)
     scale = float(np.max(np.abs(M))) if M.size else 0.0
+    if not scale < math.inf:  # NaN or inf, refused before inf - inf
+        raise ContractViolationError("matrix has a non-finite entry")
     if hermiticity_defect(M) > tol.resid_abs * max(scale, 1.0):
         raise ContractViolationError("matrix is not Hermitian within tolerance")
     w, V = np.linalg.eigh(M)

@@ -1192,6 +1192,16 @@ class TestCliPlumbing:
         assert code == 0 and stdout == ""
         assert json.loads(out.read_text())["results"]["count"] == 3
 
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    def test_an_unwritable_out_path_is_a_usage_error(self, where, tmp_path, capsys):
+        # the write failed with a raw FileNotFoundError or IsADirectoryError traceback
+        # after the work was done; it is one line in the CLI's style, and exit 1
+        out = {"missing_directory": tmp_path / "no_such_dir" / "x.json", "directory": tmp_path}[where]
+        reason = {"missing_directory": "No such file or directory", "directory": "Is a directory"}[where]
+        code, stdout, err = run_cli(["tps", "partitions", "12", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == f"usage error: cannot write report to {out}: {reason}\n"
+
     def test_argv_echoed(self, capsys):
         rep = report_of(["tps", "partitions", "8"], capsys)
         assert rep["argv"] == ["tps", "partitions", "8"]
@@ -1236,6 +1246,17 @@ class TestToleranceReachesChecks:
         code, _, err = run_cli(argv + ["--tol-resid", "1e-14"], capsys)
         assert code == 2
         assert "ContractViolationError" in err and "unitar" in err
+
+
+@pytest.mark.parametrize("rect2", [[], ["--rect2", "0,0,-0.7,0.5"]], ids=["ladder", "witness"])
+def test_holonomy_answers_as_at_the_default_under_its_own_rounding(rect2, capsys):
+    # the holonomy (6.2e-14 off unitary), its frames (1.1e-15) and the generators'
+    # eigenbases (4.4e-16) are unitary by construction and not judged at --tol-resid:
+    # a bound under their rounding refused them; it now gives the default's report
+    default = report_of(["tps", "holonomy", *rect2], capsys)
+    for tol in ("1e-14", "1e-16", "1e-300"):
+        rep = report_of(["tps", "holonomy", *rect2, "--tol-resid", tol], capsys)
+        assert (rep["results"], rep["residuals"]) == (default["results"], default["residuals"]), tol
 
 
 def test_the_natural_structure_is_built_at_the_cli_tolerance(tmp_path, capsys):
@@ -1454,6 +1475,9 @@ def test_no_export_that_reads_a_record_takes_a_tolerance():
     # the tolerance it was checked at, and every function or method that reads one decides
     # there: only a constructor sets it; annotations are read as written, a name or a class
     records = ("OperatorAlgebra", "UnitaryFamily", "TPS", "ParitySet", "FockSpace")
+    assert all("tol" in inspect.signature(getattr(tpskit, r)).parameters for r in records)
+    # a family is built from its generators, by its constructor: no second builder is exported
+    assert "exponential_family" not in tpskit._HOME
     offenders = []
     for name in (name for names in tpskit._HOMES.values() for name in names):
         value = getattr(tpskit, name)

@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import re
 from pathlib import Path
 
 from tpskit.cli import main
@@ -125,8 +124,8 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     long_ladders = [["tps", "holonomy", "--doublings", "10"],
                     ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"],
                     ["tps", "holonomy", "--doublings", "12"]]
-    unitarity = compare_reports.UNITARITY_REFUSALS
-    assert [a for a in argvs if a[:2] == ["tps", "holonomy"] and a not in refusals + unitarity] == long_ladders
+    tight = compare_reports.TIGHT_HOLONOMY
+    assert [a for a in argvs if a[:2] == ["tps", "holonomy"] and a not in refusals + tight] == long_ladders
     assert max(int(job["argv"][job["argv"].index("--doublings") + 1]) for job in jobs
                if job["argv"][:2] == ["tps", "holonomy"] and job["workload"] != "fixtures") < 10
     for argv in long_ladders:
@@ -134,12 +133,15 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
         results = json.loads(capsys.readouterr().out)["results"]
         doublings = int(argv[argv.index("--doublings") + 1])
         assert len(results["ladder_defects"]) == doublings and ("witness" in results) == ("--rect2" in argv)
-    # the two unitarity refusals of a family, each naming its defect and bound
-    assert [a for a in argvs if a in unitarity] == unitarity
-    for argv, what in zip(unitarity, ("family frames", "generator eigenbasis")):
-        assert main(argv) == 2
-        assert re.search(f"{what} unitarity defect \\S+, over resid_abs {float(argv[-1]):.3e}$",
-                         capsys.readouterr().err.strip()), argv
+    # the family under the rounding of its holonomy, frames and eigenbases answers as at the default
+    assert [a for a in argvs if a in tight] == tight
+    assert [float(a[-1]) for a in tight] == [1e-14, 1e-15, 1e-16, 1e-300]
+    answers = []
+    for argv in [["tps", "holonomy"], *tight]:
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        answers.append((report["results"], report["residuals"]))
+    assert answers[1:] == answers[:1] * len(tight)
     # parity sets with no logical factor: the refusal of the sector structure is compared
     no_logical_factor = [["tps", "parity", "--parity", "XX", "ZZ"],
                          ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus",
@@ -230,7 +232,7 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
     assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
     argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
     tight = [a for a in argvs if "--tol-resid" in a
-             and a not in compare_reports.UNITARITY_REFUSALS + compare_reports.PARITY_ENTANGLE]
+             and a not in compare_reports.TIGHT_HOLONOMY + compare_reports.PARITY_ENTANGLE]
     assert len(tight) == 7 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
     for argv in tight:
         default = argv[:argv.index("--tol-resid")]

@@ -1,5 +1,6 @@
 """Holonomy tests: transport invariants, analytic holonomy oracles, fixtures."""
 
+import inspect
 import tracemalloc
 from dataclasses import fields
 
@@ -16,7 +17,6 @@ from tpskit.errors import (
     DimensionMismatchError,
     IndexRangeError,
     PathSingularityError,
-    ToleranceError,
 )
 from tpskit.holonomy import (
     _FIXTURE_SCALE,
@@ -28,7 +28,6 @@ from tpskit.holonomy import (
     RefinementLadder,
     UnitaryFamily,
     builtin_family,
-    exponential_family,
     holonomy_algebra_span,
     holonomy_nonabelian_witness,
     loop_holonomy,
@@ -124,7 +123,7 @@ def reference_steps(frames):
     return steps
 
 
-def reference_transport(frames, tol=Tolerance()):
+def reference_transport(frames):
     """The pairwise product of the steps' deviations E from the identity, in
     the transport's rounds, one 2-D product at a time: adjacent a, b (b later)
     become a + b + b @ a, and an odd last deviation carries over."""
@@ -133,10 +132,7 @@ def reference_transport(frames, tol=Tolerance()):
     while len(E) > 1:
         paired = [E[k] + E[k + 1] + E[k + 1] @ E[k] for k in range(0, len(E) - 1, 2)]
         E = paired + E[2 * len(paired):]
-    H = eye + E[0] if E else eye
-    if unitarity_defect(H) > tol.resid_abs:
-        raise ToleranceError("holonomy unitarity defect")
-    return H
+    return eye + E[0] if E else eye
 
 
 def extended_product(steps):
@@ -253,40 +249,42 @@ class TestIsoDegenerateOperator:
 # -------------------------------------------------------------------- families
 
 class TestFamilies:
-    def test_exponential_family_matches_expm(self):
+    def test_family_matches_expm(self):
         rng = np.random.default_rng(3)
         G1, G2 = (random_hermitian(rng, 4) for _ in range(2))
-        fam = exponential_family([G1, G2])
+        fam = UnitaryFamily([G1, G2])
         lam = np.array([0.37, -0.81])
         expected = expm(-1j * lam[0] * G1) @ expm(-1j * lam[1] * G2)
-        assert np.max(np.abs(fam(lam) - expected)) < 1e-12
-        assert np.allclose(fam([0.0, 0.0]), np.eye(4))
-        # the full frame's columns are the frames computed from those columns, to roundoff
+        assert np.max(np.abs(fam.frames(lam[None], slice(None))[0] - expected)) < 1e-12
+        assert np.allclose(fam.frames([[0.0, 0.0]], slice(None))[0], np.eye(4))
+        # the full frames' columns are the frames computed from those columns, to roundoff
         pts = rng.uniform(-1.0, 1.0, (20, 2))
+        full = fam.frames(pts, slice(None))
         for cols in (_eigenspace(4, 2, 1), _eigenspace(4, 2, 2), [3, 0]):
-            frames = fam.frames(pts, cols)
-            for p, F in zip(pts, frames):
-                assert np.max(np.abs(fam(p)[:, cols] - F)) < 1e-15
+            assert np.max(np.abs(full[:, :, cols] - fam.frames(pts, cols))) < 1e-15
 
-    def test_a_family_is_its_spectra_and_its_tolerance(self):
-        assert [f.name for f in fields(UnitaryFamily)] == ["spectra", "tol"]
-        fam = exponential_family([np.diag([1.0, -1.0, 0.5]), np.eye(3)])
+    def test_a_family_is_its_generators_spectra_and_its_tolerance(self):
+        # built from the generators, it keeps hermitian_eig's spectra of them, bit for bit
+        assert list(inspect.signature(UnitaryFamily).parameters) == ["generators", "tol"]
+        assert [f.name for f in fields(UnitaryFamily)] == ["tol", "spectra"]
+        gens = [np.diag([1.0, -1.0, 0.5]), np.eye(3)]
+        fam = UnitaryFamily(gens)
         assert (fam.D, fam.dim) == (2, 3)
-        with pytest.raises(ContractViolationError, match="at least one generator"):
-            exponential_family([])
+        for (w, V), G in zip(fam.spectra, gens):
+            w0, V0 = numerics.hermitian_eig(G)
+            assert np.array_equal(w, w0) and np.array_equal(V, V0)
 
-    def test_a_spectrum_is_checked_once_at_the_familys_tolerance(self):
-        # a (1 + 1e-9)-scaled eigenbasis is ~2e-9 off unitary: inside the default 1e-8,
-        # refused at 1e-10 where the family is built, before any point is evaluated;
-        # a twice-scaled one is refused at the default
-        base, _ = builtin_family("fixture-n2d2")
-        scaled = [(w, (1 + 1e-9) * V) for w, V in base.spectra]
-        assert unitarity_defect(UnitaryFamily(scaled)([0.3, -0.4])) < 1e-8
-        for spectra, tol, defect in ((scaled, Tolerance(resid_abs=1e-10), r"2\.\d{3}e-09"),
-                                     ([(w, 2.0 * V) for w, V in base.spectra], Tolerance(), r"3\.000e\+00")):
-            with pytest.raises(ContractViolationError, match=f"generator eigenbasis unitarity defect {defect}, "
-                               f"over resid_abs {tol.resid_abs:.3e}"):
-                UnitaryFamily(spectra, tol)
+    def test_the_generators_are_judged_once_where_the_family_is_built(self, monkeypatch):
+        # one hermitian_eig per generator, at the family's tolerance; no evaluation
+        # decomposes or judges anything again
+        calls, eig = [], holonomy.hermitian_eig
+        monkeypatch.setattr(holonomy, "hermitian_eig", lambda G, tol: calls.append(tol) or eig(G, tol))
+        tight = Tolerance(resid_abs=1e-300)
+        fam = UnitaryFamily(fixture_generators(), tight)
+        assert calls == [tight, tight]
+        holonomy_algebra_span(fam, TWO_RECTS, 1, 2)
+        refinement_ladder(fam, TWO_RECTS[0], 2, 2, doublings=2)
+        assert len(calls) == 2
 
     @pytest.mark.filterwarnings("error")  # a RuntimeWarning from -1j * inf fails the test
     def test_non_finite_points_are_refused(self):
@@ -294,38 +292,61 @@ class TestFamilies:
         fam, _ = builtin_family("fixture-n2d2")
         for lam in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
             with pytest.raises(ContractViolationError, match="family points must be finite"):
-                fam(lam)
+                fam.frames([lam], slice(None))
         with pytest.raises(ContractViolationError, match="family points must be finite"):
             fam.frames([[0.1, 0.2], [np.nan, 0.3], [0.2, 0.1]], _eigenspace(4, 2, 1))
 
     @pytest.mark.parametrize("entry", [
         lambda fam: fam.frames(TWO_RECTS[0].points(), _eigenspace(4, 2, 1)),
-        lambda fam: fam([0.3, -0.4]),
+        lambda fam: fam.frames([[0.3, -0.4]], slice(None)),
         lambda fam: loop_holonomy(fam, TWO_RECTS[0], 1, 2),
         lambda fam: refinement_ladder(fam, TWO_RECTS[0], 1, 2, doublings=1),
         lambda fam: holonomy_nonabelian_witness(fam, *TWO_RECTS, 1, 2),
         lambda fam: holonomy_algebra_span(fam, TWO_RECTS, 1, 2),
-    ], ids=["frames", "call", "loop_holonomy", "refinement_ladder", "witness", "algebra_span"])
-    def test_every_entry_checks_the_family_at_its_own_tolerance(self, entry):
-        # a spectrum 1e-9 off the real line scales the frames by e^{1e-9 lambda_1}: an
-        # isometry defect of ~2e-9 lambda_1, inside the default 1e-8 and refused at 1e-10
-        base, _ = builtin_family("fixture-n2d2")
-        (w, V), rest = base.spectra[0], base.spectra[1:]
-        off = [(w + 1e-9j, V), *rest]
-        entry(UnitaryFamily(off))
-        with pytest.raises(ContractViolationError,
-                           match=r"family frames unitarity defect \S+, over resid_abs 1\.000e-10"):
-            entry(UnitaryFamily(off, Tolerance(resid_abs=1e-10)))
+    ], ids=["frames", "one_point", "loop_holonomy", "refinement_ladder", "witness", "algebra_span"])
+    def test_every_entry_answers_at_any_residual_bound_the_family_is_built_at(self, entry):
+        # the family's frames and holonomies are unitary by construction and not judged at
+        # resid_abs, so a bound under their rounding (the frames' ~1e-15, a holonomy's
+        # ~1e-14) gives the default's answer, bit for bit; the span's rank cut is rank_rel
+        def bits(answer):
+            if isinstance(answer, RefinementLadder):
+                return np.append(answer.holonomy.ravel(), answer.defects)
+            return np.asarray(answer)
 
-    def test_mixed_dimensions_and_a_wrong_spectrum_are_refused_where_the_family_is_built(self):
-        # each is refused before any point is evaluated, as a typed shape mismatch
-        with pytest.raises(DimensionMismatchError, match=r"generator eigenbasis shape \(3, 3\) is not \(2, 2\)"):
-            exponential_family([np.eye(2), np.eye(3)])
-        with pytest.raises(DimensionMismatchError, match=r"generator spectrum shape \(3,\) is not \(2,\)"):
-            UnitaryFamily([(np.zeros(3), np.eye(2))])
+        default, *tight = (bits(entry(builtin_family("fixture-n2d2", Tolerance(resid_abs=r))[0]))
+                           for r in (1e-8, 1e-14, 1e-16, 1e-300))
+        for answer in tight:
+            assert np.array_equal(answer, default)
+
+    @pytest.mark.filterwarnings("error")  # inf - inf in the Hermiticity check would warn
+    @pytest.mark.parametrize("generators,error,message", [
+        ([np.diag([np.nan, 1.0])], ContractViolationError, "non-finite entry"),
+        ([np.eye(2), np.diag([1.0, np.inf])], ContractViolationError, "non-finite entry"),
+        ([np.diag([-np.inf, 1.0])], ContractViolationError, "non-finite entry"),
+        ([np.array([[0.0, 1.0], [0.0, 0.0]])], ContractViolationError, "not Hermitian"),
+        ([np.eye(2), np.eye(3)], DimensionMismatchError, r"^generators of mixed dimensions \[2, 3\]$"),
+        ([np.ones((2, 3))], DimensionMismatchError, "square matrix"),
+        ([], ContractViolationError, "^need at least one generator$"),
+    ], ids=["nan", "inf", "minus_inf", "non_hermitian", "mixed_dimensions", "non_square", "empty"])
+    def test_a_bad_generator_list_is_refused_where_the_family_is_built(self, generators, error,
+                                                                        message):
+        # the one input a family reads is judged when it is built, before any point is
+        # evaluated: a NaN eigenvalue from eigh no longer reaches the frames
+        with pytest.raises(error, match=message):
+            UnitaryFamily(generators)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_frames_are_unitary_to_a_bounded_rounding(self, seed):
+        # D = 1-3 generators on dim 2-12: the frames' unitarity_defect is at most
+        # c D dim eps with c = 8; these seeds measure c <= 2.2, and 400 seeds <= 4.0
+        rng = np.random.default_rng([53, seed])
+        D, dim = int(rng.integers(1, 4)), int(rng.integers(2, 13))
+        fam = UnitaryFamily([random_hermitian(rng, dim, rng.uniform(0.2, 3.0)) for _ in range(D)])
+        frames = fam.frames(rng.uniform(-3.0, 3.0, (64, D)), slice(None))
+        assert unitarity_defect(frames) <= 8 * D * dim * np.finfo(float).eps
 
     def test_family_checks_stack_shapes(self):
-        fam = exponential_family([np.diag([1.0, -1.0]), np.diag([1.0, 1.0])])
+        fam = UnitaryFamily([np.diag([1.0, -1.0]), np.diag([1.0, 1.0])])
         with pytest.raises(DimensionMismatchError, match="points shape"):
             fam.frames([0.1, 0.2], slice(None))
         with pytest.raises(DimensionMismatchError, match="points shape"):
@@ -334,7 +355,7 @@ class TestFamilies:
     def test_stack_matches_its_points_bit_for_bit(self):
         rng = np.random.default_rng(29)
         gens = [random_hermitian(rng, 6) for _ in range(3)]
-        fam, spectra = exponential_family(gens), reference_spectra(gens)
+        fam, spectra = UnitaryFamily(gens), reference_spectra(gens)
         pts = rng.uniform(-1.0, 1.0, (17, 3))
         for cols in (slice(None), _eigenspace(6, 3, 2)):
             S = np.eye(6, dtype=complex)[:, cols]
@@ -342,23 +363,18 @@ class TestFamilies:
                 assert np.array_equal(F, fam.frames(p[None], cols)[0])
                 assert np.array_equal(F, reference_frame(spectra, p, S))
 
-    def test_exponential_family_obeys_the_callers_tolerance(self):
+    def test_a_family_obeys_the_callers_tolerance(self):
         G = np.diag([1.0, -1.0, 0.5]).astype(complex)
         G[0, 1] += 1e-10  # a Hermiticity defect of 1e-10
-        exponential_family([G])  # inside the default resid_abs = 1e-8
+        UnitaryFamily([G])  # inside the default resid_abs = 1e-8
         with pytest.raises(ContractViolationError, match="Hermitian"):
-            exponential_family([G], Tolerance(resid_abs=1e-11))
+            UnitaryFamily([G], Tolerance(resid_abs=1e-11))
 
     def test_a_family_carries_the_tolerance_it_was_built_at(self):
         tight = Tolerance(resid_abs=1e-11)
-        assert exponential_family([np.diag([1.0, -1.0])], tight).tol == tight
+        assert UnitaryFamily([np.diag([1.0, -1.0])], tight).tol == tight
         assert builtin_family("fixture-n2d2", tight)[0].tol == tight
         assert builtin_family("fixture-n2d2")[0].tol == numerics.DEFAULT_TOL
-
-    def test_family_checks_parameter_shape(self):
-        fam = exponential_family([np.diag([1.0, -1.0])])
-        with pytest.raises(DimensionMismatchError):
-            fam([0.1, 0.2])
 
     def test_builtin_fixture(self, fixture_fam):
         fam, op = fixture_fam
@@ -366,8 +382,8 @@ class TestFamilies:
         assert op == IsoDegenerateOperator(n=2) and fam.dim // op.n == 2
         # frozen: repeated construction yields identical matrices
         fam2, _ = builtin_family("fixture-n2d2")
-        lam = [0.3, -0.4]
-        assert np.array_equal(fam(lam), fam2(lam))
+        lam = [[0.3, -0.4]]
+        assert np.array_equal(fam.frames(lam, slice(None)), fam2.frames(lam, slice(None)))
 
     def test_builtin_unknown_name(self):
         with pytest.raises(ContractViolationError):
@@ -460,7 +476,7 @@ class TestLoopHolonomy:
         # pure phase on the eigenspace: abelian, but not trivial
         rng = np.random.default_rng(17)
         h1, h2 = (random_hermitian(rng, 2) for _ in range(2))
-        fam = exponential_family([np.kron(np.eye(2), h1), np.kron(np.eye(2), h2)])
+        fam = UnitaryFamily([np.kron(np.eye(2), h1), np.kron(np.eye(2), h2)])
         H = loop_holonomy(fam, RECT1, 1, 2)
         phase = np.trace(H) / 2
         assert abs(abs(phase) - 1.0) < 1e-8
@@ -475,13 +491,13 @@ class TestLoopHolonomy:
         assert np.linalg.norm(H_fine - H_finer) < np.linalg.norm(H_coarse - H_finer)
 
     def test_rank_loss_raises(self):
-        fam = exponential_family([TURN])
+        fam = UnitaryFamily([TURN])
         loop = LoopPath(np.array([[0.0], [QUARTER], [0.0]]), refinement=1)
         with pytest.raises(PathSingularityError, match="at step 1 "):
             loop_holonomy(fam, loop, 1, 2)
 
     def test_rank_loss_names_the_first_failing_step(self):
-        fam = exponential_family([TURN])
+        fam = UnitaryFamily([TURN])
         # steps of 0.1, then a quarter turn out (step 3) and back (step 4); every
         # other overlap is cos(0.1) times the identity
         loop = LoopPath(np.array([[0.0], [0.1], [0.2], [0.2 + QUARTER], [0.2], [0.1], [0.0]]),
@@ -521,7 +537,7 @@ class TestLoopHolonomy:
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(2, 24), st.integers(0, 2**32 - 1))
 def test_reversed_loop_holonomy_is_the_inverse(n, d, refinement, seed):
     rng = np.random.default_rng(seed)
-    fam = exponential_family([random_hermitian(rng, n * d, rng.uniform(0.2, 2.0))
+    fam = UnitaryFamily([random_hermitian(rng, n * d, rng.uniform(0.2, 2.0))
                               for _ in range(2)])
     a = rng.uniform(-1.0, 1.0, 2)
     loop = LoopPath.rectangle(a, a + rng.uniform(-1.0, 1.0, 2), refinement)
@@ -616,14 +632,14 @@ class TestWitnessAndSpan:
         # holonomic universality past the n = 2 fixture: two rectangles' holonomies
         # generate all of u(n) on a degeneracy-n eigenspace of a generic family on C^n (x) C^2
         rng = np.random.default_rng(seed)
-        fam = exponential_family([random_hermitian(rng, 2 * n, _FIXTURE_SCALE) for _ in range(2)])
+        fam = UnitaryFamily([random_hermitian(rng, 2 * n, _FIXTURE_SCALE) for _ in range(2)])
         assert holonomy_algebra_span(fam, TWO_RECTS, 1, n) == n * n
 
     def test_commuting_generators_span_nothing(self):
         # diagonal generators transport every frame by phases that cancel around a loop:
         # every log is 0, and so is the span
         rng = np.random.default_rng(0)
-        fam = exponential_family([np.diag(rng.standard_normal(6)) for _ in range(2)])
+        fam = UnitaryFamily([np.diag(rng.standard_normal(6)) for _ in range(2)])
         assert holonomy_algebra_span(fam, TWO_RECTS, 1, 3) == 0
 
     def test_single_loop_spans_one(self, fixture_fam):
@@ -700,7 +716,7 @@ class TestStackedTransportBitIdentity:
     def test_fixture_generators_rebuild_the_fixture(self, fixture_fam):
         fam, _ = fixture_fam
         pts = RECT1.points()
-        assert np.array_equal(exponential_family(fixture_generators()).frames(pts, slice(None)),
+        assert np.array_equal(UnitaryFamily(fixture_generators()).frames(pts, slice(None)),
                               fam.frames(pts, slice(None)))
 
     @pytest.mark.parametrize("i", [1, 2])
@@ -742,7 +758,7 @@ class TestStackedTransportBitIdentity:
         a = rng.uniform(-0.5, 0.5, 2)
         loop = LoopPath.rectangle(a, a + rng.uniform(0.2, 0.9, 2), int(rng.integers(2, 12)))
         i, doublings = int(rng.integers(1, d + 1)), int(rng.integers(0, 5))
-        fam, spectra = exponential_family(gens), reference_spectra(gens)
+        fam, spectra = UnitaryFamily(gens), reference_spectra(gens)
         S = selector(n, d, i)
         ladder = refinement_ladder(fam, loop, i, n, doublings=doublings)
         H, defects = reference_ladder(spectra, loop, S, doublings)
@@ -758,7 +774,7 @@ class TestStackedTransportBitIdentity:
         pts = np.random.default_rng([43, steps]).uniform(-0.3, 0.3, (steps + 1, 2))
         for i in (1, 2):
             frames = fam.frames(pts, _eigenspace(fam.dim, op.n, i))
-            H = holonomy._transport(frames, fam.tol)
+            H = holonomy._transport(frames)
             assert np.array_equal(H, reference_transport(list(frames)))
             assert np.max(np.abs(H - extended_product(reference_steps(frames)))) < 1e-15
 
@@ -832,7 +848,23 @@ def test_ladder_stays_near_the_holonomy_of_extended_precision_frames(fixture_fam
         extended = extended_frames(fam, points, cols)
         assert np.max(np.abs(fam.frames(points, cols) - extended)) < 1e-15
         H = refinement_ladder(fam, loop, i, op.n, doublings=doublings).holonomy
-        assert np.max(np.abs(H - holonomy._transport(extended, fam.tol))) < bound
+        assert np.max(np.abs(H - holonomy._transport(extended))) < bound
+
+
+def test_ladder_holonomies_are_unitary_to_a_bounded_rounding(fixture_fam):
+    # the CLI's default loop at 0 to 12 doublings, 65 to 262,145 points, the longest ladder
+    # the byte budget admits: each level's holonomy, transported as the ladder transports
+    # it, has a unitarity_defect of at most c (P - 1) eps with c = 2.  Measured c <= 0.72
+    # (eigenspace 2 at 12 doublings: 4.2e-11); eigenspace 1 at 3 doublings reads 6.2e-14,
+    # over the 1e-14 that the holonomy was once judged at
+    fam, op = fixture_fam
+    loop = LoopPath.rectangle((0.0, 0.0), (0.8, 0.6), 16)
+    for i in (1, 2):
+        frames = holonomy._loop_frames(fam, loop.refined(2 ** 12), i, op.n)
+        for j in range(13):
+            level = frames[::2 ** (12 - j)]
+            H = holonomy._transport(level)
+            assert unitarity_defect(H) <= 2 * (len(level) - 1) * np.finfo(float).eps, (i, j)
 
 
 def test_an_eleven_doubling_ladder_peaks_under_the_budget(fixture_fam):
@@ -881,10 +913,10 @@ def test_the_closed_form_decides_lost_rank_as_the_svd_does(monkeypatch, sigma_mi
     if sigma_min < _MIN_OVERLAP_SV:
         assert np.flatnonzero(sv < _MIN_OVERLAP_SV).tolist() == [2]
         with pytest.raises(PathSingularityError, match=r"lost rank at step 3 \(sigma_min = "):
-            holonomy._transport(frames, Tolerance())
+            holonomy._transport(frames)
     else:
         assert sv.min() >= _MIN_OVERLAP_SV
-        H = holonomy._transport(frames, Tolerance())
+        H = holonomy._transport(frames)
         U, _, Vh = np.linalg.svd(overlaps)
         assert np.isfinite(H).all()
         assert np.max(np.abs(H - extended_product(U @ Vh))) < 1e-9
@@ -906,4 +938,4 @@ def test_a_zero_overlap_is_refused_with_sigma_min_zero():
     frames[2:, [2, 3], [0, 1]] = 1.0
     with pytest.raises(PathSingularityError, match=r"^frame overlap lost rank at step 2 "
                                                    r"\(sigma_min = 0\.000e\+00\)$"):
-        holonomy._transport(frames, Tolerance())
+        holonomy._transport(frames)

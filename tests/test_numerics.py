@@ -170,6 +170,19 @@ def test_hermitian_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+@pytest.mark.filterwarnings("error")  # inf - inf in the Hermiticity check would warn
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(np.inf, 1.0)])
+def test_hermitian_eig_refuses_a_non_finite_matrix(bad):
+    # eigh of a NaN matrix returns NaN eigenvalues; refused here, at any tolerance, on or
+    # off the diagonal, before the Hermiticity check subtracts inf from inf
+    for where in ((0, 0), (0, 1)):
+        M = SZ.astype(complex)
+        M[where] = bad
+        for tol in (DEFAULT_TOL, Tolerance(resid_abs=1e300)):
+            with pytest.raises(ContractViolationError, match="^matrix has a non-finite entry$"):
+                hermitian_eig(M, tol)
+
+
 def test_hermitian_eig_obeys_the_callers_tolerance():
     M = SZ.copy()
     M[0, 1] += 1e-12

@@ -16,10 +16,10 @@ one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
 refusal messages are compared; ``tps holonomy --doublings 10``, with and
 without ``--rect2``, a longer ladder than any benchmark job's, and
 ``--doublings 12``, the longest the byte budget admits; ``tps holonomy``
-at ``--tol-resid`` 1e-15 and 1e-16, refused for its family's frames and
-for its generators' eigenbases, the two unitarity refusals no other job
-reaches; ``tps parity`` and ``tps entangle --parity`` of two parities on
-two qubits, refused for leaving no logical factor;
+at ``--tol-resid`` 1e-14, 1e-15, 1e-16 and 1e-300, under the rounding of its
+holonomy, frames and eigenbases, which answer as at the default
+(TIGHT_HOLONOMY); ``tps parity`` and ``tps entangle --parity`` of two
+parities on two qubits, refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
 of ``bell_xx.json``'s ``pauli`` entry, also at ``--tol-resid 1e-300``, under
@@ -93,8 +93,9 @@ LONG_LADDERS = [
     ["tps", "holonomy", "--doublings", "10", "--rect2", "0,0,-0.7,0.5"],
     ["tps", "holonomy", "--doublings", "12"],
 ]
-# the built-in family at a resid_abs its frames (1e-15) and its eigenbases (1e-16) miss
-UNITARITY_REFUSALS = [["tps", "holonomy", "--tol-resid", "1e-15"], ["tps", "holonomy", "--tol-resid", "1e-16"]]
+# the built-in family at a resid_abs under the rounding of its holonomy (6.2e-14), its frames
+# (1.1e-15) and its eigenbases (4.4e-16), none of which is judged at it
+TIGHT_HOLONOMY = [["tps", "holonomy", "--tol-resid", tol] for tol in ("1e-14", "1e-15", "1e-16", "1e-300")]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
     ["tps", "parity", "--parity", "XX", "ZZ"],
@@ -143,7 +144,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, LONG_LADDERS, UNITARITY_REFUSALS, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
+    REFUSALS, LONG_LADDERS, TIGHT_HOLONOMY, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
     entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
     PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs and
     the tolerance_jobs."""
@@ -168,7 +169,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         ["tps", "bosonic", "--modes", "2", "--cutoff", "2"],
         *REFUSALS,
         *LONG_LADDERS,
-        *UNITARITY_REFUSALS,
+        *TIGHT_HOLONOMY,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
         ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
