@@ -113,6 +113,13 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
     is read off generic elements of S' drawn at seed, which is the form
     ``structure_decompose`` gives at that seed.  The result keeps S.
     """
+    return _decompose(_closure_seed(generators, tol, dim), tol, seed)
+
+
+def _closure_seed(generators, tol: Tolerance, dim: int | None) -> np.ndarray:
+    """S, HS-orthonormal: the identity, the generators and the adjoints of the non-Hermitian
+    ones, after the generators' checks (square, of one dim, finite, the declared dim) and
+    the byte budget's refusal of the stack, before any solve."""
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens and dim is None:
         raise DimensionMismatchError("dim is required when there are no generators")
@@ -127,8 +134,7 @@ def close_algebra(generators, tol: Tolerance = DEFAULT_TOL, dim: int | None = No
         raise DimensionMismatchError(f"declared dim {dim} != generator dim {d}")
     seed_ops = [m for g in gens for m in ((g,) if np.array_equal(g, g.conj().T) else (g, g.conj().T))]
     refuse_past_budget((1 + len(seed_ops), d, d), f"the closure's seed of {1 + len(seed_ops)} operators at dim {d}")
-    ops = hs_orthonormalize([np.eye(d, dtype=complex), *seed_ops], tol)
-    return _decompose(ops, tol, seed)
+    return hs_orthonormalize([np.eye(d, dtype=complex), *seed_ops], tol)
 
 
 def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
@@ -301,7 +307,7 @@ def _block_form_residual(ops, T: np.ndarray, shape: list[tuple[int, int]], side:
     return float(np.max(np.abs(_slot_defect(ops, T, shape, side)), initial=0.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class BipartitionCertificate:
     """Outcome of the virtual-bipartition test for a pair of algebras."""
 
@@ -325,18 +331,27 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, *, seed: int = 0
     verdict the witness is a violating commutator or the traceless part of the
     center's diagonal generator, of HS norm 1.  The residuals are the largest
     commutator entry and, on a positive verdict, the larger slot-form residual.
+
+    Only a1's block form is read: a2 enters through its generators alone, so
+    ``tpskit bipartition`` solves a1's form and hands a2's HS-orthonormal
+    closure seed, never decomposed, to the same certificate.
     """
-    if a1.dim != a2.dim:
+    return _certify(a1, a2.generators, seed)
+
+
+def _certify(a1: OperatorAlgebra, gens2: np.ndarray, seed: int) -> BipartitionCertificate:
+    """``check_bipartition`` of a1 and the algebra that the (k, d, d) stack gens2 generates."""
+    if a1.dim != gens2.shape[-1]:
         raise DimensionMismatchError("algebras act on different spaces")
     d, tol = a1.dim, a1.tol
 
     witness, comm_resid = max(((C, float(np.max(np.abs(C)))) for b1 in a1.generators
-                               for C in b1 @ a2.generators - a2.generators @ b1), key=lambda pair: pair[1])
+                               for C in b1 @ gens2 - gens2 @ b1), key=lambda pair: pair[1])
     commuting = comm_resid <= tol.resid_abs
     witness = None if commuting else witness
 
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_JOIN_STREAM,)))
-    _, (K,) = _generic_commutant(np.concatenate([a1.generators, a2.generators]), rng, tol, 1)
+    _, (K,) = _generic_commutant(np.concatenate([a1.generators, gens2]), rng, tol, 1)
     join_is_full = bool(np.max(np.abs(K - np.trace(K) / d * np.eye(d))) <= tol.resid_abs)
 
     a1_is_factor = is_factor(a1).is_factor
@@ -349,7 +364,7 @@ def check_bipartition(a1: OperatorAlgebra, a2: OperatorAlgebra, *, seed: int = 0
     verdict = commuting and join_is_full and a1_is_factor
     residuals = {"commutator": comm_resid}
     if verdict:
-        a2_resid = _block_form_residual(a2.generators, a1.basis_change, a1.block_shape, side="left")
+        a2_resid = _block_form_residual(gens2, a1.basis_change, a1.block_shape, side="left")
         residuals["block_form"] = max(a1.residual, a2_resid)
         if residuals["block_form"] > tol.resid_abs:
             raise ToleranceError("slot-form verification failed on a positive verdict")

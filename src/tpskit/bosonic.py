@@ -34,7 +34,7 @@ def _check_mode(i: int, N: int) -> None:
         raise IndexRangeError(f"mode index {i} out of range 1..{N}")
 
 
-@dataclass
+@dataclass(eq=False)
 class FockSpace:
     """N bosonic modes truncated at total excitation M, read in the mode frame U.
 

@@ -59,7 +59,7 @@ def _eigenspace(dim: int, n: int, i: int) -> slice:
     return slice(i - 1, None, d)
 
 
-@dataclass
+@dataclass(eq=False)
 class UnitaryFamily:
     """U(lambda) = prod_mu exp(-i lambda_mu G_mu) for Hermitian generators G_mu, built at tol.
 
@@ -129,7 +129,7 @@ def builtin_family(name: str, tol: Tolerance = DEFAULT_TOL):
     return UnitaryFamily(gens, tol), IsoDegenerateOperator(n=2)
 
 
-@dataclass
+@dataclass(eq=False)
 class LoopPath:
     """A closed polyline in control space with per-segment subdivision."""
 
@@ -349,7 +349,7 @@ def holonomy_algebra_span(fam: UnitaryFamily, loops, i: int, n: int) -> int:
     return len(close_span(logs, fam.tol))
 
 
-@dataclass
+@dataclass(eq=False)
 class RefinementLadder:
     """Successive holonomies under refinement doubling and their defects."""
 

@@ -19,7 +19,7 @@ from .errors import SpecFileError
 from .pure import parse_pauli_token, pauli_bits, refuse_past_budget
 
 
-@dataclass
+@dataclass(eq=False)
 class OperatorSpecFile:
     dim: int
     operators: dict  # name -> dense matrix or Pauli string, as the file gave it

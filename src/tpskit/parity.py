@@ -44,7 +44,7 @@ def pauli_string_matrix(s: str) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(eq=False)
 class ParitySet:
     """A validated family of commuting, independent parity operators and the sector
     structure they induce, from validate_parity_set (a hand-built one's columns are not checked)."""

@@ -47,7 +47,7 @@ def _factor_dims(dims) -> tuple[int, ...]:
     return dims
 
 
-@dataclass
+@dataclass(eq=False)
 class TPS:
     """Factor dimensions plus the unitary mapping tensor coordinates in.
 

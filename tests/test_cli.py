@@ -521,30 +521,87 @@ class TestBipartition:
         assert (five, zero) == (block_form(5), block_form(0))
         assert five != zero
 
-    def test_a_seeded_bipartition_solves_each_algebra_once_at_its_seed(self, monkeypatch, capsys):
-        # bipartition --seed S closes a1 and a2 at S and reads a1's own form: no second
-        # solve, and the block_form of a1 re-solved at S
+    @pytest.mark.parametrize("name", ["bip_slots.json", "bip_overlap.json", "bip_abelian.json"])
+    def test_a_seeded_bipartition_solves_a1_alone_once_at_its_seed(self, name, monkeypatch, capsys):
+        # bipartition --seed S solves one block form, a1's, at S: a2 enters the certificate
+        # as its closure seed and is never decomposed, and the report is the certificate of
+        # a1 re-solved at S
         import tpskit.algebra as algebra
 
-        spec = load_spec(DATA / "bip_slots.json")
+        spec = load_spec(DATA / name)
         a1, a2 = (algebra.close_algebra(spec.generator_matrices(w), dim=spec.dim) for w in ("a1", "a2"))
-        sd = algebra.structure_decompose(a1, seed=5)
-        re_solved = max(sd.residual, algebra._block_form_residual(a2.generators, sd.basis_change,
-                                                                  sd.block_shape, side="left"))
+        cert = algebra.check_bipartition(algebra.structure_decompose(a1, seed=5), a2, seed=5)
         real = algebra._decompose
-        seeds = []
+        calls = []
         monkeypatch.setattr(algebra, "_decompose",
-                            lambda ops, tol, seed: seeds.append(seed) or real(ops, tol, seed))
-        rep = report_of(["bipartition", "--seed", "5", str(DATA / "bip_slots.json")], capsys)
-        assert seeds == [5, 5]
-        assert rep["results"]["verdict"] is True
-        assert rep["residuals"]["block_form"] == re_solved
+                            lambda ops, tol, seed: calls.append((ops, seed)) or real(ops, tol, seed))
+        rep = report_of(["bipartition", "--seed", "5", str(DATA / name)], capsys)
+        assert [seed for _, seed in calls] == [5]
+        assert np.array_equal(calls[0][0], a1.generators)
+        assert rep["results"]["verdict"] is cert.verdict is (name == "bip_slots.json")
+        assert rep["residuals"] == cert.residuals
+
+    def test_a2_noisy_past_its_own_block_form_is_answered(self, tmp_path, capsys):
+        # a1 = V (M_8 (x) 1_2) V^dag from two Ginibre generators, a2 = V (1_8 (x) {X, Z}) V^dag
+        # plus 1e-6 Hermitian noise of HS norm 1: close_algebra refuses a2's own block form,
+        # but the certificate reads a2 as its closure seed alone, so bipartition answers from
+        # the commutators
+        from tpskit.algebra import close_algebra
+        from tpskit.errors import ToleranceError
+
+        rng = np.random.default_rng(3)
+        V = haar_unitary(16, rng)
+
+        def noise():
+            H = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+            return (H + H.conj().T) / np.linalg.norm(H + H.conj().T)
+
+        a1 = [V @ np.kron(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)), np.eye(2)) @ V.conj().T
+              for _ in range(2)]
+        a2 = [V @ np.kron(np.eye(8), pauli_string_matrix(p)) @ V.conj().T + 1e-6 * noise() for p in "XZ"]
+        with pytest.raises(ToleranceError, match="block-form residual"):
+            close_algebra(a2)
+        path = write_spec(tmp_path / "noisy.json", 16, {"g1": a1[0], "g2": a1[1], "x": a2[0], "z": a2[1]},
+                          a1=["g1", "g2"], a2=["x", "z"])
+        rep = report_of(["bipartition", path], capsys)
+        assert {k: v for k, v in rep["results"].items() if k != "witness"} == {
+            "commuting": False, "join_is_full": True, "a1_is_factor": True, "verdict": False}
+        witness = np.array([[complex(re, im) for re, im in row] for row in rep["results"]["witness"]])
+        assert np.max(np.abs(witness)) == rep["residuals"]["commutator"] > 1e-8
 
     def test_missing_generators_is_usage_error(self, tmp_path, capsys):
         path = write_spec(tmp_path / "nogen.json", 2, {"x": pauli_string_matrix("X")})
         code, _, err = run_cli(["bipartition", path], capsys)
         assert code == 1
         assert "a1_generators" in err
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # each record that holds arrays answers == as identity, as OperatorAlgebra does: a
+    # field-wise == would ask numpy for one truth value of a whole array and raise
+    from tpskit.algebra import check_bipartition, close_algebra
+    from tpskit.bosonic import build_fock
+    from tpskit.holonomy import LoopPath, builtin_family, refinement_ladder
+    from tpskit.parity import validate_parity_set
+    from tpskit.tps import TPS
+
+    rect = LoopPath.rectangle((0.0, 0.0), (0.5, 0.5), refinement=2)
+    overlap = load_spec(DATA / "bip_overlap.json")  # a negative verdict: its witness is a matrix
+    pairs = {
+        "UnitaryFamily": lambda: builtin_family("fixture-n2d2")[0],
+        "TPS": lambda: TPS.natural((2, 2)),
+        "FockSpace": lambda: build_fock(2, 2),
+        "ParitySet": lambda: validate_parity_set([pauli_string_matrix("ZZ")]),
+        "OperatorSpecFile": lambda: load_spec(DATA / "cnot.json"),  # dense matrices
+        "LoopPath": lambda: LoopPath(rect.waypoints.copy(), refinement=2),
+        "RefinementLadder": lambda: refinement_ladder(builtin_family("fixture-n2d2")[0], rect, 1, 2, doublings=1),
+        "BipartitionCertificate": lambda: check_bipartition(
+            *(close_algebra(overlap.generator_matrices(w), dim=overlap.dim) for w in ("a1", "a2"))),
+    }
+    for kind, build in pairs.items():
+        a, b = build(), build()
+        assert type(a).__name__ == kind
+        assert (a == a, a == b, a != b) == (True, False, True), kind
 
 
 def _blocks(*shape):

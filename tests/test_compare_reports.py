@@ -94,9 +94,11 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     files = sorted(str(path) for path in data.glob("*.json"))
     spins = [str(tmp_path / f"{name}{N}.json") for N in (3, 4, 5) for name in ("spin", "swaps")] + [
         str(tmp_path / "spin8.json"), str(tmp_path / "clock64.json")]
-    # one job of each spec command at a seed other than 0
+    # a decompose and a bipartition of each verdict at a seed other than 0
     seeded = [["decompose", "--emit-basis", "--seed", "5", str(data / "slot_xz.json")],
-              ["bipartition", "--seed", "5", str(data / "bip_slots.json")]]
+              ["bipartition", "--seed", "5", str(data / "bip_slots.json")],
+              ["bipartition", "--seed", "5", str(data / "bip_overlap.json")],
+              ["bipartition", "--seed", "5", str(data / "bip_abelian.json")]]
     assert [a for a in argvs if a[0] == "decompose"] == [
         ["decompose", "--emit-basis", f] for f in files] + seeded[:1] + [
         ["decompose", "--emit-basis", f] for f in spins]

@@ -12,9 +12,10 @@ eigenspace 1 only.  A ``fixtures`` group adds the ``tests/data`` spec
 files: each through ``decompose --emit-basis``, each that names a1/a2
 generators through ``bipartition``, and ``tps equivalent``, ``tps parity``
 and ``tps bosonic`` each with and without a spec file; one ``decompose`` and
-one ``bipartition`` at ``--seed 5``; four sizes past the byte budget, whose
-refusal messages are compared; ``tps holonomy --doublings 10``, with and
-without ``--rect2``, a longer ladder than any benchmark job's, and
+three ``bipartition`` jobs, one per ``bip_*.json``, at ``--seed 5``; four
+sizes past the byte budget, whose refusal messages are compared; ``tps
+holonomy --doublings 10``, with and without ``--rect2``, a longer ladder
+than any benchmark job's, and
 ``--doublings 12``, the longest the byte budget admits; ``tps holonomy``
 at ``--tol-resid`` 1e-14, 1e-15, 1e-16 and 1e-300, under the rounding of its
 holonomy, frames and eigenbases, which answer as at the default
@@ -72,10 +73,12 @@ SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
 TWIN_FLAGS = {"decompose": ["--emit-basis"], "holonomy": ["--eigenspace", "2"]}  # appended to a twin job
 SINGLE_THREAD = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# a seed other than 0: decompose closes its algebra at S, bipartition reads the slot form at S
+# a seed other than 0: decompose closes its algebra at S; bipartition solves a1 at S, and a
+# verdict of each kind (positive, non-commuting, a1 not a factor) reads it
 SEEDED = [
     ["decompose", "--emit-basis", "--seed", "5", os.path.join(DATA, "slot_xz.json")],
-    ["bipartition", "--seed", "5", os.path.join(DATA, "bip_slots.json")],
+    *(["bipartition", "--seed", "5", os.path.join(DATA, name)]
+      for name in ("bip_slots.json", "bip_overlap.json", "bip_abelian.json")),
 ]
 # sizes past the byte budget, each refused before it is built and at once
 REFUSALS = [
