@@ -79,6 +79,34 @@ def dense_ccr_residual(fock):
     return worst
 
 
+def table_ccr_residual(fock):
+    """Oracle: the tables' own CCR residual, walked pair by pair in O(N^2 dim): the largest
+    entry of [a_j, a_l] on every column and of [a_j, a_l^dag] - delta_jl on the interior
+    columns.  A ladder sends a column to at most one row, so a product of two does too: a
+    commutator column holds three terms (two products and the delta), summed where they
+    share a row."""
+    N, dim = fock.occ.shape
+    tables = fock._tables
+    p, c = np.nonzero(tables.low >= 0)
+    # each table gets a sink column dim, where vanished products land with weight 0
+    low, up = np.full((2, N, dim + 1), dim)
+    w, wu = np.zeros((2, N, dim + 1))
+    low[p, c], w[p, c] = tables.low[p, c], tables.w[p, c]
+    up[p, tables.low[p, c]], wu[p, tables.low[p, c]] = c, tables.w[p, c]  # raising, inverted
+    every, inside = np.arange(dim), np.flatnonzero(fock.interior_mask())
+    modes = np.arange(N)[:, None]  # mode l along axis 0; j loops
+    worst = 0.0
+    for j in range(N):
+        for b, wb, cols, delta in ((low, w, every, 0.0), (up, wu, inside, 1.0 * (modes == j))):
+            terms = ((low[j, b[:, cols]], w[j, b[:, cols]] * wb[:, cols]),  # a_j b_l e_c
+                     (b[:, low[j, cols]], -wb[:, low[j, cols]] * w[j, cols]),  # -b_l a_j e_c
+                     (cols, -delta))
+            for row, _ in terms:
+                entry = sum(np.where(r == row, v, 0.0) for r, v in terms)
+                worst = max(worst, float(np.abs(entry).max(initial=0.0)))
+    return worst
+
+
 def dense_embedding_entanglement(v, fock, cut, kind="vn"):
     """Oracle: Schmidt decomposition of the state embedded in the full
     product of per-mode occupation spaces, an (M+1)^N array."""
@@ -115,6 +143,9 @@ def best_of_three(fn):
 
 # the (N, M) sizes acceptance criterion 7 checks the CCR at
 CRITERION_7_SIZES = [(N, M) for N in range(1, 5) for M in range(1, 4)]
+
+# the most modes the size rule admits at cutoff 1: (1003, 1) is predicted at 63.9 MiB
+LARGEST_M1 = 1003
 
 
 def one_photon_state(fock, amplitudes):
@@ -178,8 +209,9 @@ class TestBuildFock:
         for N, M in sizes + [(12, 3), (70, 1), (40, 2), (60, 2)]:
             fock = build_fock(N, M)
             low, w = loop_ladder_tables(N, M)
-            assert fock.low.dtype == low.dtype and np.array_equal(fock.low, low), (N, M)
-            assert fock.w.dtype == w.dtype and np.array_equal(fock.w, w), (N, M)
+            tables = fock._tables
+            assert tables.low.dtype == low.dtype and np.array_equal(tables.low, low), (N, M)
+            assert tables.w.dtype == w.dtype and np.array_equal(tables.w, w), (N, M)
 
     def test_number_operator_diagonal(self):
         fock = build_fock(2, 3)
@@ -198,28 +230,71 @@ class TestBuildFock:
             build_fock(12, 12)  # binomial(24,12) is past the cap
 
     @pytest.mark.parametrize("N, M, bound", [
-        (4095, 1, "table check work N^2 dim = 68685926400 exceeds the configured cap 8388608"),
-        (64, 2, "table check work N^2 dim = 8785920 exceeds"),
+        (4095, 1, "building the ladder tables of 4095 modes at cutoff 1 needs 1.03e+03 MiB, "
+                  "over the 64 MiB budget"),
+        (LARGEST_M1 + 1, 1, "building the ladder tables of 1004 modes at cutoff 1 needs 64 MiB, over"),
         (20000, 20000, "dimension binomial(40000, 20000) exceeds the configured cap 4096"),
         (2, 4095, "dimension binomial(4097, 2) exceeds"),
-    ], ids=["4095-1", "64-2", "20000-20000", "2-4095"])
+    ], ids=["4095-1", "1004-1", "20000-20000", "2-4095"])
     def test_size_limits_are_decided_from_n_and_m(self, N, M, bound):
-        # dim 4096 at N = 4095 passes the dimension cap, and the O(N^2 dim)
-        # table check would run for hours; binomial(40000, 20000) has
-        # 12000 digits, past what an error message may print
+        # dim 4096 at N = 4095 passes the dimension cap, and its tables are predicted
+        # past the budget; binomial(40000, 20000) has 12000 digits, past what an error
+        # message may print
         start = time.perf_counter()
         with pytest.raises(ContractViolationError, match=re.escape(bound)):
             build_fock(N, M)
         assert time.perf_counter() - start < 0.1
 
-    @pytest.mark.parametrize("N, M", [(60, 2), (63, 2), (200, 1), (1, 4095), (27, 3)])
+    @pytest.mark.parametrize("N, M", [(60, 2), (63, 2), (64, 2), (89, 2), (200, 1), (LARGEST_M1, 1),
+                                      (1, 4095), (27, 3)])
     def test_sizes_inside_both_caps_build(self, N, M):
-        # the table is the simplex: binomial(N+M, N) distinct occupations of
-        # total at most M, in lexicographic order
+        # inside the dimension cap and the size rule, the table is the simplex: binomial(N+M, N)
+        # distinct occupations of total at most M, in lexicographic order
         fock = build_fock(N, M)
-        assert fock.occ.shape == fock.low.shape == fock.w.shape == (N, comb(N + M, N))
+        assert fock.occ.shape == fock._tables.low.shape == fock._tables.w.shape == (N, comb(N + M, N))
         assert fock.occ.min() == 0 and fock.occ.sum(axis=0).max() == M
         assert np.array_equal(np.unique(fock.occ.T, axis=0), fock.occ.T)
+
+    @pytest.mark.parametrize("N, M", [(64, 2), (LARGEST_M1, 1)])
+    def test_peak_stays_under_the_prediction(self, N, M, monkeypatch):
+        # the size rule predicts the build's peak, not just its (N, dim) tables: the levels'
+        # (parent, value) arrays, the walk's dim-long rows and the N x N frame count too.
+        # Measured: 0.35 of the prediction at (64, 2), 0.60 at (1003, 1), and at most 0.69
+        # on every size the rule and the dimension cap admit
+        predicted = []
+        real = tpskit.bosonic.refuse_past_budget
+        monkeypatch.setattr(tpskit.bosonic, "refuse_past_budget",
+                            lambda shape, what: predicted.append(shape) or real(shape, what))
+        tracemalloc.start()
+        try:
+            fock = build_fock(N, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fock.dim == comb(N + M, N) and len(predicted) == 1
+        assert peak <= 16 * np.prod(predicted[0]) <= 64 * 2**20
+
+    def test_the_closed_form_is_the_table_walk_bit_for_bit(self):
+        # ccr_residual reads the tables' own residual as _ladder_rounding(M); the walk it
+        # replaced returns the same float on every (N, M) with N^2 dim <= 2^20 inside the
+        # dimension cap (4401 sizes, N up to 101 and M up to 4095) and at the old work
+        # cap's largest sizes, so residuals.ccr is unchanged
+        sizes = [(N, M) for N in range(1, 102)
+                 for M in itertools.takewhile(lambda M: comb(N + M, N) <= 4096, range(1, 4097 - N))
+                 if N * N * comb(N + M, N) <= 2**20]
+        assert len(sizes) == 4401
+        rounding = {}
+        for N, M in sizes + [(63, 2), (200, 1), (24, 3)]:
+            if M not in rounding:
+                rounding[M] = tpskit.bosonic._ladder_rounding(M)
+            assert rounding[M] == table_ccr_residual(build_fock(N, M)), (N, M)
+        assert 0 < max(rounding.values()) < 1e-12
+        # in a frame: the unitarity defect plus N (1 + defect) times the walk, as it was
+        rng = np.random.default_rng(37)
+        for N, M in [(2, 3), (3, 2), (5, 4), (24, 3)]:
+            U = haar_unitary(N, rng) * (1 + 1e-9)
+            d, t = unitarity_defect(U), table_ccr_residual(build_fock(N, M))
+            assert ccr_residual(transform_modes(build_fock(N, M), U)) == d + N * (1 + d) * t
 
 
 class TestTransformModes:
@@ -234,17 +309,18 @@ class TestTransformModes:
         U = haar_unitary(3, np.random.default_rng(5))
         ms = transform_modes(fock, U)
         assert type(ms) is FockSpace and ms is not fock and ms.tol is fock.tol
-        assert ms.occ is fock.occ and ms.low is fock.low and ms.w is fock.w
+        assert ms._tables is fock._tables and ms.occ is fock.occ
         assert np.array_equal(ms.U, U) and np.array_equal(fock.U, np.eye(3))
         # U is taken from the reference tables, never composed with the frame it is given
         assert np.array_equal(transform_modes(ms, U).U, U)
 
     def test_the_shared_tables_are_read_only(self):
-        # a frame caches its ccr over tables every other frame shares: an edit in place
-        # would leave that cached value stale
+        # every frame of every Fock space of one (N, M) shares its tables, and ccr_residual
+        # vouches for them from M alone: an edit in place would change them all
         fock = build_fock(2, 3)
         ms = transform_modes(fock, np.eye(2))
-        for table in (fock.occ, fock.low, fock.w):
+        assert build_fock(2, 3)._tables is fock._tables is ms._tables
+        for table in (fock.occ, fock._tables.low, fock._tables.w):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 1] += 1
         assert ms.ccr == ccr_residual(ms)
@@ -252,12 +328,12 @@ class TestTransformModes:
     def test_the_ccr_residual_is_computed_once_per_frame(self, monkeypatch):
         # transform_modes checks ccr and later reads find it cached on the record
         calls = []
-        real = tpskit.bosonic._table_ccr_residual
-        monkeypatch.setattr(tpskit.bosonic, "_table_ccr_residual", lambda f: calls.append(f) or real(f))
+        real = tpskit.bosonic._ladder_rounding
+        monkeypatch.setattr(tpskit.bosonic, "_ladder_rounding", lambda M: calls.append(M) or real(M))
         fock = build_fock(2, 3)
         assert not calls
         ms = transform_modes(fock, BEAMSPLITTER)
-        assert ms.ccr == ms.ccr < 1e-12 and calls == [ms]
+        assert ms.ccr == ms.ccr < 1e-12 and calls == [3]
 
     def test_nan_rotation_is_not_unitary(self):
         fock = build_fock(2, 2)
@@ -339,39 +415,55 @@ class TestTransformModes:
                 assert abs(ccr - unitarity_defect(U)) <= 1e-13, (N, M)
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
-    def test_ccr_residual_sees_a_perturbed_ladder_weight(self, N, M):
-        U = haar_unitary(N, np.random.default_rng(10 * N + M))
+    def test_every_ladder_weight_is_the_root_of_its_occupation(self, N, M):
+        # the closed form reads each weight as sqrt(m_j); a record cannot be given other
+        # weights, through its constructor or replace
         fock = build_fock(N, M)
-        for c in np.flatnonzero(fock.low[0] >= 0):
-            w = fock.w.copy()
-            w[0, c] += 1e-9
-            assert ccr_residual(replace(fock, w=w, U=U)) >= 1e-9, c
+        assert np.array_equal(fock._tables.w, np.sqrt(fock.occ))
+        for build in (lambda: replace(fock, w=fock._tables.w.copy()),
+                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, w=fock._tables.w.copy())):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'w'"):
+                build()
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
-    def test_ccr_residual_sees_a_mispointed_lowering(self, N, M):
-        U = haar_unitary(N, np.random.default_rng(10 * N + M))
-        reference = build_fock(N, M)
-        for c in np.flatnonzero(reference.low[0] >= 0):
-            low = reference.low.copy()
-            low[0, c] = (low[0, c] + 1) % reference.dim
-            fock = replace(reference, low=low)
-            assert ccr_residual(replace(fock, U=U)) >= 1, c
-            with pytest.raises(ToleranceError):
-                transform_modes(fock, U)
+    def test_every_lowering_lands_on_its_occupation_less_one(self, N, M):
+        # a_j e_c lands on the column of occ[:, c] - e_j, and nowhere from an empty mode; a
+        # record cannot be given another low table, through its constructor or replace
+        fock = build_fock(N, M)
+        low = fock._tables.low
+        for j in range(N):
+            full = fock.occ[j] > 0
+            assert np.all(low[j, ~full] == -1)
+            landed = fock.occ.copy()
+            landed[j] -= 1
+            assert np.array_equal(fock.occ[:, low[j, full]], landed[:, full]), j
+        for build in (lambda: replace(fock, low=low.copy()),
+                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, low=low.copy())):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'low'"):
+                build()
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
-    def test_ccr_residual_sees_swapped_lowering_targets(self, N, M):
-        # two columns with the same m_1 trade targets: every weight, and
-        # [a_1, a_1^dag], stay right, so only the rows of a mixed product
-        # differ, where the larger weight counts
-        U = haar_unitary(N, np.random.default_rng(10 * N + M))
+    def test_mixed_ladder_products_land_on_one_row(self, N, M):
+        # two columns with the same m_1 trading targets kept every weight and [a_1, a_1^dag],
+        # and broke only the rows of a mixed product: in the tables built, a_j a_l e_c and
+        # a_l a_j e_c land on one row, and on the interior so do a_j a_l^dag e_c and
+        # a_l^dag a_j e_c, the premise of the closed form's exact zeros
         fock = build_fock(N, M)
-        m1 = fock.occ[0]
-        for c1, c2 in itertools.combinations(np.flatnonzero(m1 > 0), 2):
-            if m1[c1] == m1[c2]:
-                low = fock.low.copy()
-                low[0, [c1, c2]] = low[0, [c2, c1]]
-                assert ccr_residual(replace(fock, low=low, U=U)) >= 1, (c1, c2)
+        low, dim, inside = fock._tables.low, fock.dim, fock.interior_mask()
+        up = np.full((N, dim), -1)
+        for j in range(N):
+            full = np.flatnonzero(low[j] >= 0)
+            up[j, low[j, full]] = full
+
+        def then(table, first):  # the row of table[j] after first, -1 once a step vanishes
+            return np.where(first >= 0, table[:, np.maximum(first, 0)], -1)
+
+        for j, l in itertools.product(range(N), repeat=2):
+            assert np.array_equal(then(low, low[l])[j], then(low, low[j])[l]), (j, l)
+            if j != l:
+                assert np.array_equal(then(low, up[l])[j, inside], then(up, low[j])[l, inside]), (j, l)
+        # a record holds the tables of its own (N, M), whoever built them
+        assert FockSpace(N=N, M=M, tol=fock.tol, U=fock.U)._tables is fock._tables
 
     def test_six_modes_cutoff_eight_peaks_under_10_mb(self):
         # memory guard: the pairwise composer's (N^2, entries) value arrays
@@ -512,10 +604,11 @@ class TestModeEntanglement:
         with pytest.raises(ContractViolationError):
             mode_entanglement(np.full(fock.dim, np.nan), fock, cut=(1,))
 
-    @pytest.mark.parametrize("N, M", [(24, 3), (60, 2), (200, 1)])
+    @pytest.mark.parametrize("N, M", [(24, 3), (60, 2), (64, 2), (89, 2), (200, 1)])
     def test_single_excitation_closed_form_past_the_embedding(self, N, M):
         # a_i^U-dagger |0> puts weight p = sum_{j in cut} |U_ji|^2 on the cut
-        # side, so its entropy is h(p); (M+1)^N is 3e14 to 1.6e60 here
+        # side, so its entropy is h(p); (M+1)^N is 3e14 to 1.6e60 here, and
+        # (64, 2) and (89, 2) were refused by the tables' old self-check
         rng = np.random.default_rng(N)
         U = haar_unitary(N, rng)
         ms = transform_modes(build_fock(N, M), U)

@@ -870,14 +870,14 @@ class TestTpsCommands:
                          "--unitary", "bs"], capsys)
         assert abs(rep["results"]["value"] - 1.0) < 1e-8
 
-    def test_bosonic_past_the_work_cap_is_refused_before_any_table(self, capsys):
-        # dim 4096 passes the dimension cap; the N^2 dim table check would
-        # run for hours
+    def test_bosonic_past_the_size_rule_is_refused_before_any_table(self, capsys):
+        # dim 4096 passes the dimension cap; the build's peak is predicted from N and M
         start = time.perf_counter()
         code, out, err = run_cli(["tps", "bosonic", "--modes", "4095", "--cutoff", "1"], capsys)
         assert time.perf_counter() - start < 0.1
         assert (code, out) == (2, "")
-        assert "ContractViolationError: table check work N^2 dim" in err and "cap 8388608" in err
+        assert err == ("computation error: ContractViolationError: building the ladder tables of 4095 "
+                       "modes at cutoff 1 needs 1.03e+03 MiB, over the 64 MiB budget\n")
 
     @pytest.mark.parametrize("modes, cutoff", [(60, 2), (200, 1)])
     def test_bosonic_past_the_old_embedding_cap(self, modes, cutoff, capsys):
@@ -990,6 +990,15 @@ class TestSizeRefusals:
         assert (code, out) == (2, ""), err
         assert err.startswith(f"computation error: {error}: ") and err.count("\n") == 1
         assert seconds < 1.0
+
+    def test_bosonic_past_the_old_work_cap_answers_in_a_fresh_process(self):
+        # (64, 2), dim 2145, was refused by the tables' own O(N^2 dim) CCR check; mode 1 of
+        # the reference frame is a product, and the ccr is 64 times the tables' rounding
+        code, out, err, seconds = run_fresh(["tps", "bosonic", "--modes", "64", "--cutoff", "2"])
+        assert code == 0, err
+        rep = json.loads(out)
+        assert rep["results"]["fock_dim"] == 2145 and rep["results"]["value"] == 0.0
+        assert 0 < rep["residuals"]["ccr"] < 1e-13
 
     @staticmethod
     def twenty_paulis(tmp_path):
