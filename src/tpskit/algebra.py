@@ -26,7 +26,6 @@ from .numerics import (
     Tolerance,
     check_unitary,
     cluster_indices,
-    hermitian_eig,
     hs_orthonormalize,
     polar_isometry,
     refuse_past_budget,
@@ -145,12 +144,14 @@ def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
     K = X0 - L^+ L X0 for Gaussian X0; conjugate gradients find it on a (count, k, d, d)
     product stack, refused past BYTES_BUDGET before any draw, block-diagonal in V's eigen-
     clusters (they hold the commutant; eigenvalues closer than max(DEGENERACY_GAP, 1e2 eps
-    / rank_rel) share one).  CG stops at |L K| <= _CG_STOP k |X0| and refuses after 2 n steps.
+    / rank_rel) share one).  CG stops at |L K| <= _CG_STOP k |X0| and refuses after 2 n steps or
+    on a non-finite residual.  Both eigen-solves read exactly Hermitian matrices, each X + X^dag
+    halved, so they go straight to eigh.
     """
     k, d = ops.shape[:2]
     refuse_past_budget((count, k, d, d), f"a commutant product stack of {count} x {k} operators at dim {d}")
     Z = np.tensordot(rng.standard_normal(k) + 1j * rng.standard_normal(k), ops, axes=1)
-    w, V = hermitian_eig((Z + Z.conj().T) / 2, tol)
+    w, V = np.linalg.eigh((Z + Z.conj().T) / 2)
     mask = np.zeros((d, d), dtype=bool)
     for c in cluster_indices(w, max(DEGENERACY_GAP, 1e2 * np.finfo(float).eps / tol.rank_rel)):
         mask[c[0]:c[-1] + 1, c[0]:c[-1] + 1] = True
@@ -167,14 +168,14 @@ def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
     p = r = -L(K)
     rr = np.vdot(r, r).real
     for _ in range(2 * int(mask.sum())):  # one CG on the stack: it has L's spectrum, so no more steps
-        if np.sqrt(rr) <= stop:
+        if not np.sqrt(rr) > stop:  # converged, or non-finite and refused below
             break
         Lp = L(p)
         alpha = rr / np.vdot(p, Lp).real
         K, r, rr_prev = K + alpha * p, r - alpha * Lp, rr
         rr = np.vdot(r, r).real
         p = r + rr / rr_prev * p
-    if np.sqrt(rr) > stop:
+    if not np.sqrt(rr) <= stop:
         raise ToleranceError(f"commutant solve stalled at residual {np.sqrt(rr):.3e} after {2 * mask.sum()} steps")
     K = (K + K.conj().transpose(0, 2, 1)) / 2  # CG amplifies roundoff along small eigenvalues of L
     return V, K / np.linalg.norm(K, axis=(1, 2))[:, None, None]
@@ -184,7 +185,7 @@ def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance
     """(shape, T) from K1's eigenspaces, linked into blocks and glued by K2 (both in the
     basis V), or None when linked eigenspaces differ in dimension or a link is singular.
     Larger blocks come first, then larger d, then the central projector's rounded diagonal."""
-    w, E = hermitian_eig(K1, tol)
+    w, E = np.linalg.eigh(K1)
     copies = cluster_indices(w, DEGENERACY_GAP)
     B = E.conj().T @ K2 @ E
     starts = [c[0] for c in copies]

@@ -283,7 +283,7 @@ def _cmd_parity(args, spec, tol):
 
 
 def _cmd_bosonic(args, spec, tol):
-    from .bosonic import build_fock, mode_entanglement, single_excitation_state, transform_modes
+    from .bosonic import build_fock, ccr_residual, mode_entanglement, single_excitation_state, transform_modes
     fock = build_fock(args.modes, args.cutoff, tol)
     if args.unitary is None:
         U = fock.U
@@ -304,7 +304,7 @@ def _cmd_bosonic(args, spec, tol):
         "measure": args.measure,
         "value": value,
     }
-    return results, {"ccr": fock.ccr}
+    return results, {"ccr": ccr_residual(fock)}
 
 
 def _cmd_holonomy(args, spec, tol):

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ContractViolationError, DimensionMismatchError, ParitySetError
-from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermitian_eig, hermiticity_defect
+from .numerics import DEFAULT_TOL, Tolerance, fix_column_phases, hermiticity_defect
 from .pure import _dependent, _logical_dim, pauli_bits
 
 if TYPE_CHECKING:
@@ -153,9 +153,9 @@ def _split_sectors(sectors, X, tol: Tolerance):
     Returns (invariance residual max|V^dag X - (V^dag X V) V^dag|, refined
     (label, basis) list); the list is None when the residual exceeds
     resid_abs (no split is tried) or a restricted eigenvalue is away
-    from +-1.  At level 0 (empty label) V is None, the whole space: the block is X itself, read by
-    eigh with no second Hermiticity check (the caller's absolute bound is the stricter), and each
-    half is X's rephased eigenvectors, with no product.
+    from +-1.  Every block goes to eigh unjudged: X was judged Hermitian where the set was read,
+    and V^dag X V keeps that up to rounding.  At level 0 (empty label) V is None, the whole space:
+    the block is X itself, and each half is X's rephased eigenvectors, with no product.
     """
     blocks = []
     resid = 0.0
@@ -172,7 +172,7 @@ def _split_sectors(sectors, X, tol: Tolerance):
         return resid, None
     refined = []
     for (label, V), B in zip(sectors, blocks):
-        w, W = np.linalg.eigh(B) if V is None else hermitian_eig(B, tol)
+        w, W = np.linalg.eigh(B)
         if np.any(np.abs(np.abs(w) - 1.0) > tol.resid_abs):
             return resid, None
         for sign in (+1, -1):

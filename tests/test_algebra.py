@@ -775,6 +775,18 @@ class TestCheckBipartition:
         with pytest.raises(DimensionMismatchError):
             check_bipartition(close_algebra([SX]), close_algebra([np.eye(3)]))
 
+    def test_the_pair_commutes_at_resid_abs(self):
+        # a2's generator leans into a1 by 1e-9: its measured commutator c reads as commuting
+        # at a1's resid_abs 2c and as not commuting at c / 2
+        a2 = close_algebra([kron_all(I2, SX) + 1e-9 * kron_all(SX, I2)])
+        legs = [kron_all(SZ, I2), kron_all(SX, I2) + kron_all(SZ, I2)]
+        c = check_bipartition(close_algebra(legs), a2).residuals["commutator"]
+        assert 1e-11 < c < DEFAULT_TOL.resid_abs
+        for resid_abs, commuting in ((c / 2, False), (2 * c, True)):
+            cert = check_bipartition(close_algebra(legs, Tolerance(resid_abs=resid_abs)), a2)
+            assert cert.residuals["commutator"] == c and cert.commuting is commuting, resid_abs
+            assert (cert.witness is None) is commuting
+
     def test_every_decision_is_taken_at_a1s_tolerance(self):
         # a2's legs are turned by U = V exp(1e-9 i w) V^dag, so they miss a1's commutant by
         # ~1.6e-9: inside the default resid_abs, 16x past the 1e-10 that a1 was closed at
@@ -993,6 +1005,45 @@ def test_the_generators_of_a_record_close_to_it():
             closed = close_algebra(list(x.generators))
             assert sorted(closed.block_shape) == sorted(x.block_shape)
             assert len(closed) == len(x)
+
+
+def test_both_commutant_eigen_solves_read_exactly_hermitian_matrices(monkeypatch):
+    # eigh reads the probe (Z + Z^dag) / 2 and K1, a symmetrized, norm-divided CG solution:
+    # each is Hermitian to the last bit, so neither needs hermitian_eig's checks
+    defects, eigh = [], np.linalg.eigh
+
+    def recording(M):
+        defects.append(float(np.max(np.abs(M - M.conj().T))))
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    rng = np.random.default_rng(53)
+    for seed in range(4):
+        for blocks in ([(1, 2), (2, 1)], [(2, 2)], [(1, 3), (3, 1), (1, 1)]):
+            V = haar_unitary(sum(n * d for n, d in blocks), rng)
+            close_algebra(block_generators(blocks, V, rng), seed=seed)
+    check_bipartition(close_algebra([kron_all(SX, I2), kron_all(SZ, I2)]),
+                      close_algebra([kron_all(I2, SX), kron_all(I2, SZ)]), seed=7)
+    assert len(defects) >= 25 and set(defects) == {0.0}
+
+
+@pytest.mark.filterwarnings("error")  # a RuntimeWarning from NaN arithmetic fails the test
+def test_a_non_finite_commutant_solve_is_refused_as_a_stalled_solve(monkeypatch):
+    # CG's residual is NaN when its start is: the solve stops at once and the stall guard
+    # refuses it, where hermitian_eig used to, so no NaN reaches the eigen-solves
+    real = np.random.default_rng
+
+    class NanStarts:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            draw = self.rng.standard_normal(size)
+            return np.full(size, np.nan) if np.ndim(draw) == 3 else draw
+
+    monkeypatch.setattr(np.random, "default_rng", NanStarts)
+    with pytest.raises(ToleranceError, match=r"^commutant solve stalled at residual nan after \d+ steps$"):
+        close_algebra([kron_all(SX, I2), kron_all(SZ, I2)])
 
 
 class TestInputSizedStacksRefused:

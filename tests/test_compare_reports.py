@@ -144,6 +144,17 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
         report = json.loads(capsys.readouterr().out)
         answers.append((report["results"], report["residuals"]))
     assert answers[1:] == answers[:1] * len(tight)
+    # the identity frame under its CCR bound, the tables' own rounding, answers as at the default
+    tight_bosonic = compare_reports.TIGHT_BOSONIC
+    assert [a for a in argvs if a in tight_bosonic] == tight_bosonic
+    assert [float(a[-1]) for a in tight_bosonic] == [1e-15, 1e-16, 1e-300]
+    answers = []
+    for argv in [tight_bosonic[0][:-2], *tight_bosonic]:
+        assert main(argv) == 0, argv
+        report = json.loads(capsys.readouterr().out)
+        answers.append((report["results"], report["residuals"]))
+    assert answers[0][1] == {"ccr": 1.7763568394002505e-15}
+    assert answers[1:] == answers[:1] * len(tight_bosonic)
     # parity sets with no logical factor: the refusal of the sector structure is compared
     no_logical_factor = [["tps", "parity", "--parity", "XX", "ZZ"],
                          ["tps", "entangle", str(data / "bell_xx.json"), "--state", "bell_plus",
@@ -233,9 +244,9 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
     jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
     assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
     argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
-    tight = [a for a in argvs if "--tol-resid" in a
-             and a not in compare_reports.TIGHT_HOLONOMY + compare_reports.PARITY_ENTANGLE]
-    assert len(tight) == 7 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
+    tight = [a for a in argvs if "--tol-resid" in a and a not in
+             compare_reports.TIGHT_HOLONOMY + compare_reports.TIGHT_BOSONIC + compare_reports.PARITY_ENTANGLE]
+    assert len(tight) == 6 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
     for argv in tight:
         default = argv[:argv.index("--tol-resid")]
         assert argvs[argvs.index(argv) - 1] == default

@@ -335,6 +335,16 @@ class TestFamilies:
         with pytest.raises(error, match=message):
             UnitaryFamily(generators)
 
+    def test_a_generator_is_judged_hermitian_at_resid_abs_relative_to_its_largest_entry(self):
+        # G = 4 [[1, delta], [0, -1]] has a Hermiticity defect of 4 delta and largest entry 4:
+        # relative defect delta, refused at resid_abs delta / 2 and built at 2 delta (under
+        # which its absolute defect, 4 delta, would still be refused)
+        delta = 1e-9
+        G = 4 * np.array([[1.0, delta], [0.0, -1.0]])
+        with pytest.raises(ContractViolationError, match="not Hermitian within tolerance"):
+            UnitaryFamily([G], Tolerance(resid_abs=delta / 2))
+        assert UnitaryFamily([G], Tolerance(resid_abs=2 * delta)).dim == 2
+
     @pytest.mark.parametrize("seed", range(24))
     def test_frames_are_unitary_to_a_bounded_rounding(self, seed):
         # D = 1-3 generators on dim 2-12: the frames' unitarity_defect is at most

@@ -429,16 +429,17 @@ def test_level_zero_split_equals_the_split_through_the_identity():
     assert sectors == 112
 
 
-def test_level_zero_takes_x_without_a_second_hermiticity_check(monkeypatch):
-    # validate_parity_set bounds each X's Hermiticity at the absolute resid_abs, stricter than
-    # hermitian_eig's relative bound, so level 0's eigh reads X unchecked; the 4 x 4 blocks of
-    # the later level keep hermitian_eig's check
+def test_no_split_level_judges_its_blocks_again(monkeypatch):
+    # validate_parity_set bounds each X's Hermiticity once, where the set is read; eigh reads
+    # X at level 0 and the 4 x 4 blocks V^dag X V of the later level with no second check
     import tpskit.numerics
+    import tpskit.parity
     checked = []
-    real = tpskit.numerics.hermiticity_defect
-    monkeypatch.setattr(tpskit.numerics, "hermiticity_defect", lambda M: checked.append(len(M)) or real(M))
+    for module in (tpskit.numerics, tpskit.parity):
+        real = module.hermiticity_defect
+        monkeypatch.setattr(module, "hermiticity_defect", lambda M, real=real: checked.append(len(M)) or real(M))
     ps = validate_parity_set([pauli_string_matrix("ZZI"), pauli_string_matrix("IZZ")])
-    assert len(ps.sectors) == 4 and checked == [4, 4]
+    assert len(ps.sectors) == 4 and checked == [8, 8]
 
 
 class TestSyndromeDecompose:

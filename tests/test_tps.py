@@ -11,6 +11,7 @@ import tpskit.numerics as numerics
 import tpskit.pure as pure
 import tpskit.tps as tps_module
 from tpskit.algebra import close_algebra, commutant, is_factor, structure_decompose
+from tpskit.bosonic import build_fock, mode_entanglement
 from tpskit.errors import ContractViolationError, DimensionMismatchError
 from tpskit.numerics import DEFAULT_TOL, Tolerance, schmidt_entropy
 from tpskit.tps import (
@@ -268,6 +269,18 @@ class TestEntanglement:
         t = TPS.natural((2, 2))
         with pytest.raises(ContractViolationError):
             entanglement(np.array([1, 0, 0, 1], dtype=complex), t)
+
+    def test_a_state_norm_is_read_within_1e_10_of_one(self):
+        # a norm off by 1e-8 is refused by both readers of a state, one off by 1e-11 is read
+        t, fock = TPS.natural((2, 2)), build_fock(2, 2)
+        for off, refused in ((1e-8, True), (-1e-8, True), (1e-11, False), (-1e-11, False)):
+            for read, v in ((lambda v: entanglement(v, t), (1 + off) * BELL),
+                            (lambda v: mode_entanglement(v, fock, (1,)), (1 + off) * fock.vacuum)):
+                if refused:
+                    with pytest.raises(ContractViolationError, match="state norm .* is not 1"):
+                        read(v)
+                else:
+                    assert read(v) >= 0.0
 
     def test_ghz_every_cut_one_bit(self):
         t = TPS.natural((2, 2, 2))

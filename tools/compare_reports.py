@@ -19,7 +19,9 @@ than any benchmark job's, and
 ``--doublings 12``, the longest the byte budget admits; ``tps holonomy``
 at ``--tol-resid`` 1e-14, 1e-15, 1e-16 and 1e-300, under the rounding of its
 holonomy, frames and eigenbases, which answer as at the default
-(TIGHT_HOLONOMY); ``tps parity`` and ``tps entangle --parity`` of two
+(TIGHT_HOLONOMY); ``tps bosonic`` in the identity frame at ``--tol-resid``
+1e-15, 1e-16 and 1e-300, under the CCR bound's rounding of the ladder tables,
+which answer as at the default (TIGHT_BOSONIC); ``tps parity`` and ``tps entangle --parity`` of two
 parities on two qubits, refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
@@ -35,7 +37,7 @@ algebras whose basis is past the byte budget but whose block form is not
 ``decompose --emit-basis``; ``tps distance`` on the routes no benchmark job
 takes (``distance_jobs``): a Haar unitary at ``--dims 3,4`` and ``4,3``,
 vn and linear, whose 3 x 3 reduced densities sit on the cut side and on
-the complement, and vn of a 3 x 3 local unitary, exactly 0; and seven
+the complement, and vn of a 3 x 3 local unitary, exactly 0; and six
 ``tps`` jobs whose operators sit between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
@@ -99,6 +101,10 @@ LONG_LADDERS = [
 # the built-in family at a resid_abs under the rounding of its holonomy (6.2e-14), its frames
 # (1.1e-15) and its eigenbases (4.4e-16), none of which is judged at it
 TIGHT_HOLONOMY = [["tps", "holonomy", "--tol-resid", tol] for tol in ("1e-14", "1e-15", "1e-16", "1e-300")]
+# the identity frame at a resid_abs under its CCR bound (1.8e-15), the ladder tables' own
+# rounding, which is reported and not judged
+TIGHT_BOSONIC = [["tps", "bosonic", "--modes", "2", "--cutoff", "3", "--tol-resid", tol]
+                 for tol in ("1e-15", "1e-16", "1e-300")]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
     ["tps", "parity", "--parity", "XX", "ZZ"],
@@ -147,7 +153,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
     equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, LONG_LADDERS, TIGHT_HOLONOMY, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
+    REFUSALS, LONG_LADDERS, TIGHT_HOLONOMY, TIGHT_BOSONIC, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
     entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
     PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs and
     the tolerance_jobs."""
@@ -173,6 +179,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         *REFUSALS,
         *LONG_LADDERS,
         *TIGHT_HOLONOMY,
+        *TIGHT_BOSONIC,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
         ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
@@ -262,9 +269,7 @@ def tolerance_jobs(cwd: str) -> list[list[str]]:
     --tol-resid, under which it is refused or its verdict flips: distance, equivalent,
     entangle and bosonic on operators with a unitarity defect of ~5e-13 (tight 1e-14),
     parity with a Hermiticity defect of 1e-10 (tight 1e-11), equivalent of a natural
-    structure and exp(1e-9 i Z (x) Z), whose realignment ratio is ~1e-9 (tight 1e-10),
-    and bosonic in the identity frame, whose CCR residual at N = M = 4 is ~3.6e-15
-    (tight 1e-15): without --unitary the CCR check still runs."""
+    structure and exp(1e-9 i Z (x) Z), whose realignment ratio is ~1e-9 (tight 1e-10)."""
     import numpy as np
 
     scale = 1 + 2.5e-13
@@ -283,7 +288,6 @@ def tolerance_jobs(cwd: str) -> list[list[str]]:
         (["tps", "bosonic", two, "--modes", "2", "--cutoff", "2", "--unitary", "bs"], "1e-14"),
         (["tps", "parity", eight, "--parity", "zzi", "IZZ"], "1e-11"),
         (["tps", "equivalent", zz, "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"], "1e-10"),
-        (["tps", "bosonic", "--modes", "4", "--cutoff", "4"], "1e-15"),
     ]
     return [argv for default, tol in tight for argv in (default, default + ["--tol-resid", tol])]
 
