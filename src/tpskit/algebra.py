@@ -215,15 +215,19 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
        split blocks fails there and is drawn again, up to _MAX_PROBE_RETRIES times.
     Then T must be unitary and the ops in right slot form, each within resid_abs.
     """
-    rng = np.random.default_rng(seed)
+    rng, best = np.random.default_rng(seed), np.inf
     for _ in range(_MAX_PROBE_RETRIES):
         V, (K1, K2, K3) = _generic_commutant(ops, rng, tol, 3)
-        found = _linked_copies(V, K1, K2, tol)
-        if found and _block_form_residual([V @ K3 @ V.conj().T], found[1], found[0], side="left") <= tol.resid_abs:
-            shape, T = found
-            break
+        if found := _linked_copies(V, K1, K2, tol):
+            k3 = _block_form_residual([V @ K3 @ V.conj().T], found[1], found[0], side="left")
+            if k3 <= tol.resid_abs:
+                shape, T = found
+                break
+            best = min(best, k3)
     else:
-        raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws")
+        bound = ("no draw linked its copies" if best == np.inf else
+                 f"smallest K3 slot-form residual {best:.3e}, over resid_abs {tol.resid_abs:.3e}")
+        raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws: {bound}")
     check_unitary(T, tol, "assembled basis change", error=ToleranceError)
     residual = _block_form_residual(ops, T, shape, side="right")
     if residual > tol.resid_abs:

@@ -20,7 +20,7 @@ from .numerics import DEFAULT_TOL, Tolerance, check_unitary, refuse_past_budget,
 from .tps import EntanglementMeasure, _check_state, _split_cut
 
 _DIM_CAP = 4096
-_SHARED = weakref.WeakValueDictionary()  # (N, M) -> the _Tables its live Fock spaces hold
+_SHARED = weakref.WeakValueDictionary()  # (N, M) -> the occ its live Fock spaces hold
 
 
 def _check_mode(i: int, N: int) -> None:
@@ -28,39 +28,24 @@ def _check_mode(i: int, N: int) -> None:
         raise IndexRangeError(f"mode index {i} out of range 1..{N}")
 
 
-class _Tables:
-    """The read-only (N, dim) tables of one (N, M), a row per mode: occ[j, c] = m_j of state
-    c, and a_j e_c = w[j, c] e_low[j, c], w = sqrt(occ), low = -1 where m_j = 0.  Raising
-    inverts them: a_j^dag e_c lands on the column c' with low[j, c'] = c, weight w[j, c']."""
-
-    def __init__(self, occ: np.ndarray, low: np.ndarray):
-        self.occ, self.low, self.w = occ, low, np.sqrt(occ)
-        for table in (self.occ, self.low, self.w):
-            table.flags.writeable = False
-
-
 @dataclass(frozen=True, eq=False)
 class FockSpace:
     """N bosonic modes truncated at total excitation M, read in the mode frame U.
 
     The basis states are the occupations (m_1, ..., m_N) with sum <= M in lexicographic
-    order, column c of occ holding that of state c.  The tables follow from (N, M) and are
-    shared by every live Fock space of that size, so N, M, tol and U are all a record holds.
-    U is the mode frame, a_i^U = sum_j U_ji a_j over the reference modes (the identity
-    from build_fock).
+    order: occ, a read-only (N, dim) int table, holds m_j of state c at [j, c].  It follows
+    from (N, M) and is shared by every live Fock space of that size, so N, M, tol and U are
+    all a record is built from.  U is the mode frame, a_i^U = sum_j U_ji a_j over the
+    reference modes (the identity from build_fock).
     """
 
     N: int
     M: int
     tol: Tolerance  # every check on the space or its modes decides at it
-    U: np.ndarray  # (N, N) complex, the mode frame over the tables
+    U: np.ndarray  # (N, N) complex, the mode frame over the reference modes
 
     def __post_init__(self):
-        object.__setattr__(self, "_tables", _ladder_tables(self.N, self.M))
-
-    @property
-    def occ(self) -> np.ndarray:  # (N, dim) int, the occupation m_j of each basis state
-        return self._tables.occ
+        object.__setattr__(self, "occ", _ladder_tables(self.N, self.M))
 
     @property
     def dim(self) -> int:
@@ -94,7 +79,7 @@ class FockSpace:
 def _dense(fock: FockSpace, coeffs) -> np.ndarray:
     """The dim x dim matrix of sum_j coeffs[j] a_j, for inspection only, refused past BYTES_BUDGET."""
     refuse_past_budget((fock.dim, fock.dim), f"a dense ladder matrix at dim {fock.dim}")
-    low, w = fock._tables.low, fock._tables.w
+    low, w = _lowering_targets(fock.occ, fock.M), np.sqrt(fock.occ)
     a = np.zeros((fock.dim, fock.dim), dtype=complex)
     for j, c in enumerate(coeffs):
         cols = np.flatnonzero(low[j] >= 0)
@@ -104,17 +89,17 @@ def _dense(fock: FockSpace, coeffs) -> np.ndarray:
 
 def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
     """Truncated Fock space of dimension binomial(N+M, N), sized up before it is built."""
-    tables = _ladder_tables(N, M)  # refused, or held for the record, before U is built
-    return FockSpace(N=N, M=M, tol=tol, U=np.eye(len(tables.occ), dtype=complex))
+    occ = _ladder_tables(N, M)  # refused, or held for the record, before U is built
+    return FockSpace(N=N, M=M, tol=tol, U=np.eye(len(occ), dtype=complex))
 
 
-def _ladder_tables(N: int, M: int) -> _Tables:
-    """The tables a live Fock space of (N, M) holds, else new ones built in O(N dim), refused
-    from (N, M) alone past the dimension cap or past the size rule.  The rule predicts
-    build_fock's peak (the tables, the levels' arrays, a few dim-long rows, the N x N frame
-    and the arrays' headers) as a (2, N + 8, dim + N + 64) complex array."""
-    if (tables := _SHARED.get((N, M))) is not None:
-        return tables
+def _ladder_tables(N: int, M: int) -> np.ndarray:
+    """The occ table a live Fock space of (N, M) holds, else a new one built in O(N dim),
+    refused from (N, M) alone past the dimension cap or past the size rule.  The rule
+    predicts build_fock's peak (the table, the levels' arrays, a few dim-long rows, the
+    N x N frame and the arrays' headers) as a (2, N + 8, dim + N + 64) complex array."""
+    if (occ := _SHARED.get((N, M))) is not None:
+        return occ
     if N < 1 or M < 1:
         raise ContractViolationError("need at least one mode and cutoff >= 1")
     if N + M > _DIM_CAP or comb(N + M, N) > _DIM_CAP:  # binomial(N+M, N) >= N+M
@@ -131,36 +116,47 @@ def _ladder_tables(N: int, M: int) -> _Tables:
         value = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
         total = total[parent] + value
         levels.append((parent, value))
-    # column c is the lexicographic rank of its occupation.  With n_j = N-1-j
-    # modes after mode j and R_j = M - (m_1 + ... + m_{j-1}) excitations left
-    # for mode j and them, c = sum_j sum_{v < m_j} C(n_j + R_j - v, n_j).
-    # Lowering m_j removes C(n_j + R_j - m_j + 1, n_j) from term j and adds
-    # C(n_i + R_i + 1, n_i) - C(n_i + R_i - m_i + 1, n_i) to each later term i,
-    # whose R_i grows by one.  No binomial here exceeds N dim: int64 holds all.
-    occ, low = np.empty((2, N, dim), dtype=np.intp)
-    col, rest, later = np.arange(dim), M + 1 - total, np.zeros(dim, dtype=np.intp)
-    binom = np.ones(M + 2, dtype=np.intp)  # C(n_j + t, n_j), t = 0..M+1
+    occ, col = np.empty((N, dim), dtype=np.intp), np.arange(dim)
     for j in range(N - 1, -1, -1):
         parent, value = levels.pop()
-        m = occ[j] = value[col]
+        occ[j] = value[col]
         col = parent[col]
+    occ.flags.writeable = False
+    _SHARED[N, M] = occ
+    return occ
+
+
+def _lowering_targets(occ: np.ndarray, M: int) -> np.ndarray:
+    """low[j, c], the column a_j sends column c to (-1 where m_j = 0), walked in O(N dim).
+
+    Column c is the lexicographic rank of its occupation.  With n_j = N-1-j modes after
+    mode j and R_j = M - (m_1 + ... + m_{j-1}) excitations left for mode j and them,
+    c = sum_j sum_{v < m_j} C(n_j + R_j - v, n_j).  Lowering m_j removes
+    C(n_j + R_j - m_j + 1, n_j) from term j and adds C(n_i + R_i + 1, n_i) -
+    C(n_i + R_i - m_i + 1, n_i) to each later term i, whose R_i grows by one.  No
+    binomial here exceeds N dim: int64 holds all."""
+    N, dim = occ.shape
+    low = np.empty((N, dim), dtype=np.intp)
+    rest, later = M + 1 - occ.sum(axis=0), np.zeros(dim, dtype=np.intp)
+    binom = np.ones(M + 2, dtype=np.intp)  # C(n_j + t, n_j), t = 0..M+1
+    for j in range(N - 1, -1, -1):
+        m = occ[j]
         rest += m  # R_j + 1
         drop = binom[rest - m]
         low[j] = np.where(m > 0, np.arange(dim) - drop + later, -1)
         later += binom[rest] - drop  # the growth of the terms from mode j on
         binom = np.cumsum(binom)
-    tables = _SHARED[N, M] = _Tables(occ, low)
-    return tables
+    return low
 
 
 def transform_modes(fock: FockSpace, U) -> FockSpace:
     """fock read in the rotated modes a_i^U = sum_j U_ji a_j, U refused unless unitary
     within fock.tol.resid_abs.
 
-    U is relative to the reference tables, not composed with fock.U, and fock
+    U is relative to the reference modes, not composed with fock.U, and fock
     is left untouched.  Vacuum annihilation is exact by construction.  The CCR
-    then hold to ccr_residual, which adds to U's defect only the tables' own
-    rounding, so it is reported and not judged.
+    then hold to ccr_residual, which adds to U's defect only the reference
+    ladders' own rounding, so it is reported and not judged.
     """
     return replace(fock, U=check_unitary(U, fock.tol, "mode rotation", (fock.N, fock.N))[0])
 
@@ -172,8 +168,8 @@ def ccr_residual(fock: FockSpace) -> float:
     The rotated commutators are sums of the reference ones: [a_i^U, a_k^U] =
     sum_jl U_ji U_lk [a_j, a_l], and on the interior [a_i^U, a_k^U dag] - delta_ik =
     (U^T conj U - 1)_ik + sum_jl U_ji conj(U_lk) ([a_j, a_l^dag] - delta_jl).  With defect
-    = unitarity_defect(U), the largest entry of U^T conj U - 1, and t the tables' own
-    residual (_ladder_rounding), every entry of a sum is at most t sum_j |U_ji| sum_l |U_lk|
+    = unitarity_defect(U), the largest entry of U^T conj U - 1, and t the reference ladders'
+    own residual (_ladder_rounding), every entry of a sum is at most t sum_j |U_ji| sum_l |U_lk|
     <= N (1 + defect) t, by Cauchy-Schwarz on columns of squared norm <= 1 + defect; the
     upper end of that interval about defect is returned.
     """
@@ -182,11 +178,11 @@ def ccr_residual(fock: FockSpace) -> float:
 
 
 def _ladder_rounding(M: int) -> float:
-    """t, the tables' own residual: the largest entry of [a_j, a_l] and, on the interior, of
-    [a_j, a_l^dag] - delta_jl, in closed form.  Each entry is two products of weights sqrt(m)
-    less the delta.  Outside [a_j, a_j^dag] the two products multiply the same two weights
-    in swapped order: exactly 0, as IEEE products commute.  What is left, at m_j = m for
-    each m in 0..M-1, is (sqrt(m+1)^2 - sqrt(m)^2) - 1, ~1e-15."""
+    """t, the reference ladders' own residual: the largest entry of [a_j, a_l] and, on the
+    interior, of [a_j, a_l^dag] - delta_jl, in closed form.  Each entry is two products of
+    weights sqrt(m) less the delta.  Outside [a_j, a_j^dag] the two products multiply the
+    same two weights in swapped order: exactly 0, as IEEE products commute.  What is left,
+    at m_j = m for each m in 0..M-1, is (sqrt(m+1)^2 - sqrt(m)^2) - 1, ~1e-15."""
     s = np.sqrt(np.arange(M + 1))
     return float(np.abs(np.diff(s * s) - 1).max())
 
@@ -201,8 +197,9 @@ def single_excitation_state(fock: FockSpace, i: int) -> np.ndarray:
 
 
 def _one_photon(fock: FockSpace) -> np.ndarray:
-    """Basis positions of a_j^dag |0>, j = 1..N: the columns lowering mode j sends to |0>."""
-    return np.argmax(fock._tables.low == 0, axis=1)
+    """Basis positions of a_j^dag |0>, j = 1..N: the rank of the occupation e_j, whose one
+    term is C(N - j + M, N - j) (see _lowering_targets)."""
+    return np.array([comb(fock.N - j + fock.M, fock.N - j) for j in range(1, fock.N + 1)])
 
 
 def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:

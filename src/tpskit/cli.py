@@ -285,13 +285,10 @@ def _cmd_parity(args, spec, tol):
 def _cmd_bosonic(args, spec, tol):
     from .bosonic import build_fock, ccr_residual, mode_entanglement, single_excitation_state, transform_modes
     fock = build_fock(args.modes, args.cutoff, tol)
-    if args.unitary is None:
-        U = fock.U
-    elif spec is None:
-        raise _UsageError("--unitary needs a spec file to read from")
-    else:
-        U = spec.operator(args.unitary)
-    fock = transform_modes(fock, U)
+    if args.unitary is not None:
+        if spec is None:
+            raise _UsageError("--unitary needs a spec file to read from")
+        fock = transform_modes(fock, spec.operator(args.unitary))
     state = single_excitation_state(fock, args.excite)
     value = mode_entanglement(state, fock, cut=args.cut, kind=args.measure)
     results = {

@@ -26,7 +26,7 @@ from tpskit.algebra import (
     structure_decompose,
 )
 from tpskit.bosonic import build_fock
-from tpskit.errors import ContractViolationError, DimensionMismatchError, ToleranceError
+from tpskit.errors import ContractViolationError, DegeneracyError, DimensionMismatchError, ToleranceError
 from tpskit.numerics import DEFAULT_TOL, DEGENERACY_GAP, Tolerance
 from tpskit.opfile import as_matrices, load_spec
 from tpskit.tps import TPS, local_algebra
@@ -322,6 +322,15 @@ class TestCommutant:
         assert solves == [(tight, 3)]
         with pytest.raises(TypeError):
             structure_decompose(alg, Tolerance())
+
+    def test_a_refusal_with_no_linked_draw_says_so(self, monkeypatch):
+        # the 16-draw refusal names K3's smallest residual when a draw got that far, and
+        # a fixed wording when no draw linked its copies
+        monkeypatch.setattr(algebra_module, "_linked_copies", lambda *args: None)
+        ops = np.array([kron_all(SX, I2), kron_all(SZ, I2)])
+        with pytest.raises(DegeneracyError, match=r"^no generic commutant element in 16 draws: "
+                           r"no draw linked its copies$"):
+            algebra_module._decompose(ops, DEFAULT_TOL, 1)
 
     def test_conjugation_covariance(self):
         rng = np.random.default_rng(23)

@@ -13,6 +13,7 @@ import pytest
 import tpskit.bosonic
 from tpskit.bosonic import (
     FockSpace,
+    _lowering_targets,
     build_fock,
     ccr_residual,
     mode_entanglement,
@@ -85,13 +86,13 @@ def table_ccr_residual(fock):
     commutator column holds three terms (two products and the delta), summed where they
     share a row."""
     N, dim = fock.occ.shape
-    tables = fock._tables
-    p, c = np.nonzero(tables.low >= 0)
+    targets, weights = _lowering_targets(fock.occ, fock.M), np.sqrt(fock.occ)
+    p, c = np.nonzero(targets >= 0)
     # each table gets a sink column dim, where vanished products land with weight 0
     low, up = np.full((2, N, dim + 1), dim)
     w, wu = np.zeros((2, N, dim + 1))
-    low[p, c], w[p, c] = tables.low[p, c], tables.w[p, c]
-    up[p, tables.low[p, c]], wu[p, tables.low[p, c]] = c, tables.w[p, c]  # raising, inverted
+    low[p, c], w[p, c] = targets[p, c], weights[p, c]
+    up[p, targets[p, c]], wu[p, targets[p, c]] = c, weights[p, c]  # raising, inverted
     every, inside = np.arange(dim), np.flatnonzero(fock.interior_mask())
     modes = np.arange(N)[:, None]  # mode l along axis 0; j loops
     worst = 0.0
@@ -104,6 +105,13 @@ def table_ccr_residual(fock):
                 entry = sum(np.where(r == row, v, 0.0) for r, v in terms)
                 worst = max(worst, float(np.abs(entry).max(initial=0.0)))
     return worst
+
+
+def held_arrays(obj):
+    """Every numpy array reachable from obj through instance attributes."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    return [a for v in getattr(obj, "__dict__", {}).values() for a in held_arrays(v)]
 
 
 def dense_embedding_entanglement(v, fock, cut, kind="vn"):
@@ -208,9 +216,9 @@ class TestBuildFock:
         for N, M in sizes + [(12, 3), (70, 1), (40, 2), (60, 2)]:
             fock = build_fock(N, M)
             low, w = loop_ladder_tables(N, M)
-            tables = fock._tables
-            assert tables.low.dtype == low.dtype and np.array_equal(tables.low, low), (N, M)
-            assert tables.w.dtype == w.dtype and np.array_equal(tables.w, w), (N, M)
+            targets, weights = _lowering_targets(fock.occ, M), np.sqrt(fock.occ)
+            assert targets.dtype == low.dtype and np.array_equal(targets, low), (N, M)
+            assert weights.dtype == w.dtype and np.array_equal(weights, w), (N, M)
 
     def test_number_operator_diagonal(self):
         fock = build_fock(2, 3)
@@ -250,7 +258,7 @@ class TestBuildFock:
         # inside the dimension cap and the size rule, the table is the simplex: binomial(N+M, N)
         # distinct occupations of total at most M, in lexicographic order
         fock = build_fock(N, M)
-        assert fock.occ.shape == fock._tables.low.shape == fock._tables.w.shape == (N, comb(N + M, N))
+        assert fock.occ.shape == _lowering_targets(fock.occ, M).shape == (N, comb(N + M, N))
         assert fock.occ.min() == 0 and fock.occ.sum(axis=0).max() == M
         assert np.array_equal(np.unique(fock.occ.T, axis=0), fock.occ.T)
 
@@ -308,21 +316,32 @@ class TestTransformModes:
         U = haar_unitary(3, np.random.default_rng(5))
         ms = transform_modes(fock, U)
         assert type(ms) is FockSpace and ms is not fock and ms.tol is fock.tol
-        assert ms._tables is fock._tables and ms.occ is fock.occ
+        assert ms.occ is fock.occ
         assert np.array_equal(ms.U, U) and np.array_equal(fock.U, np.eye(3))
-        # U is taken from the reference tables, never composed with the frame it is given
+        # U is taken over the reference modes, never composed with the frame it is given
         assert np.array_equal(transform_modes(ms, U).U, U)
 
     def test_the_shared_tables_are_read_only(self):
-        # every frame of every Fock space of one (N, M) shares its tables, and ccr_residual
-        # vouches for them from M alone: an edit in place would change them all
+        # every frame of every Fock space of one (N, M) shares its occupation table, and
+        # ccr_residual vouches for the ladders read off it from M alone: an edit in place
+        # would change them all
         fock = build_fock(2, 3)
         ms = transform_modes(fock, np.eye(2))
-        assert build_fock(2, 3)._tables is fock._tables is ms._tables
-        for table in (fock.occ, fock._tables.low, fock._tables.w):
-            with pytest.raises(ValueError, match="read-only"):
-                table[0, 1] += 1
+        assert build_fock(2, 3).occ is fock.occ is ms.occ is tpskit.bosonic._SHARED[2, 3]
+        with pytest.raises(ValueError, match="read-only"):
+            fock.occ[0, 1] += 1
         assert ccr_residual(ms) == 2 * tpskit.bosonic._ladder_rounding(3)
+
+    @pytest.mark.parametrize("N, M", [(2, 3), (4, 4), (60, 2), (LARGEST_M1, 1)])
+    def test_a_live_space_holds_one_table(self, N, M):
+        # the occupation table is the one (N, dim) array a record holds, in every frame: the
+        # lowering targets and weights are derived where lowering reads them
+        fock = build_fock(N, M)
+        ms = transform_modes(fock, haar_unitary(N, np.random.default_rng(N)))
+        for record in (fock, ms):
+            tables = [a for a in held_arrays(record) if a.shape == (N, fock.dim)]
+            assert len(tables) == 1 and tables[0] is fock.occ, [a.dtype for a in tables]
+        assert not fock.occ.flags.writeable and fock.occ.dtype == np.intp
 
     def test_transform_modes_computes_no_ccr_bound(self, monkeypatch):
         # the frame is judged by its unitarity alone; the CCR bound is computed only where
@@ -423,40 +442,43 @@ class TestTransformModes:
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_every_ladder_weight_is_the_root_of_its_occupation(self, N, M):
-        # the closed form reads each weight as sqrt(m_j); a record cannot be given other
-        # weights, through its constructor or replace
+        # the closed form reads each weight as sqrt(m_j), and so does every dense ladder; a
+        # record cannot be given another occupation table, through its constructor or replace
         fock = build_fock(N, M)
-        assert np.array_equal(fock._tables.w, np.sqrt(fock.occ))
-        for build in (lambda: replace(fock, w=fock._tables.w.copy()),
-                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, w=fock._tables.w.copy())):
-            with pytest.raises(TypeError, match="unexpected keyword argument 'w'"):
+        low, w = _lowering_targets(fock.occ, M), np.sqrt(fock.occ)
+        for j in range(N):
+            full = np.flatnonzero(low[j] >= 0)
+            assert np.array_equal(fock.lowering(j + 1)[low[j, full], full], w[j, full]), j
+        for build in (lambda: replace(fock, occ=fock.occ.copy()),
+                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, occ=fock.occ.copy())):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'occ'"):
                 build()
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_every_lowering_lands_on_its_occupation_less_one(self, N, M):
         # a_j e_c lands on the column of occ[:, c] - e_j, and nowhere from an empty mode; a
-        # record cannot be given another low table, through its constructor or replace
+        # record cannot be given another occupation table, through its constructor or replace
         fock = build_fock(N, M)
-        low = fock._tables.low
+        low = _lowering_targets(fock.occ, M)
         for j in range(N):
             full = fock.occ[j] > 0
             assert np.all(low[j, ~full] == -1)
             landed = fock.occ.copy()
             landed[j] -= 1
             assert np.array_equal(fock.occ[:, low[j, full]], landed[:, full]), j
-        for build in (lambda: replace(fock, low=low.copy()),
-                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, low=low.copy())):
-            with pytest.raises(TypeError, match="unexpected keyword argument 'low'"):
+        for build in (lambda: replace(fock, occ=fock.occ.copy()),
+                      lambda: FockSpace(N=N, M=M, tol=fock.tol, U=fock.U, occ=fock.occ.copy())):
+            with pytest.raises(TypeError, match="unexpected keyword argument 'occ'"):
                 build()
 
     @pytest.mark.parametrize("N, M", [(2, 3), (3, 2), (4, 4)])
     def test_mixed_ladder_products_land_on_one_row(self, N, M):
         # two columns with the same m_1 trading targets kept every weight and [a_1, a_1^dag],
-        # and broke only the rows of a mixed product: in the tables built, a_j a_l e_c and
+        # and broke only the rows of a mixed product: in the targets walked, a_j a_l e_c and
         # a_l a_j e_c land on one row, and on the interior so do a_j a_l^dag e_c and
         # a_l^dag a_j e_c, the premise of the closed form's exact zeros
         fock = build_fock(N, M)
-        low, dim, inside = fock._tables.low, fock.dim, fock.interior_mask()
+        low, dim, inside = _lowering_targets(fock.occ, M), fock.dim, fock.interior_mask()
         up = np.full((N, dim), -1)
         for j in range(N):
             full = np.flatnonzero(low[j] >= 0)
@@ -469,8 +491,8 @@ class TestTransformModes:
             assert np.array_equal(then(low, low[l])[j], then(low, low[j])[l]), (j, l)
             if j != l:
                 assert np.array_equal(then(low, up[l])[j, inside], then(up, low[j])[l, inside]), (j, l)
-        # a record holds the tables of its own (N, M), whoever built them
-        assert FockSpace(N=N, M=M, tol=fock.tol, U=fock.U)._tables is fock._tables
+        # a record holds the occupation table of its own (N, M), whoever built it
+        assert FockSpace(N=N, M=M, tol=fock.tol, U=fock.U).occ is fock.occ
 
     def test_six_modes_cutoff_eight_peaks_under_10_mb(self):
         # memory guard: the pairwise composer's (N^2, entries) value arrays
@@ -619,6 +641,10 @@ class TestModeEntanglement:
         rng = np.random.default_rng(N)
         U = haar_unitary(N, rng)
         ms = transform_modes(build_fock(N, M), U)
+        # the closed-form one-photon positions are the unit-occupation columns, e_j at j
+        one_photon = tpskit.bosonic._one_photon(ms)
+        assert np.array_equal(ms.occ[:, one_photon], np.eye(N, dtype=np.intp))
+        assert np.array_equal(np.sort(one_photon), np.flatnonzero(ms.occ.sum(axis=0) == 1))
         i = int(rng.integers(1, N + 1))
         cut = tuple(int(j) for j in rng.choice(np.arange(1, N + 1), N // 2, replace=False))
         value = mode_entanglement(single_excitation_state(ms, i), ms, cut=cut)

@@ -3,6 +3,7 @@
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -846,7 +847,10 @@ class TestTpsCommands:
         assert err == ("computation error: ParitySetError: 2 parities on 2 qubits "
                        "leave no logical factor to decompose\n")
 
-    def test_bosonic_reference_mode_is_product(self, capsys):
+    def test_bosonic_reference_mode_is_product(self, monkeypatch, capsys):
+        # the identity frame is build_fock's own: only --unitary goes through transform_modes
+        import tpskit.bosonic
+        monkeypatch.setattr(tpskit.bosonic, "transform_modes", lambda *args: pytest.fail("rotated"))
         rep = report_of(["tps", "bosonic", "--modes", "2", "--cutoff", "2"], capsys)
         assert rep["results"]["value"] == 0.0
         assert rep["results"]["fock_dim"] == 6
@@ -1333,6 +1337,17 @@ def test_the_natural_structure_is_built_at_the_cli_tolerance(tmp_path, capsys):
             "--dims1", "2,2", "--dims2", "2,2", "--iso2", "u"]
     assert report_of(argv, capsys)["results"]["permutation"] == [1, 2]
     assert report_of(argv + ["--tol-resid", "1e-10"], capsys)["results"]["equivalent"] is False
+
+
+@pytest.mark.parametrize("command, name", [("decompose", "slot_xz.json"), ("bipartition", "bip_overlap.json")])
+def test_a_tolerance_under_rounding_names_the_k3_bound(command, name, capsys):
+    # at 1e-300 every probe draw links its copies and fails K3's left slot-form check on
+    # rounding alone (6.2e-17 to 4.7e-16 in the 16 draws): the refusal names the smallest
+    # of those residuals and the bound it was held to
+    code, out, err = run_cli([command, str(DATA / name), "--tol-resid", "1e-300"], capsys)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"computation error: DegeneracyError: no generic commutant element in 16 draws: "
+                        r"smallest K3 slot-form residual \d\.\d{3}e-1[67], over resid_abs 1\.000e-300\n", err), err
 
 
 class TestDeterminism:

@@ -37,7 +37,11 @@ algebras whose basis is past the byte budget but whose block form is not
 ``decompose --emit-basis``; ``tps distance`` on the routes no benchmark job
 takes (``distance_jobs``): a Haar unitary at ``--dims 3,4`` and ``4,3``,
 vn and linear, whose 3 x 3 reduced densities sit on the cut side and on
-the complement, and vn of a 3 x 3 local unitary, exactly 0; and six
+the complement, and vn of a 3 x 3 local unitary, exactly 0; ``tps bosonic``
+past every benchmark job's four modes, where the Fock-space build changes
+most (``bosonic_reach_jobs``): the identity frame at ``--modes 64 --cutoff 2``
+and ``--modes 200 --cutoff 1``, and a Haar frame from a spec file written in
+code at ``--modes 24 --cutoff 3 --excite 2 --cut 1,2``; and six
 ``tps`` jobs whose operators sit between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
@@ -155,8 +159,8 @@ def fixture_jobs(cwd: str) -> list[dict]:
     equivalent, parity and bosonic each with and without a spec file, the
     REFUSALS, LONG_LADDERS, TIGHT_HOLONOMY, TIGHT_BOSONIC, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
     entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
-    PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs and
-    the tolerance_jobs."""
+    PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs, the
+    bosonic_reach_jobs and the tolerance_jobs."""
     files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
     argvs = [["decompose", "--emit-basis", path] for path in files]
     for path in files:
@@ -191,6 +195,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
     argvs += [["tps", "parity", paulis, "--parity", *names] for names in PAULI_ENTRY_SETS]
     argvs += [["decompose", "--emit-basis", path] for path in spin_specs(cwd) + reach_specs(cwd)]
     argvs += distance_jobs(cwd)
+    argvs += bosonic_reach_jobs(cwd)
     argvs += tolerance_jobs(cwd)
     return [{"workload": "fixtures", "cwd": cwd, "argv": argv, "out": None,
              "key": " ".join(os.path.relpath(a, REPO) if a.startswith(DATA)
@@ -208,6 +213,14 @@ def write_spec(path: str, ops: dict, states: dict | None = None) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
     return path
+
+
+def haar(d: int, rng):
+    """A Haar-random d x d unitary drawn from rng."""
+    import numpy as np
+
+    Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
 
 
 def collective_spin(N: int) -> dict:
@@ -252,16 +265,25 @@ def distance_jobs(cwd: str) -> list[list[str]]:
     import numpy as np
 
     rng = np.random.default_rng(12)
-
-    def haar(d):
-        Q, R = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-        return Q * (np.diag(R) / np.abs(np.diag(R)))
-
-    haar12 = write_spec(os.path.join(cwd, "haar12.json"), {"u": haar(12)})
-    local9 = write_spec(os.path.join(cwd, "local9.json"), {"u": np.kron(haar(3), haar(3))})
+    haar12 = write_spec(os.path.join(cwd, "haar12.json"), {"u": haar(12, rng)})
+    local9 = write_spec(os.path.join(cwd, "local9.json"), {"u": np.kron(haar(3, rng), haar(3, rng))})
     return [["tps", "distance", haar12, "--unitary", "u", "--dims", dims, "--measure", m]
             for dims in ("3,4", "4,3") for m in ("vn", "linear")] + [
         ["tps", "distance", local9, "--unitary", "u", "--dims", "3,3", "--measure", "vn"]]
+
+
+def bosonic_reach_jobs(cwd: str) -> list[list[str]]:
+    """tps bosonic past every benchmark job's four modes, where the Fock-space build
+    changes most: the identity frame at 64 modes, cutoff 2 and 200 modes, cutoff 1, and a
+    seeded Haar frame on 24 modes at cutoff 3, from a spec file written to cwd, exciting
+    mode 2 across the cut 1,2."""
+    import numpy as np
+
+    haar24 = write_spec(os.path.join(cwd, "haar24.json"), {"u": haar(24, np.random.default_rng(24))})
+    return [["tps", "bosonic", "--modes", "64", "--cutoff", "2"],
+            ["tps", "bosonic", "--modes", "200", "--cutoff", "1"],
+            ["tps", "bosonic", haar24, "--modes", "24", "--cutoff", "3", "--unitary", "u",
+             "--excite", "2", "--cut", "1,2"]]
 
 
 def tolerance_jobs(cwd: str) -> list[list[str]]:
