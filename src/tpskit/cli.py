@@ -26,8 +26,8 @@ import sys
 import time
 
 from .errors import DimensionMismatchError, SpecFileError, TpskitError
-from .pure import (DEFAULT_TOL, DEGENERACY_GAP, Tolerance, multiplicative_partitions, parse_pauli_token,
-                   pauli_bits, pauli_parity_shape)
+from .pure import (DEFAULT_TOL, DEGENERACY_GAP, ENTROPY_KINDS, Tolerance, multiplicative_partitions,
+                   parse_pauli_token, pauli_bits, pauli_parity_shape)
 
 
 class _UsageError(Exception):
@@ -376,7 +376,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dims", type=_dims_arg, required=True,
                    help="factor dimensions, e.g. 2,2")
     p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--measure", choices=["vn", "linear"], default="vn")
+    p.add_argument("--measure", choices=ENTROPY_KINDS, default="vn")
     p.add_argument("--cut", type=cut, default=(1,),
                    help="factor indices on one side (default 1)")
     p.set_defaults(handler=_cmd_distance)
@@ -398,7 +398,7 @@ def build_parser() -> _Parser:
                    help="parity operators: spec names or Pauli strings")
     p.add_argument("--dims", type=_dims_arg, help="natural-structure dimensions")
     p.add_argument("--iso", metavar="NAME", help="iso operator for --dims")
-    p.add_argument("--measure", choices=["vn", "linear"], default="vn")
+    p.add_argument("--measure", choices=ENTROPY_KINDS, default="vn")
     p.add_argument("--cut", type=cut, default=(1,))
     p.set_defaults(handler=_cmd_entangle)
 
@@ -415,7 +415,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cutoff", type=int, required=True)
     p.add_argument("--unitary", metavar="NAME")
     p.add_argument("--excite", type=int, default=1, metavar="MODE")
-    p.add_argument("--measure", choices=["vn", "linear"], default="vn")
+    p.add_argument("--measure", choices=ENTROPY_KINDS, default="vn")
     p.add_argument("--cut", type=cut, default=(1,),
                    help="mode indices on one side (default 1)")
     p.set_defaults(handler=_cmd_bosonic)

@@ -187,20 +187,19 @@ def close_span(seed, tol: Tolerance) -> np.ndarray:
 def schmidt_entropy(probabilities, kind: str = "vn"):
     """Entropy of a Schmidt probability vector, or of each row of a stack.
 
-    kind "vn": von Neumann entropy in bits; kind "linear": 1 - sum p^2.
-    Weights <= 1e-16 are ignored, and results below ENTROPY_FLOOR are
-    reported as exactly 0.0 so that exact product states yield exact
-    zeros.  A 1-D input gives a float, a 2-D input an array of row values.
+    kind "vn": von Neumann entropy in bits; kind "linear": 1 - sum p^2 (the kind is judged
+    by ``EntanglementMeasure``: any other reads as "linear" here).  Weights <= 1e-16 are
+    ignored, and results below ENTROPY_FLOOR are reported as exactly 0.0 so that exact
+    product states yield exact zeros.  A 1-D input gives a float, a 2-D input an array
+    of row values.
     """
     p = np.asarray(probabilities, dtype=float)
     keep = p > 1e-16
     if kind == "vn":
         q = np.where(keep, p, 1.0)  # log(1) = 0: dropped entries contribute nothing
         S = -(q * np.log2(q)).sum(axis=-1)
-    elif kind == "linear":
-        S = 1.0 - np.where(keep, p * p, 0.0).sum(axis=-1)
     else:
-        raise ValueError(f"unknown entropy kind {kind!r}")
+        S = 1.0 - np.where(keep, p * p, 0.0).sum(axis=-1)
     S = _floored(S)
     return float(S) if p.ndim == 1 else S
 
@@ -217,8 +216,6 @@ def density_entropy(rho, kind: str = "vn"):
     rho = np.ascontiguousarray(rho, dtype=complex)
     if kind == "vn":
         return schmidt_entropy(_eigvals_3x3(rho) if rho.shape[-1] == 3 else np.linalg.eigvalsh(rho), kind)
-    if kind != "linear":
-        raise ValueError(f"unknown entropy kind {kind!r}")
     S = _floored(1.0 - np.einsum("...ij,...ij->...", rho.view(float), rho.view(float)))
     return float(S) if rho.ndim == 2 else S
 
@@ -256,8 +253,6 @@ def entropy_2x2(a, c, b, kind: str = "vn"):
     bb = b.real ** 2 + b.imag ** 2
     if kind == "vn":
         return schmidt_entropy(_eigvals_2x2(a, c, bb), kind)
-    if kind != "linear":
-        raise ValueError(f"unknown entropy kind {kind!r}")
     S = _floored(1.0 - (a * a + c * c + 2 * bb))
     return float(S) if S.ndim == 0 else S
 

@@ -11,6 +11,8 @@ from .errors import ContractViolationError, DimensionMismatchError, ParitySetErr
 # Largest complex array built from a size given from outside (``refuse_past_budget``):
 # 64 MiB, the (P, 4, 2) holonomy frames of a loop of 2^19 points.
 BYTES_BUDGET = 64 * 2**20
+# Entropy kinds (von Neumann in bits, 1 - Tr rho^2), judged by --measure and EntanglementMeasure alone
+ENTROPY_KINDS = ("vn", "linear")
 # Eigenvalue clustering gap of cluster_indices, relative to the larger of the
 # spectral range, the spectral radius and 1.
 DEGENERACY_GAP = 1e-7

@@ -29,7 +29,7 @@ from .numerics import (
     refuse_past_budget,
     schmidt_entropy,
 )
-from .pure import multiplicative_partitions  # noqa: F401
+from .pure import ENTROPY_KINDS, multiplicative_partitions  # noqa: F401
 
 _STATE_NORM_ATOL = 1e-10
 # bytes of one entangling-power pass's (rows, dim) stack of product states: 2048 rows at dim 4
@@ -100,7 +100,7 @@ class EntanglementMeasure:
     cut: frozenset = frozenset({1})
 
     def __post_init__(self):
-        if self.kind not in ("vn", "linear"):
+        if self.kind not in ENTROPY_KINDS:
             raise ContractViolationError(f"unknown entropy kind {self.kind!r}")
         cut = frozenset(int(i) for i in self.cut)
         if not cut:
@@ -126,7 +126,7 @@ def _split_cut(m: int, cut) -> tuple[list[int], list[int]]:
     if any(i < 1 or i > m for i in cut):
         raise IndexRangeError(f"cut {cut} out of range for {m} factors")
     left = [i - 1 for i in cut]
-    right = [i for i in range(m) if i + 1 not in set(cut)]
+    right = sorted(set(range(m)).difference(left))
     if not left or not right:
         raise ContractViolationError("cut must be a proper nonempty bipartition")
     return left, right

@@ -796,6 +796,28 @@ class TestCheckBipartition:
             assert cert.residuals["commutator"] == c and cert.commuting is commuting, resid_abs
             assert (cert.witness is None) is commuting
 
+    def test_the_join_is_full_at_resid_abs(self, monkeypatch):
+        # a2 reaches 1 (x) X only through 1e-5 (1 (x) X) inside its second generator, so L's
+        # smallest nonzero eigenvalue is ~1e-10 along 1 (x) Z and the join's generic commutant
+        # element keeps a non-scalar part m ~ 1e-7 where CG stops: K does not depend on
+        # resid_abs, and the join reads as full at a1's resid_abs 2m and as not full at m / 2
+        real, draws = algebra_module._generic_commutant, []
+
+        def recording(ops, rng, tol, count):
+            V, K = real(ops, rng, tol, count)
+            draws.append(np.max(np.abs(K[0] - np.trace(K[0]) / len(K[0]) * np.eye(len(K[0])))))
+            return V, K
+
+        monkeypatch.setattr(algebra_module, "_generic_commutant", recording)
+        legs = [kron_all(SX, I2), kron_all(SZ, I2)]
+        a2 = close_algebra([kron_all(I2, SZ), kron_all(SZ, I2) + 1e-5 * kron_all(I2, SX)])
+        assert not check_bipartition(close_algebra(legs), a2).join_is_full
+        m = draws[-1]
+        assert DEFAULT_TOL.resid_abs < m < 1e-5
+        for resid_abs, full in ((m / 2, False), (2 * m, True)):
+            cert = check_bipartition(close_algebra(legs, Tolerance(resid_abs=resid_abs)), a2)
+            assert draws[-1] == m and cert.join_is_full is full, resid_abs
+
     def test_every_decision_is_taken_at_a1s_tolerance(self):
         # a2's legs are turned by U = V exp(1e-9 i w) V^dag, so they miss a1's commutant by
         # ~1.6e-9: inside the default resid_abs, 16x past the 1e-10 that a1 was closed at

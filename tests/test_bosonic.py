@@ -24,6 +24,7 @@ from tpskit.bosonic import (
 from tpskit.errors import (
     ContractViolationError,
     DimensionMismatchError,
+    IndexRangeError,
     TruncationBoundaryError,
 )
 from tpskit.numerics import Tolerance, schmidt_entropy, unitarity_defect
@@ -197,6 +198,10 @@ class TestBuildFock:
             fock.index((1,))
         with pytest.raises(ValueError, match=r"\(2, 1\) is not one of .* cutoff M = 2"):
             fock.index((2, 1))
+
+    def test_lowering_rejects_a_mode_out_of_range(self):
+        with pytest.raises(IndexRangeError, match=r"^mode index 0 out of range 1\.\.2$"):
+            build_fock(2, 2).lowering(0)
 
     def test_many_modes_enumerate_the_simplex(self):
         # filtering the 4^12 hypercube took ~3 s; the simplex has 455 states
@@ -685,6 +690,11 @@ class TestModeEntanglement:
         v[fock.index((2, 0))] = 1
         with pytest.raises(TruncationBoundaryError):
             rotate_single_particle(fock, v, np.eye(2))
+
+    def test_rotate_rejects_a_state_of_the_wrong_length(self):
+        fock = build_fock(2, 2)
+        with pytest.raises(DimensionMismatchError, match="^state length does not match the Fock dimension$"):
+            rotate_single_particle(fock, np.ones(fock.dim + 1), np.eye(2))
 
     def test_rotate_checks_the_one_excitation_support_at_the_fock_tolerance(self):
         # ~1e-9 of weight on two photons: inside the default residual bound, outside 1e-10

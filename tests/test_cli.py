@@ -352,6 +352,10 @@ class TestRenderJson:
         with pytest.raises(ValueError):
             render_json(float("nan"))
 
+    def test_rejects_a_type_no_report_holds(self):
+        with pytest.raises(TypeError, match="^cannot render set in a report$"):
+            render_json({1, 2})
+
     def test_numpy_scalars_render_as_python_scalars(self):
         # exact Python types take a lookup table, numpy scalars the same table after .item()
         py = [0.1, 3, True, 1 + 2j, None, "a"]
@@ -569,6 +573,29 @@ class TestBipartition:
             "commuting": False, "join_is_full": True, "a1_is_factor": True, "verdict": False}
         witness = np.array([[complex(re, im) for re, im in row] for row in rep["results"]["witness"]])
         assert np.max(np.abs(witness)) == rep["residuals"]["commutator"] > 1e-8
+
+    def test_a_positive_verdict_is_refused_past_its_slot_form(self, tmp_path, capsys):
+        # a1 = M_3 (x) 1_2 from diag(1, 1 + 1e-3, -2 - 1e-3) and the hops 1-3, 2-3; a2's X leg
+        # leans by eps into P (x) 1, P the projector on (e1 - e2) / sqrt(2), which the hops miss
+        # and the 1e-3 gap turns only slowly: the commutator (~1e-3 eps) stays under resid_abs
+        # while the slot residual (~0.27 eps) passes it at eps = 1e-7 and not at 2.5e-8
+        G1 = np.diag([1.0, 1.0 + 1e-3, -2.0 - 1e-3])
+        G2 = np.zeros((3, 3))
+        G2[2, :2] = G2[:2, 2] = 1.0
+        minus = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)
+        P = np.kron(np.outer(minus, minus), np.eye(2))
+        X, Z = (np.kron(np.eye(3), pauli_string_matrix(p)) for p in "XZ")
+        answers = []
+        for eps in (2.5e-8, 1e-7):
+            ops = {"g1": np.kron(G1, np.eye(2)), "g2": np.kron(G2, np.eye(2)), "x": X + eps * P, "z": Z}
+            path = write_spec(tmp_path / "lean.json", 6, ops, a1=["g1", "g2"], a2=["x", "z"])
+            answers.append(run_cli(["bipartition", path], capsys))
+        (code, out, _), (refused, _, err) = answers
+        rep = json.loads(out)
+        assert code == 0 and rep["results"]["verdict"] is True
+        assert rep["residuals"]["commutator"] < 1e-10 < rep["residuals"]["block_form"] <= 1e-8  # the default
+        assert (refused, err) == (2, "computation error: ToleranceError: slot-form verification failed "
+                                     "on a positive verdict\n")
 
     def test_missing_generators_is_usage_error(self, tmp_path, capsys):
         path = write_spec(tmp_path / "nogen.json", 2, {"x": pauli_string_matrix("X")})

@@ -260,7 +260,8 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
 
 def test_the_bosonic_reach_jobs_pass_every_benchmark_jobs_modes(tmp_path, capsys):
     # every benchmark bosonic job stops at four modes; the reach group builds 64, 200 and
-    # 24 modes, the last in a seeded Haar frame read from a spec file written in code
+    # 24 modes, the last in a seeded Haar frame read from a spec file written in code, and
+    # cuts 200 modes in half
     jobs = compare_reports.build_jobs(str(tmp_path), [7919, 11], [0, 1, 2])
     modes = lambda argv: int(argv[argv.index("--modes") + 1])
     bosonic = [job for job in jobs if job["argv"][:2] == ["tps", "bosonic"]]
@@ -268,11 +269,12 @@ def test_the_bosonic_reach_jobs_pass_every_benchmark_jobs_modes(tmp_path, capsys
     reach = compare_reports.bosonic_reach_jobs(str(tmp_path))
     assert [job["argv"] for job in bosonic if job["argv"] in reach] == reach
     assert [(modes(a), a[a.index("--cutoff") + 1], "--unitary" in a) for a in reach] == [
-        (64, "2", False), (200, "1", False), (24, "3", True)]
+        (64, "2", False), (200, "1", False), (24, "3", True), (200, "1", False)]
+    assert reach[3][-2:] == ["--cut", ",".join(str(i) for i in range(1, 101))]
     values = []
     for argv in reach:
         assert main(argv) == 0, argv
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["fock_dim"] == comb(modes(argv) + int(results["cutoff"]), modes(argv))
         values.append(results["value"])
-    assert values[:2] == [0.0, 0.0] and 0.1 < values[2] < 1
+    assert values[:2] + values[3:] == [0.0, 0.0, 0.0] and 0.1 < values[2] < 1

@@ -413,6 +413,8 @@ class TestLoopPath:
         for bad in (np.nan, np.inf):
             with pytest.raises(ContractViolationError, match="finite"):
                 LoopPath.rectangle((0.0, 0.0), (bad, 1.0))
+        with pytest.raises(DimensionMismatchError, match="^rectangle corners must be 2-D points$"):
+            LoopPath.rectangle((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
 
     def test_points_count_and_ends(self):
         loop = LoopPath(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]), refinement=4)
@@ -506,6 +508,16 @@ class TestLoopHolonomy:
         with pytest.raises(PathSingularityError, match="at step 1 "):
             loop_holonomy(fam, loop, 1, 2)
 
+    def test_rank_loss_is_refused_under_one_in_a_million(self):
+        # exp(-i lambda Y) carries e1 to (cos lambda, sin lambda), so both steps of the loop
+        # [[0], [a], [0]] overlap cos a: refused at 5e-7, transported at 2e-6
+        fam = UnitaryFamily([np.array([[0.0, -1j], [1j, 0.0]])])
+        there_and_back = lambda c: LoopPath(np.array([[0.0], [np.arccos(c)], [0.0]]), refinement=1)
+        with pytest.raises(PathSingularityError,
+                           match=r"^frame overlap lost rank at step 1 \(sigma_min = 5\.000e-07\)$"):
+            loop_holonomy(fam, there_and_back(5e-7), 1, 1)
+        assert np.allclose(loop_holonomy(fam, there_and_back(2e-6), 1, 1), [[1.0]], rtol=0, atol=1e-15)
+
     def test_rank_loss_names_the_first_failing_step(self):
         fam = UnitaryFamily([TURN])
         # steps of 0.1, then a quarter turn out (step 3) and back (step 4); every
@@ -576,6 +588,11 @@ class TestPrincipalLog:
         H = np.diag([np.exp(1j * (np.pi - 1e-4)), 1.0])
         with pytest.raises(BranchCutError):
             principal_log_unitary(H)
+
+    def test_eigenvalue_minus_one_is_refused_at_the_solve(self):
+        # H + 1 = 0: the Cayley transform's solve is singular
+        with pytest.raises(BranchCutError, match="^holonomy has eigenvalue -1$"):
+            principal_log_unitary(-np.eye(2))
 
     def test_phase_just_inside_margin_accepted(self):
         H = np.diag([np.exp(1j * (np.pi - 2e-3)), 1.0])
@@ -674,6 +691,21 @@ class TestWitnessAndSpan:
         with pytest.raises(BranchCutError):
             principal_log_unitary(loop_holonomy(fam, hot, 1, 2))
         assert holonomy_algebra_span(fam, [hot], 1, 2) == 4
+
+    def test_splitting_stops_at_the_depth_cap(self, fixture_fam, monkeypatch):
+        # a log that always meets the cut is split depth-first down to _MAX_SPLIT_DEPTH,
+        # where the first sub-loop's refusal is raised: one holonomy per level, 0 to 8
+        fam, _ = fixture_fam
+        calls = []
+
+        def on_the_cut(H):
+            calls.append(H)
+            raise BranchCutError("holonomy eigenvalue within margin of the branch cut")
+
+        monkeypatch.setattr(holonomy, "principal_log_unitary", on_the_cut)
+        with pytest.raises(BranchCutError, match="^holonomy eigenvalue within margin of the branch cut$"):
+            holonomy_algebra_span(fam, [RECT1], 1, 2)
+        assert len(calls) == holonomy._MAX_SPLIT_DEPTH + 1 == 9
 
 
 # ----------------------------------------------------------- refinement ladder

@@ -163,6 +163,10 @@ class TestValidateParitySet:
         ps = validate_parity_set([pauli_string_matrix("XX"), pauli_string_matrix("ZZ")])
         assert ps.k == 2
 
+    def test_a_dimension_off_the_powers_of_two_is_rejected(self):
+        with pytest.raises(ParitySetError, match="^dimension 3 is not a power of two$"):
+            validate_parity_set([np.diag([1.0, -1.0, 0.0])])
+
     def test_anticommuting_pair_rejected(self):
         with pytest.raises(ParitySetError, match="0 and 1 do not commute"):
             validate_parity_set([np.kron(SX, I2), np.kron(SZ, I2)])

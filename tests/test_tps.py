@@ -1,8 +1,11 @@
 """Tests for tensor product structures, entanglement, and entangling power."""
 
+import argparse
+import ast
 import itertools
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +166,27 @@ class TestTPSType:
                 EntanglementMeasure(kind=kind)
         with pytest.raises(ContractViolationError):
             EntanglementMeasure(cut=frozenset())
+
+    def test_the_entropy_kinds_are_written_once(self):
+        # one literal in src/tpskit holds "vn" and "linear", pure.ENTROPY_KINDS: every --measure
+        # flag offers it, EntanglementMeasure judges by it, and the numerics kernels judge nothing
+        from tpskit.cli import build_parser
+
+        literals = [(path.stem, node.lineno) for path in sorted(Path(pure.__file__).parent.glob("*.py"))
+                    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                    if isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                    and {"vn", "linear"} <= {getattr(e, "value", None) for e in node.elts}]
+        assert pure.ENTROPY_KINDS == ("vn", "linear") and [stem for stem, _ in literals] == ["pure"]
+
+        def measure_flags(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    yield from (flag for sub in action.choices.values() for flag in measure_flags(sub))
+                elif "--measure" in action.option_strings:
+                    yield action
+
+        flags = list(measure_flags(build_parser()))
+        assert len(flags) == 3 and all(flag.choices is pure.ENTROPY_KINDS for flag in flags)
 
 
 # ------------------------------------------------------------- local algebra

@@ -40,8 +40,9 @@ vn and linear, whose 3 x 3 reduced densities sit on the cut side and on
 the complement, and vn of a 3 x 3 local unitary, exactly 0; ``tps bosonic``
 past every benchmark job's four modes, where the Fock-space build changes
 most (``bosonic_reach_jobs``): the identity frame at ``--modes 64 --cutoff 2``
-and ``--modes 200 --cutoff 1``, and a Haar frame from a spec file written in
-code at ``--modes 24 --cutoff 3 --excite 2 --cut 1,2``; and six
+and ``--modes 200 --cutoff 1``, a Haar frame from a spec file written in
+code at ``--modes 24 --cutoff 3 --excite 2 --cut 1,2``, and the 200 modes cut
+in half (``--cut 1,...,100``), the one job that cuts more than two modes; and six
 ``tps`` jobs whose operators sit between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
@@ -274,16 +275,18 @@ def distance_jobs(cwd: str) -> list[list[str]]:
 
 def bosonic_reach_jobs(cwd: str) -> list[list[str]]:
     """tps bosonic past every benchmark job's four modes, where the Fock-space build
-    changes most: the identity frame at 64 modes, cutoff 2 and 200 modes, cutoff 1, and a
+    changes most: the identity frame at 64 modes, cutoff 2 and 200 modes, cutoff 1, a
     seeded Haar frame on 24 modes at cutoff 3, from a spec file written to cwd, exciting
-    mode 2 across the cut 1,2."""
+    mode 2 across the cut 1,2, and the 200 modes cut in half, 1,...,100, the one cut of
+    more than two modes."""
     import numpy as np
 
     haar24 = write_spec(os.path.join(cwd, "haar24.json"), {"u": haar(24, np.random.default_rng(24))})
     return [["tps", "bosonic", "--modes", "64", "--cutoff", "2"],
             ["tps", "bosonic", "--modes", "200", "--cutoff", "1"],
             ["tps", "bosonic", haar24, "--modes", "24", "--cutoff", "3", "--unitary", "u",
-             "--excite", "2", "--cut", "1,2"]]
+             "--excite", "2", "--cut", "1,2"],
+            ["tps", "bosonic", "--modes", "200", "--cutoff", "1", "--cut", ",".join(map(str, range(1, 101)))]]
 
 
 def tolerance_jobs(cwd: str) -> list[list[str]]:
