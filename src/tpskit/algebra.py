@@ -24,10 +24,9 @@ from .numerics import (
     DEFAULT_TOL,
     DEGENERACY_GAP,
     Tolerance,
-    check_unitary,
+    _svd_cut,
     cluster_indices,
     hs_orthonormalize,
-    polar_isometry,
     refuse_past_budget,
 )
 
@@ -182,9 +181,10 @@ def _generic_commutant(ops: np.ndarray, rng, tol: Tolerance, count: int):
 
 
 def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance):
-    """(shape, T) from K1's eigenspaces, linked into blocks and glued by K2 (both in the
-    basis V), or None when linked eigenspaces differ in dimension or a link is singular.
-    Larger blocks come first, then larger d, then the central projector's rounded diagonal."""
+    """(shape, T) from K1's eigenspaces, linked into blocks by K2 and glued by each link's unitary polar
+    part U Vh (K1, K2 in the basis V), so T is unitary; None, a failed draw, when a linked copy's dimension
+    or its link's ``_svd_cut`` rank is not d.  Larger blocks come first, then larger d, then the central
+    projector's rounded diagonal."""
     w, E = np.linalg.eigh(K1)
     copies = cluster_indices(w, DEGENERACY_GAP)
     B = E.conj().T @ K2 @ E
@@ -195,11 +195,11 @@ def _linked_copies(V: np.ndarray, K1: np.ndarray, K2: np.ndarray, tol: Tolerance
         a = copies[left[0]]
         block = [b for b in left if b == left[0] or linked[b, left[0]]]
         left = [b for b in left if b not in block]
-        cols = V @ np.hstack([E[:, a], *(E[:, copies[b]] @ polar_isometry(B[np.ix_(copies[b], a)], tol)
-                                         for b in block[1:])])
+        links = [_svd_cut(B[np.ix_(copies[b], a)], tol) for b in block[1:]]
         n, d = len(block), len(a)
-        if cols.shape[1] != n * d or any(len(copies[b]) != d for b in block):
+        if any((len(U), rank) != (d, d) for U, _, rank in links):
             return None
+        cols = V @ np.hstack([E[:, a], *(E[:, copies[b]] @ (U @ Vh) for b, (U, Vh, _) in zip(block[1:], links))])
         found.append(((-n * d, -d, tuple(np.round(np.sum(np.abs(cols) ** 2, axis=1), 9))), (n, d), cols))
     _, shape, columns = zip(*sorted(found, key=lambda b: b[0]))
     return list(shape), np.hstack(columns)
@@ -213,7 +213,7 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
        and its polar part glues copy b onto copy a;
     3) K3 must lie in the claimed commutant (left slot form): a draw that merged or
        split blocks fails there and is drawn again, up to _MAX_PROBE_RETRIES times.
-    Then T must be unitary and the ops in right slot form, each within resid_abs.
+    T is unitary by construction; the ops must then be in right slot form within resid_abs.
     """
     rng, best = np.random.default_rng(seed), np.inf
     for _ in range(_MAX_PROBE_RETRIES):
@@ -228,7 +228,6 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
         bound = ("no draw linked its copies" if best == np.inf else
                  f"smallest K3 slot-form residual {best:.3e}, over resid_abs {tol.resid_abs:.3e}")
         raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws: {bound}")
-    check_unitary(T, tol, "assembled basis change", error=ToleranceError)
     residual = _block_form_residual(ops, T, shape, side="right")
     if residual > tol.resid_abs:
         raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}: the "

@@ -121,15 +121,14 @@ def unitarity_defect(U) -> float:
     return float(np.max(np.abs(np.swapaxes(U.conj(), -1, -2) @ U - np.eye(U.shape[-1])), initial=0.0))
 
 
-def check_unitary(U, tol: Tolerance, what: str, shape=None,
-                  error=ContractViolationError) -> tuple[np.ndarray, float]:
-    """U as a complex array and its unitarity_defect, refused unless it has ``shape`` (when
-    given) and its defect is at most tol.resid_abs; a non-finite entry's inf is refused too."""
+def check_unitary(U, tol: Tolerance, what: str, shape: tuple[int, int]) -> tuple[np.ndarray, float]:
+    """U, read from outside tpskit, as a complex array and its unitarity_defect, refused unless it has
+    ``shape`` and its defect is at most tol.resid_abs; a non-finite entry's inf is refused too."""
     U = np.asarray(U, dtype=complex)
-    if shape is not None and U.shape != shape:
+    if U.shape != shape:
         raise DimensionMismatchError(f"{what} shape {U.shape} is not {shape}")
     if not (defect := unitarity_defect(U)) <= tol.resid_abs:
-        raise error(f"{what} unitarity defect {defect:.3e}, over resid_abs {tol.resid_abs:.3e}")
+        raise ContractViolationError(f"{what} unitarity defect {defect:.3e}, over resid_abs {tol.resid_abs:.3e}")
     return U, defect
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from math import comb
 from pathlib import Path
 
@@ -100,7 +101,7 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
               ["bipartition", "--seed", "5", str(data / "bip_slots.json")],
               ["bipartition", "--seed", "5", str(data / "bip_overlap.json")],
               ["bipartition", "--seed", "5", str(data / "bip_abelian.json")]]
-    assert [a for a in argvs if a[0] == "decompose"] == [
+    assert [a for a in argvs if a[0] == "decompose" and a not in compare_reports.TIGHT_DECOMPOSE] == [
         ["decompose", "--emit-basis", f] for f in files] + seeded[:1] + [
         ["decompose", "--emit-basis", f] for f in spins]
     named = [f for f in files
@@ -204,6 +205,26 @@ def test_the_fixtures_group_runs_every_spec_file_and_both_input_paths(tmp_path, 
     assert len({job["key"] for job in fixtures}) == len(fixtures)
 
 
+def test_under_its_basis_changes_rounding_a_spec_file_is_judged_by_its_block_form_alone(tmp_path, capsys):
+    # at --tol-resid 1e-16, under the rounding of T (up to 6.7e-16), which no check judges:
+    # two spec files answer, bip_slots keeps its K3 refusal and three are refused by the
+    # block-form verdict, none for T's unitarity
+    jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
+    tight = compare_reports.TIGHT_DECOMPOSE
+    assert [job["argv"] for job in jobs if job["argv"] in tight] == tight
+    assert [a[-1] for a in tight] == [str(path) for path in sorted(Path(compare_reports.DATA).glob("*.json"))]
+    outcomes = {}
+    for argv in tight:
+        assert argv[:4] == ["decompose", "--emit-basis", "--tol-resid", "1e-16"]
+        outcomes[Path(argv[-1]).stem] = (main(argv), capsys.readouterr().err)
+    assert {name for name, (code, _) in outcomes.items() if code == 0} == {"bip_abelian", "bip_overlap"}
+    assert outcomes["bip_slots"][0] == 2 and "smallest K3 slot-form residual" in outcomes["bip_slots"][1]
+    for name in ("bell_xx", "cnot", "slot_xz"):
+        code, err = outcomes[name]
+        assert code == 2 and re.search(r"block-form residual \S+ exceeds 1\.000e-16", err), name
+    assert not any("unitarity" in err for _, err in outcomes.values())
+
+
 def test_the_spin_fixtures_decompose_to_the_schur_weyl_shapes_and_their_transposes(tmp_path, capsys):
     # N = 4: spin 2, 1, 0 with multiplicities 1, 3, 2; the swaps exchange n and d
     paths = compare_reports.spin_specs(str(tmp_path))
@@ -246,7 +267,8 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
     assert not any(a.startswith("--tol-") for job in jobs if job["workload"] != "fixtures" for a in job["argv"])
     argvs = [job["argv"] for job in jobs if job["workload"] == "fixtures"]
     tight = [a for a in argvs if "--tol-resid" in a and a not in
-             compare_reports.TIGHT_HOLONOMY + compare_reports.TIGHT_BOSONIC + compare_reports.PARITY_ENTANGLE]
+             compare_reports.TIGHT_HOLONOMY + compare_reports.TIGHT_BOSONIC + compare_reports.TIGHT_DECOMPOSE
+             + compare_reports.PARITY_ENTANGLE]
     assert len(tight) == 6 and {a[1] for a in tight} == {"distance", "equivalent", "entangle", "bosonic", "parity"}
     for argv in tight:
         default = argv[:argv.index("--tol-resid")]

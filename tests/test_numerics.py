@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import tpskit.numerics as numerics
 import tpskit.pure as pure
-from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError, ToleranceError
+from tpskit.errors import ContractViolationError, DegenerateInputError, DimensionMismatchError
 from tpskit.numerics import (
     DEFAULT_TOL,
     DEGENERACY_GAP,
@@ -112,32 +112,41 @@ def test_check_unitary_names_its_defect_and_bound_and_refuses_a_wrong_shape():
     U, defect = check_unitary([[0, 1], [1, 0]], DEFAULT_TOL, "x", (2, 2))
     assert U.dtype == complex and np.array_equal(U, SX) and defect == 0.0
     scaled = (1 + 2**-20) * np.eye(3)
-    assert check_unitary(scaled, Tolerance(resid_abs=unitarity_defect(scaled)), "x")[1] == unitarity_defect(scaled)
+    assert check_unitary(scaled, Tolerance(resid_abs=unitarity_defect(scaled)), "x", (3, 3))[1] == \
+        unitarity_defect(scaled)
     with pytest.raises(ContractViolationError) as err:
         check_unitary(2 * SX, DEFAULT_TOL, "a rotation", (2, 2))
     assert str(err.value) == "a rotation unitarity defect 3.000e+00, over resid_abs 1.000e-08"
-    with pytest.raises(ToleranceError, match=r"^x unitarity defect inf, over resid_abs 1\.000e-08$"):
-        check_unitary(np.full((3, 2), np.nan), DEFAULT_TOL, "x", error=ToleranceError)
+    with pytest.raises(ContractViolationError, match=r"^x unitarity defect inf, over resid_abs 1\.000e-08$"):
+        check_unitary(np.full((3, 2), np.nan), DEFAULT_TOL, "x", (3, 2))
     with pytest.raises(DimensionMismatchError) as err:
         check_unitary(2 * np.eye(3), DEFAULT_TOL, "an iso", (2, 2))  # the shape is checked first
     assert str(err.value) == "an iso shape (3, 3) is not (2, 2)"
+    with pytest.raises(TypeError):
+        check_unitary(np.eye(2), DEFAULT_TOL, "x")  # every caller states the shape it reads
 
 
 def test_every_unitarity_decision_goes_through_check_unitary():
-    # a unitarity_defect call anywhere else in src/tpskit is a check beside the rule
-    callers = set()
+    # a unitarity_defect call anywhere else in src/tpskit is a check beside the rule, and the
+    # rule judges only a matrix read from outside, never one tpskit built
+    callers = {"unitarity_defect": set(), "check_unitary": set()}
 
     def visit(node, module, scope):
         scope = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "unitarity_defect":
-            callers.add((module, scope))
+        name = getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+        if name in callers:
+            callers[name].add((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
     for path in sorted(Path(numerics.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
     # the rule itself, and the two sites that report a defect without deciding on it
-    assert callers == {("numerics", "check_unitary"), ("bosonic", "ccr_residual"), ("cli", "_cmd_holonomy")}
+    assert callers["unitarity_defect"] == {("numerics", "check_unitary"), ("bosonic", "ccr_residual"),
+                                           ("cli", "_cmd_holonomy")}
+    # a TPS's iso, an entangling-power U and the two mode rotations
+    assert callers["check_unitary"] == {("tps", "__post_init__"), ("tps", "entangling_power"),
+                                        ("bosonic", "transform_modes"), ("bosonic", "rotate_single_particle")}
 
 
 def test_count_text_prints_any_count():

@@ -21,7 +21,10 @@ at ``--tol-resid`` 1e-14, 1e-15, 1e-16 and 1e-300, under the rounding of its
 holonomy, frames and eigenbases, which answer as at the default
 (TIGHT_HOLONOMY); ``tps bosonic`` in the identity frame at ``--tol-resid``
 1e-15, 1e-16 and 1e-300, under the CCR bound's rounding of the ladder tables,
-which answer as at the default (TIGHT_BOSONIC); ``tps parity`` and ``tps entangle --parity`` of two
+which answer as at the default (TIGHT_BOSONIC); ``decompose --emit-basis`` of
+each ``tests/data`` spec file at ``--tol-resid 1e-16``, under the rounding of its
+basis change T, which is unitary by construction and not judged, so none is
+refused for T (TIGHT_DECOMPOSE); ``tps parity`` and ``tps entangle --parity`` of two
 parities on two qubits, refused for leaving no logical factor;
 ``tps parity`` of six all-Pauli sets, five refused with messages no
 benchmark job reaches and one valid on 9 qubits; ``tps entangle --parity``
@@ -75,6 +78,7 @@ from collections import Counter
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(REPO, "tests", "data")
+SPEC_FILES = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
 WALL_TIME = re.compile(r"wall-time \d+\.\d+ s")
 SHOW = 10  # differing jobs listed per workload
 MISSING = "<missing>"  # stands for a key only one report has
@@ -110,6 +114,9 @@ TIGHT_HOLONOMY = [["tps", "holonomy", "--tol-resid", tol] for tol in ("1e-14", "
 # rounding, which is reported and not judged
 TIGHT_BOSONIC = [["tps", "bosonic", "--modes", "2", "--cutoff", "3", "--tol-resid", tol]
                  for tol in ("1e-15", "1e-16", "1e-300")]
+# each spec file at a resid_abs under the rounding of its basis change T (up to 6.7e-16), which is
+# unitary by construction and not judged, so none is refused for T
+TIGHT_DECOMPOSE = [["decompose", "--emit-basis", "--tol-resid", "1e-16", path] for path in SPEC_FILES]
 # parity sets with no logical factor, refused where the sector structure is built
 NO_LOGICAL_FACTOR = [
     ["tps", "parity", "--parity", "XX", "ZZ"],
@@ -157,14 +164,13 @@ def build_jobs(root: str, seeds, sets) -> list[dict]:
 def fixture_jobs(cwd: str) -> list[dict]:
     """The fixtures group: every tests/data spec file through decompose --emit-basis,
     those naming a1/a2 generators through bipartition, the SEEDED jobs, tps
-    equivalent, parity and bosonic each with and without a spec file, the
-    REFUSALS, LONG_LADDERS, TIGHT_HOLONOMY, TIGHT_BOSONIC, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
+    equivalent, parity and bosonic each with and without a spec file, the REFUSALS,
+    LONG_LADDERS, TIGHT_HOLONOMY, TIGHT_BOSONIC, TIGHT_DECOMPOSE, NO_LOGICAL_FACTOR and PAULI_PARITY, tps
     entangle --parity of a pauli entry and the PARITY_ENTANGLE, tps parity of the
     PAULI_ENTRY_SETS, the spin_specs and reach_specs through decompose, the distance_jobs, the
     bosonic_reach_jobs and the tolerance_jobs."""
-    files = sorted(os.path.join(DATA, name) for name in os.listdir(DATA) if name.endswith(".json"))
-    argvs = [["decompose", "--emit-basis", path] for path in files]
-    for path in files:
+    argvs = [["decompose", "--emit-basis", path] for path in SPEC_FILES]
+    for path in SPEC_FILES:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         if "a1_generators" in doc and "a2_generators" in doc:
@@ -185,6 +191,7 @@ def fixture_jobs(cwd: str) -> list[dict]:
         *LONG_LADDERS,
         *TIGHT_HOLONOMY,
         *TIGHT_BOSONIC,
+        *TIGHT_DECOMPOSE,
         *NO_LOGICAL_FACTOR,
         *PAULI_PARITY,
         ["tps", "entangle", bell, "--state", "bell_plus", "--parity", "xx"],
