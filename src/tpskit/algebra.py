@@ -230,8 +230,7 @@ def _decompose(ops: np.ndarray, tol: Tolerance, seed: int) -> OperatorAlgebra:
         raise DegeneracyError(f"no generic commutant element in {_MAX_PROBE_RETRIES} draws: {bound}")
     residual = _block_form_residual(ops, T, shape, side="right")
     if residual > tol.resid_abs:
-        raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}: the "
-                             "closure misses a generator, an eigenvalue gap is below resolution")
+        raise ToleranceError(f"block-form residual {residual:.3e} exceeds {tol.resid_abs:.3e}")
     return OperatorAlgebra(shape, T, residual, tol, ops)
 
 

@@ -105,28 +105,30 @@ class UnitaryFamily:
         return F
 
 
-_FIXTURE_SEED = 7
-_FIXTURE_SCALE = 1.8
-
-
 def builtin_family(name: str, tol: Tolerance = DEFAULT_TOL):
     """Named built-in families at tol; returns (UnitaryFamily, IsoDegenerateOperator).
 
-    "fixture-n2d2": a fixed 2-parameter exponential family on dimension 4
-    with a doubly degenerate reference operator (n = 2, d = 2), generated
-    once from a frozen seed and scaled so rectangle holonomies are
-    generic: non-abelian and universality-witnessing.
+    "fixture-n2d2": a fixed 2-parameter exponential family on dimension 4 with a doubly
+    degenerate reference operator (n = 2, d = 2), scaled so rectangle holonomies are
+    generic: non-abelian and universality-witnessing.  Its generators are written out,
+    as their lower triangles row by row, so no random stream (numpy keeps none across
+    versions) sets them: the Hermitian parts of default_rng(SeedSequence(7))'s two
+    complex Gaussian 4 x 4 draws, each scaled to spectral norm 1.8.
     """
     if name != "fixture-n2d2":
         raise ContractViolationError(f"unknown builtin family {name!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(_FIXTURE_SEED))
-    gens = []
-    for _ in range(2):
-        G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        G = (G + G.conj().T) / 2
-        G *= _FIXTURE_SCALE / np.linalg.norm(G, 2)
-        gens.append(G)
-    return UnitaryFamily(gens, tol), IsoDegenerateOperator(n=2)
+    G, (rows, cols) = np.zeros((2, 4, 4), dtype=complex), np.tril_indices(4)
+    G[:, rows, cols] = [
+        [0.0011930111706309776, -0.07560868777627071-0.6711641880283276j, -0.9617056363196278,
+         -0.37160301724495165+0.9979185720452187j, -0.2717065692559639+0.5239456924692375j, 0.4750521828527379,
+         -0.38073530825009816+0.6017830012243128j, 0.19868782407130473-0.07659310243202504j,
+         0.1588714260910997-0.48075405044044855j, 0.6743098109829696],
+        [-0.7660841569274366, -0.32935063404793363-0.7538952250388471j, 0.692390246795157,
+         0.4585308951340906-0.3244254344436776j, -0.20348343107116407+0.33509350770573015j, -0.9590981729596076,
+         0.21580242224585802+0.5489813753530401j, -0.6493568438067806-0.44868789488283667j,
+         0.3662111972569059+0.3143078521618717j, 0.09344245830470001]]
+    G += np.tril(G, -1).conj().transpose(0, 2, 1)
+    return UnitaryFamily(list(G), tol), IsoDegenerateOperator(n=2)
 
 
 @dataclass(eq=False)

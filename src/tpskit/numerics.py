@@ -203,20 +203,27 @@ def schmidt_entropy(probabilities, kind: str = "vn"):
     return float(S) if p.ndim == 1 else S
 
 
-def density_entropy(rho, kind: str = "vn"):
-    """Entropy of a density matrix, or of each matrix of a (B, n, n) stack.
-
-    Kind "vn" is ``schmidt_entropy`` of the eigenvalues, a 3 x 3 density's in
-    closed form (``_eigvals_3x3``) and any other size's from ``eigvalsh``; kind
-    "linear" is 1 - Tr rho^2 = 1 - sum |rho_ik|^2, one contraction over rho's
-    float view, which needs no eigensolver.  The same ENTROPY_FLOOR rule as
-    ``schmidt_entropy`` applies.  (A 2 x 2 density has its closed form, ``entropy_2x2``.)
-    """
-    rho = np.ascontiguousarray(rho, dtype=complex)
+def reduced_entropy(C, kind: str = "vn") -> np.ndarray:
+    """Entropy of the reduced density rho = C C^dag of each coefficient matrix C of a complex
+    (B, ds, n) stack, on its ds-dim side: the one place a side size picks a spectrum.  Kind "vn" is
+    ``schmidt_entropy`` of rho's eigenvalues; kind "linear" is 1 - Tr rho^2, with no eigensolver.
+    At ds = 2, rho = [[a, b*], [b, c]] is read off three contractions over C's rows r0 and r1
+    (a = |r0|^2, c = |r1|^2, b = r1 . r0^*): vn takes the closed form ``_eigvals_2x2``, linear is
+    1 - (a^2 + c^2 + 2|b|^2).  Past 2 the Gram is one ``einsum`` at 3 (half matmul's time) and
+    one ``matmul`` past 3; vn takes the closed form ``_eigvals_3x3`` at 3 and ``eigvalsh`` past
+    it, linear is 1 - sum |rho_ik|^2, one contraction over the Gram's float view.  The same
+    ENTROPY_FLOOR rule as ``schmidt_entropy`` applies."""
+    if (ds := C.shape[1]) == 2:
+        a, c = np.einsum("bik,bik->ib", C.view(float), C.view(float))
+        b = np.einsum("bk,bk->b", C[:, 1], C[:, 0].conj())
+        bb = b.real ** 2 + b.imag ** 2
+        if kind == "vn":
+            return schmidt_entropy(_eigvals_2x2(a, c, bb), kind)
+        return _floored(1.0 - (a * a + c * c + 2 * bb))
+    rho = np.einsum("bik,bjk->bij", C, C.conj()) if ds == 3 else C @ C.conj().transpose(0, 2, 1)
     if kind == "vn":
-        return schmidt_entropy(_eigvals_3x3(rho) if rho.shape[-1] == 3 else np.linalg.eigvalsh(rho), kind)
-    S = _floored(1.0 - np.einsum("...ij,...ij->...", rho.view(float), rho.view(float)))
-    return float(S) if rho.ndim == 2 else S
+        return schmidt_entropy(_eigvals_3x3(rho) if ds == 3 else np.linalg.eigvalsh(rho), kind)
+    return _floored(1.0 - np.einsum("...ij,...ij->...", rho.view(float), rho.view(float)))
 
 
 def _eigvals_3x3(rho) -> np.ndarray:
@@ -241,19 +248,6 @@ def _eigvals_3x3(rho) -> np.ndarray:
     if (fall := np.minimum(phi, np.pi / 3 - phi) < _TRIG_GAP).any():
         lam[fall] = np.linalg.eigvalsh(rho[fall])
     return lam
-
-
-def entropy_2x2(a, c, b, kind: str = "vn"):
-    """Entropy of the 2 x 2 density [[a, b*], [b, c]], or of each of a stack, from its
-    real diagonal a, c and complex lower entry b (same-shape arrays, the rest of rho
-    unread, as ``eigvalsh`` reads its lower triangle).  kind "vn": ``schmidt_entropy``
-    of the closed-form spectrum ``_eigvals_2x2``; kind "linear": 1 - (a^2 + c^2 + 2|b|^2).
-    A scalar density gives a float, a stack an array."""
-    bb = b.real ** 2 + b.imag ** 2
-    if kind == "vn":
-        return schmidt_entropy(_eigvals_2x2(a, c, bb), kind)
-    S = _floored(1.0 - (a * a + c * c + 2 * bb))
-    return float(S) if S.ndim == 0 else S
 
 
 def _eigvals_2x2(a, c, bb) -> np.ndarray:

@@ -24,8 +24,7 @@ from .numerics import (
     Tolerance,
     check_unitary,
     count_text,
-    density_entropy,
-    entropy_2x2,
+    reduced_entropy,
     refuse_past_budget,
     schmidt_entropy,
 )
@@ -187,13 +186,13 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
     complex Gaussian vectors on each side (exact Haar on each factor);
     the estimate is deterministic given the seed.  Each output state's
     entropy comes from its reduced density on the smaller side of the cut,
-    so no sample takes an SVD: a 2-dim side's three entries are contractions
-    over the long side, read by ``entropy_2x2``; other sizes form the stacked
-    Gram and read ``density_entropy``.  Samples are drawn, normalized and
-    contracted in passes of _PASS_BYTES per (rows, dim) product stack, and
-    at least _MIN_PASS_ROWS rows, so no array grows with samples but the
-    entropies and the temporary inside their std: 16 * samples bytes,
-    predicted from samples and refused past BYTES_BUDGET before any draw.
+    which ``reduced_entropy`` reads off the pass's (rows, ds, d / ds) stack
+    of coefficient matrices: no sample takes an SVD.  Samples are drawn,
+    normalized and contracted in passes of _PASS_BYTES per (rows, dim)
+    product stack, and at least _MIN_PASS_ROWS rows, so no array grows with
+    samples but the entropies and the temporary inside their std: 16 *
+    samples bytes, predicted from samples and refused past BYTES_BUDGET
+    before any draw.
     """
     if samples < 1:
         raise ContractViolationError("samples must be >= 1")
@@ -221,13 +220,7 @@ def entangling_power(U, tps: TPS, measure: EntanglementMeasure = EntanglementMea
         x1 /= np.sqrt(np.einsum("bi,bi->b", x1, x1) * np.einsum("bi,bi->b", x2, x2))[:, None]
         z = x.view(complex)
         out = (np.einsum("bi,bj->bij", z[:, :dL], z[:, dL:]).reshape(-1, d) @ W.T).reshape(-1, ds, d // ds)
-        if ds == 2:  # rho = [[|r0|^2, r0 . r1^*], [r1 . r0^*, |r1|^2]] over rows r0, r1
-            a, c = np.einsum("bik,bik->ib", out.view(float), out.view(float))
-            vals[at:at + rows] = entropy_2x2(a, c, np.einsum("bk,bk->b", out[:, 1], out[:, 0].conj()),
-                                             measure.kind)
-        else:  # einsum forms a 3 x 3 stack's Gram in half matmul's time; matmul wins from 4 x 4 on
-            vals[at:at + rows] = density_entropy(np.einsum("bik,bjk->bij", out, out.conj()) if ds == 3
-                                                 else out @ out.conj().transpose(0, 2, 1), measure.kind)
+        vals[at:at + rows] = reduced_entropy(out, measure.kind)
         del out  # a pass's output goes before the next pass's draw
 
     mean = float(vals.mean())

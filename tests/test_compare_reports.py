@@ -242,22 +242,27 @@ def test_the_spin_fixtures_decompose_to_the_schur_weyl_shapes_and_their_transpos
 
 
 def test_the_distance_jobs_take_the_routes_no_benchmark_job_takes(tmp_path, capsys):
-    # 3 x 4 and 4 x 3 reduce to 3 x 3 densities on either side of the cut, vn and linear;
-    # a 3 x 3 local unitary's rank-1 outputs take eigvalsh's exact zeros (every input set
-    # has the same job slots, so one set shows every benchmark job's dims)
+    # 3 x 4 and 4 x 3 reduce to 3 x 3 densities on either side of the cut, vn and linear, and
+    # 4 x 2 to 2 x 2 densities on the complement; a 3 x 3 and a 4 x 4 local unitary's rank-1
+    # outputs take eigvalsh's exact zeros, and no benchmark job runs vn at 4,4 (every input
+    # set has the same job slots, so one set shows every benchmark job's dims)
     jobs = compare_reports.build_jobs(str(tmp_path), [7919], [0])
     distance = [job["argv"] for job in jobs if job["argv"][:2] == ["tps", "distance"]]
     dims = lambda argv: argv[argv.index("--dims") + 1]
+    measure = lambda argv: argv[argv.index("--measure") + 1] if "--measure" in argv else "vn"
     fixtures = compare_reports.distance_jobs(str(tmp_path))
     assert [a for a in distance if a in fixtures] == fixtures
-    assert {(dims(a), a[-1]) for a in fixtures} == {("3,4", "vn"), ("3,4", "linear"), ("4,3", "vn"),
-                                                     ("4,3", "linear"), ("3,3", "vn")}
-    assert not {dims(a) for a in distance if a not in fixtures} & {"3,4", "4,3"}
+    assert [(dims(a), a[-1]) for a in fixtures] == [
+        ("3,4", "vn"), ("3,4", "linear"), ("4,3", "vn"), ("4,3", "linear"), ("3,3", "vn"),
+        ("4,2", "vn"), ("4,2", "linear"), ("4,4", "vn")]
+    benchmark = [a for a in distance if a not in fixtures]
+    assert not {dims(a) for a in benchmark} & {"3,4", "4,3", "4,2"}
+    assert ("4,4", "vn") not in {(dims(a), measure(a)) for a in benchmark}
     means = []
     for argv in fixtures:
         assert main(argv) == 0
         means.append(json.loads(capsys.readouterr().out)["results"]["mean"])
-    assert min(means[:4]) > 0.1 and means[4] == 0.0
+    assert min(means[:4] + means[5:7]) > 0.1 and means[4] == means[7] == 0.0
 
 
 def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, capsys):

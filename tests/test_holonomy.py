@@ -19,8 +19,6 @@ from tpskit.errors import (
     PathSingularityError,
 )
 from tpskit.holonomy import (
-    _FIXTURE_SCALE,
-    _FIXTURE_SEED,
     _MIN_OVERLAP_SV,
     IsoDegenerateOperator,
     _eigenspace,
@@ -154,13 +152,17 @@ def reference_ladder(spectra, loop, S, doublings):
     return hols[-1], [float(np.linalg.norm(a - b)) for a, b in zip(hols[:-1], hols[1:])]
 
 
+FIXTURE_SCALE = 1.8
+
+
 def fixture_generators():
-    rng = np.random.default_rng(np.random.SeedSequence(_FIXTURE_SEED))
+    """fixture-n2d2's generators as they were drawn, the provenance of builtin_family's table."""
+    rng = np.random.default_rng(np.random.SeedSequence(7))
     gens = []
     for _ in range(2):
         G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         G = (G + G.conj().T) / 2
-        gens.append(G * (_FIXTURE_SCALE / np.linalg.norm(G, 2)))
+        gens.append(G * (FIXTURE_SCALE / np.linalg.norm(G, 2)))
     return gens
 
 
@@ -659,7 +661,7 @@ class TestWitnessAndSpan:
         # holonomic universality past the n = 2 fixture: two rectangles' holonomies
         # generate all of u(n) on a degeneracy-n eigenspace of a generic family on C^n (x) C^2
         rng = np.random.default_rng(seed)
-        fam = UnitaryFamily([random_hermitian(rng, 2 * n, _FIXTURE_SCALE) for _ in range(2)])
+        fam = UnitaryFamily([random_hermitian(rng, 2 * n, FIXTURE_SCALE) for _ in range(2)])
         assert holonomy_algebra_span(fam, TWO_RECTS, 1, n) == n * n
 
     def test_commuting_generators_span_nothing(self):
@@ -755,6 +757,11 @@ class TestRefinementLadder:
 # ------------------------------------------ stacked transport, bit for bit
 
 class TestStackedTransportBitIdentity:
+    def test_the_fixture_table_is_the_seeded_draw_bit_for_bit(self, monkeypatch):
+        monkeypatch.setattr(holonomy, "UnitaryFamily", lambda generators, tol: generators)
+        table, _ = builtin_family("fixture-n2d2")
+        assert np.array_equal(np.asarray(table).view(np.uint64), np.asarray(fixture_generators()).view(np.uint64))
+
     def test_fixture_generators_rebuild_the_fixture(self, fixture_fam):
         fam, _ = fixture_fam
         pts = RECT1.points()

@@ -18,13 +18,13 @@ from tpskit.numerics import (
     close_span,
     cluster_indices,
     count_text,
-    density_entropy,
     hermitian_eig,
     hs_orthonormalize,
     kron,
     mib_text,
     nullspace,
     polar_isometry,
+    reduced_entropy,
     refuse_past_budget,
     schmidt_entropy,
     unitarity_defect,
@@ -535,73 +535,74 @@ def test_schmidt_entropy_stack_matches_rows():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("rows,cols", [(3, 4), (2, 2), (2, 4)])
-def test_density_entropy_matches_schmidt_spectrum(rows, cols):
-    # 2-row coefficients give 2 x 2 reduced densities, whose spectrum is in closed form
+@pytest.mark.parametrize("rows,cols", [(2, 2), (2, 4), (3, 4), (4, 4), (8, 8)])
+def test_reduced_entropy_matches_schmidt_spectrum(rows, cols):
+    # each side size's route: the 2 x 2 and 3 x 3 closed forms, eigvalsh past them
     rng = np.random.default_rng(41)
     C = rng.standard_normal((5, rows, cols)) + 1j * rng.standard_normal((5, rows, cols))
     C[0] = np.outer(rng.standard_normal(rows) + 1j, rng.standard_normal(cols) - 2j)  # product state
     C[1] = np.eye(rows, cols)  # maximally entangled
     C /= np.linalg.norm(C, axis=(1, 2), keepdims=True)
-    rho = C @ C.conj().transpose(0, 2, 1)
     s = np.linalg.svd(C, compute_uv=False)
-    # a 2 x 2 density goes to entropy_2x2, on its diagonal and lower entry
-    entropy = density_entropy if rows != 2 else (
-        lambda r, kind: numerics.entropy_2x2(r[..., 0, 0].real, r[..., 1, 1].real, r[..., 1, 0], kind))
     if rows == 2:
+        rho = C @ C.conj().transpose(0, 2, 1)
         spectrum = numerics._eigvals_2x2(rho[:, 0, 0].real, rho[:, 1, 1].real, abs(rho[:, 1, 0]) ** 2)
         assert np.max(np.abs(spectrum - (s * s)[:, ::-1])) < 1e-14
     for kind in ("vn", "linear"):
-        dens = entropy(rho, kind)
+        dens = reduced_entropy(C, kind)
         assert np.max(np.abs(dens - schmidt_entropy(s * s, kind))) < 1e-14
         assert dens[0] == 0.0
-        assert entropy(rho[1], kind) == dens[1]
+        assert reduced_entropy(C[1:2], kind) == dens[1]  # a one-row stack reads its row alone
     if rows == 2:
-        half = np.eye(2) / 2
-        assert entropy(half, "vn") == 1.0 and entropy(half, "linear") == 0.5
-        assert np.array_equal(entropy(np.array([half, half]), "vn"), [1.0, 1.0])
-        assert entropy(np.zeros((2, 2)), "vn") == 0.0  # hi = 0: lo is 0, not 0 / 0
+        half = np.array([[[0.5, 0.5], [0.5, -0.5]]], dtype=complex)  # rho = 1 / 2 exactly
+        assert reduced_entropy(half, "vn") == 1.0 and reduced_entropy(half, "linear") == 0.5
+        assert np.array_equal(reduced_entropy(np.concatenate([half, half]), "vn"), [1.0, 1.0])
+        assert reduced_entropy(np.zeros((1, 2, 2), complex), "vn") == 0.0  # hi = 0: lo is 0, not 0 / 0
 
 
 def trig_oracle_cases(rng):
-    """Seeded 3 x 3 density stacks, one per case of the closed-form spectrum's oracle."""
+    """Seeded 3 x 3 densities, one stack per case of the closed-form spectrum's oracle, each
+    as (rho, M...): the density stack and the stacks of coefficient matrices M, rho = M M^dag."""
     def reduced(n, k):  # Haar states of a 3 x k bipartition, reduced to the 3-dim side: rank min(3, k)
         C = rng.standard_normal((n, 3, k)) + 1j * rng.standard_normal((n, 3, k))
         C /= np.linalg.norm(C, axis=(1, 2), keepdims=True)
-        return C @ C.conj().transpose(0, 2, 1)
+        return C @ C.conj().transpose(0, 2, 1), C
 
     def rotated(spectra):
         U = np.array([haar_unitary(3, rng) for _ in spectra])
-        return (U * spectra[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        return (U * spectra[:, None, :]) @ U.conj().transpose(0, 2, 1), U * np.sqrt(spectra)[:, None, :]
 
     a = rng.uniform(0.05, 0.45, 400)
     split = np.repeat([0.0, 1e-14, 1e-10, 1e-6, 1e-3], 80)
+    haar3, haar4 = reduced(3000, 3), reduced(3000, 4)
     return {
-        "haar": np.concatenate([reduced(3000, 3), reduced(3000, 4)]),
+        "haar": (np.concatenate([haar3[0], haar4[0]]), haar3[1], haar4[1]),
         "rank 1": reduced(400, 1),
         "rank 2": reduced(400, 2),
         "two-fold": rotated(np.stack([a - split, a + split, 1 - 2 * a], axis=1)),
         "three-fold": rotated(1 / 3 + np.repeat([0.0, 1e-15, 1e-12, 1e-8], 100)[:, None]
                               * rng.standard_normal((400, 3))),
-        "diagonal": np.eye(3) * rng.dirichlet(np.ones(3), 400)[:, None, :],
+        "diagonal": (np.eye(3) * (p := rng.dirichlet(np.ones(3), 400)[:, None, :]), np.eye(3) * np.sqrt(p)),
     }
 
 
 @pytest.mark.filterwarnings("error")
 def test_the_3x3_closed_form_spectrum_matches_eigvalsh():
     # each eigenvalue within 8e-15 of eigvalsh's, relative to the largest (measured: 3.2e-15
-    # unscaled, 5.1e-15 scaled by 1e-6 or 1e3); each vn entropy within 1e-14 of eigvalsh's, or
-    # 2e-13 where the spectrum has a zero (measured 4.8e-15 and 9.2e-14: roundoff of 1e-15 on
-    # a zero eigenvalue costs 1e-15 log2(1e15) in entropy, as it would from any eigensolver).
-    # Rank-1 rows, whose two zeros the closed form reads only to ~1e-8, take eigvalsh: their
-    # entropies are exactly 0
+    # unscaled, 5.1e-15 scaled by 1e-6 or 1e3); each vn entropy, from the coefficient matrices,
+    # within 1e-14 of eigvalsh's, or 2e-13 where the spectrum has a zero (measured 7.0e-15 and
+    # 6.1e-14: roundoff of 1e-15 on a zero eigenvalue costs 1e-15 log2(1e15) in entropy, as it
+    # would from any eigensolver).  Rank-1 rows, whose two zeros the closed form reads only to
+    # ~1e-8, take eigvalsh: their entropies are exactly 0
     cases = trig_oracle_cases(np.random.default_rng(97))
-    for case, rho in cases.items():
+    for case, (rho, *Ms) in cases.items():
         ref = np.linalg.eigvalsh(rho)
         for scale in (1.0, 1e-6, 1e3):
             err = np.abs(numerics._eigvals_3x3(scale * rho) - scale * ref).max(axis=1)
             assert np.all(err <= 8e-15 * np.abs(scale * ref).max(axis=1)), case
         bound = 2e-13 if case == "rank 2" else 1e-14
-        assert np.abs(density_entropy(rho, "vn") - schmidt_entropy(ref, "vn")).max() <= bound, case
-    assert np.all(density_entropy(cases["rank 1"], "vn") == 0.0)
-    assert density_entropy(cases["rank 1"][0], "vn") == 0.0 and density_entropy(np.eye(3) / 3, "vn") == np.log2(3)
+        S = np.concatenate([reduced_entropy(M, "vn") for M in Ms])
+        assert np.abs(S - schmidt_entropy(ref, "vn")).max() <= bound, case
+    rank1 = cases["rank 1"][1]
+    assert np.all(reduced_entropy(rank1, "vn") == 0.0) and reduced_entropy(rank1[:1], "vn") == 0.0
+    assert reduced_entropy(np.eye(3, dtype=complex)[None] / np.sqrt(3), "vn") == np.log2(3)

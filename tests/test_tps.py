@@ -531,7 +531,8 @@ class TestEntanglingPower:
             assert len({(e.mean, e.stderr) for e in ests}) == 1
 
     @pytest.mark.parametrize("dims,gate", [((2, 2), "local"), ((2, 4), "local"), ((4, 2), "local"),
-                                           ((3, 3), "local"), ((2, 2), "swap"), ((3, 3), "swap")])
+                                           ((3, 3), "local"), ((4, 4), "local"), ((8, 8), "local"),
+                                           ((2, 2), "swap"), ((3, 3), "swap")])
     @pytest.mark.parametrize("kind", ["vn", "linear"])
     def test_local_unitaries_and_swaps_give_exact_zeros(self, dims, gate, kind):
         t = TPS.natural(dims)
@@ -665,19 +666,19 @@ class TestEntanglingPower:
     def test_a_two_dim_side_matches_the_eigvalsh_spectrum(self, cut, monkeypatch):
         # the 2 x 2 reduced densities of a 2 x 3 cut, and of the transposed 3 x 2 one,
         # come from three sums and take a closed-form spectrum; eigvalsh's spectrum of
-        # the same densities gives the same estimate to roundoff
+        # [[a, |b|], [|b|, c]], similar to each density, gives the same estimate to roundoff
         read = []
 
-        def eigvalsh_entropy(a, c, b, kind):
+        def eigvalsh_spectrum(a, c, bb):
             read.append(len(a))
-            rho = np.empty(a.shape + (2, 2), dtype=complex)
-            rho[:, 0, 0], rho[:, 1, 1], rho[:, 1, 0], rho[:, 0, 1] = a, c, b, b.conj()
-            return schmidt_entropy(np.linalg.eigvalsh(rho), kind)
+            rho = np.empty(a.shape + (2, 2))
+            rho[:, 0, 0], rho[:, 1, 1], rho[:, 1, 0], rho[:, 0, 1] = a, c, np.sqrt(bb), np.sqrt(bb)
+            return np.linalg.eigvalsh(rho)
 
         U = haar_unitary(6, np.random.default_rng(79))
         t, measure = TPS.natural((2, 3)), EntanglementMeasure(kind="vn", cut=frozenset(cut))
         est = entangling_power(U, t, measure, samples=3000, seed=4)
-        monkeypatch.setattr(tps_module, "entropy_2x2", eigvalsh_entropy)
+        monkeypatch.setattr(numerics, "_eigvals_2x2", eigvalsh_spectrum)
         ref = entangling_power(U, t, measure, samples=3000, seed=4)
         assert sum(read) == 3000
         assert est.mean > 0.1

@@ -40,7 +40,9 @@ algebras whose basis is past the byte budget but whose block form is not
 ``decompose --emit-basis``; ``tps distance`` on the routes no benchmark job
 takes (``distance_jobs``): a Haar unitary at ``--dims 3,4`` and ``4,3``,
 vn and linear, whose 3 x 3 reduced densities sit on the cut side and on
-the complement, and vn of a 3 x 3 local unitary, exactly 0; ``tps bosonic``
+the complement, vn of a 3 x 3 local unitary, exactly 0, a Haar 8 x 8 at
+``--dims 4,2``, vn and linear, whose 2 x 2 reduced densities sit on the
+complement, and vn of a 4 x 4 local unitary, exactly 0; ``tps bosonic``
 past every benchmark job's four modes, where the Fock-space build changes
 most (``bosonic_reach_jobs``): the identity frame at ``--modes 64 --cutoff 2``
 and ``--modes 200 --cutoff 1``, a Haar frame from a spec file written in
@@ -268,16 +270,20 @@ def reach_specs(cwd: str) -> list[str]:
 def distance_jobs(cwd: str) -> list[list[str]]:
     """tps distance on spec files written to cwd, on the routes no benchmark job takes: a
     seeded Haar unitary at --dims 3,4 and 4,3, vn and linear, whose 3 x 3 reduced densities
-    are on the cut side and then on the complement, and vn of a 3 x 3 local unitary, whose
-    rank-1 reduced densities give exactly 0."""
+    are on the cut side and then on the complement, vn of a 3 x 3 local unitary, whose
+    rank-1 reduced densities give exactly 0, a seeded Haar 8 x 8 at --dims 4,2, vn and
+    linear, whose 2 x 2 reduced densities are on the complement, and vn of a 4 x 4 local
+    unitary, whose rank-1 reduced densities give eigvalsh's exact zeros."""
     import numpy as np
 
     rng = np.random.default_rng(12)
     haar12 = write_spec(os.path.join(cwd, "haar12.json"), {"u": haar(12, rng)})
     local9 = write_spec(os.path.join(cwd, "local9.json"), {"u": np.kron(haar(3, rng), haar(3, rng))})
-    return [["tps", "distance", haar12, "--unitary", "u", "--dims", dims, "--measure", m]
-            for dims in ("3,4", "4,3") for m in ("vn", "linear")] + [
-        ["tps", "distance", local9, "--unitary", "u", "--dims", "3,3", "--measure", "vn"]]
+    haar8 = write_spec(os.path.join(cwd, "haar8.json"), {"u": haar(8, rng)})
+    local16 = write_spec(os.path.join(cwd, "local16.json"), {"u": np.kron(haar(4, rng), haar(4, rng))})
+    routes = [(haar12, "3,4", "vn"), (haar12, "3,4", "linear"), (haar12, "4,3", "vn"), (haar12, "4,3", "linear"),
+              (local9, "3,3", "vn"), (haar8, "4,2", "vn"), (haar8, "4,2", "linear"), (local16, "4,4", "vn")]
+    return [["tps", "distance", spec, "--unitary", "u", "--dims", dims, "--measure", m] for spec, dims, m in routes]
 
 
 def bosonic_reach_jobs(cwd: str) -> list[list[str]]:
