@@ -19,7 +19,6 @@ from .errors import ContractViolationError, DimensionMismatchError, IndexRangeEr
 from .numerics import DEFAULT_TOL, Tolerance, check_unitary, refuse_past_budget, schmidt_entropy, unitarity_defect
 from .tps import EntanglementMeasure, _check_state, _split_cut
 
-_DIM_CAP = 4096
 _SHARED = weakref.WeakValueDictionary()  # (N, M) -> the occ its live Fock spaces hold
 
 
@@ -95,18 +94,17 @@ def build_fock(N: int, M: int, tol: Tolerance = DEFAULT_TOL) -> FockSpace:
 
 def _ladder_tables(N: int, M: int) -> np.ndarray:
     """The occ table a live Fock space of (N, M) holds, else a new one built in O(N dim),
-    refused from (N, M) alone past the dimension cap or past the size rule.  The rule
-    predicts build_fock's peak (the table, the levels' arrays, a few dim-long rows, the
-    N x N frame and the arrays' headers) as a (2, N + 8, dim + N + 64) complex array."""
+    refused from (N, M) alone by the size rule, which predicts build_fock's peak (the table,
+    the levels' arrays, a few dim-long rows, the N x N frame and the arrays' headers) as a
+    (2, N + 8, dim + N + 64) complex array: first at dim's lower bound N + M, exact when
+    N = 1 or M = 1, so binomial(N+M, N) is formed only for a size that may fit."""
     if (occ := _SHARED.get((N, M))) is not None:
         return occ
     if N < 1 or M < 1:
         raise ContractViolationError("need at least one mode and cutoff >= 1")
-    if N + M > _DIM_CAP or comb(N + M, N) > _DIM_CAP:  # binomial(N+M, N) >= N+M
-        raise ContractViolationError(
-            f"dimension binomial({N + M}, {N}) exceeds the configured cap {_DIM_CAP}")
-    dim = comb(N + M, N)
-    refuse_past_budget((2, N + 8, dim + N + 64), f"building the ladder tables of {N} modes at cutoff {M}")
+    what = f"building the ladder tables of {N} modes at cutoff {M}"
+    refuse_past_budget((2, N + 8, 2 * N + M + 64), what)
+    refuse_past_budget((2, N + 8, (dim := comb(N + M, N)) + N + 64), what)
     # grow lexicographic prefixes a mode at a time, one of total s by 0..M-s, keeping each
     # level's parents and values; the final columns are walked back through them below
     total, levels = np.zeros(1, dtype=np.intp), []
@@ -205,8 +203,8 @@ def _one_photon(fock: FockSpace) -> np.ndarray:
 def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     """Apply an N x N rotation to the one-photon amplitudes of a state.
 
-    V must be unitary and the state supported on total excitation <= 1,
-    both within fock.tol.resid_abs.  To express a state in the mode frame of
+    V must be unitary and the state finite and supported on total excitation
+    <= 1, both within fock.tol.resid_abs.  To express a state in the mode frame of
     transform_modes(fock, U), rotate by U.T (states sum_i c_i a_i^U-dagger |0>
     carry reference amplitudes conj(U) c, so U.T undoes the mode change).
     """
@@ -214,26 +212,26 @@ def rotate_single_particle(fock: FockSpace, state, V) -> np.ndarray:
     if v.shape[0] != fock.dim:
         raise DimensionMismatchError("state length does not match the Fock dimension")
     V, _ = check_unitary(V, fock.tol, "mode rotation", (fock.N, fock.N))
+    if not np.isfinite(v).all():
+        raise ContractViolationError("state has a non-finite entry")
     if np.linalg.norm(v[fock.occ.sum(axis=0) > 1]) > fock.tol.resid_abs:
         raise TruncationBoundaryError("state has support beyond the one-excitation sector")
-    one_photon = _one_photon(fock)
-    out = np.zeros_like(v)
-    out[0] = v[0]
-    out[one_photon] = V @ v[one_photon]
+    out, one_photon = np.zeros_like(v), _one_photon(fock)
+    out[0], out[one_photon] = v[0], V @ v[one_photon]
     return out
 
 
 def mode_entanglement(state, fock: FockSpace, cut, kind: str = "vn") -> float:
     """Entanglement of a truncated state across a bipartition of modes.
 
-    The state is Schmidt-decomposed across the cut of reference modes
-    (1-based indices): its amplitude on each basis state goes to the row of
-    the state's occupations on the cut and the column of those on the
-    complement, each ranked among the occupations the truncation keeps.
-    That is the product of per-mode occupation spaces with the rows and
-    columns no kept state reaches left out.  Top-shell weight (total
-    excitation = M) straddling the cut past fock.tol.resid_abs is rejected:
-    there the simplex truncation and the product structure disagree.
+    The state is Schmidt-decomposed across the cut of reference modes (1-based
+    indices): its amplitude on each basis state goes to the row of the state's
+    occupations on the cut and the column of those on the complement, each ranked
+    among the occupations the truncation keeps.  That is the product of per-mode
+    occupation spaces with the rows and columns no kept state reaches left out, refused
+    by the size rule, with the copy and workspace LAPACK's SVD takes, before it is built.
+    Top-shell weight (total excitation = M) straddling the cut past fock.tol.resid_abs
+    is rejected: there the simplex truncation and the product structure disagree.
     """
     EntanglementMeasure(kind)  # refuses an unknown kind before any work
     v = _check_state(state, fock.dim)
@@ -249,7 +247,9 @@ def mode_entanglement(state, fock: FockSpace, cut, kind: str = "vn") -> float:
 
     rows, cols = (np.unique(occ[side].T, axis=0, return_inverse=True)[1].reshape(-1)
                   for side in (left, right))
-    schmidt = np.zeros((rows.max() + 1, cols.max() + 1), dtype=complex)
+    shape = (3, int(rows.max()) + 1, int(cols.max()) + 1)  # it, LAPACK's copy and workspace
+    refuse_past_budget(shape, f"a Schmidt matrix of {shape[1]} x {shape[2]}")
+    schmidt = np.zeros(shape[1:], dtype=complex)
     schmidt[rows, cols] = v
     s = np.linalg.svd(schmidt, compute_uv=False)
     return schmidt_entropy(s * s, kind=kind)

@@ -301,12 +301,14 @@ def holonomy_nonabelian_witness(fam: UnitaryFamily, loop1: LoopPath, loop2: Loop
 def principal_log_unitary(H) -> np.ndarray:
     """Anti-Hermitian principal logarithm of a unitary matrix.
 
-    Eigenphases within the branch margin of -1 are rejected; callers
-    shrink or split the loop and retry.  The Cayley transform
+    A non-finite H is refused.  Eigenphases within the branch margin of -1 are
+    rejected; callers shrink or split the loop and retry.  The Cayley transform
     S = -i (H + 1)^-1 (H - 1) is Hermitian with eigenvalues tan(phase / 2)
     on the eigenvectors of H, so one Hermitian eigensolve gives both.
     """
     H = np.asarray(H, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ContractViolationError("holonomy has a non-finite entry")
     eye = np.eye(H.shape[0])
     try:
         S = -1j * np.linalg.solve(H + eye, H - eye)

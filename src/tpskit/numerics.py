@@ -54,16 +54,13 @@ def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL):
 
 
 def cluster_indices(values, gap: float = DEGENERACY_GAP) -> list[np.ndarray]:
-    """Split sorted real values into clusters by single-linkage gaps.
+    """Split nonempty sorted real values into clusters by single-linkage gaps.
 
     A new cluster starts wherever the gap between consecutive values
     exceeds gap * max(spectral range, spectral radius, 1).
     """
     v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        return []
-    scale = max(float(v[-1] - v[0]), float(np.max(np.abs(v))), 1.0)
-    thr = gap * scale
+    thr = gap * max(float(v[-1] - v[0]), float(np.max(np.abs(v))), 1.0)
     bounds = [0, *(np.nonzero(np.diff(v) > thr)[0] + 1).tolist(), v.size]
     return [np.arange(a, b) for a, b in zip(bounds, bounds[1:])]
 

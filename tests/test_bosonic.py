@@ -4,6 +4,7 @@ import itertools
 import re
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 from math import comb
 
@@ -216,7 +217,7 @@ class TestBuildFock:
                 assert np.array_equal(fock.lowering(i), reference[i - 1])
 
     def test_ladder_tables_match_the_per_entry_loop(self):
-        # every N, M <= 8 inside the dimension cap, and sizes whose (M+1)^N is past int64
+        # every N, M <= 8 up to dimension 4096, and sizes whose (M+1)^N is past int64
         sizes = [(N, M) for N in range(1, 9) for M in range(1, 9) if comb(N + M, N) <= 4096]
         for N, M in sizes + [(12, 3), (70, 1), (40, 2), (60, 2)]:
             fock = build_fock(N, M)
@@ -239,40 +240,51 @@ class TestBuildFock:
         with pytest.raises(ContractViolationError):
             build_fock(2, 0)
         with pytest.raises(ContractViolationError):
-            build_fock(12, 12)  # binomial(24,12) is past the cap
+            build_fock(12, 12)  # binomial(24,12) is predicted past the budget
 
-    @pytest.mark.parametrize("N, M, bound", [
+    @pytest.mark.parametrize("N, M, bound, at_lower_bound", [
         (4095, 1, "building the ladder tables of 4095 modes at cutoff 1 needs 1.03e+03 MiB, "
-                  "over the 64 MiB budget"),
-        (LARGEST_M1 + 1, 1, "building the ladder tables of 1004 modes at cutoff 1 needs 64 MiB, over"),
-        (20000, 20000, "dimension binomial(40000, 20000) exceeds the configured cap 4096"),
-        (2, 4095, "dimension binomial(4097, 2) exceeds"),
-    ], ids=["4095-1", "1004-1", "20000-20000", "2-4095"])
-    def test_size_limits_are_decided_from_n_and_m(self, N, M, bound):
-        # dim 4096 at N = 4095 passes the dimension cap, and its tables are predicted
-        # past the budget; binomial(40000, 20000) has 12000 digits, past what an error
-        # message may print
+                  "over the 64 MiB budget", True),
+        (LARGEST_M1 + 1, 1, "building the ladder tables of 1004 modes at cutoff 1 needs 64 MiB, over", True),
+        (20000, 20000, "building the ladder tables of 20000 modes at cutoff 20000 needs 3.67e+04 MiB, "
+                       "over the 64 MiB budget", True),
+        (10**9, 10**9, "building the ladder tables of 1000000000 modes at cutoff 1000000000 needs "
+                       "9.16e+13 MiB, over the 64 MiB budget", True),
+        (2, 4095, "building the ladder tables of 2 modes at cutoff 4095 needs 2.56e+03 MiB, over", False),
+    ], ids=["4095-1", "1004-1", "20000-20000", "1e9-1e9", "2-4095"])
+    def test_size_limits_are_decided_from_n_and_m(self, N, M, bound, at_lower_bound, monkeypatch):
+        # the rule is asked first at dim >= N + M, exact at M = 1, so binomial(N+M, N) is
+        # never formed for a size that bound refuses: binomial(40000, 20000) has 12000 digits
+        # and binomial(2 * 10^9, 10^9) would take hours; (2, 4095) passes it and is refused
+        # at its exact dim, 8390656
+        formed = []
+        monkeypatch.setattr(tpskit.bosonic, "comb", lambda n, k: formed.append((n, k)) or comb(n, k))
         start = time.perf_counter()
         with pytest.raises(ContractViolationError, match=re.escape(bound)):
             build_fock(N, M)
         assert time.perf_counter() - start < 0.1
+        assert formed == ([] if at_lower_bound else [(N + M, N)])
 
     @pytest.mark.parametrize("N, M", [(60, 2), (63, 2), (64, 2), (89, 2), (200, 1), (LARGEST_M1, 1),
-                                      (1, 4095), (27, 3)])
-    def test_sizes_inside_both_caps_build(self, N, M):
-        # inside the dimension cap and the size rule, the table is the simplex: binomial(N+M, N)
-        # distinct occupations of total at most M, in lexicographic order
+                                      (1, 4095), (27, 3), (8, 8), (2, 600), (1, 200000), (20, 5)])
+    def test_sizes_inside_the_size_rule_build(self, N, M):
+        # inside the size rule, the table is the simplex: binomial(N+M, N) distinct occupations
+        # of total at most M, in lexicographic order, past dimension 4096 too (12870 at (8, 8),
+        # 180901 at (2, 600), 200001 at (1, 200000) and 53130 at (20, 5))
         fock = build_fock(N, M)
         assert fock.occ.shape == _lowering_targets(fock.occ, M).shape == (N, comb(N + M, N))
         assert fock.occ.min() == 0 and fock.occ.sum(axis=0).max() == M
         assert np.array_equal(np.unique(fock.occ.T, axis=0), fock.occ.T)
 
-    @pytest.mark.parametrize("N, M", [(64, 2), (LARGEST_M1, 1)])
+    @pytest.mark.parametrize("N, M", [(64, 2), (LARGEST_M1, 1), (1, 200000), (2, 600), (8, 8), (20, 5)])
     def test_peak_stays_under_the_prediction(self, N, M, monkeypatch):
         # the size rule predicts the build's peak, not just its (N, dim) tables: the levels'
         # (parent, value) arrays, the walk's dim-long rows and the N x N frame count too.
-        # Measured: 0.35 of the prediction at (64, 2), 0.60 at (1003, 1), and at most 0.69
-        # on every size the rule and the dimension cap admit
+        # It is asked twice, at dim's lower bound N + M and at the exact dim; the exact one
+        # bounds the peak.  Measured: 0.37 of it at (64, 2), 0.36 at (1003, 1), 0.17 at
+        # (1, 200000), 0.18 at (2, 600), 0.24 at (8, 8), 0.29 at (20, 5), and at most 0.40, at
+        # (156, 2), over 1333 admitted sizes: N = 1..1003, M on a ladder of ratio 1.5 and the
+        # largest M admitted
         predicted = []
         real = tpskit.bosonic.refuse_past_budget
         monkeypatch.setattr(tpskit.bosonic, "refuse_past_budget",
@@ -283,13 +295,14 @@ class TestBuildFock:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fock.dim == comb(N + M, N) and len(predicted) == 1
-        assert peak <= 16 * np.prod(predicted[0]) <= 64 * 2**20
+        assert fock.dim == comb(N + M, N) and len(predicted) == 2
+        assert np.prod(predicted[0]) <= np.prod(predicted[1])
+        assert peak <= 16 * np.prod(predicted[1]) <= 64 * 2**20
 
     def test_the_closed_form_is_the_table_walk_bit_for_bit(self):
         # ccr_residual reads the tables' own residual as _ladder_rounding(M); the walk it
-        # replaced returns the same float on every (N, M) with N^2 dim <= 2^20 inside the
-        # dimension cap (4401 sizes, N up to 101 and M up to 4095) and at the old work
+        # replaced returns the same float on every (N, M) with N^2 dim <= 2^20 up to
+        # dimension 4096 (4401 sizes, N up to 101 and M up to 4095) and at the old work
         # cap's largest sizes, so residuals.ccr is unchanged
         sizes = [(N, M) for N in range(1, 102)
                  for M in itertools.takewhile(lambda M: comb(N + M, N) <= 4096, range(1, 4097 - N))
@@ -656,6 +669,23 @@ class TestModeEntanglement:
         p = float(np.sum(np.abs(U[[j - 1 for j in cut], i - 1]) ** 2))
         assert abs(value - binary_entropy(p)) < 1e-12
 
+    def test_the_schmidt_matrix_is_predicted_with_its_svd_copy(self, monkeypatch):
+        # a cut S ranks C(|S|+M, M) occupations on S and C(N-|S|+M, M) on its complement; the
+        # rule sees that matrix three times over: filled, it and LAPACK's copy and workspace
+        # raised ru_maxrss by 2.12-2.41 times its bytes from 6 to 32 MiB.  The largest one a
+        # dimension cap of 4096 let through, (89, 2) cut 44 | 45, fits at 51.2 MiB and answers
+        predicted = []
+        real = tpskit.bosonic.refuse_past_budget
+        monkeypatch.setattr(tpskit.bosonic, "refuse_past_budget",
+                            lambda shape, what: predicted.append(shape) or real(shape, what))
+        fock = build_fock(89, 2)
+        assert mode_entanglement(single_excitation_state(fock, 1), fock, tuple(range(1, 45))) == 0.0
+        assert predicted[-1] == (3, comb(46, 2), comb(47, 2)) == (3, 1035, 1081)
+        fock = build_fock(20, 5)
+        with pytest.raises(ContractViolationError, match="^a Schmidt matrix of 3003 x 3003 needs 413 MiB, "
+                                                          "over the 64 MiB budget$"):
+            mode_entanglement(single_excitation_state(fock, 1), fock, tuple(range(1, 11)))
+
     def test_matches_the_dense_embedding_on_interior_states(self):
         # random states on total excitation <= M-1, where no weight straddles
         rng = np.random.default_rng(41)
@@ -695,6 +725,23 @@ class TestModeEntanglement:
         fock = build_fock(2, 2)
         with pytest.raises(DimensionMismatchError, match="^state length does not match the Fock dimension$"):
             rotate_single_particle(fock, np.ones(fock.dim + 1), np.eye(2))
+
+    @pytest.mark.parametrize("occupation, entry", [((0, 0), np.nan), ((1, 0), np.nan), ((1, 1), np.nan),
+                                                   ((0, 2), complex(0, np.nan)), ((0, 1), np.inf),
+                                                   ((2, 0), -np.inf)],
+                             ids=["vacuum-nan", "one-nan", "two-nan", "two-nanj", "one-inf", "two--inf"])
+    def test_rotate_refuses_a_non_finite_state(self, occupation, entry):
+        # a NaN on two photons passed the support check (NaN > bound is False) and was dropped
+        # from a finite answer, one on the vacuum came back as it was, a NaN or inf on one
+        # photon spread to both one-photon entries with a RuntimeWarning, and an inf on two
+        # photons was refused as support beyond one photon
+        fock = build_fock(2, 2)
+        v = one_photon_state(fock, [1, 1])
+        v[fock.index(occupation)] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolationError, match="^state has a non-finite entry$"):
+                rotate_single_particle(fock, v, BEAMSPLITTER)
 
     def test_rotate_checks_the_one_excitation_support_at_the_fock_tolerance(self):
         # ~1e-9 of weight on two photons: inside the default residual bound, outside 1e-10

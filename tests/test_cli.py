@@ -902,7 +902,7 @@ class TestTpsCommands:
         assert abs(rep["results"]["value"] - 1.0) < 1e-8
 
     def test_bosonic_past_the_size_rule_is_refused_before_any_table(self, capsys):
-        # dim 4096 passes the dimension cap; the build's peak is predicted from N and M
+        # the build's peak is predicted from N and M, at dim's lower bound N + M, exact at M = 1
         start = time.perf_counter()
         code, out, err = run_cli(["tps", "bosonic", "--modes", "4095", "--cutoff", "1"], capsys)
         assert time.perf_counter() - start < 0.1
@@ -1012,10 +1012,14 @@ class TestSizeRefusals:
         # a Pauli string's dense matrix is predicted from its length
         (["tps", "parity", "--parity", "Z" * 12], "ContractViolationError"),
         (["tps", "parity", "--parity", "Z" * 40], "ContractViolationError"),
+        # the tables of dim 53130 fit; the half cut's 3003 x 3003 Schmidt matrix, with the
+        # copy and workspace the SVD takes, is predicted at 413 MiB
+        (["tps", "bosonic", "--modes", "20", "--cutoff", "5", "--cut", ",".join(map(str, range(1, 11)))],
+         "ContractViolationError"),
     ], ids=["refinement", "samples", "samples-1e8", "doublings-2e4", "doublings-3e5", "doublings-1e9",
             "entangle-dims-512", "entangle-dims-64", "distance-dims-65536",
             "refinement-4300-digits", "equivalent-dims-4096", "equivalent-natural-4096x4096",
-            "equivalent-natural-2x2048", "parity-pauli-12", "parity-pauli-40"])
+            "equivalent-natural-2x2048", "parity-pauli-12", "parity-pauli-40", "bosonic-schmidt-20-5"])
     def test_refused_in_a_fresh_process_under_a_second(self, argv, error):
         code, out, err, seconds = run_fresh(argv)
         assert (code, out) == (2, ""), err
@@ -1030,6 +1034,33 @@ class TestSizeRefusals:
         rep = json.loads(out)
         assert rep["results"]["fock_dim"] == 2145 and rep["results"]["value"] == 0.0
         assert 0 < rep["residuals"]["ccr"] < 1e-13
+
+    def test_bosonic_past_dimension_4096_answers_in_a_haar_frame_in_a_fresh_process(self, tmp_path):
+        # (8, 8), dim 12870, was refused by a dimension cap of 4096; one photon of mode 3 of
+        # a Haar frame puts weight p = sum_{j <= 4} |U_j3|^2 on the cut, so its entropy is h(p)
+        U = haar_unitary(8, np.random.default_rng(88))
+        path = write_spec(tmp_path / "haar8.json", 8, {"u": U})
+        code, out, err, seconds = run_fresh(["tps", "bosonic", path, "--modes", "8", "--cutoff", "8",
+                                             "--unitary", "u", "--excite", "3", "--cut", "1,2,3,4"])
+        assert code == 0, err
+        rep = json.loads(out)
+        p = float(np.sum(np.abs(U[:4, 2]) ** 2))
+        assert rep["results"]["fock_dim"] == 12870 == comb(16, 8)
+        assert abs(rep["results"]["value"] - (-p * np.log2(p) - (1 - p) * np.log2(1 - p))) < 1e-12
+
+    def test_the_schmidt_matrix_peaks_under_its_prediction_in_a_fresh_process(self):
+        # tracemalloc sees neither LAPACK's copy nor its workspace, so the half cut of (89, 2),
+        # the largest Schmidt matrix (1035 x 1081, 17.1 MiB) the old dimension cap admitted, is
+        # measured by the peak resident set: its growth over mode_entanglement, 33.4-35.0 MiB
+        # here, stays under the (3, 1035, 1081) prediction, 51.2 MiB.  The process's own peak
+        # (VmHWM) is read, since ru_maxrss starts at the forking process's resident set
+        script = ("import re, tpskit.bosonic as b; f = b.build_fock(89, 2); "
+                  "v = b.single_excitation_state(f, 1); status = lambda: open('/proc/self/status').read(); "
+                  "peak = lambda: int(re.search(r'VmHWM:\\s+(\\d+) kB', status())[1]) * 1024; "
+                  "r = peak(); b.mode_entanglement(v, f, tuple(range(1, 45))); print(peak() - r)")
+        code, out, err, _ = run_fresh([], python=("-c", script))
+        assert code == 0, err
+        assert 16 * 1035 * 1081 < int(out) <= 16 * 3 * 1035 * 1081
 
     @staticmethod
     def twenty_paulis(tmp_path):

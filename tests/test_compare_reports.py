@@ -288,7 +288,8 @@ def test_every_tolerance_job_has_a_tight_twin_that_answers_otherwise(tmp_path, c
 def test_the_bosonic_reach_jobs_pass_every_benchmark_jobs_modes(tmp_path, capsys):
     # every benchmark bosonic job stops at four modes; the reach group builds 64, 200 and
     # 24 modes, the last in a seeded Haar frame read from a spec file written in code, and
-    # cuts 200 modes in half
+    # cuts 200 modes in half; past dimension 4096 it builds (8, 8) and (2, 600), and cuts
+    # (20, 5) in half, whose Schmidt matrix is refused
     jobs = compare_reports.build_jobs(str(tmp_path), [7919, 11], [0, 1, 2])
     modes = lambda argv: int(argv[argv.index("--modes") + 1])
     bosonic = [job for job in jobs if job["argv"][:2] == ["tps", "bosonic"]]
@@ -296,12 +297,17 @@ def test_the_bosonic_reach_jobs_pass_every_benchmark_jobs_modes(tmp_path, capsys
     reach = compare_reports.bosonic_reach_jobs(str(tmp_path))
     assert [job["argv"] for job in bosonic if job["argv"] in reach] == reach
     assert [(modes(a), a[a.index("--cutoff") + 1], "--unitary" in a) for a in reach] == [
-        (64, "2", False), (200, "1", False), (24, "3", True), (200, "1", False)]
+        (64, "2", False), (200, "1", False), (24, "3", True), (200, "1", False),
+        (8, "8", False), (2, "600", False), (20, "5", False)]
     assert reach[3][-2:] == ["--cut", ",".join(str(i) for i in range(1, 101))]
+    assert reach[6][-2:] == ["--cut", ",".join(str(i) for i in range(1, 11))]
     values = []
-    for argv in reach:
+    for argv in reach[:6]:
         assert main(argv) == 0, argv
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["fock_dim"] == comb(modes(argv) + int(results["cutoff"]), modes(argv))
         values.append(results["value"])
-    assert values[:2] + values[3:] == [0.0, 0.0, 0.0] and 0.1 < values[2] < 1
+    assert values[:2] + values[3:] == [0.0] * 5 and 0.1 < values[2] < 1
+    assert main(reach[6]) == 2
+    assert capsys.readouterr().err == ("computation error: ContractViolationError: a Schmidt matrix of "
+                                       "3003 x 3003 needs 413 MiB, over the 64 MiB budget\n")

@@ -596,6 +596,14 @@ class TestPrincipalLog:
         with pytest.raises(BranchCutError, match="^holonomy has eigenvalue -1$"):
             principal_log_unitary(-np.eye(2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, np.nan)])
+    def test_a_non_finite_holonomy_is_refused(self, entry):
+        # a NaN entry came back as an all-NaN "logarithm"
+        H = np.diag([np.exp(0.3j), 1.0])
+        H[0, 1] = entry
+        with pytest.raises(ContractViolationError, match="^holonomy has a non-finite entry$"):
+            principal_log_unitary(H)
+
     def test_phase_just_inside_margin_accepted(self):
         H = np.diag([np.exp(1j * (np.pi - 2e-3)), 1.0])
         K = principal_log_unitary(H)

@@ -47,7 +47,9 @@ past every benchmark job's four modes, where the Fock-space build changes
 most (``bosonic_reach_jobs``): the identity frame at ``--modes 64 --cutoff 2``
 and ``--modes 200 --cutoff 1``, a Haar frame from a spec file written in
 code at ``--modes 24 --cutoff 3 --excite 2 --cut 1,2``, and the 200 modes cut
-in half (``--cut 1,...,100``), the one job that cuts more than two modes; and six
+in half (``--cut 1,...,100``), the one job that cuts more than two modes, and past
+dimension 4096 ``--modes 8 --cutoff 8`` and ``--modes 2 --cutoff 600``, which answer,
+and ``--modes 20 --cutoff 5 --cut 1,...,10``, refused at its Schmidt matrix; and six
 ``tps`` jobs whose operators sit between the default ``--tol-resid`` and a tight one, each run at both, so
 a tolerance that stops reaching its check changes a verdict or an exit code
 (every benchmark job runs at the default tolerance).
@@ -290,8 +292,10 @@ def bosonic_reach_jobs(cwd: str) -> list[list[str]]:
     """tps bosonic past every benchmark job's four modes, where the Fock-space build
     changes most: the identity frame at 64 modes, cutoff 2 and 200 modes, cutoff 1, a
     seeded Haar frame on 24 modes at cutoff 3, from a spec file written to cwd, exciting
-    mode 2 across the cut 1,2, and the 200 modes cut in half, 1,...,100, the one cut of
-    more than two modes."""
+    mode 2 across the cut 1,2, and the 200 modes cut in half, 1,...,100; then three
+    past dimension 4096: 8 modes at cutoff 8 (12870) and 2 modes at cutoff 600 (180901),
+    which answer, and 20 modes at cutoff 5 cut in half, 1,...,10, whose tables fit and
+    whose 3003 x 3003 Schmidt matrix is refused."""
     import numpy as np
 
     haar24 = write_spec(os.path.join(cwd, "haar24.json"), {"u": haar(24, np.random.default_rng(24))})
@@ -299,7 +303,10 @@ def bosonic_reach_jobs(cwd: str) -> list[list[str]]:
             ["tps", "bosonic", "--modes", "200", "--cutoff", "1"],
             ["tps", "bosonic", haar24, "--modes", "24", "--cutoff", "3", "--unitary", "u",
              "--excite", "2", "--cut", "1,2"],
-            ["tps", "bosonic", "--modes", "200", "--cutoff", "1", "--cut", ",".join(map(str, range(1, 101)))]]
+            ["tps", "bosonic", "--modes", "200", "--cutoff", "1", "--cut", ",".join(map(str, range(1, 101)))],
+            ["tps", "bosonic", "--modes", "8", "--cutoff", "8"],
+            ["tps", "bosonic", "--modes", "2", "--cutoff", "600"],
+            ["tps", "bosonic", "--modes", "20", "--cutoff", "5", "--cut", ",".join(map(str, range(1, 11)))]]
 
 
 def tolerance_jobs(cwd: str) -> list[list[str]]:
